@@ -46,6 +46,8 @@ def _load_json(path: str):
         raise FormatError(f"no such file: {path}") from None
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})") from None
+    except RecursionError:
+        raise FormatError(f"{path}: JSON nested too deeply") from None
 
 
 def _emit(doc, pretty: bool) -> None:
@@ -228,6 +230,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_CAPABILITY
     except TriformError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
         return EXIT_USAGE
 
 

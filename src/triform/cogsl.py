@@ -53,6 +53,7 @@ from .pgschema import (
     content_dnf,
     is_closed_type,
     pg_validate,
+    push_inv,
     shape_atoms,
 )
 from .report import ValidationReport
@@ -95,24 +96,6 @@ class AStep:
 
 
 PathAtom = Union[AFilter, AStep]
-
-
-def _push_inv(path: NodePath, flipped: bool) -> NodePath:
-    if isinstance(path, PFilter):
-        return path
-    if isinstance(path, (PPred, PNotPreds)):
-        return PInv(path) if flipped else path
-    if isinstance(path, PInv):
-        return _push_inv(path.inner, not flipped)
-    if isinstance(path, PConcat):
-        l = _push_inv(path.left, flipped)
-        r = _push_inv(path.right, flipped)
-        return PConcat(r, l) if flipped else PConcat(l, r)
-    if isinstance(path, PUnion):
-        return PUnion(_push_inv(path.left, flipped), _push_inv(path.right, flipped))
-    if isinstance(path, PStar):
-        return PStar(_push_inv(path.inner, flipped))
-    raise TriformError(f"unknown PG-path node {path!r}")
 
 
 def _to_disjuncts(path: NodePath) -> List[List[PathAtom]]:
@@ -217,14 +200,6 @@ def _is_open_content(t: ContentType) -> bool:
     return False
 
 
-def _open_kernel(t: ContentType) -> ContentType:
-    """The tau of a guarded open type tau & top."""
-    if isinstance(t, CAny):
-        return CEmpty()
-    assert isinstance(t, CBoth)
-    return t.left if isinstance(t.right, CAny) else t.right
-
-
 def _check_filter(ck: _Check, loc: str, kind: FilterKind) -> None:
     if isinstance(kind, (FKeyIs, FNotKeyIs)):
         return
@@ -258,13 +233,6 @@ def _check_body(ck: _Check, loc: str, path: NodePath) -> None:
     ck.add(loc, "path-shape", f"unknown path node {path!r}")
 
 
-def _body_ok(path: Optional[NodePath]) -> bool:
-    probe = _Check()
-    if path is not None:
-        _check_body(probe, "", path)
-    return not probe.violations
-
-
 def _is_trivial_body(body: Optional[NodePath]) -> bool:
     if body is None:
         return True
@@ -293,7 +261,7 @@ def _classify_count(
 ) -> Optional[CountAtom]:
     """Counting atoms traverse exactly one edge or key step flanked by filters."""
     if path.src_key is not None:
-        filters = _filters_only(path.body and _push_inv(path.body, False))
+        filters = _filters_only(path.body and push_inv(path.body))
         if path.dst_key is not None or filters is None:
             ck.add(loc, "count-path", "counting paths traverse exactly one edge or key step")
             return None
@@ -301,7 +269,7 @@ def _classify_count(
             _check_filter(ck, loc, f)
         return CountAtom(kind, n, "inv_key", path.src_key, (), tuple(filters))
     if path.dst_key is not None:
-        filters = _filters_only(path.body and _push_inv(path.body, False))
+        filters = _filters_only(path.body and push_inv(path.body))
         if filters is None:
             ck.add(loc, "count-path", "counting paths traverse exactly one edge or key step")
             return None
@@ -311,7 +279,7 @@ def _classify_count(
     if path.body is None:
         ck.add(loc, "count-path", "counting paths traverse exactly one edge or key step")
         return None
-    body = _push_inv(path.body, False)
+    body = push_inv(path.body)
     disjuncts_ok = True
     try:
         disjuncts = _to_disjuncts(body)
@@ -369,7 +337,7 @@ def _classify_shape(ck: _Check, loc: str, shape: PgShape) -> Tuple[ClassifiedAto
             continue
         if isinstance(atom, PgGeq) and atom.n == 1:
             if body is not None:
-                _check_body(ck, aloc, _push_inv(body, False))
+                _check_body(ck, aloc, push_inv(body))
             out.append((j, ExistsAtom(path)))
             continue
         kind = "geq" if isinstance(atom, PgGeq) else "leq"
@@ -402,7 +370,7 @@ def _classify_selector(ck: _Check, loc: str, sel: PgShape) -> Optional[Classifie
     path = sel.path
     if path.src_key is not None:
         if path.body is not None:
-            _check_body(ck, loc, _push_inv(path.body, False))
+            _check_body(ck, loc, push_inv(path.body))
         return ClassifiedSel("inv_key", path.src_key, path)
     body = path.body
     if _is_trivial_body(body) and path.dst_key is not None:
@@ -410,7 +378,7 @@ def _classify_selector(ck: _Check, loc: str, sel: PgShape) -> Optional[Classifie
     if body is None:
         ck.add(loc, "selector-form", "selector must name a predicate or key")
         return None
-    body = _push_inv(body, False)
+    body = push_inv(body)
     head, rest = _peel_head(body)
     if rest is not None:
         _check_body(ck, loc, rest)
@@ -523,45 +491,31 @@ def _shacl_step(step: str, name: str) -> sh.PathExpr:
     return sh.Inverse(sh.Step(name))
 
 
-def _atoms_to_shacl(atoms: List[PathAtom]) -> sh.ShaclShape:
+def _atoms_to_shacl(atoms: List[PathAtom], dst_key: Optional[str]) -> sh.ShaclShape:
     """Existential concatenation, rightmost first (Lemma-style recursion)."""
     if not atoms:
-        return sh.Top()
+        return sh.Top() if dst_key is None else sh.exists(sh.Step(dst_key))
     head, rest = atoms[0], atoms[1:]
     if isinstance(head, AFilter):
-        if not rest:
+        if not rest and dst_key is None:
             return _filter_to_shacl(head.kind)
-        return sh.And(_filter_to_shacl(head.kind), _atoms_to_shacl(rest))
+        return sh.And(_filter_to_shacl(head.kind), _atoms_to_shacl(rest, dst_key))
     step = sh.Inverse(sh.Step(head.p)) if head.inverse else sh.Step(head.p)
-    return sh.GeqCount(1, step, _atoms_to_shacl(rest))
+    return sh.GeqCount(1, step, _atoms_to_shacl(rest, dst_key))
 
 
 def _exists_to_shacl(path: PgPath) -> sh.ShaclShape:
-    disjuncts = _to_disjuncts(_push_inv(path.body, False)) if path.body is not None else [[]]
+    disjuncts = _to_disjuncts(push_inv(path.body)) if path.body is not None else [[]]
     shapes = []
     for concat in disjuncts:
         atoms: List[PathAtom] = list(concat)
-        if path.dst_key is not None:
-            # a trailing key step needs no filter after it
-            shapes.append(_atoms_to_shacl_with_key(atoms, path.dst_key))
-            continue
-        if atoms and isinstance(atoms[-1], AStep):
+        if path.dst_key is None and atoms and isinstance(atoms[-1], AStep):
             atoms.append(AFilter(TRIVIAL_FILTER))
-        shapes.append(_atoms_to_shacl(atoms))
+        shapes.append(_atoms_to_shacl(atoms, path.dst_key))
     out = sh.or_all(shapes)
     if path.src_key is not None:
         out = sh.GeqCount(1, sh.Inverse(sh.Step(path.src_key)), out)
     return out
-
-
-def _atoms_to_shacl_with_key(atoms: List[PathAtom], key: str) -> sh.ShaclShape:
-    if not atoms:
-        return sh.exists(sh.Step(key), sh.Top())
-    head, rest = atoms[0], atoms[1:]
-    if isinstance(head, AFilter):
-        return sh.And(_filter_to_shacl(head.kind), _atoms_to_shacl_with_key(rest, key))
-    step = sh.Inverse(sh.Step(head.p)) if head.inverse else sh.Step(head.p)
-    return sh.GeqCount(1, step, _atoms_to_shacl_with_key(rest, key))
 
 
 def _count_to_shacl(atom: CountAtom) -> sh.ShaclShape:
@@ -664,7 +618,7 @@ def _atoms_to_shex(atoms: List[PathAtom], dst_key: Optional[str]) -> sx.ShexShap
 
 
 def _exists_to_shex(path: PgPath) -> sx.ShexShape:
-    disjuncts = _to_disjuncts(_push_inv(path.body, False)) if path.body is not None else [[]]
+    disjuncts = _to_disjuncts(push_inv(path.body)) if path.body is not None else [[]]
     shapes = []
     for concat in disjuncts:
         atoms: List[PathAtom] = list(concat)

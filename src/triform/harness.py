@@ -12,9 +12,10 @@ append-only result list.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from . import shacl as sh
 from . import shex as sx
@@ -31,6 +32,7 @@ from .model import (
     NeighborhoodTooLarge,
     Node,
     PropTriple,
+    Record,
     SignedTriple,
     TriformError,
     Val,
@@ -49,6 +51,10 @@ from .pgschema import (
     CEmpty,
     CField,
     ContentType,
+    EBoth,
+    EdgeType,
+    EEither,
+    ET,
     FilterKind,
     FKeyIs,
     FNotKeyIs,
@@ -68,6 +74,7 @@ from .pgschema import (
     PPred,
     PStar,
     PUnion,
+    concat_all,
     content,
     content_member,
     pg_and_all,
@@ -202,26 +209,17 @@ def _gen_count_atom(rng: random.Random, p: GenParams, value_sorted: bool) -> PgS
         n = 2  # keep geq-1 for exists atoms
     filters = lambda: [PFilter(_gen_filter(rng, p)) for _ in range(rng.randrange(0, 2))]
     if value_sorted:
-        body = _concat(filters())
+        body = concat_all(filters())
         return ctor(n, PgPath(rng.choice(p.key_pool), body, None))
     kind = rng.randrange(3)
     if kind == 0:  # key step
-        body = _concat(filters())
+        body = concat_all(filters())
         return ctor(n, PgPath(None, body, rng.choice(p.key_pool)))
     step: NodePath = PPred(rng.choice(p.pred_pool))
     if kind == 2:
         step = PInv(step)
     parts = filters() + [step] + filters()
-    return ctor(n, PgPath(None, _concat(parts), None))
-
-
-def _concat(parts: Sequence[NodePath]) -> Optional[NodePath]:
-    if not parts:
-        return None
-    out = parts[0]
-    for x in parts[1:]:
-        out = PConcat(out, x)
-    return out
+    return ctor(n, PgPath(None, concat_all(parts), None))
 
 
 def _gen_guard(rng: random.Random, p: GenParams) -> PgShape:
@@ -607,6 +605,39 @@ def brute_pg_path_oracle(g: CommonGraph, v: Focus, path: PgPath, registry=None) 
         kout = {(Node(n), Val(w)) for (n, k), w in g.props.items() if k == path.dst_key}
         full = _compose(full, kout)
     return {u for (x, u) in full if x == v}
+
+
+def brute_edge_type_member(g: CommonGraph, e: EdgeTriple, t: EdgeType, registry=None) -> bool:
+    """Edge-type membership by enumerating, at every EBoth, all
+    3^|src| * 3^|dst| splits of the endpoint records into two parts whose
+    union is the record (shared keys allowed)."""
+
+    def splits(r: Record) -> Iterator[Tuple[Record, Record]]:
+        keys = sorted(r)
+        for sides in itertools.product((0, 1, 2), repeat=len(keys)):
+            yield (
+                {k: r[k] for k, side in zip(keys, sides) if side != 1},
+                {k: r[k] for k, side in zip(keys, sides) if side != 0},
+            )
+
+    def member(src: Record, dst: Record, t: EdgeType) -> bool:
+        if isinstance(t, ET):
+            return (
+                (t.labels is None or e.p in t.labels)
+                and content_member(src, t.src, registry)
+                and content_member(dst, t.dst, registry)
+            )
+        if isinstance(t, EEither):
+            return member(src, dst, t.left) or member(src, dst, t.right)
+        if isinstance(t, EBoth):
+            return any(
+                member(s1, d1, t.left) and member(s2, d2, t.right)
+                for s1, s2 in splits(src)
+                for d1, d2 in splits(dst)
+            )
+        raise TriformError(f"unknown edge type {t!r}")
+
+    return member(content(g, e.s), content(g, e.o), t)
 
 
 def _expr_language(
@@ -1006,7 +1037,7 @@ def run_campaign(
                 {
                     "seed": seed + i,
                     "rule": report.witness[0] if report.witness else None,
-                    "focus": report.witness[1] if report.witness else None,
+                    "witness": report.witness[1] if report.witness else None,
                     "graph_size": (len(small.edges), len(small.props)),
                 }
             )

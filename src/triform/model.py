@@ -13,7 +13,7 @@ shared freely between concurrent evaluators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
@@ -360,6 +360,21 @@ def neigh_signed(g: CommonGraph, v: Focus) -> FrozenSet[SignedTriple]:
         for (n, k) in g.value_owners(v.value):
             out.add(SignedTriple(k, True, INV, Node(n)))
     return frozenset(out)
+
+
+def triple_ends(g: CommonGraph, q: str, direction: str) -> Set[Focus]:
+    """The foci with a ``q`` triple in the given direction: the first
+    components (``FWD``) or the last components (``INV``) of all edges
+    and property triples named ``q``."""
+    out: Set[Focus] = set()
+    fwd = direction == FWD
+    for e in g.edges:
+        if e.p == q:
+            out.add(Node(e.s if fwd else e.o))
+    for (n, k), w in g.props.items():
+        if k == q:
+            out.add(Node(n) if fwd else Val(w))
+    return out
 
 
 def value_sort_key(w: Value) -> Tuple[str, str]:

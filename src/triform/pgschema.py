@@ -9,7 +9,9 @@ functional record union) and is either closed (exact key set) or open
 starred, while key steps appear only at the two ends, turning a path
 into one of four sorts (node/value to node/value).  Filters are
 sub-identities on graph nodes only; a focus outside the graph never
-passes a filter.
+passes a filter.  The same path algebra, with two extra atoms for
+SHACL's name step and identity, carries lowered SHACL paths, so one
+evaluator (:func:`path_image`) serves both dialects.
 
 The graph-type layer mirrors the database view: node types, edge types
 with a compatible-union value semantics, and constraint pairs, all
@@ -25,8 +27,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from functools import cached_property, lru_cache
+from typing import FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from .model import (
     CommonGraph,
@@ -214,6 +216,20 @@ class PNotPreds:
 
 
 @dataclass(frozen=True)
+class PName:
+    """SHACL's name step: the edges labelled ``q`` plus the key ``q`` (node
+    to value; inverted, value to owner).  ``build_graph`` keeps predicate
+    and key names disjoint, so at most one half matches in a graph."""
+
+    q: str
+
+
+@dataclass(frozen=True)
+class PId:
+    """Identity on every element, in the graph or not (SHACL's ``id``)."""
+
+
+@dataclass(frozen=True)
 class PInv:
     inner: "NodePath"
 
@@ -235,7 +251,7 @@ class PStar:
     inner: "NodePath"
 
 
-NodePath = Union[PFilter, PPred, PNotPreds, PInv, PConcat, PUnion, PStar]
+NodePath = Union[PFilter, PPred, PNotPreds, PName, PId, PInv, PConcat, PUnion, PStar]
 
 
 @dataclass(frozen=True)
@@ -250,6 +266,12 @@ class PgPath:
     def __post_init__(self):
         if self.src_key is None and self.body is None and self.dst_key is None:
             raise TriformError("empty PG-path")
+
+    @cached_property
+    def normal_body(self) -> Optional[NodePath]:
+        """The body with inverses pushed to the steps, computed once per
+        path object."""
+        return None if self.body is None else push_inv(self.body)
 
     @property
     def src_sort(self) -> str:
@@ -300,22 +322,26 @@ def union_all(parts: Sequence[NodePath]) -> NodePath:
     return layer[0]
 
 
-def _push_inv(path: NodePath, flipped: bool) -> NodePath:
-    """Normalize so PInv only wraps PPred/PNotPreds atoms."""
-    if isinstance(path, PFilter):
-        return path  # filters are sub-identities, hence self-inverse
-    if isinstance(path, (PPred, PNotPreds)):
+def push_inv(path: NodePath, flipped: bool = False) -> NodePath:
+    """Normalize so PInv only wraps the step atoms PPred, PNotPreds and PName.
+
+    The one inverse-pushing routine, for PG bodies, lowered SHACL paths
+    and the common-fragment checker.
+    """
+    if isinstance(path, (PFilter, PId)):
+        return path  # sub-identities are self-inverse
+    if isinstance(path, (PPred, PNotPreds, PName)):
         return PInv(path) if flipped else path
     if isinstance(path, PInv):
-        return _push_inv(path.inner, not flipped)
+        return push_inv(path.inner, not flipped)
     if isinstance(path, PConcat):
-        l = _push_inv(path.left, flipped)
-        r = _push_inv(path.right, flipped)
+        l = push_inv(path.left, flipped)
+        r = push_inv(path.right, flipped)
         return PConcat(r, l) if flipped else PConcat(l, r)
     if isinstance(path, PUnion):
-        return PUnion(_push_inv(path.left, flipped), _push_inv(path.right, flipped))
+        return PUnion(push_inv(path.left, flipped), push_inv(path.right, flipped))
     if isinstance(path, PStar):
-        return PStar(_push_inv(path.inner, flipped))
+        return PStar(push_inv(path.inner, flipped))
     raise TriformError(f"unknown PG-path node {path!r}")
 
 
@@ -331,34 +357,70 @@ def _filter_holds(g: CommonGraph, u: str, kind: FilterKind, registry) -> bool:
     raise TriformError(f"unknown filter {kind!r}")
 
 
-def _node_image(g: CommonGraph, path: NodePath, sources: Set[str], registry) -> Set[str]:
+def path_image(g: CommonGraph, path: NodePath, sources: Set, registry=None) -> Set:
+    """The image of ``sources`` under an inverse-normalized path.
+
+    The one evaluator for PG bodies and lowered SHACL paths.  Elements
+    are raw: node ids (``str``) and ``Value`` objects.  No step needs to
+    test an element's kind, because the graph's indexes hold nothing for
+    an element of the wrong kind, and a filter passes graph nodes only.
+    The star is reflexive on every source.
+    """
+    if isinstance(path, PName):
+        q = path.q
+        out = set()
+        for u in sources:
+            for e in g.out_edges(u):
+                if e.p == q:
+                    out.add(e.o)
+            w = g.prop(u, q)
+            if w is not None:
+                out.add(w)
+        return out
+    if isinstance(path, PInv):
+        step = path.inner
+        if isinstance(step, PName):
+            q = step.q
+            out = set()
+            for u in sources:
+                for e in g.in_edges(u):
+                    if e.p == q:
+                        out.add(e.s)
+                for n, k in g.value_owners(u):
+                    if k == q:
+                        out.add(n)
+            return out
+        if isinstance(step, PPred):
+            q = step.p
+            return {e.s for u in sources for e in g.in_edges(u) if e.p == q}
+        if isinstance(step, PNotPreds):
+            excluded = step.excluded
+            return {e.s for u in sources for e in g.in_edges(u) if e.p not in excluded}
+        raise TriformError("inverse not normalized")
+    if isinstance(path, PPred):
+        q = path.p
+        return {e.o for u in sources for e in g.out_edges(u) if e.p == q}
+    if isinstance(path, PConcat):
+        return path_image(g, path.right, path_image(g, path.left, sources, registry), registry)
     if isinstance(path, PFilter):
         return {u for u in sources if u in g.nodes and _filter_holds(g, u, path.kind, registry)}
-    if isinstance(path, PPred):
-        return {e.o for u in sources for e in g.out_edges(u) if e.p == path.p}
-    if isinstance(path, PNotPreds):
-        return {e.o for u in sources for e in g.out_edges(u) if e.p not in path.excluded}
-    if isinstance(path, PInv):
-        inner = path.inner
-        if isinstance(inner, PPred):
-            return {e.s for u in sources for e in g.in_edges(u) if e.p == inner.p}
-        if isinstance(inner, PNotPreds):
-            return {e.s for u in sources for e in g.in_edges(u) if e.p not in inner.excluded}
-        raise TriformError("inverse not normalized")
-    if isinstance(path, PConcat):
-        return _node_image(g, path.right, _node_image(g, path.left, sources, registry), registry)
     if isinstance(path, PUnion):
-        return _node_image(g, path.left, sources, registry) | _node_image(
+        return path_image(g, path.left, sources, registry) | path_image(
             g, path.right, sources, registry
         )
     if isinstance(path, PStar):
-        reached = {u for u in sources if u in g.nodes}
-        frontier = set(reached)
+        reached = set(sources)
+        frontier = set(sources)
         while frontier:
-            nxt = _node_image(g, path.inner, frontier, registry) - reached
+            nxt = path_image(g, path.inner, frontier, registry) - reached
             reached |= nxt
             frontier = nxt
         return reached
+    if isinstance(path, PNotPreds):
+        excluded = path.excluded
+        return {e.o for u in sources for e in g.out_edges(u) if e.p not in excluded}
+    if isinstance(path, PId):
+        return set(sources)
     raise TriformError(f"unknown PG-path node {path!r}")
 
 
@@ -371,7 +433,9 @@ def eval_pg_path(
     """The image of ``v`` under the path's relation.
 
     Raises :class:`SortError` when the focus kind does not match the
-    path's source sort.
+    path's source sort.  A node focus outside the graph has the empty
+    image: no step leaves it, no filter passes it, and the star's
+    reflexive part covers graph nodes only.
     """
     if path.src_key is not None:
         if not isinstance(v, Val):
@@ -380,9 +444,9 @@ def eval_pg_path(
     else:
         if not isinstance(v, Node):
             raise SortError(f"node-sorted path evaluated at value focus {v!r}")
-        nodes = {v.id}
+        nodes = {v.id} if v.id in g.nodes else set()
     if path.body is not None:
-        nodes = _node_image(g, _push_inv(path.body, False), nodes, registry)
+        nodes = path_image(g, path.normal_body, nodes, registry)
     if path.dst_key is not None:
         out: Set[Focus] = set()
         for u in nodes:
@@ -538,46 +602,6 @@ class EEither:
 EdgeType = Union[ET, EBoth, EEither]
 
 
-def _record_splits(r: Record) -> Iterable[Tuple[Record, Record]]:
-    """All pairs (r1, r2) with r1 and r2 subrecords of r and r1 | r2 == r.
-
-    Shared keys are allowed: the union of compatible records need not be
-    disjoint.
-    """
-    keys = sorted(r)
-    for assignment in itertools.product((0, 1, 2), repeat=len(keys)):
-        r1: Record = {}
-        r2: Record = {}
-        for k, side in zip(keys, assignment):
-            if side in (0, 2):
-                r1[k] = r[k]
-            if side in (1, 2):
-                r2[k] = r[k]
-        yield r1, r2
-
-
-def _edge_member(
-    src: Record, label: str, dst: Record, t: EdgeType, registry: Optional[ValueTypeRegistry]
-) -> bool:
-    if isinstance(t, ET):
-        if t.labels is not None and label not in t.labels:
-            return False
-        return content_member(src, t.src, registry) and content_member(dst, t.dst, registry)
-    if isinstance(t, EEither):
-        return _edge_member(src, label, dst, t.left, registry) or _edge_member(
-            src, label, dst, t.right, registry
-        )
-    if isinstance(t, EBoth):
-        for s1, s2 in _record_splits(src):
-            for d1, d2 in _record_splits(dst):
-                if _edge_member(s1, label, d1, t.left, registry) and _edge_member(
-                    s2, label, d2, t.right, registry
-                ):
-                    return True
-        return False
-    raise TriformError(f"unknown edge type {t!r}")
-
-
 def edge_type_member(
     g: CommonGraph,
     e: EdgeTriple,
@@ -585,8 +609,19 @@ def edge_type_member(
     registry: Optional[ValueTypeRegistry] = None,
 ) -> bool:
     """Does (content(source), label, content(target)) belong to the type's
-    value semantics?"""
-    return _edge_member(content(g, e.s), e.p, content(g, e.o), t, registry)
+    value semantics?
+
+    Decided against the primitives of the type's normal form: some
+    primitive allows the label and both endpoint records match its
+    contents.
+    """
+    src, dst = content(g, e.s), content(g, e.o)
+    return any(
+        (prim.labels is None or e.p in prim.labels)
+        and content_member(src, prim.src, registry)
+        and content_member(dst, prim.dst, registry)
+        for prim in _normalize(t)
+    )
 
 
 def _label_meet(a: Optional[FrozenSet[str]], b: Optional[FrozenSet[str]]) -> Optional[FrozenSet[str]]:
@@ -610,21 +645,22 @@ def normalize_edge_type(t: EdgeType) -> List[ET]:
     return out
 
 
-def _normalize(t: EdgeType) -> List[ET]:
+@lru_cache(maxsize=1024)
+def _normalize(t: EdgeType) -> Tuple[ET, ...]:
     if isinstance(t, ET):
-        return [
+        return tuple(
             ET(disjunct_to_content(ds), t.labels, disjunct_to_content(dd))
             for ds in content_dnf(t.src)
             for dd in content_dnf(t.dst)
-        ]
+        )
     if isinstance(t, EEither):
         return _normalize(t.left) + _normalize(t.right)
     if isinstance(t, EBoth):
-        return [
+        return tuple(
             ET(CBoth(a.src, b.src), _label_meet(a.labels, b.labels), CBoth(a.dst, b.dst))
             for a in _normalize(t.left)
             for b in _normalize(t.right)
-        ]
+        )
     raise TriformError(f"unknown edge type {t!r}")
 
 

@@ -16,9 +16,12 @@ concurrent workers partitioned by rule index.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import FrozenSet, List, Optional, Set, Tuple, Union
 
 from .model import (
+    FWD,
+    INV,
     CommonGraph,
     Focus,
     Node,
@@ -27,43 +30,55 @@ from .model import (
     Value,
     ValueTypeRegistry,
     sorted_foci,
+    triple_ends,
     value_type_member,
 )
+from .pgschema import NodePath, PConcat, PId, PInv, PName, PStar, PUnion, path_image, push_inv
 from .report import ValidationReport, make_report
 
 # ---------------------------------------------------------------------------
 # ASTs
 
 
+class _Path:
+    """Base of the path nodes: holds the lowering into PG's path algebra."""
+
+    @cached_property
+    def lowered(self) -> NodePath:
+        """The path as a PG path with inverses pushed to the steps, computed
+        once per path object."""
+        return push_inv(_as_pg_path(self))
+
+
 @dataclass(frozen=True)
-class Id:
+class Id(_Path):
     pass
 
 
 @dataclass(frozen=True)
-class Step:
+class Step(_Path):
     q: str
 
 
 @dataclass(frozen=True)
-class Inverse:
+class Inverse(_Path):
     inner: "PathExpr"
 
 
 @dataclass(frozen=True)
-class Concat:
+class Concat(_Path):
     left: "PathExpr"
     right: "PathExpr"
 
 
 @dataclass(frozen=True)
-class PathUnion:
+class PathUnion(_Path):
     left: "PathExpr"
     right: "PathExpr"
 
 
 @dataclass(frozen=True)
-class Star:
+class Star(_Path):
     inner: "PathExpr"
 
 
@@ -197,74 +212,19 @@ def or_all(shapes: List[ShaclShape]) -> ShaclShape:
 # ---------------------------------------------------------------------------
 # Path evaluation
 
-def _push_inverse(path: PathExpr, flipped: bool) -> PathExpr:
-    """Normalize so that Inverse only wraps Step atoms."""
-    if isinstance(path, Id):
-        return path
+def _as_pg_path(path: PathExpr) -> NodePath:
     if isinstance(path, Step):
-        return Inverse(path) if flipped else path
-    if isinstance(path, Inverse):
-        return _push_inverse(path.inner, not flipped)
+        return PName(path.q)
     if isinstance(path, Concat):
-        l = _push_inverse(path.left, flipped)
-        r = _push_inverse(path.right, flipped)
-        return Concat(r, l) if flipped else Concat(l, r)
+        return PConcat(_as_pg_path(path.left), _as_pg_path(path.right))
+    if isinstance(path, Inverse):
+        return PInv(_as_pg_path(path.inner))
     if isinstance(path, PathUnion):
-        return PathUnion(_push_inverse(path.left, flipped), _push_inverse(path.right, flipped))
+        return PUnion(_as_pg_path(path.left), _as_pg_path(path.right))
     if isinstance(path, Star):
-        return Star(_push_inverse(path.inner, flipped))
-    raise TriformError(f"unknown path node {path!r}")
-
-
-def _step_image(g: CommonGraph, q: str, sources: Set[Focus]) -> Set[Focus]:
-    out: Set[Focus] = set()
-    for v in sources:
-        if not isinstance(v, Node):
-            continue  # values have no outgoing triples
-        for e in g.out_edges(v.id):
-            if e.p == q:
-                out.add(Node(e.o))
-        w = g.prop(v.id, q)
-        if w is not None:
-            out.add(Val(w))
-    return out
-
-
-def _inv_step_image(g: CommonGraph, q: str, sources: Set[Focus]) -> Set[Focus]:
-    out: Set[Focus] = set()
-    for v in sources:
-        if isinstance(v, Node):
-            for e in g.in_edges(v.id):
-                if e.p == q:
-                    out.add(Node(e.s))
-        else:
-            for (n, k) in g.value_owners(v.value):
-                if k == q:
-                    out.add(Node(n))
-    return out
-
-
-def _image(g: CommonGraph, path: PathExpr, sources: Set[Focus]) -> Set[Focus]:
+        return PStar(_as_pg_path(path.inner))
     if isinstance(path, Id):
-        return set(sources)
-    if isinstance(path, Step):
-        return _step_image(g, path.q, sources)
-    if isinstance(path, Inverse):
-        # after normalization the inner is always a Step
-        assert isinstance(path.inner, Step)
-        return _inv_step_image(g, path.inner.q, sources)
-    if isinstance(path, Concat):
-        return _image(g, path.right, _image(g, path.left, sources))
-    if isinstance(path, PathUnion):
-        return _image(g, path.left, sources) | _image(g, path.right, sources)
-    if isinstance(path, Star):
-        reached = set(sources)
-        frontier = set(sources)
-        while frontier:
-            nxt = _image(g, path.inner, frontier) - reached
-            reached |= nxt
-            frontier = nxt
-        return reached
+        return PId()
     raise TriformError(f"unknown path node {path!r}")
 
 
@@ -272,9 +232,14 @@ def eval_path(g: CommonGraph, v: Focus, path: PathExpr) -> Set[Focus]:
     """The image of ``v`` under the path's relation.
 
     Always a subset of the graph's nodes and values plus ``v`` itself
-    (the focus enters only through ``id``).
+    (the focus enters only through ``id``).  Evaluated by
+    :func:`pgschema.path_image` on the lowered path.
     """
-    return _image(g, _push_inverse(path, False), {v})
+    start = v.id if isinstance(v, Node) else v.value
+    out: Set[Focus] = set()
+    for u in path_image(g, path.lowered, {start}):
+        out.add(Node(u) if type(u) is str else Val(u))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -345,23 +310,12 @@ def shacl_select(g: CommonGraph, sel: ShaclSelector) -> List[Focus]:
     ``SelConst`` contributes its constant even when it does not occur in
     the graph; the other forms ground to the graph's triples.
     """
-    out: Set[Focus] = set()
     if isinstance(sel, ExistsOut):
-        for e in g.edges:
-            if e.p == sel.q:
-                out.add(Node(e.s))
-        for (n, k) in g.props:
-            if k == sel.q:
-                out.add(Node(n))
+        out = triple_ends(g, sel.q, FWD)
     elif isinstance(sel, ExistsIn):
-        for e in g.edges:
-            if e.p == sel.q:
-                out.add(Node(e.o))
-        for (n, k), w in g.props.items():
-            if k == sel.q:
-                out.add(Val(w))
+        out = triple_ends(g, sel.q, INV)
     elif isinstance(sel, SelConst):
-        out.add(Val(sel.c))
+        out = {Val(sel.c)}
     else:
         raise TriformError(f"unknown SHACL selector {sel!r}")
     return sorted_foci(out)

@@ -42,6 +42,7 @@ from .model import (
     neigh_signed,
     signed_triple_sort_key,
     sorted_foci,
+    triple_ends,
     value_type_member,
 )
 from .report import ValidationReport, make_report
@@ -541,19 +542,9 @@ def shex_select(g: CommonGraph, sel: ShexSelector) -> List[Focus]:
                 out.add(Node(n))
         # predicate endpoints are nodes and never equal a value constant
     elif isinstance(sel, SelOut):
-        for e in g.edges:
-            if e.p == sel.q:
-                out.add(Node(e.s))
-        for (n, k) in g.props:
-            if k == sel.q:
-                out.add(Node(n))
+        out = triple_ends(g, sel.q, FWD)
     elif isinstance(sel, SelIn):
-        for e in g.edges:
-            if e.p == sel.q:
-                out.add(Node(e.o))
-        for (n, k), w in g.props.items():
-            if k == sel.q:
-                out.add(Val(w))
+        out = triple_ends(g, sel.q, INV)
     else:
         raise TriformError(f"unknown ShEx selector {sel!r}")
     return sorted_foci(out)

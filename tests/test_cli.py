@@ -239,3 +239,17 @@ def test_no_command_prints_help(capsys):
     code, out, _ = run(capsys)
     assert code == 2
     assert "validate" in out
+
+
+def test_deeply_nested_schema_is_a_parse_error(files, tmp_path, capsys):
+    depth = 2000
+    shape = '{"op": "not", "arg": ' * depth + '{"op": "top"}' + "}" * depth
+    schema = tmp_path / "deep.json"
+    schema.write_text(
+        '{"dialect": "shacl", "rules": [{"sel": {"op": "exists_out", "q": "ownsAccount"}, '
+        f'"shape": {shape}}}]}}'
+    )
+    code, out, err = run(capsys, "validate", files["graph.json"], str(schema))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

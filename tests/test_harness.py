@@ -1,5 +1,6 @@
 import pytest
 
+import triform.harness as harness
 from triform.harness import (
     GenParams,
     brute_match_oracle,
@@ -26,7 +27,7 @@ from triform.model import (
     build_graph,
     int_v,
 )
-from triform.shacl import GeqCount, LeqCount, Star, Step, Top, shacl_validate
+from triform.shacl import GeqCount, LeqCount, Not, Star, Step, Top, shacl_validate
 from triform.shex import Eps, HalfOpen, NO_NAMES
 from triform.cogsl import check_common
 
@@ -193,3 +194,21 @@ def test_concurrent_validation_shares_graph(g_media, pg_c1_c5, shex_c1_c5):
     with ThreadPoolExecutor(max_workers=4) as pool:
         assert all(pool.map(pg_job, range(8)))
         assert all(pool.map(shex_job, range(8)))
+
+
+def test_campaign_records_a_forced_divergence(monkeypatch):
+    real = harness.cogsl_to_shacl
+
+    def failing_shacl(rules):
+        return [(sel, Not(Top())) for sel, _ in real(rules)]
+
+    monkeypatch.setattr(harness, "cogsl_to_shacl", failing_shacl)
+    summary = run_campaign(1, GenParams(node_count=6, schema_size_budget=3), seed=5)
+    assert summary.trials == 1 and not summary.ok
+    [record] = summary.divergences
+    assert set(record) == {"seed", "rule", "witness", "graph_size"}
+    assert record["seed"] == 5
+    assert isinstance(record["rule"], int)
+    assert record["witness"] == "violated only in shacl"
+    edges, props = record["graph_size"]
+    assert edges + props > 0

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from triform.harness import GenParams, brute_pg_path_oracle, gen_graph
+from triform.harness import GenParams, brute_edge_type_member, brute_pg_path_oracle, gen_graph
 from triform.model import (
     EdgeTriple,
     Node,
@@ -57,6 +57,7 @@ from triform.pgschema import (
     pred_path,
     validate_graph_type,
 )
+from triform.shacl import Step, eval_path
 
 EMAIL_CARD = CBoth(CField("email", "str"), CEither(CField("card", "int"), CEmpty()))
 
@@ -159,6 +160,29 @@ def test_filters_are_subidentity(g_media):
 def test_filter_requires_graph_membership():
     g = build_graph([EdgeTriple("a", "p", "b")], [])
     assert eval_pg_path(g, Node("ghost"), filter_path(FOfType(CAny()))) == set()
+
+
+def test_star_outside_graph_is_empty(g_media):
+    # the reflexive part of a PG star covers graph nodes only
+    for body in (PStar(PPred("invited")), PStar(PNotPreds(frozenset()))):
+        assert eval_pg_path(g_media, Node("ghost"), PgPath(None, body, None)) == set()
+    assert eval_pg_path(g_media, Node("u3"), PgPath(None, PStar(PPred("invited")), None)) == {
+        Node("u3"),
+        Node("u2"),
+    }
+
+
+def test_pred_step_ignores_keys(g_media):
+    # PG keeps edge and key steps apart; SHACL's step covers both
+    assert eval_pg_path(g_media, Node("u2"), pred_path("email")) == set()
+    assert eval_pg_path(g_media, Node("u2"), PgPath(None, PInv(PPred("email")), None)) == set()
+    assert eval_path(g_media, Node("u2"), Step("email")) == {Val(str_v("d@d.d"))}
+
+
+def test_key_step_ignores_predicates(g_media):
+    assert eval_pg_path(g_media, Node("u3"), key_path("invited")) == set()
+    assert eval_pg_path(g_media, Node("u3"), PgPath(None, PPred("invited"), "invited")) == set()
+    assert eval_path(g_media, Node("u3"), Step("invited")) == {Node("u2")}
 
 
 def test_star_never_yields_values(g_media):
@@ -312,7 +336,9 @@ def test_edge_type_path_agreement():
         pos = PgPath(None, edge_type_to_path(t, negated=False), None)
         neg = PgPath(None, edge_type_to_path(t, negated=True), None)
         for e in sorted(g.edges, key=lambda x: (x.s, x.p, x.o)):
-            assert edge_type_member(g, e, t) == any(edge_type_member(g, e, pr) for pr in prims)
+            want = brute_edge_type_member(g, e, t)
+            assert edge_type_member(g, e, t) == want
+            assert any(edge_type_member(g, e, pr) for pr in prims) == want
         for u in sorted(g.nodes):
             img_pos = eval_pg_path(g, Node(u), pos)
             img_neg = eval_pg_path(g, Node(u), neg)

@@ -40,6 +40,15 @@ def test_eval_path_id(g_media):
         assert eval_path(g_media, v, Id()) == {v}
 
 
+def test_eval_path_star_includes_any_focus(g_media):
+    # unlike a PG star, the SHACL star is reflexive on values and on
+    # nodes outside the graph
+    for v in (Node("zzz"), Val(int_v(99))):
+        assert eval_path(g_media, v, Star(Step("invited"))) == {v}
+    card = Val(int_v(1234))
+    assert eval_path(g_media, card, Star(Inverse(Step("card")))) == {card, Node("a1")}
+
+
 def test_eval_path_star_chain():
     g = build_graph([EdgeTriple("a", "p", "b"), EdgeTriple("b", "p", "c")], [])
     assert eval_path(g, Node("a"), Star(Step("p"))) == {Node("a"), Node("b"), Node("c")}
