@@ -9,7 +9,7 @@ behind it is the one hot loop in ShEx validation.  Two workloads:
   bounded an at-most-k repetition under an open closure; the typical
           shape of validation constraints
 
-Usage: python benchmarks/bench_matcher.py [--sizes 8,10,12,14] [--repeat 3]
+Usage: python benchmarks/bench_matcher.py [--sizes 8,12,16,20] [--repeat 3]
 """
 
 import argparse
@@ -65,7 +65,7 @@ def time_once(kernel, g, expr, openness, n):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--sizes", default="8,10,12,14", help="neighborhood sizes")
+    parser.add_argument("--sizes", default="8,12,16,20", help="neighborhood sizes")
     parser.add_argument("--repeat", type=int, default=3)
     args = parser.parse_args()
     sizes = [int(s) for s in args.sizes.split(",")]

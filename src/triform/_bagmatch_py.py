@@ -2,10 +2,18 @@
 
 Decides whether a flattened triple-expression program can consume a
 neighborhood bitmask exactly.  Memoized dynamic programming keyed by
-(program node, subset mask); sequence nodes enumerate submasks, star
-nodes peel one nonempty part per step.  The compiled Cython kernel in
-``_bagmatch`` implements the identical algorithm; either can serve as
-the matcher backend.
+(program node, subset mask), pruned by each node's support:
+
+- a sequence node gives the bits only its left child can take to the
+  left, the bits only its right child can take to the right, and
+  enumerates the submasks of the bits both can take;
+- a star node peels one nonempty part per step, and that part holds
+  the lowest set bit of the mask (the parts of a bag are unordered).
+
+The compiled Cython kernel in ``_bagmatch`` runs the older unpruned
+DP (every submask at a sequence, every nonempty part at a star); it
+decides the same verdicts, and either can serve as the matcher
+backend.
 
 Program encoding (parallel lists):
   ops[i]   one of the OP_* codes
@@ -16,7 +24,7 @@ Program encoding (parallel lists):
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 OP_EPS = 0
 OP_LEAF = 1
@@ -26,6 +34,81 @@ OP_STAR = 4
 OP_WILDSTAR = 5
 
 KERNEL_NAME = "pure"
+
+# memo value of a decided (node, mask) pair without a match
+_NO = -1
+
+
+def _decider(
+    ops: List[int],
+    lefts: List[int],
+    rights: List[int],
+    masks: List[int],
+    support: List[int],
+) -> Tuple[Callable[[int, int], bool], Dict[Tuple[int, int], int]]:
+    """The memoized decision procedure ``can(node, mask)`` and its memo.
+
+    For a matched sequence or star the memo holds the mask given to the
+    left child (the peeled part); for a matched alternation it holds 0
+    (left branch) or 1 (right branch); otherwise ``_NO``.
+    """
+    memo: Dict[Tuple[int, int], int] = {}
+
+    def can(i: int, m: int) -> bool:
+        op = ops[i]
+        if op == OP_LEAF:
+            return m != 0 and (m & (m - 1)) == 0 and (m & masks[i]) == m
+        if op == OP_WILDSTAR:
+            return (m & ~masks[i]) == 0
+        if op == OP_EPS:
+            return m == 0
+        if m & ~support[i]:
+            return False
+        key = (i, m)
+        cached = memo.get(key)
+        if cached is not None:
+            return cached != _NO
+        won = _NO
+        if op == OP_SEQ:
+            a, b = lefts[i], rights[i]
+            shared = m & support[a] & support[b]
+            forced = m & ~support[b]  # bits the right child cannot take
+            s = shared
+            while True:
+                left = forced | s
+                if can(a, left) and can(b, m ^ left):
+                    won = left
+                    break
+                if s == 0:
+                    break
+                s = (s - 1) & shared
+        elif op == OP_ALT:
+            if can(lefts[i], m):
+                won = 0
+            elif can(rights[i], m):
+                won = 1
+        elif op == OP_STAR:
+            if m == 0:
+                won = 0
+            else:
+                a = lefts[i]
+                low = m & -m
+                rest = m ^ low
+                s = rest
+                while True:
+                    part = low | s
+                    if can(a, part) and can(i, m ^ part):
+                        won = part
+                        break
+                    if s == 0:
+                        break
+                    s = (s - 1) & rest
+        else:
+            raise ValueError(f"bad opcode {op}")
+        memo[key] = won
+        return won != _NO
+
+    return can, memo
 
 
 def bag_match(
@@ -37,53 +120,7 @@ def bag_match(
     root: int,
     full: int,
 ) -> bool:
-    memo: Dict[Tuple[int, int], bool] = {}
-
-    def can(i: int, m: int) -> bool:
-        op = ops[i]
-        if op == OP_EPS:
-            return m == 0
-        if op == OP_LEAF:
-            return m != 0 and (m & (m - 1)) == 0 and (m & masks[i]) == m
-        if op == OP_WILDSTAR:
-            return (m & ~masks[i]) == 0
-        if m & ~support[i]:
-            return False
-        key = (i, m)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        result = False
-        if op == OP_SEQ:
-            a, b = lefts[i], rights[i]
-            s = m
-            while True:
-                if can(a, s) and can(b, m ^ s):
-                    result = True
-                    break
-                if s == 0:
-                    break
-                s = (s - 1) & m
-        elif op == OP_ALT:
-            result = can(lefts[i], m) or can(rights[i], m)
-        elif op == OP_STAR:
-            if m == 0:
-                result = True
-            else:
-                a = lefts[i]
-                s = m
-                while True:
-                    if s != 0 and can(a, s) and can(i, m ^ s):
-                        result = True
-                        break
-                    if s == 0:
-                        break
-                    s = (s - 1) & m
-        else:
-            raise ValueError(f"bad opcode {op}")
-        memo[key] = result
-        return result
-
+    can, _ = _decider(ops, lefts, rights, masks, support)
     return can(root, full)
 
 
@@ -100,60 +137,29 @@ def bag_match_witness(
 
     Returns a list of (consumer node index, consumed mask) pairs covering
     ``full`` with pairwise-disjoint masks, where consumers are LEAF or
-    WILDSTAR nodes, or None when there is no match.  Used by tests to
-    check that no triple is consumed twice.
+    WILDSTAR nodes, or None when there is no match.  The witness is read
+    from the memo of the decision run.  Used by tests to check that no
+    triple is consumed twice.
     """
-
-    def can(i: int, m: int) -> bool:
-        return bag_match(ops, lefts, rights, masks, support, i, m)
-
-    out: List[Tuple[int, int]] = []
-
-    def build(i: int, m: int) -> bool:
-        op = ops[i]
-        if op == OP_EPS:
-            return m == 0
-        if op == OP_LEAF:
-            if m != 0 and (m & (m - 1)) == 0 and (m & masks[i]) == m:
-                out.append((i, m))
-                return True
-            return False
-        if op == OP_WILDSTAR:
-            if (m & ~masks[i]) == 0:
-                if m:
-                    out.append((i, m))
-                return True
-            return False
-        if op == OP_SEQ:
-            a, b = lefts[i], rights[i]
-            s = m
-            while True:
-                if can(a, s) and can(b, m ^ s):
-                    assert build(a, s) and build(b, m ^ s)
-                    return True
-                if s == 0:
-                    return False
-                s = (s - 1) & m
-        if op == OP_ALT:
-            if can(lefts[i], m):
-                return build(lefts[i], m)
-            if can(rights[i], m):
-                return build(rights[i], m)
-            return False
-        if op == OP_STAR:
-            if m == 0:
-                return True
-            a = lefts[i]
-            s = m
-            while True:
-                if s != 0 and can(a, s) and can(i, m ^ s):
-                    assert build(a, s) and build(i, m ^ s)
-                    return True
-                if s == 0:
-                    return False
-                s = (s - 1) & m
-        raise ValueError(f"bad opcode {op}")
-
-    if not build(root, full):
+    can, memo = _decider(ops, lefts, rights, masks, support)
+    if not can(root, full):
         return None
+    out: List[Tuple[int, int]] = []
+    todo = [(root, full)]
+    while todo:
+        i, m = todo.pop()
+        op = ops[i]
+        if op == OP_LEAF or op == OP_WILDSTAR:
+            if m:
+                out.append((i, m))
+        elif op == OP_SEQ:
+            left = memo[(i, m)]
+            todo.append((rights[i], m ^ left))
+            todo.append((lefts[i], left))
+        elif op == OP_ALT:
+            todo.append((rights[i] if memo[(i, m)] else lefts[i], m))
+        elif op == OP_STAR and m:
+            part = memo[(i, m)]
+            todo.append((i, m ^ part))
+            todo.append((lefts[i], part))
     return out

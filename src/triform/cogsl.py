@@ -542,13 +542,14 @@ def _guard_to_shacl(atom: GuardAtom) -> sh.ShaclShape:
     return sh.or_all(shapes)
 
 
-_SHACL_SEL = {
-    "key": lambda name: sh.ExistsOut(name),
-    "pred": lambda name: sh.ExistsOut(name),
-    "inv_pred": lambda name: sh.ExistsIn(name),
-    "key_is": lambda name: sh.ExistsOut(name),
-    "key_type": lambda name: sh.ExistsOut(name),
-    "inv_key": lambda name: sh.ExistsIn(name),
+# direction of the triple a selector form asks for at the focus
+_SEL_DIRECTION = {
+    "key": FWD,
+    "pred": FWD,
+    "inv_pred": INV,
+    "key_is": FWD,
+    "key_type": FWD,
+    "inv_key": INV,
 }
 
 
@@ -566,7 +567,8 @@ def cogsl_to_shacl(rules: CommonSchema) -> List[sh.ShaclRule]:
             else:
                 parts.append(_guard_to_shacl(atom))
         shape = sh.and_all(parts)
-        out.append((_SHACL_SEL[rule.sel.form](rule.sel.name), sh.Or(sh.Not(sel_shape), shape)))
+        select = sh.ExistsOut if _SEL_DIRECTION[rule.sel.form] == FWD else sh.ExistsIn
+        out.append((select(rule.sel.name), sh.Or(sh.Not(sel_shape), shape)))
     return out
 
 
@@ -674,16 +676,6 @@ def _guard_to_shex(atom: GuardAtom) -> sx.ShexShape:
     return sx.sor_all(shapes)
 
 
-_SHEX_SEL = {
-    "key": lambda name: sx.SelOut(name),
-    "pred": lambda name: sx.SelOut(name),
-    "inv_pred": lambda name: sx.SelIn(name),
-    "key_is": lambda name: sx.SelOut(name),
-    "key_type": lambda name: sx.SelOut(name),
-    "inv_key": lambda name: sx.SelIn(name),
-}
-
-
 def cogsl_to_shex(rules: CommonSchema) -> List[sx.ShexRule]:
     """Compile a common schema to an equivalent ShEx schema, rule by rule."""
     out: List[sx.ShexRule] = []
@@ -698,5 +690,6 @@ def cogsl_to_shex(rules: CommonSchema) -> List[sx.ShexRule]:
             else:
                 parts.append(_guard_to_shex(atom))
         shape = sx.sand_all(parts)
-        out.append((_SHEX_SEL[rule.sel.form](rule.sel.name), sx.SOr(sx.SNot(sel_shape), shape)))
+        select = sx.SelOut if _SEL_DIRECTION[rule.sel.form] == FWD else sx.SelIn
+        out.append((select(rule.sel.name), sx.SOr(sx.SNot(sel_shape), shape)))
     return out

@@ -142,11 +142,6 @@ def content_member(r: Record, t: ContentType, registry: Optional[ValueTypeRegist
     return any(disjunct_member(r, d, registry) for d in content_dnf(t))
 
 
-def is_open_type(t: ContentType) -> bool:
-    """True for types of the form tau & top (every DNF disjunct open)."""
-    return all(d.open for d in content_dnf(t))
-
-
 def is_closed_type(t: ContentType) -> bool:
     """True when top does not occur anywhere in the type."""
     if isinstance(t, CAny):
@@ -276,10 +271,6 @@ class PgPath:
     @property
     def src_sort(self) -> str:
         return VALUE_SORT if self.src_key is not None else NODE_SORT
-
-    @property
-    def dst_sort(self) -> str:
-        return VALUE_SORT if self.dst_key is not None else NODE_SORT
 
 
 def key_path(k: str) -> PgPath:
@@ -493,14 +484,6 @@ def pg_and_all(shapes: Sequence[PgShape]) -> PgShape:
     for s in shapes[1:]:
         out = PgAnd(out, s)
     return out
-
-
-def exists_path(path: PgPath) -> PgGeq:
-    return PgGeq(1, path)
-
-
-def not_exists(path: PgPath) -> PgLeq:
-    return PgLeq(0, path)
 
 
 def shape_atoms(shape: PgShape) -> List[Union[PgLeq, PgGeq]]:

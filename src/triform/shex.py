@@ -7,10 +7,15 @@ disjoint triple sets, and the openness suffix says which unmatched
 triples are tolerated (any incoming with name outside R; for open
 shapes also any outgoing with name outside Q).
 
-Matching is decided by a memoized subset DP over neighborhood bitmasks
-(see ``_bagmatch_py``/``_bagmatch``).  Cost is exponential only in the
-neighborhood size, which is bounded by a hard cap: exceeding the cap
-raises ``NeighborhoodTooLarge`` rather than approximating.
+Each neighborhood shape is flattened once per evaluation context into
+a program template; a focus only fills in the template's leaf masks
+over its sorted signed neighborhood.  Matching is decided by a
+memoized subset DP over neighborhood bitmasks.  The pure kernel
+(``_bagmatch_py``) prunes that DP by each node's support; the optional
+compiled kernel (``_bagmatch``) runs the older unpruned DP and decides
+the same verdicts.  Cost is exponential only in the neighborhood size,
+which is bounded by a hard cap: exceeding the cap raises
+``NeighborhoodTooLarge`` rather than approximating.
 
 Counting is by triples, not by endpoints: a node with two parallel
 p-edges to the same target offers two distinct signed triples.  This is
@@ -319,93 +324,134 @@ def open_closure(e: TripleExpr) -> ShexShape:
 
 
 @dataclass
+class _Template:
+    """A neighborhood shape flattened once per run into the kernel
+    program format; each focus fills in only the leaf masks.
+
+    ``leaves`` buckets the triple-constraint nodes by the (name,
+    direction) of the triples they can consume, each with its compiled
+    nested shape; ``wilds`` lists (node, direction, excluded names) for
+    the wildcard nodes, the openness suffix included; ``joins`` lists
+    (node, left, right) for the inner nodes in bottom-up order, a star
+    naming its child twice.
+    """
+
+    ops: List[int] = field(default_factory=list)
+    lefts: List[int] = field(default_factory=list)
+    rights: List[int] = field(default_factory=list)
+    leaves: Dict[Tuple[str, str], List[Tuple[int, "_Compiled"]]] = field(default_factory=dict)
+    wilds: List[Tuple[int, str, FrozenSet[str]]] = field(default_factory=list)
+    joins: List[Tuple[int, int, int]] = field(default_factory=list)
+    root: int = -1
+
+
+class _Compiled:
+    """A shape compiled for one evaluation context.
+
+    ``sid`` is the shape's interned id in that context, and the strong
+    reference to ``shape`` keeps its ``id`` from being reused while the
+    context lives.
+    """
+
+    __slots__ = ("sid", "shape", "kind", "left", "right", "template")
+
+    def __init__(self, sid: int, shape: ShexShape):
+        self.sid = sid
+        self.shape = shape
+        self.kind = type(shape)
+        self.left: Optional[_Compiled] = None
+        self.right: Optional[_Compiled] = None
+        self.template: Optional[_Template] = None  # None for the top shape
+
+
+@dataclass
 class EvalContext:
+    """Per-run state: the compiled shapes (keyed by ``id`` of the source
+    shape) and the (focus, shape id) verdict cache.  Nothing is cached in
+    module globals, so separate contexts may run in separate threads."""
+
     cap: int
     registry: Optional[ValueTypeRegistry] = None
     kernel: object = None
     cache: Dict[Tuple[Focus, int], bool] = field(default_factory=dict)
+    compiled: Dict[int, _Compiled] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.kernel is None:
             self.kernel = get_kernel()
 
 
-def _wild_mask(triples: List[SignedTriple], openness: Openness) -> int:
-    mask = 0
-    for i, t in enumerate(triples):
-        if t.direction == INV:
-            if t.name not in openness.r:
-                mask |= 1 << i
-        elif isinstance(openness, Open):
-            if t.name not in openness.q:
-                mask |= 1 << i
-    return mask
+def _is_top(expr: TripleExpr, openness: Openness) -> bool:
+    return isinstance(expr, Eps) and isinstance(openness, Open) and not openness.r and not openness.q
 
 
-def _compile_expr(
-    ctx: EvalContext,
-    g: CommonGraph,
-    expr: TripleExpr,
-    triples: List[SignedTriple],
-    wild_mask: int,
-):
-    """Flatten ``expr ; wildcards`` into the kernel program format."""
-    ops: List[int] = []
-    lefts: List[int] = []
-    rights: List[int] = []
-    masks: List[int] = []
-    support: List[int] = []
+def _compile(ctx: EvalContext, shape: ShexShape) -> _Compiled:
+    """The compiled form of ``shape``, built once per context."""
+    c = ctx.compiled.get(id(shape))
+    if c is not None:
+        return c
+    c = ctx.compiled[id(shape)] = _Compiled(len(ctx.compiled), shape)
+    if isinstance(shape, SNeigh):
+        if not _is_top(shape.expr, shape.openness):
+            c.template = _template(ctx, shape.expr, shape.openness)
+    elif isinstance(shape, (SAnd, SOr)):
+        c.left = _compile(ctx, shape.left)
+        c.right = _compile(ctx, shape.right)
+    elif isinstance(shape, SNot):
+        c.left = _compile(ctx, shape.inner)
+    elif not isinstance(shape, (STestConst, STestType)):
+        raise TriformError(f"unknown ShEx shape {shape!r}")
+    return c
 
-    def emit(op: int, a: int, b: int, mask: int, sup: int) -> int:
-        ops.append(op)
-        lefts.append(a)
-        rights.append(b)
-        masks.append(mask)
-        support.append(sup)
-        return len(ops) - 1
+
+def _template(ctx: EvalContext, expr: TripleExpr, openness: Openness) -> _Template:
+    """Flatten ``expr ; wildcards`` into a program template."""
+    t = _Template()
+
+    def emit(op: int, a: int = -1, b: int = -1) -> int:
+        t.ops.append(op)
+        t.lefts.append(a)
+        t.rights.append(b)
+        return len(t.ops) - 1
+
+    def join(op: int, a: int, b: int) -> int:
+        i = emit(op, a, b)
+        t.joins.append((i, a, b))
+        return i
 
     def walk(e: TripleExpr) -> int:
         if isinstance(e, Eps):
-            return emit(OP_EPS, -1, -1, 0, 0)
+            return emit(OP_EPS)
         if isinstance(e, TC):
-            mask = 0
-            for i, t in enumerate(triples):
-                if t.name == e.q and t.direction == e.direction:
-                    if _satisfies(ctx, g, t.endpoint, e.shape):
-                        mask |= 1 << i
-            return emit(OP_LEAF, -1, -1, mask, mask)
-        if isinstance(e, WildOut):
-            mask = 0
-            for i, t in enumerate(triples):
-                if t.direction == FWD and t.name not in e.excluded:
-                    mask |= 1 << i
-            return emit(OP_LEAF, -1, -1, mask, mask)
-        if isinstance(e, WildIn):
-            mask = 0
-            for i, t in enumerate(triples):
-                if t.direction == INV and t.name not in e.excluded:
-                    mask |= 1 << i
-            return emit(OP_LEAF, -1, -1, mask, mask)
+            i = emit(OP_LEAF)
+            t.leaves.setdefault((e.q, e.direction), []).append((i, _compile(ctx, e.shape)))
+            return i
+        if isinstance(e, (WildOut, WildIn)):
+            i = emit(OP_LEAF)
+            t.wilds.append((i, FWD if isinstance(e, WildOut) else INV, e.excluded))
+            return i
         if isinstance(e, Seq):
-            a = walk(e.left)
-            b = walk(e.right)
-            return emit(OP_SEQ, a, b, 0, support[a] | support[b])
+            return join(OP_SEQ, walk(e.left), walk(e.right))
         if isinstance(e, Alt):
-            a = walk(e.left)
-            b = walk(e.right)
-            return emit(OP_ALT, a, b, 0, support[a] | support[b])
+            return join(OP_ALT, walk(e.left), walk(e.right))
         if isinstance(e, StarE):
             a = walk(e.inner)
-            if ops[a] == OP_LEAF:
+            if t.ops[a] == OP_LEAF:
                 # star of a single constraint consumes any subset of its mask
-                return emit(OP_WILDSTAR, -1, -1, masks[a], masks[a])
-            return emit(OP_STAR, a, -1, 0, support[a])
+                t.ops[a] = OP_WILDSTAR
+                return a
+            i = emit(OP_STAR, a)
+            t.joins.append((i, a, a))
+            return i
         raise TriformError(f"unknown triple expression {e!r}")
 
     body = walk(expr)
-    wild = emit(OP_WILDSTAR, -1, -1, wild_mask, wild_mask)
-    root = emit(OP_SEQ, body, wild, 0, support[body] | wild_mask)
-    return ops, lefts, rights, masks, support, root
+    wild = emit(OP_WILDSTAR)
+    t.wilds.append((wild, INV, openness.r))
+    if isinstance(openness, Open):
+        t.wilds.append((wild, FWD, openness.q))
+    t.root = join(OP_SEQ, body, wild)
+    return t
 
 
 def _sorted_neigh(g: CommonGraph, v: Focus, cap: int) -> List[SignedTriple]:
@@ -417,43 +463,51 @@ def _sorted_neigh(g: CommonGraph, v: Focus, cap: int) -> List[SignedTriple]:
     return triples
 
 
-def _match(ctx: EvalContext, g: CommonGraph, v: Focus, expr: TripleExpr, openness: Openness) -> bool:
-    if (
-        isinstance(expr, Eps)
-        and isinstance(openness, Open)
-        and not openness.r
-        and not openness.q
-    ):
-        return True  # the top shape matches every neighborhood
+def _program(ctx: EvalContext, g: CommonGraph, t: _Template, triples: List[SignedTriple]):
+    """The template's kernel program for one focus's sorted neighborhood."""
+    masks = [0] * len(t.ops)
+    leaves, wilds = t.leaves, t.wilds
+    for i, tr in enumerate(triples):
+        bit = 1 << i
+        for node, nested in leaves.get((tr.name, tr.direction), ()):
+            if _satisfies(ctx, g, tr.endpoint, nested):
+                masks[node] |= bit
+        for node, direction, excluded in wilds:
+            if tr.direction == direction and tr.name not in excluded:
+                masks[node] |= bit
+    support = masks[:]
+    for i, a, b in t.joins:
+        support[i] = support[a] | support[b]
+    return t.ops, t.lefts, t.rights, masks, support, t.root, (1 << len(triples)) - 1
+
+
+def _match(ctx: EvalContext, g: CommonGraph, v: Focus, t: _Template) -> bool:
     triples = _sorted_neigh(g, v, ctx.cap)
-    wild = _wild_mask(triples, openness)
-    program = _compile_expr(ctx, g, expr, triples, wild)
-    full = (1 << len(triples)) - 1
     kernel = ctx.kernel
     if len(triples) > getattr(kernel, "MAX_BITS", 10**9):
         kernel = _bagmatch_py
-    return kernel.bag_match(*program, full)
+    return kernel.bag_match(*_program(ctx, g, t, triples))
 
 
-def _satisfies(ctx: EvalContext, g: CommonGraph, v: Focus, shape: ShexShape) -> bool:
-    key = (v, id(shape))
+def _satisfies(ctx: EvalContext, g: CommonGraph, v: Focus, c: _Compiled) -> bool:
+    key = (v, c.sid)
     cached = ctx.cache.get(key)
     if cached is not None:
         return cached
-    if isinstance(shape, STestConst):
-        result = isinstance(v, Val) and v.value == shape.c
-    elif isinstance(shape, STestType):
-        result = isinstance(v, Val) and value_type_member(v.value, shape.t, ctx.registry)
-    elif isinstance(shape, SNeigh):
-        result = _match(ctx, g, v, shape.expr, shape.openness)
-    elif isinstance(shape, SAnd):
-        result = _satisfies(ctx, g, v, shape.left) and _satisfies(ctx, g, v, shape.right)
-    elif isinstance(shape, SOr):
-        result = _satisfies(ctx, g, v, shape.left) or _satisfies(ctx, g, v, shape.right)
-    elif isinstance(shape, SNot):
-        result = not _satisfies(ctx, g, v, shape.inner)
+    kind = c.kind
+    if kind is SNeigh:
+        # no template: the top shape, which matches every neighborhood
+        result = c.template is None or _match(ctx, g, v, c.template)
+    elif kind is SAnd:
+        result = _satisfies(ctx, g, v, c.left) and _satisfies(ctx, g, v, c.right)
+    elif kind is SOr:
+        result = _satisfies(ctx, g, v, c.left) or _satisfies(ctx, g, v, c.right)
+    elif kind is SNot:
+        result = not _satisfies(ctx, g, v, c.left)
+    elif kind is STestConst:
+        result = isinstance(v, Val) and v.value == c.shape.c
     else:
-        raise TriformError(f"unknown ShEx shape {shape!r}")
+        result = isinstance(v, Val) and value_type_member(v.value, c.shape.t, ctx.registry)
     ctx.cache[key] = result
     return result
 
@@ -469,8 +523,10 @@ def match_triple_expr(
 ) -> bool:
     """True iff the signed neighborhood of ``v`` is generated by
     ``expr`` followed by the openness wildcards."""
+    if _is_top(expr, openness):
+        return True  # the top shape matches every neighborhood
     ctx = EvalContext(cap if cap is not None else default_cap(), registry, kernel)
-    return _match(ctx, g, v, expr, openness)
+    return _match(ctx, g, v, _template(ctx, expr, openness))
 
 
 def match_witness(
@@ -488,10 +544,8 @@ def match_witness(
     """
     ctx = EvalContext(cap if cap is not None else default_cap(), registry, _bagmatch_py)
     triples = _sorted_neigh(g, v, ctx.cap)
-    wild = _wild_mask(triples, openness)
-    program = _compile_expr(ctx, g, expr, triples, wild)
-    full = (1 << len(triples)) - 1
-    raw = _bagmatch_py.bag_match_witness(*program, full)
+    program = _program(ctx, g, _template(ctx, expr, openness), triples)
+    raw = _bagmatch_py.bag_match_witness(*program)
     if raw is None:
         return None
     out = []
@@ -510,7 +564,7 @@ def shex_satisfies(
     kernel=None,
 ) -> bool:
     ctx = EvalContext(cap if cap is not None else default_cap(), registry, kernel)
-    return _satisfies(ctx, g, v, shape)
+    return _satisfies(ctx, g, v, _compile(ctx, shape))
 
 
 def selector_shape(sel: ShexSelector) -> ShexShape:
@@ -562,6 +616,7 @@ def shex_validate(
     per_rule = []
     for sel, shape in rules:
         selected = shex_select(g, sel)
-        failing = [v for v in selected if not _satisfies(ctx, g, v, shape)]
+        c = _compile(ctx, shape)
+        failing = [v for v in selected if not _satisfies(ctx, g, v, c)]
         per_rule.append((selected, failing))
     return make_report(per_rule)

@@ -1,13 +1,16 @@
-"""Both matcher backends decide the same language.
+"""The matcher kernels decide the language of their program.
 
-The compiled kernel is optional; when the extension is missing these
-tests compare the pure kernel against itself and still validate the
-program encoding.
+Every available kernel is checked against a brute-force program
+decider that builds, bottom-up, the set of masks each node can consume.
+The compiled kernel is optional; when the extension is missing the
+pure kernel is the only one checked.
 """
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triform import _bagmatch_py
 from triform._bagmatch_py import OP_ALT, OP_EPS, OP_LEAF, OP_SEQ, OP_STAR, OP_WILDSTAR
@@ -17,39 +20,79 @@ from triform.model import Node
 from triform.shex import match_triple_expr
 
 
-def gen_program(rng, n_bits, size):
-    ops, lefts, rights, masks, support = [], [], [], [], []
+class ProgramBuilder:
+    """Appends nodes to the kernel's parallel lists, children first."""
 
-    def emit(op, a, b, mask):
+    def __init__(self):
+        self.ops, self.lefts, self.rights, self.masks, self.support = [], [], [], [], []
+
+    def emit(self, op, a=-1, b=-1, mask=0):
         sup = mask
         if a >= 0:
-            sup |= support[a]
+            sup |= self.support[a]
         if b >= 0:
-            sup |= support[b]
-        ops.append(op)
-        lefts.append(a)
-        rights.append(b)
-        masks.append(mask)
-        support.append(sup)
-        return len(ops) - 1
+            sup |= self.support[b]
+        self.ops.append(op)
+        self.lefts.append(a)
+        self.rights.append(b)
+        self.masks.append(mask)
+        self.support.append(sup)
+        return len(self.ops) - 1
+
+    def program(self, root):
+        return self.ops, self.lefts, self.rights, self.masks, self.support, root
+
+
+def gen_program(rng, n_bits, size):
+    p = ProgramBuilder()
 
     def build(depth):
         if depth == 0 or rng.random() < 0.35:
             roll = rng.random()
             if roll < 0.2:
-                return emit(OP_EPS, -1, -1, 0)
+                return p.emit(OP_EPS)
             mask = rng.getrandbits(n_bits)
             op = OP_LEAF if roll < 0.8 else OP_WILDSTAR
-            return emit(op, -1, -1, mask)
+            return p.emit(op, mask=mask)
         roll = rng.randrange(3)
         if roll == 0:
-            return emit(OP_SEQ, build(depth - 1), build(depth - 1), 0)
+            return p.emit(OP_SEQ, build(depth - 1), build(depth - 1))
         if roll == 1:
-            return emit(OP_ALT, build(depth - 1), build(depth - 1), 0)
-        return emit(OP_STAR, build(depth - 1), -1, 0)
+            return p.emit(OP_ALT, build(depth - 1), build(depth - 1))
+        return p.emit(OP_STAR, build(depth - 1))
 
-    root = build(size)
-    return ops, lefts, rights, masks, support, root
+    return p.program(build(size))
+
+
+def _combine(xs, ys):
+    return {x | y for x in xs for y in ys if not x & y}
+
+
+def brute_languages(program):
+    """For each node, the set of masks it consumes exactly (bottom-up;
+    children always precede their parents)."""
+    ops, lefts, rights, masks, _, _ = program
+    langs = []
+    for i, op in enumerate(ops):
+        if op == OP_EPS:
+            lang = {0}
+        elif op == OP_LEAF:
+            lang = {1 << b for b in range(masks[i].bit_length()) if masks[i] >> b & 1}
+        elif op == OP_WILDSTAR:
+            lang = {s for s in range(masks[i] + 1) if s & masks[i] == s}
+        elif op == OP_SEQ:
+            lang = _combine(langs[lefts[i]], langs[rights[i]])
+        elif op == OP_ALT:
+            lang = langs[lefts[i]] | langs[rights[i]]
+        else:
+            lang = {0}
+            while True:
+                grown = lang | _combine(langs[lefts[i]], lang)
+                if grown == lang:
+                    break
+                lang = grown
+        langs.append(lang)
+    return langs
 
 
 def test_kernels_agree_on_random_programs():
@@ -58,9 +101,82 @@ def test_kernels_agree_on_random_programs():
     for _ in range(300):
         n_bits = rng.randrange(0, 9)
         program = gen_program(rng, max(n_bits, 1), 3)
+        accepted = brute_languages(program)[program[-1]]
         for mask in range(1 << n_bits):
-            results = {k.KERNEL_NAME: k.bag_match(*program, mask) for k in kernels}
-            assert len(set(results.values())) == 1, (program, mask, results)
+            for k in kernels:
+                assert k.bag_match(*program, mask) == (mask in accepted), (k.KERNEL_NAME, program, mask)
+
+
+_BITS = 6
+
+_trees = st.recursive(
+    st.one_of(
+        st.just(("eps",)),
+        st.tuples(st.sampled_from(["leaf", "wildstar"]), st.integers(0, (1 << _BITS) - 1)),
+    ),
+    lambda kids: st.one_of(
+        st.tuples(st.sampled_from(["seq", "alt"]), kids, kids),
+        st.tuples(st.just("star"), kids),
+    ),
+    max_leaves=8,
+)
+
+_OPS = {"eps": OP_EPS, "leaf": OP_LEAF, "wildstar": OP_WILDSTAR, "seq": OP_SEQ, "alt": OP_ALT, "star": OP_STAR}
+
+
+def flatten(tree):
+    """A program tree as the kernel's parallel lists."""
+    p = ProgramBuilder()
+
+    def walk(t):
+        if t[0] in ("leaf", "wildstar"):
+            return p.emit(_OPS[t[0]], mask=t[1])
+        return p.emit(_OPS[t[0]], *[walk(c) for c in t[1:]])
+
+    return p.program(walk(tree))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_trees, st.integers(0, (1 << _BITS) - 1))
+def test_kernel_matches_brute_decider_property(tree, mask):
+    program = flatten(tree)
+    accepted = brute_languages(program)[program[-1]]
+    assert _bagmatch_py.bag_match(*program, mask) == (mask in accepted)
+    witness = _bagmatch_py.bag_match_witness(*program, mask)
+    assert (witness is not None) == (mask in accepted)
+    if witness is not None:
+        check_witness(program, witness, mask)
+
+
+def test_wide_seq_of_leaf_and_wildcard_is_decided():
+    # SEQ(LEAF, WILDSTAR) over 48 triples: the leaf takes one shared or
+    # forced bit, the wildcard the rest; an unpruned DP enumerates 2^48
+    # submasks at the root
+    full = (1 << 48) - 1
+    bit = 1 << 17
+
+    def program(leaf, wild):
+        p = ProgramBuilder()
+        return p.program(p.emit(OP_SEQ, p.emit(OP_LEAF, mask=leaf), p.emit(OP_WILDSTAR, mask=wild)))
+
+    assert _bagmatch_py.bag_match(*program(bit, full), full)
+    assert _bagmatch_py.bag_match(*program(bit, full ^ bit), full)
+    assert not _bagmatch_py.bag_match(*program(0, full), full)
+    assert not _bagmatch_py.bag_match(*program(bit, full ^ bit ^ 1), full)
+    witness = _bagmatch_py.bag_match_witness(*program(bit, full), full)
+    assert sorted(witness) == [(0, bit), (1, full ^ bit)]
+
+
+def check_witness(program, witness, full):
+    """Each consumer takes what it may, and the parts tile ``full``."""
+    ops, _, _, masks, _, _ = program
+    covered = 0
+    for node, mask in witness:
+        assert mask & ~masks[node] == 0
+        assert ops[node] == OP_WILDSTAR or (ops[node] == OP_LEAF and mask & (mask - 1) == 0)
+        assert covered & mask == 0  # pairwise disjoint
+        covered |= mask
+    assert covered == full
 
 
 def test_witness_matches_decision():
@@ -73,11 +189,7 @@ def test_witness_matches_decision():
         witness = _bagmatch_py.bag_match_witness(*program, full)
         assert (witness is not None) == decided
         if witness is not None:
-            covered = 0
-            for _, mask in witness:
-                assert covered & mask == 0  # pairwise disjoint
-                covered |= mask
-            assert covered == full
+            check_witness(program, witness, full)
 
 
 def test_matcher_same_verdicts_across_kernels():

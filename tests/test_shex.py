@@ -252,3 +252,33 @@ def test_boolean_shapes(g_media):
     assert shex_satisfies(g_media, Node("u1"), SAnd(a, SNot(b)))
     assert shex_satisfies(g_media, Node("a1"), SOr(a, b))
     assert not shex_satisfies(g_media, Node("a2"), SOr(a, b))
+
+
+def test_template_masks_rebuilt_per_focus():
+    # one SNeigh, compiled once in one context, evaluated at foci whose
+    # neighborhoods differ: each focus must get its own leaf masks
+    from triform.shex import EvalContext, _compile, _satisfies
+
+    g = build_graph(
+        [
+            EdgeTriple("a", "p", "x"),
+            EdgeTriple("a", "q", "y"),
+            EdgeTriple("b", "p", "x"),
+            EdgeTriple("c", "p", "y"),
+            EdgeTriple("c", "q", "x"),
+            EdgeTriple("c", "q", "z"),
+            EdgeTriple("d", "p", "x"),
+            EdgeTriple("d", "r", "y"),
+        ],
+        [],
+    )
+    shape = SNeigh(Seq(TC("p", FWD, TOP), TC("q", FWD, TOP)), HalfOpen(frozenset({"p", "q"})))
+    ctx = EvalContext(cap=24)
+    compiled = _compile(ctx, shape)
+    got = {u: _satisfies(ctx, g, Node(u), compiled) for u in ("a", "b", "c", "d", "a")}
+    assert got == {"a": True, "b": False, "c": False, "d": False}
+    assert _compile(ctx, shape) is compiled
+    for u in "abcd":
+        assert got[u] == brute_match_oracle(g, Node(u), shape.expr, shape.openness)
+    report = shex_validate(g, [(SelOut("p"), shape)])
+    assert [viol.focus for viol in report.violations] == [Node("b"), Node("c"), Node("d")]
