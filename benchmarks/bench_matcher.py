@@ -1,4 +1,4 @@
-"""Benchmark: compiled vs pure bag-matching kernel.
+"""Benchmark: the bag-matching kernel.
 
 The matcher decides whether a signed neighborhood splits into triples
 consumed by a triple expression plus wildcard remainder; the subset DP
@@ -16,7 +16,6 @@ import argparse
 import statistics
 import time
 
-from triform._kernel import available_kernels
 from triform.model import EdgeTriple, Node, build_graph
 from triform.shex import (
     Alt,
@@ -57,9 +56,9 @@ def workload_bounded(n):
 WORKLOADS = {"pairs": workload_pairs, "bounded": workload_bounded}
 
 
-def time_once(kernel, g, expr, openness, n):
+def time_once(g, expr, openness, n):
     start = time.perf_counter()
-    result = match_triple_expr(g, Node("c"), expr, openness, cap=n, kernel=kernel)
+    result = match_triple_expr(g, Node("c"), expr, openness, cap=n)
     return result, (time.perf_counter() - start) * 1000.0
 
 
@@ -70,30 +69,18 @@ def main():
     args = parser.parse_args()
     sizes = [int(s) for s in args.sizes.split(",")]
 
-    kernels = available_kernels()
-    names = [k.KERNEL_NAME for k in kernels]
-    if len(kernels) == 1:
-        print("compiled kernel not built; timing the pure kernel only")
-
-    print(f"{'workload':<9} {'n':>3} " + " ".join(f"{name:>12}" for name in names) + "  speedup")
+    print(f"{'workload':<9} {'n':>3} {'median':>12}  verdict")
     for wname, factory in WORKLOADS.items():
         for n in sizes:
             g, expr, openness = factory(n)
-            medians = {}
+            samples = []
             verdicts = set()
-            for kernel in kernels:
-                samples = []
-                for _ in range(args.repeat):
-                    result, ms = time_once(kernel, g, expr, openness, n)
-                    verdicts.add(result)
-                    samples.append(ms)
-                medians[kernel.KERNEL_NAME] = statistics.median(samples)
-            assert len(verdicts) == 1, "kernels disagree"
-            row = " ".join(f"{medians[name]:>10.2f}ms" for name in names)
-            speedup = ""
-            if "compiled" in medians and "pure" in medians and medians["compiled"] > 0:
-                speedup = f"{medians['pure'] / medians['compiled']:>6.1f}x"
-            print(f"{wname:<9} {n:>3} {row}  {speedup}")
+            for _ in range(args.repeat):
+                result, ms = time_once(g, expr, openness, n)
+                verdicts.add(result)
+                samples.append(ms)
+            assert len(verdicts) == 1, "verdict changed between repeats"
+            print(f"{wname:<9} {n:>3} {statistics.median(samples):>10.2f}ms  {verdicts.pop()}")
 
 
 if __name__ == "__main__":

@@ -1,44 +1,8 @@
-"""Matcher backend selection.
+"""The name of the matcher kernel, as benchmark records report it.
 
-Prefers the compiled extension when it imported cleanly; the
-``TRIFORM_KERNEL`` environment variable forces a backend ("pure" or
-"compiled").  Neighborhoods wider than the compiled kernel's mask width
-always run on the pure kernel, which has no size limit.
+There is one kernel, the pure-Python ``_bagmatch_py``.
 """
 
-from __future__ import annotations
 
-import os
-from typing import Optional
-
-from . import _bagmatch_py
-
-try:
-    from . import _bagmatch  # type: ignore[attr-defined]
-except ImportError:
-    _bagmatch = None
-
-
-def available_kernels() -> list:
-    out = [_bagmatch_py]
-    if _bagmatch is not None:
-        out.insert(0, _bagmatch)
-    return out
-
-
-def get_kernel(name: Optional[str] = None):
-    """Resolve the matcher backend module."""
-    choice = name or os.environ.get("TRIFORM_KERNEL", "")
-    if choice == "pure":
-        return _bagmatch_py
-    if choice == "compiled":
-        if _bagmatch is None:
-            raise RuntimeError("compiled kernel requested but the extension is not built")
-        return _bagmatch
-    if choice:
-        raise ValueError(f"unknown kernel {choice!r}")
-    return _bagmatch if _bagmatch is not None else _bagmatch_py
-
-
-def kernel_name(kernel=None) -> str:
-    return (kernel or get_kernel()).KERNEL_NAME
+def kernel_name() -> str:
+    return "pure"

@@ -6,7 +6,9 @@ semantics for debugging).  All input and output is JSON; reports are
 deterministic, so identical invocations produce byte-identical output.
 
 Exit codes: 0 valid / agreement, 1 invalid / divergence, 2 parse or
-usage error, 3 capability error (ShEx neighborhood cap exceeded).
+usage error, 3 capability error (ShEx neighborhood cap exceeded), 4
+internal error (an unexpected exception; its traceback goes to stderr),
+so a crash never reads as a verdict.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from typing import List, Optional
 
 from . import jsonio
@@ -36,6 +39,7 @@ EXIT_VALID = 0
 EXIT_INVALID = 1
 EXIT_USAGE = 2
 EXIT_CAPABILITY = 3
+EXIT_INTERNAL = 4
 
 
 def _load_json(path: str):
@@ -234,6 +238,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except RecursionError:
         print("error: input nested too deeply", file=sys.stderr)
         return EXIT_USAGE
+    except Exception:
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -9,12 +9,15 @@ shapes also any outgoing with name outside Q).
 
 Each neighborhood shape is flattened once per evaluation context into
 a program template; a focus only fills in the template's leaf masks
-over its sorted signed neighborhood.  Matching is decided by a
-memoized subset DP over neighborhood bitmasks.  The pure kernel
-(``_bagmatch_py``) prunes that DP by each node's support; the optional
-compiled kernel (``_bagmatch``) runs the older unpruned DP and decides
-the same verdicts.  Cost is exponential only in the neighborhood size,
-which is bounded by a hard cap: exceeding the cap raises
+over its sorted signed neighborhood.  Matching is decided by the
+memoized subset DP of ``_bagmatch_py`` over neighborhood bitmasks.
+Since each triple constraint consumes exactly one triple, every
+program node can consume only a static interval of triple counts (a
+sequence the sum of its parts, an alternation the hull of its
+branches); the template records these count bounds once per shape,
+and the DP rejects any mask or split whose popcount falls outside
+them.  Cost is exponential only in the neighborhood size, which is
+bounded by a hard cap: exceeding the cap raises
 ``NeighborhoodTooLarge`` rather than approximating.
 
 Counting is by triples, not by endpoints: a node with two parallel
@@ -30,8 +33,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
 from . import _bagmatch_py
-from ._bagmatch_py import OP_ALT, OP_EPS, OP_LEAF, OP_SEQ, OP_STAR, OP_WILDSTAR
-from ._kernel import get_kernel
+from ._bagmatch_py import OP_ALT, OP_EPS, OP_LEAF, OP_SEQ, OP_STAR, OP_WILDSTAR, count_bounds
 from .model import (
     FWD,
     INV,
@@ -333,12 +335,15 @@ class _Template:
     nested shape; ``wilds`` lists (node, direction, excluded names) for
     the wildcard nodes, the openness suffix included; ``joins`` lists
     (node, left, right) for the inner nodes in bottom-up order, a star
-    naming its child twice.
+    naming its child twice.  ``lo``/``hi`` are the nodes' count bounds,
+    which depend on the shape only.
     """
 
     ops: List[int] = field(default_factory=list)
     lefts: List[int] = field(default_factory=list)
     rights: List[int] = field(default_factory=list)
+    lo: List[int] = field(default_factory=list)
+    hi: List[int] = field(default_factory=list)
     leaves: Dict[Tuple[str, str], List[Tuple[int, "_Compiled"]]] = field(default_factory=dict)
     wilds: List[Tuple[int, str, FrozenSet[str]]] = field(default_factory=list)
     joins: List[Tuple[int, int, int]] = field(default_factory=list)
@@ -372,13 +377,8 @@ class EvalContext:
 
     cap: int
     registry: Optional[ValueTypeRegistry] = None
-    kernel: object = None
     cache: Dict[Tuple[Focus, int], bool] = field(default_factory=dict)
     compiled: Dict[int, _Compiled] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.kernel is None:
-            self.kernel = get_kernel()
 
 
 def _is_top(expr: TripleExpr, openness: Openness) -> bool:
@@ -412,6 +412,9 @@ def _template(ctx: EvalContext, expr: TripleExpr, openness: Openness) -> _Templa
         t.ops.append(op)
         t.lefts.append(a)
         t.rights.append(b)
+        lo, hi = count_bounds(op, t.lo, t.hi, a, b)
+        t.lo.append(lo)
+        t.hi.append(hi)
         return len(t.ops) - 1
 
     def join(op: int, a: int, b: int) -> int:
@@ -439,6 +442,7 @@ def _template(ctx: EvalContext, expr: TripleExpr, openness: Openness) -> _Templa
             if t.ops[a] == OP_LEAF:
                 # star of a single constraint consumes any subset of its mask
                 t.ops[a] = OP_WILDSTAR
+                t.lo[a], t.hi[a] = count_bounds(OP_WILDSTAR, t.lo, t.hi)
                 return a
             i = emit(OP_STAR, a)
             t.joins.append((i, a, a))
@@ -478,15 +482,12 @@ def _program(ctx: EvalContext, g: CommonGraph, t: _Template, triples: List[Signe
     support = masks[:]
     for i, a, b in t.joins:
         support[i] = support[a] | support[b]
-    return t.ops, t.lefts, t.rights, masks, support, t.root, (1 << len(triples)) - 1
+    return t.ops, t.lefts, t.rights, masks, support, t.lo, t.hi, t.root, (1 << len(triples)) - 1
 
 
 def _match(ctx: EvalContext, g: CommonGraph, v: Focus, t: _Template) -> bool:
     triples = _sorted_neigh(g, v, ctx.cap)
-    kernel = ctx.kernel
-    if len(triples) > getattr(kernel, "MAX_BITS", 10**9):
-        kernel = _bagmatch_py
-    return kernel.bag_match(*_program(ctx, g, t, triples))
+    return _bagmatch_py.bag_match(*_program(ctx, g, t, triples))
 
 
 def _satisfies(ctx: EvalContext, g: CommonGraph, v: Focus, c: _Compiled) -> bool:
@@ -519,13 +520,12 @@ def match_triple_expr(
     openness: Openness,
     cap: Optional[int] = None,
     registry: Optional[ValueTypeRegistry] = None,
-    kernel=None,
 ) -> bool:
     """True iff the signed neighborhood of ``v`` is generated by
     ``expr`` followed by the openness wildcards."""
     if _is_top(expr, openness):
         return True  # the top shape matches every neighborhood
-    ctx = EvalContext(cap if cap is not None else default_cap(), registry, kernel)
+    ctx = EvalContext(cap if cap is not None else default_cap(), registry)
     return _match(ctx, g, v, _template(ctx, expr, openness))
 
 
@@ -537,12 +537,12 @@ def match_witness(
     cap: Optional[int] = None,
     registry: Optional[ValueTypeRegistry] = None,
 ) -> Optional[List[Tuple[int, List[SignedTriple]]]]:
-    """Reconstruct one consumption witness (always on the pure kernel).
+    """Reconstruct one consumption witness.
 
     Returns (program node, consumed triples) pairs or None; used to
     check the sequence-disjointness invariant.
     """
-    ctx = EvalContext(cap if cap is not None else default_cap(), registry, _bagmatch_py)
+    ctx = EvalContext(cap if cap is not None else default_cap(), registry)
     triples = _sorted_neigh(g, v, ctx.cap)
     program = _program(ctx, g, _template(ctx, expr, openness), triples)
     raw = _bagmatch_py.bag_match_witness(*program)
@@ -561,9 +561,8 @@ def shex_satisfies(
     shape: ShexShape,
     cap: Optional[int] = None,
     registry: Optional[ValueTypeRegistry] = None,
-    kernel=None,
 ) -> bool:
-    ctx = EvalContext(cap if cap is not None else default_cap(), registry, kernel)
+    ctx = EvalContext(cap if cap is not None else default_cap(), registry)
     return _satisfies(ctx, g, v, _compile(ctx, shape))
 
 
@@ -609,10 +608,9 @@ def shex_validate(
     rules: List[ShexRule],
     cap: Optional[int] = None,
     registry: Optional[ValueTypeRegistry] = None,
-    kernel=None,
 ) -> ValidationReport:
     """Validate; one evaluation context (and shape cache) per run."""
-    ctx = EvalContext(cap if cap is not None else default_cap(), registry, kernel)
+    ctx = EvalContext(cap if cap is not None else default_cap(), registry)
     per_rule = []
     for sel, shape in rules:
         selected = shex_select(g, sel)

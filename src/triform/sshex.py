@@ -34,6 +34,7 @@ from .shex import (
     STestConst,
     STestType,
     TripleExpr,
+    preds_triple_expr,
     top_shape,
 )
 
@@ -151,17 +152,21 @@ def xand_all(shapes: List[SShapeExpr]) -> SShapeExpr:
 # Direct predicates
 
 
+def _direct_tcs(te: Optional[STripleExpr]) -> List[XTC]:
+    if te is None:
+        return []
+    if isinstance(te, XTC):
+        return [te]
+    if isinstance(te, (XSeq, XAlt)):
+        return _direct_tcs(te.left) + _direct_tcs(te.right)
+    if isinstance(te, XRepeat):
+        return _direct_tcs(te.inner)
+    raise TriformError(f"unknown standard triple expression {te!r}")
+
+
 def preds_sshex(te: Optional[STripleExpr]) -> Set[Tuple[str, str]]:
     """Names appearing directly in a standard triple expression."""
-    if te is None:
-        return set()
-    if isinstance(te, XTC):
-        return {(te.q, te.direction)}
-    if isinstance(te, (XSeq, XAlt)):
-        return preds_sshex(te.left) | preds_sshex(te.right)
-    if isinstance(te, XRepeat):
-        return preds_sshex(te.inner)
-    raise TriformError(f"unknown standard triple expression {te!r}")
+    return {(t.q, t.direction) for t in _direct_tcs(te)}
 
 
 # ---------------------------------------------------------------------------
@@ -248,18 +253,6 @@ def _shape_intervals_normalized(se: SShapeExpr) -> bool:
 
 # ---------------------------------------------------------------------------
 # Extra elimination
-
-
-def _direct_tcs(te: Optional[STripleExpr]) -> List[XTC]:
-    if te is None:
-        return []
-    if isinstance(te, XTC):
-        return [te]
-    if isinstance(te, (XSeq, XAlt)):
-        return _direct_tcs(te.left) + _direct_tcs(te.right)
-    if isinstance(te, XRepeat):
-        return _direct_tcs(te.inner)
-    raise TriformError(f"unknown standard triple expression {te!r}")
 
 
 def _eliminate_extra_te(te: Optional[STripleExpr]) -> Optional[STripleExpr]:
@@ -463,7 +456,7 @@ def shex_to_sshex(shape: ShexShape) -> SShapeExpr:
         return XNot(shex_to_sshex(shape.inner))
     if isinstance(shape, SNeigh):
         e = normalize_eps(shape.expr)
-        direct = preds_triple_expr_core(e)
+        direct = preds_triple_expr(e)
         fwd_used = {name for name, d in direct if d == FWD}
         inv_used = {name for name, d in direct if d == INV}
         openness = shape.openness
@@ -479,9 +472,3 @@ def shex_to_sshex(shape: ShexShape) -> SShapeExpr:
                 parts.append(XRepeat(XTC(name, FWD, None), 0, 0))
         return XShape(isinstance(openness, HalfOpen), NO_EXTRA, xseq_all(parts))
     raise TriformError(f"unknown ShEx shape {shape!r}")
-
-
-def preds_triple_expr_core(e: TripleExpr) -> Set[Tuple[str, str]]:
-    from .shex import preds_triple_expr
-
-    return preds_triple_expr(e)

@@ -253,3 +253,14 @@ def test_deeply_nested_schema_is_a_parse_error(files, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_internal_error_has_its_own_exit_code(files, capsys, monkeypatch):
+    def crash(graph, rules):
+        raise KeyError("boom")
+
+    monkeypatch.setattr("triform.cli.pg_validate", crash)
+    code, out, err = run(capsys, "validate", files["graph.json"], files["pg.json"])
+    assert code == 4
+    assert out == ""
+    assert "Traceback" in err and "KeyError: 'boom'" in err

@@ -1,23 +1,42 @@
-"""The matcher kernels decide the language of their program.
+"""The matcher kernel decides the language of its program.
 
-Every available kernel is checked against a brute-force program
-decider that builds, bottom-up, the set of masks each node can consume.
-The compiled kernel is optional; when the extension is missing the
-pure kernel is the only one checked.
+The kernel is checked against a brute-force program decider that
+builds, bottom-up, the set of masks each node can consume; the decider
+ignores the count bounds the kernel prunes with.
 """
 
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triform import _bagmatch_py
-from triform._bagmatch_py import OP_ALT, OP_EPS, OP_LEAF, OP_SEQ, OP_STAR, OP_WILDSTAR
-from triform._kernel import available_kernels, get_kernel, kernel_name
-from triform.harness import GenParams, gen_graph, gen_openness, gen_triple_expr
-from triform.model import Node
-from triform.shex import match_triple_expr
+from triform._bagmatch_py import (
+    OP_ALT,
+    OP_EPS,
+    OP_LEAF,
+    OP_SEQ,
+    OP_STAR,
+    OP_WILDSTAR,
+    _decider,
+    count_bounds,
+)
+from triform.model import EdgeTriple, Node, build_graph
+from triform.shex import (
+    Alt,
+    EvalContext,
+    HalfOpen,
+    Seq,
+    StarE,
+    TC,
+    _program,
+    _sorted_neigh,
+    _template,
+    desugar_repetition,
+    match_triple_expr,
+    open_closure,
+    top_shape,
+)
 
 
 class ProgramBuilder:
@@ -25,6 +44,7 @@ class ProgramBuilder:
 
     def __init__(self):
         self.ops, self.lefts, self.rights, self.masks, self.support = [], [], [], [], []
+        self.lo, self.hi = [], []
 
     def emit(self, op, a=-1, b=-1, mask=0):
         sup = mask
@@ -37,10 +57,13 @@ class ProgramBuilder:
         self.rights.append(b)
         self.masks.append(mask)
         self.support.append(sup)
+        lo, hi = count_bounds(op, self.lo, self.hi, a, b)
+        self.lo.append(lo)
+        self.hi.append(hi)
         return len(self.ops) - 1
 
     def program(self, root):
-        return self.ops, self.lefts, self.rights, self.masks, self.support, root
+        return self.ops, self.lefts, self.rights, self.masks, self.support, self.lo, self.hi, root
 
 
 def gen_program(rng, n_bits, size):
@@ -71,7 +94,7 @@ def _combine(xs, ys):
 def brute_languages(program):
     """For each node, the set of masks it consumes exactly (bottom-up;
     children always precede their parents)."""
-    ops, lefts, rights, masks, _, _ = program
+    ops, lefts, rights, masks = program[:4]
     langs = []
     for i, op in enumerate(ops):
         if op == OP_EPS:
@@ -96,15 +119,18 @@ def brute_languages(program):
 
 
 def test_kernels_agree_on_random_programs():
-    kernels = available_kernels()
     rng = random.Random(97)
     for _ in range(300):
         n_bits = rng.randrange(0, 9)
         program = gen_program(rng, max(n_bits, 1), 3)
-        accepted = brute_languages(program)[program[-1]]
+        langs = brute_languages(program)
+        lo, hi = program[5], program[6]
+        for i, lang in enumerate(langs):
+            # the count bounds are sound: no consumed mask falls outside them
+            assert all(lo[i] <= m.bit_count() <= hi[i] for m in lang), (program, i)
+        accepted = langs[program[-1]]
         for mask in range(1 << n_bits):
-            for k in kernels:
-                assert k.bag_match(*program, mask) == (mask in accepted), (k.KERNEL_NAME, program, mask)
+            assert _bagmatch_py.bag_match(*program, mask) == (mask in accepted), (program, mask)
 
 
 _BITS = 6
@@ -169,7 +195,7 @@ def test_wide_seq_of_leaf_and_wildcard_is_decided():
 
 def check_witness(program, witness, full):
     """Each consumer takes what it may, and the parts tile ``full``."""
-    ops, _, _, masks, _, _ = program
+    ops, _, _, masks = program[:4]
     covered = 0
     for node, mask in witness:
         assert mask & ~masks[node] == 0
@@ -192,54 +218,56 @@ def test_witness_matches_decision():
             check_witness(program, witness, full)
 
 
-def test_matcher_same_verdicts_across_kernels():
-    kernels = available_kernels()
-    if len(kernels) < 2:
-        pytest.skip("compiled kernel not built")
-    rng = random.Random(103)
-    for seed in range(60):
-        p = GenParams(seed=seed, node_count=4, edge_density=0.3, prop_density=0.4)
-        g = gen_graph(p)
-        expr = gen_triple_expr(rng, p, 2)
-        openness = gen_openness(rng, p)
-        for u in sorted(g.nodes):
-            got = {
-                k.KERNEL_NAME: match_triple_expr(g, Node(u), expr, openness, kernel=k)
-                for k in kernels
-            }
-            assert len(set(got.values())) == 1
-
-
-def test_kernel_selection(monkeypatch):
-    monkeypatch.setenv("TRIFORM_KERNEL", "pure")
-    assert kernel_name() == "pure"
-    monkeypatch.delenv("TRIFORM_KERNEL")
-    assert get_kernel("pure").KERNEL_NAME == "pure"
-    with pytest.raises(ValueError):
-        get_kernel("banana")
-
-
-def test_compiled_kernel_present_when_built():
-    names = [k.KERNEL_NAME for k in available_kernels()]
-    assert "pure" in names
-    # informational: the default build compiles the extension
-    assert kernel_name(get_kernel()) in names
-
-
 def test_wide_neighborhoods_route_to_pure():
-    # the compiled kernel is limited to 32 triples; wider neighborhoods
-    # fall back to the pure kernel regardless of the selected backend
-    from triform.model import EdgeTriple, build_graph
-    from triform.shex import HalfOpen, StarE, TC, top_shape
-
     g = build_graph([EdgeTriple("c", "p", f"t{i}") for i in range(35)], [])
     expr = StarE(TC("p", "fwd", top_shape()))
-    for kernel in available_kernels():
-        assert match_triple_expr(
-            g, Node("c"), expr, HalfOpen(frozenset()), cap=40, kernel=kernel
-        )
+    assert match_triple_expr(g, Node("c"), expr, HalfOpen(frozenset()), cap=40)
     drop_one = StarE(TC("q", "fwd", top_shape()))
-    for kernel in available_kernels():
-        assert not match_triple_expr(
-            g, Node("c"), drop_one, HalfOpen(frozenset()), cap=40, kernel=kernel
+    assert not match_triple_expr(g, Node("c"), drop_one, HalfOpen(frozenset()), cap=40)
+
+
+def star_graph(n_p, n_q):
+    edges = [EdgeTriple("c", "p", f"a{i}") for i in range(n_p)]
+    edges += [EdgeTriple("c", "q", f"b{i}") for i in range(n_q)]
+    return build_graph(edges, [])
+
+
+def decide_with_memo(g, expr, openness):
+    """The verdict at focus ``c`` and the number of (node, mask) states
+    the kernel memoized deciding it."""
+    ctx = EvalContext(cap=64)
+    template = _template(ctx, expr, openness)
+    ops, lefts, rights, _, support, lo, hi, root, full = _program(
+        ctx, g, template, _sorted_neigh(g, Node("c"), ctx.cap)
+    )
+    can, memo = _decider(ops, lefts, rights, support, lo, hi)
+    return can(root, full), len(memo)
+
+
+def test_at_most_k_over_24_triples_is_decided_by_counts():
+    # 12 p-triples the body must take, 12 q-triples the openness
+    # wildcard takes; without count bounds every exactly-i branch of
+    # the at-most-k alternation enumerates the subsets of the p-triples
+    g = star_graph(12, 12)
+    tc = TC("p", "fwd", top_shape())
+    for k, want, states in ((12, True, 24), (11, False, 1)):
+        shape = open_closure(desugar_repetition(tc, "at-most", k))
+        verdict, memoized = decide_with_memo(g, shape.expr, shape.openness)
+        assert verdict is want
+        assert memoized <= states, (k, memoized)
+
+
+def test_pairs_at_20_triples_is_decided_by_counts():
+    # a star of two-triple sequences: a peeled part has exactly two bits
+    top = top_shape()
+    expr = StarE(
+        Alt(
+            Seq(TC("p", "fwd", top), TC("q", "fwd", top)),
+            Seq(TC("q", "fwd", top), TC("p", "fwd", top)),
         )
+    )
+    openness = HalfOpen(frozenset({"p", "q"}))
+    for n_p, want, states in ((10, True, 64), (11, False, 1024)):
+        verdict, memoized = decide_with_memo(star_graph(n_p, 20 - n_p), expr, openness)
+        assert verdict is want
+        assert memoized <= states, (n_p, memoized)

@@ -228,11 +228,12 @@ def test_validate_empty_schema(g_media):
     assert shex_validate(g_media, []).valid
 
 
-def test_matcher_equals_oracle_random():
-    rng = random.Random(37)
+@pytest.mark.parametrize("rng_seed, edge_density", [(37, 0.25), (103, 0.3)])
+def test_matcher_equals_oracle_random(rng_seed, edge_density):
+    rng = random.Random(rng_seed)
     checked = 0
     for seed in range(60):
-        p = GenParams(seed=seed, node_count=4, edge_density=0.25, prop_density=0.4)
+        p = GenParams(seed=seed, node_count=4, edge_density=edge_density, prop_density=0.4)
         g = gen_graph(p)
         expr = gen_triple_expr(rng, p, 2)
         openness = gen_openness(rng, p)
