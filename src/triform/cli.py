@@ -225,6 +225,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.print_help()
         return EXIT_USAGE
     try:
+        if (getattr(args, "cap", None) or 0) < 0:
+            raise TriformError("--cap must be non-negative")
         return args.func(args)
     except (FormatError, NotInFragment, SortError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -508,6 +508,13 @@ def _oracle_domain(g: CommonGraph, v: Focus) -> List[Focus]:
     return sorted(domain, key=lambda f: repr(f))
 
 
+def _oracle_neigh(g: CommonGraph, v: Focus) -> List[SignedTriple]:
+    triples = sorted(neigh_signed(g, v), key=signed_triple_sort_key)
+    if len(triples) > MAX_ORACLE_NEIGH:
+        raise InstanceTooLarge(f"{len(triples)} signed triples exceed the oracle bound")
+    return triples
+
+
 def _step_pairs(g: CommonGraph, q: str) -> Set[Pair]:
     pairs: Set[Pair] = set()
     for e in g.edges:
@@ -697,9 +704,7 @@ def brute_match_oracle(
 ) -> bool:
     """Reference matcher: enumerate the full language of the expression
     plus wildcards and test neighborhood membership."""
-    triples = sorted(neigh_signed(g, v), key=signed_triple_sort_key)
-    if len(triples) > MAX_ORACLE_NEIGH:
-        raise InstanceTooLarge(f"{len(triples)} signed triples exceed the oracle bound")
+    triples = _oracle_neigh(g, v)
     suffix: sx.TripleExpr = sx.StarE(sx.WildIn(openness.r))
     if isinstance(openness, sx.Open):
         suffix = sx.Seq(suffix, sx.StarE(sx.WildOut(openness.q)))
@@ -799,9 +804,7 @@ def sshex_satisfies_oracle(g: CommonGraph, v: Focus, se: ssx.SShapeExpr, registr
     if isinstance(se, ssx.XNot):
         return not sshex_satisfies_oracle(g, v, se.inner, registry)
     if isinstance(se, ssx.XShape):
-        triples = sorted(neigh_signed(g, v), key=signed_triple_sort_key)
-        if len(triples) > MAX_ORACLE_NEIGH:
-            raise InstanceTooLarge(f"{len(triples)} signed triples exceed the oracle bound")
+        triples = _oracle_neigh(g, v)
         mentioned = ssx.preds_sshex(se.expr)
         attached: Dict[Tuple[str, str], List[Optional[ssx.SShapeExpr]]] = {}
         for tc in _direct_x_tcs(se.expr):

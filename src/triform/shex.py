@@ -8,8 +8,9 @@ triples are tolerated (any incoming with name outside R; for open
 shapes also any outgoing with name outside Q).
 
 Each neighborhood shape is flattened once per evaluation context into
-a program template; a focus only fills in the template's leaf masks
-over its sorted signed neighborhood.  Matching is decided by the
+a program template; a focus only fills in the template's leaf masks,
+from the graph's adjacency lists in their order, where wildcards and
+top-shape leaves set bits untested.  Matching is decided by the
 memoized subset DP of ``_bagmatch_py`` over neighborhood bitmasks.
 Since each triple constraint consumes exactly one triple, every
 program node can consume only a static interval of triple counts (a
@@ -17,8 +18,8 @@ sequence the sum of its parts, an alternation the hull of its
 branches); the template records these count bounds once per shape,
 and the DP rejects any mask or split whose popcount falls outside
 them.  Cost is exponential only in the neighborhood size, which is
-bounded by a hard cap: exceeding the cap raises
-``NeighborhoodTooLarge`` rather than approximating.
+bounded by a hard cap counted before any nested shape is evaluated:
+exceeding the cap raises ``NeighborhoodTooLarge``, never approximating.
 
 Counting is by triples, not by endpoints: a node with two parallel
 p-edges to the same target offers two distinct signed triples.  This is
@@ -46,8 +47,7 @@ from .model import (
     Val,
     Value,
     ValueTypeRegistry,
-    neigh_signed,
-    signed_triple_sort_key,
+    neigh_signed,  # noqa: F401  unused here, but the benchmark's tracer patches it on this module
     sorted_foci,
     triple_ends,
     value_type_member,
@@ -336,7 +336,11 @@ class _Template:
     the wildcard nodes, the openness suffix included; ``joins`` lists
     (node, left, right) for the inner nodes in bottom-up order, a star
     naming its child twice.  ``lo``/``hi`` are the nodes' count bounds,
-    which depend on the shape only.
+    which depend on the shape only.  A focus counts its signed triples
+    against the cap, then fills one bit per triple, in adjacency order
+    within each leaf key and the leaf keys in ``ranks`` order (a star's
+    DP state count depends on that layout); wildcards and top-shape
+    leaves set bits untested, the other leaves after nested evaluation.
     """
 
     ops: List[int] = field(default_factory=list)
@@ -348,6 +352,16 @@ class _Template:
     wilds: List[Tuple[int, str, FrozenSet[str]]] = field(default_factory=list)
     joins: List[Tuple[int, int, int]] = field(default_factory=list)
     root: int = -1
+    ranks: Dict[Tuple[str, str], int] = field(default_factory=dict)
+    plans: Dict[Tuple[str, str], tuple] = field(default_factory=dict)  # :meth:`plan`, per run
+
+    def plan(self, name: str, direction: str):
+        """The leaves to test and the nodes set untested for a (name, direction) triple."""
+        leaves = self.leaves.get((name, direction), [])
+        fixed = [node for node, c in leaves if c.kind is SNeigh and c.template is None]  # top shape
+        fixed += [node for node, d, excl in self.wilds if d == direction and name not in excl]
+        tested = [(node, c) for node, c in leaves if node not in fixed]
+        return self.plans.setdefault((name, direction), (tested, fixed))
 
 
 class _Compiled:
@@ -455,39 +469,44 @@ def _template(ctx: EvalContext, expr: TripleExpr, openness: Openness) -> _Templa
     if isinstance(openness, Open):
         t.wilds.append((wild, FWD, openness.q))
     t.root = join(OP_SEQ, body, wild)
+    t.ranks = {key: r for r, key in enumerate(sorted(t.leaves))}
     return t
 
 
-def _sorted_neigh(g: CommonGraph, v: Focus, cap: int) -> List[SignedTriple]:
-    triples = sorted(neigh_signed(g, v), key=signed_triple_sort_key)
-    if len(triples) > cap:
+def _fill(ctx: EvalContext, g: CommonGraph, v: Focus, t: _Template):
+    """The focus's signed triples as (name, direction, far-end class, far
+    end) rows, and the template's kernel program with bit i for row i."""
+    if isinstance(v, Node):
+        rows = [(e.p, FWD, Node, e.o) for e in g.out_edges(v.id)]
+        rows += [(k, FWD, Val, w) for k, w in g.node_props(v.id).items()]
+        rows += [(e.p, INV, Node, e.s) for e in g.in_edges(v.id)]
+    else:
+        rows = [(k, INV, Node, n) for n, k in g.value_owners(v.value)]
+    if len(rows) > ctx.cap:
         raise NeighborhoodTooLarge(
-            f"signed neighborhood of {v!r} has {len(triples)} triples (cap {cap})"
+            f"signed neighborhood of {v!r} has {len(rows)} triples (cap {ctx.cap})"
         )
-    return triples
-
-
-def _program(ctx: EvalContext, g: CommonGraph, t: _Template, triples: List[SignedTriple]):
-    """The template's kernel program for one focus's sorted neighborhood."""
+    if len(t.ranks) > 1:  # a star's DP state count depends on the layout: fix it per shape
+        rows = [w for r in range(-1, len(t.ranks)) for w in rows if t.ranks.get(w[:2], -1) == r]
     masks = [0] * len(t.ops)
-    leaves, wilds = t.leaves, t.wilds
-    for i, tr in enumerate(triples):
+    for i, (name, direction, kind, x) in enumerate(rows):
+        tested, fixed = t.plans.get((name, direction)) or t.plan(name, direction)
         bit = 1 << i
-        for node, nested in leaves.get((tr.name, tr.direction), ()):
-            if _satisfies(ctx, g, tr.endpoint, nested):
-                masks[node] |= bit
-        for node, direction, excluded in wilds:
-            if tr.direction == direction and tr.name not in excluded:
+        for node in fixed:
+            masks[node] |= bit
+        far = kind(x) if tested else None
+        for node, nested in tested:
+            if _satisfies(ctx, g, far, nested):
                 masks[node] |= bit
     support = masks[:]
     for i, a, b in t.joins:
         support[i] = support[a] | support[b]
-    return t.ops, t.lefts, t.rights, masks, support, t.lo, t.hi, t.root, (1 << len(triples)) - 1
+    full = (1 << len(rows)) - 1
+    return rows, (t.ops, t.lefts, t.rights, masks, support, t.lo, t.hi, t.root, full)
 
 
 def _match(ctx: EvalContext, g: CommonGraph, v: Focus, t: _Template) -> bool:
-    triples = _sorted_neigh(g, v, ctx.cap)
-    return _bagmatch_py.bag_match(*_program(ctx, g, t, triples))
+    return _bagmatch_py.bag_match(*_fill(ctx, g, v, t)[1])
 
 
 def _satisfies(ctx: EvalContext, g: CommonGraph, v: Focus, c: _Compiled) -> bool:
@@ -543,16 +562,12 @@ def match_witness(
     check the sequence-disjointness invariant.
     """
     ctx = EvalContext(cap if cap is not None else default_cap(), registry)
-    triples = _sorted_neigh(g, v, ctx.cap)
-    program = _program(ctx, g, _template(ctx, expr, openness), triples)
+    rows, program = _fill(ctx, g, v, _template(ctx, expr, openness))
     raw = _bagmatch_py.bag_match_witness(*program)
     if raw is None:
         return None
-    out = []
-    for node, mask in raw:
-        consumed = [triples[i] for i in range(len(triples)) if mask & (1 << i)]
-        out.append((node, consumed))
-    return out
+    triples = [SignedTriple(name, name in g.keys, d, kind(x)) for name, d, kind, x in rows]
+    return [(node, [tr for i, tr in enumerate(triples) if mask >> i & 1]) for node, mask in raw]
 
 
 def shex_satisfies(

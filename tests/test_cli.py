@@ -91,6 +91,15 @@ def test_cap_env_override(files, capsys, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize("command, cap", [("validate", "-1"), ("fuzz", "-5")])
+def test_negative_cap_is_a_usage_error(files, capsys, command, cap):
+    args = [files["graph.json"], files["shex.json"]] if command == "validate" else ["--trials", "3"]
+    code, out, err = run(capsys, command, *args, "--cap", cap)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --cap must be non-negative\n"
+
+
 def test_translate_then_validate(files, capsys, tmp_path):
     for target in ("shacl", "shex"):
         code, out, _ = run(capsys, "translate", files["pg.json"], "--to", target)

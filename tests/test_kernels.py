@@ -29,8 +29,7 @@ from triform.shex import (
     Seq,
     StarE,
     TC,
-    _program,
-    _sorted_neigh,
+    _fill,
     _template,
     desugar_repetition,
     match_triple_expr,
@@ -237,9 +236,7 @@ def decide_with_memo(g, expr, openness):
     the kernel memoized deciding it."""
     ctx = EvalContext(cap=64)
     template = _template(ctx, expr, openness)
-    ops, lefts, rights, _, support, lo, hi, root, full = _program(
-        ctx, g, template, _sorted_neigh(g, Node("c"), ctx.cap)
-    )
+    _, (ops, lefts, rights, _, support, lo, hi, root, full) = _fill(ctx, g, Node("c"), template)
     can, memo = _decider(ops, lefts, rights, support, lo, hi)
     return can(root, full), len(memo)
 

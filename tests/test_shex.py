@@ -1,12 +1,15 @@
 import random
+from collections import Counter
 
 import pytest
 
 from triform.harness import (
     GenParams,
     brute_match_oracle,
+    brute_shex_satisfies,
     gen_graph,
     gen_openness,
+    gen_shex_shape,
     gen_triple_expr,
 )
 from triform.model import (
@@ -20,6 +23,7 @@ from triform.model import (
     Val,
     build_graph,
     int_v,
+    sorted_foci,
     str_v,
 )
 from triform.shex import (
@@ -231,20 +235,76 @@ def test_validate_empty_schema(g_media):
 @pytest.mark.parametrize("rng_seed, edge_density", [(37, 0.25), (103, 0.3)])
 def test_matcher_equals_oracle_random(rng_seed, edge_density):
     rng = random.Random(rng_seed)
-    checked = 0
+    checked, matched = Counter(), Counter()
     for seed in range(60):
         p = GenParams(seed=seed, node_count=4, edge_density=edge_density, prop_density=0.4)
         g = gen_graph(p)
         expr = gen_triple_expr(rng, p, 2)
         openness = gen_openness(rng, p)
-        for u in sorted(g.nodes):
+        # value foci have only inverse key triples, one per owner
+        for v in [Node(u) for u in sorted(g.nodes)] + sorted_foci(Val(w) for w in g.values):
             try:
-                want = brute_match_oracle(g, Node(u), expr, openness)
+                want = brute_match_oracle(g, v, expr, openness)
             except InstanceTooLarge:
                 continue
-            assert match_triple_expr(g, Node(u), expr, openness) == want
-            checked += 1
-    assert checked > 100
+            assert match_triple_expr(g, v, expr, openness) == want, v
+            checked[type(v)] += 1
+            matched[type(v)] += want
+    assert checked[Node] > 100 and checked[Val] > 100
+    assert 0 < matched[Val] < checked[Val]
+
+
+@pytest.mark.parametrize("rng_seed", [5, 59])
+def test_nested_shapes_equal_brute_oracle(rng_seed):
+    # every triple named by the tested constraints must satisfy a nested
+    # neighborhood or boolean shape, evaluated at its far end; the
+    # top-shape constraints and the wildcards take their triples untested
+    rng = random.Random(rng_seed)
+    checked = Counter()
+    for seed in range(80):
+        p = GenParams(seed=seed, node_count=4, edge_density=0.25, prop_density=0.4)
+        g = gen_graph(p)
+        names = p.pred_pool + p.key_pool
+        inner = SNeigh(gen_triple_expr(rng, p, 1), gen_openness(rng, p))
+        nested = rng.choice([inner, SNot(inner), SAnd(inner, gen_shex_shape(rng, p, 1))])
+        q, direction = rng.choice(names), rng.choice([FWD, INV])
+        untested = StarE(Alt(TC(rng.choice(names), FWD, TOP), gen_triple_expr(rng, p, 1)))
+
+        def closed_over(tc):
+            return open_closure(Seq(Seq(Alt(tc, Eps()), StarE(tc)), untested))
+
+        shape, topped = closed_over(TC(q, direction, nested)), closed_over(TC(q, direction, TOP))
+        for v in [Node(u) for u in sorted(g.nodes)] + sorted_foci(Val(w) for w in g.values):
+            try:
+                want = brute_shex_satisfies(g, v, shape)
+            except InstanceTooLarge:
+                continue
+            assert shex_satisfies(g, v, shape) == want, (seed, v)
+            checked[want] += 1
+            checked["nested decides"] += want != shex_satisfies(g, v, topped)
+    assert checked[True] > 100 and checked[False] > 100
+    assert checked["nested decides"] > 30
+
+
+def test_cap_counts_rows_before_nested_evaluation():
+    from triform.shex import EvalContext, _compile, _satisfies
+
+    # a loop is one forward and one inverse signed triple: "a" has 4,
+    # and so has the value 7, owned by four nodes; "b" has 3
+    g = build_graph(
+        [EdgeTriple("a", "p", "a"), EdgeTriple("a", "q", "b")]
+        + [EdgeTriple(f"o{i}", "owns", "b") for i in range(2)],
+        [PropTriple("a", "k", int_v(1))] + [PropTriple(f"o{i}", "k", int_v(7)) for i in range(4)],
+    )
+    nested = SNeigh(TC("owns", INV, TOP), HalfOpen(NO_NAMES))
+    shape = open_closure(Seq(StarE(TC("q", FWD, nested)), StarE(TC("p", INV, TOP))))
+    for v in (Node("a"), Val(int_v(7))):
+        assert shex_satisfies(g, v, shape, cap=4)
+        ctx = EvalContext(cap=3)
+        with pytest.raises(NeighborhoodTooLarge) as info:
+            _satisfies(ctx, g, v, _compile(ctx, shape))
+        assert str(info.value) == f"signed neighborhood of {v!r} has 4 triples (cap 3)"
+        assert ctx.cache == {}  # raised before the nested shape was evaluated at "b"
 
 
 def test_boolean_shapes(g_media):
