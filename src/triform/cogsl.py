@@ -536,7 +536,7 @@ def _guard_to_shacl(atom: GuardAtom) -> sh.ShaclShape:
     for d in content_dnf(atom.tau):
         assert not d.open
         conj: List[sh.ShaclShape] = [sh.exists(sh.Step(k), sh.TestType(vt)) for k, vt in d.reqs]
-        allowed = frozenset(d.req_keys()) | frozenset(atom.preds)
+        allowed = d.keys | frozenset(atom.preds)
         conj.append(sh.Closed(allowed))
         shapes.append(sh.and_all(conj))
     return sh.or_all(shapes)
@@ -666,7 +666,7 @@ def _guard_to_shex(atom: GuardAtom) -> sx.ShexShape:
     shapes = []
     for d in content_dnf(atom.tau):
         assert not d.open
-        parts = [e for e in (_names_star(sorted(d.req_keys())), _names_star(atom.preds)) if e]
+        parts = [e for e in (_names_star(sorted(d.keys)), _names_star(atom.preds)) if e]
         closure = sx.SNeigh(sx.seq_all(parts), sx.HalfOpen(sx.NO_NAMES))
         if d.reqs:
             content = sx.sand_all([_one_tc(k, FWD, sx.STestType(vt)) for k, vt in d.reqs])

@@ -21,6 +21,7 @@ from . import shacl as sh
 from . import shex as sx
 from . import sshex as ssx
 from .cogsl import cogsl_to_shacl, cogsl_to_shex, cogsl_validate
+from .jsonio import focus_to_json
 from .model import (
     FWD,
     INV,
@@ -39,6 +40,8 @@ from .model import (
     Value,
     bool_v,
     build_graph,
+    content,
+    focus_sort_key,
     int_v,
     neigh_signed,
     signed_triple_sort_key,
@@ -75,7 +78,6 @@ from .pgschema import (
     PStar,
     PUnion,
     concat_all,
-    content,
     content_member,
     pg_and_all,
 )
@@ -918,7 +920,7 @@ class AgreementReport:
     verdict_shacl: Optional[bool]
     verdict_shex: Optional[bool]
     capped: bool = False
-    witness: Optional[Tuple[int, str]] = None
+    witness: Optional[Tuple[int, Focus, str]] = None
 
     @property
     def agree(self) -> bool:
@@ -930,8 +932,10 @@ class AgreementReport:
 def differential_check(g: CommonGraph, rules: Sequence[PgRule], cap: Optional[int] = None) -> AgreementReport:
     """Validate under PG semantics and under both translations.
 
-    The translations are rule-for-rule, so agreement is checked at rule
-    granularity, which is stronger than comparing the overall booleans.
+    The translations are rule-for-rule, so agreement is checked per
+    (rule, focus) violation, which is stronger than comparing violated
+    rules or the overall booleans.  The witness is the first pair, in
+    report order, that not all three dialects violate.
     Neighborhood-cap hits are reported as capped, never as divergence.
     """
     pg_report = cogsl_validate(g, rules)
@@ -941,16 +945,13 @@ def differential_check(g: CommonGraph, rules: Sequence[PgRule], cap: Optional[in
     except NeighborhoodTooLarge:
         return AgreementReport(pg_report.valid, shacl_report.valid, None, capped=True)
     witness = None
-    sets = {
-        "pg": set(pg_report.violated_rules()),
-        "shacl": set(shacl_report.violated_rules()),
-        "shex": set(shex_report.violated_rules()),
-    }
-    for idx in sorted(sets["pg"] | sets["shacl"] | sets["shex"]):
-        tags = [name for name, s in sets.items() if idx in s]
-        if len(tags) != 3:
-            witness = (idx, "violated only in " + ",".join(tags))
-            break
+    reports = {"pg": pg_report, "shacl": shacl_report, "shex": shex_report}
+    sets = {name: set(report.violations) for name, report in reports.items()}
+    differing = set.union(*sets.values()) - set.intersection(*sets.values())
+    if differing:
+        v = min(differing, key=lambda v: (v.rule_index, focus_sort_key(v.focus)))
+        tags = [name for name, s in sets.items() if v in s]
+        witness = (v.rule_index, v.focus, "violated only in " + ",".join(tags))
     return AgreementReport(pg_report.valid, shacl_report.valid, shex_report.valid, witness=witness)
 
 
@@ -1040,7 +1041,8 @@ def run_campaign(
                 {
                     "seed": seed + i,
                     "rule": report.witness[0] if report.witness else None,
-                    "witness": report.witness[1] if report.witness else None,
+                    "focus": focus_to_json(report.witness[1]) if report.witness else None,
+                    "witness": report.witness[2] if report.witness else None,
                     "graph_size": (len(small.edges), len(small.props)),
                 }
             )

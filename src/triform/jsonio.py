@@ -9,7 +9,7 @@ give byte-identical documents.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import shacl as sh
 from . import shex as sx
@@ -71,6 +71,14 @@ def _list(x: Any, path: str) -> List:
     return x
 
 
+def _args(o: Dict, path: str, parse: Callable[[Any, str], Any]) -> List:
+    """The parsed ``args`` of an n-ary operator; there must be two or more."""
+    args = [parse(a, f"{path}.args[{i}]") for i, a in enumerate(_list(o.get("args"), f"{path}.args"))]
+    if len(args) < 2:
+        raise _err(f"{path}.args", f"{o['op']} needs at least two arguments")
+    return args
+
+
 def _names(x: Any, path: str) -> frozenset:
     return frozenset(_str(v, f"{path}[{i}]") for i, v in enumerate(_list(x, path)))
 
@@ -124,28 +132,40 @@ def focus_to_json(f: Focus) -> Dict:
     return {"kind": "value", "value": value_to_json(f.value)}
 
 
+def _edge(e: Any, i: int) -> EdgeTriple:
+    if type(e) is dict and len(e) == 3:
+        s, p, o = e.get("s"), e.get("p"), e.get("o")
+        if type(s) is str and type(p) is str and type(o) is str and s and p and o:
+            return EdgeTriple(s, p, o)
+    path = f"$.edges[{i}]"  # a check fails below: name the offending field
+    eo = _obj(e, path, ["s", "p", "o"])
+    return EdgeTriple(*(_str(eo[f], f"{path}.{f}") for f in "spo"))
+
+
+_PAYLOAD_TYPE = {"int": int, "str": str, "bool": bool}
+
+
+def _prop(t: Any, i: int) -> PropTriple:
+    if type(t) is dict and len(t) == 3:
+        n, k, v = t.get("n"), t.get("k"), t.get("v")
+        if type(n) is str and type(k) is str and n and k and type(v) is dict and len(v) == 2:
+            tag, val = v.get("t"), v.get("val")
+            if type(tag) is str and type(val) is _PAYLOAD_TYPE.get(tag):
+                if tag != "int" or INT64_MIN <= val <= INT64_MAX:
+                    return PropTriple(n, k, Value(tag, val))
+    path = f"$.props[{i}]"  # a check fails below: name the offending field
+    to = _obj(t, path, ["n", "k", "v"])
+    return PropTriple(
+        _str(to["n"], f"{path}.n"), _str(to["k"], f"{path}.k"), parse_value(to["v"], f"{path}.v")
+    )
+
+
 def parse_graph(doc: Any) -> CommonGraph:
+    """Error paths are built only once a check fails, so well-formed
+    triples cost no string formatting."""
     o = _obj(doc, "$", ["edges", "props"])
-    edges = []
-    for i, e in enumerate(_list(o["edges"], "$.edges")):
-        eo = _obj(e, f"$.edges[{i}]", ["s", "p", "o"])
-        edges.append(
-            EdgeTriple(
-                _str(eo["s"], f"$.edges[{i}].s"),
-                _str(eo["p"], f"$.edges[{i}].p"),
-                _str(eo["o"], f"$.edges[{i}].o"),
-            )
-        )
-    props = []
-    for i, t in enumerate(_list(o["props"], "$.props")):
-        to = _obj(t, f"$.props[{i}]", ["n", "k", "v"])
-        props.append(
-            PropTriple(
-                _str(to["n"], f"$.props[{i}].n"),
-                _str(to["k"], f"$.props[{i}].k"),
-                parse_value(to["v"], f"$.props[{i}].v"),
-            )
-        )
+    edges = [_edge(e, i) for i, e in enumerate(_list(o["edges"], "$.edges"))]
+    props = [_prop(t, i) for i, t in enumerate(_list(o["props"], "$.props"))]
     try:
         return build_graph(edges, props)
     except TriformError as exc:
@@ -177,12 +197,7 @@ def parse_shacl_path(x: Any, path: str) -> sh.PathExpr:
     if op == "star":
         return sh.Star(parse_shacl_path(o.get("arg"), f"{path}.arg"))
     if op in ("concat", "union"):
-        args = [
-            parse_shacl_path(a, f"{path}.args[{i}]")
-            for i, a in enumerate(_list(o.get("args"), f"{path}.args"))
-        ]
-        if len(args) < 2:
-            raise _err(f"{path}.args", f"{op} needs at least two arguments")
+        args = _args(o, path, parse_shacl_path)
         ctor = sh.Concat if op == "concat" else sh.PathUnion
         out = args[0]
         for a in args[1:]:
@@ -225,12 +240,7 @@ def parse_shacl_shape(x: Any, path: str) -> sh.ShaclShape:
     if op == "not":
         return sh.Not(parse_shacl_shape(o.get("arg"), f"{path}.arg"))
     if op in ("and", "or"):
-        args = [
-            parse_shacl_shape(a, f"{path}.args[{i}]")
-            for i, a in enumerate(_list(o.get("args"), f"{path}.args"))
-        ]
-        if len(args) < 2:
-            raise _err(f"{path}.args", f"{op} needs at least two arguments")
+        args = _args(o, path, parse_shacl_shape)
         return sh.and_all(args) if op == "and" else sh.or_all(args)
     if op in ("geq", "leq"):
         n = _nat(o.get("n"), f"{path}.n")
@@ -273,20 +283,9 @@ def shacl_shape_to_json(s: sh.ShaclShape) -> Dict:
         return {"op": "and", "args": [shacl_shape_to_json(s.left), shacl_shape_to_json(s.right)]}
     if isinstance(s, sh.Or):
         return {"op": "or", "args": [shacl_shape_to_json(s.left), shacl_shape_to_json(s.right)]}
-    if isinstance(s, sh.GeqCount):
-        return {
-            "op": "geq",
-            "n": s.n,
-            "path": shacl_path_to_json(s.path),
-            "shape": shacl_shape_to_json(s.body),
-        }
-    if isinstance(s, sh.LeqCount):
-        return {
-            "op": "leq",
-            "n": s.n,
-            "path": shacl_path_to_json(s.path),
-            "shape": shacl_shape_to_json(s.body),
-        }
+    if isinstance(s, (sh.GeqCount, sh.LeqCount)):
+        op = "geq" if isinstance(s, sh.GeqCount) else "leq"
+        return {"op": op, "n": s.n, "path": shacl_path_to_json(s.path), "shape": shacl_shape_to_json(s.body)}
     raise TriformError(f"unknown shape {s!r}")
 
 
@@ -329,12 +328,7 @@ def parse_shex_expr(x: Any, path: str) -> sx.TripleExpr:
             parse_shex_shape(o.get("shape"), f"{path}.shape"),
         )
     if op in ("seq", "alt"):
-        args = [
-            parse_shex_expr(a, f"{path}.args[{i}]")
-            for i, a in enumerate(_list(o.get("args"), f"{path}.args"))
-        ]
-        if len(args) < 2:
-            raise _err(f"{path}.args", f"{op} needs at least two arguments")
+        args = _args(o, path, parse_shex_expr)
         return sx.seq_all(args) if op == "seq" else sx.alt_all(args)
     if op == "star":
         return sx.StarE(parse_shex_expr(o.get("arg"), f"{path}.arg"))
@@ -393,12 +387,7 @@ def parse_shex_shape(x: Any, path: str) -> sx.ShexShape:
     if op == "not":
         return sx.SNot(parse_shex_shape(o.get("arg"), f"{path}.arg"))
     if op in ("and", "or"):
-        args = [
-            parse_shex_shape(a, f"{path}.args[{i}]")
-            for i, a in enumerate(_list(o.get("args"), f"{path}.args"))
-        ]
-        if len(args) < 2:
-            raise _err(f"{path}.args", f"{op} needs at least two arguments")
+        args = _args(o, path, parse_shex_shape)
         return sx.sand_all(args) if op == "and" else sx.sor_all(args)
     raise _err(f"{path}.op", f"unknown shape operator {op!r}")
 
@@ -468,12 +457,7 @@ def parse_sshex_expr(x: Any, path: str) -> ssx.STripleExpr:
             None if shape is None else parse_sshex_shape(shape, f"{path}.shape"),
         )
     if op in ("seq", "alt"):
-        args = [
-            parse_sshex_expr(a, f"{path}.args[{i}]")
-            for i, a in enumerate(_list(o.get("args"), f"{path}.args"))
-        ]
-        if len(args) < 2:
-            raise _err(f"{path}.args", f"{op} needs at least two arguments")
+        args = _args(o, path, parse_sshex_expr)
         ctor = ssx.XSeq if op == "seq" else ssx.XAlt
         out = args[0]
         for a in args[1:]:
@@ -542,12 +526,7 @@ def parse_sshex_shape(x: Any, path: str) -> ssx.SShapeExpr:
     if op == "not":
         return ssx.XNot(parse_sshex_shape(o.get("arg"), f"{path}.arg"))
     if op in ("and", "or"):
-        args = [
-            parse_sshex_shape(a, f"{path}.args[{i}]")
-            for i, a in enumerate(_list(o.get("args"), f"{path}.args"))
-        ]
-        if len(args) < 2:
-            raise _err(f"{path}.args", f"{op} needs at least two arguments")
+        args = _args(o, path, parse_sshex_shape)
         ctor = ssx.XAnd if op == "and" else ssx.XOr
         out = args[0]
         for a in args[1:]:
@@ -591,12 +570,7 @@ def parse_content(x: Any, path: str) -> pg.ContentType:
     if op == "field":
         return pg.CField(_str(o.get("k"), f"{path}.k"), _str(o.get("type"), f"{path}.type"))
     if op in ("both", "either"):
-        args = [
-            parse_content(a, f"{path}.args[{i}]")
-            for i, a in enumerate(_list(o.get("args"), f"{path}.args"))
-        ]
-        if len(args) < 2:
-            raise _err(f"{path}.args", f"{op} needs at least two arguments")
+        args = _args(o, path, parse_content)
         ctor = pg.CBoth if op == "both" else pg.CEither
         out = args[0]
         for a in args[1:]:
@@ -662,12 +636,7 @@ def _parse_body(x: Any, path: str) -> pg.NodePath:
     if op == "star":
         return pg.PStar(_parse_body(o.get("arg"), f"{path}.arg"))
     if op in ("concat", "union"):
-        args = [
-            _parse_body(a, f"{path}.args[{i}]")
-            for i, a in enumerate(_list(o.get("args"), f"{path}.args"))
-        ]
-        if len(args) < 2:
-            raise _err(f"{path}.args", f"{op} needs at least two arguments")
+        args = _args(o, path, _parse_body)
         ctor = pg.PConcat if op == "concat" else pg.PUnion
         out = args[0]
         for a in args[1:]:
@@ -682,15 +651,9 @@ def parse_pg_path(x: Any, path: str) -> pg.PgPath:
     """Key steps are recognized at the extreme ends of the top-level
     concatenation; anywhere else they are rejected."""
     o = _obj(x, path, ["op"], ["kind", "p", "preds", "arg", "args", "k"])
-    parts: List[Tuple[Any, str]]
+    parts: List[Tuple[Any, str]] = [(x, path)]
     if o["op"] == "concat":
-        parts = [
-            (a, f"{path}.args[{i}]") for i, a in enumerate(_list(o.get("args"), f"{path}.args"))
-        ]
-        if len(parts) < 2:
-            raise _err(f"{path}.args", "concat needs at least two arguments")
-    else:
-        parts = [(x, path)]
+        parts = _args(o, path, lambda a, p: (a, p))
     src_key = None
     dst_key = None
     first_op = parts[0][0].get("op") if isinstance(parts[0][0], dict) else None
@@ -754,12 +717,7 @@ def parse_pg_shape(x: Any, path: str) -> pg.PgShape:
         pexpr = parse_pg_path(o.get("path"), f"{path}.path")
         return pg.PgGeq(n, pexpr) if op == "geq" else pg.PgLeq(n, pexpr)
     if op == "and":
-        args = [
-            parse_pg_shape(a, f"{path}.args[{i}]")
-            for i, a in enumerate(_list(o.get("args"), f"{path}.args"))
-        ]
-        if len(args) < 2:
-            raise _err(f"{path}.args", "and needs at least two arguments")
+        args = _args(o, path, parse_pg_shape)
         return pg.pg_and_all(args)
     raise _err(f"{path}.op", f"unknown PG-shape operator {op!r}")
 
@@ -796,12 +754,7 @@ def parse_edge_type(x: Any, path: str) -> pg.EdgeType:
             parse_content(o.get("dst"), f"{path}.dst"),
         )
     if op in ("both", "either"):
-        args = [
-            parse_edge_type(a, f"{path}.args[{i}]")
-            for i, a in enumerate(_list(o.get("args"), f"{path}.args"))
-        ]
-        if len(args) < 2:
-            raise _err(f"{path}.args", f"{op} needs at least two arguments")
+        args = _args(o, path, parse_edge_type)
         ctor = pg.EBoth if op == "both" else pg.EEither
         out = args[0]
         for a in args[1:]:

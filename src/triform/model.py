@@ -254,7 +254,7 @@ class CommonGraph:
         self._in_edges = in_edges
         self._node_props = node_props
         self._value_owners = value_owners
-        self._hash = hash((self.edges, frozenset(self.props.items())))
+        self._hash: Optional[int] = None  # computed on the first __hash__
 
     def __eq__(self, other) -> bool:
         return (
@@ -264,6 +264,8 @@ class CommonGraph:
         )
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self.edges, frozenset(self.props.items())))
         return self._hash
 
     def __repr__(self) -> str:

@@ -18,17 +18,23 @@ with a compatible-union value semantics, and constraint pairs, all
 three checked.  The permissive reading that only enforces constraints
 is the special case with trivial type sets.
 
+Normal forms are computed once per type object (the ``dnf`` attribute
+of content and edge types, like :attr:`PgPath.normal_body`), never in a
+module-level cache.  A graph-type check compiles its types once per run
+and decides each (node, disjunct) membership once; a selector is decided
+for every candidate at once, by one image under its inverted body.
+
 Evaluation is pure over immutable inputs, same sharing contract as the
-other dialect modules.  Ill-sorted schemas are rejected at load time,
-before any focus is evaluated.
+other dialect modules; no state outlives a call.  Ill-sorted schemas are
+rejected at load time, before any focus is evaluated.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import FrozenSet, List, Optional, Sequence, Set, Tuple, Union
+from functools import cached_property
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from .model import (
     CommonGraph,
@@ -41,7 +47,6 @@ from .model import (
     Val,
     Value,
     ValueTypeRegistry,
-    content,
     sorted_foci,
     value_type_member,
 )
@@ -54,30 +59,37 @@ VALUE_SORT = "value"
 # Content types
 
 
+class _Content:
+    @cached_property
+    def dnf(self) -> Tuple["ContentDisjunct", ...]:
+        """The disjunctive normal form, computed once per type object."""
+        return _content_dnf(self)
+
+
 @dataclass(frozen=True)
-class CAny:
+class CAny(_Content):
     pass
 
 
 @dataclass(frozen=True)
-class CEmpty:
+class CEmpty(_Content):
     pass
 
 
 @dataclass(frozen=True)
-class CField:
+class CField(_Content):
     k: str
     t: str
 
 
 @dataclass(frozen=True)
-class CBoth:
+class CBoth(_Content):
     left: "ContentType"
     right: "ContentType"
 
 
 @dataclass(frozen=True)
-class CEither:
+class CEither(_Content):
     left: "ContentType"
     right: "ContentType"
 
@@ -92,16 +104,21 @@ class ContentDisjunct:
     ``reqs`` is a multimap of required key/value-type pairs; a record
     matches when every required key is present with a value in all of
     its listed types, and, for closed disjuncts, carries no other keys.
+    A disjunct is the flat table that membership tests run on.
     """
 
     reqs: Tuple[Tuple[str, str], ...]
     open: bool
 
-    def req_keys(self) -> FrozenSet[str]:
+    @cached_property
+    def keys(self) -> FrozenSet[str]:
         return frozenset(k for k, _ in self.reqs)
 
+    def meet(self, other: "ContentDisjunct") -> "ContentDisjunct":
+        """The disjunct of the functional record union of both."""
+        return ContentDisjunct(tuple(sorted(self.reqs + other.reqs)), self.open or other.open)
 
-@lru_cache(maxsize=8192)
+
 def _content_dnf(t: ContentType) -> Tuple[ContentDisjunct, ...]:
     if isinstance(t, CAny):
         return (ContentDisjunct((), True),)
@@ -110,21 +127,16 @@ def _content_dnf(t: ContentType) -> Tuple[ContentDisjunct, ...]:
     if isinstance(t, CField):
         return (ContentDisjunct(((t.k, t.t),), False),)
     if isinstance(t, CEither):
-        return _content_dnf(t.left) + _content_dnf(t.right)
+        return t.left.dnf + t.right.dnf
     if isinstance(t, CBoth):
-        out = []
-        for d1 in _content_dnf(t.left):
-            for d2 in _content_dnf(t.right):
-                reqs = tuple(sorted(d1.reqs + d2.reqs))
-                out.append(ContentDisjunct(reqs, d1.open or d2.open))
-        return tuple(out)
+        return tuple(d1.meet(d2) for d1 in t.left.dnf for d2 in t.right.dnf)
     raise TriformError(f"unknown content type {t!r}")
 
 
 def content_dnf(t: ContentType) -> List[ContentDisjunct]:
     """Distribute & over |; the union of disjunct semantics equals the
     semantics of ``t``."""
-    return list(_content_dnf(t))
+    return list(t.dnf)
 
 
 def disjunct_member(r: Record, d: ContentDisjunct, registry: Optional[ValueTypeRegistry] = None) -> bool:
@@ -132,14 +144,12 @@ def disjunct_member(r: Record, d: ContentDisjunct, registry: Optional[ValueTypeR
         w = r.get(k)
         if w is None or not value_type_member(w, vt, registry):
             return False
-    if not d.open and set(r) != set(d.req_keys()):
-        return False
-    return True
+    return d.open or r.keys() == d.keys
 
 
 def content_member(r: Record, t: ContentType, registry: Optional[ValueTypeRegistry] = None) -> bool:
     """Record membership in a content type, via the DNF."""
-    return any(disjunct_member(r, d, registry) for d in content_dnf(t))
+    return any(disjunct_member(r, d, registry) for d in t.dnf)
 
 
 def is_closed_type(t: ContentType) -> bool:
@@ -342,9 +352,9 @@ def _filter_holds(g: CommonGraph, u: str, kind: FilterKind, registry) -> bool:
     if isinstance(kind, FNotKeyIs):
         return g.prop(u, kind.k) != kind.c
     if isinstance(kind, FOfType):
-        return content_member(content(g, u), kind.t, registry)
+        return content_member(g.node_props(u), kind.t, registry)
     if isinstance(kind, FNotOfType):
-        return not content_member(content(g, u), kind.t, registry)
+        return not content_member(g.node_props(u), kind.t, registry)
     raise TriformError(f"unknown filter {kind!r}")
 
 
@@ -532,14 +542,21 @@ def pg_select(
     sel: PgSelector,
     registry: Optional[ValueTypeRegistry] = None,
 ) -> List[Focus]:
-    """Graph elements of the selector's sort with a nonempty path image."""
-    candidates: List[Focus]
-    if sel.path.src_sort == VALUE_SORT:
-        candidates = [Val(w) for w in g.values]
+    """Graph elements of the selector's sort with a nonempty path image,
+    decided for all at once: the nodes whose body image meets the range
+    (all nodes, or the owners of ``dst_key``) are the range's image under
+    the inverted body; a value is selected when a ``src_key`` owner is."""
+    path = sel.path
+    if path.dst_key is None:
+        starts: Set[str] = set(g.nodes)
     else:
-        candidates = [Node(u) for u in g.nodes]
-    out = [v for v in candidates if eval_pg_path(g, v, sel.path, registry)]
-    return sorted_foci(out)
+        starts = {n for (n, k) in g.props if k == path.dst_key}
+    if path.body is not None:
+        starts = path_image(g, push_inv(path.body, flipped=True), starts, registry) & g.nodes
+    if path.src_key is None:
+        return sorted_foci(Node(u) for u in starts)
+    owned = {g.prop(u, path.src_key) for u in starts} - {None}
+    return sorted_foci(Val(w) for w in owned)
 
 
 def pg_validate(
@@ -560,8 +577,16 @@ def pg_validate(
 # Edge types
 
 
+class _Edge:
+    @cached_property
+    def dnf(self) -> Tuple[Tuple[ContentDisjunct, Optional[FrozenSet[str]], ContentDisjunct], ...]:
+        """The normal form as (source disjunct, labels, target disjunct)
+        primitives, computed once per type object."""
+        return _edge_dnf(self)
+
+
 @dataclass(frozen=True)
-class ET:
+class ET(_Edge):
     """Primitive edge type: source content, allowed labels (None is the
     wildcard), target content."""
 
@@ -571,13 +596,13 @@ class ET:
 
 
 @dataclass(frozen=True)
-class EBoth:
+class EBoth(_Edge):
     left: "EdgeType"
     right: "EdgeType"
 
 
 @dataclass(frozen=True)
-class EEither:
+class EEither(_Edge):
     left: "EdgeType"
     right: "EdgeType"
 
@@ -598,12 +623,12 @@ def edge_type_member(
     primitive allows the label and both endpoint records match its
     contents.
     """
-    src, dst = content(g, e.s), content(g, e.o)
+    src, dst = g.node_props(e.s), g.node_props(e.o)
     return any(
-        (prim.labels is None or e.p in prim.labels)
-        and content_member(src, prim.src, registry)
-        and content_member(dst, prim.dst, registry)
-        for prim in _normalize(t)
+        (labels is None or e.p in labels)
+        and disjunct_member(src, ds, registry)
+        and disjunct_member(dst, dd, registry)
+        for ds, labels, dd in t.dnf
     )
 
 
@@ -618,31 +643,26 @@ def _label_meet(a: Optional[FrozenSet[str]], b: Optional[FrozenSet[str]]) -> Opt
 def normalize_edge_type(t: EdgeType) -> List[ET]:
     """Rewrite to a union of primitives: union-free contents and a label
     part that is the wildcard, a singleton, or empty."""
-    prims = _normalize(t)
     out: List[ET] = []
-    for prim in prims:
-        if prim.labels is None or len(prim.labels) <= 1:
-            out.append(prim)
+    for ds, labels, dd in t.dnf:
+        src, dst = disjunct_to_content(ds), disjunct_to_content(dd)
+        if labels is None or len(labels) <= 1:
+            out.append(ET(src, labels, dst))
         else:
-            out.extend(ET(prim.src, frozenset({p}), prim.dst) for p in sorted(prim.labels))
+            out.extend(ET(src, frozenset({p}), dst) for p in sorted(labels))
     return out
 
 
-@lru_cache(maxsize=1024)
-def _normalize(t: EdgeType) -> Tuple[ET, ...]:
+def _edge_dnf(t: EdgeType):
     if isinstance(t, ET):
-        return tuple(
-            ET(disjunct_to_content(ds), t.labels, disjunct_to_content(dd))
-            for ds in content_dnf(t.src)
-            for dd in content_dnf(t.dst)
-        )
+        return tuple((ds, t.labels, dd) for ds in t.src.dnf for dd in t.dst.dnf)
     if isinstance(t, EEither):
-        return _normalize(t.left) + _normalize(t.right)
+        return t.left.dnf + t.right.dnf
     if isinstance(t, EBoth):
         return tuple(
-            ET(CBoth(a.src, b.src), _label_meet(a.labels, b.labels), CBoth(a.dst, b.dst))
-            for a in _normalize(t.left)
-            for b in _normalize(t.right)
+            (s1.meet(s2), _label_meet(l1, l2), d1.meet(d2))
+            for s1, l1, d1 in t.left.dnf
+            for s2, l2, d2 in t.right.dnf
         )
     raise TriformError(f"unknown edge type {t!r}")
 
@@ -742,14 +762,31 @@ def validate_graph_type(
     registry: Optional[ValueTypeRegistry] = None,
 ) -> GraphTypeReport:
     """Full check: every node in some node type, every edge in some
-    edge type, and every constraint pair holds."""
-    node_bad = sorted(
-        u
-        for u in g.nodes
-        if not any(content_member(content(g, u), nt, registry) for nt in gt.node_types)
-    )
+    edge type, and every constraint pair holds.
+
+    Types are compiled once per run: node types to their disjuncts, edge
+    types to their primitives indexed by label (wildcards under every
+    label), tried in the order :func:`edge_type_member` tries them.  Each
+    (node, disjunct) membership is decided once per run.
+    """
+    memos: Dict[ContentDisjunct, Dict[str, bool]] = {}
+
+    def compiled(d: ContentDisjunct) -> Tuple[ContentDisjunct, Dict[str, bool]]:
+        return d, memos.setdefault(d, {})
+
+    def member(u: str, table: Tuple[ContentDisjunct, Dict[str, bool]]) -> bool:
+        d, memo = table
+        hit = memo.get(u)
+        if hit is None:
+            hit = memo[u] = disjunct_member(g.node_props(u), d, registry)
+        return hit
+
+    node_tables = [compiled(d) for nt in gt.node_types for d in nt.dnf]
+    prims = [(labels, compiled(ds), compiled(dd)) for et in gt.edge_types for ds, labels, dd in et.dnf]
+    by_label = {p: [(s, d) for labels, s, d in prims if labels is None or p in labels] for p in g.preds}
+    node_bad = sorted(u for u in g.nodes if not any(member(u, t) for t in node_tables))
     edge_bad = sorted(
-        (e for e in g.edges if not any(edge_type_member(g, e, et, registry) for et in gt.edge_types)),
+        (e for e in g.edges if not any(member(e.s, s) and member(e.o, d) for s, d in by_label[e.p])),
         key=lambda e: (e.s, e.p, e.o),
     )
     report = pg_validate(g, list(gt.constraints), registry)

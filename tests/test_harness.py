@@ -27,9 +27,10 @@ from triform.model import (
     build_graph,
     int_v,
 )
+from triform.report import ValidationReport, Violation
 from triform.shacl import GeqCount, LeqCount, Not, Star, Step, Top, shacl_validate
 from triform.shex import Eps, HalfOpen, NO_NAMES
-from triform.cogsl import check_common
+from triform.cogsl import check_common, cogsl_to_shacl, cogsl_validate
 
 
 def test_gen_graph_empty():
@@ -135,6 +136,31 @@ def test_differential_check_empty():
     assert report.agree
 
 
+def test_differential_check_compares_foci(monkeypatch, g_media, pg_c1_c5):
+    # u1 and u4 own accounts but have no email: rule 1 fails at both
+    props = [
+        PropTriple(n, k, w)
+        for (n, k), w in g_media.props.items()
+        if not (k == "email" and n in ("u1", "u4"))
+    ]
+    g = build_graph(g_media.edges, props)
+    assert differential_check(g, pg_c1_c5).agree
+    real = harness.shacl_validate
+    dropped = Violation(1, Node("u4"))
+
+    def lossy_shacl(graph, rules):
+        report = real(graph, rules)
+        return ValidationReport([v for v in report.violations if v != dropped], report.stats)
+
+    monkeypatch.setattr(harness, "shacl_validate", lossy_shacl)
+    lossy = lossy_shacl(g, cogsl_to_shacl(pg_c1_c5))
+    # rule 1 still fails in SHACL, so the violated rules alone agree
+    assert lossy.violated_rules() == cogsl_validate(g, pg_c1_c5).violated_rules() == [1]
+    report = differential_check(g, pg_c1_c5)
+    assert not report.agree
+    assert report.witness == (1, Node("u4"), "violated only in pg,shex")
+
+
 def test_differential_capped_counts_separately(g_media, pg_c1_c5):
     report = differential_check(g_media, pg_c1_c5, cap=1)
     assert report.capped
@@ -206,9 +232,10 @@ def test_campaign_records_a_forced_divergence(monkeypatch):
     summary = run_campaign(1, GenParams(node_count=6, schema_size_budget=3), seed=5)
     assert summary.trials == 1 and not summary.ok
     [record] = summary.divergences
-    assert set(record) == {"seed", "rule", "witness", "graph_size"}
+    assert set(record) == {"seed", "rule", "focus", "witness", "graph_size"}
     assert record["seed"] == 5
     assert isinstance(record["rule"], int)
+    assert record["focus"]["kind"] in ("node", "value")
     assert record["witness"] == "violated only in shacl"
     edges, props = record["graph_size"]
     assert edges + props > 0

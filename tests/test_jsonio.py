@@ -34,6 +34,47 @@ def test_graph_field_errors_name_path():
     assert "$.props[0].v.val" in str(err.value)
 
 
+def test_graph_triple_errors_are_exact():
+    # the error path is built only once a check fails; each message is
+    # the one the field-by-field checks give
+    ok_v = {"t": "int", "val": 1}
+
+    def edge(**kw):
+        return {"edges": [{"s": "a", "p": "p", "o": "b"}, kw], "props": []}
+
+    def prop(v, **kw):
+        return {"edges": [], "props": [{"n": "a", "k": "k", "v": ok_v}, dict({"n": "b", "k": "k", "v": v}, **kw)]}
+
+    cases = [
+        ({"edges": [[]], "props": []}, "at $.edges[0]: expected an object, got list"),
+        (edge(s="a", p="p"), "at $.edges[1]: missing field 'o'"),
+        (edge(s="a", p="p", o="b", x=1), "at $.edges[1].x: unknown field"),
+        (edge(s="a", p="", o="b"), "at $.edges[1].p: expected a non-empty string"),
+        (edge(s="a", p="p", o=3), "at $.edges[1].o: expected a non-empty string"),
+        (edge(s="a", p="p", x="b"), "at $.edges[1].x: unknown field"),
+        (prop(ok_v, n=""), "at $.props[1].n: expected a non-empty string"),
+        (prop(ok_v, k=5), "at $.props[1].k: expected a non-empty string"),
+        ({"edges": [], "props": [{"n": "a", "k": "k"}]}, "at $.props[0]: missing field 'v'"),
+        (prop(5), "at $.props[1].v: expected an object, got int"),
+        (prop({"t": "int", "val": True}), "at $.props[1].v.val: expected an integer"),
+        (prop({"t": "int", "val": 2**63}), "at $.props[1].v.val: integer outside the 64-bit signed range"),
+        (prop({"t": "int", "val": -(2**63) - 1}), "at $.props[1].v.val: integer outside the 64-bit signed range"),
+        (prop({"t": "str", "val": 1}), "at $.props[1].v.val: expected a string"),
+        (prop({"t": "bool", "val": 0}), "at $.props[1].v.val: expected a boolean"),
+        (prop({"t": "float", "val": 1.5}), "at $.props[1].v.t: unknown value tag 'float'"),
+        (prop({"t": ["int"], "val": 1}), "at $.props[1].v.t: unknown value tag ['int']"),
+        (prop({"t": "int"}), "at $.props[1].v: missing field 'val'"),
+        (prop({"t": "int", "val": 1, "x": 0}), "at $.props[1].v.x: unknown field"),
+        (prop({"t": "int", "value": 1}), "at $.props[1].v.value: unknown field"),
+    ]
+    for doc, message in cases:
+        with pytest.raises(FormatError) as err:
+            jsonio.parse_graph(doc)
+        assert str(err.value) == message, doc
+    g = jsonio.parse_graph(prop({"t": "int", "val": -(2**63)}))
+    assert g.prop("b", "k") == int_v(-(2**63))
+
+
 def test_graph_duplicate_key_value_rejected():
     doc = {
         "edges": [],

@@ -3,16 +3,25 @@ import random
 
 import pytest
 
-from triform.harness import GenParams, brute_edge_type_member, brute_pg_path_oracle, gen_graph
+from triform.harness import (
+    GenParams,
+    brute_edge_type_member,
+    brute_pg_path_oracle,
+    gen_cogsl_schema,
+    gen_graph,
+    gen_pg_path,
+)
 from triform.model import (
     EdgeTriple,
     Node,
     PropTriple,
     SortError,
     Val,
+    ValueTypeRegistry,
     build_graph,
     bool_v,
     int_v,
+    sorted_foci,
     str_v,
     value_type_member,
 )
@@ -53,6 +62,7 @@ from triform.pgschema import (
     loose_graph_type,
     normalize_edge_type,
     pg_satisfies,
+    pg_select,
     pg_validate,
     pred_path,
     validate_graph_type,
@@ -419,3 +429,128 @@ def test_graph_type_empty_graph():
 def test_pg_and_counts(g_media):
     shape = PgAnd(PgGeq(1, key_path("email")), PgLeq(5, pred_path("hasAccess")))
     assert pg_satisfies(g_media, Node("u2"), shape)
+
+
+def per_focus_select(g, sel, registry=None):
+    """The definition of selection: the candidates of the selector's sort
+    whose path image is nonempty."""
+    if sel.path.src_key is not None:
+        candidates = [Val(w) for w in g.values]
+    else:
+        candidates = [Node(u) for u in g.nodes]
+    return sorted_foci(v for v in candidates if eval_pg_path(g, v, sel.path, registry))
+
+
+def test_select_equals_per_focus_definition():
+    seen = {"value_sorted": 0, "star": 0, "filter": 0, "dst_key": 0}
+
+    def note(path):
+        text = repr(path)
+        seen["value_sorted"] += path.src_key is not None
+        seen["star"] += "PStar" in text
+        seen["filter"] += "PFilter" in text
+        seen["dst_key"] += path.dst_key is not None
+
+    checked = 0
+    for n in (8, 12, 40):
+        for seed in range(40):
+            params = GenParams(seed=seed, node_count=n, schema_size_budget=5)
+            g = gen_graph(params)
+            rng = random.Random(f"select-{n}-{seed}")
+            sels = [sel for sel, _ in gen_cogsl_schema(params)]
+            sels += [PgGeq(1, gen_pg_path(rng, params)) for _ in range(6)]
+            for sel in sels:
+                got = pg_select(g, sel)
+                assert got == per_focus_select(g, sel), (n, seed, sel)
+                # foci outside the graph are never selected
+                assert all(v.id in g.nodes if isinstance(v, Node) else v.value in g.values for v in got)
+                note(sel.path)
+                checked += 1
+    assert checked > 1000
+    assert min(seen.values()) > 50, seen
+    # a reflexive star selects every graph node and no node outside it
+    g = gen_graph(GenParams(seed=3, node_count=8))
+    star = PgGeq(1, PgPath(None, PStar(PPred("p")), None))
+    assert pg_select(g, star) == sorted_foci(Node(u) for u in g.nodes)
+    assert not eval_pg_path(g, Node("ghost"), star.path)
+
+
+def _small_registry(member):
+    registry = ValueTypeRegistry()
+    registry.register("small", member)
+    return registry
+
+
+def test_graph_type_check_equals_per_element_definition():
+    # two registries that give the custom type "small" different members:
+    # a membership memo that ignored the registry, or outlived its run,
+    # would carry the first run's verdicts into the second
+    registries = (
+        _small_registry(lambda w: w.tag == "int" and 0 <= w.payload < 10),
+        _small_registry(lambda w: w.tag == "str"),
+    )
+    keys = ("k1", "k2", "k3", "k4", "k5")
+    values = (int_v(0), int_v(7), int_v(1234), str_v("x"), bool_v(True))
+    rng = random.Random(71)
+
+    def gen_content(depth):
+        if depth == 0 or rng.random() < 0.45:
+            roll = rng.random()
+            if roll < 0.2:
+                return CAny()
+            if roll < 0.3:
+                return CEmpty()
+            return CField(rng.choice(keys), rng.choice(["int", "str", "small", "any"]))
+        ctor = CBoth if rng.random() < 0.5 else CEither
+        return ctor(gen_content(depth - 1), gen_content(depth - 1))
+
+    def gen_et(depth):
+        if depth == 0 or rng.random() < 0.5:
+            labels = None if rng.random() < 0.3 else frozenset(rng.sample(["p", "q"], rng.randrange(0, 3)))
+            return ET(gen_content(2), labels, gen_content(2))
+        ctor = EBoth if rng.random() < 0.5 else EEither
+        return ctor(gen_et(depth - 1), gen_et(depth - 1))
+
+    def gen_hub_graph():
+        # a hub with narrow records pointing at it from wide accessors
+        # (3 to 5 keys), plus a few narrow nodes and edges among them
+        edges, props = [], []
+        for k in rng.sample(keys, rng.randrange(0, 3)):
+            props.append(PropTriple("hub", k, rng.choice(values)))
+        for j in range(4):
+            x = f"x{j}"
+            edges.append(EdgeTriple(x, rng.choice(["p", "q"]), "hub"))
+            for k in rng.sample(keys, rng.randrange(3, 6)):
+                props.append(PropTriple(x, k, rng.choice(values)))
+        for j in range(3):
+            u = f"u{j}"
+            edges.append(EdgeTriple(u, rng.choice(["p", "q"]), rng.choice(["hub", "u0", "u1", "u2"])))
+            for k in rng.sample(keys, rng.randrange(0, 3)):
+                props.append(PropTriple(u, k, rng.choice(values)))
+        return build_graph(edges, props)
+
+    differ = node_bad = edge_bad = 0
+    for _ in range(30):
+        g = gen_hub_graph()
+        gt = GraphType(
+            tuple(gen_content(2) for _ in range(rng.randrange(1, 4))),
+            (EBoth(gen_et(0), gen_et(0)),) + tuple(gen_et(1) for _ in range(rng.randrange(0, 2))),
+            (),
+        )
+        verdicts = []
+        for registry in registries:
+            report = validate_graph_type(g, gt, registry)
+            want_nodes = sorted(
+                u for u in g.nodes if not any(content_member(g.node_props(u), t, registry) for t in gt.node_types)
+            )
+            want_edges = sorted(
+                (e for e in g.edges if not any(brute_edge_type_member(g, e, t, registry) for t in gt.edge_types)),
+                key=lambda e: (e.s, e.p, e.o),
+            )
+            assert report.node_violations == want_nodes
+            assert report.edge_violations == want_edges
+            verdicts.append((want_nodes, want_edges))
+            node_bad += len(want_nodes)
+            edge_bad += len(want_edges)
+        differ += verdicts[0] != verdicts[1]
+    assert differ >= 3 and node_bad and edge_bad, (differ, node_bad, edge_bad)
