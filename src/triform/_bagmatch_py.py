@@ -28,8 +28,8 @@ holds the mask's popcount.
 Program encoding (parallel lists):
   ops[i]   one of the OP_* codes
   lefts[i]/rights[i]  child indices (-1 when unused)
-  masks[i]  allowed-triple bitmask for LEAF and WILDSTAR nodes
-  support[i]  union of the masks at and below node i
+  support[i]  union of the allowed-triple bitmasks of the LEAF and
+      WILDSTAR nodes at and below node i (at such a node, its own mask)
   lo[i]/hi[i]  count bounds of node i (``UNBOUNDED`` for no upper bound)
 """
 
@@ -158,17 +158,13 @@ def bag_match(
     ops: List[int],
     lefts: List[int],
     rights: List[int],
-    masks: List[int],
     support: List[int],
     lo: List[int],
     hi: List[int],
     root: int,
     full: int,
 ) -> bool:
-    """Whether the program rooted at ``root`` consumes exactly ``full``.
-
-    ``masks`` is read through ``support``, which equals it at a leaf.
-    """
+    """Whether the program rooted at ``root`` consumes exactly ``full``."""
     can, _ = _decider(ops, lefts, rights, support, lo, hi)
     return can(root, full)
 
@@ -177,7 +173,6 @@ def bag_match_witness(
     ops: List[int],
     lefts: List[int],
     rights: List[int],
-    masks: List[int],
     support: List[int],
     lo: List[int],
     hi: List[int],

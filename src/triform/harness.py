@@ -809,7 +809,7 @@ def sshex_satisfies_oracle(g: CommonGraph, v: Focus, se: ssx.SShapeExpr, registr
         triples = _oracle_neigh(g, v)
         mentioned = ssx.preds_sshex(se.expr)
         attached: Dict[Tuple[str, str], List[Optional[ssx.SShapeExpr]]] = {}
-        for tc in _direct_x_tcs(se.expr):
+        for tc in ssx._direct_tcs(se.expr):
             attached.setdefault((tc.q, tc.direction), []).append(tc.shape)
         language = _x_language(g, se.expr, triples, registry)
         for matched in language:
@@ -841,18 +841,6 @@ def sshex_satisfies_oracle(g: CommonGraph, v: Focus, se: ssx.SShapeExpr, registr
                 return True
         return False
     raise TriformError(f"unknown standard shape {se!r}")
-
-
-def _direct_x_tcs(te: Optional[ssx.STripleExpr]) -> List[ssx.XTC]:
-    if te is None:
-        return []
-    if isinstance(te, ssx.XTC):
-        return [te]
-    if isinstance(te, (ssx.XSeq, ssx.XAlt)):
-        return _direct_x_tcs(te.left) + _direct_x_tcs(te.right)
-    if isinstance(te, ssx.XRepeat):
-        return _direct_x_tcs(te.inner)
-    raise TriformError(f"unknown standard triple expression {te!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,21 @@
 """JSON wire formats: graphs, schemas in all dialects, reports.
 
-One self-describing tagged-AST convention covers every dialect; parsers
-are strict (unknown fields are rejected) and errors name the JSON path
+Every dialect's abstract syntax uses one tagged-AST convention: a node
+is an object whose ``op`` names its operator and whose other fields are
+the operator's arguments.  Each AST family (SHACL path, ShEx triple
+expression, PG content type, ...) states its operators once, in one
+:class:`_Grammar` table, and one generic parser and one generic
+serializer are driven by the table's rows.  A row maps an ``op`` to its
+AST class (or, for sugar accepted on input only, to a constructor) and
+lists its fields in the order the parser checks them, each with a codec.
+N-ary operators take two or more ``args``, folded to the left on input
+and written as binary nodes on output.  The encodings that do not fit a
+field per attribute are small named codecs in their rows: ShEx openness,
+the standard-ShEx interval and ``extra``, and the key steps at the ends
+of a PG path (:func:`parse_pg_path`).
+
+Parsers are strict: a field its operator lacks is rejected, even one a
+sibling operator of the same family has, and errors name the JSON path
 of the offending field.  Serialization is deterministic: equal inputs
 give byte-identical documents.
 """
@@ -9,7 +23,7 @@ give byte-identical documents.
 from __future__ import annotations
 
 import json
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence
 
 from . import shacl as sh
 from . import shex as sx
@@ -32,8 +46,6 @@ from .model import (
 )
 from . import pgschema as pg
 from .report import ValidationReport
-
-DIALECTS = ("shacl", "shex", "pg", "cogsl", "sshex")
 
 
 def _err(path: str, message: str) -> FormatError:
@@ -65,18 +77,22 @@ def _nat(x: Any, path: str) -> int:
     return x
 
 
+def _bool(x: Any, path: str) -> bool:
+    if not isinstance(x, bool):
+        raise _err(path, "expected a boolean")
+    return x
+
+
+def _dir(x: Any, path: str) -> str:
+    if x not in (FWD, INV):
+        raise _err(path, 'expected "fwd" or "inv"')
+    return x
+
+
 def _list(x: Any, path: str) -> List:
     if not isinstance(x, list):
         raise _err(path, f"expected an array, got {type(x).__name__}")
     return x
-
-
-def _args(o: Dict, path: str, parse: Callable[[Any, str], Any]) -> List:
-    """The parsed ``args`` of an n-ary operator; there must be two or more."""
-    args = [parse(a, f"{path}.args[{i}]") for i, a in enumerate(_list(o.get("args"), f"{path}.args"))]
-    if len(args) < 2:
-        raise _err(f"{path}.args", f"{o['op']} needs at least two arguments")
-    return args
 
 
 def _names(x: Any, path: str) -> frozenset:
@@ -118,12 +134,18 @@ def parse_focus(x: Any, path: str) -> Focus:
     if kind == "node":
         if "id" not in o:
             raise _err(path, "node focus needs an id")
-        return Node(_str(o["id"], f"{path}.id"))
-    if kind == "value":
+        focus: Focus = Node(_str(o["id"], f"{path}.id"))
+        stray = "value"
+    elif kind == "value":
         if "value" not in o:
             raise _err(path, "value focus needs a value")
-        return Val(parse_value(o["value"], f"{path}.value"))
-    raise _err(f"{path}.kind", f"unknown focus kind {kind!r}")
+        focus = Val(parse_value(o["value"], f"{path}.value"))
+        stray = "id"
+    else:
+        raise _err(f"{path}.kind", f"unknown focus kind {kind!r}")
+    if stray in o:
+        raise _err(f"{path}.{stray}", "unknown field")
+    return focus
 
 
 def focus_to_json(f: Focus) -> Dict:
@@ -182,518 +204,366 @@ def graph_to_json(g: CommonGraph) -> Dict:
 
 
 # ---------------------------------------------------------------------------
-# SHACL
+# The grammar tables
 
 
-def parse_shacl_path(x: Any, path: str) -> sh.PathExpr:
-    o = _obj(x, path, ["op"], ["q", "arg", "args"])
-    op = o["op"]
-    if op == "id":
-        return sh.Id()
-    if op == "step":
-        return sh.Step(_str(o.get("q"), f"{path}.q"))
-    if op == "inv":
-        return sh.Inverse(parse_shacl_path(o.get("arg"), f"{path}.arg"))
-    if op == "star":
-        return sh.Star(parse_shacl_path(o.get("arg"), f"{path}.arg"))
-    if op in ("concat", "union"):
-        args = _args(o, path, parse_shacl_path)
-        ctor = sh.Concat if op == "concat" else sh.PathUnion
-        out = args[0]
-        for a in args[1:]:
-            out = ctor(out, a)
-        return out
-    raise _err(f"{path}.op", f"unknown path operator {op!r}")
+class _Codec(NamedTuple):
+    """How a field's value is read from JSON and written back (``dump``
+    None: as it is); a nullable field reads JSON null as None and
+    writes None as null."""
+
+    parse: Callable[[Any, str], Any]
+    dump: Optional[Callable[[Any], Any]]
+    nullable: bool = False
 
 
-def shacl_path_to_json(p: sh.PathExpr) -> Dict:
-    if isinstance(p, sh.Id):
-        return {"op": "id"}
-    if isinstance(p, sh.Step):
-        return {"op": "step", "q": p.q}
-    if isinstance(p, sh.Inverse):
-        return {"op": "inv", "arg": shacl_path_to_json(p.inner)}
-    if isinstance(p, sh.Star):
-        return {"op": "star", "arg": shacl_path_to_json(p.inner)}
-    if isinstance(p, sh.Concat):
-        return {"op": "concat", "args": [shacl_path_to_json(p.left), shacl_path_to_json(p.right)]}
-    if isinstance(p, sh.PathUnion):
-        return {"op": "union", "args": [shacl_path_to_json(p.left), shacl_path_to_json(p.right)]}
-    raise TriformError(f"unknown path {p!r}")
+class _Row:
+    """One operator: its ``op``, the AST class it builds (a function for
+    sugar accepted on input only, which has no wire form of its own),
+    and its fields in the order the parser checks them.
+
+    A field is given as ``(key, codec, attr=key, default=None)``: the
+    codec reads ``o.get(key, default)`` into the constructor keyword
+    ``attr`` and writes the node's ``attr`` back under ``key``.  A field
+    whose key is a tuple spans those keys: its codec reads the whole
+    object into a dict of keywords and writes the whole node into a dict
+    of fields.  An n-ary row has the one field ``args``; ``build`` is
+    its binary class."""
+
+    __slots__ = ("op", "build", "fields", "keys", "nary")
+
+    def __init__(self, op: str, build: Callable, *fields: tuple, nary: bool = False) -> None:
+        self.op = op
+        self.build = build
+        self.nary = nary
+        # (key, attr, parse, dump, default, nullable)
+        self.fields = [_field(*f) for f in fields]
+        keys = {"op", "args"} if nary else {"op"}
+        for key, *_ in self.fields:
+            keys.update(key if isinstance(key, tuple) else (key,))
+        self.keys = frozenset(keys)
 
 
-def parse_shacl_shape(x: Any, path: str) -> sh.ShaclShape:
-    o = _obj(x, path, ["op"], ["value", "vt", "allowed", "path", "p", "arg", "args", "n", "shape"])
-    op = o["op"]
-    if op == "top":
-        return sh.Top()
-    if op == "test_const":
-        return sh.TestConst(parse_value(o.get("value"), f"{path}.value"))
-    if op == "test_type":
-        return sh.TestType(_str(o.get("vt"), f"{path}.vt"))
-    if op == "closed":
-        return sh.Closed(_names(o.get("allowed"), f"{path}.allowed"))
-    if op in ("eq", "disj"):
-        pexpr = parse_shacl_path(o.get("path"), f"{path}.path")
-        pred = _str(o.get("p"), f"{path}.p")
-        return sh.Eq(pexpr, pred) if op == "eq" else sh.Disj(pexpr, pred)
-    if op == "not":
-        return sh.Not(parse_shacl_shape(o.get("arg"), f"{path}.arg"))
-    if op in ("and", "or"):
-        args = _args(o, path, parse_shacl_shape)
-        return sh.and_all(args) if op == "and" else sh.or_all(args)
-    if op in ("geq", "leq"):
-        n = _nat(o.get("n"), f"{path}.n")
-        pexpr = parse_shacl_path(o.get("path"), f"{path}.path")
-        body = parse_shacl_shape(o.get("shape"), f"{path}.shape") if "shape" in o else sh.Top()
-        return sh.GeqCount(n, pexpr, body) if op == "geq" else sh.LeqCount(n, pexpr, body)
-    # sugar accepted on input only
-    if op == "exists":
-        pexpr = parse_shacl_path(o.get("path"), f"{path}.path")
-        body = parse_shacl_shape(o.get("shape"), f"{path}.shape") if "shape" in o else sh.Top()
-        return sh.exists(pexpr, body)
-    if op == "forall":
-        pexpr = parse_shacl_path(o.get("path"), f"{path}.path")
-        body = parse_shacl_shape(o.get("shape"), f"{path}.shape")
-        return sh.forall(pexpr, body)
-    if op == "count_eq":
-        n = _nat(o.get("n"), f"{path}.n")
-        pexpr = parse_shacl_path(o.get("path"), f"{path}.path")
-        body = parse_shacl_shape(o.get("shape"), f"{path}.shape") if "shape" in o else sh.Top()
-        return sh.count_eq(n, pexpr, body)
-    raise _err(f"{path}.op", f"unknown shape operator {op!r}")
+def _field(key, codec, attr: Optional[str] = None, default: Any = None) -> tuple:
+    attr = None if isinstance(key, tuple) else attr or key
+    return key, attr, codec.parse, codec.dump, default, codec.nullable
 
 
-def shacl_shape_to_json(s: sh.ShaclShape) -> Dict:
-    if isinstance(s, sh.Top):
-        return {"op": "top"}
-    if isinstance(s, sh.TestConst):
-        return {"op": "test_const", "value": value_to_json(s.c)}
-    if isinstance(s, sh.TestType):
-        return {"op": "test_type", "vt": s.t}
-    if isinstance(s, sh.Closed):
-        return {"op": "closed", "allowed": sorted(s.allowed)}
-    if isinstance(s, sh.Eq):
-        return {"op": "eq", "path": shacl_path_to_json(s.path), "p": s.p}
-    if isinstance(s, sh.Disj):
-        return {"op": "disj", "path": shacl_path_to_json(s.path), "p": s.p}
-    if isinstance(s, sh.Not):
-        return {"op": "not", "arg": shacl_shape_to_json(s.inner)}
-    if isinstance(s, sh.And):
-        return {"op": "and", "args": [shacl_shape_to_json(s.left), shacl_shape_to_json(s.right)]}
-    if isinstance(s, sh.Or):
-        return {"op": "or", "args": [shacl_shape_to_json(s.left), shacl_shape_to_json(s.right)]}
-    if isinstance(s, (sh.GeqCount, sh.LeqCount)):
-        op = "geq" if isinstance(s, sh.GeqCount) else "leq"
-        return {"op": op, "n": s.n, "path": shacl_path_to_json(s.path), "shape": shacl_shape_to_json(s.body)}
-    raise TriformError(f"unknown shape {s!r}")
+class _Grammar:
+    """The operators of one AST family, and the generic parser and
+    serializer they drive."""
 
+    nullable = False  # as a field's codec
 
-def parse_shacl_selector(x: Any, path: str) -> sh.ShaclSelector:
-    o = _obj(x, path, ["op"], ["q", "value"])
-    op = o["op"]
-    if op == "exists_out":
-        return sh.ExistsOut(_str(o.get("q"), f"{path}.q"))
-    if op == "exists_in":
-        return sh.ExistsIn(_str(o.get("q"), f"{path}.q"))
-    if op == "test_const":
-        return sh.SelConst(parse_value(o.get("value"), f"{path}.value"))
-    raise _err(f"{path}.op", f"unknown selector operator {op!r}")
+    def __init__(self, noun: str) -> None:
+        self.noun = noun  # names the family in errors
+        self.rows: Dict[str, _Row] = {}
+        self.classes: Dict[type, _Row] = {}
+        self.keys: frozenset = frozenset()  # the fields of all operators
 
+    def define(self, *rows: _Row) -> None:
+        for row in rows:
+            self.rows[row.op] = row
+            if isinstance(row.build, type):
+                self.classes[row.build] = row
+            self.keys |= row.keys
 
-def shacl_selector_to_json(sel: sh.ShaclSelector) -> Dict:
-    if isinstance(sel, sh.ExistsOut):
-        return {"op": "exists_out", "q": sel.q}
-    if isinstance(sel, sh.ExistsIn):
-        return {"op": "exists_in", "q": sel.q}
-    return {"op": "test_const", "value": value_to_json(sel.c)}
-
-
-# ---------------------------------------------------------------------------
-# ShEx
-
-
-def parse_shex_expr(x: Any, path: str) -> sx.TripleExpr:
-    o = _obj(x, path, ["op"], ["q", "dir", "shape", "arg", "args", "kind", "n"])
-    op = o["op"]
-    if op == "eps":
-        return sx.Eps()
-    if op == "tc":
-        direction = o.get("dir")
-        if direction not in (FWD, INV):
-            raise _err(f"{path}.dir", 'expected "fwd" or "inv"')
-        return sx.TC(
-            _str(o.get("q"), f"{path}.q"),
-            direction,
-            parse_shex_shape(o.get("shape"), f"{path}.shape"),
-        )
-    if op in ("seq", "alt"):
-        args = _args(o, path, parse_shex_expr)
-        return sx.seq_all(args) if op == "seq" else sx.alt_all(args)
-    if op == "star":
-        return sx.StarE(parse_shex_expr(o.get("arg"), f"{path}.arg"))
-    if op == "repeat":
-        kind = o.get("kind")
-        if kind not in ("exactly", "at-most", "at-least"):
-            raise _err(f"{path}.kind", "expected exactly, at-most, or at-least")
-        return sx.desugar_repetition(
-            parse_shex_expr(o.get("arg"), f"{path}.arg"), kind, _nat(o.get("n"), f"{path}.n")
-        )
-    raise _err(f"{path}.op", f"unknown triple-expression operator {op!r}")
-
-
-def shex_expr_to_json(e: sx.TripleExpr) -> Dict:
-    if isinstance(e, sx.Eps):
-        return {"op": "eps"}
-    if isinstance(e, sx.TC):
-        return {
-            "op": "tc",
-            "q": e.q,
-            "dir": e.direction,
-            "shape": shex_shape_to_json(e.shape),
-        }
-    if isinstance(e, sx.Seq):
-        return {"op": "seq", "args": [shex_expr_to_json(e.left), shex_expr_to_json(e.right)]}
-    if isinstance(e, sx.Alt):
-        return {"op": "alt", "args": [shex_expr_to_json(e.left), shex_expr_to_json(e.right)]}
-    if isinstance(e, sx.StarE):
-        return {"op": "star", "arg": shex_expr_to_json(e.inner)}
-    raise TriformError(f"wildcards are internal and have no wire form: {e!r}")
-
-
-def parse_shex_shape(x: Any, path: str) -> sx.ShexShape:
-    o = _obj(x, path, ["op"], ["value", "vt", "expr", "half_open", "open", "arg", "args"])
-    op = o["op"]
-    if op == "test_const":
-        return sx.STestConst(parse_value(o.get("value"), f"{path}.value"))
-    if op == "test_type":
-        return sx.STestType(_str(o.get("vt"), f"{path}.vt"))
-    if op == "neigh":
-        expr = parse_shex_expr(o.get("expr"), f"{path}.expr")
-        if ("half_open" in o) == ("open" in o):
-            raise _err(path, "neigh needs exactly one of half_open or open")
-        if "half_open" in o:
-            ho = _obj(o["half_open"], f"{path}.half_open", ["r"])
-            openness: sx.Openness = sx.HalfOpen(_names(ho["r"], f"{path}.half_open.r"))
+    def parse(self, x: Any, path: str) -> Any:
+        op = x.get("op") if isinstance(x, dict) else None
+        row = self.rows.get(op) if type(op) is str else None
+        odd = row is None or not x.keys() <= row.keys
+        if odd:  # the checks of the whole family come first
+            _obj(x, path, ("op",), self.keys)
+            if row is None:
+                raise _err(f"{path}.op", f"unknown {self.noun} operator {x['op']!r}")
+        if row.nary:
+            args = _list(x.get("args"), f"{path}.args")
+            for i, a in enumerate(args):
+                arg = self.parse(a, f"{path}.args[{i}]")
+                node = row.build(node, arg) if i else arg
+            if len(args) < 2:
+                raise _err(f"{path}.args", f"{row.op} needs at least two arguments")
         else:
-            op_ = _obj(o["open"], f"{path}.open", ["r", "q"])
-            openness = sx.Open(
-                _names(op_["r"], f"{path}.open.r"), _names(op_["q"], f"{path}.open.q")
-            )
-        try:
-            return sx.SNeigh(expr, openness)
-        except TriformError as exc:
-            raise _err(path, str(exc)) from exc
-    if op == "not":
-        return sx.SNot(parse_shex_shape(o.get("arg"), f"{path}.arg"))
-    if op in ("and", "or"):
-        args = _args(o, path, parse_shex_shape)
-        return sx.sand_all(args) if op == "and" else sx.sor_all(args)
-    raise _err(f"{path}.op", f"unknown shape operator {op!r}")
+            kw = {}
+            for key, attr, parse, _, default, nullable in row.fields:
+                if attr is None:
+                    kw.update(parse(x, path))
+                else:
+                    value = x.get(key, default)
+                    kw[attr] = None if value is None and nullable else parse(value, f"{path}.{key}")
+            try:
+                node = row.build(**kw)
+            except TriformError as exc:
+                raise _err(path, str(exc)) from exc
+        if odd:  # a field only a sibling operator has, once the operator's own are read
+            _obj(x, path, (), row.keys)
+        return node
 
-
-def shex_shape_to_json(s: sx.ShexShape) -> Dict:
-    if isinstance(s, sx.STestConst):
-        return {"op": "test_const", "value": value_to_json(s.c)}
-    if isinstance(s, sx.STestType):
-        return {"op": "test_type", "vt": s.t}
-    if isinstance(s, sx.SNeigh):
-        out: Dict[str, Any] = {"op": "neigh", "expr": shex_expr_to_json(s.expr)}
-        if isinstance(s.openness, sx.HalfOpen):
-            out["half_open"] = {"r": sorted(s.openness.r)}
-        else:
-            out["open"] = {"r": sorted(s.openness.r), "q": sorted(s.openness.q)}
+    def dump(self, node: Any) -> Dict:
+        row = self.classes.get(type(node))
+        if row is None:
+            raise TriformError(f"{self.noun} {node!r} has no wire form")
+        if row.nary:
+            return {"op": row.op, "args": [self.dump(node.left), self.dump(node.right)]}
+        out = {"op": row.op}
+        for key, attr, _, dump, _, nullable in row.fields:
+            if attr is None:
+                out.update(dump(node))
+            else:
+                value = getattr(node, attr)
+                out[key] = value if dump is None or value is None and nullable else dump(value)
         return out
-    if isinstance(s, sx.SAnd):
-        return {"op": "and", "args": [shex_shape_to_json(s.left), shex_shape_to_json(s.right)]}
-    if isinstance(s, sx.SOr):
-        return {"op": "or", "args": [shex_shape_to_json(s.left), shex_shape_to_json(s.right)]}
-    if isinstance(s, sx.SNot):
-        return {"op": "not", "arg": shex_shape_to_json(s.inner)}
-    raise TriformError(f"unknown shape {s!r}")
 
 
-def parse_shex_selector(x: Any, path: str) -> sx.ShexSelector:
-    o = _obj(x, path, ["op"], ["q", "value"])
-    op = o["op"]
-    if op == "test_const":
-        return sx.SelTestConst(parse_value(o.get("value"), f"{path}.value"))
-    if op == "out_const":
-        return sx.SelOutConst(
-            _str(o.get("q"), f"{path}.q"), parse_value(o.get("value"), f"{path}.value")
-        )
-    if op == "out":
-        return sx.SelOut(_str(o.get("q"), f"{path}.q"))
-    if op == "in":
-        return sx.SelIn(_str(o.get("q"), f"{path}.q"))
-    raise _err(f"{path}.op", f"unknown selector operator {op!r}")
+_SHACL_PATH = _Grammar("path")
+_SHACL_SHAPE = _Grammar("shape")
+_SHACL_SELECTOR = _Grammar("selector")
+_SHEX_EXPR = _Grammar("triple-expression")
+_SHEX_SHAPE = _Grammar("shape")
+_SHEX_SELECTOR = _Grammar("selector")
+_SSHEX_EXPR = _Grammar("standard triple-expression")
+_SSHEX_SHAPE = _Grammar("standard shape")
+_CONTENT = _Grammar("content")
+_FILTER = _Grammar("filter")
+_PG_BODY = _Grammar("path")
+_PG_SHAPE = _Grammar("PG-shape")
+_EDGE_TYPE = _Grammar("edge-type")
+
+_STR = _Codec(_str, None)
+_NAT = _Codec(_nat, None)
+_DIR = _Codec(_dir, None)
+_NAMES = _Codec(_names, sorted)
+_VALUE = _Codec(parse_value, value_to_json)
+_TOP = {"op": "top"}  # the body of a count whose shape is left out
+
+# SHACL: paths, shapes (with count sugar on input) and selectors
+
+_SHACL_PATH.define(
+    _Row("id", sh.Id),
+    _Row("step", sh.Step, ("q", _STR)),
+    _Row("inv", sh.Inverse, ("arg", _SHACL_PATH, "inner")),
+    _Row("star", sh.Star, ("arg", _SHACL_PATH, "inner")),
+    _Row("concat", sh.Concat, nary=True),
+    _Row("union", sh.PathUnion, nary=True),
+)
+_SHACL_SHAPE.define(
+    _Row("top", sh.Top),
+    _Row("test_const", sh.TestConst, ("value", _VALUE, "c")),
+    _Row("test_type", sh.TestType, ("vt", _STR, "t")),
+    _Row("closed", sh.Closed, ("allowed", _NAMES)),
+    _Row("eq", sh.Eq, ("path", _SHACL_PATH), ("p", _STR)),
+    _Row("disj", sh.Disj, ("path", _SHACL_PATH), ("p", _STR)),
+    _Row("not", sh.Not, ("arg", _SHACL_SHAPE, "inner")),
+    _Row("and", sh.And, nary=True),
+    _Row("or", sh.Or, nary=True),
+    _Row("geq", sh.GeqCount, ("n", _NAT), ("path", _SHACL_PATH), ("shape", _SHACL_SHAPE, "body", _TOP)),
+    _Row("leq", sh.LeqCount, ("n", _NAT), ("path", _SHACL_PATH), ("shape", _SHACL_SHAPE, "body", _TOP)),
+    _Row("exists", sh.exists, ("path", _SHACL_PATH), ("shape", _SHACL_SHAPE, "body", _TOP)),
+    _Row("forall", sh.forall, ("path", _SHACL_PATH), ("shape", _SHACL_SHAPE, "body")),
+    _Row("count_eq", sh.count_eq, ("n", _NAT), ("path", _SHACL_PATH), ("shape", _SHACL_SHAPE, "body", _TOP)),
+)
+_SHACL_SELECTOR.define(
+    _Row("exists_out", sh.ExistsOut, ("q", _STR)),
+    _Row("exists_in", sh.ExistsIn, ("q", _STR)),
+    _Row("test_const", sh.SelConst, ("value", _VALUE, "c")),
+)
+
+# ShEx: triple expressions (with repetition sugar on input), shapes, selectors
 
 
-def shex_selector_to_json(sel: sx.ShexSelector) -> Dict:
-    if isinstance(sel, sx.SelTestConst):
-        return {"op": "test_const", "value": value_to_json(sel.c)}
-    if isinstance(sel, sx.SelOutConst):
-        return {"op": "out_const", "q": sel.q, "value": value_to_json(sel.c)}
-    if isinstance(sel, sx.SelOut):
-        return {"op": "out", "q": sel.q}
-    return {"op": "in", "q": sel.q}
+def _kind(x: Any, path: str) -> str:
+    if x not in ("exactly", "at-most", "at-least"):
+        raise _err(path, "expected exactly, at-most, or at-least")
+    return x
 
 
-# ---------------------------------------------------------------------------
-# Standard ShEx (sshex dialect)
+def _parse_openness(o: Dict, path: str) -> Dict:
+    if ("half_open" in o) == ("open" in o):
+        raise _err(path, "neigh needs exactly one of half_open or open")
+    if "half_open" in o:
+        ho = _obj(o["half_open"], f"{path}.half_open", ["r"])
+        return {"openness": sx.HalfOpen(_names(ho["r"], f"{path}.half_open.r"))}
+    op = _obj(o["open"], f"{path}.open", ["r", "q"])
+    return {"openness": sx.Open(_names(op["r"], f"{path}.open.r"), _names(op["q"], f"{path}.open.q"))}
 
 
-def parse_sshex_expr(x: Any, path: str) -> ssx.STripleExpr:
-    o = _obj(x, path, ["op"], ["q", "dir", "shape", "arg", "args", "interval"])
-    op = o["op"]
-    if op == "tc":
-        direction = o.get("dir")
-        if direction not in (FWD, INV):
-            raise _err(f"{path}.dir", 'expected "fwd" or "inv"')
-        shape = o.get("shape")
-        return ssx.XTC(
-            _str(o.get("q"), f"{path}.q"),
-            direction,
-            None if shape is None else parse_sshex_shape(shape, f"{path}.shape"),
-        )
-    if op in ("seq", "alt"):
-        args = _args(o, path, parse_sshex_expr)
-        ctor = ssx.XSeq if op == "seq" else ssx.XAlt
-        out = args[0]
-        for a in args[1:]:
-            out = ctor(out, a)
-        return out
-    if op == "repeat":
-        iv = _list(o.get("interval"), f"{path}.interval")
-        if len(iv) != 2:
-            raise _err(f"{path}.interval", "expected [min, max]")
-        lo = _nat(iv[0], f"{path}.interval[0]")
-        hi: Optional[int]
-        if iv[1] == "*":
-            hi = None
-        else:
-            hi = _nat(iv[1], f"{path}.interval[1]")
-            if hi < lo:
-                raise _err(f"{path}.interval", "max must be at least min")
-        return ssx.XRepeat(parse_sshex_expr(o.get("arg"), f"{path}.arg"), lo, hi)
-    raise _err(f"{path}.op", f"unknown standard triple-expression operator {op!r}")
+def _openness_to_json(s: sx.SNeigh) -> Dict:
+    w = s.openness
+    if isinstance(w, sx.HalfOpen):
+        return {"half_open": {"r": sorted(w.r)}}
+    return {"open": {"r": sorted(w.r), "q": sorted(w.q)}}
 
 
-def sshex_expr_to_json(e: ssx.STripleExpr) -> Dict:
-    if isinstance(e, ssx.XTC):
-        return {
-            "op": "tc",
-            "q": e.q,
-            "dir": e.direction,
-            "shape": None if e.shape is None else sshex_shape_to_json(e.shape),
-        }
-    if isinstance(e, ssx.XSeq):
-        return {"op": "seq", "args": [sshex_expr_to_json(e.left), sshex_expr_to_json(e.right)]}
-    if isinstance(e, ssx.XAlt):
-        return {"op": "alt", "args": [sshex_expr_to_json(e.left), sshex_expr_to_json(e.right)]}
-    if isinstance(e, ssx.XRepeat):
-        return {
-            "op": "repeat",
-            "arg": sshex_expr_to_json(e.inner),
-            "interval": [e.min, "*" if e.max is None else e.max],
-        }
-    raise TriformError(f"unknown standard triple expression {e!r}")
+_SHEX_EXPR.define(
+    _Row("eps", sx.Eps),
+    _Row("tc", sx.TC, ("dir", _DIR, "direction"), ("q", _STR), ("shape", _SHEX_SHAPE)),
+    _Row("seq", sx.Seq, nary=True),
+    _Row("alt", sx.Alt, nary=True),
+    _Row("star", sx.StarE, ("arg", _SHEX_EXPR, "inner")),
+    _Row(
+        "repeat",
+        sx.desugar_repetition,
+        ("kind", _Codec(_kind, None)),
+        ("arg", _SHEX_EXPR, "e"),
+        ("n", _NAT),
+    ),
+)
+_SHEX_SHAPE.define(
+    _Row("test_const", sx.STestConst, ("value", _VALUE, "c")),
+    _Row("test_type", sx.STestType, ("vt", _STR, "t")),
+    _Row(
+        "neigh",
+        sx.SNeigh,
+        ("expr", _SHEX_EXPR),
+        (("half_open", "open"), _Codec(_parse_openness, _openness_to_json)),
+    ),
+    _Row("not", sx.SNot, ("arg", _SHEX_SHAPE, "inner")),
+    _Row("and", sx.SAnd, nary=True),
+    _Row("or", sx.SOr, nary=True),
+)
+_SHEX_SELECTOR.define(
+    _Row("test_const", sx.SelTestConst, ("value", _VALUE, "c")),
+    _Row("out_const", sx.SelOutConst, ("q", _STR), ("value", _VALUE, "c")),
+    _Row("out", sx.SelOut, ("q", _STR)),
+    _Row("in", sx.SelIn, ("q", _STR)),
+)
+
+# Standard ShEx (sshex dialect): intervals, EXTRA, optional shapes
 
 
-def parse_sshex_shape(x: Any, path: str) -> ssx.SShapeExpr:
-    o = _obj(x, path, ["op"], ["value", "vt", "closed", "extra", "expr", "arg", "args"])
-    op = o["op"]
-    if op == "test_const":
-        return ssx.XTestConst(parse_value(o.get("value"), f"{path}.value"))
-    if op == "test_type":
-        return ssx.XTestType(_str(o.get("vt"), f"{path}.vt"))
-    if op == "shape":
-        closed = o.get("closed", False)
-        if not isinstance(closed, bool):
-            raise _err(f"{path}.closed", "expected a boolean")
-        extra = set()
-        for i, item in enumerate(_list(o.get("extra", []), f"{path}.extra")):
-            io = _obj(item, f"{path}.extra[{i}]", ["q", "dir"])
-            if io["dir"] not in (FWD, INV):
-                raise _err(f"{path}.extra[{i}].dir", 'expected "fwd" or "inv"')
-            extra.add((_str(io["q"], f"{path}.extra[{i}].q"), io["dir"]))
-        expr = o.get("expr")
-        return ssx.XShape(
-            closed,
-            frozenset(extra),
-            None if expr is None else parse_sshex_expr(expr, f"{path}.expr"),
-        )
-    if op == "not":
-        return ssx.XNot(parse_sshex_shape(o.get("arg"), f"{path}.arg"))
-    if op in ("and", "or"):
-        args = _args(o, path, parse_sshex_shape)
-        ctor = ssx.XAnd if op == "and" else ssx.XOr
-        out = args[0]
-        for a in args[1:]:
-            out = ctor(out, a)
-        return out
-    raise _err(f"{path}.op", f"unknown standard shape operator {op!r}")
+def _parse_interval(o: Dict, path: str) -> Dict:
+    iv = _list(o.get("interval"), f"{path}.interval")
+    if len(iv) != 2:
+        raise _err(f"{path}.interval", "expected [min, max]")
+    lo = _nat(iv[0], f"{path}.interval[0]")
+    if iv[1] == "*":
+        return {"min": lo, "max": None}
+    hi = _nat(iv[1], f"{path}.interval[1]")
+    if hi < lo:
+        raise _err(f"{path}.interval", "max must be at least min")
+    return {"min": lo, "max": hi}
 
 
-def sshex_shape_to_json(s: ssx.SShapeExpr) -> Dict:
-    if isinstance(s, ssx.XTestConst):
-        return {"op": "test_const", "value": value_to_json(s.c)}
-    if isinstance(s, ssx.XTestType):
-        return {"op": "test_type", "vt": s.t}
-    if isinstance(s, ssx.XShape):
-        return {
-            "op": "shape",
-            "closed": s.closed,
-            "extra": [{"q": q, "dir": d} for q, d in sorted(s.extra)],
-            "expr": None if s.expr is None else sshex_expr_to_json(s.expr),
-        }
-    if isinstance(s, ssx.XAnd):
-        return {"op": "and", "args": [sshex_shape_to_json(s.left), sshex_shape_to_json(s.right)]}
-    if isinstance(s, ssx.XOr):
-        return {"op": "or", "args": [sshex_shape_to_json(s.left), sshex_shape_to_json(s.right)]}
-    if isinstance(s, ssx.XNot):
-        return {"op": "not", "arg": sshex_shape_to_json(s.inner)}
-    raise TriformError(f"unknown standard shape {s!r}")
+def _interval_to_json(e: ssx.XRepeat) -> Dict:
+    return {"interval": [e.min, "*" if e.max is None else e.max]}
 
 
-# ---------------------------------------------------------------------------
-# PG-Schema
+def _parse_extra(x: Any, path: str) -> frozenset:
+    extra = set()
+    for i, item in enumerate(_list(x, path)):
+        o = _obj(item, f"{path}[{i}]", ["q", "dir"])
+        direction = _dir(o["dir"], f"{path}[{i}].dir")
+        extra.add((_str(o["q"], f"{path}[{i}].q"), direction))
+    return frozenset(extra)
 
 
-def parse_content(x: Any, path: str) -> pg.ContentType:
-    o = _obj(x, path, ["op"], ["k", "type", "args"])
-    op = o["op"]
-    if op == "any":
-        return pg.CAny()
-    if op == "empty":
-        return pg.CEmpty()
-    if op == "field":
-        return pg.CField(_str(o.get("k"), f"{path}.k"), _str(o.get("type"), f"{path}.type"))
-    if op in ("both", "either"):
-        args = _args(o, path, parse_content)
-        ctor = pg.CBoth if op == "both" else pg.CEither
-        out = args[0]
-        for a in args[1:]:
-            out = ctor(out, a)
-        return out
-    raise _err(f"{path}.op", f"unknown content operator {op!r}")
+def _or_none(g: _Grammar) -> _Codec:
+    """``g`` as the codec of a field whose node may be left out."""
+    return _Codec(g.parse, g.dump, nullable=True)
 
 
-def content_to_json(t: pg.ContentType) -> Dict:
-    if isinstance(t, pg.CAny):
-        return {"op": "any"}
-    if isinstance(t, pg.CEmpty):
-        return {"op": "empty"}
-    if isinstance(t, pg.CField):
-        return {"op": "field", "k": t.k, "type": t.t}
-    if isinstance(t, pg.CBoth):
-        return {"op": "both", "args": [content_to_json(t.left), content_to_json(t.right)]}
-    if isinstance(t, pg.CEither):
-        return {"op": "either", "args": [content_to_json(t.left), content_to_json(t.right)]}
-    raise TriformError(f"unknown content type {t!r}")
+_SSHEX_EXPR.define(
+    _Row("tc", ssx.XTC, ("dir", _DIR, "direction"), ("q", _STR), ("shape", _or_none(_SSHEX_SHAPE))),
+    _Row("seq", ssx.XSeq, nary=True),
+    _Row("alt", ssx.XAlt, nary=True),
+    _Row(
+        "repeat",
+        ssx.XRepeat,
+        (("interval",), _Codec(_parse_interval, _interval_to_json)),
+        ("arg", _SSHEX_EXPR, "inner"),
+    ),
+)
+_SSHEX_SHAPE.define(
+    _Row("test_const", ssx.XTestConst, ("value", _VALUE, "c")),
+    _Row("test_type", ssx.XTestType, ("vt", _STR, "t")),
+    _Row(
+        "shape",
+        ssx.XShape,
+        ("closed", _Codec(_bool, None), "closed", False),
+        ("extra", _Codec(_parse_extra, lambda e: [{"q": q, "dir": d} for q, d in sorted(e)]), "extra", []),
+        ("expr", _or_none(_SSHEX_EXPR)),
+    ),
+    _Row("not", ssx.XNot, ("arg", _SSHEX_SHAPE, "inner")),
+    _Row("and", ssx.XAnd, nary=True),
+    _Row("or", ssx.XOr, nary=True),
+)
+
+# PG-Schema: content types, filters, path bodies, PG-shapes, edge types
 
 
-def _parse_filter(x: Any, path: str) -> pg.FilterKind:
-    o = _obj(x, path, ["op"], ["k", "value", "type"])
-    op = o["op"]
-    if op == "key_is":
-        return pg.FKeyIs(_str(o.get("k"), f"{path}.k"), parse_value(o.get("value"), f"{path}.value"))
-    if op == "key_is_not":
-        return pg.FNotKeyIs(
-            _str(o.get("k"), f"{path}.k"), parse_value(o.get("value"), f"{path}.value")
-        )
-    if op == "of_type":
-        return pg.FOfType(parse_content(o.get("type"), f"{path}.type"))
-    if op == "not_of_type":
-        return pg.FNotOfType(parse_content(o.get("type"), f"{path}.type"))
-    raise _err(f"{path}.op", f"unknown filter operator {op!r}")
+def _inner_key_step(k: Any) -> None:
+    raise TriformError("key steps may only appear at the ends of a path")
 
 
-def _filter_to_json(kind: pg.FilterKind) -> Dict:
-    if isinstance(kind, pg.FKeyIs):
-        return {"op": "key_is", "k": kind.k, "value": value_to_json(kind.c)}
-    if isinstance(kind, pg.FNotKeyIs):
-        return {"op": "key_is_not", "k": kind.k, "value": value_to_json(kind.c)}
-    if isinstance(kind, pg.FOfType):
-        return {"op": "of_type", "type": content_to_json(kind.t)}
-    if isinstance(kind, pg.FNotOfType):
-        return {"op": "not_of_type", "type": content_to_json(kind.t)}
-    raise TriformError(f"unknown filter {kind!r}")
+_UNREAD = _Codec(lambda x, path: x, None)
 
 
-def _parse_body(x: Any, path: str) -> pg.NodePath:
-    """Node-to-node sub-grammar: key steps are rejected here."""
-    o = _obj(x, path, ["op"], ["kind", "p", "preds", "arg", "args", "k"])
-    op = o["op"]
-    if op == "filter":
-        return pg.PFilter(_parse_filter(o.get("kind"), f"{path}.kind"))
-    if op == "pred":
-        return pg.PPred(_str(o.get("p"), f"{path}.p"))
-    if op == "not_preds":
-        return pg.PNotPreds(_names(o.get("preds"), f"{path}.preds"))
-    if op == "inv":
-        return pg.PInv(_parse_body(o.get("arg"), f"{path}.arg"))
-    if op == "star":
-        return pg.PStar(_parse_body(o.get("arg"), f"{path}.arg"))
-    if op in ("concat", "union"):
-        args = _args(o, path, _parse_body)
-        ctor = pg.PConcat if op == "concat" else pg.PUnion
-        out = args[0]
-        for a in args[1:]:
-            out = ctor(out, a)
-        return out
-    if op in ("key_step", "inv_key_step"):
-        raise _err(path, "key steps may only appear at the ends of a path")
-    raise _err(f"{path}.op", f"unknown path operator {op!r}")
+def _parse_labels(x: Any, path: str) -> Optional[frozenset]:
+    return None if x == "*" else _names(x, path)
+
+
+_CONTENT.define(
+    _Row("any", pg.CAny),
+    _Row("empty", pg.CEmpty),
+    _Row("field", pg.CField, ("k", _STR), ("type", _STR, "t")),
+    _Row("both", pg.CBoth, nary=True),
+    _Row("either", pg.CEither, nary=True),
+)
+_FILTER.define(
+    _Row("key_is", pg.FKeyIs, ("k", _STR), ("value", _VALUE, "c")),
+    _Row("key_is_not", pg.FNotKeyIs, ("k", _STR), ("value", _VALUE, "c")),
+    _Row("of_type", pg.FOfType, ("type", _CONTENT, "t")),
+    _Row("not_of_type", pg.FNotOfType, ("type", _CONTENT, "t")),
+)
+_PG_BODY.define(
+    _Row("filter", pg.PFilter, ("kind", _FILTER)),
+    _Row("pred", pg.PPred, ("p", _STR)),
+    _Row("not_preds", pg.PNotPreds, ("preds", _NAMES, "excluded")),
+    _Row("inv", pg.PInv, ("arg", _PG_BODY, "inner")),
+    _Row("star", pg.PStar, ("arg", _PG_BODY, "inner")),
+    _Row("concat", pg.PConcat, nary=True),
+    _Row("union", pg.PUnion, nary=True),
+    # key steps are read by parse_pg_path at a path's ends only
+    _Row("key_step", _inner_key_step, ("k", _UNREAD)),
+    _Row("inv_key_step", _inner_key_step, ("k", _UNREAD)),
+)
+_EDGE_TYPE.define(
+    _Row(
+        "et",
+        pg.ET,
+        ("labels", _Codec(_parse_labels, lambda ls: "*" if ls is None else sorted(ls))),
+        ("src", _CONTENT),
+        ("dst", _CONTENT),
+    ),
+    _Row("both", pg.EBoth, nary=True),
+    _Row("either", pg.EEither, nary=True),
+)
+
+
+def _key_step(x: Any, path: str) -> str:
+    return _str(_obj(x, path, ["op", "k"])["k"], f"{path}.k")
+
+
+def _op_of(x: Any) -> Any:
+    return x.get("op") if isinstance(x, dict) else None
 
 
 def parse_pg_path(x: Any, path: str) -> pg.PgPath:
     """Key steps are recognized at the extreme ends of the top-level
     concatenation; anywhere else they are rejected."""
-    o = _obj(x, path, ["op"], ["kind", "p", "preds", "arg", "args", "k"])
-    parts: List[Tuple[Any, str]] = [(x, path)]
-    if o["op"] == "concat":
-        parts = _args(o, path, lambda a, p: (a, p))
-    src_key = None
-    dst_key = None
-    first_op = parts[0][0].get("op") if isinstance(parts[0][0], dict) else None
-    if first_op == "inv_key_step":
-        io = _obj(parts[0][0], parts[0][1], ["op", "k"])
-        src_key = _str(io["k"], f"{parts[0][1]}.k")
-        parts = parts[1:]
-    last_op = parts[-1][0].get("op") if parts and isinstance(parts[-1][0], dict) else None
-    if parts and last_op == "key_step":
-        ko = _obj(parts[-1][0], parts[-1][1], ["op", "k"])
-        dst_key = _str(ko["k"], f"{parts[-1][1]}.k")
-        parts = parts[:-1]
-    body: Optional[pg.NodePath] = None
-    if parts:
-        folded = [_parse_body(a, p) for a, p in parts]
-        out = folded[0]
-        for b in folded[1:]:
-            out = pg.PConcat(out, b)
-        body = out
-    if src_key is None and body is None and dst_key is None:
-        raise _err(path, "empty path")
+    o = _obj(x, path, ["op"], _PG_BODY.keys)
+    concat = o["op"] == "concat"
+    parts = [(x, path)]
+    if concat:
+        parts = [(a, f"{path}.args[{i}]") for i, a in enumerate(_list(o.get("args"), f"{path}.args"))]
+        if len(parts) < 2:
+            raise _err(f"{path}.args", "concat needs at least two arguments")
+    src_key = _key_step(*parts.pop(0)) if _op_of(parts[0][0]) == "inv_key_step" else None
+    dst_key = _key_step(*parts.pop()) if parts and _op_of(parts[-1][0]) == "key_step" else None
+    body = pg.concat_all([_PG_BODY.parse(a, p) for a, p in parts])
+    if concat:
+        _obj(o, path, ["op", "args"])
     return pg.PgPath(src_key, body, dst_key)
-
-
-def _body_to_json(p: pg.NodePath) -> Dict:
-    if isinstance(p, pg.PFilter):
-        return {"op": "filter", "kind": _filter_to_json(p.kind)}
-    if isinstance(p, pg.PPred):
-        return {"op": "pred", "p": p.p}
-    if isinstance(p, pg.PNotPreds):
-        return {"op": "not_preds", "preds": sorted(p.excluded)}
-    if isinstance(p, pg.PInv):
-        return {"op": "inv", "arg": _body_to_json(p.inner)}
-    if isinstance(p, pg.PStar):
-        return {"op": "star", "arg": _body_to_json(p.inner)}
-    if isinstance(p, pg.PConcat):
-        return {"op": "concat", "args": [_body_to_json(p.left), _body_to_json(p.right)]}
-    if isinstance(p, pg.PUnion):
-        return {"op": "union", "args": [_body_to_json(p.left), _body_to_json(p.right)]}
-    raise TriformError(f"unknown path {p!r}")
 
 
 def pg_path_to_json(p: pg.PgPath) -> Dict:
@@ -701,7 +571,7 @@ def pg_path_to_json(p: pg.PgPath) -> Dict:
     if p.src_key is not None:
         parts.append({"op": "inv_key_step", "k": p.src_key})
     if p.body is not None:
-        parts.append(_body_to_json(p.body))
+        parts.append(_PG_BODY.dump(p.body))
     if p.dst_key is not None:
         parts.append({"op": "key_step", "k": p.dst_key})
     if len(parts) == 1:
@@ -709,110 +579,81 @@ def pg_path_to_json(p: pg.PgPath) -> Dict:
     return {"op": "concat", "args": parts}
 
 
-def parse_pg_shape(x: Any, path: str) -> pg.PgShape:
-    o = _obj(x, path, ["op"], ["n", "path", "args"])
-    op = o["op"]
-    if op in ("geq", "leq"):
-        n = _nat(o.get("n"), f"{path}.n")
-        pexpr = parse_pg_path(o.get("path"), f"{path}.path")
-        return pg.PgGeq(n, pexpr) if op == "geq" else pg.PgLeq(n, pexpr)
-    if op == "and":
-        args = _args(o, path, parse_pg_shape)
-        return pg.pg_and_all(args)
-    raise _err(f"{path}.op", f"unknown PG-shape operator {op!r}")
-
-
-def pg_shape_to_json(s: pg.PgShape) -> Dict:
-    if isinstance(s, pg.PgGeq):
-        return {"op": "geq", "n": s.n, "path": pg_path_to_json(s.path)}
-    if isinstance(s, pg.PgLeq):
-        return {"op": "leq", "n": s.n, "path": pg_path_to_json(s.path)}
-    if isinstance(s, pg.PgAnd):
-        return {"op": "and", "args": [pg_shape_to_json(s.left), pg_shape_to_json(s.right)]}
-    raise TriformError(f"unknown PG-shape {s!r}")
+_PG_PATH = _Codec(parse_pg_path, pg_path_to_json)
+_PG_SHAPE.define(
+    _Row("geq", pg.PgGeq, ("n", _NAT), ("path", _PG_PATH)),
+    _Row("leq", pg.PgLeq, ("n", _NAT), ("path", _PG_PATH)),
+    _Row("and", pg.PgAnd, nary=True),
+)
 
 
 def parse_pg_selector(x: Any, path: str) -> pg.PgGeq:
-    shape = parse_pg_shape(x, path)
+    shape = _PG_SHAPE.parse(x, path)
     if not isinstance(shape, pg.PgGeq) or shape.n != 1:
         raise _err(path, "PG-selectors are existential shapes (geq with n=1)")
     return shape
 
 
-def parse_edge_type(x: Any, path: str) -> pg.EdgeType:
-    o = _obj(x, path, ["op"], ["src", "labels", "dst", "args"])
-    op = o["op"]
-    if op == "et":
-        labels_raw = o.get("labels")
-        if labels_raw == "*":
-            labels = None
-        else:
-            labels = _names(labels_raw, f"{path}.labels")
-        return pg.ET(
-            parse_content(o.get("src"), f"{path}.src"),
-            labels,
-            parse_content(o.get("dst"), f"{path}.dst"),
+parse_shacl_path = _SHACL_PATH.parse
+parse_shex_shape = _SHEX_SHAPE.parse
+
+# (selector, shape) codecs of each dialect's rules
+_PG_SELECTOR = _Codec(parse_pg_selector, _PG_SHAPE.dump)
+_RULE_FORMS = {
+    "shacl": (_SHACL_SELECTOR, _SHACL_SHAPE),
+    "shex": (_SHEX_SELECTOR, _SHEX_SHAPE),
+    "pg": (_PG_SELECTOR, _PG_SHAPE),
+    "cogsl": (_PG_SELECTOR, _PG_SHAPE),
+    "sshex": (_SHEX_SELECTOR, _SSHEX_SHAPE),
+}
+DIALECTS = tuple(_RULE_FORMS)
+
+
+# ---------------------------------------------------------------------------
+# Schemas (dialect-tagged rule lists) and graph types
+
+
+def _parse_rules(x: Any, path: str, dialect: str) -> List:
+    sel_form, shape_form = _RULE_FORMS[dialect]
+    rules = []
+    for i, r in enumerate(_list(x, path)):
+        ro = _obj(r, f"{path}[{i}]", ["sel", "shape"])
+        rules.append(
+            (sel_form.parse(ro["sel"], f"{path}[{i}].sel"), shape_form.parse(ro["shape"], f"{path}[{i}].shape"))
         )
-    if op in ("both", "either"):
-        args = _args(o, path, parse_edge_type)
-        ctor = pg.EBoth if op == "both" else pg.EEither
-        out = args[0]
-        for a in args[1:]:
-            out = ctor(out, a)
-        return out
-    raise _err(f"{path}.op", f"unknown edge-type operator {op!r}")
+    return rules
 
 
-def edge_type_to_json(t: pg.EdgeType) -> Dict:
-    if isinstance(t, pg.ET):
-        return {
-            "op": "et",
-            "src": content_to_json(t.src),
-            "labels": "*" if t.labels is None else sorted(t.labels),
-            "dst": content_to_json(t.dst),
-        }
-    if isinstance(t, pg.EBoth):
-        return {"op": "both", "args": [edge_type_to_json(t.left), edge_type_to_json(t.right)]}
-    if isinstance(t, pg.EEither):
-        return {"op": "either", "args": [edge_type_to_json(t.left), edge_type_to_json(t.right)]}
-    raise TriformError(f"unknown edge type {t!r}")
+def _rules_to_json(dialect: str, rules) -> List[Dict]:
+    forms = _RULE_FORMS.get(dialect)
+    out = []
+    for sel, shape in rules:
+        if forms is None:
+            raise TriformError(f"unknown dialect {dialect!r}")
+        out.append({"sel": forms[0].dump(sel), "shape": forms[1].dump(shape)})
+    return out
 
 
 def parse_graph_type(x: Any, path: str) -> pg.GraphType:
     o = _obj(x, path, ["node_types", "edge_types", "constraints"])
     node_types = tuple(
-        parse_content(a, f"{path}.node_types[{i}]")
+        _CONTENT.parse(a, f"{path}.node_types[{i}]")
         for i, a in enumerate(_list(o["node_types"], f"{path}.node_types"))
     )
     edge_types = tuple(
-        parse_edge_type(a, f"{path}.edge_types[{i}]")
+        _EDGE_TYPE.parse(a, f"{path}.edge_types[{i}]")
         for i, a in enumerate(_list(o["edge_types"], f"{path}.edge_types"))
     )
-    constraints = []
-    for i, r in enumerate(_list(o["constraints"], f"{path}.constraints")):
-        ro = _obj(r, f"{path}.constraints[{i}]", ["sel", "shape"])
-        constraints.append(
-            (
-                parse_pg_selector(ro["sel"], f"{path}.constraints[{i}].sel"),
-                parse_pg_shape(ro["shape"], f"{path}.constraints[{i}].shape"),
-            )
-        )
+    constraints = _parse_rules(o["constraints"], f"{path}.constraints", "pg")
     return pg.GraphType(node_types, edge_types, tuple(constraints))
 
 
 def graph_type_to_json(gt: pg.GraphType) -> Dict:
     return {
-        "node_types": [content_to_json(t) for t in gt.node_types],
-        "edge_types": [edge_type_to_json(t) for t in gt.edge_types],
-        "constraints": [
-            {"sel": pg_shape_to_json(sel), "shape": pg_shape_to_json(shape)}
-            for sel, shape in gt.constraints
-        ],
+        "node_types": [_CONTENT.dump(t) for t in gt.node_types],
+        "edge_types": [_EDGE_TYPE.dump(t) for t in gt.edge_types],
+        "constraints": _rules_to_json("pg", gt.constraints),
     }
-
-
-# ---------------------------------------------------------------------------
-# Schemas (dialect-tagged rule lists)
 
 
 def parse_schema(doc: Any):
@@ -827,72 +668,30 @@ def parse_schema(doc: Any):
         if "rules" in o:
             raise _err("$", "give either rules or graph_type, not both")
         return dialect, parse_graph_type(o["graph_type"], "$.graph_type")
-    rules_raw = _list(o.get("rules"), "$.rules")
-    rules = []
-    for i, r in enumerate(rules_raw):
-        ro = _obj(r, f"$.rules[{i}]", ["sel", "shape"])
-        sel_path, shape_path = f"$.rules[{i}].sel", f"$.rules[{i}].shape"
-        if dialect == "shacl":
-            rules.append(
-                (parse_shacl_selector(ro["sel"], sel_path), parse_shacl_shape(ro["shape"], shape_path))
-            )
-        elif dialect == "shex":
-            rules.append(
-                (parse_shex_selector(ro["sel"], sel_path), parse_shex_shape(ro["shape"], shape_path))
-            )
-        elif dialect == "sshex":
-            rules.append(
-                (parse_shex_selector(ro["sel"], sel_path), parse_sshex_shape(ro["shape"], shape_path))
-            )
-        else:  # pg, cogsl
-            rules.append(
-                (parse_pg_selector(ro["sel"], sel_path), parse_pg_shape(ro["shape"], shape_path))
-            )
-    return dialect, rules
+    return dialect, _parse_rules(o.get("rules"), "$.rules", dialect)
 
 
 def schema_to_json(dialect: str, rules) -> Dict:
-    out = []
-    for sel, shape in rules:
-        if dialect == "shacl":
-            out.append({"sel": shacl_selector_to_json(sel), "shape": shacl_shape_to_json(shape)})
-        elif dialect == "shex":
-            out.append({"sel": shex_selector_to_json(sel), "shape": shex_shape_to_json(shape)})
-        elif dialect == "sshex":
-            out.append({"sel": shex_selector_to_json(sel), "shape": sshex_shape_to_json(shape)})
-        elif dialect in ("pg", "cogsl"):
-            out.append({"sel": pg_shape_to_json(sel), "shape": pg_shape_to_json(shape)})
-        else:
-            raise TriformError(f"unknown dialect {dialect!r}")
-    return {"dialect": dialect, "rules": out}
+    return {"dialect": dialect, "rules": _rules_to_json(dialect, rules)}
 
 
 # ---------------------------------------------------------------------------
 # Reports
 
 
-def _rule_json(dialect: str, sel, shape) -> Tuple[Dict, Dict]:
-    doc = schema_to_json(dialect, [(sel, shape)])
-    rule = doc["rules"][0]
-    return rule["sel"], rule["shape"]
-
-
 def report_to_json(report: ValidationReport, dialect: str, rules) -> Dict:
-    violations = []
-    for v in report.violations:
-        sel, shape = rules[v.rule_index]
-        sel_json, shape_json = _rule_json(dialect, sel, shape)
-        violations.append(
+    violated = _rules_to_json(dialect, [rules[v.rule_index] for v in report.violations])
+    return {
+        "valid": report.valid,
+        "violations": [
             {
                 "rule_index": v.rule_index,
                 "focus": focus_to_json(v.focus),
-                "selector": sel_json,
-                "shape": shape_json,
+                "selector": rule["sel"],
+                "shape": rule["shape"],
             }
-        )
-    return {
-        "valid": report.valid,
-        "violations": violations,
+            for v, rule in zip(report.violations, violated)
+        ],
         "stats": [
             {"rule_index": s.rule_index, "selected": s.selected, "violations": s.violations}
             for s in report.stats

@@ -488,21 +488,20 @@ def _fill(ctx: EvalContext, g: CommonGraph, v: Focus, t: _Template):
         )
     if len(t.ranks) > 1:  # a star's DP state count depends on the layout: fix it per shape
         rows = [w for r in range(-1, len(t.ranks)) for w in rows if t.ranks.get(w[:2], -1) == r]
-    masks = [0] * len(t.ops)
+    support = [0] * len(t.ops)  # the leaf masks first, then their unions
     for i, (name, direction, kind, x) in enumerate(rows):
         tested, fixed = t.plans.get((name, direction)) or t.plan(name, direction)
         bit = 1 << i
         for node in fixed:
-            masks[node] |= bit
+            support[node] |= bit
         far = kind(x) if tested else None
         for node, nested in tested:
             if _satisfies(ctx, g, far, nested):
-                masks[node] |= bit
-    support = masks[:]
+                support[node] |= bit
     for i, a, b in t.joins:
         support[i] = support[a] | support[b]
     full = (1 << len(rows)) - 1
-    return rows, (t.ops, t.lefts, t.rights, masks, support, t.lo, t.hi, t.root, full)
+    return rows, (t.ops, t.lefts, t.rights, support, t.lo, t.hi, t.root, full)
 
 
 def _match(ctx: EvalContext, g: CommonGraph, v: Focus, t: _Template) -> bool:

@@ -191,16 +191,20 @@ def test_validate_sshex_dialect(tmp_path, files, capsys):
 
 
 def test_shipped_fixtures_match_examples(capsys):
-    # the checked-in fixture files are exactly the canonical examples
+    # the checked-in fixture files are exactly the canonical examples,
+    # in both directions: parsed, and as the serializer writes them
     assert (FIXTURES / "media_graph.json").exists()
     graph_doc = json.loads((FIXTURES / "media_graph.json").read_text())
     assert jsonio.parse_graph(graph_doc) == media_graph()
-    pg_doc = json.loads((FIXTURES / "media_pg.json").read_text())
-    assert jsonio.parse_schema(pg_doc) == ("pg", media_pg_rules())
-    shacl_doc = json.loads((FIXTURES / "media_shacl.json").read_text())
-    assert jsonio.parse_schema(shacl_doc) == ("shacl", media_shacl_rules())
-    shex_doc = json.loads((FIXTURES / "media_shex.json").read_text())
-    assert jsonio.parse_schema(shex_doc) == ("shex", media_shex_rules())
+    assert jsonio.graph_to_json(media_graph()) == graph_doc
+    for dialect, rules in (
+        ("pg", media_pg_rules()),
+        ("shacl", media_shacl_rules()),
+        ("shex", media_shex_rules()),
+    ):
+        doc = json.loads((FIXTURES / f"media_{dialect}.json").read_text())
+        assert jsonio.parse_schema(doc) == (dialect, rules)
+        assert jsonio.schema_to_json(dialect, rules) == doc
 
 
 def test_validate_cogsl_dialect(tmp_path, files, capsys):

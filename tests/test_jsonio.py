@@ -1,8 +1,16 @@
+import copy
+import json
 import random
+import typing
 
 import pytest
 
 from triform import jsonio
+from triform import pgschema as pg
+from triform import shacl as sh
+from triform import shex as sx
+from triform import sshex as ssx
+from triform.cli import main
 from triform.examples import (
     media_graph,
     media_pg_rules,
@@ -10,8 +18,28 @@ from triform.examples import (
     media_shex_rules,
 )
 from triform.harness import GenParams, gen_cogsl_schema, gen_shacl_schema, gen_shex_schema, gen_sshex_shape
-from triform.model import FormatError, Node, Val, int_v, str_v
-from triform.pgschema import CAny, CEmpty, CField, ET, GraphType
+from triform.model import FWD, INV, FormatError, Node, TriformError, Val, int_v, str_v
+from triform.pgschema import (
+    CAny,
+    CBoth,
+    CEither,
+    CEmpty,
+    CField,
+    EBoth,
+    EEither,
+    ET,
+    FKeyIs,
+    FNotKeyIs,
+    FNotOfType,
+    FOfType,
+    GraphType,
+    PConcat,
+    PFilter,
+    PgGeq,
+    PgLeq,
+    PgPath,
+    PPred,
+)
 from triform.shex import SelOut
 from triform.shacl import shacl_validate
 from triform.sshex import normalize_shape_intervals
@@ -177,15 +205,224 @@ def test_pg_selector_must_be_existential():
 
 
 def test_graph_type_round_trip():
+    field, other = CField("k", "int"), CField("j", "str")
+    filters = PConcat(
+        PConcat(PFilter(FKeyIs("k", int_v(1))), PFilter(FNotKeyIs("k", str_v("x")))),
+        PConcat(PFilter(FOfType(CBoth(field, CAny()))), PFilter(FNotOfType(CEither(field, other)))),
+    )
     gt = GraphType(
-        (CEmpty(), CField("k", "int")),
-        (ET(CAny(), None, CAny()), ET(CEmpty(), frozenset({"p"}), CAny())),
-        tuple(media_pg_rules()),
+        (CEmpty(), field, CBoth(field, other), CEither(CEmpty(), CBoth(field, CAny()))),
+        (
+            ET(CAny(), None, CAny()),
+            ET(CEmpty(), frozenset({"p"}), CAny()),
+            EBoth(ET(field, frozenset({"p", "q"}), CAny()), EEither(ET(CAny(), None, other), ET(other, None, field))),
+        ),
+        tuple(media_pg_rules())
+        + ((PgGeq(1, PgPath(None, filters, None)), PgLeq(2, PgPath("k", PConcat(filters, PPred("p")), "j"))),),
     )
     doc = {"dialect": "pg", "graph_type": jsonio.graph_type_to_json(gt)}
     dialect, parsed = jsonio.parse_schema(doc)
     assert dialect == "pg"
     assert parsed == gt
+
+
+# One document per grammar, each with a field that only a sibling
+# operator of the same family has (accepted, and ignored, before the
+# grammars were tables): the first is the typo "arg" for "shape".
+_STEP = {"op": "step", "q": "p"}
+_PRED = {"op": "pred", "p": "p"}
+_TOP = {"op": "top"}
+_INT = {"t": "int", "val": 1}
+
+
+def _rule(dialect, sel, shape):
+    return {"dialect": dialect, "rules": [{"sel": sel, "shape": shape}]}
+
+
+def _pg(shape_path):
+    return _rule("pg", {"op": "geq", "n": 1, "path": _PRED}, {"op": "geq", "n": 1, "path": shape_path})
+
+
+def _shex(shape):
+    return _rule("shex", {"op": "out", "q": "p"}, shape)
+
+
+def _neigh(expr):
+    return {"op": "neigh", "expr": expr, "half_open": {"r": []}}
+
+
+def _graph_type(node_types=(), edge_types=()):
+    return {"dialect": "pg", "graph_type": {"node_types": list(node_types), "edge_types": list(edge_types), "constraints": []}}
+
+
+_ET = {"op": "et", "src": {"op": "any"}, "labels": "*", "dst": {"op": "any"}}
+
+SIBLING_FIELDS = {
+    "shacl-shape": (
+        _rule("shacl", {"op": "exists_out", "q": "p"}, {"op": "exists", "path": _STEP, "arg": _TOP}),
+        "at $.rules[0].shape.arg: unknown field",
+    ),
+    "shacl-path": (
+        _rule("shacl", {"op": "exists_out", "q": "p"}, {"op": "geq", "n": 1, "path": dict(_STEP, arg=_STEP)}),
+        "at $.rules[0].shape.path.arg: unknown field",
+    ),
+    "shacl-selector": (
+        _rule("shacl", {"op": "exists_out", "q": "p", "value": _INT}, _TOP),
+        "at $.rules[0].sel.value: unknown field",
+    ),
+    "shex-expr": (
+        _shex(_neigh({"op": "eps", "q": "p"})),
+        "at $.rules[0].shape.expr.q: unknown field",
+    ),
+    "shex-shape": (
+        _shex({"op": "test_type", "vt": "int", "expr": {"op": "eps"}}),
+        "at $.rules[0].shape.expr: unknown field",
+    ),
+    "shex-selector": (
+        _rule("shex", {"op": "out", "q": "p", "value": _INT}, _neigh({"op": "eps"})),
+        "at $.rules[0].sel.value: unknown field",
+    ),
+    "sshex-expr": (
+        _rule(
+            "sshex",
+            {"op": "out", "q": "p"},
+            {"op": "shape", "expr": {"op": "tc", "q": "p", "dir": "fwd", "shape": None, "interval": [0, 1]}},
+        ),
+        "at $.rules[0].shape.expr.interval: unknown field",
+    ),
+    "sshex-shape": (
+        _rule("sshex", {"op": "out", "q": "p"}, {"op": "test_type", "vt": "int", "closed": True}),
+        "at $.rules[0].shape.closed: unknown field",
+    ),
+    "content": (
+        _graph_type(node_types=[{"op": "any", "k": "k"}]),
+        "at $.graph_type.node_types[0].k: unknown field",
+    ),
+    "filter": (
+        _pg({"op": "filter", "kind": {"op": "of_type", "type": {"op": "any"}, "k": "k"}}),
+        "at $.rules[0].shape.path.kind.k: unknown field",
+    ),
+    "pg-body": (
+        _pg(dict(_PRED, preds=["q"])),
+        "at $.rules[0].shape.path.preds: unknown field",
+    ),
+    "pg-path-concat": (
+        _pg({"op": "concat", "args": [_PRED, _PRED], "p": "p"}),
+        "at $.rules[0].shape.path.p: unknown field",
+    ),
+    "pg-shape": (
+        _rule("pg", {"op": "geq", "n": 1, "path": _PRED}, {"op": "and", "args": [{"op": "geq", "n": 1, "path": _PRED}] * 2, "n": 1}),
+        "at $.rules[0].shape.n: unknown field",
+    ),
+    "edge-type": (
+        _graph_type(edge_types=[{"op": "both", "args": [_ET, _ET], "labels": "*"}]),
+        "at $.graph_type.edge_types[0].labels: unknown field",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SIBLING_FIELDS))
+def test_sibling_operator_field_rejected(case):
+    doc, message = SIBLING_FIELDS[case]
+    with pytest.raises(FormatError) as err:
+        jsonio.parse_schema(doc)
+    assert str(err.value) == message
+    # without the stray field the document parses
+    doc = copy.deepcopy(doc)
+    *steps, stray = message[len("at $.") : -len(": unknown field")].split(".")
+    holder = doc
+    for step in steps:
+        name, _, index = step.partition("[")
+        holder = holder[name][int(index[:-1])] if index else holder[name]
+    del holder[stray]
+    jsonio.parse_schema(doc)
+
+
+def test_focus_sibling_field_rejected():
+    for doc, field in (
+        ({"kind": "node", "id": "a", "value": _INT}, "value"),
+        ({"kind": "value", "value": _INT, "id": "a"}, "id"),
+    ):
+        with pytest.raises(FormatError) as err:
+            jsonio.parse_focus(doc, "$")
+        assert str(err.value) == f"at $.{field}: unknown field"
+
+
+def test_cli_rejects_sibling_operator_field(tmp_path, capsys):
+    graph = tmp_path / "graph.json"
+    graph.write_text(jsonio.dumps(jsonio.graph_to_json(media_graph())))
+    schema = tmp_path / "typo.json"
+    schema.write_text(json.dumps(SIBLING_FIELDS["shacl-shape"][0]))
+    assert main(["validate", str(graph), str(schema)]) == 2
+    assert capsys.readouterr().err == "error: at $.rules[0].shape.arg: unknown field\n"
+
+
+# Every class of each AST union has exactly one grammar row and
+# round-trips through it, but the internal-only classes, which have no
+# wire form: a new class without a row fails here.
+_V = int_v(1)
+_TC = sx.TC("p", FWD, sx.STestType("int"))
+_XTC = ssx.XTC("p", INV, None)
+_SNEIGH = sx.SNeigh(_TC, sx.HalfOpen(frozenset({"p"})))
+_XSHAPE = ssx.XShape(True, frozenset({("q", FWD)}), ssx.XTC("p", FWD, ssx.XTestType("int")))
+_BODY = pg.PPred("p")
+_PGGEQ = pg.PgGeq(1, pg.PgPath("k", _BODY, "j"))
+_AST_SAMPLES = [
+    sh.Id(), sh.Step("p"), sh.Inverse(sh.Step("p")), sh.Star(sh.Step("p")),
+    sh.Concat(sh.Id(), sh.Step("p")), sh.PathUnion(sh.Step("p"), sh.Id()),
+    sh.Top(), sh.TestConst(_V), sh.TestType("int"), sh.Closed(frozenset({"p", "q"})),
+    sh.Eq(sh.Step("p"), "q"), sh.Disj(sh.Step("p"), "q"), sh.Not(sh.Top()), sh.And(sh.Top(), sh.TestType("int")),
+    sh.Or(sh.Top(), sh.Top()), sh.GeqCount(2, sh.Step("p"), sh.Top()), sh.LeqCount(0, sh.Id(), sh.Not(sh.Top())),
+    sh.ExistsOut("p"), sh.ExistsIn("p"), sh.SelConst(_V),
+    sx.Eps(), _TC, sx.Seq(_TC, sx.Eps()), sx.Alt(sx.Eps(), _TC), sx.StarE(_TC),
+    sx.STestConst(_V), sx.STestType("int"), _SNEIGH, sx.SNeigh(sx.Eps(), sx.Open(frozenset({"p"}), frozenset({"q"}))),
+    sx.SAnd(_SNEIGH, _SNEIGH), sx.SOr(_SNEIGH, sx.STestConst(_V)), sx.SNot(_SNEIGH),
+    sx.SelTestConst(_V), sx.SelOutConst("p", _V), sx.SelOut("p"), sx.SelIn("p"),
+    _XTC, ssx.XSeq(_XTC, _XTC), ssx.XAlt(_XTC, _XTC), ssx.XRepeat(_XTC, 0, None), ssx.XRepeat(_XTC, 1, 3),
+    ssx.XTestConst(_V), ssx.XTestType("int"), _XSHAPE, ssx.XShape(False, frozenset(), None),
+    ssx.XAnd(_XSHAPE, _XSHAPE), ssx.XOr(_XSHAPE, ssx.XTestType("str")), ssx.XNot(_XSHAPE),
+    pg.CAny(), pg.CEmpty(), pg.CField("k", "int"), pg.CBoth(pg.CField("k", "int"), pg.CAny()),
+    pg.CEither(pg.CEmpty(), pg.CField("k", "int")),
+    pg.FKeyIs("k", _V), pg.FNotKeyIs("k", _V), pg.FOfType(pg.CAny()), pg.FNotOfType(pg.CEmpty()),
+    pg.PFilter(pg.FKeyIs("k", _V)), _BODY, pg.PNotPreds(frozenset({"p"})), pg.PInv(_BODY),
+    pg.PConcat(_BODY, _BODY), pg.PUnion(_BODY, pg.PInv(_BODY)), pg.PStar(_BODY),
+    _PGGEQ, pg.PgLeq(0, pg.PgPath(None, None, "k")), pg.PgAnd(_PGGEQ, pg.PgGeq(1, pg.PgPath("k", None, None))),
+    pg.ET(pg.CAny(), None, pg.CEmpty()), pg.ET(pg.CEmpty(), frozenset({"p"}), pg.CAny()),
+    pg.EBoth(pg.ET(pg.CAny(), None, pg.CAny()), pg.ET(pg.CAny(), None, pg.CAny())),
+    pg.EEither(pg.ET(pg.CAny(), None, pg.CAny()), pg.ET(pg.CEmpty(), None, pg.CAny())),
+]
+_AST_GRAMMARS = [
+    pytest.param(sh.PathExpr, jsonio._SHACL_PATH, id="sh.PathExpr"),
+    pytest.param(sh.ShaclShape, jsonio._SHACL_SHAPE, id="sh.ShaclShape"),
+    pytest.param(sh.ShaclSelector, jsonio._SHACL_SELECTOR, id="sh.ShaclSelector"),
+    pytest.param(sx.TripleExpr, jsonio._SHEX_EXPR, id="sx.TripleExpr"),
+    pytest.param(sx.ShexShape, jsonio._SHEX_SHAPE, id="sx.ShexShape"),
+    pytest.param(sx.ShexSelector, jsonio._SHEX_SELECTOR, id="sx.ShexSelector"),
+    pytest.param(ssx.STripleExpr, jsonio._SSHEX_EXPR, id="ssx.STripleExpr"),
+    pytest.param(ssx.SShapeExpr, jsonio._SSHEX_SHAPE, id="ssx.SShapeExpr"),
+    pytest.param(pg.ContentType, jsonio._CONTENT, id="pg.ContentType"),
+    pytest.param(pg.FilterKind, jsonio._FILTER, id="pg.FilterKind"),
+    pytest.param(pg.NodePath, jsonio._PG_BODY, id="pg.NodePath"),
+    pytest.param(pg.PgShape, jsonio._PG_SHAPE, id="pg.PgShape"),
+    pytest.param(pg.EdgeType, jsonio._EDGE_TYPE, id="pg.EdgeType"),
+]
+_INTERNAL = {sx.WildOut(frozenset()), sx.WildIn(frozenset({"p"})), pg.PName("p"), pg.PId()}
+
+
+@pytest.mark.parametrize("union,grammar", _AST_GRAMMARS)
+def test_every_ast_class_has_a_wire_row(union, grammar):
+    classes = set(typing.get_args(union))
+    internal = {type(x) for x in _INTERNAL}
+    assert set(grammar.classes) == classes - internal
+    samples = [x for x in _AST_SAMPLES if type(x) in classes]
+    assert {type(x) for x in samples} == classes - internal
+    for x in samples:
+        doc = json.loads(jsonio.dumps(grammar.dump(x)))
+        assert grammar.parse(doc, "$") == x, doc
+    for x in _INTERNAL:
+        if type(x) in classes:
+            with pytest.raises(TriformError):
+                grammar.dump(x)
 
 
 def test_report_serialization(g_media, mutations):
@@ -211,8 +448,6 @@ def test_dumps_modes():
 
 def _mutate(doc, rng):
     """One random structural mutation: drop, rename, or retype a field."""
-    import copy
-
     doc = copy.deepcopy(doc)
     nodes = []
 

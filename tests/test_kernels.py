@@ -42,7 +42,7 @@ class ProgramBuilder:
     """Appends nodes to the kernel's parallel lists, children first."""
 
     def __init__(self):
-        self.ops, self.lefts, self.rights, self.masks, self.support = [], [], [], [], []
+        self.ops, self.lefts, self.rights, self.support = [], [], [], []
         self.lo, self.hi = [], []
 
     def emit(self, op, a=-1, b=-1, mask=0):
@@ -54,7 +54,6 @@ class ProgramBuilder:
         self.ops.append(op)
         self.lefts.append(a)
         self.rights.append(b)
-        self.masks.append(mask)
         self.support.append(sup)
         lo, hi = count_bounds(op, self.lo, self.hi, a, b)
         self.lo.append(lo)
@@ -62,7 +61,7 @@ class ProgramBuilder:
         return len(self.ops) - 1
 
     def program(self, root):
-        return self.ops, self.lefts, self.rights, self.masks, self.support, self.lo, self.hi, root
+        return self.ops, self.lefts, self.rights, self.support, self.lo, self.hi, root
 
 
 def gen_program(rng, n_bits, size):
@@ -92,16 +91,17 @@ def _combine(xs, ys):
 
 def brute_languages(program):
     """For each node, the set of masks it consumes exactly (bottom-up;
-    children always precede their parents)."""
-    ops, lefts, rights, masks = program[:4]
+    children always precede their parents).  A leaf's or wildcard's own
+    mask is its support."""
+    ops, lefts, rights, support = program[:4]
     langs = []
     for i, op in enumerate(ops):
         if op == OP_EPS:
             lang = {0}
         elif op == OP_LEAF:
-            lang = {1 << b for b in range(masks[i].bit_length()) if masks[i] >> b & 1}
+            lang = {1 << b for b in range(support[i].bit_length()) if support[i] >> b & 1}
         elif op == OP_WILDSTAR:
-            lang = {s for s in range(masks[i] + 1) if s & masks[i] == s}
+            lang = {s for s in range(support[i] + 1) if s & support[i] == s}
         elif op == OP_SEQ:
             lang = _combine(langs[lefts[i]], langs[rights[i]])
         elif op == OP_ALT:
@@ -123,7 +123,7 @@ def test_kernels_agree_on_random_programs():
         n_bits = rng.randrange(0, 9)
         program = gen_program(rng, max(n_bits, 1), 3)
         langs = brute_languages(program)
-        lo, hi = program[5], program[6]
+        lo, hi = program[4], program[5]
         for i, lang in enumerate(langs):
             # the count bounds are sound: no consumed mask falls outside them
             assert all(lo[i] <= m.bit_count() <= hi[i] for m in lang), (program, i)
@@ -194,10 +194,10 @@ def test_wide_seq_of_leaf_and_wildcard_is_decided():
 
 def check_witness(program, witness, full):
     """Each consumer takes what it may, and the parts tile ``full``."""
-    ops, _, _, masks = program[:4]
+    ops, _, _, support = program[:4]
     covered = 0
     for node, mask in witness:
-        assert mask & ~masks[node] == 0
+        assert mask & ~support[node] == 0
         assert ops[node] == OP_WILDSTAR or (ops[node] == OP_LEAF and mask & (mask - 1) == 0)
         assert covered & mask == 0  # pairwise disjoint
         covered |= mask
@@ -236,7 +236,7 @@ def decide_with_memo(g, expr, openness):
     the kernel memoized deciding it."""
     ctx = EvalContext(cap=64)
     template = _template(ctx, expr, openness)
-    _, (ops, lefts, rights, _, support, lo, hi, root, full) = _fill(ctx, g, Node("c"), template)
+    _, (ops, lefts, rights, support, lo, hi, root, full) = _fill(ctx, g, Node("c"), template)
     can, memo = _decider(ops, lefts, rights, support, lo, hi)
     return can(root, full), len(memo)
 
