@@ -2,12 +2,17 @@
 
 The matcher decides whether a signed neighborhood splits into triples
 consumed by a triple expression plus wildcard remainder; the subset DP
-behind it is the one hot loop in ShEx validation.  Two workloads:
+behind it is the one hot loop in ShEx validation.  Three workloads:
 
-  pairs   a starred alternation of two-triple sequences that must tile
-          the whole neighborhood; worst-case subset exploration
-  bounded an at-most-k repetition under an open closure; the typical
-          shape of validation constraints
+  pairs       a starred alternation of two-triple sequences that must
+              tile the whole neighborhood; worst-case subset exploration
+  false-pairs the pairs shape over p = q + 2 triples, which cannot be
+              tiled: the DP must exhaust every split before it says no
+  bounded     an at-most-k repetition under an open closure; the typical
+              shape of validation constraints
+
+Each timed call validates in a fresh evaluation context, so the per-run
+verdict memo never answers it: the numbers time the kernel itself.
 
 Usage: python benchmarks/bench_matcher.py [--sizes 8,12,16,20] [--repeat 3]
 """
@@ -30,13 +35,16 @@ from triform.shex import (
 )
 
 
-def star_graph(n):
-    edges = [EdgeTriple("c", "p", f"a{i}") for i in range(n // 2)]
-    edges += [EdgeTriple("c", "q", f"b{i}") for i in range(n - n // 2)]
+def star_graph(n, n_p=None):
+    """A focus ``c`` with ``n_p`` outgoing p-triples (default n // 2) and
+    n - n_p outgoing q-triples."""
+    n_p = n // 2 if n_p is None else n_p
+    edges = [EdgeTriple("c", "p", f"a{i}") for i in range(n_p)]
+    edges += [EdgeTriple("c", "q", f"b{i}") for i in range(n - n_p)]
     return build_graph(edges, [])
 
 
-def workload_pairs(n):
+def pairs_shape():
     top = top_shape()
     expr = StarE(
         Alt(
@@ -44,7 +52,15 @@ def workload_pairs(n):
             Seq(TC("q", "fwd", top), TC("p", "fwd", top)),
         )
     )
-    return star_graph(n), expr, HalfOpen(frozenset({"p", "q"}))
+    return expr, HalfOpen(frozenset({"p", "q"}))
+
+
+def workload_pairs(n):
+    return (star_graph(n), *pairs_shape())
+
+
+def workload_false_pairs(n):
+    return (star_graph(n, n_p=(n + 2) // 2), *pairs_shape())
 
 
 def workload_bounded(n):
@@ -53,7 +69,7 @@ def workload_bounded(n):
     return star_graph(n), shape.expr, shape.openness
 
 
-WORKLOADS = {"pairs": workload_pairs, "bounded": workload_bounded}
+WORKLOADS = {"pairs": workload_pairs, "false-pairs": workload_false_pairs, "bounded": workload_bounded}
 
 
 def time_once(g, expr, openness, n):
@@ -69,7 +85,7 @@ def main():
     args = parser.parse_args()
     sizes = [int(s) for s in args.sizes.split(",")]
 
-    print(f"{'workload':<9} {'n':>3} {'median':>12}  verdict")
+    print(f"{'workload':<11} {'n':>3} {'median':>12}  verdict")
     for wname, factory in WORKLOADS.items():
         for n in sizes:
             g, expr, openness = factory(n)
@@ -80,7 +96,7 @@ def main():
                 verdicts.add(result)
                 samples.append(ms)
             assert len(verdicts) == 1, "verdict changed between repeats"
-            print(f"{wname:<9} {n:>3} {statistics.median(samples):>10.2f}ms  {verdicts.pop()}")
+            print(f"{wname:<11} {n:>3} {statistics.median(samples):>10.2f}ms  {verdicts.pop()}")
 
 
 if __name__ == "__main__":

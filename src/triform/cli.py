@@ -161,11 +161,9 @@ def cmd_oracle(args) -> int:
         ordered = sorted(image, key=lambda f: repr(f))
         _emit({"result": [jsonio.focus_to_json(f) for f in ordered]}, args.pretty)
         return EXIT_VALID
-    shape = jsonio.parse_shex_shape(
-        {"op": "neigh", "expr": spec.get("expr"), **spec.get("openness", {"open": {"r": [], "q": []}})},
-        "$",
-    )
-    result = brute_match_oracle(graph, focus, shape.expr, shape.openness)
+    expr = jsonio.parse_shex_expr(spec.get("expr"), "$.expr")
+    openness = jsonio.parse_shex_openness(spec.get("openness", {"open": {"r": [], "q": []}}), "$.openness")
+    result = brute_match_oracle(graph, focus, expr, openness)
     _emit({"result": result}, args.pretty)
     return EXIT_VALID
 

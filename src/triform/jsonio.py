@@ -596,6 +596,13 @@ def parse_pg_selector(x: Any, path: str) -> pg.PgGeq:
 
 parse_shacl_path = _SHACL_PATH.parse
 parse_shex_shape = _SHEX_SHAPE.parse
+parse_shex_expr = _SHEX_EXPR.parse
+
+
+def parse_shex_openness(x: Any, path: str) -> sx.Openness:
+    """An openness on its own: an object with exactly one of half_open or open."""
+    return _parse_openness(_obj(x, path, [], ["half_open", "open"]), path)["openness"]
+
 
 # (selector, shape) codecs of each dialect's rules
 _PG_SELECTOR = _Codec(parse_pg_selector, _PG_SHAPE.dump)
@@ -680,17 +687,18 @@ def schema_to_json(dialect: str, rules) -> Dict:
 
 
 def report_to_json(report: ValidationReport, dialect: str, rules) -> Dict:
-    violated = _rules_to_json(dialect, [rules[v.rule_index] for v in report.violations])
+    indices = sorted({v.rule_index for v in report.violations})
+    violated = dict(zip(indices, _rules_to_json(dialect, [rules[i] for i in indices])))  # each rule once
     return {
         "valid": report.valid,
         "violations": [
             {
                 "rule_index": v.rule_index,
                 "focus": focus_to_json(v.focus),
-                "selector": rule["sel"],
-                "shape": rule["shape"],
+                "selector": violated[v.rule_index]["sel"],
+                "shape": violated[v.rule_index]["shape"],
             }
-            for v, rule in zip(report.violations, violated)
+            for v in report.violations
         ],
         "stats": [
             {"rule_index": s.rule_index, "selected": s.selected, "violations": s.violations}

@@ -8,10 +8,18 @@ triples are tolerated (any incoming with name outside R; for open
 shapes also any outgoing with name outside Q).
 
 Each neighborhood shape is flattened once per evaluation context into
-a program template; a focus only fills in the template's leaf masks,
-from the graph's adjacency lists in their order, where wildcards and
-top-shape leaves set bits untested.  Matching is decided by the
-memoized subset DP of ``_bagmatch_py`` over neighborhood bitmasks.
+a program template.  A focus reads its signed triples (its rows) from
+the graph's adjacency lists and gives each row a signature: the bitset
+of the template's leaf and wildcard nodes that may consume it.
+Wildcards and top-shape leaves take a row untested, the other leaves
+when its far end satisfies their nested shape.  As in the bag
+semantics of ShEx, the verdict depends only on how many rows there are
+of each signature (the neighborhood's Parikh image over the
+constraints), not on their order, so the template keeps a per-run
+verdict memo keyed by the sorted tuple of row signatures.  Only a memo
+miss fills the template's leaf masks and runs the memoized subset DP
+of ``_bagmatch_py`` over neighborhood bitmasks; the kernel thus runs
+once per distinct signature bag per shape per run.
 Since each triple constraint consumes exactly one triple, every
 program node can consume only a static interval of triple counts (a
 sequence the sum of its parts, an alternation the hull of its
@@ -328,7 +336,7 @@ def open_closure(e: TripleExpr) -> ShexShape:
 @dataclass
 class _Template:
     """A neighborhood shape flattened once per run into the kernel
-    program format; each focus fills in only the leaf masks.
+    program format, with the run's verdict memo.
 
     ``leaves`` buckets the triple-constraint nodes by the (name,
     direction) of the triples they can consume, each with its compiled
@@ -336,11 +344,17 @@ class _Template:
     the wildcard nodes, the openness suffix included; ``joins`` lists
     (node, left, right) for the inner nodes in bottom-up order, a star
     naming its child twice.  ``lo``/``hi`` are the nodes' count bounds,
-    which depend on the shape only.  A focus counts its signed triples
-    against the cap, then fills one bit per triple, in adjacency order
-    within each leaf key and the leaf keys in ``ranks`` order (a star's
-    DP state count depends on that layout); wildcards and top-shape
-    leaves set bits untested, the other leaves after nested evaluation.
+    which depend on the shape only.
+
+    A focus's signed triples are its rows.  A row's signature is the
+    bitset of the leaf and wildcard nodes whose mask would hold the
+    row's bit: wildcards and top-shape leaves take it untested, the
+    other leaves when the far end satisfies their nested shape.  The
+    program cannot tell apart two rows of one signature, so the verdict
+    depends only on the bag of signatures: ``verdicts`` maps the sorted
+    tuple of a focus's row signatures to its verdict, and only a miss
+    fills the leaf masks (:func:`_program`, one bit per row in the order
+    of :func:`_layout`) and runs the kernel.
     """
 
     ops: List[int] = field(default_factory=list)
@@ -352,16 +366,24 @@ class _Template:
     wilds: List[Tuple[int, str, FrozenSet[str]]] = field(default_factory=list)
     joins: List[Tuple[int, int, int]] = field(default_factory=list)
     root: int = -1
-    ranks: Dict[Tuple[str, str], int] = field(default_factory=dict)
-    plans: Dict[Tuple[str, str], tuple] = field(default_factory=dict)  # :meth:`plan`, per run
+    ranks: Dict[int, int] = field(default_factory=dict)  # leaf node -> rank of its (name, direction)
+    leaf_bits: int = 0  # the triple-constraint nodes, as a signature
+    plans: Dict[Tuple[str, str], Tuple[int, list]] = field(default_factory=dict)  # :meth:`plan`, per run
+    verdicts: Dict[Tuple[int, ...], bool] = field(default_factory=dict)  # per run
 
     def plan(self, name: str, direction: str):
-        """The leaves to test and the nodes set untested for a (name, direction) triple."""
-        leaves = self.leaves.get((name, direction), [])
-        fixed = [node for node, c in leaves if c.kind is SNeigh and c.template is None]  # top shape
-        fixed += [node for node, d, excl in self.wilds if d == direction and name not in excl]
-        tested = [(node, c) for node, c in leaves if node not in fixed]
-        return self.plans.setdefault((name, direction), (tested, fixed))
+        """The signature bits a (name, direction) row gets untested, and
+        the (bit, nested shape) pairs of the leaves that test its far end."""
+        sig, tested = 0, []
+        for node, c in self.leaves.get((name, direction), ()):
+            if c.kind is SNeigh and c.template is None:  # the top shape
+                sig |= 1 << node
+            else:
+                tested.append((1 << node, c))
+        for node, d, excl in self.wilds:
+            if d == direction and name not in excl:
+                sig |= 1 << node
+        return self.plans.setdefault((name, direction), (sig, tested))
 
 
 class _Compiled:
@@ -386,8 +408,9 @@ class _Compiled:
 @dataclass
 class EvalContext:
     """Per-run state: the compiled shapes (keyed by ``id`` of the source
-    shape) and the (focus, shape id) verdict cache.  Nothing is cached in
-    module globals, so separate contexts may run in separate threads."""
+    shape, each template with its verdict memo) and the (focus, shape
+    id) verdict cache.  Nothing is cached in module globals, so separate
+    contexts may run in separate threads."""
 
     cap: int
     registry: Optional[ValueTypeRegistry] = None
@@ -442,6 +465,7 @@ def _template(ctx: EvalContext, expr: TripleExpr, openness: Openness) -> _Templa
         if isinstance(e, TC):
             i = emit(OP_LEAF)
             t.leaves.setdefault((e.q, e.direction), []).append((i, _compile(ctx, e.shape)))
+            t.leaf_bits |= 1 << i
             return i
         if isinstance(e, (WildOut, WildIn)):
             i = emit(OP_LEAF)
@@ -469,43 +493,90 @@ def _template(ctx: EvalContext, expr: TripleExpr, openness: Openness) -> _Templa
     if isinstance(openness, Open):
         t.wilds.append((wild, FWD, openness.q))
     t.root = join(OP_SEQ, body, wild)
-    t.ranks = {key: r for r, key in enumerate(sorted(t.leaves))}
+    t.ranks = {node: r for r, key in enumerate(sorted(t.leaves)) for node, _ in t.leaves[key]}
     return t
 
 
-def _fill(ctx: EvalContext, g: CommonGraph, v: Focus, t: _Template):
-    """The focus's signed triples as (name, direction, far-end class, far
-    end) rows, and the template's kernel program with bit i for row i."""
+def _signatures(ctx: EvalContext, g: CommonGraph, v: Focus, t: _Template) -> List[int]:
+    """The signatures of the focus's signed triples, read straight from
+    the adjacency lists: out-edges, properties, then in-edges.  The
+    triples are counted against the cap before any nested shape is
+    evaluated."""
+    plans, plan = t.plans, t.plan
+    sigs = []
     if isinstance(v, Node):
-        rows = [(e.p, FWD, Node, e.o) for e in g.out_edges(v.id)]
-        rows += [(k, FWD, Val, w) for k, w in g.node_props(v.id).items()]
-        rows += [(e.p, INV, Node, e.s) for e in g.in_edges(v.id)]
+        out, props, inc = g.out_edges(v.id), g.node_props(v.id), g.in_edges(v.id)
+        _check_cap(ctx, v, len(out) + len(props) + len(inc))
+        for e in out:
+            sig, tested = plans.get((e.p, FWD)) or plan(e.p, FWD)
+            sigs.append(_tested(ctx, g, sig, tested, Node(e.o)) if tested else sig)
+        for k, w in props.items():
+            sig, tested = plans.get((k, FWD)) or plan(k, FWD)
+            sigs.append(_tested(ctx, g, sig, tested, Val(w)) if tested else sig)
+        for e in inc:
+            sig, tested = plans.get((e.p, INV)) or plan(e.p, INV)
+            sigs.append(_tested(ctx, g, sig, tested, Node(e.s)) if tested else sig)
     else:
-        rows = [(k, INV, Node, n) for n, k in g.value_owners(v.value)]
-    if len(rows) > ctx.cap:
-        raise NeighborhoodTooLarge(
-            f"signed neighborhood of {v!r} has {len(rows)} triples (cap {ctx.cap})"
-        )
-    if len(t.ranks) > 1:  # a star's DP state count depends on the layout: fix it per shape
-        rows = [w for r in range(-1, len(t.ranks)) for w in rows if t.ranks.get(w[:2], -1) == r]
+        owners = g.value_owners(v.value)
+        _check_cap(ctx, v, len(owners))
+        for n, k in owners:
+            sig, tested = plans.get((k, INV)) or plan(k, INV)
+            sigs.append(_tested(ctx, g, sig, tested, Node(n)) if tested else sig)
+    return sigs
+
+
+def _tested(ctx: EvalContext, g: CommonGraph, sig: int, tested: list, far: Focus) -> int:
+    """``sig`` with the bits of the tested leaves whose nested shape ``far`` satisfies."""
+    for bit, nested in tested:
+        if _satisfies(ctx, g, far, nested):
+            sig |= bit
+    return sig
+
+
+def _check_cap(ctx: EvalContext, v: Focus, size: int) -> None:
+    if size > ctx.cap:
+        raise NeighborhoodTooLarge(f"signed neighborhood of {v!r} has {size} triples (cap {ctx.cap})")
+
+
+def _layout(t: _Template, sigs: List[int]) -> List[int]:
+    """The indices of the rows in program order: the rows of each leaf
+    key together, in adjacency order, and the keys in sorted order (a
+    star's DP state count depends on that layout: fix it per shape).  A
+    row's key is that of any leaf in its signature.  The rows no leaf
+    takes go first; only the openness wildcard can take them, so where
+    they go changes nothing the DP enumerates."""
+    if len(t.leaves) < 2:  # at most one key: adjacency order is the layout
+        return list(range(len(sigs)))
+    ranks: Dict[int, int] = {}
+    for sig in sigs:
+        if sig not in ranks:
+            low = sig & t.leaf_bits
+            ranks[sig] = t.ranks[(low & -low).bit_length() - 1] if low else -1
+    return sorted(range(len(sigs)), key=[ranks[sig] for sig in sigs].__getitem__)
+
+
+def _program(t: _Template, sigs: List[int]):
+    """The template's kernel program for rows of signatures ``sigs``,
+    with bit i for the i-th row of :func:`_layout`."""
     support = [0] * len(t.ops)  # the leaf masks first, then their unions
-    for i, (name, direction, kind, x) in enumerate(rows):
-        tested, fixed = t.plans.get((name, direction)) or t.plan(name, direction)
-        bit = 1 << i
-        for node in fixed:
-            support[node] |= bit
-        far = kind(x) if tested else None
-        for node, nested in tested:
-            if _satisfies(ctx, g, far, nested):
-                support[node] |= bit
+    for i, r in enumerate(_layout(t, sigs)):
+        bit, sig = 1 << i, sigs[r]
+        while sig:
+            low = sig & -sig
+            support[low.bit_length() - 1] |= bit
+            sig ^= low
     for i, a, b in t.joins:
         support[i] = support[a] | support[b]
-    full = (1 << len(rows)) - 1
-    return rows, (t.ops, t.lefts, t.rights, support, t.lo, t.hi, t.root, full)
+    return t.ops, t.lefts, t.rights, support, t.lo, t.hi, t.root, (1 << len(sigs)) - 1
 
 
 def _match(ctx: EvalContext, g: CommonGraph, v: Focus, t: _Template) -> bool:
-    return _bagmatch_py.bag_match(*_fill(ctx, g, v, t)[1])
+    sigs = _signatures(ctx, g, v, t)
+    key = tuple(sorted(sigs))
+    verdict = t.verdicts.get(key)
+    if verdict is None:
+        verdict = t.verdicts[key] = _bagmatch_py.bag_match(*_program(t, sigs))
+    return verdict
 
 
 def _satisfies(ctx: EvalContext, g: CommonGraph, v: Focus, c: _Compiled) -> bool:
@@ -561,11 +632,18 @@ def match_witness(
     check the sequence-disjointness invariant.
     """
     ctx = EvalContext(cap if cap is not None else default_cap(), registry)
-    rows, program = _fill(ctx, g, v, _template(ctx, expr, openness))
-    raw = _bagmatch_py.bag_match_witness(*program)
+    t = _template(ctx, expr, openness)
+    sigs = _signatures(ctx, g, v, t)
+    raw = _bagmatch_py.bag_match_witness(*_program(t, sigs))
     if raw is None:
         return None
-    triples = [SignedTriple(name, name in g.keys, d, kind(x)) for name, d, kind, x in rows]
+    if isinstance(v, Node):  # the rows in the order of _signatures
+        rows = [SignedTriple(e.p, False, FWD, Node(e.o)) for e in g.out_edges(v.id)]
+        rows += [SignedTriple(k, True, FWD, Val(w)) for k, w in g.node_props(v.id).items()]
+        rows += [SignedTriple(e.p, False, INV, Node(e.s)) for e in g.in_edges(v.id)]
+    else:
+        rows = [SignedTriple(k, True, INV, Node(n)) for n, k in g.value_owners(v.value)]
+    triples = [rows[r] for r in _layout(t, sigs)]
     return [(node, [tr for i, tr in enumerate(triples) if mask >> i & 1]) for node, mask in raw]
 
 

@@ -277,3 +277,34 @@ def test_internal_error_has_its_own_exit_code(files, capsys, monkeypatch):
     assert code == 4
     assert out == ""
     assert "Traceback" in err and "KeyError: 'boom'" in err
+
+
+def oracle_match(capsys, files, tmp_path, **fields):
+    query = tmp_path / "query.json"
+    query.write_text(json.dumps({"focus": {"kind": "node", "id": "u1"}, "expr": {"op": "eps"}, **fields}))
+    return run(capsys, "oracle", "match", files["graph.json"], str(query))
+
+
+def test_oracle_match_openness(files, tmp_path, capsys):
+    # u1 has outgoing triples: the empty expression matches only when they are tolerated
+    tolerated = (0, '{"result":true}\n', "")
+    assert oracle_match(capsys, files, tmp_path) == tolerated
+    assert oracle_match(capsys, files, tmp_path, openness={"open": {"r": [], "q": []}}) == tolerated
+    assert oracle_match(capsys, files, tmp_path, openness={"half_open": {"r": []}}) == (0, '{"result":false}\n', "")
+
+
+@pytest.mark.parametrize(
+    "openness, error",
+    [
+        ([1], "at $.openness: expected an object, got list"),
+        ({"op": "test_type", "vt": "int"}, "at $.openness.op: unknown field"),
+        ({"expr": {"op": "tc"}, "half_open": {"r": []}}, "at $.openness.expr: unknown field"),
+        ({}, "at $.openness: neigh needs exactly one of half_open or open"),
+        ({"half_open": {"r": [], "q": []}}, "at $.openness.half_open.q: unknown field"),
+    ],
+    ids=["list", "shape-op", "expr", "empty", "inner-field"],
+)
+def test_oracle_match_rejects_a_bad_openness(files, tmp_path, capsys, openness, error):
+    code, out, err = oracle_match(capsys, files, tmp_path, openness=openness)
+    assert (code, out) == (2, "")
+    assert err == f"error: {error}\n"

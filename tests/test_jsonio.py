@@ -41,6 +41,7 @@ from triform.pgschema import (
     PPred,
 )
 from triform.shex import SelOut
+from triform.report import make_report
 from triform.shacl import shacl_validate
 from triform.sshex import normalize_shape_intervals
 
@@ -436,6 +437,29 @@ def test_report_serialization(g_media, mutations):
     assert doc["stats"][idx]["violations"] == 1
     # deterministic output
     assert jsonio.dumps(doc) == jsonio.dumps(jsonio.report_to_json(report, "shacl", rules))
+
+
+def test_report_dumps_each_violated_rule_once(monkeypatch):
+    rules = media_shex_rules()
+    failing = [Node(f"n{i}") for i in range(300)]
+    report = make_report([([], []), (failing, failing), (failing[:2], failing[:1])])
+    # the serialization of one rule per violation, as a reference
+    per_violation = jsonio._rules_to_json("shex", [rules[v.rule_index] for v in report.violations])
+    want = [
+        {"rule_index": v.rule_index, "focus": jsonio.focus_to_json(v.focus), "selector": r["sel"], "shape": r["shape"]}
+        for v, r in zip(report.violations, per_violation)
+    ]
+    dumped = []
+    rules_to_json = jsonio._rules_to_json
+
+    def counting(dialect, some):
+        dumped.extend(some)
+        return rules_to_json(dialect, some)
+
+    monkeypatch.setattr(jsonio, "_rules_to_json", counting)
+    doc = jsonio.report_to_json(report, "shex", rules)
+    assert dumped == [rules[1], rules[2]]
+    assert jsonio.dumps(doc["violations"]) == jsonio.dumps(want)
 
 
 def test_dumps_modes():

@@ -29,7 +29,8 @@ from triform.shex import (
     Seq,
     StarE,
     TC,
-    _fill,
+    _program,
+    _signatures,
     _template,
     desugar_repetition,
     match_triple_expr,
@@ -236,7 +237,7 @@ def decide_with_memo(g, expr, openness):
     the kernel memoized deciding it."""
     ctx = EvalContext(cap=64)
     template = _template(ctx, expr, openness)
-    _, (ops, lefts, rights, support, lo, hi, root, full) = _fill(ctx, g, Node("c"), template)
+    ops, lefts, rights, support, lo, hi, root, full = _program(template, _signatures(ctx, g, Node("c"), template))
     can, memo = _decider(ops, lefts, rights, support, lo, hi)
     return can(root, full), len(memo)
 

@@ -1,0 +1,164 @@
+"""The per-run verdict memo of ShEx neighborhood matching.
+
+A focus is decided by the bag of its row signatures, so the kernel runs
+once per distinct bag per template per run; these tests pin the
+verdicts against the brute-force oracle and count the kernel calls.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from triform import _bagmatch_py, shex
+from triform.harness import GenParams, brute_shex_satisfies, gen_graph, gen_shex_schema
+from triform.model import FWD, EdgeTriple, InstanceTooLarge, Node, PropTriple, build_graph, int_v, str_v
+from triform.shex import (
+    Alt,
+    HalfOpen,
+    SAnd,
+    SelOut,
+    Seq,
+    SNeigh,
+    STestType,
+    StarE,
+    TC,
+    open_closure,
+    shex_select,
+    shex_validate,
+    top_shape,
+)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.fixture()
+def kernel_calls(monkeypatch):
+    """The number of kernel calls so far, counted through the module attribute."""
+    calls = []
+    bag_match = _bagmatch_py.bag_match
+
+    def counting(*program):
+        calls.append(program[-1].bit_length())
+        return bag_match(*program)
+
+    monkeypatch.setattr(_bagmatch_py, "bag_match", counting)
+    return calls
+
+
+@pytest.mark.parametrize("nodes, density", [(8, 0.18), (12, 0.12), (40, 0.04)])
+def test_rule_focus_verdicts_equal_the_brute_oracle(nodes, density, kernel_calls):
+    checked = decided = 0
+    for seed in range(40):
+        p = GenParams(seed=seed, node_count=nodes, edge_density=density, prop_density=0.3)
+        g = gen_graph(p)
+        rules = gen_shex_schema(p)
+        report = shex_validate(g, rules, cap=64)
+        failing = {(viol.rule_index, viol.focus) for viol in report.violations}
+        for i, (sel, shape) in enumerate(rules):
+            for v in shex_select(g, sel):
+                try:
+                    want = brute_shex_satisfies(g, v, shape)
+                except InstanceTooLarge:
+                    continue
+                assert ((i, v) not in failing) == want, (nodes, seed, i, v)
+                checked += 1
+        decided += sum(stat.selected for stat in report.stats)
+    assert checked > 150
+    assert len(kernel_calls) < decided  # the memo answered some foci
+
+
+def copies_graph(n_copies, str_every=0, extra_p_every=0):
+    """Hubs c0, c1, ... with one neighborhood each: three p-edges (four
+    on every ``extra_p_every``-th hub), two q-edges, one incoming r-edge
+    and a k-property, an int except on every ``str_every``-th hub."""
+    edges, props = [], []
+    for i in range(n_copies):
+        c = f"c{i}"
+        extra = bool(extra_p_every) and i % extra_p_every == 0
+        edges += [EdgeTriple(c, "p", f"a{i}_{j}") for j in range(3 + extra)]
+        edges += [EdgeTriple(c, "q", f"b{i}_{j}") for j in range(2)]
+        edges.append(EdgeTriple(f"d{i}", "r", c))
+        odd = str_every and i % str_every == 0
+        props.append(PropTriple(c, "k", str_v(f"x{i}") if odd else int_v(i)))
+    return build_graph(edges, props)
+
+
+TOP = top_shape()
+# pairs of one p and one q triple, then the spare p triple and the k
+# triple; the incoming r triple is tolerated
+PAIRS = HalfOpen(frozenset())
+PAIRS_EXPR = Seq(
+    StarE(Alt(Seq(TC("p", FWD, TOP), TC("q", FWD, TOP)), Seq(TC("q", FWD, TOP), TC("p", FWD, TOP)))),
+    Seq(TC("p", FWD, TOP), TC("k", FWD, TOP)),
+)
+INT_K = open_closure(TC("k", FWD, STestType("int")))
+
+
+def test_copies_cost_one_kernel_call_per_signature_bag(kernel_calls):
+    g = copies_graph(50, str_every=2, extra_p_every=5)
+    hubs = [Node(f"c{i}") for i in range(50)]
+    # the premise: the hubs list their rows in different orders
+    assert len({tuple(e.p for e in g.out_edges(c.id)) for i, c in enumerate(hubs) if i % 5}) > 1
+    shape = SAnd(SNeigh(PAIRS_EXPR, PAIRS), INT_K)
+    report = shex_validate(g, [(SelOut("p"), shape)])
+    # the pairs template sees two bags, three p-triples or four; INT_K,
+    # whose k row is tested, sees an int or a string on the hubs with three
+    assert len(kernel_calls) == 4
+    failing = {viol.focus for viol in report.violations}
+    assert failing == set(hubs[::2]) | set(hubs[::5])
+    for c in hubs:
+        assert (c not in failing) == brute_shex_satisfies(g, c, shape)
+
+
+def test_runs_share_no_memo(kernel_calls):
+    g = copies_graph(20)
+    rules = [(SelOut("p"), SNeigh(PAIRS_EXPR, PAIRS)), (SelOut("q"), INT_K)]
+    first = shex_validate(g, rules)
+    calls = len(kernel_calls)
+    assert calls == 2
+    assert shex_validate(g, rules) == first
+    assert len(kernel_calls) == 2 * calls  # the second run decides afresh
+    for mod in (shex, _bagmatch_py):
+        state = [name for name, x in vars(mod).items() if not name.startswith("__") and isinstance(x, (dict, list, set))]
+        assert state == [], mod.__name__
+
+
+_COUNT_SCRIPT = """
+import json
+from triform import _bagmatch_py
+from triform.harness import GenParams, gen_graph, gen_shex_schema
+from triform.shex import shex_validate
+import test_shex_memo as t
+
+calls = []
+bag_match = _bagmatch_py.bag_match
+_bagmatch_py.bag_match = lambda *program: calls.append(1) or bag_match(*program)
+out = []
+cases = [(t.copies_graph(30, str_every=3), [(t.SelOut("p"), t.SAnd(t.SNeigh(t.PAIRS_EXPR, t.PAIRS), t.INT_K))])]
+for seed in range(12):
+    p = GenParams(seed=seed, node_count=12, edge_density=0.12, prop_density=0.3)
+    cases.append((gen_graph(p), gen_shex_schema(p)))
+for g, rules in cases:
+    del calls[:]
+    report = shex_validate(g, rules, cap=64)
+    out.append([len(calls), [[v.rule_index, repr(v.focus)] for v in report.violations]])
+print(json.dumps(out))
+"""
+
+
+def test_kernel_calls_do_not_depend_on_the_hash_seed():
+    runs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join([str(SRC), str(Path(__file__).resolve().parent)])
+        done = subprocess.run(
+            [sys.executable, "-c", _COUNT_SCRIPT], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        runs.append(json.loads(done.stdout))
+    assert runs[0] == runs[1]
+    assert runs[0][0][0] == 3 and len(runs[0][0][1]) == 10
