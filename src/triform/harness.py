@@ -660,10 +660,12 @@ def _expr_language(
     if isinstance(expr, sx.Eps):
         return {frozenset()}
     if isinstance(expr, sx.TC):
+        # the top shape takes every far end, whatever its neighbourhood size
+        top = expr.shape == sx.top_shape()
         out = set()
         for t in triples:
             if t.name == expr.q and t.direction == expr.direction:
-                if brute_shex_satisfies(g, t.endpoint, expr.shape, registry):
+                if top or brute_shex_satisfies(g, t.endpoint, expr.shape, registry):
                     out.add(frozenset({t}))
         return out
     if isinstance(expr, sx.WildOut):

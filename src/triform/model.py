@@ -126,6 +126,20 @@ class Val:
 
 Focus = Union[Node, Val]
 
+# A raw element: a node id or a value.  The set evaluators work on raw
+# elements and build ``Node``/``Val`` foci only for their callers.
+Elem = Union[str, Value]
+
+
+def focus_elem(v: Focus) -> Elem:
+    """The raw element of a focus."""
+    return v.id if type(v) is Node else v.value
+
+
+def elem_focus(x: Elem) -> Focus:
+    """The focus of a raw element."""
+    return Node(x) if type(x) is str else Val(x)
+
 
 @dataclass(frozen=True)
 class EdgeTriple:
@@ -364,19 +378,17 @@ def neigh_signed(g: CommonGraph, v: Focus) -> FrozenSet[SignedTriple]:
     return frozenset(out)
 
 
-def triple_ends(g: CommonGraph, q: str, direction: str) -> Set[Focus]:
-    """The foci with a ``q`` triple in the given direction: the first
-    components (``FWD``) or the last components (``INV``) of all edges
-    and property triples named ``q``."""
-    out: Set[Focus] = set()
+def triple_ends(g: CommonGraph, q: str, direction: str) -> Set[Elem]:
+    """The raw elements with a ``q`` triple in the given direction: the
+    first components (``FWD``) or the last components (``INV``) of all
+    edges and property triples named ``q``.  Predicate and key names are
+    disjoint, so only one of the two triple sets is scanned."""
     fwd = direction == FWD
-    for e in g.edges:
-        if e.p == q:
-            out.add(Node(e.s if fwd else e.o))
-    for (n, k), w in g.props.items():
-        if k == q:
-            out.add(Node(n) if fwd else Val(w))
-    return out
+    if q in g.preds:
+        return {e.s if fwd else e.o for e in g.edges if e.p == q}
+    if q in g.keys:
+        return {n if fwd else w for (n, k), w in g.props.items() if k == q}
+    return set()
 
 
 def value_sort_key(w: Value) -> Tuple[str, str]:
@@ -400,3 +412,11 @@ def signed_triple_sort_key(t: SignedTriple) -> Tuple:
 
 def sorted_foci(foci: Iterable[Focus]) -> List[Focus]:
     return sorted(foci, key=focus_sort_key)
+
+
+def elems_to_foci(elems: Iterable[Elem]) -> List[Focus]:
+    """Raw elements as foci in :func:`focus_sort_key` order: node ids
+    sorted as strings, then values by :func:`value_sort_key`."""
+    nodes = sorted(x for x in elems if type(x) is str)
+    values = sorted((x for x in elems if type(x) is not str), key=value_sort_key)
+    return [Node(u) for u in nodes] + [Val(w) for w in values]

@@ -22,7 +22,9 @@ Normal forms are computed once per type object (the ``dnf`` attribute
 of content and edge types, like :attr:`PgPath.normal_body`), never in a
 module-level cache.  A graph-type check compiles its types once per run
 and decides each (node, disjunct) membership once; a selector is decided
-for every candidate at once, by one image under its inverted body.
+for every candidate at once, by one image under its inverted body, and a
+shape for all selected foci at once, on raw elements (node ids and
+values), its conjunction narrowing the foci atom by atom.
 
 Evaluation is pure over immutable inputs, same sharing contract as the
 other dialect modules; no state outlives a call.  Ill-sorted schemas are
@@ -39,15 +41,16 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 from .model import (
     CommonGraph,
     EdgeTriple,
+    Elem,
     Focus,
-    Node,
     Record,
     SortError,
     TriformError,
-    Val,
     Value,
     ValueTypeRegistry,
-    sorted_foci,
+    elem_focus,
+    elems_to_foci,
+    focus_elem,
     value_type_member,
 )
 from .report import ValidationReport, make_report
@@ -367,30 +370,10 @@ def path_image(g: CommonGraph, path: NodePath, sources: Set, registry=None) -> S
     an element of the wrong kind, and a filter passes graph nodes only.
     The star is reflexive on every source.
     """
-    if isinstance(path, PName):
-        q = path.q
-        out = set()
-        for u in sources:
-            for e in g.out_edges(u):
-                if e.p == q:
-                    out.add(e.o)
-            w = g.prop(u, q)
-            if w is not None:
-                out.add(w)
-        return out
+    if isinstance(path, PName) or (isinstance(path, PInv) and isinstance(path.inner, PName)):
+        return set().union(*[image for _, image in path_images(g, path, sources)])
     if isinstance(path, PInv):
         step = path.inner
-        if isinstance(step, PName):
-            q = step.q
-            out = set()
-            for u in sources:
-                for e in g.in_edges(u):
-                    if e.p == q:
-                        out.add(e.s)
-                for n, k in g.value_owners(u):
-                    if k == q:
-                        out.add(n)
-            return out
         if isinstance(step, PPred):
             q = step.p
             return {e.s for u in sources for e in g.in_edges(u) if e.p == q}
@@ -425,6 +408,45 @@ def path_image(g: CommonGraph, path: NodePath, sources: Set, registry=None) -> S
     raise TriformError(f"unknown PG-path node {path!r}")
 
 
+def path_images(g: CommonGraph, path: NodePath, elems: Set[Elem], registry=None) -> List[Tuple[Elem, Set]]:
+    """Each raw element of ``elems`` paired with its image under an
+    inverse-normalized path: :func:`path_image` of the element alone.  A
+    name step or its inverse is read here, in one loop over the
+    adjacency lists; predicate and key names are disjoint, so such a
+    step reads the properties or the edges, never both."""
+    step = path.inner if type(path) is PInv else path
+    if type(step) is not PName:
+        return [(x, path_image(g, path, {x}, registry)) for x in elems]
+    q = step.q
+    if step is path:
+        if q in g.keys:
+            props = g.props
+            return [(x, {w} if (w := props.get((x, q))) is not None else set()) for x in elems]
+        return [(x, {e.o for e in g.out_edges(x) if e.p == q}) for x in elems]
+    if q in g.keys:
+        return [(x, {n for n, k in g.value_owners(x) if k == q}) for x in elems]
+    return [(x, {e.s for e in g.in_edges(x) if e.p == q}) for x in elems]
+
+
+def _pg_image(g: CommonGraph, path: PgPath, x: Elem, registry) -> Set[Elem]:
+    """The raw image of the raw element ``x``; see :func:`eval_pg_path`."""
+    if path.src_key is not None:
+        if type(x) is not Value:
+            raise SortError(f"value-sorted path evaluated at node focus {elem_focus(x)!r}")
+        src_key = path.src_key
+        nodes = {n for n, k in g.value_owners(x) if k == src_key}
+    else:
+        if type(x) is not str:
+            raise SortError(f"node-sorted path evaluated at value focus {elem_focus(x)!r}")
+        nodes = {x} if x in g.nodes else set()
+    if path.body is not None:
+        nodes = path_image(g, path.normal_body, nodes, registry)
+    if path.dst_key is not None:
+        props, dst_key = g.props, path.dst_key
+        return {w for u in nodes if (w := props.get((u, dst_key))) is not None}
+    return nodes
+
+
 def eval_pg_path(
     g: CommonGraph,
     v: Focus,
@@ -438,24 +460,7 @@ def eval_pg_path(
     image: no step leaves it, no filter passes it, and the star's
     reflexive part covers graph nodes only.
     """
-    if path.src_key is not None:
-        if not isinstance(v, Val):
-            raise SortError(f"value-sorted path evaluated at node focus {v!r}")
-        nodes = {n for (n, k) in g.value_owners(v.value) if k == path.src_key}
-    else:
-        if not isinstance(v, Node):
-            raise SortError(f"node-sorted path evaluated at value focus {v!r}")
-        nodes = {v.id} if v.id in g.nodes else set()
-    if path.body is not None:
-        nodes = path_image(g, path.normal_body, nodes, registry)
-    if path.dst_key is not None:
-        out: Set[Focus] = set()
-        for u in nodes:
-            w = g.prop(u, path.dst_key)
-            if w is not None:
-                out.add(Val(w))
-        return out
-    return {Node(u) for u in nodes}
+    return {elem_focus(u) for u in _pg_image(g, path, focus_elem(v), registry)}
 
 
 # ---------------------------------------------------------------------------
@@ -512,19 +517,29 @@ def shape_src_sort(shape: PgShape) -> str:
     return sorts.pop()
 
 
+def _sat(g: CommonGraph, shape: PgShape, elems: Set[Elem], registry) -> Set[Elem]:
+    """The elements of ``elems`` that satisfy ``shape``, decided atom by
+    atom: each count atom keeps the elements whose image has an
+    admissible number of distinct elements, and the next atom sees only
+    those.  Elements are raw (node ids and values)."""
+    for atom in shape_atoms(shape):
+        path, n = atom.path, atom.n
+        if type(atom) is PgGeq:
+            elems = {x for x in elems if len(_pg_image(g, path, x, registry)) >= n}
+        else:
+            elems = {x for x in elems if len(_pg_image(g, path, x, registry)) <= n}
+    return elems
+
+
 def pg_satisfies(
     g: CommonGraph,
     v: Focus,
     shape: PgShape,
     registry: Optional[ValueTypeRegistry] = None,
 ) -> bool:
-    if isinstance(shape, PgLeq):
-        return len(eval_pg_path(g, v, shape.path, registry)) <= shape.n
-    if isinstance(shape, PgGeq):
-        return len(eval_pg_path(g, v, shape.path, registry)) >= shape.n
-    if isinstance(shape, PgAnd):
-        return pg_satisfies(g, v, shape.left, registry) and pg_satisfies(g, v, shape.right, registry)
-    raise TriformError(f"unknown PG-shape {shape!r}")
+    """Whether ``v`` satisfies ``shape``: the set evaluator at one focus."""
+    x = focus_elem(v)
+    return x in _sat(g, shape, {x}, registry)
 
 
 def check_rule_sorts(rules: Sequence[PgRule]) -> None:
@@ -537,6 +552,19 @@ def check_rule_sorts(rules: Sequence[PgRule]) -> None:
             raise SortError(f"rule {i}: selector and shape disagree on focus sort")
 
 
+def _select(g: CommonGraph, sel: PgSelector, registry) -> Set[Elem]:
+    path = sel.path
+    if path.dst_key is None:
+        starts: Set[str] = set(g.nodes)
+    else:
+        starts = {n for (n, k) in g.props if k == path.dst_key}
+    if path.body is not None:
+        starts = path_image(g, push_inv(path.body, flipped=True), starts, registry) & g.nodes
+    if path.src_key is None:
+        return starts
+    return {g.prop(u, path.src_key) for u in starts} - {None}
+
+
 def pg_select(
     g: CommonGraph,
     sel: PgSelector,
@@ -546,17 +574,7 @@ def pg_select(
     decided for all at once: the nodes whose body image meets the range
     (all nodes, or the owners of ``dst_key``) are the range's image under
     the inverted body; a value is selected when a ``src_key`` owner is."""
-    path = sel.path
-    if path.dst_key is None:
-        starts: Set[str] = set(g.nodes)
-    else:
-        starts = {n for (n, k) in g.props if k == path.dst_key}
-    if path.body is not None:
-        starts = path_image(g, push_inv(path.body, flipped=True), starts, registry) & g.nodes
-    if path.src_key is None:
-        return sorted_foci(Node(u) for u in starts)
-    owned = {g.prop(u, path.src_key) for u in starts} - {None}
-    return sorted_foci(Val(w) for w in owned)
+    return elems_to_foci(_select(g, sel, registry))
 
 
 def pg_validate(
@@ -564,11 +582,15 @@ def pg_validate(
     rules: Sequence[PgRule],
     registry: Optional[ValueTypeRegistry] = None,
 ) -> ValidationReport:
+    """Check every selected focus against its shape.
+
+    Each rule is decided for all its selected elements at once, by the
+    set evaluator; foci are built for the failing elements only."""
     check_rule_sorts(rules)
     per_rule = []
     for sel, shape in rules:
-        selected = pg_select(g, sel, registry)
-        failing = [v for v in selected if not pg_satisfies(g, v, shape, registry)]
+        selected = _select(g, sel, registry)
+        failing = elems_to_foci(selected - _sat(g, shape, selected, registry))
         per_rule.append((selected, failing))
     return make_report(per_rule)
 

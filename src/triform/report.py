@@ -9,7 +9,7 @@ reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import Collection, List, Tuple
 
 from .model import Focus, focus_sort_key
 
@@ -40,8 +40,10 @@ class ValidationReport:
         return sorted({v.rule_index for v in self.violations})
 
 
-def make_report(per_rule: List[Tuple[List[Focus], List[Focus]]]) -> ValidationReport:
-    """Assemble a report from per-rule (selected, failing) focus lists."""
+def make_report(per_rule: List[Tuple[Collection, List[Focus]]]) -> ValidationReport:
+    """Assemble a report from per-rule (selected, failing) pairs: the
+    selected foci or raw elements, of which only the number is used, and
+    the failing foci."""
     violations: List[Violation] = []
     stats: List[RuleStats] = []
     for idx, (selected, failing) in enumerate(per_rule):

@@ -1,11 +1,16 @@
 """SHACL core: path expressions, shapes, selectors, and validation.
 
 Path expressions denote binary relations over nodes and values; shapes
-are unary formulas evaluated at a focus.  The denoted relation of a path
-can be infinite (``id`` relates every element of the universe to itself)
-but its image at a focus is always contained in the graph's elements
-plus the focus itself, because edge and property steps only ever relate
-graph elements.  Evaluation therefore works on that finite domain; this
+are unary formulas, and the meaning of a shape is its extension, the
+set of elements that satisfy it.  The denoted relation of a path can be
+infinite (``id`` relates every element of the universe to itself) but
+its image at a focus is always contained in the graph's elements plus
+the focus itself, because edge and property steps only ever relate
+graph elements.  So every extension the validator needs is cut to a
+finite domain, the selected foci plus the images reached from them,
+and is computed set-at-a-time on raw elements (node ids and values):
+boolean connectives are set operations, and a count atom evaluates its
+body once, on the union of its foci's images (see :func:`_sat`).  This
 restriction is the load-bearing fact of this module and is exercised
 against a full relational oracle in the test harness.
 
@@ -23,17 +28,29 @@ from .model import (
     FWD,
     INV,
     CommonGraph,
+    Elem,
     Focus,
-    Node,
     TriformError,
-    Val,
     Value,
     ValueTypeRegistry,
-    sorted_foci,
+    elem_focus,
+    elems_to_foci,
+    focus_elem,
     triple_ends,
     value_type_member,
 )
-from .pgschema import NodePath, PConcat, PId, PInv, PName, PStar, PUnion, path_image, push_inv
+from .pgschema import (
+    NodePath,
+    PConcat,
+    PId,
+    PInv,
+    PName,
+    PStar,
+    PUnion,
+    path_image,
+    path_images,
+    push_inv,
+)
 from .report import ValidationReport, make_report
 
 # ---------------------------------------------------------------------------
@@ -235,15 +252,70 @@ def eval_path(g: CommonGraph, v: Focus, path: PathExpr) -> Set[Focus]:
     (the focus enters only through ``id``).  Evaluated by
     :func:`pgschema.path_image` on the lowered path.
     """
-    start = v.id if isinstance(v, Node) else v.value
-    out: Set[Focus] = set()
-    for u in path_image(g, path.lowered, {start}):
-        out.add(Node(u) if type(u) is str else Val(u))
-    return out
+    return {elem_focus(u) for u in path_image(g, path.lowered, {focus_elem(v)})}
 
 
 # ---------------------------------------------------------------------------
 # Shape satisfaction
+
+
+def _sat(g: CommonGraph, shape: ShaclShape, elems: Set[Elem], registry) -> Set[Elem]:
+    """The elements of ``elems`` that satisfy ``shape``: the shape's
+    extension cut to ``elems``.  Elements are raw (node ids and values).
+
+    A count atom takes every element's image once, evaluates its body
+    once on the union of those images, and compares the size of each
+    image's intersection with the body's extension against the bound.
+    The result is a set the caller must not mutate.
+    """
+    kind = type(shape)
+    if kind is Top:
+        return elems
+    if kind is And:
+        return _sat(g, shape.right, _sat(g, shape.left, elems, registry), registry)
+    if kind is Or:
+        left = _sat(g, shape.left, elems, registry)
+        rest = elems - left
+        return left | _sat(g, shape.right, rest, registry) if rest else left
+    if kind is Not:
+        return elems - _sat(g, shape.inner, elems, registry)
+    if kind is GeqCount or kind is LeqCount:
+        n, geq = shape.n, kind is GeqCount
+        if geq and n == 0:
+            return elems
+        images = path_images(g, shape.path.lowered, elems, registry)
+        if type(shape.body) is Top:
+            counts = [(x, len(img)) for x, img in images]
+        else:
+            body = _sat(g, shape.body, set().union(*[img for _, img in images]), registry)
+            counts = [(x, len(img & body)) for x, img in images]
+        if geq:
+            return {x for x, c in counts if c >= n}
+        return {x for x, c in counts if c <= n}
+    if kind is TestConst:
+        return {shape.c} & elems
+    if kind is TestType:
+        t = shape.t
+        return {x for x in elems if type(x) is Value and value_type_member(x, t, registry)}
+    if kind is Closed:
+        # only outgoing triples are constrained; values have none
+        allowed = shape.allowed
+        return {
+            x
+            for x in elems
+            if type(x) is not str
+            or (
+                all(e.p in allowed for e in g.out_edges(x))
+                and all(k in allowed for k in g.node_props(x))
+            )
+        }
+    if kind is Eq or kind is Disj:
+        images = path_images(g, shape.path.lowered, elems, registry)
+        steps = dict(path_images(g, PName(shape.p), elems))
+        if kind is Eq:
+            return {x for x, img in images if img == steps[x]}
+        return {x for x, img in images if img.isdisjoint(steps[x])}
+    raise TriformError(f"unknown SHACL shape {shape!r}")
 
 
 def shacl_satisfies(
@@ -252,56 +324,19 @@ def shacl_satisfies(
     shape: ShaclShape,
     registry: Optional[ValueTypeRegistry] = None,
 ) -> bool:
-    if isinstance(shape, Top):
-        return True
-    if isinstance(shape, TestConst):
-        return isinstance(v, Val) and v.value == shape.c
-    if isinstance(shape, TestType):
-        return isinstance(v, Val) and value_type_member(v.value, shape.t, registry)
-    if isinstance(shape, Closed):
-        # only outgoing triples are constrained; values have none
-        if not isinstance(v, Node):
-            return True
-        for e in g.out_edges(v.id):
-            if e.p not in shape.allowed:
-                return False
-        for k in g.node_props(v.id):
-            if k not in shape.allowed:
-                return False
-        return True
-    if isinstance(shape, Eq):
-        return eval_path(g, v, shape.path) == eval_path(g, v, Step(shape.p))
-    if isinstance(shape, Disj):
-        return not (eval_path(g, v, shape.path) & eval_path(g, v, Step(shape.p)))
-    if isinstance(shape, Not):
-        return not shacl_satisfies(g, v, shape.inner, registry)
-    if isinstance(shape, And):
-        return shacl_satisfies(g, v, shape.left, registry) and shacl_satisfies(
-            g, v, shape.right, registry
-        )
-    if isinstance(shape, Or):
-        return shacl_satisfies(g, v, shape.left, registry) or shacl_satisfies(
-            g, v, shape.right, registry
-        )
-    if isinstance(shape, GeqCount):
-        image = eval_path(g, v, shape.path)
-        hits = 0
-        for u in image:
-            if shacl_satisfies(g, u, shape.body, registry):
-                hits += 1
-                if hits >= shape.n:
-                    return True
-        return hits >= shape.n
-    if isinstance(shape, LeqCount):
-        image = eval_path(g, v, shape.path)
-        hits = 0
-        for u in image:
-            if shacl_satisfies(g, u, shape.body, registry):
-                hits += 1
-                if hits > shape.n:
-                    return False
-        return True
-    raise TriformError(f"unknown SHACL shape {shape!r}")
+    """Whether ``v`` satisfies ``shape``: the set evaluator at one focus."""
+    x = focus_elem(v)
+    return x in _sat(g, shape, {x}, registry)
+
+
+def _select(g: CommonGraph, sel: ShaclSelector) -> Set[Elem]:
+    if isinstance(sel, ExistsOut):
+        return triple_ends(g, sel.q, FWD)
+    if isinstance(sel, ExistsIn):
+        return triple_ends(g, sel.q, INV)
+    if isinstance(sel, SelConst):
+        return {sel.c}
+    raise TriformError(f"unknown SHACL selector {sel!r}")
 
 
 def shacl_select(g: CommonGraph, sel: ShaclSelector) -> List[Focus]:
@@ -310,15 +345,7 @@ def shacl_select(g: CommonGraph, sel: ShaclSelector) -> List[Focus]:
     ``SelConst`` contributes its constant even when it does not occur in
     the graph; the other forms ground to the graph's triples.
     """
-    if isinstance(sel, ExistsOut):
-        out = triple_ends(g, sel.q, FWD)
-    elif isinstance(sel, ExistsIn):
-        out = triple_ends(g, sel.q, INV)
-    elif isinstance(sel, SelConst):
-        out = {Val(sel.c)}
-    else:
-        raise TriformError(f"unknown SHACL selector {sel!r}")
-    return sorted_foci(out)
+    return elems_to_foci(_select(g, sel))
 
 
 def shacl_validate(
@@ -326,10 +353,13 @@ def shacl_validate(
     rules: List[ShaclRule],
     registry: Optional[ValueTypeRegistry] = None,
 ) -> ValidationReport:
-    """Check every selected focus against its shape; valid iff no failures."""
+    """Check every selected focus against its shape; valid iff no failures.
+
+    Each rule is decided for all its selected elements at once; foci are
+    built for the failing elements only."""
     per_rule = []
     for sel, shape in rules:
-        selected = shacl_select(g, sel)
-        failing = [v for v in selected if not shacl_satisfies(g, v, shape, registry)]
+        selected = _select(g, sel)
+        failing = elems_to_foci(selected - _sat(g, shape, selected, registry))
         per_rule.append((selected, failing))
     return make_report(per_rule)

@@ -47,6 +47,7 @@ from .model import (
     FWD,
     INV,
     CommonGraph,
+    Elem,
     Focus,
     NeighborhoodTooLarge,
     Node,
@@ -56,7 +57,9 @@ from .model import (
     Value,
     ValueTypeRegistry,
     neigh_signed,  # noqa: F401  unused here, but the benchmark's tracer patches it on this module
-    sorted_foci,
+    elem_focus,
+    elems_to_foci,
+    focus_elem,
     triple_ends,
     value_type_member,
 )
@@ -408,13 +411,14 @@ class _Compiled:
 @dataclass
 class EvalContext:
     """Per-run state: the compiled shapes (keyed by ``id`` of the source
-    shape, each template with its verdict memo) and the (focus, shape
-    id) verdict cache.  Nothing is cached in module globals, so separate
-    contexts may run in separate threads."""
+    shape, each template with its verdict memo) and the (element, shape
+    id) verdict cache, keyed by raw elements (node ids and values), not
+    by foci.  Nothing is cached in module globals, so separate contexts
+    may run in separate threads."""
 
     cap: int
     registry: Optional[ValueTypeRegistry] = None
-    cache: Dict[Tuple[Focus, int], bool] = field(default_factory=dict)
+    cache: Dict[Tuple[Elem, int], bool] = field(default_factory=dict)
     compiled: Dict[int, _Compiled] = field(default_factory=dict)
 
 
@@ -497,45 +501,47 @@ def _template(ctx: EvalContext, expr: TripleExpr, openness: Openness) -> _Templa
     return t
 
 
-def _signatures(ctx: EvalContext, g: CommonGraph, v: Focus, t: _Template) -> List[int]:
-    """The signatures of the focus's signed triples, read straight from
-    the adjacency lists: out-edges, properties, then in-edges.  The
-    triples are counted against the cap before any nested shape is
-    evaluated."""
+def _signatures(ctx: EvalContext, g: CommonGraph, x: Elem, t: _Template) -> List[int]:
+    """The signatures of the signed triples of the raw element ``x``,
+    read straight from the adjacency lists: out-edges, properties, then
+    in-edges.  The triples are counted against the cap before any nested
+    shape is evaluated."""
     plans, plan = t.plans, t.plan
     sigs = []
-    if isinstance(v, Node):
-        out, props, inc = g.out_edges(v.id), g.node_props(v.id), g.in_edges(v.id)
-        _check_cap(ctx, v, len(out) + len(props) + len(inc))
+    if type(x) is str:
+        out, props, inc = g.out_edges(x), g.node_props(x), g.in_edges(x)
+        _check_cap(ctx, x, len(out) + len(props) + len(inc))
         for e in out:
             sig, tested = plans.get((e.p, FWD)) or plan(e.p, FWD)
-            sigs.append(_tested(ctx, g, sig, tested, Node(e.o)) if tested else sig)
+            sigs.append(_tested(ctx, g, sig, tested, e.o) if tested else sig)
         for k, w in props.items():
             sig, tested = plans.get((k, FWD)) or plan(k, FWD)
-            sigs.append(_tested(ctx, g, sig, tested, Val(w)) if tested else sig)
+            sigs.append(_tested(ctx, g, sig, tested, w) if tested else sig)
         for e in inc:
             sig, tested = plans.get((e.p, INV)) or plan(e.p, INV)
-            sigs.append(_tested(ctx, g, sig, tested, Node(e.s)) if tested else sig)
+            sigs.append(_tested(ctx, g, sig, tested, e.s) if tested else sig)
     else:
-        owners = g.value_owners(v.value)
-        _check_cap(ctx, v, len(owners))
+        owners = g.value_owners(x)
+        _check_cap(ctx, x, len(owners))
         for n, k in owners:
             sig, tested = plans.get((k, INV)) or plan(k, INV)
-            sigs.append(_tested(ctx, g, sig, tested, Node(n)) if tested else sig)
+            sigs.append(_tested(ctx, g, sig, tested, n) if tested else sig)
     return sigs
 
 
-def _tested(ctx: EvalContext, g: CommonGraph, sig: int, tested: list, far: Focus) -> int:
+def _tested(ctx: EvalContext, g: CommonGraph, sig: int, tested: list, far: Elem) -> int:
     """``sig`` with the bits of the tested leaves whose nested shape ``far`` satisfies."""
     for bit, nested in tested:
-        if _satisfies(ctx, g, far, nested):
+        if _holds(ctx, g, far, nested):
             sig |= bit
     return sig
 
 
-def _check_cap(ctx: EvalContext, v: Focus, size: int) -> None:
+def _check_cap(ctx: EvalContext, x: Elem, size: int) -> None:
     if size > ctx.cap:
-        raise NeighborhoodTooLarge(f"signed neighborhood of {v!r} has {size} triples (cap {ctx.cap})")
+        raise NeighborhoodTooLarge(
+            f"signed neighborhood of {elem_focus(x)!r} has {size} triples (cap {ctx.cap})"
+        )
 
 
 def _layout(t: _Template, sigs: List[int]) -> List[int]:
@@ -570,8 +576,8 @@ def _program(t: _Template, sigs: List[int]):
     return t.ops, t.lefts, t.rights, support, t.lo, t.hi, t.root, (1 << len(sigs)) - 1
 
 
-def _match(ctx: EvalContext, g: CommonGraph, v: Focus, t: _Template) -> bool:
-    sigs = _signatures(ctx, g, v, t)
+def _match(ctx: EvalContext, g: CommonGraph, x: Elem, t: _Template) -> bool:
+    sigs = _signatures(ctx, g, x, t)
     key = tuple(sorted(sigs))
     verdict = t.verdicts.get(key)
     if verdict is None:
@@ -580,24 +586,31 @@ def _match(ctx: EvalContext, g: CommonGraph, v: Focus, t: _Template) -> bool:
 
 
 def _satisfies(ctx: EvalContext, g: CommonGraph, v: Focus, c: _Compiled) -> bool:
-    key = (v, c.sid)
+    """Whether the focus ``v`` satisfies the compiled shape."""
+    return _holds(ctx, g, focus_elem(v), c)
+
+
+def _holds(ctx: EvalContext, g: CommonGraph, x: Elem, c: _Compiled) -> bool:
+    """Whether the raw element ``x`` satisfies the compiled shape; the
+    verdict cache is keyed by (element, shape id)."""
+    key = (x, c.sid)
     cached = ctx.cache.get(key)
     if cached is not None:
         return cached
     kind = c.kind
     if kind is SNeigh:
         # no template: the top shape, which matches every neighborhood
-        result = c.template is None or _match(ctx, g, v, c.template)
+        result = c.template is None or _match(ctx, g, x, c.template)
     elif kind is SAnd:
-        result = _satisfies(ctx, g, v, c.left) and _satisfies(ctx, g, v, c.right)
+        result = _holds(ctx, g, x, c.left) and _holds(ctx, g, x, c.right)
     elif kind is SOr:
-        result = _satisfies(ctx, g, v, c.left) or _satisfies(ctx, g, v, c.right)
+        result = _holds(ctx, g, x, c.left) or _holds(ctx, g, x, c.right)
     elif kind is SNot:
-        result = not _satisfies(ctx, g, v, c.left)
+        result = not _holds(ctx, g, x, c.left)
     elif kind is STestConst:
-        result = isinstance(v, Val) and v.value == c.shape.c
+        result = type(x) is Value and x == c.shape.c
     else:
-        result = isinstance(v, Val) and value_type_member(v.value, c.shape.t, ctx.registry)
+        result = type(x) is Value and value_type_member(x, c.shape.t, ctx.registry)
     ctx.cache[key] = result
     return result
 
@@ -615,7 +628,7 @@ def match_triple_expr(
     if _is_top(expr, openness):
         return True  # the top shape matches every neighborhood
     ctx = EvalContext(cap if cap is not None else default_cap(), registry)
-    return _match(ctx, g, v, _template(ctx, expr, openness))
+    return _match(ctx, g, focus_elem(v), _template(ctx, expr, openness))
 
 
 def match_witness(
@@ -633,7 +646,7 @@ def match_witness(
     """
     ctx = EvalContext(cap if cap is not None else default_cap(), registry)
     t = _template(ctx, expr, openness)
-    sigs = _signatures(ctx, g, v, t)
+    sigs = _signatures(ctx, g, focus_elem(v), t)
     raw = _bagmatch_py.bag_match_witness(*_program(t, sigs))
     if raw is None:
         return None
@@ -678,21 +691,19 @@ def shex_select(g: CommonGraph, sel: ShexSelector) -> List[Focus]:
     element (the openness wildcards absorb everything beyond the one
     required triple), but never hits the neighborhood cap.
     """
-    out: Set[Focus] = set()
+    out: Set[Elem]
     if isinstance(sel, SelTestConst):
-        out.add(Val(sel.c))
+        out = {sel.c}
     elif isinstance(sel, SelOutConst):
-        for (n, k), w in g.props.items():
-            if k == sel.q and w == sel.c:
-                out.add(Node(n))
         # predicate endpoints are nodes and never equal a value constant
+        out = {n for (n, k), w in g.props.items() if k == sel.q and w == sel.c}
     elif isinstance(sel, SelOut):
         out = triple_ends(g, sel.q, FWD)
     elif isinstance(sel, SelIn):
         out = triple_ends(g, sel.q, INV)
     else:
         raise TriformError(f"unknown ShEx selector {sel!r}")
-    return sorted_foci(out)
+    return elems_to_foci(out)
 
 
 def shex_validate(

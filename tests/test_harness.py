@@ -20,16 +20,29 @@ from triform.harness import (
 )
 from triform.examples import counting_pair, counting_shacl_rule, counting_shex_shape
 from triform.model import (
+    FWD,
     EdgeNotInGraph,
     EdgeTriple,
+    InstanceTooLarge,
     Node,
     PropTriple,
     build_graph,
     int_v,
+    str_v,
 )
 from triform.report import ValidationReport, Violation
 from triform.shacl import GeqCount, LeqCount, Not, Star, Step, Top, shacl_validate
-from triform.shex import Eps, HalfOpen, NO_NAMES
+from triform.shex import (
+    NO_NAMES,
+    TC,
+    Eps,
+    HalfOpen,
+    Open,
+    Seq,
+    SNeigh,
+    match_triple_expr,
+    top_shape,
+)
 from triform.cogsl import check_common, cogsl_to_shacl, cogsl_validate
 
 
@@ -182,6 +195,26 @@ def test_run_campaign_zero_trials():
 def test_brute_match_oracle_trivial():
     g = build_graph([], [])
     assert brute_match_oracle(g, Node("v"), Eps(), HalfOpen(NO_NAMES))
+
+
+def test_brute_match_oracle_takes_far_ends_of_any_size_under_the_top_shape():
+    # 25 hubs share one string value: its neighbourhood is far above the
+    # oracle's bound, but the top shape takes it without looking
+    hubs = [f"h{i}" for i in range(25)]
+    g = build_graph(
+        [EdgeTriple("h0", "p", "x")],
+        [PropTriple(h, "k", str_v("shared")) for h in hubs],
+    )
+    assert len(g.value_owners(str_v("shared"))) > harness.MAX_ORACLE_NEIGH
+    one_k = Seq(TC("k", FWD, top_shape()), TC("p", FWD, top_shape()))
+    assert brute_match_oracle(g, Node("h0"), one_k, HalfOpen(NO_NAMES))
+    assert match_triple_expr(g, Node("h0"), one_k, HalfOpen(NO_NAMES))
+    assert not brute_match_oracle(g, Node("h1"), one_k, HalfOpen(NO_NAMES))
+    # a nested neighbourhood shape other than the top shape is still
+    # judged exhaustively
+    only_incoming = SNeigh(Eps(), HalfOpen(NO_NAMES))
+    with pytest.raises(InstanceTooLarge):
+        brute_match_oracle(g, Node("h0"), TC("k", FWD, only_incoming), Open(NO_NAMES, NO_NAMES))
 
 
 def test_brute_path_oracle_star_chain():

@@ -237,7 +237,7 @@ def decide_with_memo(g, expr, openness):
     the kernel memoized deciding it."""
     ctx = EvalContext(cap=64)
     template = _template(ctx, expr, openness)
-    ops, lefts, rights, support, lo, hi, root, full = _program(template, _signatures(ctx, g, Node("c"), template))
+    ops, lefts, rights, support, lo, hi, root, full = _program(template, _signatures(ctx, g, "c", template))
     can, memo = _decider(ops, lefts, rights, support, lo, hi)
     return can(root, full), len(memo)
 

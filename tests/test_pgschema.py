@@ -1,8 +1,10 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
+import triform.harness as harness
 from triform.harness import (
     GenParams,
     brute_edge_type_member,
@@ -65,6 +67,7 @@ from triform.pgschema import (
     pg_select,
     pg_validate,
     pred_path,
+    shape_atoms,
     validate_graph_type,
 )
 from triform.shacl import Step, eval_path
@@ -554,3 +557,69 @@ def test_graph_type_check_equals_per_element_definition():
             edge_bad += len(want_edges)
         differ += verdicts[0] != verdicts[1]
     assert differ >= 3 and node_bad and edge_bad, (differ, node_bad, edge_bad)
+
+
+def per_focus_satisfies(g, v, shape):
+    """The definition of PG satisfaction: every count atom bounds the
+    number of distinct elements in the focus's image, taken from the
+    relational oracle."""
+    for atom in shape_atoms(shape):
+        size = len(brute_pg_path_oracle(g, v, atom.path))
+        if not (size >= atom.n if isinstance(atom, PgGeq) else size <= atom.n):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("nodes, density", [(8, 0.18), (12, 0.12), (40, 0.04)])
+def test_rule_focus_verdicts_equal_per_focus_counting(nodes, density, monkeypatch):
+    monkeypatch.setattr(harness, "MAX_ORACLE_DOMAIN", 64)
+    verdicts = Counter()
+    atoms = Counter()
+    for seed in range(100):
+        p = GenParams(seed=seed, node_count=nodes, edge_density=density, schema_size_budget=5)
+        g = gen_graph(p)
+        rules = gen_cogsl_schema(p)
+        report = pg_validate(g, rules)
+        failing = {(viol.rule_index, viol.focus) for viol in report.violations}
+        for i, (sel, shape) in enumerate(rules):
+            foci = per_focus_select(g, sel)
+            assert report.stats[i].selected == len(foci)
+            for v in foci:
+                want = per_focus_satisfies(g, v, shape)
+                assert ((i, v) not in failing) == want, (nodes, seed, i, v)
+                assert pg_satisfies(g, v, shape) == want
+                verdicts[want] += 1
+                for atom in shape_atoms(shape):
+                    atoms["src_key"] += atom.path.src_key is not None
+                    atoms["dst_key"] += atom.path.dst_key is not None
+        assert len(failing) == len(report.violations)
+    assert verdicts[True] > 100 and verdicts[False] > 100, verdicts
+    assert atoms["src_key"] > 100 and atoms["dst_key"] > 100, atoms
+
+
+def test_key_images_count_each_value_once():
+    # c reaches three k-owners through p, two of which share a value;
+    # the value 1 is owned through k by a and b, and reaches c twice
+    g = build_graph(
+        [EdgeTriple("c", "p", "a"), EdgeTriple("c", "p", "b"), EdgeTriple("c", "p", "d")],
+        [
+            PropTriple("a", "k", int_v(1)),
+            PropTriple("b", "k", int_v(1)),
+            PropTriple("d", "k", int_v(2)),
+            PropTriple("c", "m", str_v("x")),
+        ],
+    )
+    to_values = PgPath(None, PPred("p"), "k")
+    back_to_c = PgPath("k", PInv(PPred("p")), None)
+    rules = [
+        (PgGeq(1, pred_path("p")), PgLeq(2, to_values)),
+        (PgGeq(1, pred_path("p")), PgGeq(3, to_values)),
+        (PgGeq(1, inv_key_path("k")), PgLeq(1, back_to_c)),
+        (PgGeq(1, inv_key_path("k")), PgLeq(1, PgPath("k", PInv(PPred("p")), "m"))),
+    ]
+    report = pg_validate(g, rules)
+    assert [(viol.rule_index, viol.focus) for viol in report.violations] == [(1, Node("c"))]
+    assert pg_satisfies(g, Node("c"), rules[0][1]) and not pg_satisfies(g, Node("c"), rules[1][1])
+    for v in (Val(int_v(1)), Val(int_v(2))):
+        assert len(brute_pg_path_oracle(g, v, back_to_c)) == 1
+        assert pg_satisfies(g, v, rules[3][1])

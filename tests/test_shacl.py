@@ -1,10 +1,33 @@
 import random
+from collections import Counter
 
-from triform.harness import GenParams, brute_path_oracle, gen_graph, gen_shacl_path, gen_shacl_shape
-from triform.model import EdgeTriple, Node, PropTriple, Val, build_graph, int_v, str_v
+import pytest
+
+import triform.harness as harness
+from triform.harness import (
+    GenParams,
+    brute_path_oracle,
+    gen_graph,
+    gen_shacl_path,
+    gen_shacl_schema,
+    gen_shacl_shape,
+)
+from triform.model import (
+    EdgeTriple,
+    Node,
+    PropTriple,
+    Val,
+    ValueTypeRegistry,
+    build_graph,
+    int_v,
+    sorted_foci,
+    str_v,
+    value_type_member,
+)
 from triform.shacl import (
     And,
     Closed,
+    Concat,
     Disj,
     Eq,
     ExistsIn,
@@ -19,6 +42,7 @@ from triform.shacl import (
     SelConst,
     Star,
     Step,
+    TestConst,
     TestType,
     Top,
     count_eq,
@@ -225,3 +249,157 @@ def test_paths_match_relational_oracle():
                 if eval_path(g, Node(u), path) != brute_path_oracle(g, Node(u), path):
                     mismatches += 1
     assert mismatches == 0
+
+
+# ---------------------------------------------------------------------------
+# The set evaluator against the per-focus definition
+
+
+class PerFocus:
+    """SHACL satisfaction by its per-focus definition: recursive over the
+    shape AST, with every path image taken from the relational oracle."""
+
+    def __init__(self, g, registry=None):
+        self.g = g
+        self.registry = registry
+        self.images = {}
+        self.verdicts = {}
+
+    def image(self, v, path):
+        key = (v, id(path))
+        if key not in self.images:
+            self.images[key] = (path, brute_path_oracle(self.g, v, path))
+        return self.images[key][1]
+
+    def select(self, sel):
+        g = self.g
+        if isinstance(sel, SelConst):
+            return {Val(sel.c)}
+        fwd = isinstance(sel, ExistsOut)
+        out = {Node(e.s if fwd else e.o) for e in g.edges if e.p == sel.q}
+        return out | {Node(n) if fwd else Val(w) for (n, k), w in g.props.items() if k == sel.q}
+
+    def sat(self, v, shape):
+        key = (v, id(shape))
+        if key not in self.verdicts:
+            self.verdicts[key] = (shape, self._sat(v, shape))
+        return self.verdicts[key][1]
+
+    def _sat(self, v, shape):
+        if isinstance(shape, Top):
+            return True
+        if isinstance(shape, TestConst):
+            return isinstance(v, Val) and v.value == shape.c
+        if isinstance(shape, TestType):
+            return isinstance(v, Val) and value_type_member(v.value, shape.t, self.registry)
+        if isinstance(shape, Closed):
+            if isinstance(v, Val):
+                return True
+            names = {e.p for e in self.g.edges if e.s == v.id}
+            names |= {k for (n, k) in self.g.props if n == v.id}
+            return names <= shape.allowed
+        if isinstance(shape, Eq):
+            return self.image(v, shape.path) == self.image(v, Step(shape.p))
+        if isinstance(shape, Disj):
+            return not (self.image(v, shape.path) & self.image(v, Step(shape.p)))
+        if isinstance(shape, Not):
+            return not self.sat(v, shape.inner)
+        if isinstance(shape, And):
+            return self.sat(v, shape.left) and self.sat(v, shape.right)
+        if isinstance(shape, Or):
+            return self.sat(v, shape.left) or self.sat(v, shape.right)
+        hits = sum(self.sat(u, shape.body) for u in self.image(v, shape.path))
+        return hits >= shape.n if isinstance(shape, GeqCount) else hits <= shape.n
+
+
+def judge_rules(g, rules, registry=None, extra_foci=()):
+    """Check every (rule, focus) verdict of ``shacl_validate`` and of
+    ``shacl_satisfies`` against the per-focus definition; also check
+    ``shacl_satisfies`` at ``extra_foci``.  Returns the verdicts' counts."""
+    judge = PerFocus(g, registry)
+    report = shacl_validate(g, rules, registry)
+    failing = {(viol.rule_index, viol.focus) for viol in report.violations}
+    verdicts = Counter()
+    for i, (sel, shape) in enumerate(rules):
+        foci = judge.select(sel)
+        assert shacl_select(g, sel) == sorted_foci(foci)
+        assert report.stats[i].selected == len(foci)
+        for v in foci:
+            want = judge.sat(v, shape)
+            assert ((i, v) not in failing) == want, (i, sel, shape, v)
+            assert shacl_satisfies(g, v, shape, registry) == want, (shape, v)
+            verdicts[want] += 1
+        for v in extra_foci:
+            assert shacl_satisfies(g, v, shape, registry) == judge.sat(v, shape), (shape, v)
+    assert len(failing) == len(report.violations) == verdicts[False]
+    return verdicts
+
+
+@pytest.mark.parametrize("nodes, density", [(8, 0.18), (12, 0.12), (40, 0.04)])
+def test_rule_focus_verdicts_equal_the_per_focus_definition(nodes, density, monkeypatch):
+    monkeypatch.setattr(harness, "MAX_ORACLE_DOMAIN", 64)
+    verdicts = Counter()
+    for seed in range(100):
+        p = GenParams(seed=seed, node_count=nodes, edge_density=density, prop_density=0.3)
+        verdicts += judge_rules(gen_graph(p), gen_shacl_schema(p))
+    assert verdicts[True] > 200 and verdicts[False] > 200, verdicts
+
+
+def test_hand_cases_equal_the_per_focus_definition(monkeypatch):
+    monkeypatch.setattr(harness, "MAX_ORACLE_DOMAIN", 64)
+    even = ValueTypeRegistry()
+    even.register("even", lambda w: w.tag == "int" and w.payload % 2 == 0)
+    g = build_graph(
+        [
+            EdgeTriple("a", "p", "b"),
+            EdgeTriple("b", "p", "c"),
+            EdgeTriple("c", "p", "a"),
+            EdgeTriple("a", "q", "a"),
+            EdgeTriple("b", "q", "c"),
+            EdgeTriple("d", "p", "d"),
+            EdgeTriple("d", "q", "d"),
+        ],
+        [
+            PropTriple("a", "k", int_v(2)),
+            PropTriple("b", "k", int_v(3)),
+            PropTriple("c", "k", int_v(2)),
+            PropTriple("d", "m", str_v("x")),
+        ],
+    )
+    off = int_v(98)  # an even constant that occurs nowhere in the graph
+    shapes = [
+        Closed(frozenset({"p", "k"})),
+        Closed(frozenset()),
+        Eq(Id(), "q"),
+        Disj(Id(), "q"),
+        Eq(Star(Step("p")), "p"),
+        Disj(Star(Step("p")), "q"),
+        Eq(Concat(Step("p"), Star(Step("p"))), "q"),
+        Disj(Star(Inverse(Step("k"))), "q"),
+        LeqCount(0, Step("p"), GeqCount(2, Inverse(Step("p")), Top())),
+        LeqCount(0, Star(Step("p")), Not(GeqCount(1, Step("k"), TestType("even")))),
+        GeqCount(1, Star(Inverse(Step("k"))), TestConst(off)),
+        GeqCount(2, Concat(Inverse(Step("k")), Step("p")), Closed(frozenset({"p", "q"}))),
+        Or(TestType("even"), GeqCount(1, Inverse(Step("k")), Closed(frozenset({"p", "q", "k"})))),
+        And(TestType("even"), LeqCount(1, Inverse(Step("k")), Top())),
+        Not(Or(TestConst(int_v(3)), Eq(Id(), "p"))),
+    ]
+    selectors = [ExistsOut("p"), ExistsIn("k"), ExistsIn("p"), SelConst(off), SelConst(int_v(2)), ExistsOut("m")]
+    rules = [(sel, shape) for sel in selectors for shape in shapes]
+    domain = [Node(u) for u in sorted(g.nodes)] + [Val(w) for w in g.values] + [Node("ghost"), Val(off)]
+    verdicts = judge_rules(g, rules, even, domain)
+    assert verdicts[True] > 20 and verdicts[False] > 20, verdicts
+
+
+def test_or_decides_its_right_branch_only_where_its_left_fails():
+    asked = []
+    registry = ValueTypeRegistry()
+    registry.register("asked", lambda w: asked.append(w.payload) or True)
+    g = build_graph([], [PropTriple(f"n{i}", "k", int_v(i)) for i in range(5)])
+    owned = GeqCount(1, Inverse(Step("k")), Closed(frozenset({"k"})))
+    shape = Or(TestConst(int_v(1)), Or(owned, TestType("asked")))
+    assert shacl_validate(g, [(ExistsIn("k"), shape)], registry).valid
+    assert asked == []  # every value has an owner with only its k property
+    shape = Or(TestConst(int_v(1)), TestType("asked"))
+    assert shacl_validate(g, [(ExistsIn("k"), shape)], registry).valid
+    assert sorted(asked) == [0, 2, 3, 4]
