@@ -497,7 +497,7 @@ def gen_shex_schema(p: GenParams) -> List[sx.ShexRule]:
 # ---------------------------------------------------------------------------
 # Brute-force oracles
 
-MAX_ORACLE_DOMAIN = 12
+MAX_ORACLE_DOMAIN = 64  # the path oracles are polynomial in the domain
 MAX_ORACLE_NEIGH = 8
 
 Pair = Tuple[Focus, Focus]
@@ -873,7 +873,7 @@ def copyswap(g: CommonGraph, e: EdgeTriple) -> CommonGraph:
         EdgeTriple(d[e.s], e.p, e.o),
     }
     props = [PropTriple(n, k, w) for (n, k), w in doubled.props.items()]
-    return build_graph(sorted(edges, key=lambda t: (t.s, t.p, t.o)), props)
+    return build_graph(sorted(edges), props)
 
 
 def gen_cn_neighbourhood(
@@ -979,7 +979,7 @@ def shrink_divergence(
     changed = True
     while changed:
         changed = False
-        for e in sorted(current.edges, key=lambda t: (t.s, t.p, t.o)):
+        for e in sorted(current.edges):
             smaller = build_graph(
                 [x for x in current.edges if x != e],
                 [PropTriple(n, k, w) for (n, k), w in current.props.items()],

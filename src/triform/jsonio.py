@@ -154,40 +154,40 @@ def focus_to_json(f: Focus) -> Dict:
     return {"kind": "value", "value": value_to_json(f.value)}
 
 
-def _edge(e: Any, i: int) -> EdgeTriple:
-    if type(e) is dict and len(e) == 3:
-        s, p, o = e.get("s"), e.get("p"), e.get("o")
-        if type(s) is str and type(p) is str and type(o) is str and s and p and o:
-            return EdgeTriple(s, p, o)
-    path = f"$.edges[{i}]"  # a check fails below: name the offending field
-    eo = _obj(e, path, ["s", "p", "o"])
-    return EdgeTriple(*(_str(eo[f], f"{path}.{f}") for f in "spo"))
-
-
 _PAYLOAD_TYPE = {"int": int, "str": str, "bool": bool}
 
 
-def _prop(t: Any, i: int) -> PropTriple:
-    if type(t) is dict and len(t) == 3:
-        n, k, v = t.get("n"), t.get("k"), t.get("v")
-        if type(n) is str and type(k) is str and n and k and type(v) is dict and len(v) == 2:
-            tag, val = v.get("t"), v.get("val")
-            if type(tag) is str and type(val) is _PAYLOAD_TYPE.get(tag):
-                if tag != "int" or INT64_MIN <= val <= INT64_MAX:
-                    return PropTriple(n, k, Value(tag, val))
-    path = f"$.props[{i}]"  # a check fails below: name the offending field
-    to = _obj(t, path, ["n", "k", "v"])
-    return PropTriple(
-        _str(to["n"], f"{path}.n"), _str(to["k"], f"{path}.k"), parse_value(to["v"], f"{path}.v")
-    )
-
-
 def parse_graph(doc: Any) -> CommonGraph:
-    """Error paths are built only once a check fails, so well-formed
-    triples cost no string formatting."""
+    """A triple that passes the fast type tests is built with
+    ``tuple.__new__``, skipping the checks just made; error paths are
+    built only once a test fails, so well-formed triples cost no string
+    formatting."""
     o = _obj(doc, "$", ["edges", "props"])
-    edges = [_edge(e, i) for i, e in enumerate(_list(o["edges"], "$.edges"))]
-    props = [_prop(t, i) for i, t in enumerate(_list(o["props"], "$.props"))]
+    new = tuple.__new__
+    edges: List[EdgeTriple] = []
+    for e in _list(o["edges"], "$.edges"):
+        if type(e) is dict and len(e) == 3:
+            s, p, q = e.get("s"), e.get("p"), e.get("o")
+            if type(s) is str and type(p) is str and type(q) is str and s and p and q:
+                edges.append(new(EdgeTriple, (s, p, q)))
+                continue
+        path = f"$.edges[{len(edges)}]"  # a check fails below: name the offending field
+        eo = _obj(e, path, ["s", "p", "o"])
+        edges.append(EdgeTriple(*(_str(eo[f], f"{path}.{f}") for f in "spo")))
+    props: List[PropTriple] = []
+    for t in _list(o["props"], "$.props"):
+        if type(t) is dict and len(t) == 3:
+            n, k, v = t.get("n"), t.get("k"), t.get("v")
+            if type(n) is str and type(k) is str and n and k and type(v) is dict and len(v) == 2:
+                tag, val = v.get("t"), v.get("val")
+                if type(tag) is str and type(val) is _PAYLOAD_TYPE.get(tag):
+                    if tag != "int" or INT64_MIN <= val <= INT64_MAX:
+                        props.append(new(PropTriple, (n, k, new(Value, (tag, val)))))
+                        continue
+        path = f"$.props[{len(props)}]"  # a check fails below: name the offending field
+        to = _obj(t, path, ["n", "k", "v"])
+        n, k = _str(to["n"], f"{path}.n"), _str(to["k"], f"{path}.k")
+        props.append(PropTriple(n, k, parse_value(to["v"], f"{path}.v")))
     try:
         return build_graph(edges, props)
     except TriformError as exc:
@@ -195,7 +195,7 @@ def parse_graph(doc: Any) -> CommonGraph:
 
 
 def graph_to_json(g: CommonGraph) -> Dict:
-    edges = sorted(g.edges, key=lambda e: (e.s, e.p, e.o))
+    edges = sorted(g.edges)
     props = sorted(g.props.items())
     return {
         "edges": [{"s": e.s, "p": e.p, "o": e.o} for e in edges],

@@ -5,15 +5,19 @@ functional map from (node, key) pairs to atomic values.  It is the shared
 sub-model of RDF triple stores and property graphs: nodes are opaque,
 edges carry a single predicate, and node properties are single-valued.
 
-Everything here is immutable after construction.  Validators in the
-dialect modules only ever read a ``CommonGraph``, so one graph can be
-shared freely between concurrent evaluators.
+Everything here is immutable after construction.  Values and triples
+are tuples, so they hash and compare in C.  A ``CommonGraph`` is built
+in one pass over the edges and one over the property triples, with
+adjacency lists in input order.  Validators in the dialect modules only
+ever read a ``CommonGraph``, so one graph can be shared freely between
+concurrent evaluators.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple, Union
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple, Union
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
@@ -66,32 +70,37 @@ class FormatError(TriformError):
     """A JSON document does not match the expected wire format."""
 
 
-@dataclass(frozen=True)
-class Value:
-    """Tagged atomic value: a 64-bit signed integer, a string, or a boolean.
-
-    Equality is (tag, payload) equality: the integer ``1`` never equals
-    the string ``"1"`` or the boolean ``True``.
-    """
-
+class _ValueFields(NamedTuple):  # a NamedTuple may not define __new__; Value below does
     tag: str
     payload: Union[bool, int, str]
 
-    def __post_init__(self):
-        if self.tag == "bool":
-            if not isinstance(self.payload, bool):
-                raise TriformError(f"bool value with non-bool payload {self.payload!r}")
-        elif self.tag == "int":
+
+class Value(_ValueFields):
+    """Tagged atomic value: a 64-bit signed integer, a string, or a boolean.
+
+    Equality is (tag, payload) equality: the integer ``1`` never equals
+    the string ``"1"`` or the boolean ``True``.  A value is a tuple, so
+    it must never share a set or a dict with plain (tag, payload) pairs.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, tag: str, payload: Union[bool, int, str]) -> "Value":
+        if tag == "bool":
+            if not isinstance(payload, bool):
+                raise TriformError(f"bool value with non-bool payload {payload!r}")
+        elif tag == "int":
             # bool is an int subclass in Python; reject it explicitly
-            if isinstance(self.payload, bool) or not isinstance(self.payload, int):
-                raise TriformError(f"int value with non-int payload {self.payload!r}")
-            if not (INT64_MIN <= self.payload <= INT64_MAX):
-                raise TriformError(f"integer {self.payload} outside the 64-bit signed range")
-        elif self.tag == "str":
-            if not isinstance(self.payload, str):
-                raise TriformError(f"str value with non-str payload {self.payload!r}")
+            if isinstance(payload, bool) or not isinstance(payload, int):
+                raise TriformError(f"int value with non-int payload {payload!r}")
+            if not (INT64_MIN <= payload <= INT64_MAX):
+                raise TriformError(f"integer {payload} outside the 64-bit signed range")
+        elif tag == "str":
+            if not isinstance(payload, str):
+                raise TriformError(f"str value with non-str payload {payload!r}")
         else:
-            raise TriformError(f"unknown value tag {self.tag!r}")
+            raise TriformError(f"unknown value tag {tag!r}")
+        return tuple.__new__(cls, (tag, payload))
 
 
 def int_v(n: int) -> Value:
@@ -141,15 +150,13 @@ def elem_focus(x: Elem) -> Focus:
     return Node(x) if type(x) is str else Val(x)
 
 
-@dataclass(frozen=True)
-class EdgeTriple:
+class EdgeTriple(NamedTuple):
     s: str
     p: str
     o: str
 
 
-@dataclass(frozen=True)
-class PropTriple:
+class PropTriple(NamedTuple):
     n: str
     k: str
     v: Value
@@ -218,9 +225,8 @@ def value_type_member(w: Value, type_id: str, registry: Optional[ValueTypeRegist
 class CommonGraph:
     """Immutable common graph with precomputed adjacency indexes.
 
-    Use :func:`build_graph`; the constructor assumes already-validated
-    inputs (deduplicated edges, functional property map, disjoint
-    predicate/key namespaces).
+    The constructor checks the invariants of :func:`build_graph` in the
+    pass that fills the indexes (``defaultdict``s, read through ``get``).
     """
 
     __slots__ = (
@@ -237,32 +243,38 @@ class CommonGraph:
         "_hash",
     )
 
-    def __init__(self, edges: FrozenSet[EdgeTriple], props: Dict[Tuple[str, str], Value]):
-        self.edges = edges
-        self.props = dict(props)
-        nodes = set()
-        keys = set()
-        values = set()
+    def __init__(self, edges: Iterable[EdgeTriple], props: Iterable[PropTriple]):
+        out_edges: Dict[str, List[EdgeTriple]] = defaultdict(list)
+        in_edges: Dict[str, List[EdgeTriple]] = defaultdict(list)
         preds = set()
-        out_edges: Dict[str, List[EdgeTriple]] = {}
-        in_edges: Dict[str, List[EdgeTriple]] = {}
-        node_props: Dict[str, Dict[str, Value]] = {}
-        value_owners: Dict[Value, List[Tuple[str, str]]] = {}
-        for e in edges:
-            nodes.add(e.s)
-            nodes.add(e.o)
-            preds.add(e.p)
-            out_edges.setdefault(e.s, []).append(e)
-            in_edges.setdefault(e.o, []).append(e)
-        for (n, k), w in self.props.items():
-            nodes.add(n)
-            keys.add(k)
-            values.add(w)
-            node_props.setdefault(n, {})[k] = w
-            value_owners.setdefault(w, []).append((n, k))
-        self.nodes = frozenset(nodes)
+        unique = dict.fromkeys(edges)  # deduplicated, in input order
+        for e in unique:
+            s, p, o = e
+            preds.add(p)
+            out_edges[s].append(e)
+            in_edges[o].append(e)
+        prop_map: Dict[Tuple[str, str], Value] = {}
+        node_props: Dict[str, Dict[str, Value]] = defaultdict(dict)
+        value_owners: Dict[Value, List[Tuple[str, str]]] = defaultdict(list)
+        keys = set()
+        for n, k, w in props:
+            nk = (n, k)
+            old = prop_map.get(nk)
+            if old is None:
+                prop_map[nk] = w
+                keys.add(k)
+                node_props[n][k] = w
+                value_owners[w].append(nk)
+            elif old != w:
+                raise DuplicateKeyValue(f"node {n!r} key {k!r} maps to both {old!r} and {w!r}")
+        clash = preds & keys
+        if clash:
+            raise SortClash(f"names used both as predicate and key: {sorted(clash)}")
+        self.edges = frozenset(unique)
+        self.props = prop_map
+        self.nodes = frozenset(out_edges.keys() | in_edges.keys() | node_props.keys())
         self.keys = frozenset(keys)
-        self.values = frozenset(values)
+        self.values = frozenset(value_owners)
         self.preds = frozenset(preds)
         self._out_edges = out_edges
         self._in_edges = in_edges
@@ -316,21 +328,7 @@ def build_graph(edges: Iterable[EdgeTriple], props: Iterable[PropTriple]) -> Com
     same (node, key) distinct values and :class:`SortClash` if a name is
     used both as a predicate and as a key.
     """
-    edge_set = frozenset(edges)
-    prop_map: Dict[Tuple[str, str], Value] = {}
-    for t in props:
-        old = prop_map.get((t.n, t.k))
-        if old is not None and old != t.v:
-            raise DuplicateKeyValue(
-                f"node {t.n!r} key {t.k!r} maps to both {old!r} and {t.v!r}"
-            )
-        prop_map[(t.n, t.k)] = t.v
-    pred_names = {e.p for e in edge_set}
-    key_names = {k for (_, k) in prop_map}
-    clash = pred_names & key_names
-    if clash:
-        raise SortClash(f"names used both as predicate and key: {sorted(clash)}")
-    return CommonGraph(edge_set, prop_map)
+    return CommonGraph(edges, props)
 
 
 def content(g: CommonGraph, v: str) -> Record:

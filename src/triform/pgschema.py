@@ -808,8 +808,7 @@ def validate_graph_type(
     by_label = {p: [(s, d) for labels, s, d in prims if labels is None or p in labels] for p in g.preds}
     node_bad = sorted(u for u in g.nodes if not any(member(u, t) for t in node_tables))
     edge_bad = sorted(
-        (e for e in g.edges if not any(member(e.s, s) and member(e.o, d) for s, d in by_label[e.p])),
-        key=lambda e: (e.s, e.p, e.o),
+        e for e in g.edges if not any(member(e.s, s) and member(e.o, d) for s, d in by_label[e.p])
     )
     report = pg_validate(g, list(gt.constraints), registry)
     return GraphTypeReport(node_bad, edge_bad, report)

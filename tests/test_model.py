@@ -1,5 +1,14 @@
+import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from triform.harness import GenParams, gen_graph
+from triform.jsonio import parse_graph
 from triform.model import (
     DuplicateKeyValue,
     EdgeTriple,
@@ -10,6 +19,7 @@ from triform.model import (
     TriformError,
     UnknownValueType,
     Val,
+    Value,
     ValueTypeRegistry,
     bool_v,
     build_graph,
@@ -145,3 +155,140 @@ def test_graph_equality_and_hash(g_media):
     assert twin == g_media
     assert hash(twin) == hash(g_media)
     assert isinstance(repr(g_media), str)
+
+
+def _shuffled_with_duplicates(g, seed):
+    """The triples of ``g`` in a random order, with about a third of the
+    edges and props given twice; a repeated prop carries an equal but
+    distinct ``Value`` object."""
+    rng = random.Random(seed)
+    edges = sorted(g.edges)
+    props = [PropTriple(n, k, w) for (n, k), w in sorted(g.props.items())]
+    edges += rng.sample(edges, len(edges) // 3)
+    props += [PropTriple(n, k, Value(w.tag, w.payload)) for n, k, w in rng.sample(props, len(props) // 3)]
+    rng.shuffle(edges)
+    rng.shuffle(props)
+    return edges, props
+
+
+def _first_occurrences(items):
+    return list(dict.fromkeys(items))
+
+
+@pytest.mark.parametrize("nodes, density", [(8, 0.18), (12, 0.12), (40, 0.06)])
+def test_one_pass_build_equals_naive_indexes(nodes, density):
+    for seed in range(10):
+        p = GenParams(seed=seed, node_count=nodes, edge_density=density, prop_density=0.3)
+        edges, props = _shuffled_with_duplicates(gen_graph(p), seed)
+        g = build_graph(edges, props)
+        prop_map = {(t.n, t.k): t.v for t in props}
+        assert g.edges == set(edges)
+        assert g.props == prop_map
+        assert g.nodes == {e.s for e in edges} | {e.o for e in edges} | {t.n for t in props}
+        assert g.keys == {t.k for t in props}
+        assert g.values == {t.v for t in props}
+        assert g.preds == {e.p for e in edges}
+        for u in g.nodes | {"nowhere"}:
+            # adjacency in first-occurrence input order, each edge once
+            assert g.out_edges(u) == _first_occurrences(e for e in edges if e.s == u)
+            assert g.in_edges(u) == _first_occurrences(e for e in edges if e.o == u)
+            assert g.node_props(u) == {k: w for (n, k), w in prop_map.items() if n == u}
+        for w in g.values:
+            assert g.value_owners(w) == _first_occurrences((t.n, t.k) for t in props if t.v == w)
+        assert g == gen_graph(p)
+
+
+def test_build_graph_error_messages():
+    with pytest.raises(DuplicateKeyValue) as dup:
+        build_graph(
+            [EdgeTriple("a", "name", "b")],
+            [
+                PropTriple("u", "email", str_v("a")),
+                PropTriple("c", "name", int_v(1)),
+                PropTriple("u", "email", str_v("b")),
+            ],
+        )
+    assert str(dup.value) == (
+        "node 'u' key 'email' maps to both Value(tag='str', payload='a') and Value(tag='str', payload='b')"
+    )
+    with pytest.raises(SortClash) as clash:
+        build_graph(
+            [EdgeTriple("a", "name", "b"), EdgeTriple("a", "age", "b")],
+            [PropTriple("c", "name", str_v("x")), PropTriple("c", "age", int_v(3))],
+        )
+    assert str(clash.value) == "names used both as predicate and key: ['age', 'name']"
+
+
+_ORDER_SCRIPT = """
+import json
+from triform.harness import GenParams, gen_graph
+g = gen_graph(GenParams(seed=3, node_count=40, edge_density=0.06, prop_density=0.3))
+print(json.dumps([[u, g.out_edges(u), g.in_edges(u)] for u in sorted(g.nodes)]
+                 + [[w, g.value_owners(w)] for w in sorted(g.values, key=repr)]))
+"""
+
+
+def test_adjacency_order_does_not_depend_on_the_hash_seed():
+    src = Path(__file__).resolve().parent.parent / "src"
+    runs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(src))
+        done = subprocess.run(
+            [sys.executable, "-c", _ORDER_SCRIPT], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        runs.append(json.loads(done.stdout))
+    assert runs[0] == runs[1]
+    assert sum(len(row[1]) > 1 for row in runs[0]) > 5  # some lists have an order to keep
+
+
+def test_value_equality_is_tag_and_payload_equality():
+    one = [Value("int", 1), Value("bool", True), Value("str", "1")]
+    assert one[0] != one[1] != one[2] != one[0]
+    assert len(set(one)) == 3
+    assert Value("int", 1) == int_v(1) and hash(Value("int", 1)) == hash(int_v(1))
+    assert {Value("int", 1)} & {Value("bool", True), Value("str", "1")} == set()
+
+
+def test_values_and_triples_are_immutable():
+    w = int_v(1)
+    e, t = EdgeTriple("a", "p", "b"), PropTriple("a", "k", w)
+    for obj, attr in [(w, "payload"), (w, "tag"), (e, "o"), (t, "v")]:
+        with pytest.raises(AttributeError):
+            setattr(obj, attr, "x")
+    with pytest.raises(AttributeError):
+        w.extra = 1
+
+
+@pytest.mark.parametrize(
+    "tag, payload, message",
+    [
+        ("bool", 1, "bool value with non-bool payload 1"),
+        ("int", True, "int value with non-int payload True"),
+        ("int", "1", "int value with non-int payload '1'"),
+        ("int", 2**63, "integer 9223372036854775808 outside the 64-bit signed range"),
+        ("str", 1, "str value with non-str payload 1"),
+        ("float", 1.0, "unknown value tag 'float'"),
+    ],
+)
+def test_value_construction_errors(tag, payload, message):
+    with pytest.raises(TriformError) as err:
+        Value(tag, payload)
+    assert str(err.value) == message
+
+
+def test_value_and_triple_repr():
+    assert repr(int_v(1)) == "Value(tag='int', payload=1)"
+    assert repr(str_v("a")) == "Value(tag='str', payload='a')"
+    assert repr(EdgeTriple("a", "p", "b")) == "EdgeTriple(s='a', p='p', o='b')"
+    want = "PropTriple(n='a', k='k', v=Value(tag='bool', payload=False))"
+    assert repr(PropTriple("a", "k", bool_v(False))) == want
+
+
+def test_parsed_values_are_values():
+    vals = {"a": {"t": "int", "val": 1}, "b": {"t": "bool", "val": True}, "c": {"t": "str", "val": "1"}}
+    doc = {"edges": [], "props": [{"n": "u", "k": k, "v": v} for k, v in vals.items()]}
+    g = parse_graph(doc)
+    assert [g.prop("u", k) for k in "abc"] == [Value("int", 1), Value("bool", True), Value("str", "1")]
+    assert all(type(w) is Value for w in g.values)
+    assert repr(g.prop("u", "a")) == "Value(tag='int', payload=1)"

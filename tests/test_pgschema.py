@@ -571,8 +571,7 @@ def per_focus_satisfies(g, v, shape):
 
 
 @pytest.mark.parametrize("nodes, density", [(8, 0.18), (12, 0.12), (40, 0.04)])
-def test_rule_focus_verdicts_equal_per_focus_counting(nodes, density, monkeypatch):
-    monkeypatch.setattr(harness, "MAX_ORACLE_DOMAIN", 64)
+def test_rule_focus_verdicts_equal_per_focus_counting(nodes, density):
     verdicts = Counter()
     atoms = Counter()
     for seed in range(100):

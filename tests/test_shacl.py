@@ -336,8 +336,7 @@ def judge_rules(g, rules, registry=None, extra_foci=()):
 
 
 @pytest.mark.parametrize("nodes, density", [(8, 0.18), (12, 0.12), (40, 0.04)])
-def test_rule_focus_verdicts_equal_the_per_focus_definition(nodes, density, monkeypatch):
-    monkeypatch.setattr(harness, "MAX_ORACLE_DOMAIN", 64)
+def test_rule_focus_verdicts_equal_the_per_focus_definition(nodes, density):
     verdicts = Counter()
     for seed in range(100):
         p = GenParams(seed=seed, node_count=nodes, edge_density=density, prop_density=0.3)
@@ -345,8 +344,7 @@ def test_rule_focus_verdicts_equal_the_per_focus_definition(nodes, density, monk
     assert verdicts[True] > 200 and verdicts[False] > 200, verdicts
 
 
-def test_hand_cases_equal_the_per_focus_definition(monkeypatch):
-    monkeypatch.setattr(harness, "MAX_ORACLE_DOMAIN", 64)
+def test_hand_cases_equal_the_per_focus_definition():
     even = ValueTypeRegistry()
     even.register("even", lambda w: w.tag == "int" and w.payload % 2 == 0)
     g = build_graph(

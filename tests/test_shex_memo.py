@@ -74,13 +74,17 @@ def test_rule_focus_verdicts_equal_the_brute_oracle(nodes, density, kernel_calls
 def copies_graph(n_copies, str_every=0, extra_p_every=0):
     """Hubs c0, c1, ... with one neighborhood each: three p-edges (four
     on every ``extra_p_every``-th hub), two q-edges, one incoming r-edge
-    and a k-property, an int except on every ``str_every``-th hub."""
+    and a k-property, an int except on every ``str_every``-th hub.  Hub
+    ``ci`` gives its p- and q-edges rotated by ``i``, so the hubs list
+    their rows in different orders."""
     edges, props = [], []
     for i in range(n_copies):
         c = f"c{i}"
         extra = bool(extra_p_every) and i % extra_p_every == 0
-        edges += [EdgeTriple(c, "p", f"a{i}_{j}") for j in range(3 + extra)]
-        edges += [EdgeTriple(c, "q", f"b{i}_{j}") for j in range(2)]
+        out = [EdgeTriple(c, "p", f"a{i}_{j}") for j in range(3 + extra)]
+        out += [EdgeTriple(c, "q", f"b{i}_{j}") for j in range(2)]
+        r = i % len(out)
+        edges += out[r:] + out[:r]
         edges.append(EdgeTriple(f"d{i}", "r", c))
         odd = str_every and i % str_every == 0
         props.append(PropTriple(c, "k", str_v(f"x{i}") if odd else int_v(i)))
