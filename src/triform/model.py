@@ -102,6 +102,12 @@ class Value(_ValueFields):
             raise TriformError(f"unknown value tag {tag!r}")
         return tuple.__new__(cls, (tag, payload))
 
+    # NamedTuple's own versions build the tuple past the checks above
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
+
+    def _replace(self, **changes) -> "Value":
+        return Value(**{**self._asdict(), **changes})
+
 
 def int_v(n: int) -> Value:
     return Value("int", n)

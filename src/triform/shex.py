@@ -7,27 +7,23 @@ disjoint triple sets, and the openness suffix says which unmatched
 triples are tolerated (any incoming with name outside R; for open
 shapes also any outgoing with name outside Q).
 
-Each neighborhood shape is flattened once per evaluation context into
-a program template.  A focus reads its signed triples (its rows) from
-the graph's adjacency lists and gives each row a signature: the bitset
-of the template's leaf and wildcard nodes that may consume it.
-Wildcards and top-shape leaves take a row untested, the other leaves
-when its far end satisfies their nested shape.  As in the bag
-semantics of ShEx, the verdict depends only on how many rows there are
-of each signature (the neighborhood's Parikh image over the
-constraints), not on their order, so the template keeps a per-run
-verdict memo keyed by the sorted tuple of row signatures.  Only a memo
-miss fills the template's leaf masks and runs the memoized subset DP
-of ``_bagmatch_py`` over neighborhood bitmasks; the kernel thus runs
-once per distinct signature bag per shape per run.
-Since each triple constraint consumes exactly one triple, every
-program node can consume only a static interval of triple counts (a
-sequence the sum of its parts, an alternation the hull of its
-branches); the template records these count bounds once per shape,
-and the DP rejects any mask or split whose popcount falls outside
-them.  Cost is exponential only in the neighborhood size, which is
-bounded by a hard cap counted before any nested shape is evaluated:
-exceeding the cap raises ``NeighborhoodTooLarge``, never approximating.
+Shapes are decided set-at-a-time on raw elements (node ids and values),
+as in ``shacl`` and ``pgschema``: :func:`_sat` maps a shape and a set of
+elements to those that satisfy it.  Each neighborhood shape is
+flattened once per run into a program template.  An element's signed
+triples are its rows, read from the adjacency lists and counted against
+a hard cap before any nested shape is evaluated; each row gets a
+signature, the bitset of the leaf and wildcard nodes that may consume
+it.  Wildcards and top-shape leaves take a row untested; each other
+nested shape is evaluated once, on the union of the far ends it tests.
+As in the bag semantics of ShEx, the verdict depends only on the bag of
+row signatures (the Parikh image over the constraints), so the template
+keeps a per-run verdict memo keyed by the sorted signatures, and only a
+miss runs the memoized subset DP of ``_bagmatch_py``.  Each triple
+constraint consumes exactly one triple, so every program node has a
+static interval of triple counts that the DP prunes with.  Cost is
+exponential only in the neighborhood size: exceeding the cap raises
+``NeighborhoodTooLarge``, never approximating.
 
 Counting is by triples, not by endpoints: a node with two parallel
 p-edges to the same target offers two distinct signed triples.  This is
@@ -38,6 +34,7 @@ counting-divergence suite.
 from __future__ import annotations
 
 import os
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
@@ -50,10 +47,8 @@ from .model import (
     Elem,
     Focus,
     NeighborhoodTooLarge,
-    Node,
     SignedTriple,
     TriformError,
-    Val,
     Value,
     ValueTypeRegistry,
     neigh_signed,  # noqa: F401  unused here, but the benchmark's tracer patches it on this module
@@ -349,15 +344,11 @@ class _Template:
     naming its child twice.  ``lo``/``hi`` are the nodes' count bounds,
     which depend on the shape only.
 
-    A focus's signed triples are its rows.  A row's signature is the
-    bitset of the leaf and wildcard nodes whose mask would hold the
-    row's bit: wildcards and top-shape leaves take it untested, the
-    other leaves when the far end satisfies their nested shape.  The
-    program cannot tell apart two rows of one signature, so the verdict
-    depends only on the bag of signatures: ``verdicts`` maps the sorted
-    tuple of a focus's row signatures to its verdict, and only a miss
-    fills the leaf masks (:func:`_program`, one bit per row in the order
-    of :func:`_layout`) and runs the kernel.
+    A row's signature is the bitset of the leaf and wildcard nodes whose
+    mask would hold the row's bit.  ``verdicts`` maps the sorted tuple of
+    an element's row signatures to its verdict; only a miss fills the
+    leaf masks (:func:`_program`, one bit per row in the order of
+    :func:`_layout`) and runs the kernel.
     """
 
     ops: List[int] = field(default_factory=list)
@@ -410,15 +401,12 @@ class _Compiled:
 
 @dataclass
 class EvalContext:
-    """Per-run state: the compiled shapes (keyed by ``id`` of the source
-    shape, each template with its verdict memo) and the (element, shape
-    id) verdict cache, keyed by raw elements (node ids and values), not
-    by foci.  Nothing is cached in module globals, so separate contexts
-    may run in separate threads."""
+    """Per-run state: the compiled shapes, keyed by ``id`` of the source
+    shape, each template with its verdict memo.  Nothing is cached in
+    module globals, so separate contexts may run in separate threads."""
 
     cap: int
     registry: Optional[ValueTypeRegistry] = None
-    cache: Dict[Tuple[Elem, int], bool] = field(default_factory=dict)
     compiled: Dict[int, _Compiled] = field(default_factory=dict)
 
 
@@ -501,47 +489,54 @@ def _template(ctx: EvalContext, expr: TripleExpr, openness: Openness) -> _Templa
     return t
 
 
-def _signatures(ctx: EvalContext, g: CommonGraph, x: Elem, t: _Template) -> List[int]:
-    """The signatures of the signed triples of the raw element ``x``,
-    read straight from the adjacency lists: out-edges, properties, then
-    in-edges.  The triples are counted against the cap before any nested
-    shape is evaluated."""
-    plans, plan = t.plans, t.plan
-    sigs = []
+# The (direction, name index, far-end index) of each group of _rows
+_GROUPS = ((FWD, 1, 2), (FWD, 0, 1), (INV, 1, 0))
+
+
+def _rows(g: CommonGraph, x: Elem):
+    """The rows (signed triples) of the raw element ``x`` in row order: a
+    node's out-edges, (key, value) pairs and in-edges, or a value's owners."""
     if type(x) is str:
-        out, props, inc = g.out_edges(x), g.node_props(x), g.in_edges(x)
-        _check_cap(ctx, x, len(out) + len(props) + len(inc))
-        for e in out:
-            sig, tested = plans.get((e.p, FWD)) or plan(e.p, FWD)
-            sigs.append(_tested(ctx, g, sig, tested, e.o) if tested else sig)
-        for k, w in props.items():
-            sig, tested = plans.get((k, FWD)) or plan(k, FWD)
-            sigs.append(_tested(ctx, g, sig, tested, w) if tested else sig)
-        for e in inc:
-            sig, tested = plans.get((e.p, INV)) or plan(e.p, INV)
-            sigs.append(_tested(ctx, g, sig, tested, e.s) if tested else sig)
-    else:
-        owners = g.value_owners(x)
-        _check_cap(ctx, x, len(owners))
-        for n, k in owners:
-            sig, tested = plans.get((k, INV)) or plan(k, INV)
-            sigs.append(_tested(ctx, g, sig, tested, n) if tested else sig)
-    return sigs
+        return g.out_edges(x), g.node_props(x).items(), g.in_edges(x)
+    return (), (), g.value_owners(x)
 
 
-def _tested(ctx: EvalContext, g: CommonGraph, sig: int, tested: list, far: Elem) -> int:
-    """``sig`` with the bits of the tested leaves whose nested shape ``far`` satisfies."""
-    for bit, nested in tested:
-        if _holds(ctx, g, far, nested):
-            sig |= bit
-    return sig
-
-
-def _check_cap(ctx: EvalContext, x: Elem, size: int) -> None:
-    if size > ctx.cap:
-        raise NeighborhoodTooLarge(
-            f"signed neighborhood of {elem_focus(x)!r} has {size} triples (cap {ctx.cap})"
-        )
+def _signatures(ctx: EvalContext, g: CommonGraph, t: _Template, elems: Set[Elem]):
+    """Yield each element of ``elems`` with its row signatures, in row
+    order.  All rows are read and counted against the cap before each
+    tested nested shape is evaluated once, on the far ends it tests."""
+    plans, plan, cap = t.plans, t.plan, ctx.cap
+    pending = []  # (element, signatures, [(row, far end, tested leaves)])
+    asked: Dict[_Compiled, Set[Elem]] = defaultdict(set)
+    for x in elems:
+        groups = _rows(g, x)
+        if len(groups[0]) + len(groups[1]) + len(groups[2]) > cap:  # name the least one over the cap
+            v = elems_to_foci([y for y in elems if sum(map(len, _rows(g, y))) > cap])[0]
+            n = sum(map(len, _rows(g, focus_elem(v))))
+            raise NeighborhoodTooLarge(f"signed neighborhood of {v!r} has {n} triples (cap {cap})")
+        sigs, deferred = [], []
+        for (d, ni, fi), rows in zip(_GROUPS, groups):
+            for r in rows:
+                sig, tested = plans.get((r[ni], d)) or plan(r[ni], d)
+                if tested:
+                    deferred.append((len(sigs), r[fi], tested))
+                    for _, nested in tested:
+                        asked[nested].add(r[fi])
+                sigs.append(sig)
+        if deferred:
+            pending.append((x, sigs, deferred))
+        else:
+            yield x, sigs
+    if not pending:
+        return
+    # in compilation order, so which cap error is raised first is fixed
+    sat = {nested: _sat(ctx, g, nested, asked[nested]) for nested in sorted(asked, key=lambda c: c.sid)}
+    for x, sigs, deferred in pending:
+        for i, far, tested in deferred:
+            for bit, nested in tested:
+                if far in sat[nested]:
+                    sigs[i] |= bit
+        yield x, sigs
 
 
 def _layout(t: _Template, sigs: List[int]) -> List[int]:
@@ -576,43 +571,40 @@ def _program(t: _Template, sigs: List[int]):
     return t.ops, t.lefts, t.rights, support, t.lo, t.hi, t.root, (1 << len(sigs)) - 1
 
 
-def _match(ctx: EvalContext, g: CommonGraph, x: Elem, t: _Template) -> bool:
-    sigs = _signatures(ctx, g, x, t)
-    key = tuple(sorted(sigs))
-    verdict = t.verdicts.get(key)
-    if verdict is None:
-        verdict = t.verdicts[key] = _bagmatch_py.bag_match(*_program(t, sigs))
-    return verdict
+def _neigh(ctx: EvalContext, g: CommonGraph, t: _Template, elems: Set[Elem]) -> Set[Elem]:
+    """The elements of ``elems`` whose rows the template's program matches,
+    each decided by its bag of row signatures through the verdict memo."""
+    verdicts, out = t.verdicts, set()
+    for x, sigs in _signatures(ctx, g, t, elems):
+        key = tuple(sorted(sigs))
+        verdict = verdicts.get(key)
+        if verdict is None:
+            verdict = verdicts[key] = _bagmatch_py.bag_match(*_program(t, sigs))
+        if verdict:
+            out.add(x)
+    return out
 
 
-def _satisfies(ctx: EvalContext, g: CommonGraph, v: Focus, c: _Compiled) -> bool:
-    """Whether the focus ``v`` satisfies the compiled shape."""
-    return _holds(ctx, g, focus_elem(v), c)
-
-
-def _holds(ctx: EvalContext, g: CommonGraph, x: Elem, c: _Compiled) -> bool:
-    """Whether the raw element ``x`` satisfies the compiled shape; the
-    verdict cache is keyed by (element, shape id)."""
-    key = (x, c.sid)
-    cached = ctx.cache.get(key)
-    if cached is not None:
-        return cached
+def _sat(ctx: EvalContext, g: CommonGraph, c: _Compiled, elems: Set[Elem]) -> Set[Elem]:
+    """The elements of ``elems`` that satisfy the compiled shape ``c``:
+    the shape's extension cut to ``elems``.  Elements are raw (node ids
+    and values); the result is a set the caller must not mutate."""
     kind = c.kind
     if kind is SNeigh:
         # no template: the top shape, which matches every neighborhood
-        result = c.template is None or _match(ctx, g, x, c.template)
-    elif kind is SAnd:
-        result = _holds(ctx, g, x, c.left) and _holds(ctx, g, x, c.right)
-    elif kind is SOr:
-        result = _holds(ctx, g, x, c.left) or _holds(ctx, g, x, c.right)
-    elif kind is SNot:
-        result = not _holds(ctx, g, x, c.left)
-    elif kind is STestConst:
-        result = type(x) is Value and x == c.shape.c
-    else:
-        result = type(x) is Value and value_type_member(x, c.shape.t, ctx.registry)
-    ctx.cache[key] = result
-    return result
+        return elems if c.template is None else _neigh(ctx, g, c.template, elems)
+    if kind is SAnd:
+        return _sat(ctx, g, c.right, _sat(ctx, g, c.left, elems))
+    if kind is SOr:
+        left = _sat(ctx, g, c.left, elems)
+        rest = elems - left
+        return left | _sat(ctx, g, c.right, rest) if rest else left
+    if kind is SNot:
+        return elems - _sat(ctx, g, c.left, elems)
+    if kind is STestConst:
+        return {c.shape.c} & elems
+    t = c.shape.t
+    return {x for x in elems if type(x) is Value and value_type_member(x, t, ctx.registry)}
 
 
 def match_triple_expr(
@@ -628,7 +620,8 @@ def match_triple_expr(
     if _is_top(expr, openness):
         return True  # the top shape matches every neighborhood
     ctx = EvalContext(cap if cap is not None else default_cap(), registry)
-    return _match(ctx, g, focus_elem(v), _template(ctx, expr, openness))
+    x = focus_elem(v)
+    return x in _neigh(ctx, g, _template(ctx, expr, openness), {x})
 
 
 def match_witness(
@@ -646,16 +639,14 @@ def match_witness(
     """
     ctx = EvalContext(cap if cap is not None else default_cap(), registry)
     t = _template(ctx, expr, openness)
-    sigs = _signatures(ctx, g, focus_elem(v), t)
+    x = focus_elem(v)
+    [(_, sigs)] = _signatures(ctx, g, t, {x})
     raw = _bagmatch_py.bag_match_witness(*_program(t, sigs))
     if raw is None:
         return None
-    if isinstance(v, Node):  # the rows in the order of _signatures
-        rows = [SignedTriple(e.p, False, FWD, Node(e.o)) for e in g.out_edges(v.id)]
-        rows += [SignedTriple(k, True, FWD, Val(w)) for k, w in g.node_props(v.id).items()]
-        rows += [SignedTriple(e.p, False, INV, Node(e.s)) for e in g.in_edges(v.id)]
-    else:
-        rows = [SignedTriple(k, True, INV, Node(n)) for n, k in g.value_owners(v.value)]
+    # a property triple has a value at one end
+    rows = [SignedTriple(r[ni], Value in (type(x), type(r[fi])), d, elem_focus(r[fi]))
+            for (d, ni, fi), group in zip(_GROUPS, _rows(g, x)) for r in group]
     triples = [rows[r] for r in _layout(t, sigs)]
     return [(node, [tr for i, tr in enumerate(triples) if mask >> i & 1]) for node, mask in raw]
 
@@ -667,8 +658,10 @@ def shex_satisfies(
     cap: Optional[int] = None,
     registry: Optional[ValueTypeRegistry] = None,
 ) -> bool:
+    """Whether ``v`` satisfies ``shape``: the set evaluator at one focus."""
     ctx = EvalContext(cap if cap is not None else default_cap(), registry)
-    return _satisfies(ctx, g, v, _compile(ctx, shape))
+    x = focus_elem(v)
+    return x in _sat(ctx, g, _compile(ctx, shape), {x})
 
 
 def selector_shape(sel: ShexSelector) -> ShexShape:
@@ -684,6 +677,19 @@ def selector_shape(sel: ShexSelector) -> ShexShape:
     raise TriformError(f"unknown ShEx selector {sel!r}")
 
 
+def _select(g: CommonGraph, sel: ShexSelector) -> Set[Elem]:
+    if isinstance(sel, SelTestConst):
+        return {sel.c}
+    if isinstance(sel, SelOutConst):
+        # predicate endpoints are nodes and never equal a value constant
+        return {n for (n, k), w in g.props.items() if k == sel.q and w == sel.c}
+    if isinstance(sel, SelOut):
+        return triple_ends(g, sel.q, FWD)
+    if isinstance(sel, SelIn):
+        return triple_ends(g, sel.q, INV)
+    raise TriformError(f"unknown ShEx selector {sel!r}")
+
+
 def shex_select(g: CommonGraph, sel: ShexSelector) -> List[Focus]:
     """Foci picked by a selector, computed directly from the graph.
 
@@ -691,19 +697,7 @@ def shex_select(g: CommonGraph, sel: ShexSelector) -> List[Focus]:
     element (the openness wildcards absorb everything beyond the one
     required triple), but never hits the neighborhood cap.
     """
-    out: Set[Elem]
-    if isinstance(sel, SelTestConst):
-        out = {sel.c}
-    elif isinstance(sel, SelOutConst):
-        # predicate endpoints are nodes and never equal a value constant
-        out = {n for (n, k), w in g.props.items() if k == sel.q and w == sel.c}
-    elif isinstance(sel, SelOut):
-        out = triple_ends(g, sel.q, FWD)
-    elif isinstance(sel, SelIn):
-        out = triple_ends(g, sel.q, INV)
-    else:
-        raise TriformError(f"unknown ShEx selector {sel!r}")
-    return elems_to_foci(out)
+    return elems_to_foci(_select(g, sel))
 
 
 def shex_validate(
@@ -712,12 +706,12 @@ def shex_validate(
     cap: Optional[int] = None,
     registry: Optional[ValueTypeRegistry] = None,
 ) -> ValidationReport:
-    """Validate; one evaluation context (and shape cache) per run."""
+    """Validate with one evaluation context per run, deciding each rule
+    for all its selected elements at once; foci are built for violations."""
     ctx = EvalContext(cap if cap is not None else default_cap(), registry)
     per_rule = []
     for sel, shape in rules:
-        selected = shex_select(g, sel)
-        c = _compile(ctx, shape)
-        failing = [v for v in selected if not _satisfies(ctx, g, v, c)]
+        selected = _select(g, sel)
+        failing = elems_to_foci(selected - _sat(ctx, g, _compile(ctx, shape), selected))
         per_rule.append((selected, failing))
     return make_report(per_rule)

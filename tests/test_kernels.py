@@ -237,7 +237,8 @@ def decide_with_memo(g, expr, openness):
     the kernel memoized deciding it."""
     ctx = EvalContext(cap=64)
     template = _template(ctx, expr, openness)
-    ops, lefts, rights, support, lo, hi, root, full = _program(template, _signatures(ctx, g, "c", template))
+    [(_, sigs)] = _signatures(ctx, g, template, {"c"})
+    ops, lefts, rights, support, lo, hi, root, full = _program(template, sigs)
     can, memo = _decider(ops, lefts, rights, support, lo, hi)
     return can(root, full), len(memo)
 

@@ -260,21 +260,41 @@ def test_values_and_triples_are_immutable():
         w.extra = 1
 
 
-@pytest.mark.parametrize(
-    "tag, payload, message",
-    [
-        ("bool", 1, "bool value with non-bool payload 1"),
-        ("int", True, "int value with non-int payload True"),
-        ("int", "1", "int value with non-int payload '1'"),
-        ("int", 2**63, "integer 9223372036854775808 outside the 64-bit signed range"),
-        ("str", 1, "str value with non-str payload 1"),
-        ("float", 1.0, "unknown value tag 'float'"),
-    ],
-)
+VALUE_ERRORS = [
+    ("bool", 1, "bool value with non-bool payload 1"),
+    ("int", True, "int value with non-int payload True"),
+    ("int", "1", "int value with non-int payload '1'"),
+    ("int", 2**63, "integer 9223372036854775808 outside the 64-bit signed range"),
+    ("str", 1, "str value with non-str payload 1"),
+    ("float", 1.0, "unknown value tag 'float'"),
+]
+
+
+@pytest.mark.parametrize("tag, payload, message", VALUE_ERRORS)
 def test_value_construction_errors(tag, payload, message):
     with pytest.raises(TriformError) as err:
         Value(tag, payload)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("tag, payload, message", VALUE_ERRORS)
+def test_value_make_and_replace_check_like_the_constructor(tag, payload, message):
+    with pytest.raises(TriformError) as err:
+        Value._make((tag, payload))
+    assert str(err.value) == message
+    with pytest.raises(TriformError) as err:
+        str_v("a")._replace(tag=tag, payload=payload)
+    assert str(err.value) == message
+
+
+def test_value_replace_checks_the_field_it_keeps():
+    with pytest.raises(TriformError) as err:
+        int_v(1)._replace(payload="x")
+    assert str(err.value) == "int value with non-int payload 'x'"
+    with pytest.raises(TriformError) as err:
+        int_v(1)._replace(tag="bool")
+    assert str(err.value) == "bool value with non-bool payload 1"
+    assert int_v(1)._replace(payload=2) == int_v(2) and type(Value._make(("str", "a"))) is Value
 
 
 def test_value_and_triple_repr():

@@ -3,12 +3,14 @@ from collections import Counter
 
 import pytest
 
+from triform import shex
 from triform.harness import (
     GenParams,
     brute_match_oracle,
     brute_shex_satisfies,
     gen_graph,
     gen_openness,
+    gen_shex_schema,
     gen_shex_shape,
     gen_triple_expr,
 )
@@ -21,7 +23,10 @@ from triform.model import (
     Node,
     PropTriple,
     Val,
+    ValueTypeRegistry,
     build_graph,
+    elems_to_foci,
+    focus_elem,
     int_v,
     sorted_foci,
     str_v,
@@ -37,6 +42,7 @@ from triform.shex import (
     SNeigh,
     SNot,
     SOr,
+    STestConst,
     STestType,
     SelIn,
     SelOut,
@@ -286,9 +292,28 @@ def test_nested_shapes_equal_brute_oracle(rng_seed):
     assert checked["nested decides"] > 30
 
 
-def test_cap_counts_rows_before_nested_evaluation():
-    from triform.shex import EvalContext, _compile, _satisfies
+def shape_calls(monkeypatch):
+    """Record every evaluation of ``shex._sat`` as [depth, compiled
+    shape, elements, result], in call order."""
+    calls, depth = [], [0]
+    sat = shex._sat
 
+    def probe(ctx, g, c, elems):
+        call = [depth[0], c, set(elems), None]
+        calls.append(call)
+        depth[0] += 1
+        try:
+            out = sat(ctx, g, c, elems)
+        finally:
+            depth[0] -= 1
+        call[3] = set(out)
+        return out
+
+    monkeypatch.setattr(shex, "_sat", probe)
+    return calls
+
+
+def test_cap_counts_rows_before_nested_evaluation(monkeypatch):
     # a loop is one forward and one inverse signed triple: "a" has 4,
     # and so has the value 7, owned by four nodes; "b" has 3
     g = build_graph(
@@ -298,13 +323,18 @@ def test_cap_counts_rows_before_nested_evaluation():
     )
     nested = SNeigh(TC("owns", INV, TOP), HalfOpen(NO_NAMES))
     shape = open_closure(Seq(StarE(TC("q", FWD, nested)), StarE(TC("p", INV, TOP))))
+    calls = shape_calls(monkeypatch)
     for v in (Node("a"), Val(int_v(7))):
         assert shex_satisfies(g, v, shape, cap=4)
-        ctx = EvalContext(cap=3)
+        asked = [elems for _, _, elems, _ in calls]
+        assert ({"b"} in asked) == (v == Node("a"))  # the probe sees the nested shape at "b"
+        calls.clear()
         with pytest.raises(NeighborhoodTooLarge) as info:
-            _satisfies(ctx, g, v, _compile(ctx, shape))
+            shex_satisfies(g, v, shape, cap=3)
         assert str(info.value) == f"signed neighborhood of {v!r} has 4 triples (cap 3)"
-        assert ctx.cache == {}  # raised before the nested shape was evaluated at "b"
+        # raised before the nested shape was evaluated at "b"
+        assert [elems for _, _, elems, _ in calls] == [{focus_elem(v)}]
+        calls.clear()
 
 
 def test_boolean_shapes(g_media):
@@ -315,10 +345,72 @@ def test_boolean_shapes(g_media):
     assert not shex_satisfies(g_media, Node("a2"), SOr(a, b))
 
 
+def test_or_and_and_decide_their_right_branch_only_where_needed():
+    asked = []
+    registry = ValueTypeRegistry()
+    registry.register("asked", lambda w: asked.append(w.payload) or True)
+    g = build_graph([], [PropTriple(f"n{i}", "k", int_v(i)) for i in range(5)])
+    owned = SNeigh(TC("k", INV, SNeigh(TC("k", FWD, TOP), HalfOpen(NO_NAMES))), HalfOpen(NO_NAMES))
+    one, ask = STestConst(int_v(1)), STestType("asked")
+    assert shex_validate(g, [(SelIn("k"), SOr(one, SOr(owned, ask)))], registry=registry).valid
+    assert asked == []  # every value has an owner with only its k property
+    assert shex_validate(g, [(SelIn("k"), SOr(one, ask))], registry=registry).valid
+    assert sorted(asked) == [0, 2, 3, 4]
+    asked.clear()
+    report = shex_validate(g, [(SelIn("k"), SAnd(SNot(one), ask))], registry=registry)
+    assert [viol.focus for viol in report.violations] == [Val(int_v(1))]
+    assert sorted(asked) == [0, 2, 3, 4]
+
+
+@pytest.mark.parametrize("nodes, density", [(8, 0.18), (12, 0.12)])
+def test_connectives_narrow_their_right_branch(nodes, density, monkeypatch):
+    # SAnd asks its right branch about the elements its left branch
+    # kept, SOr about those its left branch rejected, and no more; each
+    # generated shape is decided on every element of the graph at once
+    calls = shape_calls(monkeypatch)
+    narrowed, checked = Counter(), Counter()
+    for seed in range(80):
+        p = GenParams(seed=seed, node_count=nodes, edge_density=density, prop_density=0.3)
+        g = gen_graph(p)
+        domain = set(g.nodes) | set(g.values)
+        for _, shape in gen_shex_schema(p):
+            calls.clear()
+            ctx = shex.EvalContext(cap=64)
+            extension = shex._sat(ctx, g, shex._compile(ctx, shape), domain)
+            for i, (depth, c, elems, result) in enumerate(calls):
+                if c.kind is not SAnd and c.kind is not SOr:
+                    continue
+                kids = []
+                for call in calls[i + 1 :]:
+                    if call[0] <= depth:
+                        break
+                    if call[0] == depth + 1:
+                        kids.append(call)
+                left = kids[0]
+                assert left[1] is c.left and left[2] == elems
+                rest = left[3] if c.kind is SAnd else elems - left[3]
+                if c.kind is SOr and not rest:
+                    assert len(kids) == 1 and result == left[3]
+                    continue
+                right = kids[1]
+                assert len(kids) == 2 and right[1] is c.right and right[2] == rest
+                assert result == (right[3] if c.kind is SAnd else left[3] | right[3])
+                narrowed[c.kind.__name__] += rest < elems
+            for v in elems_to_foci(domain):
+                try:
+                    want = brute_shex_satisfies(g, v, shape)
+                except InstanceTooLarge:
+                    continue
+                assert (focus_elem(v) in extension) == want, (seed, shape, v)
+                checked[want] += 1
+    assert narrowed["SAnd"] > 20 and narrowed["SOr"] > 20, narrowed
+    assert checked[True] > 100 and checked[False] > 100, checked
+
+
 def test_template_masks_rebuilt_per_focus():
     # one SNeigh, compiled once in one context, evaluated at foci whose
     # neighborhoods differ: each focus must get its own leaf masks
-    from triform.shex import EvalContext, _compile, _satisfies
+    from triform.shex import EvalContext, _compile, _sat
 
     g = build_graph(
         [
@@ -336,9 +428,10 @@ def test_template_masks_rebuilt_per_focus():
     shape = SNeigh(Seq(TC("p", FWD, TOP), TC("q", FWD, TOP)), HalfOpen(frozenset({"p", "q"})))
     ctx = EvalContext(cap=24)
     compiled = _compile(ctx, shape)
-    got = {u: _satisfies(ctx, g, Node(u), compiled) for u in ("a", "b", "c", "d", "a")}
+    got = {u: u in _sat(ctx, g, compiled, {u}) for u in ("a", "b", "c", "d", "a")}
     assert got == {"a": True, "b": False, "c": False, "d": False}
     assert _compile(ctx, shape) is compiled
+    assert _sat(ctx, g, compiled, set("abcd")) == {"a"}
     for u in "abcd":
         assert got[u] == brute_match_oracle(g, Node(u), shape.expr, shape.openness)
     report = shex_validate(g, [(SelOut("p"), shape)])

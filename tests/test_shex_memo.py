@@ -154,15 +154,64 @@ print(json.dumps(out))
 """
 
 
-def test_kernel_calls_do_not_depend_on_the_hash_seed():
+def run_under_hash_seeds(script):
+    """The stdout of ``script`` under the hash seeds 0 and 1."""
     runs = []
     for seed in ("0", "1"):
         env = dict(os.environ, PYTHONHASHSEED=seed)
         env["PYTHONPATH"] = os.pathsep.join([str(SRC), str(Path(__file__).resolve().parent)])
         done = subprocess.run(
-            [sys.executable, "-c", _COUNT_SCRIPT], env=env, capture_output=True, text=True, timeout=120
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
         )
         assert done.returncode == 0, done.stderr
-        runs.append(json.loads(done.stdout))
+        runs.append(done.stdout)
+    return runs
+
+
+def test_kernel_calls_do_not_depend_on_the_hash_seed():
+    runs = [json.loads(out) for out in run_under_hash_seeds(_COUNT_SCRIPT)]
     assert runs[0] == runs[1]
     assert runs[0][0][0] == 3 and len(runs[0][0][1]) == 10
+
+
+_CAP_SCRIPT = """
+from triform.model import FWD, EdgeTriple, NeighborhoodTooLarge, build_graph
+from triform.shex import SelOut, Seq, StarE, TC, open_closure, shex_validate, top_shape
+
+def hubs(h):
+    return [EdgeTriple(f"{h}{i}", "p", f"t{j}") for i in range(8) for j in range(30)]
+
+
+def wide():
+    return open_closure(StarE(TC("p", FWD, top_shape())))
+
+
+def links(r, q, h):
+    return [EdgeTriple(r, q, f"{h}{i}") for i in range(8)]
+
+
+# the hubs as foci of one rule, then as the far ends of one nested
+# shape, then of two, reached first through q from r0, through s from r1
+two = open_closure(Seq(StarE(TC("q", FWD, wide())), StarE(TC("s", FWD, wide()))))
+cases = [
+    (hubs("h"), SelOut("p"), wide()),
+    (hubs("h") + links("r", "q", "h"), SelOut("q"), open_closure(StarE(TC("q", FWD, wide())))),
+    (hubs("h") + hubs("k") + links("r0", "q", "h") + links("r0", "s", "k") + links("r1", "s", "k")
+     + links("r1", "q", "h"), SelOut("q"), two),
+]
+for edges, sel, shape in cases:
+    try:
+        shex_validate(build_graph(edges, []), [(sel, shape)])
+    except NeighborhoodTooLarge as err:
+        print(err)
+"""
+
+
+def test_cap_error_names_the_least_element_under_any_hash_seed():
+    runs = run_under_hash_seeds(_CAP_SCRIPT)
+    assert runs[0] == runs[1]
+    assert runs[0].splitlines() == [
+        "signed neighborhood of Node(id='h0') has 30 triples (cap 24)",
+        "signed neighborhood of Node(id='h0') has 31 triples (cap 24)",
+        "signed neighborhood of Node(id='h0') has 32 triples (cap 24)",
+    ]
