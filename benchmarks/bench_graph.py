@@ -1,0 +1,153 @@
+"""Benchmark: loading a large common graph, selecting foci, validating.
+
+The media fixture graph is replicated k times (copy i renames every node
+with the suffix ``_i`` and tags every email ``+i``, so copies share no
+node and no email value; k = 6000 gives 42,025 edges and 53,995
+property triples, about 96k triples).  For each size it times, in this
+process:
+
+  load        ``json.load`` plus ``jsonio.parse_graph`` of the graph file,
+              with the collector as this process has it
+  load (cli)  ``triform validate`` of the graph against an empty SHACL
+              schema through ``cli.main``: the same load as the CLI runs
+              it, collector handling included, and no rule to decide
+  select      each dialect's selection of every rule's foci on the loaded
+              graph (the raw ``_select`` the validators call)
+  validate    ``triform validate`` through ``cli.main``, per schema: the
+              fixture SHACL, ShEx and PG schemas and the SHACL and ShEx
+              compiled from the PG one
+
+Each line gives the median and best seconds over the repeats and the
+cyclic-GC collections per generation (gen-0/1/2) of the median run,
+counted through ``gc.callbacks``.  A ``gc.collect()`` precedes every
+timed call.
+
+Usage: python benchmarks/bench_graph.py [--sizes 1000,6000] [--repeat 3]
+"""
+
+import argparse
+import contextlib
+import gc
+import io
+import json
+import os
+import statistics
+import tempfile
+import time
+
+from triform import cli, examples, jsonio, pgschema, shacl, shex
+from triform.cogsl import cogsl_to_shacl, cogsl_to_shex
+
+
+def replicated_media(k):
+    """The media graph as a JSON document, replicated ``k`` times."""
+    base = jsonio.graph_to_json(examples.media_graph())
+    edges, props = [], []
+    for i in range(k):
+        sfx = f"_{i}"
+        edges += [{"s": e["s"] + sfx, "p": e["p"], "o": e["o"] + sfx} for e in base["edges"]]
+        for p in base["props"]:
+            v = p["v"]
+            if p["k"] == "email":
+                local, _, domain = v["val"].partition("@")
+                v = {"t": "str", "val": f"{local}+{i}@{domain}"}
+            props.append({"n": p["n"] + sfx, "k": p["k"], "v": v})
+    return {"edges": edges, "props": props}
+
+
+SCHEMAS = {
+    "empty": lambda: {"dialect": "shacl", "rules": []},
+    "shacl": lambda: jsonio.schema_to_json("shacl", examples.media_shacl_rules()),
+    "shex": lambda: jsonio.schema_to_json("shex", examples.media_shex_rules()),
+    "pg": lambda: jsonio.schema_to_json("pg", examples.media_pg_rules()),
+    "shacl_compiled": lambda: jsonio.schema_to_json("shacl", cogsl_to_shacl(examples.media_pg_rules())),
+    "shex_compiled": lambda: jsonio.schema_to_json("shex", cogsl_to_shex(examples.media_pg_rules())),
+}
+
+SELECT = {
+    "shacl": (examples.media_shacl_rules, shacl._select),
+    "shex": (examples.media_shex_rules, shex._select),
+    "pg": (examples.media_pg_rules, lambda g, sel: pgschema._select(g, sel, None)),
+}
+
+
+class Collections:
+    """Cyclic-GC collections per generation while the context is open."""
+
+    def __init__(self):
+        self.counts = [0, 0, 0]
+
+    def _count(self, phase, info):
+        if phase == "start":
+            self.counts[info["generation"]] += 1
+
+    def __enter__(self):
+        gc.callbacks.append(self._count)
+        return self
+
+    def __exit__(self, *exc):
+        gc.callbacks.remove(self._count)
+
+
+def measure(fn, repeat):
+    """(median s, best s, gc counts of the median run) over ``repeat`` calls."""
+    runs = []
+    for _ in range(repeat):
+        gc.collect()
+        with Collections() as c:
+            t0 = time.perf_counter()
+            fn()
+            dt = time.perf_counter() - t0
+        runs.append((dt, c.counts))
+    runs.sort(key=lambda r: r[0])
+    return statistics.median(dt for dt, _ in runs), runs[0][0], runs[len(runs) // 2][1]
+
+
+def load(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        return jsonio.parse_graph(json.load(fh))
+
+
+def validate(graph_path, schema_path):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["validate", graph_path, schema_path])
+    if code != cli.EXIT_VALID:
+        raise SystemExit(f"validate {schema_path} exited {code}, expected 0")
+
+
+def report(label, result):
+    med, best, (g0, g1, g2) = result
+    print(f"  {label:<26} median {med * 1e3:9.1f} ms  best {best * 1e3:9.1f} ms  gc {g0}/{g1}/{g2}")
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--sizes", default="1000,6000", help="replication factors k")
+    ap.add_argument("--repeat", type=int, default=3)
+    args = ap.parse_args()
+    with tempfile.TemporaryDirectory() as tmp:
+        schema_paths = {}
+        for kind, doc in SCHEMAS.items():
+            schema_paths[kind] = os.path.join(tmp, f"{kind}.json")
+            with open(schema_paths[kind], "w", encoding="utf-8") as fh:
+                json.dump(doc(), fh)
+        for k in (int(x) for x in args.sizes.split(",")):
+            graph_path = os.path.join(tmp, f"media_x{k}.json")
+            doc = replicated_media(k)
+            with open(graph_path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            print(f"media x{k}: {len(doc['edges'])} edges, {len(doc['props'])} props")
+            del doc
+            report("load", measure(lambda: load(graph_path), args.repeat))
+            g = load(graph_path)
+            for dialect, (rules, select) in SELECT.items():
+                sels = [sel for sel, _ in rules()]
+                report(f"select {dialect}", measure(lambda: [select(g, s) for s in sels], args.repeat))
+            del g
+            for kind, schema_path in schema_paths.items():
+                label = "load (cli)" if kind == "empty" else f"validate {kind}"
+                report(label, measure(lambda: validate(graph_path, schema_path), args.repeat))
+
+
+if __name__ == "__main__":
+    main()

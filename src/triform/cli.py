@@ -14,6 +14,8 @@ so a crash never reads as a verdict.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import gc
 import json
 import sys
 import traceback
@@ -58,9 +60,48 @@ def _emit(doc, pretty: bool) -> None:
     sys.stdout.write(jsonio.dumps(doc, pretty=pretty))
 
 
+@contextlib.contextmanager
+def _inputs_out_of_gc():
+    """Keep the cyclic collector off a command's loaded inputs.
+
+    Collection is paused while the inputs load: a fresh graph is a burst
+    of container objects that survives every pass.  Calling the yielded
+    ``loaded()`` then moves every live object into the collector's
+    permanent generation (``gc.freeze``) and resumes collection, so the
+    rest of the command never traverses the graph again.  On every exit
+    the collector is put back as found: the objects are unfrozen, and
+    collection is enabled only if it was.  A caller that already holds
+    frozen objects keeps them frozen, since ``gc.unfreeze`` cannot
+    release this command's objects alone; then nothing is frozen here
+    and collection stays paused until exit.
+    """
+    enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+    gc.disable()
+
+    def loaded() -> None:
+        if not frozen:
+            gc.freeze()
+            if enabled:
+                gc.enable()
+
+    try:
+        yield loaded
+    finally:
+        if not frozen:
+            gc.unfreeze()
+        if enabled:
+            gc.enable()
+
+
 def cmd_validate(args) -> int:
-    graph = jsonio.parse_graph(_load_json(args.graph))
-    dialect, payload = jsonio.parse_schema(_load_json(args.schema))
+    with _inputs_out_of_gc() as loaded:
+        graph = jsonio.parse_graph(_load_json(args.graph))
+        dialect, payload = jsonio.parse_schema(_load_json(args.schema))
+        loaded()
+        return _validate(args, graph, dialect, payload)
+
+
+def _validate(args, graph, dialect: str, payload) -> int:
     if args.dialect and args.dialect != dialect:
         raise FormatError(
             f"schema is tagged {dialect!r} but --dialect {args.dialect!r} was given"
@@ -149,8 +190,14 @@ def cmd_fuzz(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    graph = jsonio.parse_graph(_load_json(args.graph))
-    query = _load_json(args.query)
+    with _inputs_out_of_gc() as loaded:
+        graph = jsonio.parse_graph(_load_json(args.graph))
+        query = _load_json(args.query)
+        loaded()
+        return _oracle(args, graph, query)
+
+
+def _oracle(args, graph, query) -> int:
     spec = jsonio._obj(query, "$", ["focus"], ["path", "expr", "openness", "dialect"])
     focus = jsonio.parse_focus(spec["focus"], "$.focus")
     if args.kind == "path":

@@ -8,9 +8,9 @@ edges carry a single predicate, and node properties are single-valued.
 Everything here is immutable after construction.  Values and triples
 are tuples, so they hash and compare in C.  A ``CommonGraph`` is built
 in one pass over the edges and one over the property triples, with
-adjacency lists in input order.  Validators in the dialect modules only
-ever read a ``CommonGraph``, so one graph can be shared freely between
-concurrent evaluators.
+adjacency lists and a per-name triple index in input order.  Validators
+in the dialect modules only ever read a ``CommonGraph``, so one graph
+can be shared freely between concurrent evaluators.
 """
 
 from __future__ import annotations
@@ -233,6 +233,10 @@ class CommonGraph:
 
     The constructor checks the invariants of :func:`build_graph` in the
     pass that fills the indexes (``defaultdict``s, read through ``get``).
+    Next to the adjacency lists it keeps a name index,
+    :meth:`triples_named`: each predicate's edges and each key's property
+    triples in first-occurrence order (vertical partitioning), holding
+    the input triple objects themselves.
     """
 
     __slots__ = (
@@ -246,24 +250,27 @@ class CommonGraph:
         "_in_edges",
         "_node_props",
         "_value_owners",
+        "_by_name",
         "_hash",
     )
 
     def __init__(self, edges: Iterable[EdgeTriple], props: Iterable[PropTriple]):
         out_edges: Dict[str, List[EdgeTriple]] = defaultdict(list)
         in_edges: Dict[str, List[EdgeTriple]] = defaultdict(list)
-        preds = set()
+        by_name: Dict[str, List[Triple]] = defaultdict(list)
         unique = dict.fromkeys(edges)  # deduplicated, in input order
         for e in unique:
             s, p, o = e
-            preds.add(p)
             out_edges[s].append(e)
             in_edges[o].append(e)
+            by_name[p].append(e)
+        preds = frozenset(by_name)  # before any key joins the index
         prop_map: Dict[Tuple[str, str], Value] = {}
         node_props: Dict[str, Dict[str, Value]] = defaultdict(dict)
         value_owners: Dict[Value, List[Tuple[str, str]]] = defaultdict(list)
         keys = set()
-        for n, k, w in props:
+        for t in props:
+            n, k, w = t
             nk = (n, k)
             old = prop_map.get(nk)
             if old is None:
@@ -271,6 +278,7 @@ class CommonGraph:
                 keys.add(k)
                 node_props[n][k] = w
                 value_owners[w].append(nk)
+                by_name[k].append(t)
             elif old != w:
                 raise DuplicateKeyValue(f"node {n!r} key {k!r} maps to both {old!r} and {w!r}")
         clash = preds & keys
@@ -281,11 +289,12 @@ class CommonGraph:
         self.nodes = frozenset(out_edges.keys() | in_edges.keys() | node_props.keys())
         self.keys = frozenset(keys)
         self.values = frozenset(value_owners)
-        self.preds = frozenset(preds)
+        self.preds = preds
         self._out_edges = out_edges
         self._in_edges = in_edges
         self._node_props = node_props
         self._value_owners = value_owners
+        self._by_name = by_name
         self._hash: Optional[int] = None  # computed on the first __hash__
 
     def __eq__(self, other) -> bool:
@@ -315,6 +324,12 @@ class CommonGraph:
     def value_owners(self, w: Value) -> List[Tuple[str, str]]:
         """All (node, key) pairs mapped to ``w``."""
         return self._value_owners.get(w, [])
+
+    def triples_named(self, name: str) -> List[Triple]:
+        """The edges named ``name`` or the property triples with key
+        ``name`` (never both: the names are disjoint), each once, in the
+        order the input first gives it."""
+        return self._by_name.get(name, [])
 
     def prop(self, node: str, key: str) -> Optional[Value]:
         return self.props.get((node, key))
@@ -385,14 +400,10 @@ def neigh_signed(g: CommonGraph, v: Focus) -> FrozenSet[SignedTriple]:
 def triple_ends(g: CommonGraph, q: str, direction: str) -> Set[Elem]:
     """The raw elements with a ``q`` triple in the given direction: the
     first components (``FWD``) or the last components (``INV``) of all
-    edges and property triples named ``q``.  Predicate and key names are
-    disjoint, so only one of the two triple sets is scanned."""
-    fwd = direction == FWD
-    if q in g.preds:
-        return {e.s if fwd else e.o for e in g.edges if e.p == q}
-    if q in g.keys:
-        return {n if fwd else w for (n, k), w in g.props.items() if k == q}
-    return set()
+    edges and property triples named ``q``.  Reads the name index only,
+    so it costs the number of ``q`` triples, not the size of the graph."""
+    i = 0 if direction == FWD else 2
+    return {t[i] for t in g.triples_named(q)}
 
 
 def value_sort_key(w: Value) -> Tuple[str, str]:

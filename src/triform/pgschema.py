@@ -39,6 +39,7 @@ from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from .model import (
+    FWD,
     CommonGraph,
     EdgeTriple,
     Elem,
@@ -51,6 +52,7 @@ from .model import (
     elem_focus,
     elems_to_foci,
     focus_elem,
+    triple_ends,
     value_type_member,
 )
 from .report import ValidationReport, make_report
@@ -368,26 +370,28 @@ def path_image(g: CommonGraph, path: NodePath, sources: Set, registry=None) -> S
     are raw: node ids (``str``) and ``Value`` objects.  No step needs to
     test an element's kind, because the graph's indexes hold nothing for
     an element of the wrong kind, and a filter passes graph nodes only.
-    The star is reflexive on every source.
+    The star is reflexive on every source.  A name step reads the name's
+    triples or the sources' adjacency lists (:func:`_name_image`), and a
+    key-is filter the value's owners or the sources' records, whichever
+    are fewer.
     """
-    if isinstance(path, PName) or (isinstance(path, PInv) and isinstance(path.inner, PName)):
-        return set().union(*[image for _, image in path_images(g, path, sources)])
+    step = path.inner if type(path) is PInv else path
+    if type(step) is PName:
+        return _name_image(g, step.q, step is not path, sources)
+    if type(step) is PPred:
+        return _name_image(g, step.p, step is not path, sources, edges_only=True)
     if isinstance(path, PInv):
-        step = path.inner
-        if isinstance(step, PPred):
-            q = step.p
-            return {e.s for u in sources for e in g.in_edges(u) if e.p == q}
         if isinstance(step, PNotPreds):
             excluded = step.excluded
             return {e.s for u in sources for e in g.in_edges(u) if e.p not in excluded}
         raise TriformError("inverse not normalized")
-    if isinstance(path, PPred):
-        q = path.p
-        return {e.o for u in sources for e in g.out_edges(u) if e.p == q}
     if isinstance(path, PConcat):
         return path_image(g, path.right, path_image(g, path.left, sources, registry), registry)
     if isinstance(path, PFilter):
-        return {u for u in sources if u in g.nodes and _filter_holds(g, u, path.kind, registry)}
+        kind = path.kind
+        if type(kind) is FKeyIs and len(owners := g.value_owners(kind.c)) <= len(sources):
+            return {n for n, k in owners if k == kind.k and n in sources}
+        return {u for u in sources if u in g.nodes and _filter_holds(g, u, kind, registry)}
     if isinstance(path, PUnion):
         return path_image(g, path.left, sources, registry) | path_image(
             g, path.right, sources, registry
@@ -406,6 +410,33 @@ def path_image(g: CommonGraph, path: NodePath, sources: Set, registry=None) -> S
     if isinstance(path, PId):
         return set(sources)
     raise TriformError(f"unknown PG-path node {path!r}")
+
+
+def _name_image(g: CommonGraph, q: str, inverse: bool, sources: Set, edges_only: bool = False) -> Set:
+    """The image of ``sources`` under the name step ``q`` or its inverse:
+    the edges labelled ``q`` and, unless ``edges_only`` (a PG predicate
+    step), the key ``q``.  Reads the name's triples once when there are
+    no more of them than sources, and each source's adjacency otherwise."""
+    is_key = q in g.keys
+    named = () if edges_only and is_key else g.triples_named(q)
+    if len(named) <= len(sources):
+        return _scan_named(named, inverse, sources)
+    if is_key:
+        if inverse:
+            return {n for w in sources for n, k in g.value_owners(w) if k == q}
+        props = g.props
+        return {w for u in sources if (w := props.get((u, q))) is not None}
+    if inverse:
+        return {e.s for u in sources for e in g.in_edges(u) if e.p == q}
+    return {e.o for u in sources for e in g.out_edges(u) if e.p == q}
+
+
+def _scan_named(named: Sequence, inverse: bool, sources: Set) -> Set:
+    """The image of ``sources`` under one name's triples, read once: each
+    triple leads from its first component to its last (inverted: back)."""
+    if inverse:
+        return {t[0] for t in named if t[2] in sources}
+    return {t[2] for t in named if t[0] in sources}
 
 
 def path_images(g: CommonGraph, path: NodePath, elems: Set[Elem], registry=None) -> List[Tuple[Elem, Set]]:
@@ -556,13 +587,17 @@ def _select(g: CommonGraph, sel: PgSelector, registry) -> Set[Elem]:
     path = sel.path
     if path.dst_key is None:
         starts: Set[str] = set(g.nodes)
+    elif path.dst_key in g.keys:
+        starts = triple_ends(g, path.dst_key, FWD)
     else:
-        starts = {n for (n, k) in g.props if k == path.dst_key}
+        starts = set()
     if path.body is not None:
         starts = path_image(g, push_inv(path.body, flipped=True), starts, registry) & g.nodes
     if path.src_key is None:
         return starts
-    return {g.prop(u, path.src_key) for u in starts} - {None}
+    if path.src_key not in g.keys:
+        return set()
+    return _name_image(g, path.src_key, False, starts)  # the src_key values of the starts
 
 
 def pg_select(

@@ -362,7 +362,8 @@ class _Template:
     root: int = -1
     ranks: Dict[int, int] = field(default_factory=dict)  # leaf node -> rank of its (name, direction)
     leaf_bits: int = 0  # the triple-constraint nodes, as a signature
-    plans: Dict[Tuple[str, str], Tuple[int, list]] = field(default_factory=dict)  # :meth:`plan`, per run
+    # :meth:`plan` per run, by direction and then by name
+    plans: Dict[str, Dict[str, Tuple[int, list]]] = field(default_factory=lambda: {FWD: {}, INV: {}})
     verdicts: Dict[Tuple[int, ...], bool] = field(default_factory=dict)  # per run
 
     def plan(self, name: str, direction: str):
@@ -377,7 +378,7 @@ class _Template:
         for node, d, excl in self.wilds:
             if d == direction and name not in excl:
                 sig |= 1 << node
-        return self.plans.setdefault((name, direction), (sig, tested))
+        return self.plans[direction].setdefault(name, (sig, tested))
 
 
 class _Compiled:
@@ -516,8 +517,9 @@ def _signatures(ctx: EvalContext, g: CommonGraph, t: _Template, elems: Set[Elem]
             raise NeighborhoodTooLarge(f"signed neighborhood of {v!r} has {n} triples (cap {cap})")
         sigs, deferred = [], []
         for (d, ni, fi), rows in zip(_GROUPS, groups):
+            dplans = plans[d]
             for r in rows:
-                sig, tested = plans.get((r[ni], d)) or plan(r[ni], d)
+                sig, tested = dplans.get(r[ni]) or plan(r[ni], d)
                 if tested:
                     deferred.append((len(sigs), r[fi], tested))
                     for _, nested in tested:
@@ -681,8 +683,8 @@ def _select(g: CommonGraph, sel: ShexSelector) -> Set[Elem]:
     if isinstance(sel, SelTestConst):
         return {sel.c}
     if isinstance(sel, SelOutConst):
-        # predicate endpoints are nodes and never equal a value constant
-        return {n for (n, k), w in g.props.items() if k == sel.q and w == sel.c}
+        # the constant's owners under key q; predicate endpoints are nodes, never a value
+        return {n for n, k in g.value_owners(sel.c) if k == sel.q}
     if isinstance(sel, SelOut):
         return triple_ends(g, sel.q, FWD)
     if isinstance(sel, SelIn):

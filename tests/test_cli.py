@@ -1,9 +1,11 @@
+import contextlib
+import gc
 import json
 from pathlib import Path
 
 import pytest
 
-from triform import jsonio
+from triform import cli, jsonio
 from triform.cli import main
 from triform.examples import (
     media_graph,
@@ -60,6 +62,58 @@ def test_validate_reports_are_byte_identical(files, capsys):
     _, out1, _ = run(capsys, "validate", files["graph.json"], files["pg.json"])
     _, out2, _ = run(capsys, "validate", files["graph.json"], files["pg.json"])
     assert out1 == out2
+
+
+def _validate_argv(files, tmp_path, code):
+    """``validate`` arguments that exit with ``code``."""
+    if code == 0:
+        return [files["graph.json"], files["shacl.json"]]
+    if code == 1:
+        return [files["broken.json"], files["pg.json"]]
+    if code == 2:  # well-formed JSON, malformed graph
+        bad = tmp_path / "bad_graph.json"
+        bad.write_text('{"edges": [{"s": "u1", "p": "knows"}], "props": []}')
+        return [str(bad), files["pg.json"]]
+    return [files["graph.json"], files["shex.json"], "--cap", "1"]
+
+
+@pytest.mark.parametrize("caller", ["enabled", "disabled", "frozen"])
+@pytest.mark.parametrize("code", [0, 1, 2, 3])
+def test_validate_leaves_the_collector_as_found(files, tmp_path, capsys, code, caller):
+    argv = ["validate", *_validate_argv(files, tmp_path, code)]
+    enabled = gc.isenabled()
+    try:
+        if caller == "disabled":
+            gc.disable()
+        elif caller == "frozen":
+            gc.freeze()
+        before = (gc.isenabled(), gc.get_freeze_count())
+        got = main(argv)
+        after = (gc.isenabled(), gc.get_freeze_count())
+    finally:
+        gc.unfreeze()
+        if enabled:
+            gc.enable()
+    assert got == code
+    assert after == before
+    assert before[1] > 0 if caller == "frozen" else before[1] == 0
+
+
+def test_reports_equal_without_the_collector_handling(files, capsys, monkeypatch):
+    cases = [
+        ("validate", files[g], files[s])
+        for g in ("graph.json", "broken.json")
+        for s in ("shacl.json", "shex.json", "pg.json")
+    ]
+    handled = [run(capsys, *argv) for argv in cases]
+
+    @contextlib.contextmanager
+    def untouched():
+        yield lambda: None
+
+    monkeypatch.setattr(cli, "_inputs_out_of_gc", untouched)
+    assert [run(capsys, *argv) for argv in cases] == handled
+    assert {code for code, _, _ in handled} == {0, 1}
 
 
 def test_validate_malformed_json(tmp_path, files, capsys):

@@ -10,6 +10,8 @@ import pytest
 from triform.harness import GenParams, gen_graph
 from triform.jsonio import parse_graph
 from triform.model import (
+    FWD,
+    INV,
     DuplicateKeyValue,
     EdgeTriple,
     Node,
@@ -28,6 +30,7 @@ from triform.model import (
     neigh,
     neigh_signed,
     str_v,
+    triple_ends,
     value_type_member,
 )
 
@@ -195,6 +198,13 @@ def test_one_pass_build_equals_naive_indexes(nodes, density):
             assert g.node_props(u) == {k: w for (n, k), w in prop_map.items() if n == u}
         for w in g.values:
             assert g.value_owners(w) == _first_occurrences((t.n, t.k) for t in props if t.v == w)
+        for q in g.preds | g.keys | {"nowhere"}:
+            # the name index: the input triple objects themselves, each once, in input order
+            named = _first_occurrences(e for e in edges if e.p == q)
+            named += _first_occurrences(t for t in props if t.k == q)
+            assert [id(t) for t in g.triples_named(q)] == [id(t) for t in named]
+            for d, i in ((FWD, 0), (INV, 2)):
+                assert triple_ends(g, q, d) == {t[i] for t in g.triple_view() if t[1] == q}
         assert g == gen_graph(p)
 
 

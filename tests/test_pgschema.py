@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 import triform.harness as harness
+import triform.pgschema as pgschema
 from triform.harness import (
     GenParams,
     brute_edge_type_member,
@@ -25,6 +26,7 @@ from triform.model import (
     int_v,
     sorted_foci,
     str_v,
+    value_sort_key,
     value_type_member,
 )
 from triform.pgschema import (
@@ -48,6 +50,7 @@ from triform.pgschema import (
     PgLeq,
     PgPath,
     PInv,
+    PName,
     PNotPreds,
     PPred,
     PStar,
@@ -63,6 +66,7 @@ from triform.pgschema import (
     key_path,
     loose_graph_type,
     normalize_edge_type,
+    path_image,
     pg_satisfies,
     pg_select,
     pg_validate,
@@ -476,6 +480,72 @@ def test_select_equals_per_focus_definition():
     star = PgGeq(1, PgPath(None, PStar(PPred("p")), None))
     assert pg_select(g, star) == sorted_foci(Node(u) for u in g.nodes)
     assert not eval_pg_path(g, Node("ghost"), star.path)
+
+
+def test_select_by_name_index_equals_per_focus_definition(monkeypatch):
+    """Selectors with a ``dst_key`` range, or with a body that inverts to
+    a name step from every node, select what the per-element definition
+    does; and selection takes both sides of a name step's by-size choice
+    (the name's triples read once, or each source's adjacency)."""
+    calls = Counter()
+    scan, step = pgschema._scan_named, pgschema._name_image
+
+    def counted_scan(*args):
+        calls["scan"] += 1
+        return scan(*args)
+
+    def counted_step(*args, **kwargs):
+        calls["step"] += 1
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(pgschema, "_scan_named", counted_scan)
+    monkeypatch.setattr(pgschema, "_name_image", counted_step)
+    seen = Counter()
+    for n in (8, 12, 40):
+        for seed in range(6):
+            params = GenParams(seed=seed, node_count=n)
+            g = gen_graph(params)
+            q, r = params.pred_pool[:2]
+            bodies = [None, PPred(q), PInv(PPred(q)), PConcat(PPred(q), PInv(PPred(r))), PStar(PPred(r))]
+            for body, src, dst in itertools.product(bodies, (None, "k1", q), (None, "k1", "k2", q)):
+                if body is None and src is None and dst is None:
+                    continue
+                sel = PgGeq(1, PgPath(src, body, dst))
+                calls.clear()
+                got = pg_select(g, sel)
+                seen["scan"] += calls["scan"] > 0
+                seen["adjacency"] += calls["step"] > calls["scan"]
+                assert got == per_focus_select(g, sel), (n, seed, sel)
+    assert min(seen["scan"], seen["adjacency"]) > 20, seen
+
+
+def test_name_steps_and_key_filters_equal_a_scan_of_the_graph():
+    """A name step (PName: edges or the key; PPred: edges only) or its
+    inverse, and a key-is filter, from source sets of every size, equal a
+    scan of the graph, on both sides of their by-size choice (the name's
+    triples or the value's owners, against the sources' adjacency)."""
+    for n in (8, 12, 40):
+        params = GenParams(seed=n, node_count=n)
+        g = gen_graph(params)
+        elems = sorted(g.nodes) + sorted(g.values, key=value_sort_key) + ["ghost"]
+        rng = random.Random(n)
+        sizes = (0, 1, 3, len(elems) // 2, len(elems))
+        for q in sorted(g.preds | g.keys) + ["nowhere"]:
+            for step, inverse in itertools.product((PName(q), PPred(q)), (False, True)):
+                i, j = (2, 0) if inverse else (0, 2)
+                for size in sizes:
+                    sources = set(rng.sample(elems, size))
+                    expected = {
+                        t[j]
+                        for t in g.triple_view()
+                        if t[1] == q and t[i] in sources and (type(step) is PName or type(t) is EdgeTriple)
+                    }
+                    assert path_image(g, PInv(step) if inverse else step, sources) == expected
+        for k, c in itertools.product(params.key_pool, params.value_pool):
+            for size in sizes:
+                sources = set(rng.sample(elems, size))
+                expected = {u for u in sources if u in g.nodes and g.prop(u, k) == c}
+                assert path_image(g, PFilter(FKeyIs(k, c)), sources) == expected
 
 
 def _small_registry(member):
