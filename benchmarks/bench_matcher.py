@@ -1,20 +1,24 @@
 """Benchmark: the bag-matching kernel.
 
 The matcher decides whether a signed neighborhood splits into triples
-consumed by a triple expression plus wildcard remainder; the subset DP
-behind it is the one hot loop in ShEx validation.  Three workloads:
+consumed by a triple expression plus wildcard remainder; the DP over
+the counts of rows per signature class behind it is the one hot loop
+in ShEx validation.  Three workloads, each over two classes (the p- and
+the q-triples):
 
   pairs       a starred alternation of two-triple sequences that must
-              tile the whole neighborhood; worst-case subset exploration
+              tile the whole neighborhood: a star peels one part per step
   false-pairs the pairs shape over p = q + 2 triples, which cannot be
               tiled: the DP must exhaust every split before it says no
   bounded     an at-most-k repetition under an open closure; the typical
-              shape of validation constraints
+              shape of validation constraints, and a program of about
+              k^2 nodes
 
 Each timed call validates in a fresh evaluation context, so the per-run
-verdict memo never answers it: the numbers time the kernel itself.
+verdict memo never answers it: the numbers time the template build and
+the kernel.
 
-Usage: python benchmarks/bench_matcher.py [--sizes 8,12,16,20] [--repeat 3]
+Usage: python benchmarks/bench_matcher.py [--sizes 8,12,16,20,32,64] [--repeat 3]
 """
 
 import argparse
@@ -80,7 +84,7 @@ def time_once(g, expr, openness, n):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--sizes", default="8,12,16,20", help="neighborhood sizes")
+    parser.add_argument("--sizes", default="8,12,16,20,32,64", help="neighborhood sizes")
     parser.add_argument("--repeat", type=int, default=3)
     args = parser.parse_args()
     sizes = [int(s) for s in args.sizes.split(",")]

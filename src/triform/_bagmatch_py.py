@@ -1,41 +1,48 @@
 """The bag-matching kernel.
 
-Decides whether a flattened triple-expression program can consume a
-neighborhood bitmask exactly.  Memoized dynamic programming keyed by
-(program node, subset mask), pruned by two static facts per node:
+Decides whether a flattened triple-expression program can consume a bag
+of rows exactly.  The program cannot tell apart two rows that the same
+LEAF and WILDSTAR nodes may consume, so the rows come grouped into
+signature classes (a class's signature is the set of those nodes), and
+a bag is its count vector, one count per class: its Parikh image over
+the constraints.  Memoized dynamic programming keyed by (program node,
+count vector), pruned by two static facts per node:
 
-- its support, the union of the masks at and below it: a node never
-  takes a bit outside its support;
-- its count bounds ``[lo, hi]``, the interval of how many triples it
-  can consume (:func:`count_bounds`): a leaf takes exactly one triple,
-  so a sequence takes the sum of its parts and an alternation the hull
-  of its branches.  A mask whose popcount falls outside the interval
-  is rejected before the memo is consulted.
+- ``under[i]``, the LEAF and WILDSTAR nodes at or below it: a node
+  takes no row of a class whose signature misses ``under[i]``;
+- its count bounds ``[lo, hi]`` (:func:`count_bounds`): a leaf takes
+  exactly one row, so a sequence takes the sum of its parts and an
+  alternation the hull of its branches.
 
-Support and count bounds together decide the nodes without children
-exactly (an epsilon has support 0 and bounds [0, 0], a leaf its mask
-and [1, 1], a wildcard star its mask and [0, inf]), so only sequences,
-alternations and stars reach the memo.  A sequence node gives the bits
-only its left child can take to the left, the bits only its right
-child can take to the right, and enumerates the submasks of the bits
-both can take, skipping a split before recursing when either share
-falls outside its child's interval.  A star node peels one nonempty
-part per step; that part holds the lowest set bit of the mask (the
-parts of a bag are unordered) and its size must fit the child's
-interval.  An alternation tries only the branches whose interval
-holds the mask's popcount.
+A node first checks that a bag lies within its support and bounds,
+which decides the empty bag and the nodes without children outright;
+the splits of sequences and stars are built to fit, so they call no
+leaf child.  A sequence gives the classes only one child can take to
+that child and enumerates the splits of the classes both can take,
+largest left share first, within both children's bounds.  A star peels
+one part per step, holding a row of the first nonempty class (the parts
+of a bag are unordered), within its child's bounds.  For a fixed number
+of classes the states are polynomial in the rows.
 
-Program encoding (parallel lists):
-  ops[i]   one of the OP_* codes
-  lefts[i]/rights[i]  child indices (-1 when unused)
-  support[i]  union of the allowed-triple bitmasks of the LEAF and
-      WILDSTAR nodes at and below node i (at such a node, its own mask)
-  lo[i]/hi[i]  count bounds of node i (``UNBOUNDED`` for no upper bound)
+A count vector is packed into one integer, class ``c`` in bits
+``[c * width, (c + 1) * width)`` with ``width`` wide enough for the
+total, so vector sums, differences and class masks are integer
+operations and a vector's total is one multiplication.  A class of one
+row is a bit: :func:`bag_match` decides a program over a bitmask with
+the same DP, its bits grouped by signature.
+
+A :data:`Program` is (ops, lefts, rights, under, lo, hi, root), parallel
+lists with children before their parents: ``ops[i]`` one of the OP_*
+codes, ``lefts[i]``/``rights[i]`` child indices (-1 when unused),
+``under[i]`` as above (:func:`under_masks`), ``lo[i]``/``hi[i]`` the
+count bounds (``UNBOUNDED`` for no upper bound).  The bitmask entries
+take ``support`` in place of ``under``, read only at a LEAF or WILDSTAR
+node: the mask of the bits it may consume.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 OP_EPS = 0
 OP_LEAF = 1
@@ -44,19 +51,21 @@ OP_ALT = 3
 OP_STAR = 4
 OP_WILDSTAR = 5
 
-# the upper count bound of a node that can consume any number of triples
+# the upper count bound of a node that can consume any number of rows
 UNBOUNDED = 1 << 62
 
-# memo value of a decided (node, mask) pair without a match
+# memo value of a decided (node, counts) pair without a match
 _NO = -1
 
 # the nodes without children, decided by their support and count bounds
 _LEAVES = (OP_EPS, OP_LEAF, OP_WILDSTAR)
 
+Program = Tuple[List[int], List[int], List[int], List[int], List[int], List[int], int]
+
 
 def count_bounds(op: int, lo: List[int], hi: List[int], a: int = -1, b: int = -1) -> Tuple[int, int]:
-    """The interval of triple counts a node with children ``a`` and
-    ``b`` (indices into ``lo``/``hi``) can consume."""
+    """The interval of row counts a node with children ``a`` and ``b``
+    (indices into ``lo``/``hi``) can consume."""
     if op == OP_EPS:
         return 0, 0
     if op == OP_LEAF:
@@ -72,86 +81,144 @@ def count_bounds(op: int, lo: List[int], hi: List[int], a: int = -1, b: int = -1
     raise ValueError(f"bad opcode {op}")
 
 
-def _decider(
-    ops: List[int],
-    lefts: List[int],
-    rights: List[int],
-    support: List[int],
-    lo: List[int],
-    hi: List[int],
-) -> Tuple[Callable[[int, int], bool], Dict[Tuple[int, int], int]]:
-    """The memoized decision procedure ``can(node, mask)`` and its memo.
+def under_masks(ops: List[int], lefts: List[int], rights: List[int]) -> List[int]:
+    """For each node, the LEAF and WILDSTAR nodes at or below it."""
+    under: List[int] = []
+    for i, op in enumerate(ops):
+        m = 1 << i if op == OP_LEAF or op == OP_WILDSTAR else 0
+        for child in (lefts[i], rights[i]):
+            if child >= 0:
+                m |= under[child]
+        under.append(m)
+    return under
 
-    For a matched sequence or star the memo holds the mask given to the
-    left child (the peeled part); for a matched alternation it holds 0
-    (left branch) or 1 (right branch); otherwise ``_NO``.
-    """
-    memo: Dict[Tuple[int, int], int] = {}
 
-    def can(i: int, m: int) -> bool:
-        if m & ~support[i]:
-            return False
-        n = m.bit_count()
-        if n < lo[i] or n > hi[i]:
-            return False
-        op = ops[i]
-        if op in _LEAVES:
-            return True
-        key = (i, m)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached != _NO
-        won = _NO
-        if op == OP_SEQ:
-            a, b = lefts[i], rights[i]
-            shared = m & support[a] & support[b]
-            forced = m & ~support[b]  # bits the right child cannot take
-            # the number of shared bits the left child may take
-            nf = forced.bit_count()
-            least = (lo[a] if lo[a] > n - hi[b] else n - hi[b]) - nf
-            most = (hi[a] if hi[a] < n - lo[b] else n - lo[b]) - nf
-            # a share within a child's support and bounds fits a leaf child
-            s = shared
-            while least <= most:
-                if least <= s.bit_count() <= most:
-                    left = forced | s
-                    if (ops[a] in _LEAVES or can(a, left)) and (ops[b] in _LEAVES or can(b, m ^ left)):
-                        won = left
-                        break
-                if s == 0:
-                    break
-                s = (s - 1) & shared
-        elif op == OP_ALT:
-            a, b = lefts[i], rights[i]
-            if lo[a] <= n <= hi[a] and can(a, m):
-                won = 0
-            elif lo[b] <= n <= hi[b] and can(b, m):
-                won = 1
-        elif op == OP_STAR:
-            if m == 0:
-                won = 0
-            else:
-                a = lefts[i]
-                low = m & -m
-                rest = m ^ low
-                # the number of bits besides ``low`` in the peeled part
-                least, most = lo[a] - 1, hi[a] - 1
-                s = rest
-                while True:
-                    if least <= s.bit_count() <= most:
-                        part = low | s
-                        if (ops[a] in _LEAVES or can(a, part)) and can(i, m ^ part):
-                            won = part
-                            break
-                    if s == 0:
-                        break
-                    s = (s - 1) & rest
-        else:
-            raise ValueError(f"bad opcode {op}")
-        memo[key] = won
+def _fields(sigs: Sequence[int], u: int, width: int) -> int:
+    """The fields, in a packed count vector, of the classes whose
+    signature meets the node set ``u``."""
+    f, field, shift = 0, (1 << width) - 1, 0
+    for sig in sigs:
+        if sig & u:
+            f |= field << shift
+        shift += width
+    return f
+
+
+def _start(program: Program, sigs: Sequence[int], counts: Sequence[int]):
+    """The state of one decision of ``program`` over the bag of
+    ``counts[c]`` rows of each class ``c`` of signature ``sigs[c]``, the
+    packed bag and its total.  The state is (ops, lefts, rights, under,
+    lo, hi, sigs, width, ones, high, memo): a packed vector times ``ones``
+    holds its total at bit ``high``.  The memo holds, for a matched
+    sequence, the vector given to the left child, for a matched star the
+    peeled part, for a matched alternation 0 (left branch) or 1 (right
+    branch); otherwise ``_NO``."""
+    total = sum(counts)
+    width = total.bit_length() or 1  # no sum of counts carries into the next class
+    full = ones = high = 0
+    for x in counts:
+        full |= x << high
+        ones |= 1 << high
+        high += width
+    return (*program[:6], sigs, width, ones, max(high - width, 0), {}), full, total
+
+
+def _can(run: tuple, i: int, v: int, n: int) -> bool:
+    """Whether node i consumes exactly the bag ``v`` of total ``n``."""
+    ops, lefts, rights, under, lo, hi, sigs, width, _, _, memo = run
+    if not lo[i] <= n <= hi[i] or v & ~_fields(sigs, under[i], width):
+        return False
+    op, a, b = ops[i], lefts[i], rights[i]
+    if op in _LEAVES or not n:  # a node whose lower bound is 0 takes the empty bag
+        return True
+    key = (i, v)
+    won = memo.get(key)
+    if won is not None:
         return won != _NO
+    if op == OP_ALT:
+        won = 0 if _can(run, a, v, n) else 1 if _can(run, b, v, n) else _NO
+    elif op == OP_SEQ:
+        fa, fb = _fields(sigs, under[a], width), _fields(sigs, under[b], width)
+        # the classes only the left child can take go left, those both
+        # can take are split
+        won = _split(run, a, b, v, n, v & ~fb, v & fa & fb, max(lo[a], n - hi[b]), min(hi[a], n - lo[b]))
+    elif op == OP_STAR:
+        # the peeled part holds one row of the first nonempty class; what
+        # is left of the star is the star again
+        first = 1 << ((v & -v).bit_length() - 1) // width * width
+        won = _split(run, a, i, v, n, first, v - first, lo[a], hi[a])
+    else:
+        raise ValueError(f"bad opcode {op}")
+    memo[key] = won
+    return won != _NO
 
-    return can, memo
+
+def _split(run: tuple, a: int, b: int, v: int, n: int, p: int, extra: int, least: int, most: int) -> int:
+    """The first part ``p + x`` of ``v``, x within ``extra`` class by
+    class, that node a consumes while node b consumes the rest, or
+    ``_NO``.  Only parts whose total lies in [least, most] are tried,
+    larger shares of lower classes first."""
+    ops, width, ones, high = run[0], run[7], run[8], run[9]
+    field = (1 << width) - 1
+    s = p * ones >> high & field
+    if not extra:
+        if least <= s <= most and (ops[a] in _LEAVES or _can(run, a, p, s)) and (
+            ops[b] in _LEAVES or _can(run, b, v - p, n - s)
+        ):
+            return p
+        return _NO
+    shift = ((extra & -extra).bit_length() - 1) // width * width
+    count = extra >> shift & field
+    rest = extra ^ count << shift
+    room = rest * ones >> high & field
+    for add in range(min(count, most - s), max(0, least - s - room) - 1, -1):
+        got = _split(run, a, b, v, n, p + (add << shift), rest, least, most)
+        if got != _NO:
+            return got
+    return _NO
+
+
+def count_match(program: Program, sigs: Sequence[int], counts: Sequence[int]) -> bool:
+    """Whether ``program`` consumes exactly ``counts[c]`` rows of each
+    class ``c`` of signature ``sigs[c]``."""
+    run, full, total = _start(program, sigs, counts)
+    return _can(run, program[-1], full, total)
+
+
+def count_witness(program: Program, sigs: Sequence[int], pools: Sequence[list]) -> Optional[list]:
+    """Like :func:`count_match` over the rows ``pools[c]`` of each class
+    ``c``, but returns one consumption witness: (consumer node, consumed
+    rows) pairs that deal out every row once, the consumers being LEAF
+    or WILDSTAR nodes, or None when there is no match.  The memo's count
+    vectors are expanded class by class, each consumer taking the next
+    rows of a pool."""
+    ops, lefts, rights = program[:3]
+    run, v, total = _start(program, sigs, [len(pool) for pool in pools])
+    if not _can(run, program[-1], v, total):
+        return None
+    width, memo = run[7], run[-1]
+    rest = [iter(pool) for pool in pools]
+    out: List[Tuple[int, list]] = []
+    todo = [(program[-1], v)]
+    while todo:
+        i, v = todo.pop()
+        op = ops[i]
+        if not v:
+            continue  # the empty bag, decided without the memo
+        if op == OP_LEAF or op == OP_WILDSTAR:
+            taken = [v >> (c * width) & ((1 << width) - 1) for c in range(len(pools))]
+            out.append((i, [next(rest[c]) for c, k in enumerate(taken) for _ in range(k)]))
+        elif op == OP_SEQ:
+            left = memo[(i, v)]
+            todo.append((rights[i], v - left))
+            todo.append((lefts[i], left))
+        elif op == OP_ALT:
+            todo.append((rights[i] if memo[(i, v)] else lefts[i], v))
+        elif op == OP_STAR:
+            part = memo[(i, v)]
+            todo.append((i, v - part))
+            todo.append((lefts[i], part))
+    return out
 
 
 def bag_match(
@@ -165,8 +232,7 @@ def bag_match(
     full: int,
 ) -> bool:
     """Whether the program rooted at ``root`` consumes exactly ``full``."""
-    can, _ = _decider(ops, lefts, rights, support, lo, hi)
-    return can(root, full)
+    return bag_match_witness(ops, lefts, rights, support, lo, hi, root, full) is not None
 
 
 def bag_match_witness(
@@ -179,33 +245,16 @@ def bag_match_witness(
     root: int,
     full: int,
 ) -> Optional[List[Tuple[int, int]]]:
-    """Like :func:`bag_match` but reconstructs one consumption witness.
-
-    Returns a list of (consumer node index, consumed mask) pairs covering
-    ``full`` with pairwise-disjoint masks, where consumers are LEAF or
-    WILDSTAR nodes, or None when there is no match.  The witness is read
-    from the memo of the decision run.  Used by tests to check that no
-    triple is consumed twice.
-    """
-    can, memo = _decider(ops, lefts, rights, support, lo, hi)
-    if not can(root, full):
-        return None
-    out: List[Tuple[int, int]] = []
-    todo = [(root, full)]
-    while todo:
-        i, m = todo.pop()
-        op = ops[i]
-        if op == OP_LEAF or op == OP_WILDSTAR:
-            if m:
-                out.append((i, m))
-        elif op == OP_SEQ:
-            left = memo[(i, m)]
-            todo.append((rights[i], m ^ left))
-            todo.append((lefts[i], left))
-        elif op == OP_ALT:
-            todo.append((rights[i] if memo[(i, m)] else lefts[i], m))
-        elif op == OP_STAR and m:
-            part = memo[(i, m)]
-            todo.append((i, m ^ part))
-            todo.append((lefts[i], part))
-    return out
+    """Like :func:`bag_match` but returns one consumption witness:
+    (consumer node, consumed mask) pairs covering ``full`` with pairwise
+    disjoint masks, the consumers being LEAF or WILDSTAR nodes, or None
+    when there is no match.  The bits are grouped by signature, the
+    consumers that may take them, and decided by :func:`count_witness`."""
+    consumers = [i for i, op in enumerate(ops) if op == OP_LEAF or op == OP_WILDSTAR]
+    groups: Dict[int, List[int]] = {}
+    for bit in (1 << k for k in range(full.bit_length()) if full >> k & 1):
+        groups.setdefault(sum(1 << i for i in consumers if support[i] & bit), []).append(bit)
+    sigs = sorted(groups)
+    program = (ops, lefts, rights, under_masks(ops, lefts, rights), lo, hi, root)
+    raw = count_witness(program, sigs, [groups[sig] for sig in sigs])
+    return None if raw is None else [(node, sum(bits)) for node, bits in raw]

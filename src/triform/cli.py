@@ -23,7 +23,6 @@ from typing import List, Optional
 
 from . import jsonio
 from .cogsl import check_common, cogsl_to_shacl, cogsl_to_shex
-from .harness import GenParams, run_campaign
 from .model import (
     FormatError,
     NeighborhoodTooLarge,
@@ -35,7 +34,6 @@ from .pgschema import GraphType, pg_validate, validate_graph_type
 from .shacl import shacl_validate
 from .shex import shex_validate
 from .sshex import eliminate_extra, normalize_shape_intervals, sshex_to_shex
-from .harness import brute_match_oracle, brute_path_oracle, brute_pg_path_oracle
 
 EXIT_VALID = 0
 EXIT_INVALID = 1
@@ -171,6 +169,7 @@ def cmd_check_common(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
+    from .harness import GenParams, run_campaign  # only fuzz and oracle load the generators and oracles
     params = GenParams(
         node_count=args.nodes,
         schema_size_budget=args.budget,
@@ -198,6 +197,7 @@ def cmd_oracle(args) -> int:
 
 
 def _oracle(args, graph, query) -> int:
+    from .harness import brute_match_oracle, brute_path_oracle, brute_pg_path_oracle
     spec = jsonio._obj(query, "$", ["focus"], ["path", "expr", "openness", "dialect"])
     focus = jsonio.parse_focus(spec["focus"], "$.focus")
     if args.kind == "path":

@@ -13,16 +13,16 @@ elements to those that satisfy it.  Each neighborhood shape is
 flattened once per run into a program template.  An element's signed
 triples are its rows, read from the adjacency lists and counted against
 a hard cap before any nested shape is evaluated; each row gets a
-signature, the bitset of the leaf and wildcard nodes that may consume
-it.  Wildcards and top-shape leaves take a row untested; each other
-nested shape is evaluated once, on the union of the far ends it tests.
-As in the bag semantics of ShEx, the verdict depends only on the bag of
-row signatures (the Parikh image over the constraints), so the template
+signature, the set of leaf and wildcard nodes that may consume it.
+Wildcards and top-shape leaves take a row untested; each other nested
+shape is evaluated once, on the union of the far ends it tests.  As in
+the bag semantics of ShEx, the verdict depends only on the bag of row
+signatures (the Parikh image over the constraints), so the template
 keeps a per-run verdict memo keyed by the sorted signatures, and only a
-miss runs the memoized subset DP of ``_bagmatch_py``.  Each triple
-constraint consumes exactly one triple, so every program node has a
-static interval of triple counts that the DP prunes with.  Cost is
-exponential only in the neighborhood size: exceeding the cap raises
+miss runs the kernel of ``_bagmatch_py``: a DP over the count of rows of
+each distinct signature, pruned by each program node's static interval
+of triple counts.  Its cost is polynomial in the rows for a fixed number
+of distinct signatures; exceeding the cap raises
 ``NeighborhoodTooLarge``, never approximating.
 
 Counting is by triples, not by endpoints: a node with two parallel
@@ -339,29 +339,19 @@ class _Template:
     ``leaves`` buckets the triple-constraint nodes by the (name,
     direction) of the triples they can consume, each with its compiled
     nested shape; ``wilds`` lists (node, direction, excluded names) for
-    the wildcard nodes, the openness suffix included; ``joins`` lists
-    (node, left, right) for the inner nodes in bottom-up order, a star
-    naming its child twice.  ``lo``/``hi`` are the nodes' count bounds,
-    which depend on the shape only.
+    the wildcard nodes, the openness suffix included.  ``program`` is
+    the kernel program (``_bagmatch_py.Program``); it depends on the
+    shape only.
 
-    A row's signature is the bitset of the leaf and wildcard nodes whose
-    mask would hold the row's bit.  ``verdicts`` maps the sorted tuple of
-    an element's row signatures to its verdict; only a miss fills the
-    leaf masks (:func:`_program`, one bit per row in the order of
-    :func:`_layout`) and runs the kernel.
+    A row's signature is the set of leaf and wildcard nodes that may
+    consume it, one bit per node.  ``verdicts`` maps the sorted tuple of
+    an element's row signatures to its verdict; only a miss runs the
+    kernel, on the distinct signatures and the count of each.
     """
 
-    ops: List[int] = field(default_factory=list)
-    lefts: List[int] = field(default_factory=list)
-    rights: List[int] = field(default_factory=list)
-    lo: List[int] = field(default_factory=list)
-    hi: List[int] = field(default_factory=list)
     leaves: Dict[Tuple[str, str], List[Tuple[int, "_Compiled"]]] = field(default_factory=dict)
     wilds: List[Tuple[int, str, FrozenSet[str]]] = field(default_factory=list)
-    joins: List[Tuple[int, int, int]] = field(default_factory=list)
-    root: int = -1
-    ranks: Dict[int, int] = field(default_factory=dict)  # leaf node -> rank of its (name, direction)
-    leaf_bits: int = 0  # the triple-constraint nodes, as a signature
+    program: tuple = ()
     # :meth:`plan` per run, by direction and then by name
     plans: Dict[str, Dict[str, Tuple[int, list]]] = field(default_factory=lambda: {FWD: {}, INV: {}})
     verdicts: Dict[Tuple[int, ...], bool] = field(default_factory=dict)  # per run
@@ -437,20 +427,16 @@ def _compile(ctx: EvalContext, shape: ShexShape) -> _Compiled:
 def _template(ctx: EvalContext, expr: TripleExpr, openness: Openness) -> _Template:
     """Flatten ``expr ; wildcards`` into a program template."""
     t = _Template()
+    ops, lefts, rights, lo, hi = [], [], [], [], []  # the program's parallel lists
 
     def emit(op: int, a: int = -1, b: int = -1) -> int:
-        t.ops.append(op)
-        t.lefts.append(a)
-        t.rights.append(b)
-        lo, hi = count_bounds(op, t.lo, t.hi, a, b)
-        t.lo.append(lo)
-        t.hi.append(hi)
-        return len(t.ops) - 1
-
-    def join(op: int, a: int, b: int) -> int:
-        i = emit(op, a, b)
-        t.joins.append((i, a, b))
-        return i
+        ops.append(op)
+        lefts.append(a)
+        rights.append(b)
+        bounds = count_bounds(op, lo, hi, a, b)
+        lo.append(bounds[0])
+        hi.append(bounds[1])
+        return len(ops) - 1
 
     def walk(e: TripleExpr) -> int:
         if isinstance(e, Eps):
@@ -458,26 +444,23 @@ def _template(ctx: EvalContext, expr: TripleExpr, openness: Openness) -> _Templa
         if isinstance(e, TC):
             i = emit(OP_LEAF)
             t.leaves.setdefault((e.q, e.direction), []).append((i, _compile(ctx, e.shape)))
-            t.leaf_bits |= 1 << i
             return i
         if isinstance(e, (WildOut, WildIn)):
             i = emit(OP_LEAF)
             t.wilds.append((i, FWD if isinstance(e, WildOut) else INV, e.excluded))
             return i
         if isinstance(e, Seq):
-            return join(OP_SEQ, walk(e.left), walk(e.right))
+            return emit(OP_SEQ, walk(e.left), walk(e.right))
         if isinstance(e, Alt):
-            return join(OP_ALT, walk(e.left), walk(e.right))
+            return emit(OP_ALT, walk(e.left), walk(e.right))
         if isinstance(e, StarE):
             a = walk(e.inner)
-            if t.ops[a] == OP_LEAF:
-                # star of a single constraint consumes any subset of its mask
-                t.ops[a] = OP_WILDSTAR
-                t.lo[a], t.hi[a] = count_bounds(OP_WILDSTAR, t.lo, t.hi)
+            if ops[a] == OP_LEAF:
+                # star of a single constraint consumes any number of its rows
+                ops[a] = OP_WILDSTAR
+                lo[a], hi[a] = count_bounds(OP_WILDSTAR, lo, hi)
                 return a
-            i = emit(OP_STAR, a)
-            t.joins.append((i, a, a))
-            return i
+            return emit(OP_STAR, a)
         raise TriformError(f"unknown triple expression {e!r}")
 
     body = walk(expr)
@@ -485,8 +468,8 @@ def _template(ctx: EvalContext, expr: TripleExpr, openness: Openness) -> _Templa
     t.wilds.append((wild, INV, openness.r))
     if isinstance(openness, Open):
         t.wilds.append((wild, FWD, openness.q))
-    t.root = join(OP_SEQ, body, wild)
-    t.ranks = {node: r for r, key in enumerate(sorted(t.leaves)) for node, _ in t.leaves[key]}
+    root = emit(OP_SEQ, body, wild)
+    t.program = (ops, lefts, rights, _bagmatch_py.under_masks(ops, lefts, rights), lo, hi, root)
     return t
 
 
@@ -541,38 +524,6 @@ def _signatures(ctx: EvalContext, g: CommonGraph, t: _Template, elems: Set[Elem]
         yield x, sigs
 
 
-def _layout(t: _Template, sigs: List[int]) -> List[int]:
-    """The indices of the rows in program order: the rows of each leaf
-    key together, in adjacency order, and the keys in sorted order (a
-    star's DP state count depends on that layout: fix it per shape).  A
-    row's key is that of any leaf in its signature.  The rows no leaf
-    takes go first; only the openness wildcard can take them, so where
-    they go changes nothing the DP enumerates."""
-    if len(t.leaves) < 2:  # at most one key: adjacency order is the layout
-        return list(range(len(sigs)))
-    ranks: Dict[int, int] = {}
-    for sig in sigs:
-        if sig not in ranks:
-            low = sig & t.leaf_bits
-            ranks[sig] = t.ranks[(low & -low).bit_length() - 1] if low else -1
-    return sorted(range(len(sigs)), key=[ranks[sig] for sig in sigs].__getitem__)
-
-
-def _program(t: _Template, sigs: List[int]):
-    """The template's kernel program for rows of signatures ``sigs``,
-    with bit i for the i-th row of :func:`_layout`."""
-    support = [0] * len(t.ops)  # the leaf masks first, then their unions
-    for i, r in enumerate(_layout(t, sigs)):
-        bit, sig = 1 << i, sigs[r]
-        while sig:
-            low = sig & -sig
-            support[low.bit_length() - 1] |= bit
-            sig ^= low
-    for i, a, b in t.joins:
-        support[i] = support[a] | support[b]
-    return t.ops, t.lefts, t.rights, support, t.lo, t.hi, t.root, (1 << len(sigs)) - 1
-
-
 def _neigh(ctx: EvalContext, g: CommonGraph, t: _Template, elems: Set[Elem]) -> Set[Elem]:
     """The elements of ``elems`` whose rows the template's program matches,
     each decided by its bag of row signatures through the verdict memo."""
@@ -580,8 +531,9 @@ def _neigh(ctx: EvalContext, g: CommonGraph, t: _Template, elems: Set[Elem]) -> 
     for x, sigs in _signatures(ctx, g, t, elems):
         key = tuple(sorted(sigs))
         verdict = verdicts.get(key)
-        if verdict is None:
-            verdict = verdicts[key] = _bagmatch_py.bag_match(*_program(t, sigs))
+        if verdict is None:  # decide the count of rows of each distinct signature
+            classes = list(dict.fromkeys(key))
+            verdict = verdicts[key] = _bagmatch_py.count_match(t.program, classes, [*map(key.count, classes)])
         if verdict:
             out.add(x)
     return out
@@ -643,14 +595,12 @@ def match_witness(
     t = _template(ctx, expr, openness)
     x = focus_elem(v)
     [(_, sigs)] = _signatures(ctx, g, t, {x})
-    raw = _bagmatch_py.bag_match_witness(*_program(t, sigs))
-    if raw is None:
-        return None
     # a property triple has a value at one end
     rows = [SignedTriple(r[ni], Value in (type(x), type(r[fi])), d, elem_focus(r[fi]))
             for (d, ni, fi), group in zip(_GROUPS, _rows(g, x)) for r in group]
-    triples = [rows[r] for r in _layout(t, sigs)]
-    return [(node, [tr for i, tr in enumerate(triples) if mask >> i & 1]) for node, mask in raw]
+    classes = sorted(set(sigs))
+    pools = [[row for sig, row in zip(sigs, rows) if sig == c] for c in classes]
+    return _bagmatch_py.count_witness(t.program, classes, pools)
 
 
 def shex_satisfies(
