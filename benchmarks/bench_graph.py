@@ -13,9 +13,13 @@ process:
               it, collector handling included, and no rule to decide
   select      each dialect's selection of every rule's foci on the loaded
               graph (the raw ``_select`` the validators call)
+  types       ``pgschema.validate_graph_type`` on the loaded graph with the
+              media node and edge types and no constraints: the
+              content-type and edge-type checks alone
   validate    ``triform validate`` through ``cli.main``, per schema: the
-              fixture SHACL, ShEx and PG schemas and the SHACL and ShEx
-              compiled from the PG one
+              fixture SHACL, ShEx and PG schemas, the SHACL and ShEx
+              compiled from the PG one, and the graph type (the media
+              node and edge types plus the PG constraints)
 
 Each line gives the median and best seconds over the repeats and the
 cyclic-GC collections per generation (gen-0/1/2) of the median run,
@@ -37,6 +41,7 @@ import time
 
 from triform import cli, examples, jsonio, pgschema, shacl, shex
 from triform.cogsl import cogsl_to_shacl, cogsl_to_shex
+from triform.pgschema import CAny, CBoth, CEither, CEmpty, CField, EBoth, EEither, ET, GraphType
 
 
 def replicated_media(k):
@@ -55,6 +60,24 @@ def replicated_media(k):
     return {"edges": edges, "props": props}
 
 
+def media_graph_type(constraints=()):
+    """Node types for users, accounts and bare nodes, and edge types
+    built with EEither and EBoth; every node and edge of the media graph
+    (and of its copies) is a member."""
+    empty, priv = CEmpty(), CField("privileged", "bool")
+    email = CField("email", "str")
+    person = CEither(email, CBoth(email, priv))
+    card = CBoth(CField("card", "any"), priv)
+    acct = CEither(priv, CEither(card, CBoth(card, CField("plan", "str"))))
+    who, where, spare = CEither(person, empty), CEither(acct, empty), CEither(empty, priv)
+    edge_types = (
+        EEither(ET(who, frozenset({"invited"}), who), ET(empty, frozenset({"invited"}), empty)),
+        EBoth(ET(who, frozenset({"hasAccess"}), where), ET(spare, None, CAny())),
+        EBoth(ET(who, frozenset({"ownsAccount"}), where), ET(spare, frozenset({"hasAccess", "ownsAccount"}), CAny())),
+    )
+    return GraphType((person, acct, empty), edge_types, tuple(constraints))
+
+
 SCHEMAS = {
     "empty": lambda: {"dialect": "shacl", "rules": []},
     "shacl": lambda: jsonio.schema_to_json("shacl", examples.media_shacl_rules()),
@@ -62,6 +85,10 @@ SCHEMAS = {
     "pg": lambda: jsonio.schema_to_json("pg", examples.media_pg_rules()),
     "shacl_compiled": lambda: jsonio.schema_to_json("shacl", cogsl_to_shacl(examples.media_pg_rules())),
     "shex_compiled": lambda: jsonio.schema_to_json("shex", cogsl_to_shex(examples.media_pg_rules())),
+    "graph_type": lambda: {
+        "dialect": "pg",
+        "graph_type": jsonio.graph_type_to_json(media_graph_type(examples.media_pg_rules())),
+    },
 }
 
 SELECT = {
@@ -143,6 +170,8 @@ def main():
             for dialect, (rules, select) in SELECT.items():
                 sels = [sel for sel, _ in rules()]
                 report(f"select {dialect}", measure(lambda: [select(g, s) for s in sels], args.repeat))
+            types = media_graph_type()
+            report("types", measure(lambda: pgschema.validate_graph_type(g, types), args.repeat))
             del g
             for kind, schema_path in schema_paths.items():
                 label = "load (cli)" if kind == "empty" else f"validate {kind}"

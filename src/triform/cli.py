@@ -6,9 +6,9 @@ semantics for debugging).  All input and output is JSON; reports are
 deterministic, so identical invocations produce byte-identical output.
 
 Exit codes: 0 valid / agreement, 1 invalid / divergence, 2 parse or
-usage error, 3 capability error (ShEx neighborhood cap exceeded), 4
-internal error (an unexpected exception; its traceback goes to stderr),
-so a crash never reads as a verdict.
+usage error, 3 capability error (ShEx neighborhood cap or matcher
+recursion depth exceeded), 4 internal error (an unexpected exception;
+its traceback goes to stderr), so a crash never reads as a verdict.
 """
 
 from __future__ import annotations

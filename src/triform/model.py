@@ -236,7 +236,8 @@ class CommonGraph:
     Next to the adjacency lists it keeps a name index,
     :meth:`triples_named`: each predicate's edges and each key's property
     triples in first-occurrence order (vertical partitioning), holding
-    the input triple objects themselves.
+    the input triple objects themselves.  The nodes grouped by record
+    size (:meth:`nodes_of_size`) are derived on first use, like the hash.
     """
 
     __slots__ = (
@@ -251,6 +252,7 @@ class CommonGraph:
         "_node_props",
         "_value_owners",
         "_by_name",
+        "_by_size",
         "_hash",
     )
 
@@ -295,6 +297,7 @@ class CommonGraph:
         self._node_props = node_props
         self._value_owners = value_owners
         self._by_name = by_name
+        self._by_size: Optional[Dict[int, FrozenSet[str]]] = None  # built on the first nodes_of_size
         self._hash: Optional[int] = None  # computed on the first __hash__
 
     def __eq__(self, other) -> bool:
@@ -330,6 +333,18 @@ class CommonGraph:
         ``name`` (never both: the names are disjoint), each once, in the
         order the input first gives it."""
         return self._by_name.get(name, [])
+
+    def nodes_of_size(self, n: int) -> FrozenSet[str]:
+        """The nodes with exactly ``n`` properties.  The first call groups
+        all nodes by the size of their record."""
+        if self._by_size is None:
+            by_size: Dict[int, Set[str]] = defaultdict(set)
+            for u, r in self._node_props.items():
+                by_size[len(r)].add(u)
+            groups = {k: frozenset(us) for k, us in by_size.items()}
+            groups[0] = self.nodes.difference(self._node_props)
+            self._by_size = groups  # published whole, for concurrent readers
+        return self._by_size.get(n, frozenset())
 
     def prop(self, node: str, key: str) -> Optional[Value]:
         return self.props.get((node, key))

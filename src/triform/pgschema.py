@@ -20,11 +20,16 @@ is the special case with trivial type sets.
 
 Normal forms are computed once per type object (the ``dnf`` attribute
 of content and edge types, like :attr:`PgPath.normal_body`), never in a
-module-level cache.  A graph-type check compiles its types once per run
-and decides each (node, disjunct) membership once; a selector is decided
-for every candidate at once, by one image under its inverted body, and a
-shape for all selected foci at once, on raw elements (node ids and
-values), its conjunction narrowing the foci atom by atom.
+module-level cache.  Content types are decided set-at-a-time from the
+name index (:func:`content_members`): a disjunct's members are the
+intersection of the owners of its required (key, value type) pairs,
+each pair read once per call, cut to the records of the right size
+when it is closed.  A graph-type check compiles each disjunct of its
+types to such an extension once per run, and type filters go through
+the same function; a selector is decided for every candidate at once,
+by one image under its inverted body, and a shape for all selected foci
+at once, on raw elements (node ids and values), its conjunction
+narrowing the foci atom by atom.
 
 Evaluation is pure over immutable inputs, same sharing contract as the
 other dialect modules; no state outlives a call.  Ill-sorted schemas are
@@ -155,6 +160,55 @@ def disjunct_member(r: Record, d: ContentDisjunct, registry: Optional[ValueTypeR
 def content_member(r: Record, t: ContentType, registry: Optional[ValueTypeRegistry] = None) -> bool:
     """Record membership in a content type, via the DNF."""
     return any(disjunct_member(r, d, registry) for d in t.dnf)
+
+
+# the owners of each (key, value type) pair read so far in one call
+PairOwners = Dict[Tuple[str, str], Set[str]]
+
+
+def _pair_owners(g: CommonGraph, k: str, vt: str, registry, owners: PairOwners) -> Set[str]:
+    """The nodes whose key ``k`` holds a value of type ``vt``, read from
+    the name index once per ``owners`` (one call of the caller)."""
+    got = owners.get((k, vt))
+    if got is None:
+        got = owners[k, vt] = {t[0] for t in g.triples_named(k) if value_type_member(t[2], vt, registry)}
+    return got
+
+
+def _disjunct_members(g: CommonGraph, d: ContentDisjunct, sources: Set, registry, owners: PairOwners) -> Set[str]:
+    """The graph nodes in ``sources`` whose record belongs to ``d``, read
+    from the name index: the owners of each required pair
+    (:func:`_pair_owners`), intersected, and for a closed disjunct those
+    whose record has no other key.  Without requirements, an open
+    disjunct takes every graph node in ``sources`` and a closed one
+    those without properties."""
+    if not d.reqs:
+        nodes = sources & g.nodes
+        return nodes if d.open else nodes & g.nodes_of_size(0)
+    pairs = sorted((_pair_owners(g, k, vt, registry, owners) for k, vt in d.reqs), key=len)
+    out = pairs[0].intersection(*pairs[1:], sources)  # smallest first
+    return out if d.open else out & g.nodes_of_size(len(d.keys))
+
+
+def content_members(
+    g: CommonGraph,
+    t: ContentType,
+    sources: Set,
+    registry: Optional[ValueTypeRegistry] = None,
+) -> Set[str]:
+    """The graph nodes in ``sources`` whose record belongs to ``t``.
+
+    Like :func:`_name_image`, reads the name index only when no key of
+    the type has more triples than there are sources: the members are
+    then the union of its disjuncts' members (:func:`_disjunct_members`),
+    each (key, value type) pair read once.  Otherwise each source's
+    record is tested.  ``sources`` may hold values and nodes outside the
+    graph; neither is a member."""
+    n = len(sources)
+    if any(len(g.triples_named(k)) > n for d in t.dnf for k in d.keys):
+        return {u for u in sources if u in g.nodes and content_member(g.node_props(u), t, registry)}
+    owners: PairOwners = {}
+    return set().union(*(_disjunct_members(g, d, sources, registry, owners) for d in t.dnf))
 
 
 def is_closed_type(t: ContentType) -> bool:
@@ -351,15 +405,11 @@ def push_inv(path: NodePath, flipped: bool = False) -> NodePath:
     raise TriformError(f"unknown PG-path node {path!r}")
 
 
-def _filter_holds(g: CommonGraph, u: str, kind: FilterKind, registry) -> bool:
+def _filter_holds(g: CommonGraph, u: str, kind: FilterKind) -> bool:
     if isinstance(kind, FKeyIs):
         return g.prop(u, kind.k) == kind.c
     if isinstance(kind, FNotKeyIs):
         return g.prop(u, kind.k) != kind.c
-    if isinstance(kind, FOfType):
-        return content_member(g.node_props(u), kind.t, registry)
-    if isinstance(kind, FNotOfType):
-        return not content_member(g.node_props(u), kind.t, registry)
     raise TriformError(f"unknown filter {kind!r}")
 
 
@@ -389,9 +439,13 @@ def path_image(g: CommonGraph, path: NodePath, sources: Set, registry=None) -> S
         return path_image(g, path.right, path_image(g, path.left, sources, registry), registry)
     if isinstance(path, PFilter):
         kind = path.kind
+        if type(kind) is FOfType:
+            return content_members(g, kind.t, sources, registry)
+        if type(kind) is FNotOfType:
+            return (sources & g.nodes) - content_members(g, kind.t, sources, registry)
         if type(kind) is FKeyIs and len(owners := g.value_owners(kind.c)) <= len(sources):
             return {n for n, k in owners if k == kind.k and n in sources}
-        return {u for u in sources if u in g.nodes and _filter_holds(g, u, kind, registry)}
+        return {u for u in sources if u in g.nodes and _filter_holds(g, u, kind)}
     if isinstance(path, PUnion):
         return path_image(g, path.left, sources, registry) | path_image(
             g, path.right, sources, registry
@@ -821,29 +875,37 @@ def validate_graph_type(
     """Full check: every node in some node type, every edge in some
     edge type, and every constraint pair holds.
 
-    Types are compiled once per run: node types to their disjuncts, edge
-    types to their primitives indexed by label (wildcards under every
-    label), tried in the order :func:`edge_type_member` tries them.  Each
-    (node, disjunct) membership is decided once per run.
+    Decided set-at-a-time from the name index: each content disjunct of
+    the types is compiled once per run to its extension, the graph nodes
+    whose record it admits (:func:`_disjunct_members`, each (key, value
+    type) pair read once).  The node violations are the nodes outside
+    every node-type disjunct's extension.  Edge types are compiled to
+    their primitives; an edge labelled ``p``, read from the name index,
+    violates when no primitive admitting ``p`` holds its source in the
+    source extension and its target in the target extension.
     """
-    memos: Dict[ContentDisjunct, Dict[str, bool]] = {}
+    owners: PairOwners = {}
+    extensions: Dict[Tuple[FrozenSet[Tuple[str, str]], bool], Set[str]] = {}
 
-    def compiled(d: ContentDisjunct) -> Tuple[ContentDisjunct, Dict[str, bool]]:
-        return d, memos.setdefault(d, {})
+    def extension(d: ContentDisjunct) -> Set[str]:
+        key = frozenset(d.reqs), d.open  # an edge-type meet may repeat a pair
+        ext = extensions.get(key)
+        if ext is None:
+            ext = extensions[key] = _disjunct_members(g, d, g.nodes, registry, owners)
+        return ext
 
-    def member(u: str, table: Tuple[ContentDisjunct, Dict[str, bool]]) -> bool:
-        d, memo = table
-        hit = memo.get(u)
-        if hit is None:
-            hit = memo[u] = disjunct_member(g.node_props(u), d, registry)
-        return hit
-
-    node_tables = [compiled(d) for nt in gt.node_types for d in nt.dnf]
-    prims = [(labels, compiled(ds), compiled(dd)) for et in gt.edge_types for ds, labels, dd in et.dnf]
-    by_label = {p: [(s, d) for labels, s, d in prims if labels is None or p in labels] for p in g.preds}
-    node_bad = sorted(u for u in g.nodes if not any(member(u, t) for t in node_tables))
-    edge_bad = sorted(
-        e for e in g.edges if not any(member(e.s, s) and member(e.o, d) for s, d in by_label[e.p])
-    )
+    admitted = set().union(*(extension(d) for nt in gt.node_types for d in nt.dnf))
+    node_bad = sorted(g.nodes - admitted)
+    prims = [(labels, extension(ds), extension(dd)) for et in gt.edge_types for ds, labels, dd in et.dnf]
+    edge_bad = []
+    for p in g.preds:
+        left = g.triples_named(p)
+        for labels, s, d in prims:
+            if not left:
+                break
+            if labels is None or p in labels:
+                left = [e for e in left if e[0] not in s or e[2] not in d]
+        edge_bad += left
+    edge_bad.sort()
     report = pg_validate(g, list(gt.constraints), registry)
     return GraphTypeReport(node_bad, edge_bad, report)

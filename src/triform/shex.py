@@ -23,7 +23,8 @@ miss runs the kernel of ``_bagmatch_py``: a DP over the count of rows of
 each distinct signature, pruned by each program node's static interval
 of triple counts.  Its cost is polynomial in the rows for a fixed number
 of distinct signatures; exceeding the cap raises
-``NeighborhoodTooLarge``, never approximating.
+``NeighborhoodTooLarge``, never approximating, and so does a bag whose
+star parts nest deeper than the interpreter's recursion limit.
 
 Counting is by triples, not by endpoints: a node with two parallel
 p-edges to the same target offers two distinct signed triples.  This is
@@ -533,7 +534,14 @@ def _neigh(ctx: EvalContext, g: CommonGraph, t: _Template, elems: Set[Elem]) -> 
         verdict = verdicts.get(key)
         if verdict is None:  # decide the count of rows of each distinct signature
             classes = list(dict.fromkeys(key))
-            verdict = verdicts[key] = _bagmatch_py.count_match(t.program, classes, [*map(key.count, classes)])
+            try:
+                verdict = _bagmatch_py.count_match(t.program, classes, [*map(key.count, classes)])
+            except RecursionError:  # the kernel recurses once per peeled star part
+                raise NeighborhoodTooLarge(
+                    f"signed neighborhood of {elem_focus(x)!r} has {len(key)} triples,"
+                    " too many star parts for the matcher's recursion depth"
+                ) from None
+            verdicts[key] = verdict
         if verdict:
             out.add(x)
     return out

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from triform import cli, jsonio
+from triform import cli, jsonio, shex
 from triform.cli import main
 from triform.examples import (
     media_graph,
@@ -14,6 +14,7 @@ from triform.examples import (
     media_shacl_rules,
     media_shex_rules,
 )
+from triform.model import FWD, EdgeTriple, build_graph
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -320,6 +321,24 @@ def test_deeply_nested_schema_is_a_parse_error(files, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_deep_star_is_a_capability_error(tmp_path, capsys):
+    # 256 p-edges and 256 q-edges under a star of (p, q) pairs: within
+    # the cap, but too many star parts for the matcher's recursion depth
+    graph = tmp_path / "star.json"
+    graph.write_text(jsonio.dumps(jsonio.graph_to_json(build_graph(
+        [EdgeTriple("a", p, f"{p}{i}") for p in "pq" for i in range(256)], []
+    ))))
+    top = shex.top_shape()
+    star = shex.StarE(shex.Seq(shex.TC("p", FWD, top), shex.TC("q", FWD, top)))
+    rules = [(shex.SelOut("p"), shex.SNeigh(star, shex.HalfOpen(frozenset())))]
+    schema = tmp_path / "star_schema.json"
+    schema.write_text(jsonio.dumps(jsonio.schema_to_json("shex", rules)))
+    code, out, err = run(capsys, "validate", str(graph), str(schema), "--cap", "1000")
+    assert code == cli.EXIT_CAPABILITY
+    assert out == ""
+    assert err.startswith("error: signed neighborhood of Node(id='a')") and err.count("\n") == 1
 
 
 def test_internal_error_has_its_own_exit_code(files, capsys, monkeypatch):

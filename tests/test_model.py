@@ -205,6 +205,8 @@ def test_one_pass_build_equals_naive_indexes(nodes, density):
             assert [id(t) for t in g.triples_named(q)] == [id(t) for t in named]
             for d, i in ((FWD, 0), (INV, 2)):
                 assert triple_ends(g, q, d) == {t[i] for t in g.triple_view() if t[1] == q}
+        for size in range(len(g.keys) + 2):
+            assert g.nodes_of_size(size) == {u for u in g.nodes if sum(n == u for n, _ in prop_map) == size}
         assert g == gen_graph(p)
 
 

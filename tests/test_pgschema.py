@@ -629,6 +629,63 @@ def test_graph_type_check_equals_per_element_definition():
     assert differ >= 3 and node_bad and edge_bad, (differ, node_bad, edge_bad)
 
 
+@pytest.mark.parametrize("nodes", [8, 12, 40])
+def test_content_members_equal_per_record_membership(nodes, monkeypatch):
+    # the set evaluator of content types, and the type filters through
+    # it, against per-record membership; the second registry re-registers
+    # "int" (even ints only), so a value test by tag would disagree
+    even = ValueTypeRegistry()
+    even.register("int", lambda w: w.tag == "int" and w.payload % 2 == 0)
+    rng = random.Random(nodes)
+    keys = ("k1", "k2", "k3")
+
+    def gen_content(depth):
+        if depth == 0 or rng.random() < 0.4:
+            roll = rng.random()
+            if roll < 0.15:
+                return CAny()
+            if roll < 0.3:
+                return CEmpty()
+            return CField(rng.choice(keys), rng.choice(["int", "str", "bool", "any"]))
+        ctor = CBoth if rng.random() < 0.5 else CEither
+        return ctor(gen_content(depth - 1), gen_content(depth - 1))
+
+    cases = []
+    for seed in range(40):
+        g = gen_graph(GenParams(seed=seed, node_count=nodes))
+        # values and nodes outside the graph are never members
+        elems = sorted(g.nodes) + ["ghost1", "ghost2"] + sorted(g.values, key=value_sort_key) + [int_v(99)]
+        for _ in range(6):
+            t = gen_content(3)
+            sources = set(rng.sample(elems, rng.randrange(len(elems) + 1)))
+            for registry in (None, even):
+                want = {u for u in sources if u in g.nodes and content_member(g.node_props(u), t, registry)}
+                cases.append((g, t, sources, registry, want))
+    sides = Counter()
+
+    def counted(side, fn):
+        def wrapped(*args):
+            sides[side] += 1
+            return fn(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(pgschema, "_pair_owners", counted("index", pgschema._pair_owners))
+    monkeypatch.setattr(pgschema, "content_member", counted("record", pgschema.content_member))
+    kinds = Counter()
+    for g, t, sources, registry, want in cases:
+        assert pgschema.content_members(g, t, sources, registry) == want, (t, sources)
+        assert path_image(g, PFilter(FOfType(t)), sources, registry) == want
+        assert path_image(g, PFilter(FNotOfType(t)), sources, registry) == (sources & g.nodes) - want
+        for d in t.dnf:
+            kinds["closed" if not d.open else "open"] += 1
+            kinds["no requirement"] += not d.reqs
+        kinds["member"] += len(want)
+        kinds["outside"] += len(sources - want)
+    assert min(sides["index"], sides["record"]) > 100, sides
+    assert min(kinds.values()) > 100, kinds
+
+
 def per_focus_satisfies(g, v, shape):
     """The definition of PG satisfaction: every count atom bounds the
     number of distinct elements in the focus's image, taken from the

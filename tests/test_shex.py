@@ -116,6 +116,21 @@ def test_neighborhood_cap():
     assert shex_satisfies(g, Node("t0"), SNeigh(TC("p", INV, TOP), HalfOpen(NO_NAMES)), cap=5)
 
 
+def test_deep_star_peel_is_a_capability_error():
+    # the kernel recurses once per peeled star part: 512 rows make 256
+    # parts, deeper than the interpreter allows, so matching them is
+    # refused with the capability error naming the focus, not a crash
+    def star_of_pairs(n):
+        g = build_graph([EdgeTriple("a", p, f"{p}{i}") for p in "pq" for i in range(n)], [])
+        return g, StarE(Seq(TC("p", FWD, TOP), TC("q", FWD, TOP)))
+
+    g, star = star_of_pairs(256)
+    with pytest.raises(NeighborhoodTooLarge, match=r"of Node\(id='a'\) has 512 triples"):
+        match_triple_expr(g, Node("a"), star, HalfOpen(NO_NAMES), cap=1000)
+    g, star = star_of_pairs(64)
+    assert match_triple_expr(g, Node("a"), star, HalfOpen(NO_NAMES), cap=1000)
+
+
 def test_wildcards_rejected_in_user_shapes():
     with pytest.raises(TriformError):
         SNeigh(StarE(WildIn(NO_NAMES)), HalfOpen(NO_NAMES))
