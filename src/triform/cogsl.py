@@ -19,10 +19,9 @@ traced back to one rewrite step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .model import FWD, INV, NotInFragment, TriformError
+from .model import FWD, INV, NotInFragment, TriformError, frozen
 from . import shacl as sh
 from . import shex as sx
 from .pgschema import (
@@ -64,14 +63,14 @@ TRIVIAL_CONTENT: ContentType = CBoth(CEmpty(), CAny())
 TRIVIAL_FILTER: FilterKind = FOfType(TRIVIAL_CONTENT)
 
 
-@dataclass(frozen=True)
+@frozen
 class CogslViolation:
     loc: str
     rule: str
     message: str
 
 
-@dataclass
+@frozen
 class Diagnostics:
     violations: List[CogslViolation]
 
@@ -84,12 +83,12 @@ class Diagnostics:
 # Path atom normalization
 
 
-@dataclass(frozen=True)
+@frozen
 class AFilter:
     kind: FilterKind
 
 
-@dataclass(frozen=True)
+@frozen
 class AStep:
     p: str
     inverse: bool
@@ -143,7 +142,7 @@ def _peel_head(path: NodePath) -> Tuple[Optional[NodePath], Optional[NodePath]]:
 # Classified rules (built by the checker, consumed by the compilers)
 
 
-@dataclass(frozen=True)
+@frozen
 class CountAtom:
     kind: str  # "leq" | "geq"
     n: int
@@ -153,13 +152,13 @@ class CountAtom:
     right: Tuple[FilterKind, ...]  # filters after the step
 
 
-@dataclass(frozen=True)
+@frozen
 class GuardAtom:
     tau: ContentType  # closed content type
     preds: Tuple[str, ...]  # allowed outgoing predicates
 
 
-@dataclass(frozen=True)
+@frozen
 class ExistsAtom:
     path: PgPath
 
@@ -167,14 +166,14 @@ class ExistsAtom:
 ClassifiedAtom = Union[CountAtom, GuardAtom, ExistsAtom]
 
 
-@dataclass(frozen=True)
+@frozen
 class ClassifiedSel:
     form: str  # "key" | "pred" | "inv_pred" | "key_is" | "key_type" | "inv_key"
     name: str
     path: PgPath
 
 
-@dataclass(frozen=True)
+@frozen
 class ClassifiedRule:
     sel: ClassifiedSel
     atoms: Tuple[ClassifiedAtom, ...]

@@ -29,6 +29,7 @@ from . import shacl as sh
 from . import shex as sx
 from . import sshex as ssx
 from .model import (
+    DEFAULT_TYPES,
     FWD,
     INV,
     INT64_MAX,
@@ -92,6 +93,14 @@ def _dir(x: Any, path: str) -> str:
 def _list(x: Any, path: str) -> List:
     if not isinstance(x, list):
         raise _err(path, f"expected an array, got {type(x).__name__}")
+    return x
+
+
+def _value_type(x: Any, path: str) -> str:
+    """A value-type name, which must be registered in ``DEFAULT_TYPES``:
+    an unknown type is a parse error, whatever the data holds."""
+    if not DEFAULT_TYPES.known(_str(x, path)):
+        raise _err(path, f"unknown value type {x!r}")
     return x
 
 
@@ -334,6 +343,7 @@ _NAT = _Codec(_nat, None)
 _DIR = _Codec(_dir, None)
 _NAMES = _Codec(_names, sorted)
 _VALUE = _Codec(parse_value, value_to_json)
+_TYPE = _Codec(_value_type, None)
 _TOP = {"op": "top"}  # the body of a count whose shape is left out
 
 # SHACL: paths, shapes (with count sugar on input) and selectors
@@ -349,7 +359,7 @@ _SHACL_PATH.define(
 _SHACL_SHAPE.define(
     _Row("top", sh.Top),
     _Row("test_const", sh.TestConst, ("value", _VALUE, "c")),
-    _Row("test_type", sh.TestType, ("vt", _STR, "t")),
+    _Row("test_type", sh.TestType, ("vt", _TYPE, "t")),
     _Row("closed", sh.Closed, ("allowed", _NAMES)),
     _Row("eq", sh.Eq, ("path", _SHACL_PATH), ("p", _STR)),
     _Row("disj", sh.Disj, ("path", _SHACL_PATH), ("p", _STR)),
@@ -410,7 +420,7 @@ _SHEX_EXPR.define(
 )
 _SHEX_SHAPE.define(
     _Row("test_const", sx.STestConst, ("value", _VALUE, "c")),
-    _Row("test_type", sx.STestType, ("vt", _STR, "t")),
+    _Row("test_type", sx.STestType, ("vt", _TYPE, "t")),
     _Row(
         "neigh",
         sx.SNeigh,
@@ -475,7 +485,7 @@ _SSHEX_EXPR.define(
 )
 _SSHEX_SHAPE.define(
     _Row("test_const", ssx.XTestConst, ("value", _VALUE, "c")),
-    _Row("test_type", ssx.XTestType, ("vt", _STR, "t")),
+    _Row("test_type", ssx.XTestType, ("vt", _TYPE, "t")),
     _Row(
         "shape",
         ssx.XShape,
@@ -505,7 +515,7 @@ def _parse_labels(x: Any, path: str) -> Optional[frozenset]:
 _CONTENT.define(
     _Row("any", pg.CAny),
     _Row("empty", pg.CEmpty),
-    _Row("field", pg.CField, ("k", _STR), ("type", _STR, "t")),
+    _Row("field", pg.CField, ("k", _STR), ("type", _TYPE, "t")),
     _Row("both", pg.CBoth, nary=True),
     _Row("either", pg.CEither, nary=True),
 )

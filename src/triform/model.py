@@ -10,13 +10,15 @@ are tuples, so they hash and compare in C.  A ``CommonGraph`` is built
 in one pass over the edges and one over the property triples, with
 adjacency lists and a per-name triple index in input order.  Validators
 in the dialect modules only ever read a ``CommonGraph``, so one graph
-can be shared freely between concurrent evaluators.
+can be shared freely between concurrent evaluators.  The AST and report
+records of all modules are classes built by :func:`frozen`, which
+compiles their methods once per field list.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from types import FunctionType
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple, Union
 
 INT64_MIN = -(2**63)
@@ -70,6 +72,48 @@ class FormatError(TriformError):
     """A JSON document does not match the expected wire format."""
 
 
+_FROZEN_CODE: Dict[Tuple[Tuple[str, ...], bool], Dict[str, Callable]] = {}  # by (fields, post-init)
+
+
+def _frozen_setattr(self, name, *value):
+    raise AttributeError(f"cannot assign to or delete field {name!r} of a frozen {type(self).__name__}")
+
+
+def frozen(cls: type) -> type:
+    """Make ``cls`` an immutable record of its own annotated fields, as
+    ``@dataclass(frozen=True)`` does for fields without defaults:
+    ``__init__`` (then ``__post_init__``, if any), ``__eq__`` between
+    instances of one class only, ``__hash__`` of the field tuple,
+    ``__repr__`` as ``Name(field=value, ...)``, and no assignment or
+    deletion.  The methods are compiled once per field list and shared;
+    each class gets its own function objects, named after it."""
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    if any(n in cls.__dict__ for n in names):
+        raise TypeError(f"{cls.__name__}: frozen fields take no defaults")
+    post = hasattr(cls, "__post_init__")
+    code = _FROZEN_CODE.get((names, post))
+    if code is None:
+        own, other = (f"({''.join(f'{obj}.{n},' for n in names)})" for obj in ("self", "other"))
+        sets = "".join(f"    _setattr(self, {n!r}, {n})\n" for n in names)
+        shown = ", ".join(f"{n}={{self.{n}!r}}" for n in names)
+        src = (
+            f"def __init__(self, {', '.join(names)}):\n{sets}    {'self.__post_init__()' if post else 'pass'}\n"
+            "def __eq__(self, other):\n    if other.__class__ is self.__class__:\n"
+            f"        return {own} == {other}\n    return NotImplemented\n"
+            f"def __hash__(self):\n    return hash({own})\n"
+            f"def __repr__(self):\n    return self.__class__.__qualname__ + f'({shown})'\n"
+        )
+        ns = {"_setattr": object.__setattr__}
+        exec(src, ns)
+        code = _FROZEN_CODE[(names, post)] = {n: ns[n] for n in ("__init__", "__eq__", "__hash__", "__repr__")}
+    for name, fn in code.items():
+        fn = FunctionType(fn.__code__, fn.__globals__, name)
+        fn.__qualname__ = f"{cls.__qualname__}.{name}"
+        setattr(cls, name, fn)
+    cls.__setattr__ = cls.__delattr__ = _frozen_setattr
+    return cls
+
+
 class _ValueFields(NamedTuple):  # a NamedTuple may not define __new__; Value below does
     tag: str
     payload: Union[bool, int, str]
@@ -121,7 +165,7 @@ def bool_v(b: bool) -> Value:
     return Value("bool", b)
 
 
-@dataclass(frozen=True)
+@frozen
 class Node:
     """Focus variant: a node, identified by an opaque non-empty string."""
 
@@ -132,7 +176,7 @@ class Node:
             raise TriformError("node identifiers must be non-empty")
 
 
-@dataclass(frozen=True)
+@frozen
 class Val:
     """Focus variant: an atomic value."""
 
@@ -171,7 +215,7 @@ class PropTriple(NamedTuple):
 Triple = Union[EdgeTriple, PropTriple]
 
 
-@dataclass(frozen=True)
+@frozen
 class SignedTriple:
     """One element of a signed neighborhood, oriented away from the focus.
 

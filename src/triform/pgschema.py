@@ -39,7 +39,6 @@ rejected at load time, before any focus is evaluated.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
@@ -57,6 +56,7 @@ from .model import (
     elem_focus,
     elems_to_foci,
     focus_elem,
+    frozen,
     triple_ends,
     value_type_member,
 )
@@ -76,29 +76,29 @@ class _Content:
         return _content_dnf(self)
 
 
-@dataclass(frozen=True)
+@frozen
 class CAny(_Content):
     pass
 
 
-@dataclass(frozen=True)
+@frozen
 class CEmpty(_Content):
     pass
 
 
-@dataclass(frozen=True)
+@frozen
 class CField(_Content):
     k: str
     t: str
 
 
-@dataclass(frozen=True)
+@frozen
 class CBoth(_Content):
     left: "ContentType"
     right: "ContentType"
 
 
-@dataclass(frozen=True)
+@frozen
 class CEither(_Content):
     left: "ContentType"
     right: "ContentType"
@@ -107,7 +107,7 @@ class CEither(_Content):
 ContentType = Union[CAny, CEmpty, CField, CBoth, CEither]
 
 
-@dataclass(frozen=True)
+@frozen
 class ContentDisjunct:
     """One disjunct of a content-type DNF.
 
@@ -239,24 +239,24 @@ def disjunct_to_content(d: ContentDisjunct) -> ContentType:
 # PG-path expressions
 
 
-@dataclass(frozen=True)
+@frozen
 class FKeyIs:
     k: str
     c: Value
 
 
-@dataclass(frozen=True)
+@frozen
 class FNotKeyIs:
     k: str
     c: Value
 
 
-@dataclass(frozen=True)
+@frozen
 class FOfType:
     t: ContentType
 
 
-@dataclass(frozen=True)
+@frozen
 class FNotOfType:
     t: ContentType
 
@@ -264,22 +264,22 @@ class FNotOfType:
 FilterKind = Union[FKeyIs, FNotKeyIs, FOfType, FNotOfType]
 
 
-@dataclass(frozen=True)
+@frozen
 class PFilter:
     kind: FilterKind
 
 
-@dataclass(frozen=True)
+@frozen
 class PPred:
     p: str
 
 
-@dataclass(frozen=True)
+@frozen
 class PNotPreds:
     excluded: FrozenSet[str]
 
 
-@dataclass(frozen=True)
+@frozen
 class PName:
     """SHACL's name step: the edges labelled ``q`` plus the key ``q`` (node
     to value; inverted, value to owner).  ``build_graph`` keeps predicate
@@ -288,29 +288,29 @@ class PName:
     q: str
 
 
-@dataclass(frozen=True)
+@frozen
 class PId:
     """Identity on every element, in the graph or not (SHACL's ``id``)."""
 
 
-@dataclass(frozen=True)
+@frozen
 class PInv:
     inner: "NodePath"
 
 
-@dataclass(frozen=True)
+@frozen
 class PConcat:
     left: "NodePath"
     right: "NodePath"
 
 
-@dataclass(frozen=True)
+@frozen
 class PUnion:
     left: "NodePath"
     right: "NodePath"
 
 
-@dataclass(frozen=True)
+@frozen
 class PStar:
     inner: "NodePath"
 
@@ -318,7 +318,7 @@ class PStar:
 NodePath = Union[PFilter, PPred, PNotPreds, PName, PId, PInv, PConcat, PUnion, PStar]
 
 
-@dataclass(frozen=True)
+@frozen
 class PgPath:
     """A sorted PG-path: optional inverse key step in, node-to-node body,
     optional key step out.  ``body`` None stands for the trivial filter."""
@@ -552,19 +552,19 @@ def eval_pg_path(
 # PG-shapes
 
 
-@dataclass(frozen=True)
+@frozen
 class PgLeq:
     n: int
     path: PgPath
 
 
-@dataclass(frozen=True)
+@frozen
 class PgGeq:
     n: int
     path: PgPath
 
 
-@dataclass(frozen=True)
+@frozen
 class PgAnd:
     left: "PgShape"
     right: "PgShape"
@@ -696,7 +696,7 @@ class _Edge:
         return _edge_dnf(self)
 
 
-@dataclass(frozen=True)
+@frozen
 class ET(_Edge):
     """Primitive edge type: source content, allowed labels (None is the
     wildcard), target content."""
@@ -706,13 +706,13 @@ class ET(_Edge):
     dst: ContentType
 
 
-@dataclass(frozen=True)
+@frozen
 class EBoth(_Edge):
     left: "EdgeType"
     right: "EdgeType"
 
 
-@dataclass(frozen=True)
+@frozen
 class EEither(_Edge):
     left: "EdgeType"
     right: "EdgeType"
@@ -843,7 +843,7 @@ def edge_type_to_path(t: EdgeType, negated: bool = False) -> NodePath:
 # Graph types
 
 
-@dataclass(frozen=True)
+@frozen
 class GraphType:
     node_types: Tuple[ContentType, ...]
     edge_types: Tuple[EdgeType, ...]
@@ -856,7 +856,7 @@ def loose_graph_type(constraints: Sequence[PgRule]) -> GraphType:
     return GraphType((CAny(),), (ET(CAny(), None, CAny()),), tuple(constraints))
 
 
-@dataclass
+@frozen
 class GraphTypeReport:
     node_violations: List[str]
     edge_violations: List[EdgeTriple]

@@ -8,29 +8,28 @@ reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Collection, List, Tuple
 
-from .model import Focus, focus_sort_key
+from .model import Focus, focus_sort_key, frozen
 
 
-@dataclass(frozen=True)
+@frozen
 class Violation:
     rule_index: int
     focus: Focus
 
 
-@dataclass(frozen=True)
+@frozen
 class RuleStats:
     rule_index: int
     selected: int
     violations: int
 
 
-@dataclass
+@frozen
 class ValidationReport:
-    violations: List[Violation] = field(default_factory=list)
-    stats: List[RuleStats] = field(default_factory=list)
+    violations: List[Violation]
+    stats: List[RuleStats]
 
     @property
     def valid(self) -> bool:

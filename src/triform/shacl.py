@@ -20,7 +20,6 @@ concurrent workers partitioned by rule index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import FrozenSet, List, Optional, Set, Tuple, Union
 
@@ -36,6 +35,7 @@ from .model import (
     elem_focus,
     elems_to_foci,
     focus_elem,
+    frozen,
     triple_ends,
     value_type_member,
 )
@@ -67,34 +67,34 @@ class _Path:
         return push_inv(_as_pg_path(self))
 
 
-@dataclass(frozen=True)
+@frozen
 class Id(_Path):
     pass
 
 
-@dataclass(frozen=True)
+@frozen
 class Step(_Path):
     q: str
 
 
-@dataclass(frozen=True)
+@frozen
 class Inverse(_Path):
     inner: "PathExpr"
 
 
-@dataclass(frozen=True)
+@frozen
 class Concat(_Path):
     left: "PathExpr"
     right: "PathExpr"
 
 
-@dataclass(frozen=True)
+@frozen
 class PathUnion(_Path):
     left: "PathExpr"
     right: "PathExpr"
 
 
-@dataclass(frozen=True)
+@frozen
 class Star(_Path):
     inner: "PathExpr"
 
@@ -102,67 +102,67 @@ class Star(_Path):
 PathExpr = Union[Id, Step, Inverse, Concat, PathUnion, Star]
 
 
-@dataclass(frozen=True)
+@frozen
 class Top:
     pass
 
 
-@dataclass(frozen=True)
+@frozen
 class TestConst:
     __test__ = False  # AST node named after the grammar, not a test case
 
     c: Value
 
 
-@dataclass(frozen=True)
+@frozen
 class TestType:
     __test__ = False
 
     t: str
 
 
-@dataclass(frozen=True)
+@frozen
 class Closed:
     allowed: FrozenSet[str]
 
 
-@dataclass(frozen=True)
+@frozen
 class Eq:
     path: PathExpr
     p: str
 
 
-@dataclass(frozen=True)
+@frozen
 class Disj:
     path: PathExpr
     p: str
 
 
-@dataclass(frozen=True)
+@frozen
 class Not:
     inner: "ShaclShape"
 
 
-@dataclass(frozen=True)
+@frozen
 class And:
     left: "ShaclShape"
     right: "ShaclShape"
 
 
-@dataclass(frozen=True)
+@frozen
 class Or:
     left: "ShaclShape"
     right: "ShaclShape"
 
 
-@dataclass(frozen=True)
+@frozen
 class GeqCount:
     n: int
     path: PathExpr
     body: "ShaclShape"
 
 
-@dataclass(frozen=True)
+@frozen
 class LeqCount:
     n: int
     path: PathExpr
@@ -172,17 +172,17 @@ class LeqCount:
 ShaclShape = Union[Top, TestConst, TestType, Closed, Eq, Disj, Not, And, Or, GeqCount, LeqCount]
 
 
-@dataclass(frozen=True)
+@frozen
 class ExistsOut:
     q: str
 
 
-@dataclass(frozen=True)
+@frozen
 class ExistsIn:
     q: str
 
 
-@dataclass(frozen=True)
+@frozen
 class SelConst:
     c: Value
 

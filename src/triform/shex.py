@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import os
 from collections import defaultdict
-from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
 from . import _bagmatch_py
@@ -56,6 +55,7 @@ from .model import (
     elem_focus,
     elems_to_foci,
     focus_elem,
+    frozen,
     triple_ends,
     value_type_member,
 )
@@ -81,12 +81,12 @@ def default_cap() -> int:
 # ASTs
 
 
-@dataclass(frozen=True)
+@frozen
 class Eps:
     pass
 
 
-@dataclass(frozen=True)
+@frozen
 class TC:
     """Triple constraint: consumes one signed triple named ``q`` in the
     given direction whose far endpoint satisfies ``shape``."""
@@ -96,24 +96,24 @@ class TC:
     shape: "ShexShape"
 
 
-@dataclass(frozen=True)
+@frozen
 class Seq:
     left: "TripleExpr"
     right: "TripleExpr"
 
 
-@dataclass(frozen=True)
+@frozen
 class Alt:
     left: "TripleExpr"
     right: "TripleExpr"
 
 
-@dataclass(frozen=True)
+@frozen
 class StarE:
     inner: "TripleExpr"
 
 
-@dataclass(frozen=True)
+@frozen
 class WildOut:
     """Wildcard: one unmatched outgoing triple with name outside ``excluded``.
 
@@ -124,7 +124,7 @@ class WildOut:
     excluded: FrozenSet[str]
 
 
-@dataclass(frozen=True)
+@frozen
 class WildIn:
     excluded: FrozenSet[str]
 
@@ -132,7 +132,7 @@ class WildIn:
 TripleExpr = Union[Eps, TC, Seq, Alt, StarE, WildOut, WildIn]
 
 
-@dataclass(frozen=True)
+@frozen
 class HalfOpen:
     """Tolerate unmatched incoming triples with name outside ``r``; no
     unmatched outgoing triples."""
@@ -140,7 +140,7 @@ class HalfOpen:
     r: FrozenSet[str]
 
 
-@dataclass(frozen=True)
+@frozen
 class Open:
     """Additionally tolerate unmatched outgoing triples with name outside ``q``."""
 
@@ -163,17 +163,17 @@ def is_closed_expr(e: TripleExpr) -> bool:
     return isinstance(e, Eps)
 
 
-@dataclass(frozen=True)
+@frozen
 class STestConst:
     c: Value
 
 
-@dataclass(frozen=True)
+@frozen
 class STestType:
     t: str
 
 
-@dataclass(frozen=True)
+@frozen
 class SNeigh:
     expr: TripleExpr
     openness: Openness
@@ -183,19 +183,19 @@ class SNeigh:
             raise TriformError("SNeigh requires a closed triple expression (no wildcards)")
 
 
-@dataclass(frozen=True)
+@frozen
 class SAnd:
     left: "ShexShape"
     right: "ShexShape"
 
 
-@dataclass(frozen=True)
+@frozen
 class SOr:
     left: "ShexShape"
     right: "ShexShape"
 
 
-@dataclass(frozen=True)
+@frozen
 class SNot:
     inner: "ShexShape"
 
@@ -203,23 +203,23 @@ class SNot:
 ShexShape = Union[STestConst, STestType, SNeigh, SAnd, SOr, SNot]
 
 
-@dataclass(frozen=True)
+@frozen
 class SelTestConst:
     c: Value
 
 
-@dataclass(frozen=True)
+@frozen
 class SelOutConst:
     q: str
     c: Value
 
 
-@dataclass(frozen=True)
+@frozen
 class SelOut:
     q: str
 
 
-@dataclass(frozen=True)
+@frozen
 class SelIn:
     q: str
 
@@ -332,7 +332,6 @@ def open_closure(e: TripleExpr) -> ShexShape:
 # Evaluation
 
 
-@dataclass
 class _Template:
     """A neighborhood shape flattened once per run into the kernel
     program format, with the run's verdict memo.
@@ -350,12 +349,13 @@ class _Template:
     kernel, on the distinct signatures and the count of each.
     """
 
-    leaves: Dict[Tuple[str, str], List[Tuple[int, "_Compiled"]]] = field(default_factory=dict)
-    wilds: List[Tuple[int, str, FrozenSet[str]]] = field(default_factory=list)
-    program: tuple = ()
-    # :meth:`plan` per run, by direction and then by name
-    plans: Dict[str, Dict[str, Tuple[int, list]]] = field(default_factory=lambda: {FWD: {}, INV: {}})
-    verdicts: Dict[Tuple[int, ...], bool] = field(default_factory=dict)  # per run
+    def __init__(self) -> None:
+        self.leaves: Dict[Tuple[str, str], List[Tuple[int, "_Compiled"]]] = {}
+        self.wilds: List[Tuple[int, str, FrozenSet[str]]] = []
+        self.program: tuple = ()
+        # :meth:`plan` per run, by direction and then by name
+        self.plans: Dict[str, Dict[str, Tuple[int, list]]] = {FWD: {}, INV: {}}
+        self.verdicts: Dict[Tuple[int, ...], bool] = {}  # per run
 
     def plan(self, name: str, direction: str):
         """The signature bits a (name, direction) row gets untested, and
@@ -391,15 +391,15 @@ class _Compiled:
         self.template: Optional[_Template] = None  # None for the top shape
 
 
-@dataclass
 class EvalContext:
     """Per-run state: the compiled shapes, keyed by ``id`` of the source
     shape, each template with its verdict memo.  Nothing is cached in
     module globals, so separate contexts may run in separate threads."""
 
-    cap: int
-    registry: Optional[ValueTypeRegistry] = None
-    compiled: Dict[int, _Compiled] = field(default_factory=dict)
+    def __init__(self, cap: int, registry: Optional[ValueTypeRegistry] = None) -> None:
+        self.cap = cap
+        self.registry = registry
+        self.compiled: Dict[int, _Compiled] = {}
 
 
 def _is_top(expr: TripleExpr, openness: Openness) -> bool:

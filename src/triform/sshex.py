@@ -14,10 +14,9 @@ It cannot be rewritten away because standard ShEx has no epsilon.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import FrozenSet, List, Optional, Set, Tuple, Union
 
-from .model import FWD, INV, NotNormalized, TriformError, Value
+from .model import FWD, INV, NotNormalized, TriformError, Value, frozen
 from .shex import (
     TC,
     Alt,
@@ -44,7 +43,7 @@ from .shex import (
 STAR_MAX = None  # max = * in intervals
 
 
-@dataclass(frozen=True)
+@frozen
 class XTC:
     """Standard triple constraint; ``shape`` None is the dot form."""
 
@@ -53,19 +52,19 @@ class XTC:
     shape: Optional["SShapeExpr"]
 
 
-@dataclass(frozen=True)
+@frozen
 class XSeq:
     left: "STripleExpr"
     right: "STripleExpr"
 
 
-@dataclass(frozen=True)
+@frozen
 class XAlt:
     left: "STripleExpr"
     right: "STripleExpr"
 
 
-@dataclass(frozen=True)
+@frozen
 class XRepeat:
     inner: "STripleExpr"
     min: int
@@ -81,17 +80,17 @@ class XRepeat:
 STripleExpr = Union[XTC, XSeq, XAlt, XRepeat]
 
 
-@dataclass(frozen=True)
+@frozen
 class XTestConst:
     c: Value
 
 
-@dataclass(frozen=True)
+@frozen
 class XTestType:
     t: str
 
 
-@dataclass(frozen=True)
+@frozen
 class XShape:
     """Neighborhood shape: ``closed`` forbids unmatched outgoing triples,
     ``extra`` lists (name, direction) pairs whose surplus triples are
@@ -103,19 +102,19 @@ class XShape:
     expr: Optional[STripleExpr]
 
 
-@dataclass(frozen=True)
+@frozen
 class XAnd:
     left: "SShapeExpr"
     right: "SShapeExpr"
 
 
-@dataclass(frozen=True)
+@frozen
 class XOr:
     left: "SShapeExpr"
     right: "SShapeExpr"
 
 
-@dataclass(frozen=True)
+@frozen
 class XNot:
     inner: "SShapeExpr"
 

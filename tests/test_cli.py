@@ -14,7 +14,8 @@ from triform.examples import (
     media_shacl_rules,
     media_shex_rules,
 )
-from triform.model import FWD, EdgeTriple, build_graph
+from triform.model import FWD, EdgeTriple, PropTriple, build_graph, int_v
+from triform.pgschema import ET, CAny, CEither, CField, GraphType
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -301,6 +302,21 @@ def test_graph_type_validate(tmp_path, files, capsys):
     code, out, _ = run(capsys, "validate", files["graph.json"], str(schema))
     assert code == 0
     assert json.loads(out)["valid"] is True
+
+
+@pytest.mark.parametrize("with_k", [False, True])
+def test_unregistered_value_type_is_a_parse_error(tmp_path, capsys, with_k):
+    """An unknown type is rejected when the schema loads, whether or not
+    the graph has a value that evaluation would test against it."""
+    gt = GraphType((CEither(CField("k", "str"), CField("k", "bogus")),), (ET(CAny(), None, CAny()),), ())
+    schema = tmp_path / "gt.json"
+    schema.write_text(jsonio.dumps({"dialect": "pg", "graph_type": jsonio.graph_type_to_json(gt)}))
+    props = [PropTriple("a", "k", int_v(1))] if with_k else []
+    graph = tmp_path / "g.json"
+    graph.write_text(jsonio.dumps(jsonio.graph_to_json(build_graph([EdgeTriple("a", "p", "b")], props))))
+    code, out, err = run(capsys, "validate", str(graph), str(schema))
+    assert (code, out) == (2, "")
+    assert err == "error: at $.graph_type.node_types[0].args[1].type: unknown value type 'bogus'\n"
 
 
 def test_no_command_prints_help(capsys):

@@ -339,6 +339,29 @@ def test_sibling_operator_field_rejected(case):
     jsonio.parse_schema(doc)
 
 
+# Each value-type field, naming a type that is not registered
+UNKNOWN_TYPES = {
+    "shacl": (_rule("shacl", {"op": "exists_out", "q": "p"}, {"op": "test_type", "vt": "bogus"}), "shape.vt"),
+    "shex": (_shex({"op": "test_type", "vt": "bogus"}), "shape.vt"),
+    "sshex": (_rule("sshex", {"op": "out", "q": "p"}, {"op": "test_type", "vt": "bogus"}), "shape.vt"),
+    "pg": (
+        _graph_type(node_types=[{"op": "either", "args": [{"op": "field", "k": "k", "type": "str"}, {"op": "field", "k": "k", "type": "bogus"}]}]),
+        "node_types[0].args[1].type",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNKNOWN_TYPES))
+def test_unregistered_value_type_rejected(case):
+    doc, field = UNKNOWN_TYPES[case]
+    with pytest.raises(FormatError) as err:
+        jsonio.parse_schema(doc)
+    where = "$.graph_type." if case == "pg" else "$.rules[0]."
+    assert str(err.value) == f"at {where}{field}: unknown value type 'bogus'"
+    # a registered type in its place parses
+    jsonio.parse_schema(json.loads(json.dumps(doc).replace('"bogus"', '"any"')))
+
+
 def test_focus_sibling_field_rejected():
     for doc, field in (
         ({"kind": "node", "id": "a", "value": _INT}, "value"),

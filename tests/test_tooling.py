@@ -1,10 +1,14 @@
 """The benchmark's tracer patches functions where their callers look
 them up; every patched name must still exist there, or a traced run
-would fail."""
+would fail.  The CLI's import stays free of the modules only some
+commands need."""
 
 import importlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -33,3 +37,17 @@ def test_parse_graph_builds_through_the_module_global(monkeypatch):
     g = jsonio.parse_graph(json.loads(FIXTURE_GRAPH.read_text()))
     assert len(calls) == 1
     assert len(g.edges) > 0 and len(g.props) > 0
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def test_cli_import_loads_neither_dataclasses_nor_harness():
+    """Every ``triform`` process pays for the import of ``triform.cli``:
+    the AST classes are built by ``model.frozen``, not by ``dataclasses``
+    (which imports ``inspect``), and the generators and oracles of
+    ``harness`` load only for the commands that use them."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, triform.cli; print(sorted({'dataclasses', 'inspect', 'triform.harness'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
