@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import gc
 import json
 import sys
@@ -215,7 +216,10 @@ def _oracle(args, graph, query) -> int:
     return EXIT_VALID
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process.  It binds only the ``cmd_*``
+    functions; they look their helpers up at call time."""
     parser = argparse.ArgumentParser(
         prog="triform",
         description="Validate common graphs against SHACL, ShEx, and PG-Schema core schemas.",

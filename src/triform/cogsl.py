@@ -9,17 +9,19 @@ a triple with a named predicate or key (six head forms); in particular
 the all-nodes selector is not expressible here, which is precisely what
 SHACL and ShEx cannot say either.
 
-The compilers rewrite each rule to a SHACL or ShEx rule with the same
+One rewrite turns each rule into a SHACL or ShEx rule with the same
 graph-level verdict: the output selector is the head's plain
 exists-form, and the shape becomes (not sel-as-shape) or
 (translated shape), so the extra foci the widened selector picks up
-pass vacuously.  Output is emitted unsimplified so each clause can be
-traced back to one rewrite step.
+pass vacuously.  The rewrite is written once against a ``Target``, a
+table of constructors; ``SHACL`` and ``SHEX`` are the two tables.
+Output is emitted unsimplified so each clause can be traced back to one
+rewrite step.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .model import FWD, INV, NotInFragment, TriformError, frozen
 from . import shacl as sh
@@ -29,7 +31,6 @@ from .pgschema import (
     CBoth,
     CEmpty,
     CField,
-    ContentDisjunct,
     ContentType,
     FilterKind,
     FKeyIs,
@@ -451,94 +452,147 @@ def cogsl_validate(g, rules: CommonSchema, registry=None) -> ValidationReport:
 
 
 # ---------------------------------------------------------------------------
-# Translation to SHACL
+# Translation: one rewrite, two tables of target constructors
 
 
-def _open_disjuncts(t: ContentType) -> List[ContentDisjunct]:
-    disjuncts = content_dnf(t)
-    assert all(d.open for d in disjuncts), "path content types must be open"
-    return disjuncts
+class Target(NamedTuple):
+    """The constructors a compiled rule is built from.  ``and_all`` and
+    ``or_all`` fold left, and ``and_all([])`` is the dialect's top."""
+
+    not_: Callable[[Any], Any]
+    and_all: Callable[[List[Any]], Any]
+    or_all: Callable[[List[Any]], Any]
+    test_type: Callable[[str], Any]
+    test_const: Callable[[Any], Any]
+    exists: Callable[[str, str, Any], Any]  # (name, direction, body)
+    count: Callable[[bool, int, str, str, Any], Any]  # (geq, n, name, direction, body)
+    closed: Callable[[FrozenSet[str], Tuple[str, ...]], Any]  # (record keys, predicates)
+    select: Callable[[str, str], Any]  # (direction, name)
 
 
-def _content_to_shacl(t: ContentType) -> sh.ShaclShape:
+def _shacl_step(name: str, direction: str) -> sh.PathExpr:
+    return sh.Step(name) if direction == FWD else sh.Inverse(sh.Step(name))
+
+
+SHACL = Target(
+    not_=sh.Not,
+    and_all=sh.and_all,
+    or_all=sh.or_all,
+    test_type=sh.TestType,
+    test_const=sh.TestConst,
+    exists=lambda name, direction, body: sh.GeqCount(1, _shacl_step(name, direction), body),
+    count=lambda geq, n, name, direction, body: (sh.GeqCount if geq else sh.LeqCount)(
+        n, _shacl_step(name, direction), body
+    ),
+    closed=lambda keys, preds: sh.Closed(keys | frozenset(preds)),
+    select=lambda direction, name: (sh.ExistsOut if direction == FWD else sh.ExistsIn)(name),
+)
+
+
+def _shex_count(geq: bool, n: int, name: str, direction: str, body) -> sx.ShexShape:
+    """At least n: n repetitions in an open neighbourhood; at most n: not n + 1."""
+    reps = sx.desugar_repetition(sx.TC(name, direction, body), "exactly", n if geq else n + 1)
+    counted = sx.SNeigh(reps, sx.Open(sx.NO_NAMES, sx.NO_NAMES))
+    return counted if geq else sx.SNot(counted)
+
+
+def _names_star(names) -> Optional[sx.TripleExpr]:
+    ordered = sorted(set(names))
+    if not ordered:
+        return None
+    return sx.StarE(sx.alt_all([sx.TC(nm, FWD, sx.top_shape()) for nm in ordered]))
+
+
+def _shex_closed(keys: FrozenSet[str], preds: Tuple[str, ...]) -> sx.ShexShape:
+    parts = [e for e in (_names_star(keys), _names_star(preds)) if e]
+    return sx.SNeigh(sx.seq_all(parts), sx.HalfOpen(sx.NO_NAMES))
+
+
+SHEX = Target(
+    not_=sx.SNot,
+    and_all=sx.sand_all,
+    or_all=sx.sor_all,
+    test_type=sx.STestType,
+    test_const=sx.STestConst,
+    exists=lambda name, direction, body: sx.SNeigh(
+        sx.TC(name, direction, body), sx.Open(sx.NO_NAMES, sx.NO_NAMES)
+    ),
+    count=_shex_count,
+    closed=_shex_closed,
+    select=lambda direction, name: (sx.SelOut if direction == FWD else sx.SelIn)(name),
+)
+
+
+def _content(t: Target, tau: ContentType):
     shapes = []
-    for d in _open_disjuncts(t):
-        conj = [sh.exists(sh.Step(k), sh.TestType(vt)) for k, vt in d.reqs]
-        shapes.append(sh.and_all(conj))
-    return sh.or_all(shapes)
+    for d in content_dnf(tau):
+        assert d.open, "path content types must be open"
+        shapes.append(t.and_all([t.exists(k, FWD, t.test_type(vt)) for k, vt in d.reqs]))
+    return t.or_all(shapes)
 
 
-def _filter_to_shacl(kind: FilterKind) -> sh.ShaclShape:
+def _filter(t: Target, kind: FilterKind):
     if isinstance(kind, FKeyIs):
-        return sh.exists(sh.Step(kind.k), sh.TestConst(kind.c))
+        return t.exists(kind.k, FWD, t.test_const(kind.c))
     if isinstance(kind, FNotKeyIs):
-        return sh.Not(sh.exists(sh.Step(kind.k), sh.TestConst(kind.c)))
+        return t.not_(t.exists(kind.k, FWD, t.test_const(kind.c)))
     if isinstance(kind, FOfType):
-        return _content_to_shacl(kind.t)
+        return _content(t, kind.t)
     if isinstance(kind, FNotOfType):
-        return sh.Not(_content_to_shacl(kind.t))
+        return t.not_(_content(t, kind.t))
     raise TriformError(f"unknown filter {kind!r}")
 
 
-def _filters_to_shacl(filters: Sequence[FilterKind]) -> sh.ShaclShape:
-    return sh.and_all([_filter_to_shacl(f) for f in filters])
+def _filters(t: Target, filters: Sequence[FilterKind]):
+    return t.and_all([_filter(t, f) for f in filters])
 
 
-def _shacl_step(step: str, name: str) -> sh.PathExpr:
-    if step in ("pred", "key"):
-        return sh.Step(name)
-    return sh.Inverse(sh.Step(name))
-
-
-def _atoms_to_shacl(atoms: List[PathAtom], dst_key: Optional[str]) -> sh.ShaclShape:
+def _atoms(t: Target, atoms: List[PathAtom], dst_key: Optional[str]):
     """Existential concatenation, rightmost first (Lemma-style recursion)."""
     if not atoms:
-        return sh.Top() if dst_key is None else sh.exists(sh.Step(dst_key))
+        top = t.and_all([])
+        return top if dst_key is None else t.exists(dst_key, FWD, top)
     head, rest = atoms[0], atoms[1:]
     if isinstance(head, AFilter):
         if not rest and dst_key is None:
-            return _filter_to_shacl(head.kind)
-        return sh.And(_filter_to_shacl(head.kind), _atoms_to_shacl(rest, dst_key))
-    step = sh.Inverse(sh.Step(head.p)) if head.inverse else sh.Step(head.p)
-    return sh.GeqCount(1, step, _atoms_to_shacl(rest, dst_key))
+            return _filter(t, head.kind)
+        return t.and_all([_filter(t, head.kind), _atoms(t, rest, dst_key)])
+    return t.exists(head.p, INV if head.inverse else FWD, _atoms(t, rest, dst_key))
 
 
-def _exists_to_shacl(path: PgPath) -> sh.ShaclShape:
+def _exists(t: Target, path: PgPath):
     disjuncts = _to_disjuncts(push_inv(path.body)) if path.body is not None else [[]]
     shapes = []
     for concat in disjuncts:
         atoms: List[PathAtom] = list(concat)
         if path.dst_key is None and atoms and isinstance(atoms[-1], AStep):
             atoms.append(AFilter(TRIVIAL_FILTER))
-        shapes.append(_atoms_to_shacl(atoms, path.dst_key))
-    out = sh.or_all(shapes)
+        shapes.append(_atoms(t, atoms, path.dst_key))
+    out = t.or_all(shapes)
     if path.src_key is not None:
-        out = sh.GeqCount(1, sh.Inverse(sh.Step(path.src_key)), out)
+        out = t.exists(path.src_key, INV, out)
     return out
 
 
-def _count_to_shacl(atom: CountAtom) -> sh.ShaclShape:
-    if atom.kind == "geq" and atom.n == 0:
-        return sh.Top()
-    step = _shacl_step(atom.step if atom.step != "inv_key" else "inv", atom.name)
-    body = sh.Top() if atom.step == "key" else _filters_to_shacl(atom.right)
-    left = _filters_to_shacl(atom.left) if atom.left else None
-    if atom.kind == "geq":
-        count: sh.ShaclShape = sh.GeqCount(atom.n, step, body)
-        return count if left is None else sh.And(left, count)
-    count = sh.LeqCount(atom.n, step, body)
-    return count if left is None else sh.Or(sh.Not(left), count)
+def _count(t: Target, atom: CountAtom):
+    geq = atom.kind == "geq"
+    if geq and atom.n == 0:
+        return t.and_all([])
+    direction = FWD if atom.step in ("pred", "key") else INV
+    counted = t.count(geq, atom.n, atom.name, direction, _filters(t, atom.right))
+    if not atom.left:
+        return counted
+    left = _filters(t, atom.left)
+    return t.and_all([left, counted]) if geq else t.or_all([t.not_(left), counted])
 
 
-def _guard_to_shacl(atom: GuardAtom) -> sh.ShaclShape:
+def _guard(t: Target, atom: GuardAtom):
     shapes = []
     for d in content_dnf(atom.tau):
         assert not d.open
-        conj: List[sh.ShaclShape] = [sh.exists(sh.Step(k), sh.TestType(vt)) for k, vt in d.reqs]
-        allowed = d.keys | frozenset(atom.preds)
-        conj.append(sh.Closed(allowed))
-        shapes.append(sh.and_all(conj))
-    return sh.or_all(shapes)
+        conj = [t.exists(k, FWD, t.test_type(vt)) for k, vt in d.reqs]
+        shapes.append(t.and_all(conj + [t.closed(d.keys, atom.preds)]))
+    return t.or_all(shapes)
 
 
 # direction of the triple a selector form asks for at the focus
@@ -552,143 +606,28 @@ _SEL_DIRECTION = {
 }
 
 
-def cogsl_to_shacl(rules: CommonSchema) -> List[sh.ShaclRule]:
-    """Compile a common schema to an equivalent SHACL schema, rule by rule."""
-    out: List[sh.ShaclRule] = []
+def _compile(t: Target, rules: CommonSchema) -> list:
+    out = []
     for rule in _require_common(rules):
-        sel_shape = _exists_to_shacl(rule.sel.path)
-        parts: List[sh.ShaclShape] = []
+        parts = []
         for atom in rule.atoms:
             if isinstance(atom, ExistsAtom):
-                parts.append(_exists_to_shacl(atom.path))
+                parts.append(_exists(t, atom.path))
             elif isinstance(atom, CountAtom):
-                parts.append(_count_to_shacl(atom))
+                parts.append(_count(t, atom))
             else:
-                parts.append(_guard_to_shacl(atom))
-        shape = sh.and_all(parts)
-        select = sh.ExistsOut if _SEL_DIRECTION[rule.sel.form] == FWD else sh.ExistsIn
-        out.append((select(rule.sel.name), sh.Or(sh.Not(sel_shape), shape)))
+                parts.append(_guard(t, atom))
+        select = t.select(_SEL_DIRECTION[rule.sel.form], rule.sel.name)
+        vacuous = t.not_(_exists(t, rule.sel.path))
+        out.append((select, t.or_all([vacuous, t.and_all(parts)])))
     return out
 
 
-# ---------------------------------------------------------------------------
-# Translation to ShEx
-
-
-def _one_tc(name: str, direction: str, body: sx.ShexShape) -> sx.ShexShape:
-    return sx.SNeigh(sx.TC(name, direction, body), sx.Open(sx.NO_NAMES, sx.NO_NAMES))
-
-
-def _content_to_shex(t: ContentType) -> sx.ShexShape:
-    shapes = []
-    for d in _open_disjuncts(t):
-        conj = [_one_tc(k, FWD, sx.STestType(vt)) for k, vt in d.reqs]
-        shapes.append(sx.sand_all(conj))
-    return sx.sor_all(shapes)
-
-
-def _filter_to_shex(kind: FilterKind) -> sx.ShexShape:
-    if isinstance(kind, FKeyIs):
-        return _one_tc(kind.k, FWD, sx.STestConst(kind.c))
-    if isinstance(kind, FNotKeyIs):
-        return sx.SNot(_one_tc(kind.k, FWD, sx.STestConst(kind.c)))
-    if isinstance(kind, FOfType):
-        return _content_to_shex(kind.t)
-    if isinstance(kind, FNotOfType):
-        return sx.SNot(_content_to_shex(kind.t))
-    raise TriformError(f"unknown filter {kind!r}")
-
-
-def _filters_to_shex(filters: Sequence[FilterKind]) -> sx.ShexShape:
-    return sx.sand_all([_filter_to_shex(f) for f in filters])
-
-
-def _atoms_to_shex(atoms: List[PathAtom], dst_key: Optional[str]) -> sx.ShexShape:
-    if not atoms:
-        if dst_key is not None:
-            return _one_tc(dst_key, FWD, sx.top_shape())
-        return sx.top_shape()
-    head, rest = atoms[0], atoms[1:]
-    if isinstance(head, AFilter):
-        tail = _atoms_to_shex(rest, dst_key)
-        if not rest and dst_key is None:
-            return _filter_to_shex(head.kind)
-        return sx.SAnd(_filter_to_shex(head.kind), tail)
-    direction = INV if head.inverse else FWD
-    return _one_tc(head.p, direction, _atoms_to_shex(rest, dst_key))
-
-
-def _exists_to_shex(path: PgPath) -> sx.ShexShape:
-    disjuncts = _to_disjuncts(push_inv(path.body)) if path.body is not None else [[]]
-    shapes = []
-    for concat in disjuncts:
-        atoms: List[PathAtom] = list(concat)
-        if path.dst_key is None and atoms and isinstance(atoms[-1], AStep):
-            atoms.append(AFilter(TRIVIAL_FILTER))
-        shapes.append(_atoms_to_shex(atoms, path.dst_key))
-    out = sx.sor_all(shapes)
-    if path.src_key is not None:
-        out = _one_tc(path.src_key, INV, out)
-    return out
-
-
-def _count_tc(atom: CountAtom) -> sx.TC:
-    if atom.step == "key":
-        return sx.TC(atom.name, FWD, sx.top_shape())
-    body = _filters_to_shex(atom.right)
-    direction = FWD if atom.step == "pred" else INV
-    return sx.TC(atom.name, direction, body)
-
-
-def _count_to_shex(atom: CountAtom) -> sx.ShexShape:
-    if atom.kind == "geq" and atom.n == 0:
-        return sx.top_shape()
-    tc = _count_tc(atom)
-    left = _filters_to_shex(atom.left) if atom.left else None
-    if atom.kind == "geq":
-        reps = sx.desugar_repetition(tc, "exactly", atom.n)
-        counted: sx.ShexShape = sx.SNeigh(reps, sx.Open(sx.NO_NAMES, sx.NO_NAMES))
-        return counted if left is None else sx.SAnd(left, counted)
-    reps = sx.desugar_repetition(tc, "exactly", atom.n + 1)
-    counted = sx.SNot(sx.SNeigh(reps, sx.Open(sx.NO_NAMES, sx.NO_NAMES)))
-    return counted if left is None else sx.SOr(sx.SNot(left), counted)
-
-
-def _names_star(names: Sequence[str]) -> Optional[sx.TripleExpr]:
-    ordered = sorted(set(names))
-    if not ordered:
-        return None
-    return sx.StarE(sx.alt_all([sx.TC(nm, FWD, sx.top_shape()) for nm in ordered]))
-
-
-def _guard_to_shex(atom: GuardAtom) -> sx.ShexShape:
-    shapes = []
-    for d in content_dnf(atom.tau):
-        assert not d.open
-        parts = [e for e in (_names_star(sorted(d.keys)), _names_star(atom.preds)) if e]
-        closure = sx.SNeigh(sx.seq_all(parts), sx.HalfOpen(sx.NO_NAMES))
-        if d.reqs:
-            content = sx.sand_all([_one_tc(k, FWD, sx.STestType(vt)) for k, vt in d.reqs])
-            shapes.append(sx.SAnd(content, closure))
-        else:
-            shapes.append(closure)
-    return sx.sor_all(shapes)
+def cogsl_to_shacl(rules: CommonSchema) -> List[sh.ShaclRule]:
+    """Compile a common schema to an equivalent SHACL schema, rule by rule."""
+    return _compile(SHACL, rules)
 
 
 def cogsl_to_shex(rules: CommonSchema) -> List[sx.ShexRule]:
     """Compile a common schema to an equivalent ShEx schema, rule by rule."""
-    out: List[sx.ShexRule] = []
-    for rule in _require_common(rules):
-        sel_shape = _exists_to_shex(rule.sel.path)
-        parts: List[sx.ShexShape] = []
-        for atom in rule.atoms:
-            if isinstance(atom, ExistsAtom):
-                parts.append(_exists_to_shex(atom.path))
-            elif isinstance(atom, CountAtom):
-                parts.append(_count_to_shex(atom))
-            else:
-                parts.append(_guard_to_shex(atom))
-        shape = sx.sand_all(parts)
-        select = sx.SelOut if _SEL_DIRECTION[rule.sel.form] == FWD else sx.SelIn
-        out.append((select(rule.sel.name), sx.SOr(sx.SNot(sel_shape), shape)))
-    return out
+    return _compile(SHEX, rules)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from . import shacl as sh
@@ -110,17 +110,7 @@ class GenParams:
     max_count_n: int = 3
 
     def with_seed(self, seed: int) -> "GenParams":
-        return GenParams(
-            seed,
-            self.node_count,
-            self.edge_density,
-            self.prop_density,
-            self.value_pool,
-            self.pred_pool,
-            self.key_pool,
-            self.schema_size_budget,
-            self.max_count_n,
-        )
+        return replace(self, seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -303,20 +303,6 @@ def eliminate_extra(se: SShapeExpr) -> SShapeExpr:
     raise TriformError(f"unknown standard shape {se!r}")
 
 
-def _has_extra(se: SShapeExpr) -> bool:
-    if isinstance(se, (XTestConst, XTestType)):
-        return False
-    if isinstance(se, XShape):
-        if se.extra:
-            return True
-        return any(_has_extra(t.shape) for t in _direct_tcs(se.expr) if t.shape is not None)
-    if isinstance(se, (XAnd, XOr)):
-        return _has_extra(se.left) or _has_extra(se.right)
-    if isinstance(se, XNot):
-        return _has_extra(se.inner)
-    raise TriformError(f"unknown standard shape {se!r}")
-
-
 # ---------------------------------------------------------------------------
 # Standard ShEx -> core ShEx
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import gc
 import json
@@ -397,3 +398,18 @@ def test_oracle_match_rejects_a_bad_openness(files, tmp_path, capsys, openness, 
     code, out, err = oracle_match(capsys, files, tmp_path, openness=openness)
     assert (code, out) == (2, "")
     assert err == f"error: {error}\n"
+
+
+def test_main_builds_the_parser_once(files, capsys, monkeypatch):
+    made = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli.build_parser.cache_clear()
+    assert run(capsys, "check-common", files["pg.json"])[0] == 0
+    assert run(capsys, "translate", files["pg.json"], "--to", "shex")[0] == 0
+    assert made.count("triform") == 1

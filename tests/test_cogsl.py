@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -45,6 +46,8 @@ from triform.pgschema import (
 from triform.shacl import shacl_satisfies, shacl_validate
 from triform.shex import shex_satisfies, shex_validate
 import triform.cogsl as cg
+from triform import jsonio
+from triform.examples import media_pg_rules
 
 
 def test_media_rules_are_common(pg_c1_c5):
@@ -176,8 +179,8 @@ def test_filter_lemma_equivalences(g_media):
 
     for _ in range(60):
         kind = _gen_filter(rng, p)
-        shacl_shape = cg._filter_to_shacl(kind)
-        shex_shape = cg._filter_to_shex(kind)
+        shacl_shape = cg._filter(cg.SHACL, kind)
+        shex_shape = cg._filter(cg.SHEX, kind)
         for u in sorted(g_media.nodes):
             in_relation = bool(eval_pg_path(g_media, Node(u), filter_path(kind)))
             assert shacl_satisfies(g_media, Node(u), shacl_shape) == in_relation
@@ -216,3 +219,25 @@ def test_selector_folding_key_value_head():
     assert not cogsl_validate(broken, rules).valid
     assert not shacl_validate(broken, shacl_rules).valid
     assert not shex_validate(broken, shex_rules).valid
+
+
+# sha256 of the compiled SHACL and then ShEx JSON of every schema below
+GOLDEN_COMPILED_SHA256 = "22e38bab9c41102721e8ea0c38ffbeb1d7f4d2c4a682ecb7d5e60acfce4a2128"
+
+
+def test_compiled_output_is_golden():
+    """Pins the compilers' bytes: `triform translate` and every consumer of
+    a compiled schema read them.  Media rules, then `gen_cogsl_schema`
+    seeds 0-399 at each (nodes, budget)."""
+    schemas = [media_pg_rules()]
+    for nodes, budget in ((8, 5), (12, 8), (40, 5)):
+        for seed in range(400):
+            params = GenParams(seed=seed, node_count=nodes, schema_size_budget=budget)
+            schemas.append(gen_cogsl_schema(params))
+    digest = hashlib.sha256()
+    for rules in schemas:
+        for dialect, compile_ in (("shacl", cogsl_to_shacl), ("shex", cogsl_to_shex)):
+            doc = jsonio.schema_to_json(dialect, compile_(rules))
+            digest.update(jsonio.dumps(doc).encode())
+    assert len(schemas) == 1201
+    assert digest.hexdigest() == GOLDEN_COMPILED_SHA256

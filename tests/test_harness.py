@@ -56,6 +56,9 @@ def test_gen_graph_deterministic():
     assert gen_cogsl_schema(p) == gen_cogsl_schema(p)
     assert gen_shacl_schema(p) == gen_shacl_schema(p)
     assert gen_shex_schema(p) == gen_shex_schema(p)
+    tuned = dict(edge_density=0.5, value_pool=(int_v(7), str_v("x")), key_pool=("k",), max_count_n=5)
+    reseeded = GenParams(seed=1, node_count=7, **tuned).with_seed(42)
+    assert reseeded == GenParams(seed=42, node_count=7, **tuned)
 
 
 def test_gen_schema_budget_one():
