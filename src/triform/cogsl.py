@@ -464,7 +464,6 @@ class Target(NamedTuple):
     or_all: Callable[[List[Any]], Any]
     test_type: Callable[[str], Any]
     test_const: Callable[[Any], Any]
-    exists: Callable[[str, str, Any], Any]  # (name, direction, body)
     count: Callable[[bool, int, str, str, Any], Any]  # (geq, n, name, direction, body)
     closed: Callable[[FrozenSet[str], Tuple[str, ...]], Any]  # (record keys, predicates)
     select: Callable[[str, str], Any]  # (direction, name)
@@ -480,7 +479,6 @@ SHACL = Target(
     or_all=sh.or_all,
     test_type=sh.TestType,
     test_const=sh.TestConst,
-    exists=lambda name, direction, body: sh.GeqCount(1, _shacl_step(name, direction), body),
     count=lambda geq, n, name, direction, body: (sh.GeqCount if geq else sh.LeqCount)(
         n, _shacl_step(name, direction), body
     ),
@@ -514,9 +512,6 @@ SHEX = Target(
     or_all=sx.sor_all,
     test_type=sx.STestType,
     test_const=sx.STestConst,
-    exists=lambda name, direction, body: sx.SNeigh(
-        sx.TC(name, direction, body), sx.Open(sx.NO_NAMES, sx.NO_NAMES)
-    ),
     count=_shex_count,
     closed=_shex_closed,
     select=lambda direction, name: (sx.SelOut if direction == FWD else sx.SelIn)(name),
@@ -527,15 +522,15 @@ def _content(t: Target, tau: ContentType):
     shapes = []
     for d in content_dnf(tau):
         assert d.open, "path content types must be open"
-        shapes.append(t.and_all([t.exists(k, FWD, t.test_type(vt)) for k, vt in d.reqs]))
+        shapes.append(t.and_all([t.count(True, 1, k, FWD, t.test_type(vt)) for k, vt in d.reqs]))
     return t.or_all(shapes)
 
 
 def _filter(t: Target, kind: FilterKind):
     if isinstance(kind, FKeyIs):
-        return t.exists(kind.k, FWD, t.test_const(kind.c))
+        return t.count(True, 1, kind.k, FWD, t.test_const(kind.c))
     if isinstance(kind, FNotKeyIs):
-        return t.not_(t.exists(kind.k, FWD, t.test_const(kind.c)))
+        return t.not_(t.count(True, 1, kind.k, FWD, t.test_const(kind.c)))
     if isinstance(kind, FOfType):
         return _content(t, kind.t)
     if isinstance(kind, FNotOfType):
@@ -551,13 +546,13 @@ def _atoms(t: Target, atoms: List[PathAtom], dst_key: Optional[str]):
     """Existential concatenation, rightmost first (Lemma-style recursion)."""
     if not atoms:
         top = t.and_all([])
-        return top if dst_key is None else t.exists(dst_key, FWD, top)
+        return top if dst_key is None else t.count(True, 1, dst_key, FWD, top)
     head, rest = atoms[0], atoms[1:]
     if isinstance(head, AFilter):
         if not rest and dst_key is None:
             return _filter(t, head.kind)
         return t.and_all([_filter(t, head.kind), _atoms(t, rest, dst_key)])
-    return t.exists(head.p, INV if head.inverse else FWD, _atoms(t, rest, dst_key))
+    return t.count(True, 1, head.p, INV if head.inverse else FWD, _atoms(t, rest, dst_key))
 
 
 def _exists(t: Target, path: PgPath):
@@ -570,7 +565,7 @@ def _exists(t: Target, path: PgPath):
         shapes.append(_atoms(t, atoms, path.dst_key))
     out = t.or_all(shapes)
     if path.src_key is not None:
-        out = t.exists(path.src_key, INV, out)
+        out = t.count(True, 1, path.src_key, INV, out)
     return out
 
 
@@ -590,7 +585,7 @@ def _guard(t: Target, atom: GuardAtom):
     shapes = []
     for d in content_dnf(atom.tau):
         assert not d.open
-        conj = [t.exists(k, FWD, t.test_type(vt)) for k, vt in d.reqs]
+        conj = [t.count(True, 1, k, FWD, t.test_type(vt)) for k, vt in d.reqs]
         shapes.append(t.and_all(conj + [t.closed(d.keys, atom.preds)]))
     return t.or_all(shapes)
 

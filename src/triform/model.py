@@ -18,6 +18,7 @@ compiles their methods once per field list.
 from __future__ import annotations
 
 from collections import defaultdict
+from operator import itemgetter
 from types import FunctionType
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple, Union
 
@@ -272,6 +273,51 @@ def value_type_member(w: Value, type_id: str, registry: Optional[ValueTypeRegist
     return (registry or DEFAULT_TYPES).member(w, type_id)
 
 
+_NAME = itemgetter(1)  # the name of an edge, or the key of a (node, key) owner
+
+
+class RowProfile:
+    """The row count of an element per (direction, name): ``fwd`` holds
+    the names of its forward rows (out-edges and keys), ``inv`` those of
+    its inverse rows (in-edges, or a value's owners under the owning
+    key), each sorted, one entry per row; ``size`` is the number of
+    rows.  A graph makes one profile per distinct count vector, so
+    profiles compare by identity."""
+
+    __slots__ = ("fwd", "inv", "size")
+
+    def __init__(self, fwd: Tuple[str, ...], inv: Tuple[str, ...]):
+        self.fwd = fwd
+        self.inv = inv
+        self.size = len(fwd) + len(inv)
+
+
+class RowProfiles(dict):
+    """The row profile of each raw element of one graph, made on the
+    first lookup of the element and then kept."""
+
+    __slots__ = ("_out_edges", "_in_edges", "_node_props", "_value_owners", "_shared")
+
+    def __init__(self, g: "CommonGraph"):
+        super().__init__()
+        # the indexes, not the graph: the graph holds this mapping, and a
+        # cycle would keep both alive until a collection
+        self._out_edges, self._in_edges = g._out_edges, g._in_edges
+        self._node_props, self._value_owners = g._node_props, g._value_owners
+        self._shared: Dict[Tuple[Tuple[str, ...], Tuple[str, ...]], RowProfile] = {}  # by (fwd, inv)
+
+    def __missing__(self, x: Elem) -> RowProfile:
+        if type(x) is str:
+            fwd = [*map(_NAME, self._out_edges.get(x, ())), *self._node_props.get(x, ())]
+            fwd.sort()
+            inv = sorted(map(_NAME, self._in_edges.get(x, ())))
+        else:
+            fwd, inv = [], sorted(map(_NAME, self._value_owners.get(x, ())))
+        key = (tuple(fwd), tuple(inv))
+        p = self[x] = self._shared.get(key) or self._shared.setdefault(key, RowProfile(*key))
+        return p
+
+
 class CommonGraph:
     """Immutable common graph with precomputed adjacency indexes.
 
@@ -281,7 +327,8 @@ class CommonGraph:
     :meth:`triples_named`: each predicate's edges and each key's property
     triples in first-occurrence order (vertical partitioning), holding
     the input triple objects themselves.  The nodes grouped by record
-    size (:meth:`nodes_of_size`) are derived on first use, like the hash.
+    size (:meth:`nodes_of_size`) and the elements' row profiles
+    (:attr:`row_profiles`) are derived on first use, like the hash.
     """
 
     __slots__ = (
@@ -297,6 +344,7 @@ class CommonGraph:
         "_value_owners",
         "_by_name",
         "_by_size",
+        "_profiles",
         "_hash",
     )
 
@@ -342,6 +390,7 @@ class CommonGraph:
         self._value_owners = value_owners
         self._by_name = by_name
         self._by_size: Optional[Dict[int, FrozenSet[str]]] = None  # built on the first nodes_of_size
+        self._profiles: Optional[RowProfiles] = None  # made on the first row_profiles
         self._hash: Optional[int] = None  # computed on the first __hash__
 
     def __eq__(self, other) -> bool:
@@ -389,6 +438,27 @@ class CommonGraph:
             groups[0] = self.nodes.difference(self._node_props)
             self._by_size = groups  # published whole, for concurrent readers
         return self._by_size.get(n, frozenset())
+
+    def far_ends(self, x: Elem, direction: str, name: str) -> List[Elem]:
+        """The far ends of the raw element ``x``'s rows named ``name`` in
+        the given direction, in row order: a key's value, the other ends
+        of the edges, or a value's owners under the key ``name``."""
+        if type(x) is not str:
+            return [n for n, k in self._value_owners.get(x, ()) if k == name]
+        if direction == INV:
+            return [e.s for e in self._in_edges.get(x, ()) if e.p == name]
+        record = self._node_props.get(x)
+        if record and name in record:  # a name is a key or a predicate, never both
+            return [record[name]]
+        return [e.o for e in self._out_edges.get(x, ()) if e.p == name]
+
+    @property
+    def row_profiles(self) -> RowProfiles:
+        """The row profile of each raw element, as a mapping that counts
+        an element's rows on its first lookup."""
+        if self._profiles is None:
+            self._profiles = RowProfiles(self)
+        return self._profiles
 
     def prop(self, node: str, key: str) -> Optional[Value]:
         return self.props.get((node, key))

@@ -11,20 +11,25 @@ Shapes are decided set-at-a-time on raw elements (node ids and values),
 as in ``shacl`` and ``pgschema``: :func:`_sat` maps a shape and a set of
 elements to those that satisfy it.  Each neighborhood shape is
 flattened once per run into a program template.  An element's signed
-triples are its rows, read from the adjacency lists and counted against
-a hard cap before any nested shape is evaluated; each row gets a
-signature, the set of leaf and wildcard nodes that may consume it.
-Wildcards and top-shape leaves take a row untested; each other nested
-shape is evaluated once, on the union of the far ends it tests.  As in
-the bag semantics of ShEx, the verdict depends only on the bag of row
-signatures (the Parikh image over the constraints), so the template
-keeps a per-run verdict memo keyed by the sorted signatures, and only a
-miss runs the kernel of ``_bagmatch_py``: a DP over the count of rows of
-each distinct signature, pruned by each program node's static interval
-of triple counts.  Its cost is polynomial in the rows for a fixed number
-of distinct signatures; exceeding the cap raises
-``NeighborhoodTooLarge``, never approximating, and so does a bag whose
-star parts nest deeper than the interpreter's recursion limit.
+triples are its rows; each row gets a signature, the set of leaf and
+wildcard nodes that may consume it.  Wildcards and top-shape leaves
+take a row untested, so its signature depends on its (direction, name)
+alone; each other nested shape is evaluated once, on the union of the
+far ends it tests.  As in the bag semantics of ShEx, the verdict
+depends only on the bag of row signatures (the Parikh image over the
+constraints).  So an element is read through its row profile
+(``model.RowProfile``), its row count per (direction, name), whose
+total is checked against a hard cap before any nested shape is
+evaluated.  The template keeps a per-run entry per profile: its
+verdict when it has no tested group, which the element then gets
+without reading a row; otherwise the count of each signature among its
+untested rows and its tested groups, whose far ends alone are read.  A per-run verdict memo is keyed by the sorted (signature, count) pairs,
+and only a miss runs the kernel of ``_bagmatch_py``: a DP over the
+count of rows of each distinct signature, pruned by each program
+node's static interval of triple counts.  Its cost is polynomial in the
+rows for a fixed number of distinct signatures; exceeding the cap
+raises ``NeighborhoodTooLarge``, never approximating, and so does a bag
+whose star parts nest deeper than the interpreter's recursion limit.
 
 Counting is by triples, not by endpoints: a node with two parallel
 p-edges to the same target offers two distinct signed triples.  This is
@@ -47,7 +52,7 @@ from .model import (
     Elem,
     Focus,
     NeighborhoodTooLarge,
-    SignedTriple,
+    RowProfile,
     TriformError,
     Value,
     ValueTypeRegistry,
@@ -334,42 +339,65 @@ def open_closure(e: TripleExpr) -> ShexShape:
 
 class _Template:
     """A neighborhood shape flattened once per run into the kernel
-    program format, with the run's verdict memo.
-
-    ``leaves`` buckets the triple-constraint nodes by the (name,
-    direction) of the triples they can consume, each with its compiled
-    nested shape; ``wilds`` lists (node, direction, excluded names) for
-    the wildcard nodes, the openness suffix included.  ``program`` is
-    the kernel program (``_bagmatch_py.Program``); it depends on the
-    shape only.
+    program format, with the run's profile entries and verdict memo.
 
     A row's signature is the set of leaf and wildcard nodes that may
-    consume it, one bit per node.  ``verdicts`` maps the sorted tuple of
-    an element's row signatures to its verdict; only a miss runs the
-    kernel, on the distinct signatures and the count of each.
+    consume it, one bit per node.  ``leaves`` buckets the bits of the
+    triple-constraint nodes by the (name, direction) of the triples they
+    can consume, each with its compiled nested shape; ``wilds`` lists, by
+    direction, (bit, excluded names) for the wildcard nodes, the
+    openness suffix included.  ``program`` is the kernel program
+    (``_bagmatch_py.Program``); it depends on the shape only.
+
+    ``entries`` maps a row profile (``model.RowProfile``) whose row
+    total is within the cap to its entry: its verdict when it has no
+    tested group, and otherwise the count of each signature among its
+    untested rows and its tested (direction, name) groups (see
+    :meth:`groups`).
+    ``verdicts`` maps the sorted (signature, count) pairs of an
+    element's rows to its verdict; only a miss runs the kernel, on those
+    signatures and counts.
     """
 
     def __init__(self) -> None:
         self.leaves: Dict[Tuple[str, str], List[Tuple[int, "_Compiled"]]] = {}
-        self.wilds: List[Tuple[int, str, FrozenSet[str]]] = []
+        self.wilds: Dict[str, List[Tuple[int, FrozenSet[str]]]] = {FWD: [], INV: []}
         self.program: tuple = ()
         # :meth:`plan` per run, by direction and then by name
         self.plans: Dict[str, Dict[str, Tuple[int, list]]] = {FWD: {}, INV: {}}
-        self.verdicts: Dict[Tuple[int, ...], bool] = {}  # per run
+        self.entries: Dict[RowProfile, tuple] = {}  # per run
+        self.verdicts: Dict[Tuple[Tuple[int, int], ...], bool] = {}  # per run
 
     def plan(self, name: str, direction: str):
         """The signature bits a (name, direction) row gets untested, and
         the (bit, nested shape) pairs of the leaves that test its far end."""
         sig, tested = 0, []
-        for node, c in self.leaves.get((name, direction), ()):
+        for bit, c in self.leaves.get((name, direction), ()):
             if c.kind is SNeigh and c.template is None:  # the top shape
-                sig |= 1 << node
+                sig |= bit
             else:
-                tested.append((1 << node, c))
-        for node, d, excl in self.wilds:
-            if d == direction and name not in excl:
-                sig |= 1 << node
+                tested.append((bit, c))
+        for bit, excl in self.wilds[direction]:
+            if name not in excl:
+                sig |= bit
         return self.plans[direction].setdefault(name, (sig, tested))
+
+    def groups(self, p: RowProfile):
+        """The count of each signature among the rows of the profile ``p``
+        that no nested shape tests, and the (direction, name, signature
+        bits, tested leaves) of its other groups."""
+        counts: Dict[int, int] = {}
+        tested, plan = [], self.plan
+        for d, names in ((FWD, p.fwd), (INV, p.inv)):
+            dplans, last = self.plans[d], None
+            for name in names:
+                sig, leaves = dplans.get(name) or plan(name, d)
+                if not leaves:
+                    counts[sig] = counts.get(sig, 0) + 1
+                elif name != last:  # names are sorted, so a group's rows are adjacent
+                    last = name
+                    tested.append((d, name, sig, leaves))
+        return counts, tested
 
 
 class _Compiled:
@@ -444,11 +472,11 @@ def _template(ctx: EvalContext, expr: TripleExpr, openness: Openness) -> _Templa
             return emit(OP_EPS)
         if isinstance(e, TC):
             i = emit(OP_LEAF)
-            t.leaves.setdefault((e.q, e.direction), []).append((i, _compile(ctx, e.shape)))
+            t.leaves.setdefault((e.q, e.direction), []).append((1 << i, _compile(ctx, e.shape)))
             return i
         if isinstance(e, (WildOut, WildIn)):
             i = emit(OP_LEAF)
-            t.wilds.append((i, FWD if isinstance(e, WildOut) else INV, e.excluded))
+            t.wilds[FWD if isinstance(e, WildOut) else INV].append((1 << i, e.excluded))
             return i
         if isinstance(e, Seq):
             return emit(OP_SEQ, walk(e.left), walk(e.right))
@@ -465,83 +493,90 @@ def _template(ctx: EvalContext, expr: TripleExpr, openness: Openness) -> _Templa
         raise TriformError(f"unknown triple expression {e!r}")
 
     body = walk(expr)
+    # walk calls itself through its closure, a cycle that would keep the
+    # template and its per-run entries alive until a collection
+    del walk
     wild = emit(OP_WILDSTAR)
-    t.wilds.append((wild, INV, openness.r))
+    t.wilds[INV].append((1 << wild, openness.r))
     if isinstance(openness, Open):
-        t.wilds.append((wild, FWD, openness.q))
+        t.wilds[FWD].append((1 << wild, openness.q))
     root = emit(OP_SEQ, body, wild)
     t.program = (ops, lefts, rights, _bagmatch_py.under_masks(ops, lefts, rights), lo, hi, root)
     return t
 
 
-# The (direction, name index, far-end index) of each group of _rows
-_GROUPS = ((FWD, 1, 2), (FWD, 0, 1), (INV, 1, 0))
-
-
-def _rows(g: CommonGraph, x: Elem):
-    """The rows (signed triples) of the raw element ``x`` in row order: a
-    node's out-edges, (key, value) pairs and in-edges, or a value's owners."""
-    if type(x) is str:
-        return g.out_edges(x), g.node_props(x).items(), g.in_edges(x)
-    return (), (), g.value_owners(x)
-
-
-def _signatures(ctx: EvalContext, g: CommonGraph, t: _Template, elems: Set[Elem]):
-    """Yield each element of ``elems`` with its row signatures, in row
-    order.  All rows are read and counted against the cap before each
-    tested nested shape is evaluated once, on the far ends it tests."""
-    plans, plan, cap = t.plans, t.plan, ctx.cap
-    pending = []  # (element, signatures, [(row, far end, tested leaves)])
-    asked: Dict[_Compiled, Set[Elem]] = defaultdict(set)
-    for x in elems:
-        groups = _rows(g, x)
-        if len(groups[0]) + len(groups[1]) + len(groups[2]) > cap:  # name the least one over the cap
-            v = elems_to_foci([y for y in elems if sum(map(len, _rows(g, y))) > cap])[0]
-            n = sum(map(len, _rows(g, focus_elem(v))))
-            raise NeighborhoodTooLarge(f"signed neighborhood of {v!r} has {n} triples (cap {cap})")
-        sigs, deferred = [], []
-        for (d, ni, fi), rows in zip(_GROUPS, groups):
-            dplans = plans[d]
-            for r in rows:
-                sig, tested = dplans.get(r[ni]) or plan(r[ni], d)
-                if tested:
-                    deferred.append((len(sigs), r[fi], tested))
-                    for _, nested in tested:
-                        asked[nested].add(r[fi])
-                sigs.append(sig)
-        if deferred:
-            pending.append((x, sigs, deferred))
-        else:
-            yield x, sigs
-    if not pending:
-        return
-    # in compilation order, so which cap error is raised first is fixed
-    sat = {nested: _sat(ctx, g, nested, asked[nested]) for nested in sorted(asked, key=lambda c: c.sid)}
-    for x, sigs, deferred in pending:
-        for i, far, tested in deferred:
-            for bit, nested in tested:
-                if far in sat[nested]:
-                    sigs[i] |= bit
-        yield x, sigs
+def _decide(t: _Template, bag: Tuple[Tuple[int, int], ...], x: Elem) -> bool:
+    """The verdict on the sorted (signature, count) pairs ``bag`` of the
+    element ``x``, which the memo does not hold yet: run the kernel."""
+    sigs, counts = zip(*bag) if bag else ((), ())
+    try:
+        verdict = t.verdicts[bag] = _bagmatch_py.count_match(t.program, sigs, counts)
+    except RecursionError:  # the kernel recurses once per peeled star part
+        raise NeighborhoodTooLarge(
+            f"signed neighborhood of {elem_focus(x)!r} has {sum(counts)} triples,"
+            " too many star parts for the matcher's recursion depth"
+        ) from None
+    return verdict
 
 
 def _neigh(ctx: EvalContext, g: CommonGraph, t: _Template, elems: Set[Elem]) -> Set[Elem]:
-    """The elements of ``elems`` whose rows the template's program matches,
-    each decided by its bag of row signatures through the verdict memo."""
-    verdicts, out = t.verdicts, set()
-    for x, sigs in _signatures(ctx, g, t, elems):
-        key = tuple(sorted(sigs))
-        verdict = verdicts.get(key)
-        if verdict is None:  # decide the count of rows of each distinct signature
-            classes = list(dict.fromkeys(key))
-            try:
-                verdict = _bagmatch_py.count_match(t.program, classes, [*map(key.count, classes)])
-            except RecursionError:  # the kernel recurses once per peeled star part
-                raise NeighborhoodTooLarge(
-                    f"signed neighborhood of {elem_focus(x)!r} has {len(key)} triples,"
-                    " too many star parts for the matcher's recursion depth"
-                ) from None
-            verdicts[key] = verdict
+    """The elements of ``elems`` whose rows the template's program matches.
+
+    Each element is looked up by its row profile.  The first element of
+    a profile checks the profile's row total against the cap and makes its
+    entry; an element whose profile has no tested group is then decided
+    by the entry alone.  The others read the far ends of their tested
+    groups; once all elements are counted, each tested nested shape is
+    evaluated once, on the union of the far ends it tests, and each
+    such element is decided by its bag of row signatures."""
+    profiles, entries, verdicts, cap, out = g.row_profiles, t.entries, t.verdicts, ctx.cap, set()
+    pending = []  # (element, untested counts, [(far ends, signature, tested leaves)])
+    asked: Dict[_Compiled, Set[Elem]] = defaultdict(set)
+    for x in elems:
+        p = profiles[x]
+        entry = entries.get(p)
+        if entry is None:
+            if p.size > cap:  # name the least one over the cap
+                v = elems_to_foci([y for y in elems if profiles[y].size > cap])[0]
+                n = profiles[focus_elem(v)].size
+                raise NeighborhoodTooLarge(f"signed neighborhood of {v!r} has {n} triples (cap {cap})")
+            counts, tested = t.groups(p)
+            if tested:
+                entry = entries[p] = (counts, tested)
+            else:  # the entry is the verdict
+                bag = tuple(sorted(counts.items()))
+                entry = verdicts.get(bag)
+                if entry is None:
+                    entry = _decide(t, bag, x)
+                entries[p] = entry
+        if entry is True:
+            out.add(x)
+        elif entry is not False:
+            counts, tested = entry
+            deferred = []
+            for d, name, sig, leaves in tested:
+                far = g.far_ends(x, d, name)
+                for _, nested in leaves:
+                    asked[nested].update(far)
+                deferred.append((far, sig, leaves))
+            pending.append((x, counts, deferred))
+    if not pending:
+        return out
+    # in compilation order, so which cap error is raised first is fixed
+    sat = {nested: _sat(ctx, g, nested, asked[nested]) for nested in sorted(asked, key=lambda c: c.sid)}
+    for x, counts, deferred in pending:
+        rows = dict(counts)
+        for far, sig, leaves in deferred:
+            for y in far:
+                row = sig
+                for bit, nested in leaves:
+                    if y in sat[nested]:
+                        row |= bit
+                rows[row] = rows.get(row, 0) + 1
+        bag = tuple(sorted(rows.items()))
+        verdict = verdicts.get(bag)
+        if verdict is None:
+            verdict = _decide(t, bag, x)
         if verdict:
             out.add(x)
     return out
@@ -584,31 +619,6 @@ def match_triple_expr(
     ctx = EvalContext(cap if cap is not None else default_cap(), registry)
     x = focus_elem(v)
     return x in _neigh(ctx, g, _template(ctx, expr, openness), {x})
-
-
-def match_witness(
-    g: CommonGraph,
-    v: Focus,
-    expr: TripleExpr,
-    openness: Openness,
-    cap: Optional[int] = None,
-    registry: Optional[ValueTypeRegistry] = None,
-) -> Optional[List[Tuple[int, List[SignedTriple]]]]:
-    """Reconstruct one consumption witness.
-
-    Returns (program node, consumed triples) pairs or None; used to
-    check the sequence-disjointness invariant.
-    """
-    ctx = EvalContext(cap if cap is not None else default_cap(), registry)
-    t = _template(ctx, expr, openness)
-    x = focus_elem(v)
-    [(_, sigs)] = _signatures(ctx, g, t, {x})
-    # a property triple has a value at one end
-    rows = [SignedTriple(r[ni], Value in (type(x), type(r[fi])), d, elem_focus(r[fi]))
-            for (d, ni, fi), group in zip(_GROUPS, _rows(g, x)) for r in group]
-    classes = sorted(set(sigs))
-    pools = [[row for sig, row in zip(sigs, rows) if sig == c] for c in classes]
-    return _bagmatch_py.count_witness(t.program, classes, pools)
 
 
 def shex_satisfies(

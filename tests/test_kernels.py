@@ -30,13 +30,14 @@ from triform.shex import (
     Seq,
     StarE,
     TC,
-    _signatures,
     _template,
     desugar_repetition,
     match_triple_expr,
     open_closure,
     top_shape,
 )
+
+from shex_rows import row_signatures
 
 
 class ProgramBuilder:
@@ -237,7 +238,7 @@ def decide_with_memo(g, expr, openness):
     the kernel memoized deciding it."""
     ctx = EvalContext(cap=128)
     template = _template(ctx, expr, openness)
-    [(_, sigs)] = _signatures(ctx, g, template, {"c"})
+    sigs = [sig for _, sig in row_signatures(ctx, g, template, "c")]
     classes = sorted(set(sigs))
     run, full, total = _start(template.program, classes, [sigs.count(sig) for sig in classes])
     verdict = _can(run, template.program[-1], full, total)

@@ -54,7 +54,6 @@ from triform.shex import (
     WildIn,
     desugar_repetition,
     match_triple_expr,
-    match_witness,
     open_closure,
     preds_triple_expr,
     selector_shape,
@@ -63,6 +62,8 @@ from triform.shex import (
     shex_validate,
     top_shape,
 )
+
+from shex_rows import match_witness
 
 TOP = top_shape()
 

@@ -1,10 +1,13 @@
-"""The per-run verdict memo of ShEx neighborhood matching.
+"""The per-run verdict memo and profile entries of ShEx neighborhood
+matching.
 
 A focus is decided by the bag of its row signatures, so the kernel runs
-once per distinct bag per template per run; these tests pin the
-verdicts against the brute-force oracle and count the kernel calls.
+once per distinct bag per template per run, and a focus is read through
+its row profile; these tests pin the verdicts against the brute-force
+oracle, count the kernel calls and check what a profile entry reads.
 """
 
+import gc
 import json
 import os
 import subprocess
@@ -15,11 +18,24 @@ import pytest
 
 from triform import _bagmatch_py, shex
 from triform.harness import GenParams, brute_shex_satisfies, gen_graph, gen_shex_schema
-from triform.model import FWD, EdgeTriple, InstanceTooLarge, Node, PropTriple, build_graph, int_v, str_v
+from triform.model import (
+    FWD,
+    CommonGraph,
+    EdgeTriple,
+    InstanceTooLarge,
+    NeighborhoodTooLarge,
+    Node,
+    PropTriple,
+    RowProfiles,
+    build_graph,
+    int_v,
+    str_v,
+)
 from triform.shex import (
     Alt,
     HalfOpen,
     SAnd,
+    SelIn,
     SelOut,
     Seq,
     SNeigh,
@@ -131,6 +147,22 @@ def test_runs_share_no_memo(kernel_calls):
         assert state == [], mod.__name__
 
 
+def test_a_run_leaves_no_cyclic_garbage():
+    # the run's compiled shapes, profile entries and memos are freed when
+    # the run ends, not at the next collection of the cyclic collector
+    g = copies_graph(10)
+    rules = [(SelOut("p"), SAnd(SNeigh(PAIRS_EXPR, PAIRS), INT_K)), (SelOut("q"), INT_K)]
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        shex_validate(g, rules)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
 _COUNT_SCRIPT = """
 import json
 from triform import _bagmatch_py
@@ -215,3 +247,55 @@ def test_cap_error_names_the_least_element_under_any_hash_seed():
         "signed neighborhood of Node(id='h0') has 31 triples (cap 24)",
         "signed neighborhood of Node(id='h0') has 32 triples (cap 24)",
     ]
+
+
+def test_one_profile_with_different_tested_far_ends():
+    # "a" and "b" both have one k row and one incoming r row, so they
+    # share a profile; the nested shape tests the k value, which differs
+    g = build_graph(
+        [EdgeTriple("r0", "r", "a"), EdgeTriple("r1", "r", "b")],
+        [PropTriple("a", "k", int_v(1)), PropTriple("b", "k", str_v("x"))],
+    )
+    assert g.row_profiles["a"] is g.row_profiles["b"]
+    report = shex_validate(g, [(SelOut("k"), INT_K)])
+    assert [viol.focus for viol in report.violations] == [Node("b")]
+    for v in (Node("a"), Node("b")):
+        assert (v not in {viol.focus for viol in report.violations}) == brute_shex_satisfies(g, v, INT_K)
+
+
+def test_untested_profile_reads_no_rows(monkeypatch, kernel_calls):
+    # the targets of the hubs' p-edges have one p row in and nothing
+    # else, so neither conjunct tests a row of theirs
+    g = copies_graph(6)
+    targets = {e.o for e in g.triples_named("p")}
+    ints = open_closure(StarE(TC("k", FWD, STestType("int"))))
+    shape = SAnd(ints, open_closure(StarE(TC("q", FWD, ints))))
+    for x in targets:
+        g.row_profiles[x]
+    calls = []
+    sat = shex._sat
+    monkeypatch.setattr(shex, "_sat", lambda *args: calls.append(args[3]) or sat(*args))
+
+    def no_read(*args):
+        raise AssertionError("a row was read")
+
+    for name in ("out_edges", "in_edges", "node_props", "value_owners", "far_ends"):
+        monkeypatch.setattr(CommonGraph, name, no_read)
+    monkeypatch.setattr(RowProfiles, "__missing__", no_read)
+    assert shex_validate(g, [(SelIn("p"), shape)]).valid
+    # the rule's shape and its two conjuncts, at the targets; nothing nested
+    assert calls == [targets] * 3
+    assert len(kernel_calls) == 2  # one profile, decided once per conjunct
+
+
+def test_cap_error_names_the_least_of_two_profiles():
+    # "a" has 25 p rows and "b" 30 q rows: two profiles over the cap
+    edges = [EdgeTriple("a", "p", f"t{i}") for i in range(25)] + [EdgeTriple("b", "q", f"t{i}") for i in range(30)]
+    g = build_graph(edges + [EdgeTriple("r", "s", "a"), EdgeTriple("r", "s", "b")], [])
+    assert g.row_profiles["a"] is not g.row_profiles["b"]
+    ctx = shex.EvalContext(cap=24)
+    template = shex._compile(ctx, open_closure(StarE(TC("p", FWD, TOP)))).template
+    for order in (["a", "b"], ["b", "a"]):  # a list fixes the order the elements are visited in
+        with pytest.raises(NeighborhoodTooLarge) as info:
+            shex._neigh(ctx, g, template, order)
+        assert str(info.value) == "signed neighborhood of Node(id='a') has 26 triples (cap 24)"

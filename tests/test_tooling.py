@@ -51,3 +51,32 @@ def test_cli_import_loads_neither_dataclasses_nor_harness():
     code = "import sys, triform.cli; print(sorted({'dataclasses', 'inspect', 'triform.harness'} & set(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout == "[]\n"
+
+
+
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+
+
+def bench_lines(script, *args):
+    """The first two words of each line ``script`` prints, run at its
+    smallest sizes in a subprocess."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, str(BENCHMARKS / script), *args], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, (script, done.stderr)
+    return [line.split()[:2] for line in done.stdout.splitlines()]
+
+
+def test_benchmark_scripts_run():
+    """The benchmark scripts the roadmap quotes still run and print a
+    line for every schema and every kernel workload."""
+    spec = importlib.util.spec_from_file_location("bench_graph", BENCHMARKS / "bench_graph.py")
+    bench_graph = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_graph)
+    lines = bench_lines("bench_graph.py", "--sizes", "20", "--repeat", "1")
+    for kind in bench_graph.SCHEMAS.keys() - {"empty"}:
+        assert ["validate", kind] in lines, kind
+    lines = bench_lines("bench_matcher.py", "--sizes", "8", "--repeat", "1")
+    for workload in ("pairs", "false-pairs", "bounded"):
+        assert [workload, "8"] in lines, workload
