@@ -21,10 +21,16 @@ process:
               compiled from the PG one, and the graph type (the media
               node and edge types plus the PG constraints)
 
-Each line gives the median and best seconds over the repeats and the
-cyclic-GC collections per generation (gen-0/1/2) of the median run,
-counted through ``gc.callbacks``.  A ``gc.collect()`` precedes every
-timed call.
+The repeats run round-robin: each round times every row of a size once,
+in the order above, so the rows of a size are timed at the same host
+speed and their ratios hold even when that speed drifts between rounds.
+Each round loads the graph of the select and types rows afresh, so the
+indexes a graph builds on first use are timed in every round, as they
+are in ``validate``.
+Each line gives the median, the quartiles and the best seconds over the
+rounds, and the cyclic-GC collections per generation (gen-0/1/2) of the
+median run, counted through ``gc.callbacks``.  A ``gc.collect()``
+precedes every timed call.
 
 Usage: python benchmarks/bench_graph.py [--sizes 1000,6000] [--repeat 3]
 """
@@ -116,18 +122,14 @@ class Collections:
         gc.callbacks.remove(self._count)
 
 
-def measure(fn, repeat):
-    """(median s, best s, gc counts of the median run) over ``repeat`` calls."""
-    runs = []
-    for _ in range(repeat):
-        gc.collect()
-        with Collections() as c:
-            t0 = time.perf_counter()
-            fn()
-            dt = time.perf_counter() - t0
-        runs.append((dt, c.counts))
-    runs.sort(key=lambda r: r[0])
-    return statistics.median(dt for dt, _ in runs), runs[0][0], runs[len(runs) // 2][1]
+def timed(fn):
+    """(seconds, gc counts) of one call of ``fn``."""
+    gc.collect()
+    with Collections() as c:
+        t0 = time.perf_counter()
+        fn()
+        dt = time.perf_counter() - t0
+    return dt, c.counts
 
 
 def load(path):
@@ -142,9 +144,15 @@ def validate(graph_path, schema_path):
         raise SystemExit(f"validate {schema_path} exited {code}, expected 0")
 
 
-def report(label, result):
-    med, best, (g0, g1, g2) = result
-    print(f"  {label:<26} median {med * 1e3:9.1f} ms  best {best * 1e3:9.1f} ms  gc {g0}/{g1}/{g2}")
+def report(label, runs):
+    runs.sort(key=lambda r: r[0])
+    times = [dt for dt, _ in runs]
+    q1, _, q3 = statistics.quantiles(times, n=4) if len(times) > 1 else times * 3
+    g0, g1, g2 = runs[len(runs) // 2][1]
+    print(
+        f"  {label:<26} median {statistics.median(times) * 1e3:9.1f} ms"
+        f"  quartiles {q1 * 1e3:9.1f} - {q3 * 1e3:9.1f} ms  best {times[0] * 1e3:9.1f} ms  gc {g0}/{g1}/{g2}"
+    )
 
 
 def main():
@@ -165,17 +173,24 @@ def main():
                 json.dump(doc, fh)
             print(f"media x{k}: {len(doc['edges'])} edges, {len(doc['props'])} props")
             del doc
-            report("load", measure(lambda: load(graph_path), args.repeat))
-            g = load(graph_path)
+            rows = {"load": lambda: load(graph_path)}
             for dialect, (rules, select) in SELECT.items():
                 sels = [sel for sel, _ in rules()]
-                report(f"select {dialect}", measure(lambda: [select(g, s) for s in sels], args.repeat))
+                rows[f"select {dialect}"] = lambda select=select, sels=sels: [select(g, s) for s in sels]
             types = media_graph_type()
-            report("types", measure(lambda: pgschema.validate_graph_type(g, types), args.repeat))
-            del g
+            rows["types"] = lambda: pgschema.validate_graph_type(g, types)
             for kind, schema_path in schema_paths.items():
                 label = "load (cli)" if kind == "empty" else f"validate {kind}"
-                report(label, measure(lambda: validate(graph_path, schema_path), args.repeat))
+                rows[label] = lambda schema_path=schema_path: validate(graph_path, schema_path)
+            runs = {label: [] for label in rows}
+            for _ in range(args.repeat):
+                # a fresh graph per round: the indexes a graph builds on first use are timed each round
+                g = load(graph_path)
+                for label, fn in rows.items():
+                    runs[label].append(timed(fn))
+                del g
+            for label, row_runs in runs.items():
+                report(label, row_runs)
 
 
 if __name__ == "__main__":

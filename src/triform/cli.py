@@ -267,6 +267,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the least value of each numeric option; a smaller one is a usage error
+_LEAST = {"cap": 0, "trials": 0, "nodes": 0, "budget": 1, "max_count": 0}
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -274,8 +278,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.print_help()
         return EXIT_USAGE
     try:
-        if (getattr(args, "cap", None) or 0) < 0:
-            raise TriformError("--cap must be non-negative")
+        for name, least in _LEAST.items():
+            value = getattr(args, name, None)  # a --cap left unset is None
+            if value is not None and value < least:
+                flag = "--" + name.replace("_", "-")
+                raise TriformError(f"{flag} must be {'non-negative' if least == 0 else f'at least {least}'}")
         return args.func(args)
     except (FormatError, NotInFragment, SortError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,9 +8,10 @@ edges carry a single predicate, and node properties are single-valued.
 Everything here is immutable after construction.  Values and triples
 are tuples, so they hash and compare in C.  A ``CommonGraph`` is built
 in one pass over the edges and one over the property triples, with
-adjacency lists and a per-name triple index in input order.  Validators
-in the dialect modules only ever read a ``CommonGraph``, so one graph
-can be shared freely between concurrent evaluators.  The AST and report
+adjacency lists and a per-name triple index in input order, grouped by
+near end on first use (:meth:`CommonGraph.ends`).  Validators in the
+dialect modules only ever read a ``CommonGraph``, so one graph can be
+shared freely between concurrent evaluators.  The AST and report
 records of all modules are classes built by :func:`frozen`, which
 compiles their methods once per field list.
 """
@@ -327,8 +328,10 @@ class CommonGraph:
     :meth:`triples_named`: each predicate's edges and each key's property
     triples in first-occurrence order (vertical partitioning), holding
     the input triple objects themselves.  The nodes grouped by record
-    size (:meth:`nodes_of_size`) and the elements' row profiles
-    (:attr:`row_profiles`) are derived on first use, like the hash.
+    size (:meth:`nodes_of_size`), each name's far ends by near end and
+    direction (:meth:`ends`, at most one entry per triple per direction)
+    and the elements' row profiles (:attr:`row_profiles`) are derived on
+    first use, like the hash.
     """
 
     __slots__ = (
@@ -344,6 +347,7 @@ class CommonGraph:
         "_value_owners",
         "_by_name",
         "_by_size",
+        "_ends",
         "_profiles",
         "_hash",
     )
@@ -390,6 +394,7 @@ class CommonGraph:
         self._value_owners = value_owners
         self._by_name = by_name
         self._by_size: Optional[Dict[int, FrozenSet[str]]] = None  # built on the first nodes_of_size
+        self._ends: Dict[Tuple[str, str], Dict[Elem, List[Elem]]] = {}  # by (name, direction), filled by ends
         self._profiles: Optional[RowProfiles] = None  # made on the first row_profiles
         self._hash: Optional[int] = None  # computed on the first __hash__
 
@@ -439,18 +444,23 @@ class CommonGraph:
             self._by_size = groups  # published whole, for concurrent readers
         return self._by_size.get(n, frozenset())
 
-    def far_ends(self, x: Elem, direction: str, name: str) -> List[Elem]:
-        """The far ends of the raw element ``x``'s rows named ``name`` in
-        the given direction, in row order: a key's value, the other ends
-        of the edges, or a value's owners under the key ``name``."""
-        if type(x) is not str:
-            return [n for n, k in self._value_owners.get(x, ()) if k == name]
-        if direction == INV:
-            return [e.s for e in self._in_edges.get(x, ()) if e.p == name]
-        record = self._node_props.get(x)
-        if record and name in record:  # a name is a key or a predicate, never both
-            return [record[name]]
-        return [e.o for e in self._out_edges.get(x, ()) if e.p == name]
+    def ends(self, name: str, direction: str) -> Dict[Elem, List[Elem]]:
+        """Each near end's far ends of the triples named ``name`` in the
+        given direction, in input order: a node's edge targets or key value
+        (``FWD``), a node's edge sources or a value's owners under the key
+        (``INV``).  Grouped on first use, then kept; do not mutate."""
+        got = self._ends.get((name, direction))
+        if got is None:
+            near, far = (0, 2) if direction == FWD else (2, 0)
+            got = {}
+            for t in self._by_name.get(name, ()):
+                x = t[near]
+                if x in got:
+                    got[x].append(t[far])
+                else:
+                    got[x] = [t[far]]
+            self._ends[name, direction] = got  # published whole, for concurrent readers
+        return got
 
     @property
     def row_profiles(self) -> RowProfiles:

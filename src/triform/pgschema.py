@@ -44,6 +44,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from .model import (
     FWD,
+    INV,
     CommonGraph,
     EdgeTriple,
     Elem,
@@ -421,9 +422,9 @@ def path_image(g: CommonGraph, path: NodePath, sources: Set, registry=None) -> S
     test an element's kind, because the graph's indexes hold nothing for
     an element of the wrong kind, and a filter passes graph nodes only.
     The star is reflexive on every source.  A name step reads the name's
-    triples or the sources' adjacency lists (:func:`_name_image`), and a
-    key-is filter the value's owners or the sources' records, whichever
-    are fewer.
+    far ends by near end (``CommonGraph.ends``; :func:`_name_image`), and
+    a key-is filter the value's owners under the key there or the
+    sources' records, whichever are fewer.
     """
     step = path.inner if type(path) is PInv else path
     if type(step) is PName:
@@ -443,8 +444,8 @@ def path_image(g: CommonGraph, path: NodePath, sources: Set, registry=None) -> S
             return content_members(g, kind.t, sources, registry)
         if type(kind) is FNotOfType:
             return (sources & g.nodes) - content_members(g, kind.t, sources, registry)
-        if type(kind) is FKeyIs and len(owners := g.value_owners(kind.c)) <= len(sources):
-            return {n for n, k in owners if k == kind.k and n in sources}
+        if type(kind) is FKeyIs and len(owners := g.ends(kind.k, INV).get(kind.c, ())) <= len(sources):
+            return sources.intersection(owners)
         return {u for u in sources if u in g.nodes and _filter_holds(g, u, kind)}
     if isinstance(path, PUnion):
         return path_image(g, path.left, sources, registry) | path_image(
@@ -469,48 +470,26 @@ def path_image(g: CommonGraph, path: NodePath, sources: Set, registry=None) -> S
 def _name_image(g: CommonGraph, q: str, inverse: bool, sources: Set, edges_only: bool = False) -> Set:
     """The image of ``sources`` under the name step ``q`` or its inverse:
     the edges labelled ``q`` and, unless ``edges_only`` (a PG predicate
-    step), the key ``q``.  Reads the name's triples once when there are
-    no more of them than sources, and each source's adjacency otherwise."""
-    is_key = q in g.keys
-    named = () if edges_only and is_key else g.triples_named(q)
-    if len(named) <= len(sources):
-        return _scan_named(named, inverse, sources)
-    if is_key:
-        if inverse:
-            return {n for w in sources for n, k in g.value_owners(w) if k == q}
-        props = g.props
-        return {w for u in sources if (w := props.get((u, q))) is not None}
-    if inverse:
-        return {e.s for u in sources for e in g.in_edges(u) if e.p == q}
-    return {e.o for u in sources for e in g.out_edges(u) if e.p == q}
-
-
-def _scan_named(named: Sequence, inverse: bool, sources: Set) -> Set:
-    """The image of ``sources`` under one name's triples, read once: each
-    triple leads from its first component to its last (inverted: back)."""
-    if inverse:
-        return {t[0] for t in named if t[2] in sources}
-    return {t[2] for t in named if t[0] in sources}
+    step), the key ``q``.  Reads the name's near ends once when there are
+    no more of them than sources, and each source's far ends otherwise."""
+    if edges_only and q in g.keys:
+        return set()
+    ends = g.ends(q, INV if inverse else FWD)
+    if len(ends) <= len(sources):
+        return {y for x, far in ends.items() if x in sources for y in far}
+    return {y for x in sources if x in ends for y in ends[x]}
 
 
 def path_images(g: CommonGraph, path: NodePath, elems: Set[Elem], registry=None) -> List[Tuple[Elem, Set]]:
     """Each raw element of ``elems`` paired with its image under an
     inverse-normalized path: :func:`path_image` of the element alone.  A
-    name step or its inverse is read here, in one loop over the
-    adjacency lists; predicate and key names are disjoint, so such a
-    step reads the properties or the edges, never both."""
+    name step or its inverse reads each element's far ends of the name
+    (``CommonGraph.ends``) directly."""
     step = path.inner if type(path) is PInv else path
     if type(step) is not PName:
         return [(x, path_image(g, path, {x}, registry)) for x in elems]
-    q = step.q
-    if step is path:
-        if q in g.keys:
-            props = g.props
-            return [(x, {w} if (w := props.get((x, q))) is not None else set()) for x in elems]
-        return [(x, {e.o for e in g.out_edges(x) if e.p == q}) for x in elems]
-    if q in g.keys:
-        return [(x, {n for n, k in g.value_owners(x) if k == q}) for x in elems]
-    return [(x, {e.s for e in g.in_edges(x) if e.p == q}) for x in elems]
+    ends = g.ends(step.q, FWD if step is path else INV)
+    return [(x, set(ends.get(x, ()))) for x in elems]
 
 
 def _pg_image(g: CommonGraph, path: PgPath, x: Elem, registry) -> Set[Elem]:
@@ -518,8 +497,7 @@ def _pg_image(g: CommonGraph, path: PgPath, x: Elem, registry) -> Set[Elem]:
     if path.src_key is not None:
         if type(x) is not Value:
             raise SortError(f"value-sorted path evaluated at node focus {elem_focus(x)!r}")
-        src_key = path.src_key
-        nodes = {n for n, k in g.value_owners(x) if k == src_key}
+        nodes = set(g.ends(path.src_key, INV).get(x, ()))
     else:
         if type(x) is not str:
             raise SortError(f"node-sorted path evaluated at value focus {elem_focus(x)!r}")

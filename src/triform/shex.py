@@ -23,13 +23,15 @@ total is checked against a hard cap before any nested shape is
 evaluated.  The template keeps a per-run entry per profile: its
 verdict when it has no tested group, which the element then gets
 without reading a row; otherwise the count of each signature among its
-untested rows and its tested groups, whose far ends alone are read.  A per-run verdict memo is keyed by the sorted (signature, count) pairs,
-and only a miss runs the kernel of ``_bagmatch_py``: a DP over the
-count of rows of each distinct signature, pruned by each program
-node's static interval of triple counts.  Its cost is polynomial in the
-rows for a fixed number of distinct signatures; exceeding the cap
-raises ``NeighborhoodTooLarge``, never approximating, and so does a bag
-whose star parts nest deeper than the interpreter's recursion limit.
+untested rows and its tested groups, whose far ends alone are read
+(``CommonGraph.ends``).  A per-run verdict memo is keyed by the sorted
+(signature, count) pairs, and only a miss runs the kernel of
+``_bagmatch_py``: a DP over the count of rows of each distinct
+signature, pruned by each program node's static interval of triple
+counts.  Its cost is polynomial in the rows for a fixed number of
+distinct signatures; exceeding the cap raises ``NeighborhoodTooLarge``,
+never approximating, and so does a bag whose star parts nest deeper
+than the interpreter's recursion limit.
 
 Counting is by triples, not by endpoints: a node with two parallel
 p-edges to the same target offers two distinct signed triples.  This is
@@ -526,9 +528,10 @@ def _neigh(ctx: EvalContext, g: CommonGraph, t: _Template, elems: Set[Elem]) -> 
     a profile checks the profile's row total against the cap and makes its
     entry; an element whose profile has no tested group is then decided
     by the entry alone.  The others read the far ends of their tested
-    groups; once all elements are counted, each tested nested shape is
-    evaluated once, on the union of the far ends it tests, and each
-    such element is decided by its bag of row signatures."""
+    groups (``CommonGraph.ends``); once all elements are counted, each
+    tested nested shape is evaluated once, on the union of the far ends
+    it tests, and each such element is decided by its bag of row
+    signatures."""
     profiles, entries, verdicts, cap, out = g.row_profiles, t.entries, t.verdicts, ctx.cap, set()
     pending = []  # (element, untested counts, [(far ends, signature, tested leaves)])
     asked: Dict[_Compiled, Set[Elem]] = defaultdict(set)
@@ -555,7 +558,7 @@ def _neigh(ctx: EvalContext, g: CommonGraph, t: _Template, elems: Set[Elem]) -> 
             counts, tested = entry
             deferred = []
             for d, name, sig, leaves in tested:
-                far = g.far_ends(x, d, name)
+                far = g.ends(name, d).get(x, ())
                 for _, nested in leaves:
                     asked[nested].update(far)
                 deferred.append((far, sig, leaves))
@@ -652,7 +655,7 @@ def _select(g: CommonGraph, sel: ShexSelector) -> Set[Elem]:
         return {sel.c}
     if isinstance(sel, SelOutConst):
         # the constant's owners under key q; predicate endpoints are nodes, never a value
-        return {n for n, k in g.value_owners(sel.c) if k == sel.q}
+        return set(g.ends(sel.q, INV).get(sel.c, ()))
     if isinstance(sel, SelOut):
         return triple_ends(g, sel.q, FWD)
     if isinstance(sel, SelIn):

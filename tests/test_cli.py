@@ -6,17 +6,21 @@ from pathlib import Path
 
 import pytest
 
+from test_shex_memo import run_under_hash_seeds
 from triform import cli, jsonio, shex
 from triform.cli import main
+from triform.cogsl import cogsl_to_shacl, cogsl_to_shex
 from triform.examples import (
+    media_edges,
     media_graph,
     media_mutations,
+    media_props,
     media_pg_rules,
     media_shacl_rules,
     media_shex_rules,
 )
-from triform.model import FWD, EdgeTriple, PropTriple, build_graph, int_v
-from triform.pgschema import ET, CAny, CEither, CField, GraphType
+from triform.model import FWD, EdgeTriple, PropTriple, bool_v, build_graph, int_v
+from triform.pgschema import ET, CAny, CBoth, CEither, CField, GraphType
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -65,6 +69,59 @@ def test_validate_reports_are_byte_identical(files, capsys):
     _, out1, _ = run(capsys, "validate", files["graph.json"], files["pg.json"])
     _, out2, _ = run(capsys, "validate", files["graph.json"], files["pg.json"])
     assert out1 == out2
+
+
+_VALIDATE_SCRIPT = """
+import contextlib, io, json
+from triform.cli import main
+out = []
+for argv in {argvs!r}:
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    out.append([argv, code, stdout.getvalue(), stderr.getvalue()])
+print(json.dumps(out))
+"""
+
+
+def test_validate_output_does_not_depend_on_the_hash_seed(tmp_path):
+    """Every schema kind on the media graph, its five mutations and a
+    40-accessor hub gives the same exit code, stdout and stderr under the
+    hash seeds 0 and 1."""
+
+    def write(name, doc):
+        path = tmp_path / name
+        path.write_text(jsonio.dumps(doc))
+        return str(path)
+
+    pg = media_pg_rules()
+    person, priv = CField("email", "str"), CField("privileged", "bool")
+    gt = GraphType(
+        (CBoth(person, CAny()), CBoth(priv, CAny())),
+        (ET(CBoth(person, CAny()), frozenset({"hasAccess", "ownsAccount", "invited"}), CAny()),),
+        tuple(pg),
+    )
+    schemas = [
+        write("shacl.json", jsonio.schema_to_json("shacl", media_shacl_rules())),
+        write("shex.json", jsonio.schema_to_json("shex", media_shex_rules())),
+        write("pg.json", jsonio.schema_to_json("pg", pg)),
+        write("shacl_compiled.json", jsonio.schema_to_json("shacl", cogsl_to_shacl(pg))),
+        write("shex_compiled.json", jsonio.schema_to_json("shex", cogsl_to_shex(pg))),
+        write("graph_type.json", {"dialect": "pg", "graph_type": jsonio.graph_type_to_json(gt)}),
+    ]
+    hub = build_graph(
+        media_edges() + [EdgeTriple(f"h{i}", "hasAccess", "a1") for i in range(40)],
+        media_props() + [PropTriple(f"h{i}", "privileged", bool_v(True)) for i in range(40)],
+    )
+    graphs = [media_graph(), hub] + [g for g, _ in media_mutations().values()]
+    argvs = [
+        ["validate", write(f"graph{i}.json", jsonio.graph_to_json(g)), schema]
+        for i, g in enumerate(graphs)
+        for schema in schemas
+    ]
+    runs = [json.loads(out) for out in run_under_hash_seeds(_VALIDATE_SCRIPT.format(argvs=argvs))]
+    assert runs[0] == runs[1]
+    assert {code for _, code, _, _ in runs[0]} == {0, 1, 3}
 
 
 def _validate_argv(files, tmp_path, code):
@@ -148,13 +205,23 @@ def test_cap_env_override(files, capsys, monkeypatch):
     assert code == 0
 
 
-@pytest.mark.parametrize("command, cap", [("validate", "-1"), ("fuzz", "-5")])
-def test_negative_cap_is_a_usage_error(files, capsys, command, cap):
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        pytest.param("validate", "--cap", "-1", id="validate--1"),
+        pytest.param("fuzz", "--cap", "-5", id="fuzz--5"),
+        ("fuzz", "--budget", "0"),
+        ("fuzz", "--max-count", "-2"),
+        ("fuzz", "--nodes", "-3"),
+        ("fuzz", "--trials", "-1"),
+    ],
+)
+def test_negative_cap_is_a_usage_error(files, capsys, command, flag, value):
     args = [files["graph.json"], files["shex.json"]] if command == "validate" else ["--trials", "3"]
-    code, out, err = run(capsys, command, *args, "--cap", cap)
+    code, out, err = run(capsys, command, *args, flag, value)
     assert code == 2
     assert out == ""
-    assert err == "error: --cap must be non-negative\n"
+    assert err == f"error: {flag} must be {'at least 1' if flag == '--budget' else 'non-negative'}\n"
 
 
 def test_translate_then_validate(files, capsys, tmp_path):

@@ -7,11 +7,15 @@ from pathlib import Path
 
 import pytest
 
+from triform import shacl as sh
+from triform import shex as sx
+from triform.examples import media_graph
 from triform.harness import GenParams, gen_graph
 from triform.jsonio import parse_graph
 from triform.model import (
     FWD,
     INV,
+    CommonGraph,
     DuplicateKeyValue,
     EdgeTriple,
     Node,
@@ -33,6 +37,23 @@ from triform.model import (
     triple_ends,
     value_type_member,
 )
+from triform.pgschema import (
+    FKeyIs,
+    PConcat,
+    PFilter,
+    PgGeq,
+    PgLeq,
+    PgPath,
+    PInv,
+    PPred,
+    PStar,
+    inv_key_path,
+    key_path,
+    pg_validate,
+    pred_path,
+)
+from triform.shacl import shacl_validate
+from triform.shex import shex_validate
 
 
 def test_build_graph_media_fragment(g_media_core):
@@ -205,6 +226,13 @@ def test_one_pass_build_equals_naive_indexes(nodes, density):
             assert [id(t) for t in g.triples_named(q)] == [id(t) for t in named]
             for d, i in ((FWD, 0), (INV, 2)):
                 assert triple_ends(g, q, d) == {t[i] for t in g.triple_view() if t[1] == q}
+                # each near end's far ends, in first-occurrence input order
+                grouped = {}
+                for t in named:
+                    grouped.setdefault(t[i], []).append(t[2 - i])
+                assert g.ends(q, d) == grouped
+        assert all(type(x) is str for q in g.preds | g.keys for x in g.ends(q, FWD))
+        assert all(type(w) is Value for k in g.keys for w in g.ends(k, INV))
         for size in range(len(g.keys) + 2):
             assert g.nodes_of_size(size) == {u for u in g.nodes if sum(n == u for n, _ in prop_map) == size}
         assert g == gen_graph(p)
@@ -229,6 +257,64 @@ def test_build_graph_error_messages():
             [PropTriple("c", "name", str_v("x")), PropTriple("c", "age", int_v(3))],
         )
     assert str(clash.value) == "names used both as predicate and key: ['age', 'name']"
+
+
+def _name_step_rules(p, q, k, c):
+    """SHACL, PG and ShEx rules over the predicates ``p`` and ``q``, the
+    key ``k`` and its value ``c`` that read the graph through name steps,
+    inverse steps, key ranges, key-is filters and tested triple
+    constraints only."""
+    shacl_rules = [
+        (sh.ExistsOut(p), sh.GeqCount(1, sh.Concat(sh.Step(p), sh.Inverse(sh.Step(q))), sh.Top())),
+        (sh.ExistsIn(q), sh.LeqCount(2, sh.Inverse(sh.Step(q)), sh.exists(sh.Step(k)))),
+        (sh.ExistsIn(k), sh.LeqCount(1, sh.Inverse(sh.Step(k)), sh.Top())),
+        (sh.ExistsOut(k), sh.Disj(sh.Star(sh.Step(p)), q)),
+        (sh.SelConst(c), sh.exists(sh.Inverse(sh.Step(k)), sh.exists(sh.Step(p)))),
+    ]
+    pg_rules = [
+        (PgGeq(1, pred_path(p)), PgLeq(2, PgPath(None, PConcat(PPred(p), PInv(PPred(q))), None))),
+        (PgGeq(1, inv_key_path(k)), PgLeq(1, inv_key_path(k))),
+        (PgGeq(1, key_path(k)), PgGeq(1, PgPath(None, PConcat(PPred(p), PFilter(FKeyIs(k, c))), k))),
+        (PgGeq(1, PgPath(k, PStar(PPred(q)), None)), PgLeq(3, PgPath(k, PInv(PPred(p)), k))),
+    ]
+    keyed = sx.open_closure(sx.TC(k, FWD, sx.STestConst(c)))
+    shex_rules = [
+        (sx.SelOut(p), sx.open_closure(sx.StarE(sx.TC(q, INV, keyed)))),
+        (sx.SelOutConst(k, c), sx.open_closure(sx.StarE(sx.TC(p, FWD, sx.SNot(keyed))))),
+        (sx.SelIn(k), sx.open_closure(sx.TC(k, INV, sx.open_closure(sx.StarE(sx.TC(q, INV, keyed)))))),
+    ]
+    return shacl_rules, pg_rules, shex_rules
+
+
+def test_name_steps_read_only_the_name_index(monkeypatch):
+    """Name steps, key ranges, key-is filters and tested triple
+    constraints read a name's rows through ``CommonGraph.ends`` alone:
+    with the adjacency readers made to raise, every report is the one
+    they give unpatched."""
+    cases = [(media_graph(), _name_step_rules("hasAccess", "invited", "email", str_v("d@d.d")))]
+    for seed in range(3):
+        g = gen_graph(GenParams(seed=seed, node_count=40, edge_density=0.06, prop_density=0.3))
+        cases.append((g, _name_step_rules("p", "q", "k1", sorted(g.values, key=repr)[0])))
+
+    def reports():
+        return [
+            (
+                shacl_validate(g, shacl_rules),
+                pg_validate(g, pg_rules),
+                shex_validate(g, shex_rules, cap=64),
+            )
+            for g, (shacl_rules, pg_rules, shex_rules) in cases
+        ]
+
+    expected = reports()
+    assert any(not r.valid for rs in expected for r in rs)
+
+    def no_read(*args):
+        raise AssertionError("an adjacency list was read")
+
+    for name in ("out_edges", "in_edges", "value_owners"):
+        monkeypatch.setattr(CommonGraph, name, no_read)
+    assert reports() == expected
 
 
 _ORDER_SCRIPT = """

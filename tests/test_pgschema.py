@@ -15,6 +15,7 @@ from triform.harness import (
     gen_pg_path,
 )
 from triform.model import (
+    CommonGraph,
     EdgeTriple,
     Node,
     PropTriple,
@@ -486,20 +487,20 @@ def test_select_by_name_index_equals_per_focus_definition(monkeypatch):
     """Selectors with a ``dst_key`` range, or with a body that inverts to
     a name step from every node, select what the per-element definition
     does; and selection takes both sides of a name step's by-size choice
-    (the name's triples read once, or each source's adjacency)."""
+    (the name's near ends read once, or each source looked up)."""
     calls = Counter()
-    scan, step = pgschema._scan_named, pgschema._name_image
+    ends = CommonGraph.ends
 
-    def counted_scan(*args):
-        calls["scan"] += 1
-        return scan(*args)
+    class Counted(dict):
+        def items(self):
+            calls["scan"] += 1
+            return super().items()
 
-    def counted_step(*args, **kwargs):
-        calls["step"] += 1
-        return step(*args, **kwargs)
+        def __contains__(self, x):
+            calls["adjacency"] += 1
+            return super().__contains__(x)
 
-    monkeypatch.setattr(pgschema, "_scan_named", counted_scan)
-    monkeypatch.setattr(pgschema, "_name_image", counted_step)
+    monkeypatch.setattr(CommonGraph, "ends", lambda g, q, d: Counted(ends(g, q, d)))
     seen = Counter()
     for n in (8, 12, 40):
         for seed in range(6):
@@ -514,7 +515,7 @@ def test_select_by_name_index_equals_per_focus_definition(monkeypatch):
                 calls.clear()
                 got = pg_select(g, sel)
                 seen["scan"] += calls["scan"] > 0
-                seen["adjacency"] += calls["step"] > calls["scan"]
+                seen["adjacency"] += calls["adjacency"] > 0
                 assert got == per_focus_select(g, sel), (n, seed, sel)
     assert min(seen["scan"], seen["adjacency"]) > 20, seen
 

@@ -279,7 +279,7 @@ def test_untested_profile_reads_no_rows(monkeypatch, kernel_calls):
     def no_read(*args):
         raise AssertionError("a row was read")
 
-    for name in ("out_edges", "in_edges", "node_props", "value_owners", "far_ends"):
+    for name in ("out_edges", "in_edges", "node_props", "value_owners", "ends"):
         monkeypatch.setattr(CommonGraph, name, no_read)
     monkeypatch.setattr(RowProfiles, "__missing__", no_read)
     assert shex_validate(g, [(SelIn("p"), shape)]).valid
