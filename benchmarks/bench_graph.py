@@ -13,6 +13,10 @@ process:
               it, collector handling included, and no rule to decide
   select      each dialect's selection of every rule's foci on the loaded
               graph (the raw ``_select`` the validators call)
+  decide      the SHACL and PG evaluation of every rule's shape on its
+              selected elements (the raw ``_sat`` the validators call):
+              the count atoms' path images alone, the selection made
+              untimed just before on the same graph
   types       ``pgschema.validate_graph_type`` on the loaded graph with the
               media node and edge types and no constraints: the
               content-type and edge-type checks alone
@@ -104,6 +108,12 @@ SELECT = {
 }
 
 
+DECIDE = {
+    "shacl": (examples.media_shacl_rules, shacl._select, shacl._sat),
+    "pg": (examples.media_pg_rules, lambda g, sel: pgschema._select(g, sel, None), pgschema._sat),
+}
+
+
 class Collections:
     """Cyclic-GC collections per generation while the context is open."""
 
@@ -122,12 +132,12 @@ class Collections:
         gc.callbacks.remove(self._count)
 
 
-def timed(fn):
+def timed(fn, *args):
     """(seconds, gc counts) of one call of ``fn``."""
     gc.collect()
     with Collections() as c:
         t0 = time.perf_counter()
-        fn()
+        fn(*args)
         dt = time.perf_counter() - t0
     return dt, c.counts
 
@@ -177,6 +187,12 @@ def main():
             for dialect, (rules, select) in SELECT.items():
                 sels = [sel for sel, _ in rules()]
                 rows[f"select {dialect}"] = lambda select=select, sels=sels: [select(g, s) for s in sels]
+            for dialect, (rules, select, sat) in DECIDE.items():
+                # (untimed preparation, timed work): the selection, then the shapes on it
+                rows[f"decide {dialect}"] = (
+                    lambda rules=rules(), select=select: [(shape, select(g, sel)) for sel, shape in rules],
+                    lambda picked, sat=sat: [sat(g, shape, elems, None) for shape, elems in picked],
+                )
             types = media_graph_type()
             rows["types"] = lambda: pgschema.validate_graph_type(g, types)
             for kind, schema_path in schema_paths.items():
@@ -187,7 +203,11 @@ def main():
                 # a fresh graph per round: the indexes a graph builds on first use are timed each round
                 g = load(graph_path)
                 for label, fn in rows.items():
-                    runs[label].append(timed(fn))
+                    if isinstance(fn, tuple):
+                        prepare, fn = fn
+                        runs[label].append(timed(fn, prepare()))
+                    else:
+                        runs[label].append(timed(fn))
                 del g
             for label, row_runs in runs.items():
                 report(label, row_runs)

@@ -493,8 +493,10 @@ MAX_ORACLE_NEIGH = 8
 Pair = Tuple[Focus, Focus]
 
 
-def _oracle_domain(g: CommonGraph, v: Focus) -> List[Focus]:
-    domain: Set[Focus] = {Node(u) for u in g.nodes} | {Val(w) for w in g.values} | {v}
+def _oracle_domain(g: CommonGraph, v: Optional[Focus]) -> List[Focus]:
+    domain: Set[Focus] = {Node(u) for u in g.nodes} | {Val(w) for w in g.values}
+    if v is not None:
+        domain.add(v)
     if len(domain) > MAX_ORACLE_DOMAIN:
         raise InstanceTooLarge(f"oracle domain of {len(domain)} elements exceeds the bound")
     return sorted(domain, key=lambda f: repr(f))
@@ -536,6 +538,12 @@ def _closure(base: Set[Pair], ident: Set[Pair]) -> Set[Pair]:
 
 def brute_path_oracle(g: CommonGraph, v: Focus, path: sh.PathExpr) -> Set[Focus]:
     """Relational evaluation of a SHACL path over the full finite domain."""
+    return {u for (x, u) in brute_path_relation(g, path, v) if x == v}
+
+
+def brute_path_relation(g: CommonGraph, path: sh.PathExpr, v: Focus) -> Set[Pair]:
+    """The SHACL path's relation over the graph's elements plus ``v``, as
+    pairs of foci: the image of every element at once."""
     domain = _oracle_domain(g, v)
     ident = {(d, d) for d in domain}
 
@@ -554,12 +562,19 @@ def brute_path_oracle(g: CommonGraph, v: Focus, path: sh.PathExpr) -> Set[Focus]
             return _closure(rel(p.inner), ident)
         raise TriformError(f"unknown path {p!r}")
 
-    return {u for (x, u) in rel(path) if x == v}
+    return rel(path)
 
 
 def brute_pg_path_oracle(g: CommonGraph, v: Focus, path: PgPath, registry=None) -> Set[Focus]:
     """Relational evaluation of a PG-path over the full finite domain."""
-    domain = _oracle_domain(g, v)
+    _oracle_domain(g, v)  # the bound
+    return {u for (x, u) in brute_pg_relation(g, path, registry) if x == v}
+
+
+def brute_pg_relation(g: CommonGraph, path: PgPath, registry=None) -> Set[Pair]:
+    """The PG-path's relation as pairs of foci: the image of every element
+    at once (no element outside the graph has one)."""
+    _oracle_domain(g, None)  # the bound
     node_ident = {(Node(u), Node(u)) for u in g.nodes}
 
     def filter_rel(kind: FilterKind) -> Set[Pair]:
@@ -603,7 +618,7 @@ def brute_pg_path_oracle(g: CommonGraph, v: Focus, path: PgPath, registry=None) 
     if path.dst_key is not None:
         kout = {(Node(n), Val(w)) for (n, k), w in g.props.items() if k == path.dst_key}
         full = _compose(full, kout)
-    return {u for (x, u) in full if x == v}
+    return full
 
 
 def brute_edge_type_member(g: CommonGraph, e: EdgeTriple, t: EdgeType, registry=None) -> bool:

@@ -462,6 +462,11 @@ class CommonGraph:
             self._ends[name, direction] = got  # published whole, for concurrent readers
         return got
 
+    def grouped_ends(self, name: str, direction: str) -> Optional[Dict[Elem, List[Elem]]]:
+        """What :meth:`ends` returns if it was asked for ``(name,
+        direction)`` before, else None; builds nothing."""
+        return self._ends.get((name, direction))
+
     @property
     def row_profiles(self) -> RowProfiles:
         """The row profile of each raw element, as a mapping that counts

@@ -11,7 +11,10 @@ into one of four sorts (node/value to node/value).  Filters are
 sub-identities on graph nodes only; a focus outside the graph never
 passes a filter.  The same path algebra, with two extra atoms for
 SHACL's name step and identity, carries lowered SHACL paths, so one
-evaluator (:func:`path_image`) serves both dialects.
+relation evaluator (:func:`path_relation`) gives the count atoms of
+both dialects every focus's image at once, and :func:`path_image` the
+image of a source set, for selection.  Images may alias the graph's
+indexes and must not be mutated.
 
 The graph-type layer mirrors the database view: node types, edge types
 with a compatible-union value semantics, and constraint pairs, all
@@ -29,7 +32,8 @@ types to such an extension once per run, and type filters go through
 the same function; a selector is decided for every candidate at once,
 by one image under its inverted body, and a shape for all selected foci
 at once, on raw elements (node ids and values), its conjunction
-narrowing the foci atom by atom.
+narrowing the foci atom by atom, each atom counting the images of one
+:func:`_pg_relation` call.
 
 Evaluation is pure over immutable inputs, same sharing contract as the
 other dialect modules; no state outlives a call.  Ill-sorted schemas are
@@ -40,7 +44,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
+from typing import Collection, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from .model import (
     FWD,
@@ -338,6 +342,17 @@ class PgPath:
         path object."""
         return None if self.body is None else push_inv(self.body)
 
+    @cached_property
+    def normal_path(self) -> NodePath:
+        """The whole path as one inverse-normalized node path: the inverse
+        name step of ``src_key``, the body, the name step of ``dst_key``.
+        It reads the keys alone in a graph where both are keys."""
+        src = None if self.src_key is None else PInv(PName(self.src_key))
+        dst = None if self.dst_key is None else PName(self.dst_key)
+        path = concat_all([p for p in (src, self.normal_body, dst) if p is not None])
+        assert path is not None  # a PG-path has a body or a key
+        return path
+
     @property
     def src_sort(self) -> str:
         return VALUE_SORT if self.src_key is not None else NODE_SORT
@@ -417,14 +432,14 @@ def _filter_holds(g: CommonGraph, u: str, kind: FilterKind) -> bool:
 def path_image(g: CommonGraph, path: NodePath, sources: Set, registry=None) -> Set:
     """The image of ``sources`` under an inverse-normalized path.
 
-    The one evaluator for PG bodies and lowered SHACL paths.  Elements
-    are raw: node ids (``str``) and ``Value`` objects.  No step needs to
-    test an element's kind, because the graph's indexes hold nothing for
-    an element of the wrong kind, and a filter passes graph nodes only.
-    The star is reflexive on every source.  A name step reads the name's
-    far ends by near end (``CommonGraph.ends``; :func:`_name_image`), and
-    a key-is filter the value's owners under the key there or the
-    sources' records, whichever are fewer.
+    The set evaluator for PG bodies and lowered SHACL paths, for callers
+    that need the union of the sources' images (selection); counting
+    callers use :func:`path_relation`.  Elements are raw: node ids (``str``)
+    and ``Value`` objects.  No step needs to test an element's kind,
+    because the graph's indexes hold nothing for an element of the wrong
+    kind, and a filter passes graph nodes only.  The star is reflexive on
+    every source.  A name step reads the name's rows (:func:`_name_image`),
+    and a filter is decided for all sources at once (:func:`_filter_image`).
     """
     step = path.inner if type(path) is PInv else path
     if type(step) is PName:
@@ -439,14 +454,7 @@ def path_image(g: CommonGraph, path: NodePath, sources: Set, registry=None) -> S
     if isinstance(path, PConcat):
         return path_image(g, path.right, path_image(g, path.left, sources, registry), registry)
     if isinstance(path, PFilter):
-        kind = path.kind
-        if type(kind) is FOfType:
-            return content_members(g, kind.t, sources, registry)
-        if type(kind) is FNotOfType:
-            return (sources & g.nodes) - content_members(g, kind.t, sources, registry)
-        if type(kind) is FKeyIs and len(owners := g.ends(kind.k, INV).get(kind.c, ())) <= len(sources):
-            return sources.intersection(owners)
-        return {u for u in sources if u in g.nodes and _filter_holds(g, u, kind)}
+        return _filter_image(g, path.kind, sources, registry)
     if isinstance(path, PUnion):
         return path_image(g, path.left, sources, registry) | path_image(
             g, path.right, sources, registry
@@ -467,47 +475,183 @@ def path_image(g: CommonGraph, path: NodePath, sources: Set, registry=None) -> S
     raise TriformError(f"unknown PG-path node {path!r}")
 
 
+def _filter_image(g: CommonGraph, kind: FilterKind, sources: Set, registry) -> Set:
+    """The graph nodes of ``sources`` that pass the filter.  A type filter
+    goes through :func:`content_members`; a key-is filter reads the
+    value's owners under the key when there are no more of them than
+    sources, and each source's record otherwise."""
+    if type(kind) is FOfType:
+        return content_members(g, kind.t, sources, registry)
+    if type(kind) is FNotOfType:
+        return (sources & g.nodes) - content_members(g, kind.t, sources, registry)
+    if type(kind) is FKeyIs and len(owners := g.ends(kind.k, INV).get(kind.c, ())) <= len(sources):
+        return sources.intersection(owners)
+    return {u for u in sources if u in g.nodes and _filter_holds(g, u, kind)}
+
+
 def _name_image(g: CommonGraph, q: str, inverse: bool, sources: Set, edges_only: bool = False) -> Set:
     """The image of ``sources`` under the name step ``q`` or its inverse:
     the edges labelled ``q`` and, unless ``edges_only`` (a PG predicate
     step), the key ``q``.  Reads the name's near ends once when there are
-    no more of them than sources, and each source's far ends otherwise."""
+    no more of them than sources, and each source's far ends otherwise:
+    from the rows of ``triples_named`` while the name's ``ends`` map is
+    not grouped yet and the rows are no more than the sources (so a
+    single scan allocates no map), from the map otherwise."""
     if edges_only and q in g.keys:
         return set()
-    ends = g.ends(q, INV if inverse else FWD)
+    direction = INV if inverse else FWD
+    ends = g.grouped_ends(q, direction)
+    if ends is None:
+        rows = g.triples_named(q)
+        if len(rows) <= len(sources):
+            near, far = (2, 0) if inverse else (0, 2)
+            return {t[far] for t in rows if t[near] in sources}
+        ends = g.ends(q, direction)
     if len(ends) <= len(sources):
         return {y for x, far in ends.items() if x in sources for y in far}
     return {y for x in sources if x in ends for y in ends[x]}
 
 
-def path_images(g: CommonGraph, path: NodePath, elems: Set[Elem], registry=None) -> List[Tuple[Elem, Set]]:
-    """Each raw element of ``elems`` paired with its image under an
-    inverse-normalized path: :func:`path_image` of the element alone.  A
-    name step or its inverse reads each element's far ends of the name
-    (``CommonGraph.ends``) directly."""
-    step = path.inner if type(path) is PInv else path
-    if type(step) is not PName:
-        return [(x, path_image(g, path, {x}, registry)) for x in elems]
-    ends = g.ends(step.q, FWD if step is path else INV)
-    return [(x, set(ends.get(x, ()))) for x in elems]
+# Each source of a relation mapped to its image: a collection of distinct
+# raw elements (a set, or a list or tuple read from the graph's indexes).
+# A source with an empty image is absent.  Neither the mapping nor an
+# image may be mutated: either may be the graph's own index.
+Images = Dict[Elem, Collection[Elem]]
 
 
-def _pg_image(g: CommonGraph, path: PgPath, x: Elem, registry) -> Set[Elem]:
-    """The raw image of the raw element ``x``; see :func:`eval_pg_path`."""
-    if path.src_key is not None:
-        if type(x) is not Value:
-            raise SortError(f"value-sorted path evaluated at node focus {elem_focus(x)!r}")
-        nodes = set(g.ends(path.src_key, INV).get(x, ()))
+def path_relation(g: CommonGraph, path: NodePath, elems: Set[Elem], registry=None) -> Images:
+    """Each element of ``elems`` mapped to its image under an
+    inverse-normalized path, computed for all elements at once (the
+    keys are a subset of ``elems``).
+
+    A name step or its inverse maps each element to its far ends in
+    ``CommonGraph.ends``, as they are.  A concatenation evaluates its
+    right side once, on the union of the left images, so each
+    intermediate element is expanded once, not once per source; a filter
+    on its left narrows the sources, and one on its right the images.
+    Filters are decided for all elements at once (:func:`_filter_image`),
+    a union merges the two sides' images per source, and a star runs one
+    layered search for all sources, reading each newly reached element's
+    inner image once.  Counting callers use each image's ``len``, so no
+    image holds an element twice.
+    """
+    if not elems:
+        return {}
+    kind = type(path)
+    step = path.inner if kind is PInv else path
+    if type(step) is PName:
+        return _name_relation(g.ends(step.q, FWD if step is path else INV), elems)
+    if type(step) is PPred:
+        if step.p in g.keys:
+            return {}
+        return _name_relation(g.ends(step.p, FWD if step is path else INV), elems)
+    if kind is PConcat:
+        left, right = path.left, path.right
+        if type(left) is PFilter:
+            return path_relation(g, right, _filter_image(g, left.kind, elems, registry), registry)
+        first = path_relation(g, left, elems, registry)
+        mids = set().union(*first.values())
+        if type(right) is PFilter:
+            passed = _filter_image(g, right.kind, mids, registry)
+            return {x: img for x, ys in first.items() if (img := passed.intersection(ys))}
+        return _compose(first, path_relation(g, right, mids, registry))
+    if kind is PFilter:
+        return {x: (x,) for x in _filter_image(g, path.kind, elems, registry)}
+    if kind is PUnion:
+        left = path_relation(g, path.left, elems, registry)
+        right = path_relation(g, path.right, elems, registry)
+        if not left or not right:
+            return left or right
+        out = dict(left)
+        for x, img in right.items():
+            mine = out.get(x)
+            out[x] = img if mine is None else {*mine, *img}
+        return out
+    if kind is PStar:
+        inner = path.inner
+        reached = {x: {x} for x in elems}
+        frontiers: Dict[Elem, Collection[Elem]] = {x: (x,) for x in elems}
+        steps: Images = {}  # the inner image of each element read so far
+        read: Set[Elem] = set()
+        while frontiers:
+            todo = set().union(*frontiers.values()) - read
+            steps.update(path_relation(g, inner, todo, registry))
+            read |= todo
+            nxt = {}
+            for x, frontier in frontiers.items():
+                new = set().union(*[steps[y] for y in frontier if y in steps])
+                new -= reached[x]
+                if new:
+                    reached[x] |= new
+                    nxt[x] = new
+            frontiers = nxt
+        return reached
+    if kind is PInv:
+        if type(step) is PNotPreds:
+            excluded = step.excluded
+            return {
+                x: img for x in elems if (img := {e.s for e in g.in_edges(x) if e.p not in excluded})
+            }
+        raise TriformError("inverse not normalized")
+    if kind is PNotPreds:
+        excluded = path.excluded
+        return {x: img for x in elems if (img := {e.o for e in g.out_edges(x) if e.p not in excluded})}
+    if kind is PId:
+        return {x: (x,) for x in elems}
+    raise TriformError(f"unknown PG-path node {path!r}")
+
+
+def _name_relation(ends: Dict[Elem, List[Elem]], elems: Set[Elem]) -> Images:
+    """``ends`` cut to ``elems``: the map itself when ``elems`` holds all
+    its near ends, else read from whichever of the two is smaller."""
+    if len(ends) <= len(elems):
+        if elems.issuperset(ends):
+            return ends
+        return {x: far for x, far in ends.items() if x in elems}
+    get = ends.get
+    return {x: far for x in elems if (far := get(x))}
+
+
+def _compose(first: Images, second: Images) -> Images:
+    """The images of ``first`` followed by ``second``: an image of one
+    intermediate element is taken as it is, those of several merged."""
+    out = {}
+    get = second.get
+    for x, ys in first.items():
+        if len(ys) == 1:
+            (y,) = ys
+            img = get(y)
+        else:
+            img = set().union(*[get(y, ()) for y in ys])
+        if img:
+            out[x] = img
+    return out
+
+
+def _pg_relation(g: CommonGraph, path: PgPath, elems: Set[Elem], registry) -> Images:
+    """Each element of ``elems`` mapped to its image under the PG-path:
+    :func:`path_relation` of the whole path (:attr:`PgPath.normal_path`)
+    from the graph nodes of ``elems`` or, for a ``src_key``, from its
+    values.  Raises :class:`SortError` when an element has the wrong
+    sort; a node outside the graph has no image, and no element has one
+    when a key of the path is not a key of the graph."""
+    if path.src_key is None:
+        sources = elems & g.nodes
+        if len(sources) < len(elems):
+            _check_sort(elems - sources, str, "node-sorted path evaluated at value focus")
     else:
-        if type(x) is not str:
-            raise SortError(f"node-sorted path evaluated at value focus {elem_focus(x)!r}")
-        nodes = {x} if x in g.nodes else set()
-    if path.body is not None:
-        nodes = path_image(g, path.normal_body, nodes, registry)
-    if path.dst_key is not None:
-        props, dst_key = g.props, path.dst_key
-        return {w for u in nodes if (w := props.get((u, dst_key))) is not None}
-    return nodes
+        sources = elems
+        if not g.values.issuperset(elems):
+            _check_sort(elems - g.values, Value, "value-sorted path evaluated at node focus")
+    if any(k is not None and k not in g.keys for k in (path.src_key, path.dst_key)):
+        return {}
+    return path_relation(g, path.normal_path, sources, registry)
+
+
+def _check_sort(elems: Set[Elem], sort: type, message: str) -> None:
+    wrong = next((x for x in elems if type(x) is not sort), None)
+    if wrong is not None:
+        raise SortError(f"{message} {elem_focus(wrong)!r}")
 
 
 def eval_pg_path(
@@ -516,14 +660,16 @@ def eval_pg_path(
     path: PgPath,
     registry: Optional[ValueTypeRegistry] = None,
 ) -> Set[Focus]:
-    """The image of ``v`` under the path's relation.
+    """The image of ``v`` under the path's relation: the relation
+    evaluator (:func:`_pg_relation`) at one focus.
 
     Raises :class:`SortError` when the focus kind does not match the
     path's source sort.  A node focus outside the graph has the empty
     image: no step leaves it, no filter passes it, and the star's
     reflexive part covers graph nodes only.
     """
-    return {elem_focus(u) for u in _pg_image(g, path, focus_elem(v), registry)}
+    x = focus_elem(v)
+    return {elem_focus(u) for u in _pg_relation(g, path, {x}, registry).get(x, ())}
 
 
 # ---------------------------------------------------------------------------
@@ -582,15 +728,18 @@ def shape_src_sort(shape: PgShape) -> str:
 
 def _sat(g: CommonGraph, shape: PgShape, elems: Set[Elem], registry) -> Set[Elem]:
     """The elements of ``elems`` that satisfy ``shape``, decided atom by
-    atom: each count atom keeps the elements whose image has an
+    atom: each count atom takes the images of all elements from one
+    :func:`_pg_relation` call and keeps the elements whose image has an
     admissible number of distinct elements, and the next atom sees only
     those.  Elements are raw (node ids and values)."""
     for atom in shape_atoms(shape):
-        path, n = atom.path, atom.n
-        if type(atom) is PgGeq:
-            elems = {x for x in elems if len(_pg_image(g, path, x, registry)) >= n}
-        else:
-            elems = {x for x in elems if len(_pg_image(g, path, x, registry)) <= n}
+        if not elems:
+            break
+        images, n = _pg_relation(g, atom.path, elems, registry), atom.n
+        if type(atom) is PgLeq:
+            elems = {x for x in elems if len(images.get(x, ())) <= n}
+        elif n > 0:
+            elems = {x for x, img in images.items() if len(img) >= n}
     return elems
 
 

@@ -9,8 +9,10 @@ the focus itself, because edge and property steps only ever relate
 graph elements.  So every extension the validator needs is cut to a
 finite domain, the selected foci plus the images reached from them,
 and is computed set-at-a-time on raw elements (node ids and values):
-boolean connectives are set operations, and a count atom evaluates its
-body once, on the union of its foci's images (see :func:`_sat`).  This
+boolean connectives are set operations, and a count atom takes all its
+foci's images from one call of the relation evaluator
+(:func:`pgschema.path_relation`) and evaluates its body once, on the
+union of those images (see :func:`_sat`).  This
 restriction is the load-bearing fact of this module and is exercised
 against a full relational oracle in the test harness.
 
@@ -47,8 +49,7 @@ from .pgschema import (
     PName,
     PStar,
     PUnion,
-    path_image,
-    path_images,
+    path_relation,
     push_inv,
 )
 from .report import ValidationReport, make_report
@@ -249,10 +250,12 @@ def eval_path(g: CommonGraph, v: Focus, path: PathExpr) -> Set[Focus]:
     """The image of ``v`` under the path's relation.
 
     Always a subset of the graph's nodes and values plus ``v`` itself
-    (the focus enters only through ``id``).  Evaluated by
-    :func:`pgschema.path_image` on the lowered path.
+    (the focus enters only through ``id``).  Evaluated by the relation
+    evaluator (:func:`pgschema.path_relation`) on the lowered path, at one
+    focus.
     """
-    return {elem_focus(u) for u in path_image(g, path.lowered, {focus_elem(v)})}
+    x = focus_elem(v)
+    return {elem_focus(u) for u in path_relation(g, path.lowered, {x}).get(x, ())}
 
 
 # ---------------------------------------------------------------------------
@@ -263,10 +266,13 @@ def _sat(g: CommonGraph, shape: ShaclShape, elems: Set[Elem], registry) -> Set[E
     """The elements of ``elems`` that satisfy ``shape``: the shape's
     extension cut to ``elems``.  Elements are raw (node ids and values).
 
-    A count atom takes every element's image once, evaluates its body
-    once on the union of those images, and compares the size of each
-    image's intersection with the body's extension against the bound.
-    The result is a set the caller must not mutate.
+    A count atom takes every element's image from one relation call,
+    evaluates its body once on the union of those images, and compares
+    the size of each image (or of its intersection with the body's
+    extension) against the bound; the images may be the graph's own
+    index, so they are only read.  ``Eq`` and ``Disj`` compare each
+    element's image with its far ends of the name.  The result is a set
+    the caller must not mutate.
     """
     kind = type(shape)
     if kind is Top:
@@ -283,15 +289,15 @@ def _sat(g: CommonGraph, shape: ShaclShape, elems: Set[Elem], registry) -> Set[E
         n, geq = shape.n, kind is GeqCount
         if geq and n == 0:
             return elems
-        images = path_images(g, shape.path.lowered, elems, registry)
+        images = path_relation(g, shape.path.lowered, elems, registry)
         if type(shape.body) is Top:
-            counts = [(x, len(img)) for x, img in images]
+            counts = zip(images, map(len, images.values()))
         else:
-            body = _sat(g, shape.body, set().union(*[img for _, img in images]), registry)
-            counts = [(x, len(img & body)) for x, img in images]
+            body = _sat(g, shape.body, set().union(*images.values()), registry)
+            counts = zip(images, map(len, map(body.intersection, images.values())))
         if geq:
             return {x for x, c in counts if c >= n}
-        return {x for x, c in counts if c <= n}
+        return elems - {x for x, c in counts if c > n}  # an element without image counts 0
     if kind is TestConst:
         return {shape.c} & elems
     if kind is TestType:
@@ -310,11 +316,11 @@ def _sat(g: CommonGraph, shape: ShaclShape, elems: Set[Elem], registry) -> Set[E
             )
         }
     if kind is Eq or kind is Disj:
-        images = path_images(g, shape.path.lowered, elems, registry)
-        steps = dict(path_images(g, PName(shape.p), elems))
+        images = path_relation(g, shape.path.lowered, elems, registry)
+        steps = path_relation(g, PName(shape.p), elems)
         if kind is Eq:
-            return {x for x, img in images if img == steps[x]}
-        return {x for x, img in images if img.isdisjoint(steps[x])}
+            return {x for x in elems if set(images.get(x, ())) == set(steps.get(x, ()))}
+        return elems - {x for x, img in images.items() if x in steps and not set(steps[x]).isdisjoint(img)}
     raise TriformError(f"unknown SHACL shape {shape!r}")
 
 

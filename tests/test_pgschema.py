@@ -1,20 +1,28 @@
 import itertools
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 
 import pytest
 
 import triform.harness as harness
 import triform.pgschema as pgschema
+from triform import examples
+from triform.cogsl import cogsl_to_shacl
 from triform.harness import (
     GenParams,
     brute_edge_type_member,
+    brute_path_relation,
     brute_pg_path_oracle,
+    brute_pg_relation,
     gen_cogsl_schema,
     gen_graph,
     gen_pg_path,
+    gen_shacl_path,
+    gen_shacl_schema,
 )
 from triform.model import (
+    FWD,
+    INV,
     CommonGraph,
     EdgeTriple,
     Node,
@@ -24,6 +32,7 @@ from triform.model import (
     ValueTypeRegistry,
     build_graph,
     bool_v,
+    elem_focus,
     int_v,
     sorted_foci,
     str_v,
@@ -68,6 +77,7 @@ from triform.pgschema import (
     loose_graph_type,
     normalize_edge_type,
     path_image,
+    path_relation,
     pg_satisfies,
     pg_select,
     pg_validate,
@@ -75,7 +85,7 @@ from triform.pgschema import (
     shape_atoms,
     validate_graph_type,
 )
-from triform.shacl import Step, eval_path
+from triform.shacl import Step, eval_path, shacl_validate
 
 EMAIL_CARD = CBoth(CField("email", "str"), CEither(CField("card", "int"), CEmpty()))
 
@@ -487,20 +497,28 @@ def test_select_by_name_index_equals_per_focus_definition(monkeypatch):
     """Selectors with a ``dst_key`` range, or with a body that inverts to
     a name step from every node, select what the per-element definition
     does; and selection takes both sides of a name step's by-size choice
-    (the name's near ends read once, or each source looked up)."""
+    (the name's near ends read once, from its rows or its grouped map,
+    or each source looked up in the map)."""
     calls = Counter()
-    ends = CommonGraph.ends
+    ends, grouped_ends, name_image = CommonGraph.ends, CommonGraph.grouped_ends, pgschema._name_image
 
     class Counted(dict):
-        def items(self):
-            calls["scan"] += 1
-            return super().items()
-
         def __contains__(self, x):
-            calls["adjacency"] += 1
+            calls["lookup"] += 1
             return super().__contains__(x)
 
+    def counted_name_image(g, q, inverse, sources, edges_only=False):
+        before = calls["lookup"]
+        out = name_image(g, q, inverse, sources, edges_only)
+        if sources and not (edges_only and q in g.keys):  # else neither side is read
+            calls["adjacency" if calls["lookup"] > before else "scan"] += 1
+        return out
+
     monkeypatch.setattr(CommonGraph, "ends", lambda g, q, d: Counted(ends(g, q, d)))
+    monkeypatch.setattr(
+        CommonGraph, "grouped_ends", lambda g, q, d: None if (m := grouped_ends(g, q, d)) is None else Counted(m)
+    )
+    monkeypatch.setattr(pgschema, "_name_image", counted_name_image)
     seen = Counter()
     for n in (8, 12, 40):
         for seed in range(6):
@@ -750,3 +768,115 @@ def test_key_images_count_each_value_once():
     for v in (Val(int_v(1)), Val(int_v(2))):
         assert len(brute_pg_path_oracle(g, v, back_to_c)) == 1
         assert pg_satisfies(g, v, rules[3][1])
+
+
+def by_source(pairs):
+    """A relation given as pairs of foci, as each source's image."""
+    images = defaultdict(set)
+    for x, y in pairs:
+        images[x].add(y)
+    return images
+
+
+@pytest.mark.parametrize("nodes", [8, 12, 40])
+def test_relation_equals_the_path_oracles_per_source(nodes):
+    """The per-source relation evaluator, from every element at once,
+    maps each element to its image under the relational oracle, with no
+    element twice (the count atoms use ``len``): PG-paths over the full
+    grammar (star, union, inverse, negated predicate sets, filters,
+    ``src_key`` and ``dst_key``), their bodies against :func:`path_image`
+    of the element alone, and lowered SHACL paths (name steps, ``id``)."""
+    shapes = Counter()
+    for seed in range(4):
+        params = GenParams(seed=seed, node_count=nodes)
+        g = gen_graph(params)
+        rng = random.Random(f"relation-{nodes}-{seed}")
+        nodes_in, values = set(g.nodes) | {"ghost"}, set(g.values)
+        everything = nodes_in | values
+        for _ in range(12):
+            path = gen_pg_path(rng, params)
+            elems = values if path.src_key is not None else nodes_in
+            images = pgschema._pg_relation(g, path, elems, None)
+            oracle = by_source(brute_pg_relation(g, path))
+            assert images.keys() <= elems
+            for x in elems:
+                img = images.get(x, ())
+                assert len(img) == len(set(img)), (path, x)
+                assert {elem_focus(y) for y in img} == oracle[elem_focus(x)], (nodes, seed, path, x)
+                shapes[bool(img), len(img) > 1] += 1
+            if path.body is not None:
+                body = path.normal_body
+                images = path_relation(g, body, everything)
+                for x in everything:
+                    img = images.get(x, ())
+                    assert len(img) == len(set(img)) and set(img) == path_image(g, body, {x}), (body, x)
+        for _ in range(6):
+            path = gen_shacl_path(rng, params)
+            images = path_relation(g, path.lowered, everything)
+            oracle = by_source(brute_path_relation(g, path, Node("ghost")))
+            for x in everything:
+                img = images.get(x, ())
+                assert len(img) == len(set(img)), (path, x)
+                assert {elem_focus(y) for y in img} == oracle[elem_focus(x)], (path, x)
+    assert shapes[True, True] > 20 and shapes[False, False] > 20, shapes
+
+
+def test_no_count_atom_walks_a_path_per_focus(monkeypatch):
+    """PG, SHACL (fixture or compiled from PG) and graph-type validation
+    of the media graph and of a 40-node fuzz graph give the same reports
+    when :func:`path_image` refuses to start from a single element: a
+    count atom takes its images from one relation call over all its
+    foci.  Only calls from outside the evaluator count; a sub-path may
+    meet one element.  Validation leaves every name's ``ends`` map as a
+    fresh graph groups it, since images alias those maps."""
+    params = GenParams(seed=3, node_count=40)
+    media_pg, fuzz_pg = examples.media_pg_rules(), gen_cogsl_schema(params)
+    any_edge, pq_edge = ET(CAny(), None, CAny()), ET(CAny(), frozenset({"p", "q"}), CAny())
+    cases = [
+        (
+            examples.media_graph,
+            media_pg,
+            examples.media_shacl_rules(),
+            GraphType((EMAIL_CARD, CBoth(CField("card", "any"), CAny())), (any_edge,), tuple(media_pg)),
+        ),
+        (
+            lambda: gen_graph(params),
+            fuzz_pg,
+            gen_shacl_schema(params),
+            GraphType((CBoth(CField("k1", "any"), CAny()), CEmpty()), (pq_edge,), tuple(fuzz_pg)),
+        ),
+    ]
+
+    def validators(pg_rules, shacl_rules, graph_type):
+        return (
+            lambda g: pg_validate(g, pg_rules),
+            lambda g: shacl_validate(g, shacl_rules),
+            lambda g: shacl_validate(g, cogsl_to_shacl(pg_rules)),
+            lambda g: validate_graph_type(g, graph_type),
+        )
+
+    expected = [[check(make()) for check in validators(*schemas)] for make, *schemas in cases]
+    walk, depth, calls = pgschema.path_image, [0], Counter()
+
+    def guarded(g, path, sources, registry=None):
+        if depth[0] == 0:
+            calls["outer"] += 1
+            assert len(sources) != 1, f"path walked from one focus: {path!r}"
+        depth[0] += 1
+        try:
+            return walk(g, path, sources, registry)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(pgschema, "path_image", guarded)
+    for (make, *schemas), reports in zip(cases, expected):
+        fresh = make()
+        for check, want in zip(validators(*schemas), reports):
+            g = make()
+            assert check(g) == want
+            for name, d in itertools.product(sorted(g.preds | g.keys), (FWD, INV)):
+                got = g.grouped_ends(name, d)
+                if got is not None:
+                    calls["grouped"] += 1
+                    assert got == fresh.ends(name, d), (check, name, d)
+    assert calls["grouped"] > 20 and calls["outer"] > 0, calls  # the selectors take the patched function

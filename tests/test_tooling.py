@@ -77,6 +77,8 @@ def test_benchmark_scripts_run():
     lines = bench_lines("bench_graph.py", "--sizes", "20", "--repeat", "1")
     for kind in bench_graph.SCHEMAS.keys() - {"empty"}:
         assert ["validate", kind] in lines, kind
+    for dialect in ("shacl", "pg"):
+        assert ["decide", dialect] in lines, dialect
     lines = bench_lines("bench_matcher.py", "--sizes", "8", "--repeat", "1")
     for workload in ("pairs", "false-pairs", "bounded"):
         assert [workload, "8"] in lines, workload
