@@ -202,10 +202,13 @@ def _oracle(args, graph, query) -> int:
     spec = jsonio._obj(query, "$", ["focus"], ["path", "expr", "openness", "dialect"])
     focus = jsonio.parse_focus(spec["focus"], "$.focus")
     if args.kind == "path":
-        if spec.get("dialect") == "pg":
+        dialect = spec.get("dialect", "shacl")
+        if dialect == "pg":
             image = brute_pg_path_oracle(graph, focus, jsonio.parse_pg_path(spec.get("path"), "$.path"))
-        else:
+        elif dialect == "shacl":
             image = brute_path_oracle(graph, focus, jsonio.parse_shacl_path(spec.get("path"), "$.path"))
+        else:
+            raise jsonio._err("$.dialect", f'expected "shacl" or "pg", got {dialect!r}')
         ordered = sorted(image, key=lambda f: repr(f))
         _emit({"result": [jsonio.focus_to_json(f) for f in ordered]}, args.pretty)
         return EXIT_VALID

@@ -84,35 +84,20 @@ class Diagnostics:
 # Path atom normalization
 
 
-@frozen
-class AFilter:
-    kind: FilterKind
-
-
-@frozen
-class AStep:
-    p: str
-    inverse: bool
-
-
-PathAtom = Union[AFilter, AStep]
-
-
-def _to_disjuncts(path: NodePath) -> List[List[PathAtom]]:
-    """Union normal form: a list of concatenations of filter/step atoms.
+def _to_disjuncts(path: NodePath) -> List[List[NodePath]]:
+    """Union normal form of an inverse-normalized body: a list of
+    concatenations of atoms, each a ``PFilter``, a ``PPred`` or the
+    ``PInv`` of one.
 
     Requires a fragment-legal body (no star, no negated predicate sets);
     run the checker first.
     """
-    if isinstance(path, PFilter):
-        return [[AFilter(path.kind)]]
-    if isinstance(path, PPred):
-        return [[AStep(path.p, False)]]
+    if isinstance(path, (PFilter, PPred)):
+        return [[path]]
     if isinstance(path, PInv):
-        inner = path.inner
-        if isinstance(inner, PPred):
-            return [[AStep(inner.p, True)]]
-        raise NotInFragment(f"unexpected inverse of {inner!r}")
+        if isinstance(path.inner, PPred):
+            return [[path]]
+        raise NotInFragment(f"unexpected inverse of {path.inner!r}")
     if isinstance(path, PConcat):
         return [
             l + r for l in _to_disjuncts(path.left) for r in _to_disjuncts(path.right)
@@ -120,6 +105,11 @@ def _to_disjuncts(path: NodePath) -> List[List[PathAtom]]:
     if isinstance(path, PUnion):
         return _to_disjuncts(path.left) + _to_disjuncts(path.right)
     raise NotInFragment(f"path node {path!r} is outside the fragment")
+
+
+def _step_of(atom: NodePath) -> Tuple[str, str]:
+    """The predicate and direction of a ``PPred`` atom or its inverse."""
+    return (atom.inner.p, INV) if isinstance(atom, PInv) else (atom.p, FWD)
 
 
 def _peel_head(path: NodePath) -> Tuple[Optional[NodePath], Optional[NodePath]]:
@@ -291,7 +281,7 @@ def _classify_count(
         ck.add(loc, "count-path", "counting paths must be a single filtered step")
         return None
     atoms = disjuncts[0]
-    steps = [a for a in atoms if isinstance(a, AStep)]
+    steps = [a for a in atoms if not isinstance(a, PFilter)]
     if len(steps) != 1:
         ck.add(loc, "count-path", "counting paths traverse exactly one edge or key step")
         return None
@@ -300,9 +290,9 @@ def _classify_count(
     right = [a.kind for a in atoms[idx + 1 :]]  # type: ignore[union-attr]
     for f in left + right:
         _check_filter(ck, loc, f)
-    step = steps[0]
+    name, direction = _step_of(steps[0])
     return CountAtom(
-        kind, n, "inv_pred" if step.inverse else "pred", step.p, tuple(left), tuple(right)
+        kind, n, "inv_pred" if direction == INV else "pred", name, tuple(left), tuple(right)
     )
 
 
@@ -542,26 +532,26 @@ def _filters(t: Target, filters: Sequence[FilterKind]):
     return t.and_all([_filter(t, f) for f in filters])
 
 
-def _atoms(t: Target, atoms: List[PathAtom], dst_key: Optional[str]):
+def _atoms(t: Target, atoms: List[NodePath], dst_key: Optional[str]):
     """Existential concatenation, rightmost first (Lemma-style recursion)."""
     if not atoms:
         top = t.and_all([])
         return top if dst_key is None else t.count(True, 1, dst_key, FWD, top)
     head, rest = atoms[0], atoms[1:]
-    if isinstance(head, AFilter):
+    if isinstance(head, PFilter):
         if not rest and dst_key is None:
             return _filter(t, head.kind)
         return t.and_all([_filter(t, head.kind), _atoms(t, rest, dst_key)])
-    return t.count(True, 1, head.p, INV if head.inverse else FWD, _atoms(t, rest, dst_key))
+    return t.count(True, 1, *_step_of(head), _atoms(t, rest, dst_key))
 
 
 def _exists(t: Target, path: PgPath):
     disjuncts = _to_disjuncts(push_inv(path.body)) if path.body is not None else [[]]
     shapes = []
     for concat in disjuncts:
-        atoms: List[PathAtom] = list(concat)
-        if path.dst_key is None and atoms and isinstance(atoms[-1], AStep):
-            atoms.append(AFilter(TRIVIAL_FILTER))
+        atoms = list(concat)
+        if path.dst_key is None and atoms and not isinstance(atoms[-1], PFilter):
+            atoms.append(PFilter(TRIVIAL_FILTER))
         shapes.append(_atoms(t, atoms, path.dst_key))
     out = t.or_all(shapes)
     if path.src_key is not None:

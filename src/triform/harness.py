@@ -72,7 +72,9 @@ from .pgschema import (
     PgPath,
     PgRule,
     PgShape,
+    PId,
     PInv,
+    PName,
     PNotPreds,
     PPred,
     PStar,
@@ -509,17 +511,6 @@ def _oracle_neigh(g: CommonGraph, v: Focus) -> List[SignedTriple]:
     return triples
 
 
-def _step_pairs(g: CommonGraph, q: str) -> Set[Pair]:
-    pairs: Set[Pair] = set()
-    for e in g.edges:
-        if e.p == q:
-            pairs.add((Node(e.s), Node(e.o)))
-    for (n, k), w in g.props.items():
-        if k == q:
-            pairs.add((Node(n), Val(w)))
-    return pairs
-
-
 def _compose(a: Set[Pair], b: Set[Pair]) -> Set[Pair]:
     by_src: Dict[Focus, Set[Focus]] = {}
     for (x, y) in b:
@@ -536,6 +527,48 @@ def _closure(base: Set[Pair], ident: Set[Pair]) -> Set[Pair]:
         rel = nxt
 
 
+def _path_pairs(g: CommonGraph, path: NodePath, ident: Set[Pair], registry=None) -> Set[Pair]:
+    """A node path's relation as pairs of foci, built bottom-up from the
+    graph's triples.  ``ident`` is the relation of ``id`` and of a star's
+    zero steps: the whole oracle domain for SHACL, the graph nodes for
+    PG.  Filters hold on graph nodes only."""
+
+    def filter_holds(u: str, kind: FilterKind) -> bool:
+        if isinstance(kind, FKeyIs):
+            return g.prop(u, kind.k) == kind.c
+        if isinstance(kind, FNotKeyIs):
+            return g.prop(u, kind.k) != kind.c
+        if isinstance(kind, FOfType):
+            return content_member(content(g, u), kind.t, registry)
+        if isinstance(kind, FNotOfType):
+            return not content_member(content(g, u), kind.t, registry)
+        raise TriformError(f"unknown filter {kind!r}")
+
+    def rel(p: NodePath) -> Set[Pair]:
+        if isinstance(p, PId):
+            return set(ident)
+        if isinstance(p, PName):
+            keyed = {(Node(n), Val(w)) for (n, k), w in g.props.items() if k == p.q}
+            return keyed | {(Node(e.s), Node(e.o)) for e in g.edges if e.p == p.q}
+        if isinstance(p, PPred):
+            return {(Node(e.s), Node(e.o)) for e in g.edges if e.p == p.p}
+        if isinstance(p, PNotPreds):
+            return {(Node(e.s), Node(e.o)) for e in g.edges if e.p not in p.excluded}
+        if isinstance(p, PFilter):
+            return {(Node(u), Node(u)) for u in g.nodes if filter_holds(u, p.kind)}
+        if isinstance(p, PInv):
+            return {(y, x) for (x, y) in rel(p.inner)}
+        if isinstance(p, PConcat):
+            return _compose(rel(p.left), rel(p.right))
+        if isinstance(p, PUnion):
+            return rel(p.left) | rel(p.right)
+        if isinstance(p, PStar):
+            return _closure(rel(p.inner), ident)
+        raise TriformError(f"unknown path {p!r}")
+
+    return rel(path)
+
+
 def brute_path_oracle(g: CommonGraph, v: Focus, path: sh.PathExpr) -> Set[Focus]:
     """Relational evaluation of a SHACL path over the full finite domain."""
     return {u for (x, u) in brute_path_relation(g, path, v) if x == v}
@@ -544,25 +577,7 @@ def brute_path_oracle(g: CommonGraph, v: Focus, path: sh.PathExpr) -> Set[Focus]
 def brute_path_relation(g: CommonGraph, path: sh.PathExpr, v: Focus) -> Set[Pair]:
     """The SHACL path's relation over the graph's elements plus ``v``, as
     pairs of foci: the image of every element at once."""
-    domain = _oracle_domain(g, v)
-    ident = {(d, d) for d in domain}
-
-    def rel(p: sh.PathExpr) -> Set[Pair]:
-        if isinstance(p, sh.Id):
-            return set(ident)
-        if isinstance(p, sh.Step):
-            return _step_pairs(g, p.q)
-        if isinstance(p, sh.Inverse):
-            return {(y, x) for (x, y) in rel(p.inner)}
-        if isinstance(p, sh.Concat):
-            return _compose(rel(p.left), rel(p.right))
-        if isinstance(p, sh.PathUnion):
-            return rel(p.left) | rel(p.right)
-        if isinstance(p, sh.Star):
-            return _closure(rel(p.inner), ident)
-        raise TriformError(f"unknown path {p!r}")
-
-    return rel(path)
+    return _path_pairs(g, path, {(d, d) for d in _oracle_domain(g, v)})
 
 
 def brute_pg_path_oracle(g: CommonGraph, v: Focus, path: PgPath, registry=None) -> Set[Focus]:
@@ -576,42 +591,7 @@ def brute_pg_relation(g: CommonGraph, path: PgPath, registry=None) -> Set[Pair]:
     at once (no element outside the graph has one)."""
     _oracle_domain(g, None)  # the bound
     node_ident = {(Node(u), Node(u)) for u in g.nodes}
-
-    def filter_rel(kind: FilterKind) -> Set[Pair]:
-        out: Set[Pair] = set()
-        for u in g.nodes:
-            if isinstance(kind, FKeyIs):
-                ok = g.prop(u, kind.k) == kind.c
-            elif isinstance(kind, FNotKeyIs):
-                ok = g.prop(u, kind.k) != kind.c
-            elif isinstance(kind, FOfType):
-                ok = content_member(content(g, u), kind.t, registry)
-            elif isinstance(kind, FNotOfType):
-                ok = not content_member(content(g, u), kind.t, registry)
-            else:
-                raise TriformError(f"unknown filter {kind!r}")
-            if ok:
-                out.add((Node(u), Node(u)))
-        return out
-
-    def rel(p: NodePath) -> Set[Pair]:
-        if isinstance(p, PFilter):
-            return filter_rel(p.kind)
-        if isinstance(p, PPred):
-            return {(Node(e.s), Node(e.o)) for e in g.edges if e.p == p.p}
-        if isinstance(p, PNotPreds):
-            return {(Node(e.s), Node(e.o)) for e in g.edges if e.p not in p.excluded}
-        if isinstance(p, PInv):
-            return {(y, x) for (x, y) in rel(p.inner)}
-        if isinstance(p, PConcat):
-            return _compose(rel(p.left), rel(p.right))
-        if isinstance(p, PUnion):
-            return rel(p.left) | rel(p.right)
-        if isinstance(p, PStar):
-            return _closure(rel(p.inner), node_ident)
-        raise TriformError(f"unknown path {p!r}")
-
-    full: Set[Pair] = {(Node(u), Node(u)) for u in g.nodes} if path.body is None else rel(path.body)
+    full = node_ident if path.body is None else _path_pairs(g, path.body, node_ident, registry)
     if path.src_key is not None:
         kin = {(Val(w), Node(n)) for (n, k), w in g.props.items() if k == path.src_key}
         full = _compose(kin, full)

@@ -10,10 +10,11 @@ starred, while key steps appear only at the two ends, turning a path
 into one of four sorts (node/value to node/value).  Filters are
 sub-identities on graph nodes only; a focus outside the graph never
 passes a filter.  The same path algebra, with two extra atoms for
-SHACL's name step and identity, carries lowered SHACL paths, so one
-relation evaluator (:func:`path_relation`) gives the count atoms of
-both dialects every focus's image at once, and :func:`path_image` the
-image of a source set, for selection.  Images may alias the graph's
+SHACL's name step and identity, is SHACL's path AST too (``shacl``
+gives six of its classes their SHACL names), so one relation
+evaluator (:func:`path_relation`) gives the count atoms of both
+dialects every focus's image at once, and :func:`path_image` the image
+of a source set, for selection.  Images may alias the graph's
 indexes and must not be mutated.
 
 The graph-type layer mirrors the database view: node types, edge types
@@ -401,8 +402,8 @@ def union_all(parts: Sequence[NodePath]) -> NodePath:
 def push_inv(path: NodePath, flipped: bool = False) -> NodePath:
     """Normalize so PInv only wraps the step atoms PPred, PNotPreds and PName.
 
-    The one inverse-pushing routine, for PG bodies, lowered SHACL paths
-    and the common-fragment checker.
+    The one inverse-pushing routine, for PG bodies, SHACL paths and the
+    common-fragment checker.
     """
     if isinstance(path, (PFilter, PId)):
         return path  # sub-identities are self-inverse
@@ -432,7 +433,7 @@ def _filter_holds(g: CommonGraph, u: str, kind: FilterKind) -> bool:
 def path_image(g: CommonGraph, path: NodePath, sources: Set, registry=None) -> Set:
     """The image of ``sources`` under an inverse-normalized path.
 
-    The set evaluator for PG bodies and lowered SHACL paths, for callers
+    The set evaluator for PG bodies and SHACL paths, for callers
     that need the union of the sources' images (selection); counting
     callers use :func:`path_relation`.  Elements are raw: node ids (``str``)
     and ``Value`` objects.  No step needs to test an element's kind,

@@ -1,7 +1,11 @@
-"""SHACL core: path expressions, shapes, selectors, and validation.
+"""SHACL core: shapes, selectors, and validation.
 
-Path expressions denote binary relations over nodes and values; shapes
-are unary formulas, and the meaning of a shape is its extension, the
+A SHACL path is a PG node path (:data:`pgschema.NodePath`) built from
+the six classes SHACL names ``Id``, ``Step``, ``Inverse``, ``Concat``,
+``PathUnion`` and ``Star`` (``PId``, ``PName``, ``PInv``, ``PConcat``,
+``PUnion`` and ``PStar``): the two dialects share one path AST.  Paths
+denote binary relations over nodes and values; shapes are unary
+formulas, and the meaning of a shape is its extension, the
 set of elements that satisfy it.  The denoted relation of a path can be
 infinite (``id`` relates every element of the universe to itself) but
 its image at a focus is always contained in the graph's elements plus
@@ -22,7 +26,6 @@ concurrent workers partitioned by rule index.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import FrozenSet, List, Optional, Set, Tuple, Union
 
 from .model import (
@@ -57,50 +60,10 @@ from .report import ValidationReport, make_report
 # ---------------------------------------------------------------------------
 # ASTs
 
+# The SHACL names of the path classes, used by the Python API and the JSON grammar
+Id, Step, Inverse, Concat, PathUnion, Star = PId, PName, PInv, PConcat, PUnion, PStar
 
-class _Path:
-    """Base of the path nodes: holds the lowering into PG's path algebra."""
-
-    @cached_property
-    def lowered(self) -> NodePath:
-        """The path as a PG path with inverses pushed to the steps, computed
-        once per path object."""
-        return push_inv(_as_pg_path(self))
-
-
-@frozen
-class Id(_Path):
-    pass
-
-
-@frozen
-class Step(_Path):
-    q: str
-
-
-@frozen
-class Inverse(_Path):
-    inner: "PathExpr"
-
-
-@frozen
-class Concat(_Path):
-    left: "PathExpr"
-    right: "PathExpr"
-
-
-@frozen
-class PathUnion(_Path):
-    left: "PathExpr"
-    right: "PathExpr"
-
-
-@frozen
-class Star(_Path):
-    inner: "PathExpr"
-
-
-PathExpr = Union[Id, Step, Inverse, Concat, PathUnion, Star]
+PathExpr = NodePath
 
 
 @frozen
@@ -230,32 +193,15 @@ def or_all(shapes: List[ShaclShape]) -> ShaclShape:
 # ---------------------------------------------------------------------------
 # Path evaluation
 
-def _as_pg_path(path: PathExpr) -> NodePath:
-    if isinstance(path, Step):
-        return PName(path.q)
-    if isinstance(path, Concat):
-        return PConcat(_as_pg_path(path.left), _as_pg_path(path.right))
-    if isinstance(path, Inverse):
-        return PInv(_as_pg_path(path.inner))
-    if isinstance(path, PathUnion):
-        return PUnion(_as_pg_path(path.left), _as_pg_path(path.right))
-    if isinstance(path, Star):
-        return PStar(_as_pg_path(path.inner))
-    if isinstance(path, Id):
-        return PId()
-    raise TriformError(f"unknown path node {path!r}")
-
-
 def eval_path(g: CommonGraph, v: Focus, path: PathExpr) -> Set[Focus]:
     """The image of ``v`` under the path's relation.
 
     Always a subset of the graph's nodes and values plus ``v`` itself
     (the focus enters only through ``id``).  Evaluated by the relation
-    evaluator (:func:`pgschema.path_relation`) on the lowered path, at one
-    focus.
+    evaluator (:func:`pgschema.path_relation`) at one focus.
     """
     x = focus_elem(v)
-    return {elem_focus(u) for u in path_relation(g, path.lowered, {x}).get(x, ())}
+    return {elem_focus(u) for u in path_relation(g, push_inv(path), {x}).get(x, ())}
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +235,7 @@ def _sat(g: CommonGraph, shape: ShaclShape, elems: Set[Elem], registry) -> Set[E
         n, geq = shape.n, kind is GeqCount
         if geq and n == 0:
             return elems
-        images = path_relation(g, shape.path.lowered, elems, registry)
+        images = path_relation(g, push_inv(shape.path), elems, registry)
         if type(shape.body) is Top:
             counts = zip(images, map(len, images.values()))
         else:
@@ -316,7 +262,7 @@ def _sat(g: CommonGraph, shape: ShaclShape, elems: Set[Elem], registry) -> Set[E
             )
         }
     if kind is Eq or kind is Disj:
-        images = path_relation(g, shape.path.lowered, elems, registry)
+        images = path_relation(g, push_inv(shape.path), elems, registry)
         steps = path_relation(g, PName(shape.p), elems)
         if kind is Eq:
             return {x for x in elems if set(images.get(x, ())) == set(steps.get(x, ()))}

@@ -467,6 +467,24 @@ def test_oracle_match_rejects_a_bad_openness(files, tmp_path, capsys, openness, 
     assert err == f"error: {error}\n"
 
 
+def oracle_path(capsys, files, tmp_path, **fields):
+    query = tmp_path / "query.json"
+    query.write_text(json.dumps({"focus": {"kind": "node", "id": "u1"}, **fields}))
+    return run(capsys, "oracle", "path", files["graph.json"], str(query))
+
+
+def test_oracle_path_reads_only_the_shacl_and_pg_dialects(files, tmp_path, capsys):
+    step, pred = {"op": "step", "q": "ownsAccount"}, {"op": "pred", "p": "ownsAccount"}
+    image = (0, '{"result":[{"id":"a1","kind":"node"}]}\n', "")
+    assert oracle_path(capsys, files, tmp_path, path=step) == image  # SHACL by default
+    assert oracle_path(capsys, files, tmp_path, path=step, dialect="shacl") == image
+    assert oracle_path(capsys, files, tmp_path, path=pred, dialect="pg") == image
+    for dialect in ("shex", 5, None):
+        code, out, err = oracle_path(capsys, files, tmp_path, path=step, dialect=dialect)
+        assert (code, out) == (2, "")
+        assert err == f'error: at $.dialect: expected "shacl" or "pg", got {dialect!r}\n'
+
+
 def test_main_builds_the_parser_once(files, capsys, monkeypatch):
     made = []
     init = argparse.ArgumentParser.__init__

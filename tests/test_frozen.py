@@ -41,7 +41,7 @@ CLASSES = frozen_classes()
 
 
 def test_the_ast_and_report_classes_are_frozen():
-    assert len(CLASSES) >= 90
+    assert len(CLASSES) >= 82
     assert {Node, report.ValidationReport, pgschema.GraphTypeReport, cogsl.Diagnostics} <= set(CLASSES)
     assert len({fields(c) for c in CLASSES}) < len(CLASSES) / 2  # methods are shared by field list
 
@@ -101,9 +101,6 @@ def test_post_init_checks_still_raise():
 
 
 def test_cached_property_caches_on_the_instance():
-    path = shacl.Concat(shacl.Inverse(shacl.Step("p")), shacl.Step("q"))
-    lowered = path.lowered
-    assert path.lowered is lowered and vars(path)["lowered"] is lowered
     pg_path = pgschema.PgPath("k", pgschema.PInv(pgschema.PPred("p")), None)
     body = pg_path.normal_body
     assert pg_path.normal_body is body and vars(pg_path)["normal_body"] is body

@@ -5,6 +5,9 @@ from triform.harness import (
     GenParams,
     brute_match_oracle,
     brute_path_oracle,
+    brute_path_relation,
+    brute_pg_path_oracle,
+    brute_pg_relation,
     copyswap,
     differential_check,
     double,
@@ -26,12 +29,14 @@ from triform.model import (
     InstanceTooLarge,
     Node,
     PropTriple,
+    Val,
     build_graph,
     int_v,
     str_v,
 )
 from triform.report import ValidationReport, Violation
-from triform.shacl import GeqCount, LeqCount, Not, Star, Step, Top, shacl_validate
+from triform.pgschema import PgPath, PPred, PStar
+from triform.shacl import GeqCount, Id, Inverse, LeqCount, Not, Star, Step, Top, shacl_validate
 from triform.shex import (
     NO_NAMES,
     TC,
@@ -221,9 +226,21 @@ def test_brute_match_oracle_takes_far_ends_of_any_size_under_the_top_shape():
 
 
 def test_brute_path_oracle_star_chain():
-    g = build_graph([EdgeTriple("a", "p", "b"), EdgeTriple("b", "p", "c")], [])
+    g = build_graph([EdgeTriple("a", "p", "b"), EdgeTriple("b", "p", "c")], [PropTriple("c", "k", int_v(1))])
     image = brute_path_oracle(g, Node("a"), Star(Step("p")))
     assert image == {Node("a"), Node("b"), Node("c")}
+    # the one relational interpreter, with each dialect's identity: SHACL's
+    # id and star are reflexive on the whole domain, values and a focus
+    # outside the graph included; PG's star on the graph nodes only
+    ghost, one = Node("ghost"), Val(int_v(1))
+    for path in (Id(), Star(Step("p")), Star(Inverse(Step("k")))):
+        assert brute_path_oracle(g, ghost, path) == {ghost}
+        assert one in brute_path_oracle(g, one, path)
+        assert {(d, d) for d in (ghost, one, Node("a"), Node("c"))} <= brute_path_relation(g, path, ghost)
+    star = PgPath(None, PStar(PPred("p")), None)
+    assert brute_pg_path_oracle(g, ghost, star) == set()
+    assert brute_pg_path_oracle(g, Node("c"), star) == {Node("c")}
+    assert {x for x, y in brute_pg_relation(g, star) if x == y} == {Node("a"), Node("b"), Node("c")}
 
 
 def test_shrink_preserves_divergence_shape(g_media, pg_c1_c5):

@@ -376,14 +376,23 @@ def test_cli_rejects_sibling_operator_field(tmp_path, capsys):
     graph = tmp_path / "graph.json"
     graph.write_text(jsonio.dumps(jsonio.graph_to_json(media_graph())))
     schema = tmp_path / "typo.json"
-    schema.write_text(json.dumps(SIBLING_FIELDS["shacl-shape"][0]))
-    assert main(["validate", str(graph), str(schema)]) == 2
-    assert capsys.readouterr().err == "error: at $.rules[0].shape.arg: unknown field\n"
+    # PG's predicate step is no SHACL path operator, though both build NodePaths
+    shacl_count = lambda path: _rule("shacl", {"op": "exists_out", "q": "p"}, {"op": "geq", "n": 1, "path": path})
+    for doc, error in (
+        (SIBLING_FIELDS["shacl-shape"][0], "at $.rules[0].shape.arg: unknown field"),
+        (shacl_count(_PRED), "at $.rules[0].shape.path.p: unknown field"),
+        (shacl_count({"op": "pred", "q": "p"}), "at $.rules[0].shape.path.op: unknown path operator 'pred'"),
+    ):
+        schema.write_text(json.dumps(doc))
+        assert main(["validate", str(graph), str(schema)]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
 
 
 # Every class of each AST union has exactly one grammar row and
 # round-trips through it, but the internal-only classes, which have no
-# wire form: a new class without a row fails here.
+# wire form: a new class without a row fails here.  The SHACL and PG
+# path grammars are two readings of the one NodePath union, each with
+# its own samples and internal classes.
 _V = int_v(1)
 _TC = sx.TC("p", FWD, sx.STestType("int"))
 _XTC = ssx.XTC("p", INV, None)
@@ -391,9 +400,15 @@ _SNEIGH = sx.SNeigh(_TC, sx.HalfOpen(frozenset({"p"})))
 _XSHAPE = ssx.XShape(True, frozenset({("q", FWD)}), ssx.XTC("p", FWD, ssx.XTestType("int")))
 _BODY = pg.PPred("p")
 _PGGEQ = pg.PgGeq(1, pg.PgPath("k", _BODY, "j"))
-_AST_SAMPLES = [
+_SHACL_PATHS = [
     sh.Id(), sh.Step("p"), sh.Inverse(sh.Step("p")), sh.Star(sh.Step("p")),
     sh.Concat(sh.Id(), sh.Step("p")), sh.PathUnion(sh.Step("p"), sh.Id()),
+]
+_PG_BODIES = [
+    pg.PFilter(pg.FKeyIs("k", _V)), _BODY, pg.PNotPreds(frozenset({"p"})), pg.PInv(_BODY),
+    pg.PConcat(_BODY, _BODY), pg.PUnion(_BODY, pg.PInv(_BODY)), pg.PStar(_BODY),
+]
+_AST_SAMPLES = [
     sh.Top(), sh.TestConst(_V), sh.TestType("int"), sh.Closed(frozenset({"p", "q"})),
     sh.Eq(sh.Step("p"), "q"), sh.Disj(sh.Step("p"), "q"), sh.Not(sh.Top()), sh.And(sh.Top(), sh.TestType("int")),
     sh.Or(sh.Top(), sh.Top()), sh.GeqCount(2, sh.Step("p"), sh.Top()), sh.LeqCount(0, sh.Id(), sh.Not(sh.Top())),
@@ -408,8 +423,6 @@ _AST_SAMPLES = [
     pg.CAny(), pg.CEmpty(), pg.CField("k", "int"), pg.CBoth(pg.CField("k", "int"), pg.CAny()),
     pg.CEither(pg.CEmpty(), pg.CField("k", "int")),
     pg.FKeyIs("k", _V), pg.FNotKeyIs("k", _V), pg.FOfType(pg.CAny()), pg.FNotOfType(pg.CEmpty()),
-    pg.PFilter(pg.FKeyIs("k", _V)), _BODY, pg.PNotPreds(frozenset({"p"})), pg.PInv(_BODY),
-    pg.PConcat(_BODY, _BODY), pg.PUnion(_BODY, pg.PInv(_BODY)), pg.PStar(_BODY),
     _PGGEQ, pg.PgLeq(0, pg.PgPath(None, None, "k")), pg.PgAnd(_PGGEQ, pg.PgGeq(1, pg.PgPath("k", None, None))),
     pg.ET(pg.CAny(), None, pg.CEmpty()), pg.ET(pg.CEmpty(), frozenset({"p"}), pg.CAny()),
     pg.EBoth(pg.ET(pg.CAny(), None, pg.CAny()), pg.ET(pg.CAny(), None, pg.CAny())),
@@ -430,23 +443,35 @@ _AST_GRAMMARS = [
     pytest.param(pg.PgShape, jsonio._PG_SHAPE, id="pg.PgShape"),
     pytest.param(pg.EdgeType, jsonio._EDGE_TYPE, id="pg.EdgeType"),
 ]
-_INTERNAL = {sx.WildOut(frozenset()), sx.WildIn(frozenset({"p"})), pg.PName("p"), pg.PId()}
+_PATH_SAMPLES = {jsonio._SHACL_PATH: _SHACL_PATHS, jsonio._PG_BODY: _PG_BODIES}
+# Per grammar, a sample of each class of its union without a row there
+_INTERNAL = {
+    jsonio._SHEX_EXPR: [sx.WildOut(frozenset()), sx.WildIn(frozenset({"p"}))],
+    jsonio._SHACL_PATH: [pg.PFilter(pg.FKeyIs("k", _V)), _BODY, pg.PNotPreds(frozenset({"p"}))],
+    jsonio._PG_BODY: [sh.Step("p"), sh.Id()],
+}
 
 
 @pytest.mark.parametrize("union,grammar", _AST_GRAMMARS)
 def test_every_ast_class_has_a_wire_row(union, grammar):
     classes = set(typing.get_args(union))
-    internal = {type(x) for x in _INTERNAL}
-    assert set(grammar.classes) == classes - internal
-    samples = [x for x in _AST_SAMPLES if type(x) in classes]
-    assert {type(x) for x in samples} == classes - internal
+    internal = _INTERNAL.get(grammar, [])
+    wire = classes - {type(x) for x in internal}
+    assert set(grammar.classes) == wire
+    samples = _PATH_SAMPLES.get(grammar) or [x for x in _AST_SAMPLES if type(x) in classes]
+    assert {type(x) for x in samples} == wire
     for x in samples:
         doc = json.loads(jsonio.dumps(grammar.dump(x)))
         assert grammar.parse(doc, "$") == x, doc
-    for x in _INTERNAL:
-        if type(x) in classes:
-            with pytest.raises(TriformError):
-                grammar.dump(x)
+    for x in internal:
+        with pytest.raises(TriformError, match="has no wire form"):
+            grammar.dump(x)
+    if grammar is jsonio._SHACL_PATH:
+        # a PG-only atom that Python put inside a SHACL shape never reaches SHACL JSON
+        for x in internal:
+            rule = (sh.ExistsOut("p"), sh.exists(sh.Concat(sh.Step("p"), sh.Star(x))))
+            with pytest.raises(TriformError, match="has no wire form"):
+                jsonio.schema_to_json("shacl", [rule])
 
 
 def test_report_serialization(g_media, mutations):

@@ -82,6 +82,7 @@ from triform.pgschema import (
     pg_select,
     pg_validate,
     pred_path,
+    push_inv,
     shape_atoms,
     validate_graph_type,
 )
@@ -785,7 +786,7 @@ def test_relation_equals_the_path_oracles_per_source(nodes):
     element twice (the count atoms use ``len``): PG-paths over the full
     grammar (star, union, inverse, negated predicate sets, filters,
     ``src_key`` and ``dst_key``), their bodies against :func:`path_image`
-    of the element alone, and lowered SHACL paths (name steps, ``id``)."""
+    of the element alone, and SHACL paths (name steps, ``id``)."""
     shapes = Counter()
     for seed in range(4):
         params = GenParams(seed=seed, node_count=nodes)
@@ -812,7 +813,7 @@ def test_relation_equals_the_path_oracles_per_source(nodes):
                     assert len(img) == len(set(img)) and set(img) == path_image(g, body, {x}), (body, x)
         for _ in range(6):
             path = gen_shacl_path(rng, params)
-            images = path_relation(g, path.lowered, everything)
+            images = path_relation(g, push_inv(path), everything)
             oracle = by_source(brute_path_relation(g, path, Node("ghost")))
             for x in everything:
                 img = images.get(x, ())

@@ -1,12 +1,13 @@
 """The benchmark's tracer patches functions where their callers look
 them up; every patched name must still exist there, or a traced run
 would fail.  The CLI's import stays free of the modules only some
-commands need."""
+commands need, and the README's Python examples run as written."""
 
 import importlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -82,3 +83,14 @@ def test_benchmark_scripts_run():
     lines = bench_lines("bench_matcher.py", "--sizes", "8", "--repeat", "1")
     for workload in ("pairs", "false-pairs", "bounded"):
         assert [workload, "8"] in lines, workload
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_python_blocks_run():
+    """Every ```` ```python ```` block of the README runs as written."""
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})
