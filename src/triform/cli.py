@@ -67,12 +67,14 @@ def _inputs_out_of_gc():
     of container objects that survives every pass.  Calling the yielded
     ``loaded()`` then moves every live object into the collector's
     permanent generation (``gc.freeze``) and resumes collection, so the
-    rest of the command never traverses the graph again.  On every exit
-    the collector is put back as found: the objects are unfrozen, and
-    collection is enabled only if it was.  A caller that already holds
-    frozen objects keeps them frozen, since ``gc.unfreeze`` cannot
-    release this command's objects alone; then nothing is frozen here
-    and collection stays paused until exit.
+    rest of the command never traverses the loaded graph again.  The
+    indexes a graph derives on first read come after ``loaded()``; they
+    are not frozen, and evaluation's collections may traverse them.  On
+    every exit the collector is put back as found: the objects are
+    unfrozen, and collection is enabled only if it was.  A caller that
+    already holds frozen objects keeps them frozen, since ``gc.unfreeze``
+    cannot release this command's objects alone; then nothing is frozen
+    here and collection stays paused until exit.
     """
     enabled, frozen = gc.isenabled(), gc.get_freeze_count()
     gc.disable()
@@ -199,7 +201,8 @@ def cmd_oracle(args) -> int:
 
 def _oracle(args, graph, query) -> int:
     from .harness import brute_match_oracle, brute_path_oracle, brute_pg_path_oracle
-    spec = jsonio._obj(query, "$", ["focus"], ["path", "expr", "openness", "dialect"])
+    # each kind takes only its own fields, as the schema parsers do
+    spec = jsonio._obj(query, "$", ["focus"], ["path", "dialect"] if args.kind == "path" else ["expr", "openness"])
     focus = jsonio.parse_focus(spec["focus"], "$.focus")
     if args.kind == "path":
         dialect = spec.get("dialect", "shacl")

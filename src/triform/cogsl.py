@@ -428,11 +428,25 @@ def check_common(rules: CommonSchema) -> Diagnostics:
 
 
 def _require_common(rules: CommonSchema) -> List[ClassifiedRule]:
+    if type(rules) is CheckedSchema:
+        return rules.classified
     diags, classified = _classify(rules)
     if not diags.in_fragment:
         first = diags.violations[0]
         raise NotInFragment(f"{first.loc}: {first.message} ({len(diags.violations)} violations)")
     return classified
+
+
+class CheckedSchema(tuple):
+    """A common schema that passed the fragment check, kept with its
+    classification (``classified``): ``cogsl_validate`` and both
+    compilers take it without classifying the rules again.  Raises
+    :class:`NotInFragment` for a schema outside the fragment."""
+
+    def __new__(cls, rules: CommonSchema) -> "CheckedSchema":
+        self = super().__new__(cls, rules)
+        self.classified = _require_common(rules)
+        return self
 
 
 def cogsl_validate(g, rules: CommonSchema, registry=None) -> ValidationReport:

@@ -20,7 +20,7 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tup
 from . import shacl as sh
 from . import shex as sx
 from . import sshex as ssx
-from .cogsl import cogsl_to_shacl, cogsl_to_shex, cogsl_validate
+from .cogsl import CheckedSchema, cogsl_to_shacl, cogsl_to_shex, cogsl_validate
 from .jsonio import focus_to_json
 from .model import (
     FWD,
@@ -912,7 +912,9 @@ def differential_check(g: CommonGraph, rules: Sequence[PgRule], cap: Optional[in
     rules or the overall booleans.  The witness is the first pair, in
     report order, that not all three dialects violate.
     Neighborhood-cap hits are reported as capped, never as divergence.
+    The rules are classified once, for all three dialects.
     """
+    rules = CheckedSchema(rules)
     pg_report = cogsl_validate(g, rules)
     shacl_report = shacl_validate(g, cogsl_to_shacl(rules))
     try:

@@ -6,10 +6,13 @@ sub-model of RDF triple stores and property graphs: nodes are opaque,
 edges carry a single predicate, and node properties are single-valued.
 
 Everything here is immutable after construction.  Values and triples
-are tuples, so they hash and compare in C.  A ``CommonGraph`` is built
-in one pass over the edges and one over the property triples, with
-adjacency lists and a per-name triple index in input order, grouped by
-near end on first use (:meth:`CommonGraph.ends`).  Validators in the
+are tuples, so they hash and compare in C.  A ``CommonGraph`` is loaded
+in one pass over the edges and one over the property triples, which
+keep the distinct edges, the record map and a per-name triple index, in
+input order.  Every other index (adjacency lists, records, the node and
+value sets, a name's far ends by near end (:meth:`CommonGraph.ends`),
+row profiles) is derived from those on its first read, so a run pays
+only for the indexes it reads.  Validators in the
 dialect modules only ever read a ``CommonGraph``, so one graph can be
 shared freely between concurrent evaluators.  The AST and report
 records of all modules are classes built by :func:`frozen`, which
@@ -19,6 +22,8 @@ compiles their methods once per field list.
 from __future__ import annotations
 
 from collections import defaultdict
+from functools import cached_property
+from itertools import chain
 from operator import itemgetter
 from types import FunctionType
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple, Union
@@ -274,7 +279,7 @@ def value_type_member(w: Value, type_id: str, registry: Optional[ValueTypeRegist
     return (registry or DEFAULT_TYPES).member(w, type_id)
 
 
-_NAME = itemgetter(1)  # the name of an edge, or the key of a (node, key) owner
+_NEAR, _FAR = itemgetter(0), itemgetter(2)  # of a triple; _NEAR also of a (node, key) pair
 
 
 class RowProfile:
@@ -294,109 +299,153 @@ class RowProfile:
 
 
 class RowProfiles(dict):
-    """The row profile of each raw element of one graph, made on the
-    first lookup of the element and then kept."""
+    """The row profile of each raw element of one graph, all counted in
+    one pass over the name index in sorted name order: a triple gives its
+    near end a forward row and its far end an inverse row.  An element
+    with no rows (one outside the graph) gets the empty profile."""
 
-    __slots__ = ("_out_edges", "_in_edges", "_node_props", "_value_owners", "_shared")
+    __slots__ = ()
 
-    def __init__(self, g: "CommonGraph"):
+    def __init__(self, by_name: Dict[str, List[Triple]]):
         super().__init__()
-        # the indexes, not the graph: the graph holds this mapping, and a
-        # cycle would keep both alive until a collection
-        self._out_edges, self._in_edges = g._out_edges, g._in_edges
-        self._node_props, self._value_owners = g._node_props, g._value_owners
-        self._shared: Dict[Tuple[Tuple[str, ...], Tuple[str, ...]], RowProfile] = {}  # by (fwd, inv)
+        # each element's row names in sorted order, an inverse row's as (name,)
+        rows: Dict[Elem, List[Union[str, Tuple[str]]]] = defaultdict(list)
+        for name in sorted(by_name):
+            back = (name,)
+            for near, _, far in by_name[name]:
+                rows[near].append(name)
+                rows[far].append(back)
+        by_rows: Dict[tuple, RowProfile] = {}
+        by_counts: Dict[Tuple[Tuple[str, ...], Tuple[str, ...]], RowProfile] = {}  # by (fwd, inv)
+        for x, names in rows.items():
+            names = tuple(names)
+            p = by_rows.get(names)
+            if p is None:  # rows both ways under one name come in input order: one profile, many tuples
+                key = (tuple(n for n in names if type(n) is str), tuple(n[0] for n in names if type(n) is tuple))
+                p = by_rows[names] = by_counts.get(key) or by_counts.setdefault(key, RowProfile(*key))
+            self[x] = p
 
     def __missing__(self, x: Elem) -> RowProfile:
-        if type(x) is str:
-            fwd = [*map(_NAME, self._out_edges.get(x, ())), *self._node_props.get(x, ())]
-            fwd.sort()
-            inv = sorted(map(_NAME, self._in_edges.get(x, ())))
-        else:
-            fwd, inv = [], sorted(map(_NAME, self._value_owners.get(x, ())))
-        key = (tuple(fwd), tuple(inv))
-        p = self[x] = self._shared.get(key) or self._shared.setdefault(key, RowProfile(*key))
-        return p
+        return _NO_ROWS
+
+
+_NO_ROWS = RowProfile((), ())
 
 
 class CommonGraph:
-    """Immutable common graph with precomputed adjacency indexes.
+    """Immutable common graph: its deduplicated edges in input order, its
+    record map and a name index, with every other index derived on first
+    read.
 
-    The constructor checks the invariants of :func:`build_graph` in the
-    pass that fills the indexes (``defaultdict``s, read through ``get``).
-    Next to the adjacency lists it keeps a name index,
-    :meth:`triples_named`: each predicate's edges and each key's property
-    triples in first-occurrence order (vertical partitioning), holding
-    the input triple objects themselves.  The nodes grouped by record
-    size (:meth:`nodes_of_size`), each name's far ends by near end and
-    direction (:meth:`ends`, at most one entry per triple per direction)
-    and the elements' row profiles (:attr:`row_profiles`) are derived on
-    first use, like the hash.
+    The constructor checks the invariants of :func:`build_graph` in its
+    one pass over the edges and one over the property triples, and keeps
+    only what that pass makes: ``edges`` (the distinct edges in the order
+    the input first gives them), ``props`` (each (node, key) pair's value,
+    in the same order) and the name index, :meth:`triples_named`: each
+    predicate's edges and each key's property triples in first-occurrence
+    order (vertical partitioning), holding the input triple objects
+    themselves.  The adjacency lists, the records (:meth:`node_props`),
+    the value owners, ``nodes``, ``values``, ``keys``, ``preds``, the nodes
+    grouped by record size (:meth:`nodes_of_size`), each name's far ends
+    by near end and direction (:meth:`ends`, at most one entry per triple
+    per direction), the elements' row profiles (:attr:`row_profiles`) and
+    the hash are each derived on their first read (``cached_property``),
+    from those three alone, then kept; each is published whole, so
+    concurrent readers see it complete or not at all.
     """
 
-    __slots__ = (
-        "edges",
-        "props",
-        "nodes",
-        "keys",
-        "values",
-        "preds",
-        "_out_edges",
-        "_in_edges",
-        "_node_props",
-        "_value_owners",
-        "_by_name",
-        "_by_size",
-        "_ends",
-        "_profiles",
-        "_hash",
-    )
-
     def __init__(self, edges: Iterable[EdgeTriple], props: Iterable[PropTriple]):
-        out_edges: Dict[str, List[EdgeTriple]] = defaultdict(list)
-        in_edges: Dict[str, List[EdgeTriple]] = defaultdict(list)
         by_name: Dict[str, List[Triple]] = defaultdict(list)
         unique = dict.fromkeys(edges)  # deduplicated, in input order
         for e in unique:
-            s, p, o = e
-            out_edges[s].append(e)
-            in_edges[o].append(e)
-            by_name[p].append(e)
-        preds = frozenset(by_name)  # before any key joins the index
+            by_name[e[1]].append(e)
+        edge_rows = [len(rows) for rows in by_name.values()]  # per predicate, before any key joins
         prop_map: Dict[Tuple[str, str], Value] = {}
-        node_props: Dict[str, Dict[str, Value]] = defaultdict(dict)
-        value_owners: Dict[Value, List[Tuple[str, str]]] = defaultdict(list)
-        keys = set()
         for t in props:
             n, k, w = t
             nk = (n, k)
             old = prop_map.get(nk)
             if old is None:
                 prop_map[nk] = w
-                keys.add(k)
-                node_props[n][k] = w
-                value_owners[w].append(nk)
                 by_name[k].append(t)
             elif old != w:
                 raise DuplicateKeyValue(f"node {n!r} key {k!r} maps to both {old!r} and {w!r}")
-        clash = preds & keys
+        # the predicates come first in the index; one that gained rows is also a key
+        clash = [p for (p, rows), n in zip(by_name.items(), edge_rows) if len(rows) != n]
         if clash:
             raise SortClash(f"names used both as predicate and key: {sorted(clash)}")
-        self.edges = frozenset(unique)
+        self.edges = unique.keys()
         self.props = prop_map
-        self.nodes = frozenset(out_edges.keys() | in_edges.keys() | node_props.keys())
-        self.keys = frozenset(keys)
-        self.values = frozenset(value_owners)
-        self.preds = preds
-        self._out_edges = out_edges
-        self._in_edges = in_edges
-        self._node_props = node_props
-        self._value_owners = value_owners
         self._by_name = by_name
-        self._by_size: Optional[Dict[int, FrozenSet[str]]] = None  # built on the first nodes_of_size
-        self._ends: Dict[Tuple[str, str], Dict[Elem, List[Elem]]] = {}  # by (name, direction), filled by ends
-        self._profiles: Optional[RowProfiles] = None  # made on the first row_profiles
-        self._hash: Optional[int] = None  # computed on the first __hash__
+
+    @cached_property
+    def _out_edges(self) -> Dict[str, List[EdgeTriple]]:
+        out: Dict[str, List[EdgeTriple]] = defaultdict(list)
+        for e in self.edges:
+            out[e[0]].append(e)
+        return out
+
+    @cached_property
+    def _in_edges(self) -> Dict[str, List[EdgeTriple]]:
+        into: Dict[str, List[EdgeTriple]] = defaultdict(list)
+        for e in self.edges:
+            into[e[2]].append(e)
+        return into
+
+    @cached_property
+    def _node_props(self) -> Dict[str, Dict[str, Value]]:
+        records: Dict[str, Dict[str, Value]] = defaultdict(dict)
+        for (n, k), w in self.props.items():
+            records[n][k] = w
+        return records
+
+    @cached_property
+    def _value_owners(self) -> Dict[Value, List[Tuple[str, str]]]:
+        owners: Dict[Value, List[Tuple[str, str]]] = defaultdict(list)
+        for nk, w in self.props.items():
+            owners[w].append(nk)
+        return owners
+
+    @cached_property
+    def nodes(self) -> FrozenSet[str]:
+        edges = self.edges
+        return frozenset(chain(map(_NEAR, edges), map(_FAR, edges), map(_NEAR, self.props)))
+
+    @cached_property
+    def values(self) -> FrozenSet[Value]:
+        return frozenset(self.props.values())
+
+    @cached_property
+    def preds(self) -> FrozenSet[str]:
+        edges = self.edges
+        return frozenset(name for name, rows in self._by_name.items() if rows[0] in edges)
+
+    @cached_property
+    def keys(self) -> FrozenSet[str]:
+        return frozenset(self._by_name).difference(self.preds)
+
+    @cached_property
+    def _by_size(self) -> Dict[int, FrozenSet[str]]:
+        by_size: Dict[int, Set[str]] = defaultdict(set)
+        for u, r in self._node_props.items():
+            by_size[len(r)].add(u)
+        groups = {k: frozenset(us) for k, us in by_size.items()}
+        groups[0] = self.nodes.difference(self._node_props)
+        return groups
+
+    @cached_property
+    def _ends(self) -> Dict[Tuple[str, str], Dict[Elem, List[Elem]]]:
+        return {}  # by (name, direction), filled by ends
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((frozenset(self.edges), frozenset(self.props.items())))
+
+    @cached_property
+    def row_profiles(self) -> RowProfiles:
+        """The row profile of each raw element, all counted on the first
+        read from the name index alone."""
+        return RowProfiles(self._by_name)
 
     def __eq__(self, other) -> bool:
         return (
@@ -406,12 +455,14 @@ class CommonGraph:
         )
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.edges, frozenset(self.props.items())))
         return self._hash
 
     def __repr__(self) -> str:
         return f"CommonGraph(|E|={len(self.edges)}, |props|={len(self.props)})"
+
+    def __reduce__(self):
+        # pickled and copied as its triples, in order; a copy derives its own indexes
+        return CommonGraph, (list(self.edges), [PropTriple(n, k, w) for (n, k), w in self.props.items()])
 
     def out_edges(self, node: str) -> List[EdgeTriple]:
         return self._out_edges.get(node, [])
@@ -435,13 +486,6 @@ class CommonGraph:
     def nodes_of_size(self, n: int) -> FrozenSet[str]:
         """The nodes with exactly ``n`` properties.  The first call groups
         all nodes by the size of their record."""
-        if self._by_size is None:
-            by_size: Dict[int, Set[str]] = defaultdict(set)
-            for u, r in self._node_props.items():
-                by_size[len(r)].add(u)
-            groups = {k: frozenset(us) for k, us in by_size.items()}
-            groups[0] = self.nodes.difference(self._node_props)
-            self._by_size = groups  # published whole, for concurrent readers
         return self._by_size.get(n, frozenset())
 
     def ends(self, name: str, direction: str) -> Dict[Elem, List[Elem]]:
@@ -466,14 +510,6 @@ class CommonGraph:
         """What :meth:`ends` returns if it was asked for ``(name,
         direction)`` before, else None; builds nothing."""
         return self._ends.get((name, direction))
-
-    @property
-    def row_profiles(self) -> RowProfiles:
-        """The row profile of each raw element, as a mapping that counts
-        an element's rows on its first lookup."""
-        if self._profiles is None:
-            self._profiles = RowProfiles(self)
-        return self._profiles
 
     def prop(self, node: str, key: str) -> Optional[Value]:
         return self.props.get((node, key))

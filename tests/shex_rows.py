@@ -1,14 +1,25 @@
 """ShEx neighborhood matching read row by row, for the tests.
 
 The evaluator decides an element from its row profile and reads only
-the far ends of its tested groups.  These helpers give each row of an
-element its own signature instead, from the template's plan and the
-set evaluator, so the kernel can be checked on the rows themselves.
+the far ends of its tested groups.  These helpers count a profile from
+the element's own adjacency lists, and give each row of an element its
+own signature, from the template's plan and the set evaluator, so the
+kernel can be checked on the rows themselves.
 """
 
 from triform import _bagmatch_py
 from triform.model import FWD, INV, Node, SignedTriple, Val, focus_elem
 from triform.shex import EvalContext, _sat, _template, default_cap
+
+
+def row_profile(g, x):
+    """The names of the forward and of the inverse rows of the raw
+    element ``x``, each sorted, counted from its adjacency lists: the
+    per-element oracle of ``CommonGraph.row_profiles``."""
+    if type(x) is not str:
+        return (), tuple(sorted(k for _, k in g.value_owners(x)))
+    fwd = sorted([e.p for e in g.out_edges(x)] + list(g.node_props(x)))
+    return tuple(fwd), tuple(sorted(e.p for e in g.in_edges(x)))
 
 
 def signed_rows(g, x):

@@ -485,6 +485,25 @@ def test_oracle_path_reads_only_the_shacl_and_pg_dialects(files, tmp_path, capsy
         assert err == f'error: at $.dialect: expected "shacl" or "pg", got {dialect!r}\n'
 
 
+@pytest.mark.parametrize(
+    "fields, stray",
+    [({"path": {"op": "bogus"}}, "path"), ({"dialect": "owl"}, "dialect")],
+    ids=["path", "dialect"],
+)
+def test_oracle_match_rejects_the_path_fields(files, tmp_path, capsys, fields, stray):
+    assert oracle_match(capsys, files, tmp_path, **fields) == (2, "", f"error: at $.{stray}: unknown field\n")
+
+
+@pytest.mark.parametrize(
+    "fields, stray",
+    [({"expr": {"op": "bogus"}}, "expr"), ({"openness": 5}, "openness")],
+    ids=["expr", "openness"],
+)
+def test_oracle_path_rejects_the_match_fields(files, tmp_path, capsys, fields, stray):
+    step = {"op": "step", "q": "ownsAccount"}
+    assert oracle_path(capsys, files, tmp_path, path=step, **fields) == (2, "", f"error: at $.{stray}: unknown field\n")
+
+
 def test_main_builds_the_parser_once(files, capsys, monkeypatch):
     made = []
     init = argparse.ArgumentParser.__init__

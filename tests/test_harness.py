@@ -48,6 +48,7 @@ from triform.shex import (
     match_triple_expr,
     top_shape,
 )
+from triform import cogsl
 from triform.cogsl import check_common, cogsl_to_shacl, cogsl_validate
 
 
@@ -150,6 +151,24 @@ def test_differential_check_golden(g_media, pg_c1_c5, mutations):
     assert report2.verdict_pg is False
     assert report2.verdict_shacl is False
     assert report2.verdict_shex is False
+
+
+def test_differential_check_classifies_the_rules_once(monkeypatch, g_media, pg_c1_c5, mutations):
+    calls = []
+    classify = cogsl._classify
+    monkeypatch.setattr(cogsl, "_classify", lambda rules: calls.append(rules) or classify(rules))
+    broken, _ = mutations["card_as_string"]
+    for g in (g_media, broken):
+        calls.clear()
+        report = differential_check(g, pg_c1_c5)
+        assert report.agree and len(calls) == 1
+    checked = cogsl.CheckedSchema(pg_c1_c5)
+    assert checked == tuple(pg_c1_c5)
+    assert cogsl_to_shacl(checked) == cogsl_to_shacl(pg_c1_c5)
+    assert cogsl.cogsl_to_shex(checked) == cogsl.cogsl_to_shex(pg_c1_c5)
+    calls.clear()
+    cogsl_validate(broken, checked)
+    assert calls == []  # a checked schema is not classified again
 
 
 def test_differential_check_empty():

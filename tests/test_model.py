@@ -1,5 +1,7 @@
+import copy
 import json
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -9,7 +11,9 @@ import pytest
 
 from triform import shacl as sh
 from triform import shex as sx
-from triform.examples import media_graph
+from triform import examples
+from triform.cogsl import cogsl_to_shacl, cogsl_to_shex
+from triform.examples import media_graph, media_mutations
 from triform.harness import GenParams, gen_graph
 from triform.jsonio import parse_graph
 from triform.model import (
@@ -54,6 +58,8 @@ from triform.pgschema import (
 )
 from triform.shacl import shacl_validate
 from triform.shex import shex_validate
+
+from shex_rows import row_profile
 
 
 def test_build_graph_media_fragment(g_media_core):
@@ -238,6 +244,88 @@ def test_one_pass_build_equals_naive_indexes(nodes, density):
         assert g == gen_graph(p)
 
 
+LOADED = {"edges", "props", "_by_name"}  # all a graph holds before its first read
+DERIVED = ("_out_edges", "_in_edges", "_node_props", "_value_owners", "nodes", "values")
+
+
+def _eager_indexes(g):
+    """The adjacency lists, records, value owners, ``nodes``, ``values`` and
+    ``keys`` of ``g``, built at once from ``g.edges`` and ``g.props`` in
+    their order; a record is a list of its (key, value) pairs, so that its
+    order counts."""
+    out, into, records, owners = {}, {}, {}, {}
+    for e in g.edges:
+        out.setdefault(e.s, []).append(e)
+        into.setdefault(e.o, []).append(e)
+    for (n, k), w in g.props.items():
+        records.setdefault(n, []).append((k, w))
+        owners.setdefault(w, []).append((n, k))
+    return {
+        "_out_edges": out,
+        "_in_edges": into,
+        "_node_props": records,
+        "_value_owners": owners,
+        "nodes": {e.s for e in g.edges} | {e.o for e in g.edges} | {n for n, _ in g.props},
+        "values": set(g.props.values()),
+        "keys": {k for _, k in g.props},
+    }
+
+
+def _derivation_cases():
+    """Fresh graphs: the media graph, its five mutations, a graph whose
+    elements are near and far ends of one name (a loop included), and
+    seeded generated graphs given shuffled, with duplicates."""
+    yield "media", media_graph(), None
+    for name, (g, _) in media_mutations().items():
+        yield name, g, None
+    # "a" and "e" have two forward and two inverse p rows, met in different orders
+    both_ways = [EdgeTriple("a", "p", "a"), EdgeTriple("b", "p", "a"), EdgeTriple("a", "p", "c"), EdgeTriple("c", "q", "b")]
+    both_ways += [EdgeTriple("e", "p", "f"), EdgeTriple("e", "p", "g"), EdgeTriple("h", "p", "e"), EdgeTriple("i", "p", "e")]
+    yield "both-ways", build_graph(both_ways, [PropTriple("b", "k", int_v(1)), PropTriple("c", "k", int_v(1))]), None
+    for nodes, density in [(8, 0.18), (40, 0.06)]:
+        for seed in range(5):
+            p = GenParams(seed=seed, node_count=nodes, edge_density=density, prop_density=0.3)
+            edges, props = _shuffled_with_duplicates(gen_graph(p), seed)
+            yield f"gen-{nodes}-{seed}", build_graph(edges, props), (edges, props)
+
+
+def test_derived_indexes_equal_an_eager_construction():
+    for label, g, given in _derivation_cases():
+        assert set(vars(g)) == LOADED, label
+        if given is not None:  # the loaded edges and records keep the input's first-occurrence order
+            edges, props = given
+            assert list(g.edges) == _first_occurrences(edges), label
+            assert list(g.props) == _first_occurrences((t.n, t.k) for t in props), label
+        want = _eager_indexes(g)
+        for name in DERIVED:
+            got = getattr(g, name)
+            if name == "_node_props":
+                got = {n: list(r.items()) for n, r in got.items()}
+            assert got == want[name], (label, name)
+        assert g.keys == want["keys"] and g.preds == {e.p for e in g.edges}, label
+        profiles = g.row_profiles
+        elems = sorted(g.nodes) + sorted(g.values, key=repr) + ["ghost", int_v(-5)]
+        for x in elems:
+            p = profiles[x]
+            assert (p.fwd, p.inv) == row_profile(g, x), (label, x)
+            assert p.size == len(p.fwd) + len(p.inv)
+        # one profile per distinct count vector, shared by identity
+        shared = {}
+        for x in elems:
+            p = profiles[x]
+            assert shared.setdefault((p.fwd, p.inv), p) is p, (label, x)
+        assert set(profiles) == set(g.nodes) | set(g.values), label  # an absent element adds no entry
+
+
+def test_graph_pickles_and_copies_as_its_triples():
+    g = media_graph()
+    g.row_profiles, g.nodes  # derived indexes are not copied
+    for twin in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g), copy.copy(g)):
+        assert set(vars(twin)) == LOADED
+        assert list(twin.edges) == list(g.edges) and list(twin.props) == list(g.props)
+        assert twin == g and hash(twin) == hash(g)
+
+
 def test_build_graph_error_messages():
     with pytest.raises(DuplicateKeyValue) as dup:
         build_graph(
@@ -317,12 +405,34 @@ def test_name_steps_read_only_the_name_index(monkeypatch):
     assert reports() == expected
 
 
+def test_shacl_and_shex_validation_derive_no_adjacency():
+    """SHACL and ShEx validation read a freshly parsed graph through its
+    name index and row profiles alone: the adjacency lists, records,
+    value owners, ``nodes`` and ``values`` stay underived."""
+    fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+    docs = {name: json.loads((fixtures / f"{name}.json").read_text()) for name in ("media_graph", "media_graph_six_access")}
+    schemas = [
+        (shacl_validate, examples.media_shacl_rules()),
+        (shacl_validate, cogsl_to_shacl(examples.media_pg_rules())),
+        (shex_validate, examples.media_shex_rules()),
+        (shex_validate, cogsl_to_shex(examples.media_pg_rules())),
+    ]
+    for name, doc in docs.items():
+        for validate, rules in schemas:
+            g = parse_graph(doc)
+            assert set(vars(g)) == LOADED
+            report = validate(g, rules)
+            assert report.valid == (name == "media_graph")
+            assert not set(DERIVED) & set(vars(g)), (name, validate.__name__)
+
+
 _ORDER_SCRIPT = """
 import json
 from triform.harness import GenParams, gen_graph
 g = gen_graph(GenParams(seed=3, node_count=40, edge_density=0.06, prop_density=0.3))
-print(json.dumps([[u, g.out_edges(u), g.in_edges(u)] for u in sorted(g.nodes)]
-                 + [[w, g.value_owners(w)] for w in sorted(g.values, key=repr)]))
+profile = lambda x: [g.row_profiles[x].fwd, g.row_profiles[x].inv]
+print(json.dumps([[u, g.out_edges(u), g.in_edges(u), profile(u)] for u in sorted(g.nodes)]
+                 + [[w, g.value_owners(w), profile(w)] for w in sorted(g.values, key=repr)]))
 """
 
 
@@ -338,6 +448,7 @@ def test_adjacency_order_does_not_depend_on_the_hash_seed():
         runs.append(json.loads(done.stdout))
     assert runs[0] == runs[1]
     assert sum(len(row[1]) > 1 for row in runs[0]) > 5  # some lists have an order to keep
+    assert sum(len(row[-1][0]) > 1 for row in runs[0]) > 5  # and so do some profiles
 
 
 def test_value_equality_is_tag_and_payload_equality():

@@ -71,7 +71,8 @@ def bench_lines(script, *args):
 
 def test_benchmark_scripts_run():
     """The benchmark scripts the roadmap quotes still run and print a
-    line for every schema and every kernel workload."""
+    line for every schema and every kernel workload, and the graph
+    benchmark times the derived indexes next to the load."""
     spec = importlib.util.spec_from_file_location("bench_graph", BENCHMARKS / "bench_graph.py")
     bench_graph = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_graph)
@@ -80,6 +81,7 @@ def test_benchmark_scripts_run():
         assert ["validate", kind] in lines, kind
     for dialect in ("shacl", "pg"):
         assert ["decide", dialect] in lines, dialect
+    assert [line[0] for line in lines[1:3]] == ["load", "indexes"]
     lines = bench_lines("bench_matcher.py", "--sizes", "8", "--repeat", "1")
     for workload in ("pairs", "false-pairs", "bounded"):
         assert [workload, "8"] in lines, workload
