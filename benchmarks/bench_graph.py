@@ -18,10 +18,12 @@ process:
               it, collector handling included, and no rule to decide
   select      each dialect's selection of every rule's foci on the loaded
               graph (the raw ``_select`` the validators call)
-  decide      the SHACL and PG evaluation of every rule's shape on its
-              selected elements (the raw ``_sat`` the validators call):
-              the count atoms' path images alone, the selection made
-              untimed just before on the same graph
+  decide      the SHACL, PG and ShEx (fixture and compiled) evaluation
+              of every rule's shape on its selected elements (the raw
+              ``_sat`` the validators call, ShEx's in one context per
+              call): the count atoms' path images and the neighborhood
+              matching alone, the selection (and ShEx's row profiles)
+              made untimed just before on the same graph
   types       ``pgschema.validate_graph_type`` on the loaded graph with the
               media node and edge types and no constraints: the
               content-type and edge-type checks alone
@@ -113,9 +115,28 @@ SELECT = {
 }
 
 
+def shex_select(g, sel):
+    """ShEx selection, with the row profiles derived too (untimed)."""
+    g.row_profiles
+    return shex._select(g, sel)
+
+
+def shex_decide(g, picked):
+    """Every rule's shape on its selected elements, in one context, as
+    ``shex_validate`` decides them."""
+    ctx = shex.EvalContext(shex.default_cap())
+    return [shex._sat(ctx, g, shex._compile(ctx, shape), elems) for shape, elems in picked]
+
+
 DECIDE = {
-    "shacl": (examples.media_shacl_rules, shacl._select, shacl._sat),
-    "pg": (examples.media_pg_rules, lambda g, sel: pgschema._select(g, sel, None), pgschema._sat),
+    "shacl": (examples.media_shacl_rules, shacl._select, lambda g, picked: [shacl._sat(g, *p, None) for p in picked]),
+    "pg": (
+        examples.media_pg_rules,
+        lambda g, sel: pgschema._select(g, sel, None),
+        lambda g, picked: [pgschema._sat(g, *p, None) for p in picked],
+    ),
+    "shex": (examples.media_shex_rules, shex_select, shex_decide),
+    "shex_compiled": (lambda: cogsl_to_shex(examples.media_pg_rules()), shex_select, shex_decide),
 }
 
 
@@ -198,11 +219,11 @@ def main():
             for dialect, (rules, select) in SELECT.items():
                 sels = [sel for sel, _ in rules()]
                 rows[f"select {dialect}"] = lambda select=select, sels=sels: [select(g, s) for s in sels]
-            for dialect, (rules, select, sat) in DECIDE.items():
+            for dialect, (rules, select, decide) in DECIDE.items():
                 # (untimed preparation, timed work): the selection, then the shapes on it
                 rows[f"decide {dialect}"] = (
                     lambda rules=rules(), select=select: [(shape, select(g, sel)) for sel, shape in rules],
-                    lambda picked, sat=sat: [sat(g, shape, elems, None) for shape, elems in picked],
+                    lambda picked, decide=decide: decide(g, picked),
                 )
             types = media_graph_type()
             rows["types"] = lambda: pgschema.validate_graph_type(g, types)

@@ -284,52 +284,60 @@ _NEAR, _FAR = itemgetter(0), itemgetter(2)  # of a triple; _NEAR also of a (node
 
 class RowProfile:
     """The row count of an element per (direction, name): ``fwd`` holds
-    the names of its forward rows (out-edges and keys), ``inv`` those of
-    its inverse rows (in-edges, or a value's owners under the owning
-    key), each sorted, one entry per row; ``size`` is the number of
-    rows.  A graph makes one profile per distinct count vector, so
-    profiles compare by identity."""
+    (name, count) pairs for its forward rows (out-edges and keys), ``inv``
+    those for its inverse rows (in-edges, or a value's owners under the
+    owning key), each sorted by name; ``size`` is the number of rows.  A
+    graph makes one profile per count vector, compared by identity."""
 
     __slots__ = ("fwd", "inv", "size")
 
-    def __init__(self, fwd: Tuple[str, ...], inv: Tuple[str, ...]):
+    def __init__(self, fwd: Tuple[Tuple[str, int], ...], inv: Tuple[Tuple[str, int], ...], size: int):
         self.fwd = fwd
         self.inv = inv
-        self.size = len(fwd) + len(inv)
+        self.size = size
 
 
 class RowProfiles(dict):
     """The row profile of each raw element of one graph, all counted in
-    one pass over the name index in sorted name order: a triple gives its
-    near end a forward row and its far end an inverse row.  An element
-    with no rows (one outside the graph) gets the empty profile."""
+    one pass over the name index in sorted name order (a triple gives its
+    near end a forward row and its far end an inverse row), each distinct
+    profile once.  An element outside the graph gets the empty profile."""
 
     __slots__ = ()
 
     def __init__(self, by_name: Dict[str, List[Triple]]):
         super().__init__()
-        # each element's row names in sorted order, an inverse row's as (name,)
+        # each element's rows, forward as the name, inverse as (name,): by name, forward
+        # first, so equal count vectors give equal tuples, each count one run of one object
         rows: Dict[Elem, List[Union[str, Tuple[str]]]] = defaultdict(list)
         for name in sorted(by_name):
+            triples = by_name[name]
+            for x in map(_NEAR, triples):
+                rows[x].append(name)
             back = (name,)
-            for near, _, far in by_name[name]:
-                rows[near].append(name)
-                rows[far].append(back)
+            for x in map(_FAR, triples):
+                rows[x].append(back)
         by_rows: Dict[tuple, RowProfile] = {}
-        by_counts: Dict[Tuple[Tuple[str, ...], Tuple[str, ...]], RowProfile] = {}  # by (fwd, inv)
         for x, names in rows.items():
             names = tuple(names)
             p = by_rows.get(names)
-            if p is None:  # rows both ways under one name come in input order: one profile, many tuples
-                key = (tuple(n for n in names if type(n) is str), tuple(n[0] for n in names if type(n) is tuple))
-                p = by_rows[names] = by_counts.get(key) or by_counts.setdefault(key, RowProfile(*key))
+            if p is None:  # counted run by run
+                fwd, inv, i, size = [], [], 0, len(names)
+                while i < size:
+                    n, j = names[i], i + 1
+                    while j < size and names[j] is n:
+                        j += 1
+                    pairs, name = (fwd, n) if type(n) is str else (inv, n[0])
+                    pairs.append((name, j - i))
+                    i = j
+                p = by_rows[names] = RowProfile(tuple(fwd), tuple(inv), size)
             self[x] = p
 
     def __missing__(self, x: Elem) -> RowProfile:
         return _NO_ROWS
 
 
-_NO_ROWS = RowProfile((), ())
+_NO_ROWS = RowProfile((), (), 0)
 
 
 class CommonGraph:

@@ -9,29 +9,26 @@ shapes also any outgoing with name outside Q).
 
 Shapes are decided set-at-a-time on raw elements (node ids and values),
 as in ``shacl`` and ``pgschema``: :func:`_sat` maps a shape and a set of
-elements to those that satisfy it.  Each neighborhood shape is
-flattened once per run into a program template.  An element's signed
-triples are its rows; each row gets a signature, the set of leaf and
-wildcard nodes that may consume it.  Wildcards and top-shape leaves
-take a row untested, so its signature depends on its (direction, name)
-alone; each other nested shape is evaluated once, on the union of the
-far ends it tests.  As in the bag semantics of ShEx, the verdict
-depends only on the bag of row signatures (the Parikh image over the
-constraints).  So an element is read through its row profile
-(``model.RowProfile``), its row count per (direction, name), whose
-total is checked against a hard cap before any nested shape is
-evaluated.  The template keeps a per-run entry per profile: its
-verdict when it has no tested group, which the element then gets
-without reading a row; otherwise the count of each signature among its
-untested rows and its tested groups, whose far ends alone are read
-(``CommonGraph.ends``).  A per-run verdict memo is keyed by the sorted
-(signature, count) pairs, and only a miss runs the kernel of
-``_bagmatch_py``: a DP over the count of rows of each distinct
-signature, pruned by each program node's static interval of triple
-counts.  Its cost is polynomial in the rows for a fixed number of
-distinct signatures; exceeding the cap raises ``NeighborhoodTooLarge``,
-never approximating, and so does a bag whose star parts nest deeper
-than the interpreter's recursion limit.
+elements to those that satisfy it.  A neighborhood shape becomes a
+program template when an element first reaches it.  An element's rows
+(signed triples) each get a signature, the set of leaf and wildcard
+nodes that may consume them, and the verdict depends only on the bag of
+signatures (the Parikh image over the constraints).  An untested row's
+signature depends on its (direction, name) alone, so an element is read
+through its row profile (``model.RowProfile``: (name, count) pairs, one
+step per distinct name), whose total is checked against a hard cap
+first.  Each template keeps a per-run entry per profile: the verdict
+when no row is tested, else the untested counts and the tested groups.
+The elements with tested groups are bucketed by profile; only their far
+ends are read, each nested shape is evaluated once on the union of the
+far ends it tests, and a bucket whose far ends get one signature per
+group is decided by one bag, the others element by element by their
+far-end signatures.  A per-run memo keyed by the sorted (signature,
+count) pairs runs the kernel of ``_bagmatch_py`` on a miss only: a DP
+over the count of rows of each signature, pruned by static intervals.
+Exceeding the cap raises ``NeighborhoodTooLarge``, never approximating,
+and so does a bag whose star parts nest deeper than the interpreter's
+recursion limit; the error names the least such element.
 
 Counting is by triples, not by endpoints: a node with two parallel
 p-edges to the same target offers two distinct signed triples.  This is
@@ -42,7 +39,7 @@ counting-divergence suite.
 from __future__ import annotations
 
 import os
-from collections import defaultdict
+from functools import reduce
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
 from . import _bagmatch_py
@@ -59,7 +56,6 @@ from .model import (
     Value,
     ValueTypeRegistry,
     neigh_signed,  # noqa: F401  unused here, but the benchmark's tracer patches it on this module
-    elem_focus,
     elems_to_foci,
     focus_elem,
     frozen,
@@ -73,10 +69,8 @@ DEFAULT_CAP = 24
 
 def default_cap() -> int:
     raw = os.environ.get("TRIFORM_CAP")
-    if raw is None:
-        return DEFAULT_CAP
     try:
-        cap = int(raw)
+        cap = DEFAULT_CAP if raw is None else int(raw)
     except ValueError:
         raise TriformError(f"TRIFORM_CAP must be an integer, got {raw!r}") from None
     if cap < 0:
@@ -159,15 +153,11 @@ Openness = Union[HalfOpen, Open]
 
 
 def is_closed_expr(e: TripleExpr) -> bool:
-    if isinstance(e, (WildOut, WildIn)):
-        return False
     if isinstance(e, (Seq, Alt)):
         return is_closed_expr(e.left) and is_closed_expr(e.right)
     if isinstance(e, StarE):
         return is_closed_expr(e.inner)
-    if isinstance(e, TC):
-        return True  # nested shapes carry their own closed expressions
-    return isinstance(e, Eps)
+    return isinstance(e, (Eps, TC))  # nested shapes carry their own closed expressions
 
 
 @frozen
@@ -244,39 +234,23 @@ def top_shape() -> ShexShape:
 
 
 def seq_all(exprs: List[TripleExpr]) -> TripleExpr:
-    if not exprs:
-        return Eps()
-    out = exprs[0]
-    for e in exprs[1:]:
-        out = Seq(out, e)
-    return out
+    return reduce(Seq, exprs) if exprs else Eps()
 
 
 def alt_all(exprs: List[TripleExpr]) -> TripleExpr:
     if not exprs:
         raise TriformError("empty alternation")
-    out = exprs[0]
-    for e in exprs[1:]:
-        out = Alt(out, e)
-    return out
+    return reduce(Alt, exprs)
 
 
 def sand_all(shapes: List[ShexShape]) -> ShexShape:
-    if not shapes:
-        return top_shape()
-    out = shapes[0]
-    for s in shapes[1:]:
-        out = SAnd(out, s)
-    return out
+    return reduce(SAnd, shapes) if shapes else top_shape()
 
 
 def sor_all(shapes: List[ShexShape]) -> ShexShape:
     if not shapes:
         raise TriformError("empty disjunction")
-    out = shapes[0]
-    for s in shapes[1:]:
-        out = SOr(out, s)
-    return out
+    return reduce(SOr, shapes)
 
 
 # ---------------------------------------------------------------------------
@@ -288,23 +262,11 @@ def desugar_repetition(e: TripleExpr, kind: str, n: int) -> TripleExpr:
     if n < 0:
         raise TriformError("repetition bound must be non-negative")
     if kind == "exactly":
-        if n == 0:
-            return Eps()
-        out = e
-        for _ in range(n - 1):
-            out = Seq(out, e)
-        return out
+        return reduce(Seq, [e] * n) if n else Eps()
     if kind == "at-most":
-        if n == 0:
-            return Eps()
-        out: TripleExpr = Eps()
-        for i in range(1, n + 1):
-            out = Alt(out, desugar_repetition(e, "exactly", i))
-        return out
+        return reduce(Alt, (desugar_repetition(e, "exactly", i) for i in range(1, n + 1)), Eps())
     if kind == "at-least":
-        if n == 0:
-            return StarE(e)
-        return Seq(desugar_repetition(e, "exactly", n), StarE(e))
+        return Seq(desugar_repetition(e, "exactly", n), StarE(e)) if n else StarE(e)
     raise TriformError(f"unknown repetition kind {kind!r}")
 
 
@@ -313,7 +275,7 @@ def preds_triple_expr(e: TripleExpr) -> Set[Tuple[str, str]]:
 
     Names inside nested shapes of triple constraints do not count.
     """
-    if isinstance(e, Eps):
+    if isinstance(e, (Eps, WildOut, WildIn)):
         return set()
     if isinstance(e, TC):
         return {(e.q, e.direction)}
@@ -321,8 +283,6 @@ def preds_triple_expr(e: TripleExpr) -> Set[Tuple[str, str]]:
         return preds_triple_expr(e.left) | preds_triple_expr(e.right)
     if isinstance(e, StarE):
         return preds_triple_expr(e.inner)
-    if isinstance(e, WildOut) or isinstance(e, WildIn):
-        return set()
     raise TriformError(f"unknown triple expression {e!r}")
 
 
@@ -340,8 +300,8 @@ def open_closure(e: TripleExpr) -> ShexShape:
 
 
 class _Template:
-    """A neighborhood shape flattened once per run into the kernel
-    program format, with the run's profile entries and verdict memo.
+    """A neighborhood shape flattened into the kernel program format, with
+    the run's profile entries and verdict memo.
 
     A row's signature is the set of leaf and wildcard nodes that may
     consume it, one bit per node.  ``leaves`` buckets the bits of the
@@ -351,14 +311,10 @@ class _Template:
     openness suffix included.  ``program`` is the kernel program
     (``_bagmatch_py.Program``); it depends on the shape only.
 
-    ``entries`` maps a row profile (``model.RowProfile``) whose row
-    total is within the cap to its entry: its verdict when it has no
-    tested group, and otherwise the count of each signature among its
-    untested rows and its tested (direction, name) groups (see
-    :meth:`groups`).
-    ``verdicts`` maps the sorted (signature, count) pairs of an
-    element's rows to its verdict; only a miss runs the kernel, on those
-    signatures and counts.
+    ``entries`` maps a row profile (``model.RowProfile``) within the cap
+    to its verdict when it has no tested group, else to the count of each
+    signature among its untested rows and its tested groups (:meth:`groups`).
+    ``verdicts`` maps sorted (signature, count) pairs to the verdict.
     """
 
     def __init__(self) -> None:
@@ -366,40 +322,42 @@ class _Template:
         self.wilds: Dict[str, List[Tuple[int, FrozenSet[str]]]] = {FWD: [], INV: []}
         self.program: tuple = ()
         # :meth:`plan` per run, by direction and then by name
-        self.plans: Dict[str, Dict[str, Tuple[int, list]]] = {FWD: {}, INV: {}}
-        self.entries: Dict[RowProfile, tuple] = {}  # per run
-        self.verdicts: Dict[Tuple[Tuple[int, int], ...], bool] = {}  # per run
+        self.plans: Dict[str, Dict[str, Tuple[int, list, dict]]] = {FWD: {}, INV: {}}
+        self.entries: Dict[RowProfile, object] = {}  # per run
+        self.verdicts: Dict[Tuple[Tuple[int, int], ...], object] = {}  # per run
 
     def plan(self, name: str, direction: str):
-        """The signature bits a (name, direction) row gets untested, and
-        the (bit, nested shape) pairs of the leaves that test its far end."""
+        """A (name, direction) row's untested signature bits, the (bit, nested
+        shape) pairs of the leaves testing its far end, and the run's far-end signatures."""
         sig, tested = 0, []
         for bit, c in self.leaves.get((name, direction), ()):
-            if c.kind is SNeigh and c.template is None:  # the top shape
+            if c.kind is _Top:
                 sig |= bit
             else:
                 tested.append((bit, c))
         for bit, excl in self.wilds[direction]:
             if name not in excl:
                 sig |= bit
-        return self.plans[direction].setdefault(name, (sig, tested))
+        return self.plans[direction].setdefault(name, (sig, tested, {}))
 
-    def groups(self, p: RowProfile):
-        """The count of each signature among the rows of the profile ``p``
-        that no nested shape tests, and the (direction, name, signature
-        bits, tested leaves) of its other groups."""
+    def groups(self, g: CommonGraph, p: RowProfile):
+        """The count of each signature among the untested rows of the profile
+        ``p``, and per tested (direction, name) its far ends by near end and its plan."""
         counts: Dict[int, int] = {}
         tested, plan = [], self.plan
-        for d, names in ((FWD, p.fwd), (INV, p.inv)):
-            dplans, last = self.plans[d], None
-            for name in names:
-                sig, leaves = dplans.get(name) or plan(name, d)
-                if not leaves:
-                    counts[sig] = counts.get(sig, 0) + 1
-                elif name != last:  # names are sorted, so a group's rows are adjacent
-                    last = name
-                    tested.append((d, name, sig, leaves))
+        for d, named in ((FWD, p.fwd), (INV, p.inv)):
+            dplans = self.plans[d]
+            for name, n in named:
+                sig, leaves, sigs = dplans.get(name) or plan(name, d)
+                if leaves:
+                    tested.append((g.ends(name, d), sig, leaves, sigs))
+                else:
+                    counts[sig] = counts.get(sig, 0) + n
         return counts, tested
+
+
+class _Top:
+    """The kind of the compiled top shape, which every element satisfies."""
 
 
 class _Compiled:
@@ -418,13 +376,13 @@ class _Compiled:
         self.kind = type(shape)
         self.left: Optional[_Compiled] = None
         self.right: Optional[_Compiled] = None
-        self.template: Optional[_Template] = None  # None for the top shape
+        self.template: Optional[_Template] = None
 
 
 class EvalContext:
-    """Per-run state: the compiled shapes, keyed by ``id`` of the source
-    shape, each template with its verdict memo.  Nothing is cached in
-    module globals, so separate contexts may run in separate threads."""
+    """Per-run state over one graph: the compiled shapes by ``id`` of the
+    source shape, with their templates.  Nothing is cached in module
+    globals, so separate contexts may run in separate threads."""
 
     def __init__(self, cap: int, registry: Optional[ValueTypeRegistry] = None) -> None:
         self.cap = cap
@@ -437,14 +395,13 @@ def _is_top(expr: TripleExpr, openness: Openness) -> bool:
 
 
 def _compile(ctx: EvalContext, shape: ShexShape) -> _Compiled:
-    """The compiled form of ``shape``, built once per context."""
+    """The compiled form of ``shape``, made once per context, its template on first use."""
     c = ctx.compiled.get(id(shape))
     if c is not None:
         return c
     c = ctx.compiled[id(shape)] = _Compiled(len(ctx.compiled), shape)
     if isinstance(shape, SNeigh):
-        if not _is_top(shape.expr, shape.openness):
-            c.template = _template(ctx, shape.expr, shape.openness)
+        c.kind = _Top if _is_top(shape.expr, shape.openness) else SNeigh
     elif isinstance(shape, (SAnd, SOr)):
         c.left = _compile(ctx, shape.left)
         c.right = _compile(ctx, shape.right)
@@ -507,92 +464,135 @@ def _template(ctx: EvalContext, expr: TripleExpr, openness: Openness) -> _Templa
     return t
 
 
-def _decide(t: _Template, bag: Tuple[Tuple[int, int], ...], x: Elem) -> bool:
-    """The verdict on the sorted (signature, count) pairs ``bag`` of the
-    element ``x``, which the memo does not hold yet: run the kernel."""
-    sigs, counts = zip(*bag) if bag else ((), ())
-    try:
-        verdict = t.verdicts[bag] = _bagmatch_py.count_match(t.program, sigs, counts)
-    except RecursionError:  # the kernel recurses once per peeled star part
-        raise NeighborhoodTooLarge(
-            f"signed neighborhood of {elem_focus(x)!r} has {sum(counts)} triples,"
-            " too many star parts for the matcher's recursion depth"
-        ) from None
+_TOO_DEEP = object()  # the verdict on a bag with more star parts than the recursing kernel can peel
+
+
+def _decide(t: _Template, rows: Dict[int, int]):
+    """The verdict on the bag of ``rows[s]`` rows of each signature ``s``:
+    the memo's, else the kernel's, kept (True, False or ``_TOO_DEEP``)."""
+    bag = tuple(sorted(rows.items()))
+    verdict = t.verdicts.get(bag)
+    if verdict is None:
+        sigs, counts = zip(*bag) if bag else ((), ())
+        try:
+            verdict = _bagmatch_py.count_match(t.program, sigs, counts)
+        except RecursionError:
+            verdict = _TOO_DEEP
+        t.verdicts[bag] = verdict
     return verdict
+
+
+def _too_large(xs: List[Elem], profiles, why: str) -> NeighborhoodTooLarge:
+    """The capability error naming the least of ``xs`` in focus order."""
+    v = elems_to_foci(xs)[0]
+    return NeighborhoodTooLarge(f"signed neighborhood of {v!r} has {profiles[focus_elem(v)].size} triples{why}")
 
 
 def _neigh(ctx: EvalContext, g: CommonGraph, t: _Template, elems: Set[Elem]) -> Set[Elem]:
     """The elements of ``elems`` whose rows the template's program matches.
 
-    Each element is looked up by its row profile.  The first element of
-    a profile checks the profile's row total against the cap and makes its
-    entry; an element whose profile has no tested group is then decided
-    by the entry alone.  The others read the far ends of their tested
-    groups (``CommonGraph.ends``); once all elements are counted, each
-    tested nested shape is evaluated once, on the union of the far ends
-    it tests, and each such element is decided by its bag of row
-    signatures."""
-    profiles, entries, verdicts, cap, out = g.row_profiles, t.entries, t.verdicts, ctx.cap, set()
-    pending = []  # (element, untested counts, [(far ends, signature, tested leaves)])
-    asked: Dict[_Compiled, Set[Elem]] = defaultdict(set)
+    Each element is looked up by its row profile, whose first element checks
+    its total against the cap and makes its entry, the verdict when no row
+    is tested.  Other elements are bucketed by profile and decided as the
+    module docstring says.  Capability errors name the least element over
+    the cap or, once all are decided, with a bag too deep for the kernel."""
+    profiles, entries, cap, out = g.row_profiles, t.entries, ctx.cap, set()
+    buckets: Dict[RowProfile, List[Elem]] = {}  # the elements of each profile with tested groups
+    deep: List[Elem] = []  # the elements whose bag is too deep for the kernel
     for x in elems:
         p = profiles[x]
         entry = entries.get(p)
         if entry is None:
-            if p.size > cap:  # name the least one over the cap
-                v = elems_to_foci([y for y in elems if profiles[y].size > cap])[0]
-                n = profiles[focus_elem(v)].size
-                raise NeighborhoodTooLarge(f"signed neighborhood of {v!r} has {n} triples (cap {cap})")
-            counts, tested = t.groups(p)
-            if tested:
-                entry = entries[p] = (counts, tested)
-            else:  # the entry is the verdict
-                bag = tuple(sorted(counts.items()))
-                entry = verdicts.get(bag)
-                if entry is None:
-                    entry = _decide(t, bag, x)
-                entries[p] = entry
+            if p.size > cap:
+                raise _too_large([y for y in elems if profiles[y].size > cap], profiles, f" (cap {cap})")
+            counts, tested = t.groups(g, p)
+            entry = entries[p] = (counts, tested) if tested else _decide(t, counts)
         if entry is True:
             out.add(x)
-        elif entry is not False:
-            counts, tested = entry
-            deferred = []
-            for d, name, sig, leaves in tested:
-                far = g.ends(name, d).get(x, ())
-                for _, nested in leaves:
-                    asked[nested].update(far)
-                deferred.append((far, sig, leaves))
-            pending.append((x, counts, deferred))
-    if not pending:
-        return out
-    # in compilation order, so which cap error is raised first is fixed
-    sat = {nested: _sat(ctx, g, nested, asked[nested]) for nested in sorted(asked, key=lambda c: c.sid)}
-    for x, counts, deferred in pending:
-        rows = dict(counts)
-        for far, sig, leaves in deferred:
-            for y in far:
-                row = sig
-                for bit, nested in leaves:
-                    if y in sat[nested]:
-                        row |= bit
-                rows[row] = rows.get(row, 0) + 1
-        bag = tuple(sorted(rows.items()))
-        verdict = verdicts.get(bag)
-        if verdict is None:
-            verdict = _decide(t, bag, x)
-        if verdict:
-            out.add(x)
+        elif entry.__class__ is tuple:
+            if p in buckets:
+                buckets[p].append(x)
+            else:
+                buckets[p] = [x]
+        elif entry is _TOO_DEEP:
+            deep.append(x)
+    asked: Dict[_Compiled, Set[Elem]] = {}  # the far ends each nested shape tests
+    reads = []  # per bucket: its elements, its entry and each tested group's far ends by element
+    for p, xs in buckets.items():
+        entry, fars = entries[p], []
+        for ends, _, leaves, _ in entry[1]:
+            far = list(map(ends.__getitem__, xs))
+            for _, nested in leaves:
+                asked.setdefault(nested, set()).update(*far)
+            fars.append(far)
+        reads.append((xs, entry, fars))
+    if reads:  # nested shapes in compilation order, so the first cap error raised is fixed
+        sat = {nested: _sat(ctx, g, nested, asked[nested]) for nested in sorted(asked, key=lambda c: c.sid)}
+    for xs, (counts, tested), fars in reads:
+        rows, mixed = dict(counts), []
+        for (_, sig, leaves, sigs), far in zip(tested, fars):
+            first = None  # the group's one far-end signature in the bucket, or False
+            for f in far:
+                for y in f:
+                    row = sigs.get(y)
+                    if row is None:  # each far end gets its signature once per run
+                        row = sig
+                        for bit, nested in leaves:
+                            if y in sat[nested]:
+                                row |= bit
+                        sigs[y] = row
+                    if first is None:
+                        first = row
+                    elif row != first:
+                        first = False
+            if first is False:
+                mixed.append((far, sigs))
+            else:  # every element has the profile's count of rows with that signature
+                rows[first] = rows.get(first, 0) + len(far[0])
+        if not mixed:
+            verdict = _decide(t, rows)
+            if verdict is True:
+                out.update(xs)
+            elif verdict is _TOO_DEEP:
+                deep += xs
+            continue
+        memo: Dict[tuple, object] = {}  # the verdicts by the signatures of the far ends that differ
+        for i, x in enumerate(xs):
+            key = []
+            for far, sigs in mixed:
+                key.extend(map(sigs.__getitem__, far[i]))
+            key = tuple(key)
+            verdict = memo.get(key)
+            if verdict is None:
+                bag = dict(rows)
+                for row in key:
+                    bag[row] = bag.get(row, 0) + 1
+                verdict = memo[key] = _decide(t, bag)
+            if verdict is True:
+                out.add(x)
+            elif verdict is _TOO_DEEP:
+                deep.append(x)
+    if deep:
+        raise _too_large(deep, profiles, ", too many star parts for the matcher's recursion depth")
     return out
 
 
 def _sat(ctx: EvalContext, g: CommonGraph, c: _Compiled, elems: Set[Elem]) -> Set[Elem]:
     """The elements of ``elems`` that satisfy the compiled shape ``c``:
     the shape's extension cut to ``elems``.  Elements are raw (node ids
-    and values); the result is a set the caller must not mutate."""
+    and values); the result is a set the caller must not mutate.  A
+    neighborhood shape returns an empty set at once, so its template is
+    built only when an element reaches it."""
     kind = c.kind
     if kind is SNeigh:
-        # no template: the top shape, which matches every neighborhood
-        return elems if c.template is None else _neigh(ctx, g, c.template, elems)
+        if not elems:
+            return elems
+        t = c.template
+        if t is None:
+            t = c.template = _template(ctx, c.shape.expr, c.shape.openness)
+        return _neigh(ctx, g, t, elems)
+    if kind is _Top:
+        return elems
     if kind is SAnd:
         return _sat(ctx, g, c.right, _sat(ctx, g, c.left, elems))
     if kind is SOr:

@@ -2,24 +2,27 @@
 
 The evaluator decides an element from its row profile and reads only
 the far ends of its tested groups.  These helpers count a profile from
-the element's own adjacency lists, and give each row of an element its
-own signature, from the template's plan and the set evaluator, so the
-kernel can be checked on the rows themselves.
+the element's own adjacency lists, give each row of an element its own
+signature, from the template's plan and the set evaluator, so the
+kernel can be checked on the rows themselves, and decide a shape at one
+element with every neighborhood read row by row (:func:`row_sat`).
 """
 
+from collections import Counter
+
 from triform import _bagmatch_py
-from triform.model import FWD, INV, Node, SignedTriple, Val, focus_elem
-from triform.shex import EvalContext, _sat, _template, default_cap
+from triform.model import FWD, INV, Node, SignedTriple, Val, Value, focus_elem, value_type_member
+from triform.shex import SAnd, SNeigh, SNot, SOr, STestConst, EvalContext, _sat, _template, _Top, default_cap
 
 
 def row_profile(g, x):
-    """The names of the forward and of the inverse rows of the raw
-    element ``x``, each sorted, counted from its adjacency lists: the
-    per-element oracle of ``CommonGraph.row_profiles``."""
+    """The (name, count) pairs of the forward and of the inverse rows of
+    the raw element ``x``, each sorted by name, counted from its
+    adjacency lists: the per-element oracle of ``CommonGraph.row_profiles``."""
     if type(x) is not str:
-        return (), tuple(sorted(k for _, k in g.value_owners(x)))
-    fwd = sorted([e.p for e in g.out_edges(x)] + list(g.node_props(x)))
-    return tuple(fwd), tuple(sorted(e.p for e in g.in_edges(x)))
+        return (), tuple(sorted(Counter(k for _, k in g.value_owners(x)).items()))
+    fwd = Counter([e.p for e in g.out_edges(x)] + list(g.node_props(x)))
+    return tuple(sorted(fwd.items())), tuple(sorted(Counter(e.p for e in g.in_edges(x)).items()))
 
 
 def signed_rows(g, x):
@@ -39,7 +42,7 @@ def row_signatures(ctx, g, t, x):
     row order; each tested far end is decided on its own."""
     out = []
     for row, far in signed_rows(g, x):
-        sig, tested = t.plan(row.name, row.direction)
+        sig, tested, _ = t.plan(row.name, row.direction)
         for bit, nested in tested:
             if far in _sat(ctx, g, nested, {far}):
                 sig |= bit
@@ -57,3 +60,36 @@ def match_witness(g, v, expr, openness, cap=None, registry=None):
     classes = sorted({sig for _, sig in rows})
     pools = [[row for row, sig in rows if sig == c] for c in classes]
     return _bagmatch_py.count_witness(t.program, classes, pools)
+
+
+def row_sat(ctx, g, c, x, templates):
+    """Whether the raw element ``x`` satisfies the compiled shape ``c``,
+    decided at ``x`` alone: a neighborhood shape reads every row of ``x``
+    (no profile, no memo), gives each row its own signature, deciding
+    each tested far end by this function, and runs the kernel on the bag.
+    ``templates`` holds the templates built so far, by compiled shape."""
+    kind = c.kind
+    if kind is SNeigh:
+        t = templates.get(c)
+        if t is None:
+            t = templates[c] = _template(ctx, c.shape.expr, c.shape.openness)
+        sigs = []
+        for row, far in signed_rows(g, x):
+            sig, tested, _ = t.plan(row.name, row.direction)
+            for bit, nested in tested:
+                if row_sat(ctx, g, nested, far, templates):
+                    sig |= bit
+            sigs.append(sig)
+        classes = sorted(set(sigs))
+        return _bagmatch_py.count_match(t.program, classes, [sigs.count(sig) for sig in classes])
+    if kind is _Top:
+        return True
+    if kind is SAnd:
+        return row_sat(ctx, g, c.left, x, templates) and row_sat(ctx, g, c.right, x, templates)
+    if kind is SOr:
+        return row_sat(ctx, g, c.left, x, templates) or row_sat(ctx, g, c.right, x, templates)
+    if kind is SNot:
+        return not row_sat(ctx, g, c.left, x, templates)
+    if kind is STestConst:
+        return x == c.shape.c
+    return type(x) is Value and value_type_member(x, c.shape.t, ctx.registry)

@@ -16,7 +16,10 @@ from pathlib import Path
 
 import pytest
 
+from shex_rows import row_sat
 from triform import _bagmatch_py, shex
+from triform.cogsl import cogsl_to_shex
+from triform.examples import media_graph, media_mutations, media_pg_rules, media_shex_rules
 from triform.harness import GenParams, brute_shex_satisfies, gen_graph, gen_shex_schema
 from triform.model import (
     FWD,
@@ -24,10 +27,12 @@ from triform.model import (
     EdgeTriple,
     InstanceTooLarge,
     NeighborhoodTooLarge,
+    INV,
     Node,
     PropTriple,
     RowProfiles,
     build_graph,
+    bool_v,
     int_v,
     str_v,
 )
@@ -39,6 +44,9 @@ from triform.shex import (
     SelOut,
     Seq,
     SNeigh,
+    SNot,
+    SOr,
+    STestConst,
     STestType,
     StarE,
     TC,
@@ -294,8 +302,144 @@ def test_cap_error_names_the_least_of_two_profiles():
     g = build_graph(edges + [EdgeTriple("r", "s", "a"), EdgeTriple("r", "s", "b")], [])
     assert g.row_profiles["a"] is not g.row_profiles["b"]
     ctx = shex.EvalContext(cap=24)
-    template = shex._compile(ctx, open_closure(StarE(TC("p", FWD, TOP)))).template
+    shape = open_closure(StarE(TC("p", FWD, TOP)))
+    template = shex._template(ctx, shape.expr, shape.openness)
     for order in (["a", "b"], ["b", "a"]):  # a list fixes the order the elements are visited in
         with pytest.raises(NeighborhoodTooLarge) as info:
             shex._neigh(ctx, g, template, order)
         assert str(info.value) == "signed neighborhood of Node(id='a') has 26 triples (cap 24)"
+
+
+_DEEP_SCRIPT = """
+from triform.model import FWD, EdgeTriple, NeighborhoodTooLarge, build_graph, int_v
+from triform.shex import HalfOpen, SelOut, Seq, SNeigh, SNot, STestConst, StarE, TC, shex_validate, top_shape
+
+def pairs(u, n):
+    return [EdgeTriple(u, p, f"{u}{p}{i}") for p in "pq" for i in range(n)]
+
+# a star of (p, q) pairs, with the q far end untested, then tested by a
+# shape every node satisfies
+untested = StarE(Seq(TC("p", FWD, top_shape()), TC("q", FWD, top_shape())))
+tested = StarE(Seq(TC("p", FWD, top_shape()), TC("q", FWD, SNot(STestConst(int_v(0))))))
+graphs = [
+    pairs("a", 256) + pairs("b", 256) + pairs("c", 256) + pairs("d", 256),  # one profile
+    pairs("a", 256) + pairs("b", 300) + pairs("c", 280) + pairs("d", 256),  # three profiles
+    pairs("a", 256) + pairs("b", 256) + pairs("e", 501),  # e is over the cap
+]
+for edges in graphs:
+    for star in (untested, tested):
+        try:
+            shex_validate(build_graph(edges, []), [(SelOut("p"), SNeigh(star, HalfOpen(frozenset())))], cap=1000)
+        except NeighborhoodTooLarge as err:
+            print(err)
+"""
+
+
+def test_too_deep_error_names_the_least_element_under_any_hash_seed():
+    runs = run_under_hash_seeds(_DEEP_SCRIPT)
+    assert runs[0] == runs[1]
+    deep = "signed neighborhood of Node(id='a') has 512 triples, too many star parts for the matcher's recursion depth"
+    over = "signed neighborhood of Node(id='e') has 1002 triples (cap 1000)"
+    assert runs[0].splitlines() == [deep] * 4 + [over] * 2
+
+
+def media_copies(k):
+    """The media graph and its five mutations, each copied ``k`` times:
+    copy i suffixes every node id with ``_i`` and every string value
+    with ``+i``, so the copies share only their int and bool values."""
+    graphs = {"media": media_graph(), **{name: g for name, (g, _) in media_mutations().items()}}
+    for name, g in graphs.items():
+        edges, props = [], []
+        for i in range(k):
+            edges += [EdgeTriple(f"{e.s}_{i}", e.p, f"{e.o}_{i}") for e in g.edges]
+            for (n, key), w in g.props.items():
+                props.append(PropTriple(f"{n}_{i}", key, str_v(f"{w.payload}+{i}") if w.tag == "str" else w))
+        yield f"{name} x{k}", build_graph(edges, props)
+
+
+def shared_far_ends():
+    """Hubs h0..h7 with three p-edges each (two on every fourth), to
+    targets t0..t5 taken in turn, so most hubs share one profile but not
+    their far ends; the targets have an int, a string, a bool or no k
+    value; every hub has two q-edges to u0..u3."""
+    edges, props = [], []
+    for i in range(8):
+        edges += [EdgeTriple(f"h{i}", "p", f"t{(i + j) % 6}") for j in range(2 if i % 4 == 3 else 3)]
+        edges += [EdgeTriple(f"h{i}", "q", f"u{(i + j) % 4}") for j in range(2)]
+    for i, w in enumerate([int_v(1), int_v(2), str_v("x"), str_v("y"), bool_v(True)]):
+        props.append(PropTriple(f"t{i}", "k", w))
+    props.append(PropTriple("u0", "k", int_v(3)))
+    return build_graph(edges, props)
+
+
+INT_T = open_closure(TC("k", FWD, STestType("int")))
+STR_T = open_closure(TC("k", FWD, STestType("str")))
+# two leaves test the same (p, forward) rows with different nested shapes
+TWO_LEAVES = open_closure(Seq(StarE(TC("p", FWD, INT_T)), StarE(TC("p", FWD, STR_T))))
+SHARED_RULES = [
+    (SelOut("p"), TWO_LEAVES),
+    (SelOut("q"), open_closure(Seq(TC("p", FWD, INT_T), StarE(Alt(TC("p", FWD, STR_T), TC("q", FWD, INT_T)))))),
+    (SelOut("p"), SOr(SNot(TWO_LEAVES), open_closure(StarE(TC("q", FWD, SNot(INT_T)))))),
+    (SelIn("p"), open_closure(StarE(TC("p", INV, TWO_LEAVES)))),
+    (SelIn("k"), open_closure(TC("k", INV, SAnd(INT_T, STestConst(int_v(0)))))),
+]
+# elements the graphs do not hold
+OUTSIDE = {"ghost", int_v(-5), str_v("nobody"), bool_v(False)}
+
+
+def _oracle_cases():
+    for schema, rules in (("fixture", media_shex_rules()), ("compiled", cogsl_to_shex(media_pg_rules()))):
+        for label, g in media_copies(50):
+            yield f"{schema} {label}", g, rules
+    yield "shared far ends", shared_far_ends(), SHARED_RULES
+
+
+ORACLE_CASES = list(_oracle_cases())
+
+
+@pytest.mark.parametrize("label, g, rules", ORACLE_CASES, ids=[case[0] for case in ORACLE_CASES])
+def test_verdicts_equal_the_row_by_row_reference(label, g, rules, monkeypatch):
+    # every element of the graph and a few outside it, for every rule's
+    # shape, in one run; the reference reads each element's rows alone
+    domain = set(g.nodes) | set(g.values) | OUTSIDE
+    bags = []
+    count_match = _bagmatch_py.count_match
+
+    def recording(program, sigs, counts):
+        bags.append((id(program), sigs, counts))
+        return count_match(program, sigs, counts)
+
+    monkeypatch.setattr(_bagmatch_py, "count_match", recording)
+    ctx = shex.EvalContext(cap=10**6)
+    got = [shex._sat(ctx, g, shex._compile(ctx, shape), domain) for _, shape in rules]
+    monkeypatch.setattr(_bagmatch_py, "count_match", count_match)
+    assert len(bags) == len(set(bags))  # one kernel call per distinct bag per template per run
+    if label == "shared far ends":  # the premise: one profile shared by hubs with different far ends
+        assert len({g.row_profiles[f"h{i}"] for i in range(8)}) == 2
+    ref, templates = shex.EvalContext(cap=10**6), {}
+    for (_, shape), sat in zip(rules, got):
+        c = shex._compile(ref, shape)
+        for x in domain:
+            assert (x in sat) == row_sat(ref, g, c, x, templates), (label, shape, x)
+
+
+def test_templates_are_built_on_first_use(monkeypatch):
+    built = []
+    template = shex._template
+
+    def counting(ctx, expr, openness):
+        built.append(expr)
+        return template(ctx, expr, openness)
+
+    monkeypatch.setattr(shex, "_template", counting)
+    g = copies_graph(4)
+    never = SNeigh(PAIRS_EXPR, PAIRS)
+    rules = [
+        (SelOut("absent"), never),  # selects nothing
+        (SelOut("p"), SAnd(STestConst(int_v(1)), never)),  # the right branch is handed an empty set
+        (SelOut("k"), INT_K),
+        (SelOut("q"), INT_K),  # one shape reached twice
+    ]
+    report = shex_validate(g, rules)
+    assert {viol.rule_index for viol in report.violations} == {1}
+    assert built == [INT_K.expr]  # nothing nested in INT_K has a template

@@ -79,7 +79,7 @@ def test_benchmark_scripts_run():
     lines = bench_lines("bench_graph.py", "--sizes", "20", "--repeat", "1")
     for kind in bench_graph.SCHEMAS.keys() - {"empty"}:
         assert ["validate", kind] in lines, kind
-    for dialect in ("shacl", "pg"):
+    for dialect in ("shacl", "pg", "shex", "shex_compiled"):
         assert ["decide", dialect] in lines, dialect
     assert [line[0] for line in lines[1:3]] == ["load", "indexes"]
     lines = bench_lines("bench_matcher.py", "--sizes", "8", "--repeat", "1")
