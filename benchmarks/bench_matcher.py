@@ -18,6 +18,11 @@ Each timed call validates in a fresh evaluation context, so the per-run
 verdict memo never answers it: the numbers time the template build and
 the kernel.
 
+A last row, ``fuzz``, runs a fixed campaign of 100 three-way trials on
+12-node graphs (``harness.run_campaign``, seed 1) and prints the median
+time per trial and the kernel (``count_match``) calls per trial, the
+memo included: the count of distinct (program, bag) pairs decided.
+
 Usage: python benchmarks/bench_matcher.py [--sizes 8,12,16,20,32,64] [--repeat 3]
 """
 
@@ -25,6 +30,8 @@ import argparse
 import statistics
 import time
 
+from triform import _bagmatch_py
+from triform.harness import GenParams, run_campaign
 from triform.model import EdgeTriple, Node, build_graph
 from triform.shex import (
     Alt,
@@ -82,6 +89,24 @@ def time_once(g, expr, openness, n):
     return result, (time.perf_counter() - start) * 1000.0
 
 
+FUZZ_NODES, FUZZ_TRIALS = 12, 100
+
+
+def fuzz_once():
+    """One fixed campaign: its time per trial in ms and its kernel calls per trial."""
+    calls = []
+    count_match = _bagmatch_py.count_match
+    _bagmatch_py.count_match = lambda *args: calls.append(1) or count_match(*args)
+    try:
+        start = time.perf_counter()
+        summary = run_campaign(FUZZ_TRIALS, GenParams(node_count=FUZZ_NODES, schema_size_budget=5), seed=1)
+        ms = (time.perf_counter() - start) * 1000.0
+    finally:
+        _bagmatch_py.count_match = count_match
+    assert summary.ok, summary.divergences
+    return ms / FUZZ_TRIALS, len(calls) / FUZZ_TRIALS
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--sizes", default="8,12,16,20,32,64", help="neighborhood sizes")
@@ -101,6 +126,10 @@ def main():
                 samples.append(ms)
             assert len(verdicts) == 1, "verdict changed between repeats"
             print(f"{wname:<11} {n:>3} {statistics.median(samples):>10.2f}ms  {verdicts.pop()}")
+    runs = [fuzz_once() for _ in range(args.repeat)]
+    assert len({calls for _, calls in runs}) == 1, "kernel calls changed between repeats"
+    ms = statistics.median(ms for ms, _ in runs)
+    print(f"{'fuzz':<11} {FUZZ_NODES:>3} {ms:>10.2f}ms  {runs[0][1]:.2f} kernel calls per trial")
 
 
 if __name__ == "__main__":

@@ -24,6 +24,18 @@ one part per step, holding a row of the first nonempty class (the parts
 of a bag are unordered), within its child's bounds.  For a fixed number
 of classes the states are polynomial in the rows.
 
+A class is free when its signature holds WILDSTAR nodes only, or no
+node at all.  The verdict is the same for every count of at least 1 of
+a free class, so a caller may clamp those counts to 1 (the normal form
+``shex`` keys its memo by).  Proof: a class with no node is taken by
+nothing, so no bag holding it matches.  Otherwise, in a match of a bag
+with n >= 1 rows of the class, every one of those rows is taken by an
+instance of one of its WILDSTAR nodes, and some instance I holds one.
+A WILDSTAR instance takes any bag of rows its node may take, the empty
+bag included, so the other instances may give up their rows of the
+class and I may hold any m >= 1 of them; every other node keeps what it
+took, which gives a match of the bag with m rows of the class.
+
 A count vector is packed into one integer, class ``c`` in bits
 ``[c * width, (c + 1) * width)`` with ``width`` wide enough for the
 total, so vector sums, differences and class masks are integer

@@ -21,7 +21,7 @@ compiles their methods once per field list.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from functools import cached_property
 from itertools import chain
 from operator import itemgetter
@@ -434,11 +434,12 @@ class CommonGraph:
 
     @cached_property
     def _by_size(self) -> Dict[int, FrozenSet[str]]:
+        sizes = Counter(map(_NEAR, self.props))  # each node's record size, without the records
         by_size: Dict[int, Set[str]] = defaultdict(set)
-        for u, r in self._node_props.items():
-            by_size[len(r)].add(u)
-        groups = {k: frozenset(us) for k, us in by_size.items()}
-        groups[0] = self.nodes.difference(self._node_props)
+        for u, n in sizes.items():
+            by_size[n].add(u)
+        groups = {n: frozenset(us) for n, us in by_size.items()}
+        groups[0] = self.nodes.difference(sizes)
         return groups
 
     @cached_property

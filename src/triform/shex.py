@@ -23,9 +23,13 @@ The elements with tested groups are bucketed by profile; only their far
 ends are read, each nested shape is evaluated once on the union of the
 far ends it tests, and a bucket whose far ends get one signature per
 group is decided by one bag, the others element by element by their
-far-end signatures.  A per-run memo keyed by the sorted (signature,
-count) pairs runs the kernel of ``_bagmatch_py`` on a miss only: a DP
-over the count of rows of each signature, pruned by static intervals.
+far-end signatures.  A template's program is interned per run by its
+structure, so shapes that flatten alike share one program and one
+verdict memo per run.  The memo is keyed by the sorted (signature,
+count) pairs, a free class (one that no node but a WILDSTAR node may
+consume) counted once, and runs the kernel of ``_bagmatch_py`` on a
+miss only: a DP over the count of rows of each signature, pruned by
+static intervals.
 Exceeding the cap raises ``NeighborhoodTooLarge``, never approximating,
 and so does a bag whose star parts nest deeper than the interpreter's
 recursion limit; the error names the least such element.
@@ -299,32 +303,56 @@ def open_closure(e: TripleExpr) -> ShexShape:
 # Evaluation
 
 
+class _Program:
+    """A flattened program, interned per run by its structure (ops,
+    lefts, rights): shapes that flatten alike share it, whatever names
+    their leaves test, since a signature bit stands for a node.
+
+    ``kernel`` is the kernel program (``_bagmatch_py.Program``), ``wild``
+    the mask of its WILDSTAR nodes, and ``verdicts`` the run's memo for
+    every template of this structure: it maps sorted (signature, count)
+    pairs, each free class's count clamped to 1 (:func:`_decide`), to the
+    verdict.
+    """
+
+    __slots__ = ("kernel", "wild", "verdicts")
+
+    def __init__(self, ops: tuple, lefts: tuple, rights: tuple) -> None:
+        lo: List[int] = []
+        hi: List[int] = []
+        for op, a, b in zip(ops, lefts, rights):
+            bounds = count_bounds(op, lo, hi, a, b)
+            lo.append(bounds[0])
+            hi.append(bounds[1])
+        self.kernel = (ops, lefts, rights, _bagmatch_py.under_masks(ops, lefts, rights), lo, hi, len(ops) - 1)
+        self.wild = sum(1 << i for i, op in enumerate(ops) if op == OP_WILDSTAR)
+        self.verdicts: Dict[Tuple[Tuple[int, int], ...], object] = {}
+
+
 class _Template:
     """A neighborhood shape flattened into the kernel program format, with
-    the run's profile entries and verdict memo.
+    the run's profile entries.
 
     A row's signature is the set of leaf and wildcard nodes that may
     consume it, one bit per node.  ``leaves`` buckets the bits of the
     triple-constraint nodes by the (name, direction) of the triples they
     can consume, each with its compiled nested shape; ``wilds`` lists, by
     direction, (bit, excluded names) for the wildcard nodes, the
-    openness suffix included.  ``program`` is the kernel program
-    (``_bagmatch_py.Program``); it depends on the shape only.
+    openness suffix included.  ``program`` is the run's interned
+    :class:`_Program` of the shape's structure, with the verdict memo.
 
     ``entries`` maps a row profile (``model.RowProfile``) within the cap
     to its verdict when it has no tested group, else to the count of each
     signature among its untested rows and its tested groups (:meth:`groups`).
-    ``verdicts`` maps sorted (signature, count) pairs to the verdict.
     """
 
     def __init__(self) -> None:
         self.leaves: Dict[Tuple[str, str], List[Tuple[int, "_Compiled"]]] = {}
         self.wilds: Dict[str, List[Tuple[int, FrozenSet[str]]]] = {FWD: [], INV: []}
-        self.program: tuple = ()
+        self.program: Optional[_Program] = None
         # :meth:`plan` per run, by direction and then by name
         self.plans: Dict[str, Dict[str, Tuple[int, list, dict]]] = {FWD: {}, INV: {}}
         self.entries: Dict[RowProfile, object] = {}  # per run
-        self.verdicts: Dict[Tuple[Tuple[int, int], ...], object] = {}  # per run
 
     def plan(self, name: str, direction: str):
         """A (name, direction) row's untested signature bits, the (bit, nested
@@ -381,13 +409,15 @@ class _Compiled:
 
 class EvalContext:
     """Per-run state over one graph: the compiled shapes by ``id`` of the
-    source shape, with their templates.  Nothing is cached in module
+    source shape, with their templates, and the interned programs by
+    structure, with their verdict memos.  Nothing is cached in module
     globals, so separate contexts may run in separate threads."""
 
     def __init__(self, cap: int, registry: Optional[ValueTypeRegistry] = None) -> None:
         self.cap = cap
         self.registry = registry
         self.compiled: Dict[int, _Compiled] = {}
+        self.programs: Dict[Tuple[tuple, tuple, tuple], _Program] = {}
 
 
 def _is_top(expr: TripleExpr, openness: Openness) -> bool:
@@ -413,17 +443,17 @@ def _compile(ctx: EvalContext, shape: ShexShape) -> _Compiled:
 
 
 def _template(ctx: EvalContext, expr: TripleExpr, openness: Openness) -> _Template:
-    """Flatten ``expr ; wildcards`` into a program template."""
+    """Flatten ``expr ; wildcards`` into a program template, its program
+    interned in ``ctx``."""
     t = _Template()
-    ops, lefts, rights, lo, hi = [], [], [], [], []  # the program's parallel lists
+    ops: List[int] = []  # the program's parallel lists
+    lefts: List[int] = []
+    rights: List[int] = []
 
     def emit(op: int, a: int = -1, b: int = -1) -> int:
         ops.append(op)
         lefts.append(a)
         rights.append(b)
-        bounds = count_bounds(op, lo, hi, a, b)
-        lo.append(bounds[0])
-        hi.append(bounds[1])
         return len(ops) - 1
 
     def walk(e: TripleExpr) -> int:
@@ -446,7 +476,6 @@ def _template(ctx: EvalContext, expr: TripleExpr, openness: Openness) -> _Templa
             if ops[a] == OP_LEAF:
                 # star of a single constraint consumes any number of its rows
                 ops[a] = OP_WILDSTAR
-                lo[a], hi[a] = count_bounds(OP_WILDSTAR, lo, hi)
                 return a
             return emit(OP_STAR, a)
         raise TriformError(f"unknown triple expression {e!r}")
@@ -459,26 +488,35 @@ def _template(ctx: EvalContext, expr: TripleExpr, openness: Openness) -> _Templa
     t.wilds[INV].append((1 << wild, openness.r))
     if isinstance(openness, Open):
         t.wilds[FWD].append((1 << wild, openness.q))
-    root = emit(OP_SEQ, body, wild)
-    t.program = (ops, lefts, rights, _bagmatch_py.under_masks(ops, lefts, rights), lo, hi, root)
+    emit(OP_SEQ, body, wild)  # the root
+    key = (tuple(ops), tuple(lefts), tuple(rights))
+    prog = ctx.programs.get(key)
+    if prog is None:  # the bounds and masks are computed once per structure per run
+        prog = ctx.programs[key] = _Program(*key)
+    t.program = prog
     return t
 
 
 _TOO_DEEP = object()  # the verdict on a bag with more star parts than the recursing kernel can peel
 
 
-def _decide(t: _Template, rows: Dict[int, int]):
-    """The verdict on the bag of ``rows[s]`` rows of each signature ``s``:
-    the memo's, else the kernel's, kept (True, False or ``_TOO_DEEP``)."""
-    bag = tuple(sorted(rows.items()))
-    verdict = t.verdicts.get(bag)
+def _decide(prog: _Program, rows: Dict[int, int]):
+    """The verdict of ``prog`` on the bag of ``rows[s]`` rows of each
+    signature ``s``: the memo's, else the kernel's, kept (True, False or
+    ``_TOO_DEEP``).  Every free class, whose signature holds WILDSTAR
+    nodes only, or no node, counts as 1 row, which keeps the verdict
+    (the ``_bagmatch_py`` docstring gives the proof) and lets bags that
+    differ only there share one entry."""
+    wild = prog.wild
+    bag = tuple(sorted([(s, n) if s & ~wild else (s, 1) for s, n in rows.items()]))
+    verdict = prog.verdicts.get(bag)
     if verdict is None:
         sigs, counts = zip(*bag) if bag else ((), ())
         try:
-            verdict = _bagmatch_py.count_match(t.program, sigs, counts)
+            verdict = _bagmatch_py.count_match(prog.kernel, sigs, counts)
         except RecursionError:
             verdict = _TOO_DEEP
-        t.verdicts[bag] = verdict
+        prog.verdicts[bag] = verdict
     return verdict
 
 
@@ -496,7 +534,7 @@ def _neigh(ctx: EvalContext, g: CommonGraph, t: _Template, elems: Set[Elem]) -> 
     is tested.  Other elements are bucketed by profile and decided as the
     module docstring says.  Capability errors name the least element over
     the cap or, once all are decided, with a bag too deep for the kernel."""
-    profiles, entries, cap, out = g.row_profiles, t.entries, ctx.cap, set()
+    profiles, entries, prog, cap, out = g.row_profiles, t.entries, t.program, ctx.cap, set()
     buckets: Dict[RowProfile, List[Elem]] = {}  # the elements of each profile with tested groups
     deep: List[Elem] = []  # the elements whose bag is too deep for the kernel
     for x in elems:
@@ -506,7 +544,7 @@ def _neigh(ctx: EvalContext, g: CommonGraph, t: _Template, elems: Set[Elem]) -> 
             if p.size > cap:
                 raise _too_large([y for y in elems if profiles[y].size > cap], profiles, f" (cap {cap})")
             counts, tested = t.groups(g, p)
-            entry = entries[p] = (counts, tested) if tested else _decide(t, counts)
+            entry = entries[p] = (counts, tested) if tested else _decide(prog, counts)
         if entry is True:
             out.add(x)
         elif entry.__class__ is tuple:
@@ -550,7 +588,7 @@ def _neigh(ctx: EvalContext, g: CommonGraph, t: _Template, elems: Set[Elem]) -> 
             else:  # every element has the profile's count of rows with that signature
                 rows[first] = rows.get(first, 0) + len(far[0])
         if not mixed:
-            verdict = _decide(t, rows)
+            verdict = _decide(prog, rows)
             if verdict is True:
                 out.update(xs)
             elif verdict is _TOO_DEEP:
@@ -567,7 +605,7 @@ def _neigh(ctx: EvalContext, g: CommonGraph, t: _Template, elems: Set[Elem]) -> 
                 bag = dict(rows)
                 for row in key:
                     bag[row] = bag.get(row, 0) + 1
-                verdict = memo[key] = _decide(t, bag)
+                verdict = memo[key] = _decide(prog, bag)
             if verdict is True:
                 out.add(x)
             elif verdict is _TOO_DEEP:

@@ -59,7 +59,7 @@ def match_witness(g, v, expr, openness, cap=None, registry=None):
     rows = row_signatures(ctx, g, t, focus_elem(v))
     classes = sorted({sig for _, sig in rows})
     pools = [[row for row, sig in rows if sig == c] for c in classes]
-    return _bagmatch_py.count_witness(t.program, classes, pools)
+    return _bagmatch_py.count_witness(t.program.kernel, classes, pools)
 
 
 def row_sat(ctx, g, c, x, templates):
@@ -81,7 +81,7 @@ def row_sat(ctx, g, c, x, templates):
                     sig |= bit
             sigs.append(sig)
         classes = sorted(set(sigs))
-        return _bagmatch_py.count_match(t.program, classes, [sigs.count(sig) for sig in classes])
+        return _bagmatch_py.count_match(t.program.kernel, classes, [sigs.count(sig) for sig in classes])
     if kind is _Top:
         return True
     if kind is SAnd:

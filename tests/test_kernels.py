@@ -2,7 +2,9 @@
 
 The kernel is checked against a brute-force program decider that
 builds, bottom-up, the set of masks each node can consume; the decider
-ignores the count bounds the kernel prunes with.
+ignores the count bounds the kernel prunes with.  A bag of rows is given
+to the decider one bit per row, each consumer's mask the rows whose
+signature names it.
 """
 
 import random
@@ -21,6 +23,7 @@ from triform._bagmatch_py import (
     _can,
     _start,
     count_bounds,
+    under_masks,
 )
 from triform.model import EdgeTriple, Node, build_graph
 from triform.shex import (
@@ -175,6 +178,63 @@ def test_kernel_matches_brute_decider_property(tree, mask):
         check_witness(program, witness, mask)
 
 
+# programs as ShEx flattens them: a star's child is never a lone leaf
+# (the star of one constraint is a WILDSTAR node)
+_shex_trees = st.recursive(
+    st.sampled_from([("eps",), ("leaf",), ("wildstar",)]),
+    lambda kids: st.one_of(
+        st.tuples(st.sampled_from(["seq", "alt"]), kids, kids),
+        st.tuples(st.just("star"), st.tuples(st.sampled_from(["seq", "alt"]), kids, kids)),
+    ),
+    max_leaves=7,
+)
+
+
+def flatten_unlabelled(tree):
+    """A program tree without masks as the kernel's ``Program``: ops, lefts, rights, under, lo, hi, root."""
+    p = ProgramBuilder()
+
+    def walk(t):
+        return p.emit(_OPS[t[0]], *[walk(c) for c in t[1:]])
+
+    root = walk(tree)
+    return p.ops, p.lefts, p.rights, under_masks(p.ops, p.lefts, p.rights), p.lo, p.hi, root
+
+
+def brute_count_match(program, sigs, counts):
+    """The brute decider on the bag of ``counts[c]`` rows of signature ``sigs[c]``, one bit per row."""
+    ops, lefts, rights = program[:3]
+    support, bit = [0] * len(ops), 0
+    for sig, n in zip(sigs, counts):
+        rows = ((1 << n) - 1) << bit
+        for i in range(len(ops)):
+            if sig >> i & 1:
+                support[i] |= rows
+        bit += n
+    return (1 << bit) - 1 in brute_languages((ops, lefts, rights, support))[program[-1]]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_shex_trees, st.data())
+def test_free_classes_count_once_property(tree, data):
+    # a free class, whose signature holds WILDSTAR nodes only (or none),
+    # gets the verdict of one row for any count of at least one
+    program = flatten_unlabelled(tree)
+    ops = program[0]
+    consumers = sum(1 << i for i, op in enumerate(ops) if op in (OP_LEAF, OP_WILDSTAR))
+    wild = sum(1 << i for i, op in enumerate(ops) if op == OP_WILDSTAR)
+    bag = {}
+    for _ in range(data.draw(st.integers(1, 3))):
+        within = data.draw(st.sampled_from([consumers, wild]))
+        sig = data.draw(st.integers(0, within)) & within
+        bag[sig] = bag.get(sig, 0) + data.draw(st.integers(1, 3))
+    sigs, counts = list(bag), list(bag.values())
+    clamped = [n if sig & ~wild else 1 for sig, n in bag.items()]
+    verdict = _bagmatch_py.count_match(program, sigs, clamped)
+    assert _bagmatch_py.count_match(program, sigs, counts) == verdict
+    assert brute_count_match(program, sigs, counts) == verdict
+
+
 def test_wide_seq_of_leaf_and_wildcard_is_decided():
     # SEQ(LEAF, WILDSTAR) over 48 triples: the leaf takes one shared or
     # forced bit, the wildcard the rest; an unpruned DP enumerates 2^48
@@ -240,8 +300,8 @@ def decide_with_memo(g, expr, openness):
     template = _template(ctx, expr, openness)
     sigs = [sig for _, sig in row_signatures(ctx, g, template, "c")]
     classes = sorted(set(sigs))
-    run, full, total = _start(template.program, classes, [sigs.count(sig) for sig in classes])
-    verdict = _can(run, template.program[-1], full, total)
+    run, full, total = _start(template.program.kernel, classes, [sigs.count(sig) for sig in classes])
+    verdict = _can(run, template.program.kernel[-1], full, total)
     return verdict, len(run[-1])  # the run's memo
 
 

@@ -317,6 +317,14 @@ def test_derived_indexes_equal_an_eager_construction():
         assert set(profiles) == set(g.nodes) | set(g.values), label  # an absent element adds no entry
 
 
+def test_grouping_by_record_size_builds_no_records():
+    g = media_graph()
+    groups = {n: g.nodes_of_size(n) for n in range(len(g.keys) + 2)}
+    assert "_node_props" not in vars(g)  # the sizes are counted from the record map
+    for n, nodes in groups.items():
+        assert nodes == {u for u in g.nodes if len(g.node_props(u)) == n}, n
+
+
 def test_graph_pickles_and_copies_as_its_triples():
     g = media_graph()
     g.row_profiles, g.nodes  # derived indexes are not copied

@@ -2,9 +2,10 @@
 matching.
 
 A focus is decided by the bag of its row signatures, so the kernel runs
-once per distinct bag per template per run, and a focus is read through
-its row profile; these tests pin the verdicts against the brute-force
-oracle, count the kernel calls and check what a profile entry reads.
+once per distinct bag per program per run (shapes that flatten to one
+program share its memo), and a focus is read through its row profile;
+these tests pin the verdicts against the brute-force oracle, count the
+kernel calls and check what a profile entry reads.
 """
 
 import gc
@@ -155,6 +156,34 @@ def test_runs_share_no_memo(kernel_calls):
         assert state == [], mod.__name__
 
 
+# one program, (LEAF, WILDSTAR, SEQ), over different names: each hub of
+# copies_graph has one k row and one incoming r row, but no incoming s row
+K_ONE = open_closure(TC("k", FWD, TOP))
+R_ONE = open_closure(TC("r", INV, TOP))
+S_ONE = open_closure(TC("s", INV, TOP))
+SHARED_PROGRAM = [(SelOut("p"), K_ONE), (SelOut("p"), R_ONE), (SelOut("q"), S_ONE)]
+
+
+def test_shapes_with_one_program_share_its_memo(kernel_calls):
+    g = copies_graph(6, extra_p_every=2)
+    ctx = shex.EvalContext(cap=24)
+    templates = [shex._template(ctx, shape.expr, shape.openness) for _, shape in SHARED_PROGRAM]
+    assert len(ctx.programs) == 1 and all(t.program is templates[0].program for t in templates)
+    first = shex_validate(g, SHARED_PROGRAM)
+    # K_ONE and R_ONE see one bag (one leaf row, the free class of the
+    # other rows counted once), whatever the hub's number of p rows; S_ONE
+    # sees the free class alone
+    assert len(kernel_calls) == 2
+    assert {viol.rule_index for viol in first.violations} == {2}
+    for i, (_, shape) in enumerate(SHARED_PROGRAM):
+        for c in (Node(f"c{j}") for j in range(6)):
+            assert (c not in {v.focus for v in first.violations if v.rule_index == i}) == brute_shex_satisfies(
+                g, c, shape
+            )
+    assert shex_validate(g, SHARED_PROGRAM) == first
+    assert len(kernel_calls) == 4  # a new run decides the bags again
+
+
 def test_a_run_leaves_no_cyclic_garbage():
     # the run's compiled shapes, profile entries and memos are freed when
     # the run ends, not at the next collection of the cyclic collector
@@ -182,7 +211,10 @@ calls = []
 count_match = _bagmatch_py.count_match
 _bagmatch_py.count_match = lambda *args: calls.append(1) or count_match(*args)
 out = []
-cases = [(t.copies_graph(30, str_every=3), [(t.SelOut("p"), t.SAnd(t.SNeigh(t.PAIRS_EXPR, t.PAIRS), t.INT_K))])]
+cases = [
+    (t.copies_graph(30, str_every=3), [(t.SelOut("p"), t.SAnd(t.SNeigh(t.PAIRS_EXPR, t.PAIRS), t.INT_K))]),
+    (t.copies_graph(30, extra_p_every=2), t.SHARED_PROGRAM),
+]
 for seed in range(12):
     p = GenParams(seed=seed, node_count=12, edge_density=0.12, prop_density=0.3)
     cases.append((gen_graph(p), gen_shex_schema(p)))
@@ -212,6 +244,7 @@ def test_kernel_calls_do_not_depend_on_the_hash_seed():
     runs = [json.loads(out) for out in run_under_hash_seeds(_COUNT_SCRIPT)]
     assert runs[0] == runs[1]
     assert runs[0][0][0] == 3 and len(runs[0][0][1]) == 10
+    assert runs[0][1][0] == 2 and len(runs[0][1][1]) == 30  # two shapes share one program
 
 
 _CAP_SCRIPT = """
@@ -293,7 +326,7 @@ def test_untested_profile_reads_no_rows(monkeypatch, kernel_calls):
     assert shex_validate(g, [(SelIn("p"), shape)]).valid
     # the rule's shape and its two conjuncts, at the targets; nothing nested
     assert calls == [targets] * 3
-    assert len(kernel_calls) == 2  # one profile, decided once per conjunct
+    assert len(kernel_calls) == 1  # one profile, and the conjuncts share one program
 
 
 def test_cap_error_names_the_least_of_two_profiles():

@@ -71,7 +71,8 @@ def bench_lines(script, *args):
 
 def test_benchmark_scripts_run():
     """The benchmark scripts the roadmap quotes still run and print a
-    line for every schema and every kernel workload, and the graph
+    line for every schema and every kernel workload, the matcher
+    benchmark a fixed fuzz campaign's kernel calls, and the graph
     benchmark times the derived indexes next to the load."""
     spec = importlib.util.spec_from_file_location("bench_graph", BENCHMARKS / "bench_graph.py")
     bench_graph = importlib.util.module_from_spec(spec)
@@ -85,6 +86,7 @@ def test_benchmark_scripts_run():
     lines = bench_lines("bench_matcher.py", "--sizes", "8", "--repeat", "1")
     for workload in ("pairs", "false-pairs", "bounded"):
         assert [workload, "8"] in lines, workload
+    assert ["fuzz", "12"] in lines
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
