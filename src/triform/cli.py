@@ -9,6 +9,10 @@ Exit codes: 0 valid / agreement, 1 invalid / divergence, 2 parse or
 usage error, 3 capability error (ShEx neighborhood cap or matcher
 recursion depth exceeded), 4 internal error (an unexpected exception;
 its traceback goes to stderr), so a crash never reads as a verdict.
+
+Code that only some commands run is imported when they run: ``cogsl``
+by ``translate``, ``check-common`` and cogsl schemas, ``sshex`` by
+sshex schemas, ``harness`` by ``fuzz`` and ``oracle``.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ import traceback
 from typing import List, Optional
 
 from . import jsonio
-from .cogsl import check_common, cogsl_to_shacl, cogsl_to_shex
 from .model import (
     FormatError,
     NeighborhoodTooLarge,
@@ -34,7 +37,6 @@ from .model import (
 from .pgschema import GraphType, pg_validate, validate_graph_type
 from .shacl import shacl_validate
 from .shex import shex_validate
-from .sshex import eliminate_extra, normalize_shape_intervals, sshex_to_shex
 
 EXIT_VALID = 0
 EXIT_INVALID = 1
@@ -129,12 +131,16 @@ def _validate(args, graph, dialect: str, payload) -> int:
     elif dialect == "shex":
         report = shex_validate(graph, rules, cap=args.cap)
     elif dialect == "sshex":
+        from .sshex import eliminate_extra, normalize_shape_intervals, sshex_to_shex
+
         core_rules = [
             (sel, sshex_to_shex(eliminate_extra(normalize_shape_intervals(shape))))
             for sel, shape in rules
         ]
         report = shex_validate(graph, core_rules, cap=args.cap)
     elif dialect == "cogsl":
+        from .cogsl import check_common
+
         diags = check_common(rules)
         if not diags.in_fragment:
             _emit(jsonio.diagnostics_to_json(diags), args.pretty)
@@ -147,6 +153,8 @@ def _validate(args, graph, dialect: str, payload) -> int:
 
 
 def cmd_translate(args) -> int:
+    from .cogsl import check_common, cogsl_to_shacl, cogsl_to_shex
+
     dialect, rules = jsonio.parse_schema(_load_json(args.schema))
     if dialect not in ("pg", "cogsl") or isinstance(rules, GraphType):
         raise FormatError("translate expects a pg/cogsl rule schema as input")
@@ -163,6 +171,8 @@ def cmd_translate(args) -> int:
 
 
 def cmd_check_common(args) -> int:
+    from .cogsl import check_common
+
     dialect, rules = jsonio.parse_schema(_load_json(args.schema))
     if dialect not in ("pg", "cogsl") or isinstance(rules, GraphType):
         raise FormatError("check-common expects a pg/cogsl rule schema as input")

@@ -27,7 +27,6 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence
 
 from . import shacl as sh
 from . import shex as sx
-from . import sshex as ssx
 from .model import (
     DEFAULT_TYPES,
     FWD,
@@ -324,14 +323,30 @@ class _Grammar:
         return out
 
 
+class _LazyGrammar(_Grammar):
+    """A grammar whose rows ``rows_of()`` returns the first time anything
+    reads its ``rows``, ``classes`` or ``keys``, so that the AST module
+    they name loads only then."""
+
+    def __init__(self, noun: str, rows_of: Callable[[], Sequence[_Row]]) -> None:
+        self.noun = noun
+        self.rows_of = rows_of
+
+    def __getattr__(self, name: str) -> Any:  # called only while the tables are missing
+        if name not in ("rows", "classes", "keys"):
+            raise AttributeError(name)
+        rows = self.rows_of()
+        super().__init__(self.noun)
+        self.define(*rows)
+        return getattr(self, name)
+
+
 _SHACL_PATH = _Grammar("path")
 _SHACL_SHAPE = _Grammar("shape")
 _SHACL_SELECTOR = _Grammar("selector")
 _SHEX_EXPR = _Grammar("triple-expression")
 _SHEX_SHAPE = _Grammar("shape")
 _SHEX_SELECTOR = _Grammar("selector")
-_SSHEX_EXPR = _Grammar("standard triple-expression")
-_SSHEX_SHAPE = _Grammar("standard shape")
 _CONTENT = _Grammar("content")
 _FILTER = _Grammar("filter")
 _PG_BODY = _Grammar("path")
@@ -438,7 +453,8 @@ _SHEX_SELECTOR.define(
     _Row("in", sx.SelIn, ("q", _STR)),
 )
 
-# Standard ShEx (sshex dialect): intervals, EXTRA, optional shapes
+# Standard ShEx (sshex dialect): intervals, EXTRA, optional shapes; only
+# that dialect reads these grammars, so their rows are lazy
 
 
 def _parse_interval(o: Dict, path: str) -> Dict:
@@ -454,7 +470,7 @@ def _parse_interval(o: Dict, path: str) -> Dict:
     return {"min": lo, "max": hi}
 
 
-def _interval_to_json(e: ssx.XRepeat) -> Dict:
+def _interval_to_json(e) -> Dict:
     return {"interval": [e.min, "*" if e.max is None else e.max]}
 
 
@@ -472,31 +488,43 @@ def _or_none(g: _Grammar) -> _Codec:
     return _Codec(g.parse, g.dump, nullable=True)
 
 
-_SSHEX_EXPR.define(
-    _Row("tc", ssx.XTC, ("dir", _DIR, "direction"), ("q", _STR), ("shape", _or_none(_SSHEX_SHAPE))),
-    _Row("seq", ssx.XSeq, nary=True),
-    _Row("alt", ssx.XAlt, nary=True),
-    _Row(
-        "repeat",
-        ssx.XRepeat,
-        (("interval",), _Codec(_parse_interval, _interval_to_json)),
-        ("arg", _SSHEX_EXPR, "inner"),
-    ),
-)
-_SSHEX_SHAPE.define(
-    _Row("test_const", ssx.XTestConst, ("value", _VALUE, "c")),
-    _Row("test_type", ssx.XTestType, ("vt", _TYPE, "t")),
-    _Row(
-        "shape",
-        ssx.XShape,
-        ("closed", _Codec(_bool, None), "closed", False),
-        ("extra", _Codec(_parse_extra, lambda e: [{"q": q, "dir": d} for q, d in sorted(e)]), "extra", []),
-        ("expr", _or_none(_SSHEX_EXPR)),
-    ),
-    _Row("not", ssx.XNot, ("arg", _SSHEX_SHAPE, "inner")),
-    _Row("and", ssx.XAnd, nary=True),
-    _Row("or", ssx.XOr, nary=True),
-)
+def _sshex_expr_rows():
+    from . import sshex as ssx
+
+    return (
+        _Row("tc", ssx.XTC, ("dir", _DIR, "direction"), ("q", _STR), ("shape", _or_none(_SSHEX_SHAPE))),
+        _Row("seq", ssx.XSeq, nary=True),
+        _Row("alt", ssx.XAlt, nary=True),
+        _Row(
+            "repeat",
+            ssx.XRepeat,
+            (("interval",), _Codec(_parse_interval, _interval_to_json)),
+            ("arg", _SSHEX_EXPR, "inner"),
+        ),
+    )
+
+
+def _sshex_shape_rows():
+    from . import sshex as ssx
+
+    return (
+        _Row("test_const", ssx.XTestConst, ("value", _VALUE, "c")),
+        _Row("test_type", ssx.XTestType, ("vt", _TYPE, "t")),
+        _Row(
+            "shape",
+            ssx.XShape,
+            ("closed", _Codec(_bool, None), "closed", False),
+            ("extra", _Codec(_parse_extra, lambda e: [{"q": q, "dir": d} for q, d in sorted(e)]), "extra", []),
+            ("expr", _or_none(_SSHEX_EXPR)),
+        ),
+        _Row("not", ssx.XNot, ("arg", _SSHEX_SHAPE, "inner")),
+        _Row("and", ssx.XAnd, nary=True),
+        _Row("or", ssx.XOr, nary=True),
+    )
+
+
+_SSHEX_EXPR = _LazyGrammar("standard triple-expression", _sshex_expr_rows)
+_SSHEX_SHAPE = _LazyGrammar("standard shape", _sshex_shape_rows)
 
 # PG-Schema: content types, filters, path bodies, PG-shapes, edge types
 

@@ -86,14 +86,22 @@ def _frozen_setattr(self, name, *value):
     raise AttributeError(f"cannot assign to or delete field {name!r} of a frozen {type(self).__name__}")
 
 
+def _frozen_repr(self) -> str:
+    cls = self.__class__
+    return f"{cls.__qualname__}({', '.join([f'{n}={getattr(self, n)!r}' for n in cls.__match_args__])})"
+
+
 def frozen(cls: type) -> type:
     """Make ``cls`` an immutable record of its own annotated fields, as
     ``@dataclass(frozen=True)`` does for fields without defaults:
     ``__init__`` (then ``__post_init__``, if any), ``__eq__`` between
     instances of one class only, ``__hash__`` of the field tuple,
-    ``__repr__`` as ``Name(field=value, ...)``, and no assignment or
-    deletion.  The methods are compiled once per field list and shared;
-    each class gets its own function objects, named after it."""
+    ``__repr__`` as ``Name(field=value, ...)``, ``__match_args__`` as the
+    field names, and no assignment or deletion.  ``__init__``, ``__eq__``
+    and ``__hash__`` are compiled once per field list and shared, each
+    class getting its own function objects, named after it; every class
+    shares the one ``__repr__``, which reads its fields from
+    ``__match_args__``."""
     names = tuple(cls.__dict__.get("__annotations__", ()))
     if any(n in cls.__dict__ for n in names):
         raise TypeError(f"{cls.__name__}: frozen fields take no defaults")
@@ -102,21 +110,21 @@ def frozen(cls: type) -> type:
     if code is None:
         own, other = (f"({''.join(f'{obj}.{n},' for n in names)})" for obj in ("self", "other"))
         sets = "".join(f"    _setattr(self, {n!r}, {n})\n" for n in names)
-        shown = ", ".join(f"{n}={{self.{n}!r}}" for n in names)
         src = (
             f"def __init__(self, {', '.join(names)}):\n{sets}    {'self.__post_init__()' if post else 'pass'}\n"
             "def __eq__(self, other):\n    if other.__class__ is self.__class__:\n"
             f"        return {own} == {other}\n    return NotImplemented\n"
             f"def __hash__(self):\n    return hash({own})\n"
-            f"def __repr__(self):\n    return self.__class__.__qualname__ + f'({shown})'\n"
         )
         ns = {"_setattr": object.__setattr__}
         exec(src, ns)
-        code = _FROZEN_CODE[(names, post)] = {n: ns[n] for n in ("__init__", "__eq__", "__hash__", "__repr__")}
+        code = _FROZEN_CODE[(names, post)] = {n: ns[n] for n in ("__init__", "__eq__", "__hash__")}
     for name, fn in code.items():
         fn = FunctionType(fn.__code__, fn.__globals__, name)
         fn.__qualname__ = f"{cls.__qualname__}.{name}"
         setattr(cls, name, fn)
+    cls.__match_args__ = names
+    cls.__repr__ = _frozen_repr
     cls.__setattr__ = cls.__delattr__ = _frozen_setattr
     return cls
 
@@ -301,9 +309,10 @@ class RowProfiles(dict):
     """The row profile of each raw element of one graph, all counted in
     one pass over the name index in sorted name order (a triple gives its
     near end a forward row and its far end an inverse row), each distinct
-    profile once.  An element outside the graph gets the empty profile."""
+    profile once.  An element outside the graph gets the empty profile.
+    ``max_size`` is the largest ``size`` of a profile, 0 for no rows."""
 
-    __slots__ = ()
+    __slots__ = ("max_size", "_over")
 
     def __init__(self, by_name: Dict[str, List[Triple]]):
         super().__init__()
@@ -332,12 +341,26 @@ class RowProfiles(dict):
                     i = j
                 p = by_rows[names] = RowProfile(tuple(fwd), tuple(inv), size)
             self[x] = p
+        self.max_size = max(map(len, by_rows), default=0)
+        self._over: Dict[int, Set[Elem]] = {}
 
     def __missing__(self, x: Elem) -> RowProfile:
         return _NO_ROWS
 
+    def over(self, cap: int) -> Set[Elem]:
+        """The elements with more than ``cap`` rows, which the caller must
+        not mutate: found in one pass per cap, and none without a pass when
+        ``max_size`` is within the cap."""
+        if self.max_size <= cap:
+            return _NOTHING
+        over = self._over.get(cap)
+        if over is None:
+            over = self._over[cap] = {x for x, p in self.items() if p.size > cap}
+        return over
+
 
 _NO_ROWS = RowProfile((), (), 0)
+_NOTHING: FrozenSet[Elem] = frozenset()
 
 
 class CommonGraph:
@@ -612,10 +635,6 @@ def focus_sort_key(f: Focus) -> Tuple:
 
 def signed_triple_sort_key(t: SignedTriple) -> Tuple:
     return (t.direction, t.name, focus_sort_key(t.endpoint))
-
-
-def sorted_foci(foci: Iterable[Focus]) -> List[Focus]:
-    return sorted(foci, key=focus_sort_key)
 
 
 def elems_to_foci(elems: Iterable[Elem]) -> List[Focus]:

@@ -29,10 +29,12 @@ verdict memo per run.  The memo is keyed by the sorted (signature,
 count) pairs, a free class (one that no node but a WILDSTAR node may
 consume) counted once, and runs the kernel of ``_bagmatch_py`` on a
 miss only: a DP over the count of rows of each signature, pruned by
-static intervals.
+static intervals.  That module loads with the first template, so a
+process that decides no neighborhood never compiles it.
 Exceeding the cap raises ``NeighborhoodTooLarge``, never approximating,
 and so does a bag whose star parts nest deeper than the interpreter's
-recursion limit; the error names the least such element.
+recursion limit; the error names the least such element, and no profile
+of the call is decided before every element's total is checked.
 
 Counting is by triples, not by endpoints: a node with two parallel
 p-edges to the same target offers two distinct signed triples.  This is
@@ -44,10 +46,8 @@ from __future__ import annotations
 
 import os
 from functools import reduce
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
+from typing import Collection, Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
-from . import _bagmatch_py
-from ._bagmatch_py import OP_ALT, OP_EPS, OP_LEAF, OP_SEQ, OP_STAR, OP_WILDSTAR, count_bounds
 from .model import (
     FWD,
     INV,
@@ -69,6 +69,8 @@ from .model import (
 from .report import ValidationReport, make_report
 
 DEFAULT_CAP = 24
+
+_bagmatch_py = None  # the kernel's module, loaded by the first template (:func:`_template`)
 
 
 def default_cap() -> int:
@@ -321,11 +323,11 @@ class _Program:
         lo: List[int] = []
         hi: List[int] = []
         for op, a, b in zip(ops, lefts, rights):
-            bounds = count_bounds(op, lo, hi, a, b)
+            bounds = _bagmatch_py.count_bounds(op, lo, hi, a, b)
             lo.append(bounds[0])
             hi.append(bounds[1])
         self.kernel = (ops, lefts, rights, _bagmatch_py.under_masks(ops, lefts, rights), lo, hi, len(ops) - 1)
-        self.wild = sum(1 << i for i, op in enumerate(ops) if op == OP_WILDSTAR)
+        self.wild = sum(1 << i for i, op in enumerate(ops) if op == _bagmatch_py.OP_WILDSTAR)
         self.verdicts: Dict[Tuple[Tuple[int, int], ...], object] = {}
 
 
@@ -445,6 +447,10 @@ def _compile(ctx: EvalContext, shape: ShexShape) -> _Compiled:
 def _template(ctx: EvalContext, expr: TripleExpr, openness: Openness) -> _Template:
     """Flatten ``expr ; wildcards`` into a program template, its program
     interned in ``ctx``."""
+    global _bagmatch_py
+    if _bagmatch_py is None:  # a run that decides no neighborhood never loads the kernel
+        from . import _bagmatch_py
+
     t = _Template()
     ops: List[int] = []  # the program's parallel lists
     lefts: List[int] = []
@@ -458,37 +464,37 @@ def _template(ctx: EvalContext, expr: TripleExpr, openness: Openness) -> _Templa
 
     def walk(e: TripleExpr) -> int:
         if isinstance(e, Eps):
-            return emit(OP_EPS)
+            return emit(_bagmatch_py.OP_EPS)
         if isinstance(e, TC):
-            i = emit(OP_LEAF)
+            i = emit(_bagmatch_py.OP_LEAF)
             t.leaves.setdefault((e.q, e.direction), []).append((1 << i, _compile(ctx, e.shape)))
             return i
         if isinstance(e, (WildOut, WildIn)):
-            i = emit(OP_LEAF)
+            i = emit(_bagmatch_py.OP_LEAF)
             t.wilds[FWD if isinstance(e, WildOut) else INV].append((1 << i, e.excluded))
             return i
         if isinstance(e, Seq):
-            return emit(OP_SEQ, walk(e.left), walk(e.right))
+            return emit(_bagmatch_py.OP_SEQ, walk(e.left), walk(e.right))
         if isinstance(e, Alt):
-            return emit(OP_ALT, walk(e.left), walk(e.right))
+            return emit(_bagmatch_py.OP_ALT, walk(e.left), walk(e.right))
         if isinstance(e, StarE):
             a = walk(e.inner)
-            if ops[a] == OP_LEAF:
+            if ops[a] == _bagmatch_py.OP_LEAF:
                 # star of a single constraint consumes any number of its rows
-                ops[a] = OP_WILDSTAR
+                ops[a] = _bagmatch_py.OP_WILDSTAR
                 return a
-            return emit(OP_STAR, a)
+            return emit(_bagmatch_py.OP_STAR, a)
         raise TriformError(f"unknown triple expression {e!r}")
 
     body = walk(expr)
     # walk calls itself through its closure, a cycle that would keep the
     # template and its per-run entries alive until a collection
     del walk
-    wild = emit(OP_WILDSTAR)
+    wild = emit(_bagmatch_py.OP_WILDSTAR)
     t.wilds[INV].append((1 << wild, openness.r))
     if isinstance(openness, Open):
         t.wilds[FWD].append((1 << wild, openness.q))
-    emit(OP_SEQ, body, wild)  # the root
+    emit(_bagmatch_py.OP_SEQ, body, wild)  # the root
     key = (tuple(ops), tuple(lefts), tuple(rights))
     prog = ctx.programs.get(key)
     if prog is None:  # the bounds and masks are computed once per structure per run
@@ -520,7 +526,7 @@ def _decide(prog: _Program, rows: Dict[int, int]):
     return verdict
 
 
-def _too_large(xs: List[Elem], profiles, why: str) -> NeighborhoodTooLarge:
+def _too_large(xs: Collection[Elem], profiles, why: str) -> NeighborhoodTooLarge:
     """The capability error naming the least of ``xs`` in focus order."""
     v = elems_to_foci(xs)[0]
     return NeighborhoodTooLarge(f"signed neighborhood of {v!r} has {profiles[focus_elem(v)].size} triples{why}")
@@ -529,20 +535,23 @@ def _too_large(xs: List[Elem], profiles, why: str) -> NeighborhoodTooLarge:
 def _neigh(ctx: EvalContext, g: CommonGraph, t: _Template, elems: Set[Elem]) -> Set[Elem]:
     """The elements of ``elems`` whose rows the template's program matches.
 
-    Each element is looked up by its row profile, whose first element checks
-    its total against the cap and makes its entry, the verdict when no row
-    is tested.  Other elements are bucketed by profile and decided as the
-    module docstring says.  Capability errors name the least element over
-    the cap or, once all are decided, with a bag too deep for the kernel."""
+    The cap is checked first, for every element of the call at once, so a
+    cap error comes before any profile is decided, whatever the set order.
+    Each element is then looked up by its row profile, whose first element
+    makes its entry, the verdict when no row is tested.  Other elements are
+    bucketed by profile and decided as the module docstring says.
+    Capability errors name the least element over the cap or, once all are
+    decided, with a bag too deep for the kernel."""
     profiles, entries, prog, cap, out = g.row_profiles, t.entries, t.program, ctx.cap, set()
+    over = profiles.over(cap)
+    if over and not over.isdisjoint(elems):
+        raise _too_large(over.intersection(elems), profiles, f" (cap {cap})")
     buckets: Dict[RowProfile, List[Elem]] = {}  # the elements of each profile with tested groups
     deep: List[Elem] = []  # the elements whose bag is too deep for the kernel
     for x in elems:
         p = profiles[x]
         entry = entries.get(p)
         if entry is None:
-            if p.size > cap:
-                raise _too_large([y for y in elems if profiles[y].size > cap], profiles, f" (cap {cap})")
             counts, tested = t.groups(g, p)
             entry = entries[p] = (counts, tested) if tested else _decide(prog, counts)
         if entry is True:

@@ -60,9 +60,7 @@ from triform.model import (
 from triform.pgschema import (
     PgPath,
     edge_type_member,
-    edge_type_to_path,
     eval_pg_path,
-    normalize_edge_type,
 )
 from triform.pgschema import CAny, CBoth, CEither, CEmpty, CField, EBoth, EEither, ET
 from triform.shacl import eval_path, shacl_validate
@@ -88,6 +86,8 @@ from triform.sshex import (
     sshex_to_shex,
 )
 from triform.cogsl import cogsl_validate
+
+from helpers import edge_type_to_path, normalize_edge_type
 
 
 def _report(name: str, ok: bool, detail: str) -> None:

@@ -38,7 +38,6 @@ from triform.pgschema import (
     PPred,
     PStar,
     eval_pg_path,
-    filter_path,
     inv_key_path,
     key_path,
     pred_path,
@@ -48,6 +47,8 @@ from triform.shex import shex_satisfies, shex_validate
 import triform.cogsl as cg
 from triform import jsonio
 from triform.examples import media_pg_rules
+
+from helpers import filter_path
 
 
 def test_media_rules_are_common(pg_c1_c5):

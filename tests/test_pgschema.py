@@ -34,7 +34,6 @@ from triform.model import (
     bool_v,
     elem_focus,
     int_v,
-    sorted_foci,
     str_v,
     value_sort_key,
     value_type_member,
@@ -69,13 +68,9 @@ from triform.pgschema import (
     content_member,
     disjunct_member,
     edge_type_member,
-    edge_type_to_path,
     eval_pg_path,
-    filter_path,
     inv_key_path,
     key_path,
-    loose_graph_type,
-    normalize_edge_type,
     path_image,
     path_relation,
     pg_satisfies,
@@ -87,6 +82,8 @@ from triform.pgschema import (
     validate_graph_type,
 )
 from triform.shacl import Step, eval_path, shacl_validate
+
+from helpers import edge_type_to_path, filter_path, loose_graph_type, normalize_edge_type, sorted_foci
 
 EMAIL_CARD = CBoth(CField("email", "str"), CEither(CField("card", "int"), CEmpty()))
 

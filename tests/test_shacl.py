@@ -20,7 +20,6 @@ from triform.model import (
     ValueTypeRegistry,
     build_graph,
     int_v,
-    sorted_foci,
     str_v,
     value_type_member,
 )
@@ -53,6 +52,8 @@ from triform.shacl import (
     shacl_select,
     shacl_validate,
 )
+
+from helpers import sorted_foci
 
 
 def test_eval_path_step(g_media):

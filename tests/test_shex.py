@@ -28,7 +28,6 @@ from triform.model import (
     elems_to_foci,
     focus_elem,
     int_v,
-    sorted_foci,
     str_v,
 )
 from triform.shex import (
@@ -63,6 +62,7 @@ from triform.shex import (
     top_shape,
 )
 
+from helpers import sorted_foci
 from shex_rows import match_witness
 
 TOP = top_shape()

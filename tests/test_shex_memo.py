@@ -203,7 +203,7 @@ def test_a_run_leaves_no_cyclic_garbage():
 _COUNT_SCRIPT = """
 import json
 from triform import _bagmatch_py
-from triform.harness import GenParams, gen_graph, gen_shex_schema
+from triform.harness import GenParams, gen_graph, gen_shex_schema, run_campaign
 from triform.shex import shex_validate
 import test_shex_memo as t
 
@@ -222,6 +222,10 @@ for g, rules in cases:
     del calls[:]
     report = shex_validate(g, rules, cap=64)
     out.append([len(calls), [[v.rule_index, repr(v.focus)] for v in report.violations]])
+# a campaign in which some trials stop at the default cap
+del calls[:]
+summary = run_campaign(150, GenParams(node_count=40), seed=987654321)
+out.append([len(calls), [summary.capped, summary.agreed]])
 print(json.dumps(out))
 """
 
@@ -245,6 +249,9 @@ def test_kernel_calls_do_not_depend_on_the_hash_seed():
     assert runs[0] == runs[1]
     assert runs[0][0][0] == 3 and len(runs[0][0][1]) == 10
     assert runs[0][1][0] == 2 and len(runs[0][1][1]) == 30  # two shapes share one program
+    # a capped trial decides no profile before its cap error, in any set order
+    calls, (capped, agreed) = runs[0][-1]
+    assert capped > 0 and capped + agreed == 150 and calls > 0
 
 
 _CAP_SCRIPT = """
