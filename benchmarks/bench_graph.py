@@ -15,7 +15,8 @@ process:
               what loading cost when ``build_graph`` filled them all
   load (cli)  ``triform validate`` of the graph against an empty SHACL
               schema through ``cli.main``: the same load as the CLI runs
-              it, collector handling included, and no rule to decide
+              it, with the collector paused for the whole command and
+              resumed once the graph is freed, and no rule to decide
   select      each dialect's selection of every rule's foci on the loaded
               graph (the raw ``_select`` the validators call)
   decide      the SHACL, PG and ShEx (fixture and compiled) evaluation

@@ -13,6 +13,9 @@ its traceback goes to stderr), so a crash never reads as a verdict.
 Code that only some commands run is imported when they run: ``cogsl``
 by ``translate``, ``check-common`` and cogsl schemas, ``sshex`` by
 sshex schemas, ``harness`` by ``fuzz`` and ``oracle``.
+
+``validate`` runs with the cyclic garbage collector paused, from load to
+report (:func:`cmd_validate`); the other commands leave it as it is.
 """
 
 from __future__ import annotations
@@ -62,49 +65,29 @@ def _emit(doc, pretty: bool) -> None:
 
 
 @contextlib.contextmanager
-def _inputs_out_of_gc():
-    """Keep the cyclic collector off a command's loaded inputs.
-
-    Collection is paused while the inputs load: a fresh graph is a burst
-    of container objects that survives every pass.  Calling the yielded
-    ``loaded()`` then moves every live object into the collector's
-    permanent generation (``gc.freeze``) and resumes collection, so the
-    rest of the command never traverses the loaded graph again.  The
-    indexes a graph derives on first read come after ``loaded()``; they
-    are not frozen, and evaluation's collections may traverse them.  On
-    every exit the collector is put back as found: the objects are
-    unfrozen, and collection is enabled only if it was.  A caller that
-    already holds frozen objects keeps them frozen, since ``gc.unfreeze``
-    cannot release this command's objects alone; then nothing is frozen
-    here and collection stays paused until exit.
-    """
-    enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+def _collector_paused():
+    """Pause the cyclic collector, and put it back as found on every exit."""
+    enabled = gc.isenabled()
     gc.disable()
-
-    def loaded() -> None:
-        if not frozen:
-            gc.freeze()
-            if enabled:
-                gc.enable()
-
     try:
-        yield loaded
+        yield
     finally:
-        if not frozen:
-            gc.unfreeze()
         if enabled:
             gc.enable()
 
 
 def cmd_validate(args) -> int:
-    with _inputs_out_of_gc() as loaded:
-        graph = jsonio.parse_graph(_load_json(args.graph))
-        dialect, payload = jsonio.parse_schema(_load_json(args.schema))
-        loaded()
-        return _validate(args, graph, dialect, payload)
+    # a command's objects are a burst of containers that survive every
+    # pass, so a pass would only traverse them; the graph, its indexes and
+    # the report live in _validate's frame and are freed by reference
+    # counting when it returns, before collection resumes
+    with _collector_paused():
+        return _validate(args)
 
 
-def _validate(args, graph, dialect: str, payload) -> int:
+def _validate(args) -> int:
+    graph = jsonio.parse_graph(_load_json(args.graph))
+    dialect, payload = jsonio.parse_schema(_load_json(args.schema))
     if args.dialect and args.dialect != dialect:
         raise FormatError(
             f"schema is tagged {dialect!r} but --dialect {args.dialect!r} was given"
@@ -202,15 +185,8 @@ def cmd_fuzz(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    with _inputs_out_of_gc() as loaded:
-        graph = jsonio.parse_graph(_load_json(args.graph))
-        query = _load_json(args.query)
-        loaded()
-        return _oracle(args, graph, query)
-
-
-def _oracle(args, graph, query) -> int:
     from .harness import brute_match_oracle, brute_path_oracle, brute_pg_path_oracle
+    graph, query = jsonio.parse_graph(_load_json(args.graph)), _load_json(args.query)
     # each kind takes only its own fields, as the schema parsers do
     spec = jsonio._obj(query, "$", ["focus"], ["path", "dialect"] if args.kind == "path" else ["expr", "openness"])
     focus = jsonio.parse_focus(spec["focus"], "$.focus")

@@ -271,12 +271,16 @@ class ValueTypeRegistry:
     def known(self, type_id: str) -> bool:
         return type_id in self._members
 
-    def member(self, w: Value, type_id: str) -> bool:
+    def test(self, type_id: str) -> Callable[[Value], bool]:
+        """The membership test of the named type, for callers that test
+        many values against one type."""
         try:
-            test = self._members[type_id]
+            return self._members[type_id]
         except KeyError:
             raise UnknownValueType(f"value type {type_id!r} is not registered") from None
-        return bool(test(w))
+
+    def member(self, w: Value, type_id: str) -> bool:
+        return bool(self.test(type_id)(w))
 
 
 DEFAULT_TYPES = ValueTypeRegistry()
@@ -305,17 +309,19 @@ class RowProfile:
         self.size = size
 
 
-class RowProfiles(dict):
+class RowProfiles:
     """The row profile of each raw element of one graph, all counted in
     one pass over the name index in sorted name order (a triple gives its
     near end a forward row and its far end an inverse row), each distinct
-    profile once.  An element outside the graph gets the empty profile.
-    ``max_size`` is the largest ``size`` of a profile, 0 for no rows."""
+    profile once.  ``of`` maps each element of the graph to its profile;
+    it is a plain ``dict``, so a lookup takes the interpreter's exact-dict
+    path.  ``profiles[x]`` gives an element outside the graph the empty
+    profile (``__missing__``).  ``max_size`` is the largest ``size`` of a
+    profile, 0 for no rows."""
 
-    __slots__ = ("max_size", "_over")
+    __slots__ = ("of", "max_size", "_over")
 
     def __init__(self, by_name: Dict[str, List[Triple]]):
-        super().__init__()
         # each element's rows, forward as the name, inverse as (name,): by name, forward
         # first, so equal count vectors give equal tuples, each count one run of one object
         rows: Dict[Elem, List[Union[str, Tuple[str]]]] = defaultdict(list)
@@ -327,6 +333,7 @@ class RowProfiles(dict):
             for x in map(_FAR, triples):
                 rows[x].append(back)
         by_rows: Dict[tuple, RowProfile] = {}
+        self.of: Dict[Elem, RowProfile] = {}
         for x, names in rows.items():
             names = tuple(names)
             p = by_rows.get(names)
@@ -340,12 +347,19 @@ class RowProfiles(dict):
                     pairs.append((name, j - i))
                     i = j
                 p = by_rows[names] = RowProfile(tuple(fwd), tuple(inv), size)
-            self[x] = p
+            self.of[x] = p
         self.max_size = max(map(len, by_rows), default=0)
         self._over: Dict[int, Set[Elem]] = {}
 
+    def __getitem__(self, x: Elem) -> RowProfile:
+        p = self.of.get(x)
+        return self.__missing__(x) if p is None else p
+
     def __missing__(self, x: Elem) -> RowProfile:
         return _NO_ROWS
+
+    def __iter__(self) -> Iterator[Elem]:
+        return iter(self.of)
 
     def over(self, cap: int) -> Set[Elem]:
         """The elements with more than ``cap`` rows, which the caller must
@@ -355,7 +369,7 @@ class RowProfiles(dict):
             return _NOTHING
         over = self._over.get(cap)
         if over is None:
-            over = self._over[cap] = {x for x, p in self.items() if p.size > cap}
+            over = self._over[cap] = {x for x, p in self.of.items() if p.size > cap}
         return over
 
 

@@ -47,6 +47,7 @@ from functools import cached_property
 from typing import Collection, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from .model import (
+    DEFAULT_TYPES,
     FWD,
     INV,
     CommonGraph,
@@ -63,7 +64,6 @@ from .model import (
     focus_elem,
     frozen,
     triple_ends,
-    value_type_member,
 )
 from .report import ValidationReport, make_report
 
@@ -155,9 +155,10 @@ def content_dnf(t: ContentType) -> List[ContentDisjunct]:
 
 
 def disjunct_member(r: Record, d: ContentDisjunct, registry: Optional[ValueTypeRegistry] = None) -> bool:
+    types = registry or DEFAULT_TYPES
     for k, vt in d.reqs:
         w = r.get(k)
-        if w is None or not value_type_member(w, vt, registry):
+        if w is None or not types.test(vt)(w):
             return False
     return d.open or r.keys() == d.keys
 
@@ -176,7 +177,8 @@ def _pair_owners(g: CommonGraph, k: str, vt: str, registry, owners: PairOwners) 
     the name index once per ``owners`` (one call of the caller)."""
     got = owners.get((k, vt))
     if got is None:
-        got = owners[k, vt] = {t[0] for t in g.triples_named(k) if value_type_member(t[2], vt, registry)}
+        test = (registry or DEFAULT_TYPES).test(vt)
+        got = owners[k, vt] = {t[0] for t in g.triples_named(k) if test(t[2])}
     return got
 
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 from typing import FrozenSet, List, Optional, Set, Tuple, Union
 
 from .model import (
+    DEFAULT_TYPES,
     FWD,
     INV,
     CommonGraph,
@@ -42,7 +43,6 @@ from .model import (
     focus_elem,
     frozen,
     triple_ends,
-    value_type_member,
 )
 from .pgschema import (
     NodePath,
@@ -247,8 +247,8 @@ def _sat(g: CommonGraph, shape: ShaclShape, elems: Set[Elem], registry) -> Set[E
     if kind is TestConst:
         return {shape.c} & elems
     if kind is TestType:
-        t = shape.t
-        return {x for x in elems if type(x) is Value and value_type_member(x, t, registry)}
+        test = (registry or DEFAULT_TYPES).test(shape.t)
+        return {x for x in elems if type(x) is Value and test(x)}
     if kind is Closed:
         # only outgoing triples are constrained; values have none
         allowed = shape.allowed

@@ -49,6 +49,7 @@ from functools import reduce
 from typing import Collection, Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
 from .model import (
+    DEFAULT_TYPES,
     FWD,
     INV,
     CommonGraph,
@@ -59,12 +60,11 @@ from .model import (
     TriformError,
     Value,
     ValueTypeRegistry,
-    neigh_signed,  # noqa: F401  unused here, but the benchmark's tracer patches it on this module
     elems_to_foci,
     focus_elem,
     frozen,
+    neigh_signed,  # noqa: F401  unused here, but the benchmark's tracer patches it on this module
     triple_ends,
-    value_type_member,
 )
 from .report import ValidationReport, make_report
 
@@ -543,13 +543,17 @@ def _neigh(ctx: EvalContext, g: CommonGraph, t: _Template, elems: Set[Elem]) -> 
     Capability errors name the least element over the cap or, once all are
     decided, with a bag too deep for the kernel."""
     profiles, entries, prog, cap, out = g.row_profiles, t.entries, t.program, ctx.cap, set()
+    of = profiles.of
     over = profiles.over(cap)
     if over and not over.isdisjoint(elems):
         raise _too_large(over.intersection(elems), profiles, f" (cap {cap})")
     buckets: Dict[RowProfile, List[Elem]] = {}  # the elements of each profile with tested groups
     deep: List[Elem] = []  # the elements whose bag is too deep for the kernel
     for x in elems:
-        p = profiles[x]
+        try:
+            p = of[x]
+        except KeyError:  # outside the graph
+            p = profiles[x]
         entry = entries.get(p)
         if entry is None:
             counts, tested = t.groups(g, p)
@@ -650,8 +654,8 @@ def _sat(ctx: EvalContext, g: CommonGraph, c: _Compiled, elems: Set[Elem]) -> Se
         return elems - _sat(ctx, g, c.left, elems)
     if kind is STestConst:
         return {c.shape.c} & elems
-    t = c.shape.t
-    return {x for x in elems if type(x) is Value and value_type_member(x, t, ctx.registry)}
+    test = (ctx.registry or DEFAULT_TYPES).test(c.shape.t)
+    return {x for x in elems if type(x) is Value and test(x)}
 
 
 def match_triple_expr(

@@ -8,7 +8,6 @@ these tests pin the verdicts against the brute-force oracle, count the
 kernel calls and check what a profile entry reads.
 """
 
-import gc
 import json
 import os
 import subprocess
@@ -182,22 +181,6 @@ def test_shapes_with_one_program_share_its_memo(kernel_calls):
             )
     assert shex_validate(g, SHARED_PROGRAM) == first
     assert len(kernel_calls) == 4  # a new run decides the bags again
-
-
-def test_a_run_leaves_no_cyclic_garbage():
-    # the run's compiled shapes, profile entries and memos are freed when
-    # the run ends, not at the next collection of the cyclic collector
-    g = copies_graph(10)
-    rules = [(SelOut("p"), SAnd(SNeigh(PAIRS_EXPR, PAIRS), INT_K)), (SelOut("q"), INT_K)]
-    gc.collect()
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        shex_validate(g, rules)
-        assert gc.collect() == 0
-    finally:
-        if enabled:
-            gc.enable()
 
 
 _COUNT_SCRIPT = """
