@@ -21,8 +21,9 @@ process:
               graph (the raw ``_select`` the validators call)
   decide      the SHACL, PG and ShEx (fixture and compiled) evaluation
               of every rule's shape on its selected elements (the raw
-              ``_sat`` the validators call, ShEx's in one context per
-              call): the count atoms' path images and the neighborhood
+              ``core._sat`` the validators call, in one context of the
+              dialect per call, PG's shapes lowered to the shape core):
+              the count atoms' path images and the neighborhood
               matching alone, the selection (and ShEx's row profiles)
               made untimed just before on the same graph
   types       ``pgschema.validate_graph_type`` on the loaded graph with the
@@ -57,7 +58,7 @@ import statistics
 import tempfile
 import time
 
-from triform import cli, examples, jsonio, pgschema, shacl, shex
+from triform import cli, core, examples, jsonio, pgschema, shacl, shex
 from triform.cogsl import cogsl_to_shacl, cogsl_to_shex
 from triform.pgschema import CAny, CBoth, CEither, CEmpty, CField, EBoth, EEither, ET, GraphType
 
@@ -122,22 +123,27 @@ def shex_select(g, sel):
     return shex._select(g, sel)
 
 
-def shex_decide(g, picked):
-    """Every rule's shape on its selected elements, in one context, as
-    ``shex_validate`` decides them."""
-    ctx = shex.EvalContext(shex.default_cap())
-    return [shex._sat(ctx, g, shex._compile(ctx, shape), elems) for shape, elems in picked]
+def decide(context, lower=None):
+    """Every rule's shape on its selected elements, by the one set
+    evaluator, in one context of the dialect, as its validator decides
+    them (PG's shapes lowered to the shape core first)."""
+
+    def run(g, picked):
+        ctx = context(g)
+        return [core._sat(ctx, lower(shape) if lower else shape, elems) for shape, elems in picked]
+
+    return run
+
+
+def shex_context(g):
+    return shex.ShexContext(g, shex.default_cap())
 
 
 DECIDE = {
-    "shacl": (examples.media_shacl_rules, shacl._select, lambda g, picked: [shacl._sat(g, *p, None) for p in picked]),
-    "pg": (
-        examples.media_pg_rules,
-        lambda g, sel: pgschema._select(g, sel, None),
-        lambda g, picked: [pgschema._sat(g, *p, None) for p in picked],
-    ),
-    "shex": (examples.media_shex_rules, shex_select, shex_decide),
-    "shex_compiled": (lambda: cogsl_to_shex(examples.media_pg_rules()), shex_select, shex_decide),
+    "shacl": (examples.media_shacl_rules, shacl._select, decide(shacl.ShaclContext)),
+    "pg": (examples.media_pg_rules, lambda g, sel: pgschema._select(g, sel, None), decide(pgschema.PgContext, pgschema.lower_shape)),
+    "shex": (examples.media_shex_rules, shex_select, decide(shex_context)),
+    "shex_compiled": (lambda: cogsl_to_shex(examples.media_pg_rules()), shex_select, decide(shex_context)),
 }
 
 

@@ -26,6 +26,7 @@ from typing import Any, Callable, FrozenSet, List, NamedTuple, Optional, Sequenc
 from .model import FWD, INV, NotInFragment, TriformError, frozen
 from . import shacl as sh
 from . import shex as sx
+from .core import TOP, Not, TestConst, TestType, and_all, or_all
 from .pgschema import (
     CAny,
     CBoth,
@@ -460,14 +461,11 @@ def cogsl_validate(g, rules: CommonSchema, registry=None) -> ValidationReport:
 
 
 class Target(NamedTuple):
-    """The constructors a compiled rule is built from.  ``and_all`` and
-    ``or_all`` fold left, and ``and_all([])`` is the dialect's top."""
+    """The dialect's top shape and the constructors of its own that a
+    compiled rule is built from; both dialects share the Boolean and test
+    classes of the shape core."""
 
-    not_: Callable[[Any], Any]
-    and_all: Callable[[List[Any]], Any]
-    or_all: Callable[[List[Any]], Any]
-    test_type: Callable[[str], Any]
-    test_const: Callable[[Any], Any]
+    top: Any
     count: Callable[[bool, int, str, str, Any], Any]  # (geq, n, name, direction, body)
     closed: Callable[[FrozenSet[str], Tuple[str, ...]], Any]  # (record keys, predicates)
     select: Callable[[str, str], Any]  # (direction, name)
@@ -478,11 +476,7 @@ def _shacl_step(name: str, direction: str) -> sh.PathExpr:
 
 
 SHACL = Target(
-    not_=sh.Not,
-    and_all=sh.and_all,
-    or_all=sh.or_all,
-    test_type=sh.TestType,
-    test_const=sh.TestConst,
+    top=TOP,
     count=lambda geq, n, name, direction, body: (sh.GeqCount if geq else sh.LeqCount)(
         n, _shacl_step(name, direction), body
     ),
@@ -495,7 +489,7 @@ def _shex_count(geq: bool, n: int, name: str, direction: str, body) -> sx.ShexSh
     """At least n: n repetitions in an open neighbourhood; at most n: not n + 1."""
     reps = sx.desugar_repetition(sx.TC(name, direction, body), "exactly", n if geq else n + 1)
     counted = sx.SNeigh(reps, sx.Open(sx.NO_NAMES, sx.NO_NAMES))
-    return counted if geq else sx.SNot(counted)
+    return counted if geq else Not(counted)
 
 
 def _names_star(names) -> Optional[sx.TripleExpr]:
@@ -511,11 +505,7 @@ def _shex_closed(keys: FrozenSet[str], preds: Tuple[str, ...]) -> sx.ShexShape:
 
 
 SHEX = Target(
-    not_=sx.SNot,
-    and_all=sx.sand_all,
-    or_all=sx.sor_all,
-    test_type=sx.STestType,
-    test_const=sx.STestConst,
+    top=sx.top_shape(),
     count=_shex_count,
     closed=_shex_closed,
     select=lambda direction, name: (sx.SelOut if direction == FWD else sx.SelIn)(name),
@@ -526,36 +516,35 @@ def _content(t: Target, tau: ContentType):
     shapes = []
     for d in content_dnf(tau):
         assert d.open, "path content types must be open"
-        shapes.append(t.and_all([t.count(True, 1, k, FWD, t.test_type(vt)) for k, vt in d.reqs]))
-    return t.or_all(shapes)
+        shapes.append(and_all([t.count(True, 1, k, FWD, TestType(vt)) for k, vt in d.reqs], t.top))
+    return or_all(shapes)
 
 
 def _filter(t: Target, kind: FilterKind):
     if isinstance(kind, FKeyIs):
-        return t.count(True, 1, kind.k, FWD, t.test_const(kind.c))
+        return t.count(True, 1, kind.k, FWD, TestConst(kind.c))
     if isinstance(kind, FNotKeyIs):
-        return t.not_(t.count(True, 1, kind.k, FWD, t.test_const(kind.c)))
+        return Not(t.count(True, 1, kind.k, FWD, TestConst(kind.c)))
     if isinstance(kind, FOfType):
         return _content(t, kind.t)
     if isinstance(kind, FNotOfType):
-        return t.not_(_content(t, kind.t))
+        return Not(_content(t, kind.t))
     raise TriformError(f"unknown filter {kind!r}")
 
 
 def _filters(t: Target, filters: Sequence[FilterKind]):
-    return t.and_all([_filter(t, f) for f in filters])
+    return and_all([_filter(t, f) for f in filters], t.top)
 
 
 def _atoms(t: Target, atoms: List[NodePath], dst_key: Optional[str]):
     """Existential concatenation, rightmost first (Lemma-style recursion)."""
     if not atoms:
-        top = t.and_all([])
-        return top if dst_key is None else t.count(True, 1, dst_key, FWD, top)
+        return t.top if dst_key is None else t.count(True, 1, dst_key, FWD, t.top)
     head, rest = atoms[0], atoms[1:]
     if isinstance(head, PFilter):
         if not rest and dst_key is None:
             return _filter(t, head.kind)
-        return t.and_all([_filter(t, head.kind), _atoms(t, rest, dst_key)])
+        return and_all([_filter(t, head.kind), _atoms(t, rest, dst_key)])
     return t.count(True, 1, *_step_of(head), _atoms(t, rest, dst_key))
 
 
@@ -567,7 +556,7 @@ def _exists(t: Target, path: PgPath):
         if path.dst_key is None and atoms and not isinstance(atoms[-1], PFilter):
             atoms.append(PFilter(TRIVIAL_FILTER))
         shapes.append(_atoms(t, atoms, path.dst_key))
-    out = t.or_all(shapes)
+    out = or_all(shapes)
     if path.src_key is not None:
         out = t.count(True, 1, path.src_key, INV, out)
     return out
@@ -576,22 +565,22 @@ def _exists(t: Target, path: PgPath):
 def _count(t: Target, atom: CountAtom):
     geq = atom.kind == "geq"
     if geq and atom.n == 0:
-        return t.and_all([])
+        return t.top
     direction = FWD if atom.step in ("pred", "key") else INV
     counted = t.count(geq, atom.n, atom.name, direction, _filters(t, atom.right))
     if not atom.left:
         return counted
     left = _filters(t, atom.left)
-    return t.and_all([left, counted]) if geq else t.or_all([t.not_(left), counted])
+    return and_all([left, counted]) if geq else or_all([Not(left), counted])
 
 
 def _guard(t: Target, atom: GuardAtom):
     shapes = []
     for d in content_dnf(atom.tau):
         assert not d.open
-        conj = [t.count(True, 1, k, FWD, t.test_type(vt)) for k, vt in d.reqs]
-        shapes.append(t.and_all(conj + [t.closed(d.keys, atom.preds)]))
-    return t.or_all(shapes)
+        conj = [t.count(True, 1, k, FWD, TestType(vt)) for k, vt in d.reqs]
+        shapes.append(and_all(conj + [t.closed(d.keys, atom.preds)]))
+    return or_all(shapes)
 
 
 # direction of the triple a selector form asks for at the focus
@@ -617,8 +606,8 @@ def _compile(t: Target, rules: CommonSchema) -> list:
             else:
                 parts.append(_guard(t, atom))
         select = t.select(_SEL_DIRECTION[rule.sel.form], rule.sel.name)
-        vacuous = t.not_(_exists(t, rule.sel.path))
-        out.append((select, t.or_all([vacuous, t.and_all(parts)])))
+        vacuous = Not(_exists(t, rule.sel.path))
+        out.append((select, or_all([vacuous, and_all(parts, t.top)])))
     return out
 
 

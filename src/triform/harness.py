@@ -21,6 +21,7 @@ from . import shacl as sh
 from . import shex as sx
 from . import sshex as ssx
 from .cogsl import CheckedSchema, cogsl_to_shacl, cogsl_to_shex, cogsl_validate
+from .core import And, and_all
 from .jsonio import focus_to_json
 from .model import (
     FWD,
@@ -66,7 +67,6 @@ from .pgschema import (
     NodePath,
     PConcat,
     PFilter,
-    PgAnd,
     PgGeq,
     PgLeq,
     PgPath,
@@ -81,7 +81,6 @@ from .pgschema import (
     PUnion,
     concat_all,
     content_member,
-    pg_and_all,
 )
 from .shacl import shacl_validate
 from .shex import shex_validate
@@ -219,7 +218,7 @@ def _gen_count_atom(rng: random.Random, p: GenParams, value_sorted: bool) -> PgS
 def _gen_guard(rng: random.Random, p: GenParams) -> PgShape:
     tau = _gen_closed_content(rng, p, depth=1)
     preds = tuple(sorted(rng.sample(p.pred_pool, rng.randrange(0, len(p.pred_pool) + 1))))
-    return PgAnd(
+    return And(
         PgGeq(1, PgPath(None, PFilter(FOfType(tau)), None)),
         PgLeq(0, PgPath(None, PNotPreds(frozenset(preds)), None)),
     )
@@ -269,7 +268,7 @@ def gen_cogsl_schema(p: GenParams) -> List[PgRule]:
                 atoms.append(_gen_count_atom(rng, p, False))
             else:
                 atoms.append(_gen_guard(rng, p))
-        rules.append((sel, pg_and_all(atoms)))
+        rules.append((sel, and_all(atoms)))
     return rules
 
 

@@ -621,7 +621,7 @@ _PG_PATH = _Codec(parse_pg_path, pg_path_to_json)
 _PG_SHAPE.define(
     _Row("geq", pg.PgGeq, ("n", _NAT), ("path", _PG_PATH)),
     _Row("leq", pg.PgLeq, ("n", _NAT), ("path", _PG_PATH)),
-    _Row("and", pg.PgAnd, nary=True),
+    _Row("and", pg.And, nary=True),
 )
 
 

@@ -32,8 +32,9 @@ when it is closed.  A graph-type check compiles each disjunct of its
 types to such an extension once per run, and type filters go through
 the same function; a selector is decided for every candidate at once,
 by one image under its inverted body, and a shape for all selected foci
-at once, on raw elements (node ids and values), its conjunction
-narrowing the foci atom by atom, each atom counting the images of one
+at once, on raw elements (node ids and values): it is lowered to the
+shape core (:func:`lower_shape`), whose set evaluator (``core._sat``)
+narrows the foci atom by atom, each atom counting the images of one
 :func:`_pg_relation` call.
 
 Evaluation is pure over immutable inputs, same sharing contract as the
@@ -46,6 +47,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Collection, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
+from .core import TOP, And, Context, GeqCount, LeqCount, Top, _sat, and_all
 from .model import (
     DEFAULT_TYPES,
     FWD,
@@ -658,59 +660,36 @@ class PgGeq:
     path: PgPath
 
 
-@frozen
-class PgAnd:
-    left: "PgShape"
-    right: "PgShape"
-
-
-PgShape = Union[PgLeq, PgGeq, PgAnd]
+PgShape = Union[PgLeq, PgGeq, And]
 
 PgSelector = PgGeq  # restricted at load time to the form exists(path)
 
 PgRule = Tuple[PgSelector, PgShape]
 
 
-def pg_and_all(shapes: Sequence[PgShape]) -> PgShape:
-    if not shapes:
-        raise TriformError("empty PG conjunction")
-    out = shapes[0]
-    for s in shapes[1:]:
-        out = PgAnd(out, s)
-    return out
-
-
 def shape_atoms(shape: PgShape) -> List[Union[PgLeq, PgGeq]]:
-    """Flatten a conjunction into its counting atoms, left to right."""
-    if isinstance(shape, PgAnd):
+    """Flatten a conjunction into its counting atoms, left to right.  A PG
+    shape has at least one: the empty conjunction (the top shape) is rejected."""
+    if isinstance(shape, And):
         return shape_atoms(shape.left) + shape_atoms(shape.right)
     if isinstance(shape, (PgLeq, PgGeq)):
         return [shape]
-    raise TriformError(f"unknown PG-shape {shape!r}")
+    raise TriformError("empty PG conjunction" if isinstance(shape, Top) else f"unknown PG-shape {shape!r}")
 
 
-def shape_src_sort(shape: PgShape) -> str:
-    sorts = {a.path.src_sort for a in shape_atoms(shape)}
-    if len(sorts) > 1:
-        raise SortError("conjunction mixes node-sorted and value-sorted paths")
-    return sorts.pop()
+def lower_shape(shape: PgShape):
+    """The shape in the shape core: the conjunction of its atoms, each a
+    count atom with the top body, since a PG atom counts every distinct
+    element of each image, end-key values included."""
+    return and_all([(GeqCount if type(a) is PgGeq else LeqCount)(a.n, a.path, TOP) for a in shape_atoms(shape)])
 
 
-def _sat(g: CommonGraph, shape: PgShape, elems: Set[Elem], registry) -> Set[Elem]:
-    """The elements of ``elems`` that satisfy ``shape``, decided atom by
-    atom: each count atom takes the images of all elements from one
-    :func:`_pg_relation` call and keeps the elements whose image has an
-    admissible number of distinct elements, and the next atom sees only
-    those.  Elements are raw (node ids and values)."""
-    for atom in shape_atoms(shape):
-        if not elems:
-            break
-        images, n = _pg_relation(g, atom.path, elems, registry), atom.n
-        if type(atom) is PgLeq:
-            elems = {x for x in elems if len(images.get(x, ())) <= n}
-        elif n > 0:
-            elems = {x for x, img in images.items() if len(img) >= n}
-    return elems
+class PgContext(Context):
+    """A PG run: a count atom reads its PG-path through :func:`_pg_relation`,
+    with its sort check."""
+
+    def images(self, path: PgPath, elems: Set[Elem]) -> Images:
+        return _pg_relation(self.g, path, elems, self.registry)
 
 
 def pg_satisfies(
@@ -721,7 +700,7 @@ def pg_satisfies(
 ) -> bool:
     """Whether ``v`` satisfies ``shape``: the set evaluator at one focus."""
     x = focus_elem(v)
-    return x in _sat(g, shape, {x}, registry)
+    return x in _sat(PgContext(g, registry), lower_shape(shape), {x})
 
 
 def check_rule_sorts(rules: Sequence[PgRule]) -> None:
@@ -730,7 +709,10 @@ def check_rule_sorts(rules: Sequence[PgRule]) -> None:
     for i, (sel, shape) in enumerate(rules):
         if not isinstance(sel, PgGeq) or sel.n != 1:
             raise TriformError(f"rule {i}: PG-selector must be an existential shape")
-        if shape_src_sort(shape) != sel.path.src_sort:
+        sorts = {a.path.src_sort for a in shape_atoms(shape)}
+        if len(sorts) > 1:
+            raise SortError("conjunction mixes node-sorted and value-sorted paths")
+        if sorts != {sel.path.src_sort}:
             raise SortError(f"rule {i}: selector and shape disagree on focus sort")
 
 
@@ -770,13 +752,14 @@ def pg_validate(
 ) -> ValidationReport:
     """Check every selected focus against its shape.
 
-    Each rule is decided for all its selected elements at once, by the
-    set evaluator; foci are built for the failing elements only."""
+    Each rule's shape is lowered to the shape core and decided for all its
+    selected elements at once, by the set evaluator; foci are built for
+    the failing elements only."""
     check_rule_sorts(rules)
-    per_rule = []
+    ctx, per_rule = PgContext(g, registry), []
     for sel, shape in rules:
         selected = _select(g, sel, registry)
-        failing = elems_to_foci(selected - _sat(g, shape, selected, registry))
+        failing = elems_to_foci(selected - _sat(ctx, lower_shape(shape), selected))
         per_rule.append((selected, failing))
     return make_report(per_rule)
 

@@ -16,9 +16,12 @@ and is computed set-at-a-time on raw elements (node ids and values):
 boolean connectives are set operations, and a count atom takes all its
 foci's images from one call of the relation evaluator
 (:func:`pgschema.path_relation`) and evaluates its body once, on the
-union of those images (see :func:`_sat`).  This
-restriction is the load-bearing fact of this module and is exercised
-against a full relational oracle in the test harness.
+union of those images.  This restriction is the load-bearing fact of
+this module and is exercised against a full relational oracle in the
+test harness.  The Boolean and test classes, the count atoms and the
+set evaluator are the shape core's (``core``); a :class:`ShaclContext`
+reads SHACL's paths and decides its own atoms ``Closed``, ``Eq`` and
+``Disj``.
 
 Everything is pure: a shared (graph, schema) pair may be validated by
 concurrent workers partitioned by rule index.
@@ -28,8 +31,8 @@ from __future__ import annotations
 
 from typing import FrozenSet, List, Optional, Set, Tuple, Union
 
+from .core import And, Context, GeqCount, LeqCount, Not, Or, TestConst, TestType, Top, _sat
 from .model import (
-    DEFAULT_TYPES,
     FWD,
     INV,
     CommonGraph,
@@ -45,6 +48,7 @@ from .model import (
     triple_ends,
 )
 from .pgschema import (
+    Images,
     NodePath,
     PConcat,
     PId,
@@ -67,25 +71,6 @@ PathExpr = NodePath
 
 
 @frozen
-class Top:
-    pass
-
-
-@frozen
-class TestConst:
-    __test__ = False  # AST node named after the grammar, not a test case
-
-    c: Value
-
-
-@frozen
-class TestType:
-    __test__ = False
-
-    t: str
-
-
-@frozen
 class Closed:
     allowed: FrozenSet[str]
 
@@ -100,37 +85,6 @@ class Eq:
 class Disj:
     path: PathExpr
     p: str
-
-
-@frozen
-class Not:
-    inner: "ShaclShape"
-
-
-@frozen
-class And:
-    left: "ShaclShape"
-    right: "ShaclShape"
-
-
-@frozen
-class Or:
-    left: "ShaclShape"
-    right: "ShaclShape"
-
-
-@frozen
-class GeqCount:
-    n: int
-    path: PathExpr
-    body: "ShaclShape"
-
-
-@frozen
-class LeqCount:
-    n: int
-    path: PathExpr
-    body: "ShaclShape"
 
 
 ShaclShape = Union[Top, TestConst, TestType, Closed, Eq, Disj, Not, And, Or, GeqCount, LeqCount]
@@ -172,24 +126,6 @@ def count_eq(n: int, path: PathExpr, body: Optional[ShaclShape] = None) -> Shacl
     return And(LeqCount(n, path, b), GeqCount(n, path, b))
 
 
-def and_all(shapes: List[ShaclShape]) -> ShaclShape:
-    if not shapes:
-        return Top()
-    out = shapes[0]
-    for s in shapes[1:]:
-        out = And(out, s)
-    return out
-
-
-def or_all(shapes: List[ShaclShape]) -> ShaclShape:
-    if not shapes:
-        raise TriformError("empty disjunction")
-    out = shapes[0]
-    for s in shapes[1:]:
-        out = Or(out, s)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Path evaluation
 
@@ -208,66 +144,35 @@ def eval_path(g: CommonGraph, v: Focus, path: PathExpr) -> Set[Focus]:
 # Shape satisfaction
 
 
-def _sat(g: CommonGraph, shape: ShaclShape, elems: Set[Elem], registry) -> Set[Elem]:
-    """The elements of ``elems`` that satisfy ``shape``: the shape's
-    extension cut to ``elems``.  Elements are raw (node ids and values).
+class ShaclContext(Context):
+    """A SHACL run: a count atom reads its node path through the relation
+    evaluator, and ``Closed``, ``Eq`` and ``Disj`` are decided here; ``Eq``
+    and ``Disj`` compare each element's image with its far ends of the name."""
 
-    A count atom takes every element's image from one relation call,
-    evaluates its body once on the union of those images, and compares
-    the size of each image (or of its intersection with the body's
-    extension) against the bound; the images may be the graph's own
-    index, so they are only read.  ``Eq`` and ``Disj`` compare each
-    element's image with its far ends of the name.  The result is a set
-    the caller must not mutate.
-    """
-    kind = type(shape)
-    if kind is Top:
-        return elems
-    if kind is And:
-        return _sat(g, shape.right, _sat(g, shape.left, elems, registry), registry)
-    if kind is Or:
-        left = _sat(g, shape.left, elems, registry)
-        rest = elems - left
-        return left | _sat(g, shape.right, rest, registry) if rest else left
-    if kind is Not:
-        return elems - _sat(g, shape.inner, elems, registry)
-    if kind is GeqCount or kind is LeqCount:
-        n, geq = shape.n, kind is GeqCount
-        if geq and n == 0:
-            return elems
-        images = path_relation(g, push_inv(shape.path), elems, registry)
-        if type(shape.body) is Top:
-            counts = zip(images, map(len, images.values()))
-        else:
-            body = _sat(g, shape.body, set().union(*images.values()), registry)
-            counts = zip(images, map(len, map(body.intersection, images.values())))
-        if geq:
-            return {x for x, c in counts if c >= n}
-        return elems - {x for x, c in counts if c > n}  # an element without image counts 0
-    if kind is TestConst:
-        return {shape.c} & elems
-    if kind is TestType:
-        test = (registry or DEFAULT_TYPES).test(shape.t)
-        return {x for x in elems if type(x) is Value and test(x)}
-    if kind is Closed:
-        # only outgoing triples are constrained; values have none
-        allowed = shape.allowed
-        return {
-            x
-            for x in elems
-            if type(x) is not str
-            or (
-                all(e.p in allowed for e in g.out_edges(x))
-                and all(k in allowed for k in g.node_props(x))
-            )
-        }
-    if kind is Eq or kind is Disj:
-        images = path_relation(g, push_inv(shape.path), elems, registry)
-        steps = path_relation(g, PName(shape.p), elems)
-        if kind is Eq:
-            return {x for x in elems if set(images.get(x, ())) == set(steps.get(x, ()))}
-        return elems - {x for x, img in images.items() if x in steps and not set(steps[x]).isdisjoint(img)}
-    raise TriformError(f"unknown SHACL shape {shape!r}")
+    def images(self, path: PathExpr, elems: Set[Elem]) -> Images:
+        return path_relation(self.g, push_inv(path), elems, self.registry)
+
+    def atom(self, shape: ShaclShape, elems: Set[Elem]) -> Set[Elem]:
+        kind, g = type(shape), self.g
+        if kind is Closed:
+            # only outgoing triples are constrained; values have none
+            allowed = shape.allowed
+            return {
+                x
+                for x in elems
+                if type(x) is not str
+                or (
+                    all(e.p in allowed for e in g.out_edges(x))
+                    and all(k in allowed for k in g.node_props(x))
+                )
+            }
+        if kind is Eq or kind is Disj:
+            images = self.images(shape.path, elems)
+            steps = path_relation(g, PName(shape.p), elems)
+            if kind is Eq:
+                return {x for x in elems if set(images.get(x, ())) == set(steps.get(x, ()))}
+            return elems - {x for x, img in images.items() if x in steps and not set(steps[x]).isdisjoint(img)}
+        raise TriformError(f"unknown SHACL shape {shape!r}")
 
 
 def shacl_satisfies(
@@ -278,7 +183,7 @@ def shacl_satisfies(
 ) -> bool:
     """Whether ``v`` satisfies ``shape``: the set evaluator at one focus."""
     x = focus_elem(v)
-    return x in _sat(g, shape, {x}, registry)
+    return x in _sat(ShaclContext(g, registry), shape, {x})
 
 
 def _select(g: CommonGraph, sel: ShaclSelector) -> Set[Elem]:
@@ -309,9 +214,9 @@ def shacl_validate(
 
     Each rule is decided for all its selected elements at once; foci are
     built for the failing elements only."""
-    per_rule = []
+    ctx, per_rule = ShaclContext(g, registry), []
     for sel, shape in rules:
         selected = _select(g, sel)
-        failing = elems_to_foci(selected - _sat(g, shape, selected, registry))
+        failing = elems_to_foci(selected - _sat(ctx, shape, selected))
         per_rule.append((selected, failing))
     return make_report(per_rule)

@@ -7,10 +7,13 @@ disjoint triple sets, and the openness suffix says which unmatched
 triples are tolerated (any incoming with name outside R; for open
 shapes also any outgoing with name outside Q).
 
-Shapes are decided set-at-a-time on raw elements (node ids and values),
-as in ``shacl`` and ``pgschema``: :func:`_sat` maps a shape and a set of
-elements to those that satisfy it.  A neighborhood shape becomes a
-program template when an element first reaches it.  An element's rows
+Shapes are decided set-at-a-time on raw elements (node ids and values)
+by the shape core's evaluator (``core._sat``), which also decides SHACL
+and PG shapes: ``SAnd``, ``SOr``, ``SNot``, ``STestConst`` and
+``STestType`` are ShEx's names for its classes, and a
+:class:`ShexContext` decides the neighborhood shapes (``SNeigh``).  A
+neighborhood shape becomes a program template when an element first
+reaches it.  An element's rows
 (signed triples) each get a signature, the set of leaf and wildcard
 nodes that may consume them, and the verdict depends only on the bag of
 signatures (the Parikh image over the constraints).  An untested row's
@@ -48,8 +51,9 @@ import os
 from functools import reduce
 from typing import Collection, Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
+from . import core
+from .core import And, Context, Not, Or, TestConst, TestType
 from .model import (
-    DEFAULT_TYPES,
     FWD,
     INV,
     CommonGraph,
@@ -167,16 +171,6 @@ def is_closed_expr(e: TripleExpr) -> bool:
 
 
 @frozen
-class STestConst:
-    c: Value
-
-
-@frozen
-class STestType:
-    t: str
-
-
-@frozen
 class SNeigh:
     expr: TripleExpr
     openness: Openness
@@ -186,24 +180,10 @@ class SNeigh:
             raise TriformError("SNeigh requires a closed triple expression (no wildcards)")
 
 
-@frozen
-class SAnd:
-    left: "ShexShape"
-    right: "ShexShape"
+# The ShEx names of the shape core's classes, used by the Python API and the JSON grammar
+SAnd, SOr, SNot, STestConst, STestType = And, Or, Not, TestConst, TestType
 
-
-@frozen
-class SOr:
-    left: "ShexShape"
-    right: "ShexShape"
-
-
-@frozen
-class SNot:
-    inner: "ShexShape"
-
-
-ShexShape = Union[STestConst, STestType, SNeigh, SAnd, SOr, SNot]
+ShexShape = Union[TestConst, TestType, SNeigh, And, Or, Not]
 
 
 @frozen
@@ -247,16 +227,6 @@ def alt_all(exprs: List[TripleExpr]) -> TripleExpr:
     if not exprs:
         raise TriformError("empty alternation")
     return reduce(Alt, exprs)
-
-
-def sand_all(shapes: List[ShexShape]) -> ShexShape:
-    return reduce(SAnd, shapes) if shapes else top_shape()
-
-
-def sor_all(shapes: List[ShexShape]) -> ShexShape:
-    if not shapes:
-        raise TriformError("empty disjunction")
-    return reduce(SOr, shapes)
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +308,8 @@ class _Template:
     A row's signature is the set of leaf and wildcard nodes that may
     consume it, one bit per node.  ``leaves`` buckets the bits of the
     triple-constraint nodes by the (name, direction) of the triples they
-    can consume, each with its compiled nested shape; ``wilds`` lists, by
+    can consume, each with the run's id of its nested shape (:func:`_sid`),
+    or None for the top shape, which tests nothing; ``wilds`` lists, by
     direction, (bit, excluded names) for the wildcard nodes, the
     openness suffix included.  ``program`` is the run's interned
     :class:`_Program` of the shape's structure, with the verdict memo.
@@ -349,7 +320,7 @@ class _Template:
     """
 
     def __init__(self) -> None:
-        self.leaves: Dict[Tuple[str, str], List[Tuple[int, "_Compiled"]]] = {}
+        self.leaves: Dict[Tuple[str, str], List[Tuple[int, Optional[int]]]] = {}
         self.wilds: Dict[str, List[Tuple[int, FrozenSet[str]]]] = {FWD: [], INV: []}
         self.program: Optional[_Program] = None
         # :meth:`plan` per run, by direction and then by name
@@ -358,13 +329,13 @@ class _Template:
 
     def plan(self, name: str, direction: str):
         """A (name, direction) row's untested signature bits, the (bit, nested
-        shape) pairs of the leaves testing its far end, and the run's far-end signatures."""
+        shape id) pairs of the leaves testing its far end, and the run's far-end signatures."""
         sig, tested = 0, []
-        for bit, c in self.leaves.get((name, direction), ()):
-            if c.kind is _Top:
+        for bit, sid in self.leaves.get((name, direction), ()):
+            if sid is None:
                 sig |= bit
             else:
-                tested.append((bit, c))
+                tested.append((bit, sid))
         for bit, excl in self.wilds[direction]:
             if name not in excl:
                 sig |= bit
@@ -386,65 +357,60 @@ class _Template:
         return counts, tested
 
 
-class _Top:
-    """The kind of the compiled top shape, which every element satisfies."""
+class ShexContext(Context):
+    """A ShEx run over one graph: the cap, the shapes met so far by their
+    run's id (:func:`_sid`), which keeps their ``id`` from being reused
+    while the context lives, the templates by their shape's run id, and the
+    interned programs by structure, with their verdict memos.  Nothing is
+    cached in module globals, so separate contexts may run in separate
+    threads."""
 
-
-class _Compiled:
-    """A shape compiled for one evaluation context.
-
-    ``sid`` is the shape's interned id in that context, and the strong
-    reference to ``shape`` keeps its ``id`` from being reused while the
-    context lives.
-    """
-
-    __slots__ = ("sid", "shape", "kind", "left", "right", "template")
-
-    def __init__(self, sid: int, shape: ShexShape):
-        self.sid = sid
-        self.shape = shape
-        self.kind = type(shape)
-        self.left: Optional[_Compiled] = None
-        self.right: Optional[_Compiled] = None
-        self.template: Optional[_Template] = None
-
-
-class EvalContext:
-    """Per-run state over one graph: the compiled shapes by ``id`` of the
-    source shape, with their templates, and the interned programs by
-    structure, with their verdict memos.  Nothing is cached in module
-    globals, so separate contexts may run in separate threads."""
-
-    def __init__(self, cap: int, registry: Optional[ValueTypeRegistry] = None) -> None:
+    def __init__(self, g: CommonGraph, cap: int, registry: Optional[ValueTypeRegistry] = None) -> None:
+        super().__init__(g, registry)
         self.cap = cap
-        self.registry = registry
-        self.compiled: Dict[int, _Compiled] = {}
+        self.sids: Dict[int, int] = {}
+        self.shapes: List[ShexShape] = []
+        self.templates: Dict[int, _Template] = {}
         self.programs: Dict[Tuple[tuple, tuple, tuple], _Program] = {}
+
+    def atom(self, shape: ShexShape, elems: Set[Elem]) -> Set[Elem]:
+        """The elements of ``elems`` whose neighborhood matches ``shape``.
+        An empty set is returned at once, so a template is built only when
+        an element reaches its shape, and the top shape builds none."""
+        if type(shape) is not SNeigh:
+            raise TriformError(f"unknown ShEx shape {shape!r}")
+        if not elems or _is_top(shape.expr, shape.openness):
+            return elems
+        sid = _sid(self, shape)
+        t = self.templates.get(sid)
+        if t is None:
+            t = self.templates[sid] = _template(self, shape.expr, shape.openness)
+        return _neigh(self, t, elems)
 
 
 def _is_top(expr: TripleExpr, openness: Openness) -> bool:
     return isinstance(expr, Eps) and isinstance(openness, Open) and not openness.r and not openness.q
 
 
-def _compile(ctx: EvalContext, shape: ShexShape) -> _Compiled:
-    """The compiled form of ``shape``, made once per context, its template on first use."""
-    c = ctx.compiled.get(id(shape))
-    if c is not None:
-        return c
-    c = ctx.compiled[id(shape)] = _Compiled(len(ctx.compiled), shape)
-    if isinstance(shape, SNeigh):
-        c.kind = _Top if _is_top(shape.expr, shape.openness) else SNeigh
-    elif isinstance(shape, (SAnd, SOr)):
-        c.left = _compile(ctx, shape.left)
-        c.right = _compile(ctx, shape.right)
-    elif isinstance(shape, SNot):
-        c.left = _compile(ctx, shape.inner)
-    elif not isinstance(shape, (STestConst, STestType)):
-        raise TriformError(f"unknown ShEx shape {shape!r}")
-    return c
+def _sid(ctx: ShexContext, shape: ShexShape) -> int:
+    """The run's id of ``shape``: its place in the order in which the run
+    meets shapes (a rule's shape before the rule is decided, a triple
+    constraint's when its template is built, then its Boolean parts, left
+    first), in which a template's nested shapes are evaluated."""
+    sid = ctx.sids.get(id(shape))
+    if sid is None:
+        sid = ctx.sids[id(shape)] = len(ctx.shapes)
+        ctx.shapes.append(shape)
+        kind = type(shape)
+        if kind is And or kind is Or:
+            _sid(ctx, shape.left)
+            _sid(ctx, shape.right)
+        elif kind is Not:
+            _sid(ctx, shape.inner)
+    return sid
 
 
-def _template(ctx: EvalContext, expr: TripleExpr, openness: Openness) -> _Template:
+def _template(ctx: ShexContext, expr: TripleExpr, openness: Openness) -> _Template:
     """Flatten ``expr ; wildcards`` into a program template, its program
     interned in ``ctx``."""
     global _bagmatch_py
@@ -467,7 +433,9 @@ def _template(ctx: EvalContext, expr: TripleExpr, openness: Openness) -> _Templa
             return emit(_bagmatch_py.OP_EPS)
         if isinstance(e, TC):
             i = emit(_bagmatch_py.OP_LEAF)
-            t.leaves.setdefault((e.q, e.direction), []).append((1 << i, _compile(ctx, e.shape)))
+            nested = e.shape
+            top = type(nested) is SNeigh and _is_top(nested.expr, nested.openness)
+            t.leaves.setdefault((e.q, e.direction), []).append((1 << i, None if top else _sid(ctx, nested)))
             return i
         if isinstance(e, (WildOut, WildIn)):
             i = emit(_bagmatch_py.OP_LEAF)
@@ -532,7 +500,7 @@ def _too_large(xs: Collection[Elem], profiles, why: str) -> NeighborhoodTooLarge
     return NeighborhoodTooLarge(f"signed neighborhood of {v!r} has {profiles[focus_elem(v)].size} triples{why}")
 
 
-def _neigh(ctx: EvalContext, g: CommonGraph, t: _Template, elems: Set[Elem]) -> Set[Elem]:
+def _neigh(ctx: ShexContext, t: _Template, elems: Set[Elem]) -> Set[Elem]:
     """The elements of ``elems`` whose rows the template's program matches.
 
     The cap is checked first, for every element of the call at once, so a
@@ -542,7 +510,8 @@ def _neigh(ctx: EvalContext, g: CommonGraph, t: _Template, elems: Set[Elem]) -> 
     bucketed by profile and decided as the module docstring says.
     Capability errors name the least element over the cap or, once all are
     decided, with a bag too deep for the kernel."""
-    profiles, entries, prog, cap, out = g.row_profiles, t.entries, t.program, ctx.cap, set()
+    g, entries, prog, cap, out = ctx.g, t.entries, t.program, ctx.cap, set()
+    profiles = g.row_profiles
     of = profiles.of
     over = profiles.over(cap)
     if over and not over.isdisjoint(elems):
@@ -567,18 +536,18 @@ def _neigh(ctx: EvalContext, g: CommonGraph, t: _Template, elems: Set[Elem]) -> 
                 buckets[p] = [x]
         elif entry is _TOO_DEEP:
             deep.append(x)
-    asked: Dict[_Compiled, Set[Elem]] = {}  # the far ends each nested shape tests
+    asked: Dict[int, Set[Elem]] = {}  # the far ends each nested shape tests, by its run's id
     reads = []  # per bucket: its elements, its entry and each tested group's far ends by element
     for p, xs in buckets.items():
         entry, fars = entries[p], []
         for ends, _, leaves, _ in entry[1]:
             far = list(map(ends.__getitem__, xs))
-            for _, nested in leaves:
-                asked.setdefault(nested, set()).update(*far)
+            for _, sid in leaves:
+                asked.setdefault(sid, set()).update(*far)
             fars.append(far)
         reads.append((xs, entry, fars))
-    if reads:  # nested shapes in compilation order, so the first cap error raised is fixed
-        sat = {nested: _sat(ctx, g, nested, asked[nested]) for nested in sorted(asked, key=lambda c: c.sid)}
+    if reads:  # nested shapes in the run's order (:func:`_sid`), so the first cap error raised is fixed
+        sat = {sid: core._sat(ctx, ctx.shapes[sid], asked[sid]) for sid in sorted(asked)}
     for xs, (counts, tested), fars in reads:
         rows, mixed = dict(counts), []
         for (_, sig, leaves, sigs), far in zip(tested, fars):
@@ -588,8 +557,8 @@ def _neigh(ctx: EvalContext, g: CommonGraph, t: _Template, elems: Set[Elem]) -> 
                     row = sigs.get(y)
                     if row is None:  # each far end gets its signature once per run
                         row = sig
-                        for bit, nested in leaves:
-                            if y in sat[nested]:
+                        for bit, sid in leaves:
+                            if y in sat[sid]:
                                 row |= bit
                         sigs[y] = row
                     if first is None:
@@ -628,36 +597,6 @@ def _neigh(ctx: EvalContext, g: CommonGraph, t: _Template, elems: Set[Elem]) -> 
     return out
 
 
-def _sat(ctx: EvalContext, g: CommonGraph, c: _Compiled, elems: Set[Elem]) -> Set[Elem]:
-    """The elements of ``elems`` that satisfy the compiled shape ``c``:
-    the shape's extension cut to ``elems``.  Elements are raw (node ids
-    and values); the result is a set the caller must not mutate.  A
-    neighborhood shape returns an empty set at once, so its template is
-    built only when an element reaches it."""
-    kind = c.kind
-    if kind is SNeigh:
-        if not elems:
-            return elems
-        t = c.template
-        if t is None:
-            t = c.template = _template(ctx, c.shape.expr, c.shape.openness)
-        return _neigh(ctx, g, t, elems)
-    if kind is _Top:
-        return elems
-    if kind is SAnd:
-        return _sat(ctx, g, c.right, _sat(ctx, g, c.left, elems))
-    if kind is SOr:
-        left = _sat(ctx, g, c.left, elems)
-        rest = elems - left
-        return left | _sat(ctx, g, c.right, rest) if rest else left
-    if kind is SNot:
-        return elems - _sat(ctx, g, c.left, elems)
-    if kind is STestConst:
-        return {c.shape.c} & elems
-    test = (ctx.registry or DEFAULT_TYPES).test(c.shape.t)
-    return {x for x in elems if type(x) is Value and test(x)}
-
-
 def match_triple_expr(
     g: CommonGraph,
     v: Focus,
@@ -667,12 +606,9 @@ def match_triple_expr(
     registry: Optional[ValueTypeRegistry] = None,
 ) -> bool:
     """True iff the signed neighborhood of ``v`` is generated by
-    ``expr`` followed by the openness wildcards."""
-    if _is_top(expr, openness):
-        return True  # the top shape matches every neighborhood
-    ctx = EvalContext(cap if cap is not None else default_cap(), registry)
-    x = focus_elem(v)
-    return x in _neigh(ctx, g, _template(ctx, expr, openness), {x})
+    ``expr`` followed by the openness wildcards: ``v`` satisfies their
+    neighborhood shape."""
+    return shex_satisfies(g, v, SNeigh(expr, openness), cap, registry)
 
 
 def shex_satisfies(
@@ -683,17 +619,18 @@ def shex_satisfies(
     registry: Optional[ValueTypeRegistry] = None,
 ) -> bool:
     """Whether ``v`` satisfies ``shape``: the set evaluator at one focus."""
-    ctx = EvalContext(cap if cap is not None else default_cap(), registry)
+    ctx = ShexContext(g, cap if cap is not None else default_cap(), registry)
     x = focus_elem(v)
-    return x in _sat(ctx, g, _compile(ctx, shape), {x})
+    _sid(ctx, shape)
+    return x in core._sat(ctx, shape, {x})
 
 
 def selector_shape(sel: ShexSelector) -> ShexShape:
     """The selector as an ordinary shape (its defining form)."""
     if isinstance(sel, SelTestConst):
-        return STestConst(sel.c)
+        return TestConst(sel.c)
     if isinstance(sel, SelOutConst):
-        return SNeigh(TC(sel.q, FWD, STestConst(sel.c)), Open(NO_NAMES, NO_NAMES))
+        return SNeigh(TC(sel.q, FWD, TestConst(sel.c)), Open(NO_NAMES, NO_NAMES))
     if isinstance(sel, SelOut):
         return SNeigh(TC(sel.q, FWD, top_shape()), Open(NO_NAMES, NO_NAMES))
     if isinstance(sel, SelIn):
@@ -732,10 +669,11 @@ def shex_validate(
 ) -> ValidationReport:
     """Validate with one evaluation context per run, deciding each rule
     for all its selected elements at once; foci are built for violations."""
-    ctx = EvalContext(cap if cap is not None else default_cap(), registry)
+    ctx = ShexContext(g, cap if cap is not None else default_cap(), registry)
     per_rule = []
     for sel, shape in rules:
         selected = _select(g, sel)
-        failing = elems_to_foci(selected - _sat(ctx, g, _compile(ctx, shape), selected))
+        _sid(ctx, shape)
+        failing = elems_to_foci(selected - core._sat(ctx, shape, selected))
         per_rule.append((selected, failing))
     return make_report(per_rule)

@@ -12,7 +12,8 @@ from collections import Counter
 
 from triform import _bagmatch_py
 from triform.model import FWD, INV, Node, SignedTriple, Val, Value, focus_elem, value_type_member
-from triform.shex import SAnd, SNeigh, SNot, SOr, STestConst, EvalContext, _sat, _template, _Top, default_cap
+from triform.core import And, Not, Or, TestConst, TestType, Top, _sat
+from triform.shex import SNeigh, ShexContext, _is_top, _template, default_cap
 
 
 def row_profile(g, x):
@@ -37,14 +38,14 @@ def signed_rows(g, x):
     return rows
 
 
-def row_signatures(ctx, g, t, x):
+def row_signatures(ctx, t, x):
     """Each row of ``x`` with its signature under the template ``t``, in
     row order; each tested far end is decided on its own."""
     out = []
-    for row, far in signed_rows(g, x):
+    for row, far in signed_rows(ctx.g, x):
         sig, tested, _ = t.plan(row.name, row.direction)
-        for bit, nested in tested:
-            if far in _sat(ctx, g, nested, {far}):
+        for bit, sid in tested:
+            if far in _sat(ctx, ctx.shapes[sid], {far}):
                 sig |= bit
         out.append((row, sig))
     return out
@@ -54,42 +55,45 @@ def match_witness(g, v, expr, openness, cap=None, registry=None):
     """One consumption witness of ``expr`` followed by the openness
     wildcards at ``v``: (program node, consumed signed triples) pairs,
     or None when the neighborhood does not match."""
-    ctx = EvalContext(cap if cap is not None else default_cap(), registry)
+    ctx = ShexContext(g, cap if cap is not None else default_cap(), registry)
     t = _template(ctx, expr, openness)
-    rows = row_signatures(ctx, g, t, focus_elem(v))
+    rows = row_signatures(ctx, t, focus_elem(v))
     classes = sorted({sig for _, sig in rows})
     pools = [[row for row, sig in rows if sig == c] for c in classes]
     return _bagmatch_py.count_witness(t.program.kernel, classes, pools)
 
 
-def row_sat(ctx, g, c, x, templates):
-    """Whether the raw element ``x`` satisfies the compiled shape ``c``,
-    decided at ``x`` alone: a neighborhood shape reads every row of ``x``
-    (no profile, no memo), gives each row its own signature, deciding
-    each tested far end by this function, and runs the kernel on the bag.
-    ``templates`` holds the templates built so far, by compiled shape."""
-    kind = c.kind
+def row_sat(ctx, shape, x, templates):
+    """Whether the raw element ``x`` satisfies ``shape``, decided at ``x``
+    alone: a neighborhood shape reads every row of ``x`` (no profile, no
+    memo), gives each row its own signature, deciding each tested far end
+    by this function, and runs the kernel on the bag.  ``templates`` holds
+    the templates built so far, by ``id`` of their shape."""
+    kind = type(shape)
     if kind is SNeigh:
-        t = templates.get(c)
+        if _is_top(shape.expr, shape.openness):
+            return True
+        t = templates.get(id(shape))
         if t is None:
-            t = templates[c] = _template(ctx, c.shape.expr, c.shape.openness)
+            t = templates[id(shape)] = _template(ctx, shape.expr, shape.openness)
         sigs = []
-        for row, far in signed_rows(g, x):
+        for row, far in signed_rows(ctx.g, x):
             sig, tested, _ = t.plan(row.name, row.direction)
-            for bit, nested in tested:
-                if row_sat(ctx, g, nested, far, templates):
+            for bit, sid in tested:
+                if row_sat(ctx, ctx.shapes[sid], far, templates):
                     sig |= bit
             sigs.append(sig)
         classes = sorted(set(sigs))
         return _bagmatch_py.count_match(t.program.kernel, classes, [sigs.count(sig) for sig in classes])
-    if kind is _Top:
+    if kind is Top:
         return True
-    if kind is SAnd:
-        return row_sat(ctx, g, c.left, x, templates) and row_sat(ctx, g, c.right, x, templates)
-    if kind is SOr:
-        return row_sat(ctx, g, c.left, x, templates) or row_sat(ctx, g, c.right, x, templates)
-    if kind is SNot:
-        return not row_sat(ctx, g, c.left, x, templates)
-    if kind is STestConst:
-        return x == c.shape.c
-    return type(x) is Value and value_type_member(x, c.shape.t, ctx.registry)
+    if kind is And:
+        return row_sat(ctx, shape.left, x, templates) and row_sat(ctx, shape.right, x, templates)
+    if kind is Or:
+        return row_sat(ctx, shape.left, x, templates) or row_sat(ctx, shape.right, x, templates)
+    if kind is Not:
+        return not row_sat(ctx, shape.inner, x, templates)
+    if kind is TestConst:
+        return x == shape.c
+    assert kind is TestType, shape
+    return type(x) is Value and value_type_member(x, shape.t, ctx.registry)

@@ -9,6 +9,7 @@ from triform.cogsl import (
     cogsl_to_shex,
     cogsl_validate,
 )
+from triform.core import And
 from triform.harness import (
     GenParams,
     gen_cogsl_schema,
@@ -30,7 +31,6 @@ from triform.pgschema import (
     FOfType,
     PConcat,
     PFilter,
-    PgAnd,
     PgGeq,
     PgLeq,
     PgPath,
@@ -146,7 +146,7 @@ def test_translations_agree_on_golden(g_media, mutations, pg_c1_c5):
 
 def test_empty_closed_guard_becomes_closed_p():
     # exists {} and nothing outside P: the closed-record guard
-    guard = PgAnd(
+    guard = And(
         PgGeq(1, filter_path(FOfType(CEmpty()))),
         PgLeq(0, PgPath(None, PNotPreds(frozenset({"p"})), None)),
     )

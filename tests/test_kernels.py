@@ -28,9 +28,9 @@ from triform._bagmatch_py import (
 from triform.model import EdgeTriple, Node, build_graph
 from triform.shex import (
     Alt,
-    EvalContext,
     HalfOpen,
     Seq,
+    ShexContext,
     StarE,
     TC,
     _template,
@@ -296,9 +296,9 @@ def star_graph(n_p, n_q):
 def decide_with_memo(g, expr, openness):
     """The verdict at focus ``c`` and the number of (node, counts) states
     the kernel memoized deciding it."""
-    ctx = EvalContext(cap=128)
+    ctx = ShexContext(g, cap=128)
     template = _template(ctx, expr, openness)
-    sigs = [sig for _, sig in row_signatures(ctx, g, template, "c")]
+    sigs = [sig for _, sig in row_signatures(ctx, template, "c")]
     classes = sorted(set(sigs))
     run, full, total = _start(template.program.kernel, classes, [sigs.count(sig) for sig in classes])
     verdict = _can(run, template.program.kernel[-1], full, total)

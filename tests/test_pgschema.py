@@ -8,6 +8,7 @@ import triform.harness as harness
 import triform.pgschema as pgschema
 from triform import examples
 from triform.cogsl import cogsl_to_shacl
+from triform.core import And
 from triform.harness import (
     GenParams,
     brute_edge_type_member,
@@ -54,7 +55,6 @@ from triform.pgschema import (
     GraphType,
     PConcat,
     PFilter,
-    PgAnd,
     PgGeq,
     PgLeq,
     PgPath,
@@ -81,7 +81,7 @@ from triform.pgschema import (
     shape_atoms,
     validate_graph_type,
 )
-from triform.shacl import Step, eval_path, shacl_validate
+from triform.shacl import LeqCount, Star, Step, Top, eval_path, exists, shacl_satisfies, shacl_validate
 
 from helpers import edge_type_to_path, filter_path, loose_graph_type, normalize_edge_type, sorted_foci
 
@@ -196,6 +196,11 @@ def test_star_outside_graph_is_empty(g_media):
         Node("u3"),
         Node("u2"),
     }
+    # so an upper bound over the star holds outside the graph, where SHACL's
+    # reflexive star counts the focus itself
+    g = build_graph([EdgeTriple("a", "k", "b"), EdgeTriple("a", "p", "b")], [])
+    assert pg_satisfies(g, Node("ghost"), PgLeq(0, PgPath(None, PStar(PPred("p")), None)))
+    assert not shacl_satisfies(g, Node("ghost"), LeqCount(0, Star(Step("p")), Top()))
 
 
 def test_pred_step_ignores_keys(g_media):
@@ -209,6 +214,10 @@ def test_key_step_ignores_predicates(g_media):
     assert eval_pg_path(g_media, Node("u3"), key_path("invited")) == set()
     assert eval_pg_path(g_media, Node("u3"), PgPath(None, PPred("invited"), "invited")) == set()
     assert eval_path(g_media, Node("u3"), Step("invited")) == {Node("u2")}
+    # so a count atom over a key step counts no edge of that name
+    g = build_graph([EdgeTriple("a", "k", "b"), EdgeTriple("a", "p", "b")], [])
+    assert not pg_satisfies(g, Node("a"), PgGeq(1, key_path("k")))
+    assert shacl_satisfies(g, Node("a"), exists(Step("k")))
 
 
 def test_star_never_yields_values(g_media):
@@ -223,6 +232,13 @@ def test_sort_errors():
         eval_pg_path(g, Val(int_v(1)), pred_path("p"))
     with pytest.raises(SortError):
         eval_pg_path(g, Node("u"), inv_key_path("k"))
+    # a count atom checks its focus's sort as its path does
+    with pytest.raises(SortError):
+        pg_satisfies(g, Val(int_v(1)), PgGeq(1, pred_path("p")))
+    with pytest.raises(SortError):  # whatever the bound
+        pg_satisfies(g, Val(int_v(1)), PgGeq(0, pred_path("p")))
+    with pytest.raises(SortError):
+        pg_satisfies(g, Node("u"), PgLeq(0, inv_key_path("k")))
 
 
 def test_validate_media(g_media, pg_c1_c5):
@@ -443,7 +459,7 @@ def test_graph_type_empty_graph():
 
 
 def test_pg_and_counts(g_media):
-    shape = PgAnd(PgGeq(1, key_path("email")), PgLeq(5, pred_path("hasAccess")))
+    shape = And(PgGeq(1, key_path("email")), PgLeq(5, pred_path("hasAccess")))
     assert pg_satisfies(g_media, Node("u2"), shape)
 
 

@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from triform import shex
+from triform import core, shex
 from triform.harness import (
     GenParams,
     brute_match_oracle,
@@ -309,23 +309,23 @@ def test_nested_shapes_equal_brute_oracle(rng_seed):
 
 
 def shape_calls(monkeypatch):
-    """Record every evaluation of ``shex._sat`` as [depth, compiled
-    shape, elements, result], in call order."""
+    """Record every evaluation of the set evaluator ``core._sat`` as
+    [depth, shape, elements, result], in call order."""
     calls, depth = [], [0]
-    sat = shex._sat
+    sat = core._sat
 
-    def probe(ctx, g, c, elems):
-        call = [depth[0], c, set(elems), None]
+    def probe(ctx, shape, elems):
+        call = [depth[0], shape, set(elems), None]
         calls.append(call)
         depth[0] += 1
         try:
-            out = sat(ctx, g, c, elems)
+            out = sat(ctx, shape, elems)
         finally:
             depth[0] -= 1
         call[3] = set(out)
         return out
 
-    monkeypatch.setattr(shex, "_sat", probe)
+    monkeypatch.setattr(core, "_sat", probe)
     return calls
 
 
@@ -351,6 +351,24 @@ def test_cap_counts_rows_before_nested_evaluation(monkeypatch):
         # raised before the nested shape was evaluated at "b"
         assert [elems for _, _, elems, _ in calls] == [{focus_elem(v)}]
         calls.clear()
+
+
+def test_nested_shapes_are_evaluated_in_the_order_the_run_meets_them():
+    # "a" is within the cap, its far ends "b" and "c" are over it; the
+    # constraint on p tests "b" and the one on q tests "c", and the first
+    # nested shape evaluated raises: the one the run met first, which is
+    # the q shape once it is a part of the rule's shape too
+    g = build_graph(
+        [EdgeTriple("a", "p", "b"), EdgeTriple("a", "q", "c")]
+        + [EdgeTriple(u, "r", f"{u}{i}") for u in "bc" for i in range(5)],
+        [],
+    )
+    on_b, on_c = open_closure(TC("r", FWD, TOP)), open_closure(TC("s", FWD, TOP))
+    shape = open_closure(Seq(TC("p", FWD, on_b), TC("q", FWD, on_c)))
+    for rule, least in ((shape, "b"), (SOr(shape, on_c), "c")):
+        with pytest.raises(NeighborhoodTooLarge) as info:
+            shex_validate(g, [(SelOut("p"), rule)], cap=4)
+        assert str(info.value) == f"signed neighborhood of Node(id='{least}') has 6 triples (cap 4)"
 
 
 def test_boolean_shapes(g_media):
@@ -391,10 +409,9 @@ def test_connectives_narrow_their_right_branch(nodes, density, monkeypatch):
         domain = set(g.nodes) | set(g.values)
         for _, shape in gen_shex_schema(p):
             calls.clear()
-            ctx = shex.EvalContext(cap=64)
-            extension = shex._sat(ctx, g, shex._compile(ctx, shape), domain)
+            extension = core._sat(shex.ShexContext(g, cap=64), shape, domain)
             for i, (depth, c, elems, result) in enumerate(calls):
-                if c.kind is not SAnd and c.kind is not SOr:
+                if type(c) is not SAnd and type(c) is not SOr:
                     continue
                 kids = []
                 for call in calls[i + 1 :]:
@@ -404,14 +421,14 @@ def test_connectives_narrow_their_right_branch(nodes, density, monkeypatch):
                         kids.append(call)
                 left = kids[0]
                 assert left[1] is c.left and left[2] == elems
-                rest = left[3] if c.kind is SAnd else elems - left[3]
-                if c.kind is SOr and not rest:
+                rest = left[3] if type(c) is SAnd else elems - left[3]
+                if type(c) is SOr and not rest:
                     assert len(kids) == 1 and result == left[3]
                     continue
                 right = kids[1]
                 assert len(kids) == 2 and right[1] is c.right and right[2] == rest
-                assert result == (right[3] if c.kind is SAnd else left[3] | right[3])
-                narrowed[c.kind.__name__] += rest < elems
+                assert result == (right[3] if type(c) is SAnd else left[3] | right[3])
+                narrowed[type(c)] += rest < elems
             for v in elems_to_foci(domain):
                 try:
                     want = brute_shex_satisfies(g, v, shape)
@@ -419,15 +436,13 @@ def test_connectives_narrow_their_right_branch(nodes, density, monkeypatch):
                     continue
                 assert (focus_elem(v) in extension) == want, (seed, shape, v)
                 checked[want] += 1
-    assert narrowed["SAnd"] > 20 and narrowed["SOr"] > 20, narrowed
+    assert narrowed[SAnd] > 20 and narrowed[SOr] > 20, narrowed
     assert checked[True] > 100 and checked[False] > 100, checked
 
 
 def test_template_masks_rebuilt_per_focus():
-    # one SNeigh, compiled once in one context, evaluated at foci whose
-    # neighborhoods differ: each focus must get its own leaf masks
-    from triform.shex import EvalContext, _compile, _sat
-
+    # one SNeigh, its template built once in one context, evaluated at
+    # foci whose neighborhoods differ: each focus must get its own leaf masks
     g = build_graph(
         [
             EdgeTriple("a", "p", "x"),
@@ -442,12 +457,11 @@ def test_template_masks_rebuilt_per_focus():
         [],
     )
     shape = SNeigh(Seq(TC("p", FWD, TOP), TC("q", FWD, TOP)), HalfOpen(frozenset({"p", "q"})))
-    ctx = EvalContext(cap=24)
-    compiled = _compile(ctx, shape)
-    got = {u: u in _sat(ctx, g, compiled, {u}) for u in ("a", "b", "c", "d", "a")}
+    ctx = shex.ShexContext(g, cap=24)
+    got = {u: u in core._sat(ctx, shape, {u}) for u in ("a", "b", "c", "d", "a")}
     assert got == {"a": True, "b": False, "c": False, "d": False}
-    assert _compile(ctx, shape) is compiled
-    assert _sat(ctx, g, compiled, set("abcd")) == {"a"}
+    assert list(ctx.templates) == [0] and ctx.shapes == [shape]
+    assert core._sat(ctx, shape, set("abcd")) == {"a"}
     for u in "abcd":
         assert got[u] == brute_match_oracle(g, Node(u), shape.expr, shape.openness)
     report = shex_validate(g, [(SelOut("p"), shape)])

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from shex_rows import row_sat
-from triform import _bagmatch_py, shex
+from triform import _bagmatch_py, core, shex
 from triform.cogsl import cogsl_to_shex
 from triform.examples import media_graph, media_mutations, media_pg_rules, media_shex_rules
 from triform.harness import GenParams, brute_shex_satisfies, gen_graph, gen_shex_schema
@@ -150,7 +150,7 @@ def test_runs_share_no_memo(kernel_calls):
     assert calls == 2
     assert shex_validate(g, rules) == first
     assert len(kernel_calls) == 2 * calls  # the second run decides afresh
-    for mod in (shex, _bagmatch_py):
+    for mod in (core, shex, _bagmatch_py):
         state = [name for name, x in vars(mod).items() if not name.startswith("__") and isinstance(x, (dict, list, set))]
         assert state == [], mod.__name__
 
@@ -165,7 +165,7 @@ SHARED_PROGRAM = [(SelOut("p"), K_ONE), (SelOut("p"), R_ONE), (SelOut("q"), S_ON
 
 def test_shapes_with_one_program_share_its_memo(kernel_calls):
     g = copies_graph(6, extra_p_every=2)
-    ctx = shex.EvalContext(cap=24)
+    ctx = shex.ShexContext(g, cap=24)
     templates = [shex._template(ctx, shape.expr, shape.openness) for _, shape in SHARED_PROGRAM]
     assert len(ctx.programs) == 1 and all(t.program is templates[0].program for t in templates)
     first = shex_validate(g, SHARED_PROGRAM)
@@ -304,8 +304,8 @@ def test_untested_profile_reads_no_rows(monkeypatch, kernel_calls):
     for x in targets:
         g.row_profiles[x]
     calls = []
-    sat = shex._sat
-    monkeypatch.setattr(shex, "_sat", lambda *args: calls.append(args[3]) or sat(*args))
+    sat = core._sat
+    monkeypatch.setattr(core, "_sat", lambda *args: calls.append(args[2]) or sat(*args))
 
     def no_read(*args):
         raise AssertionError("a row was read")
@@ -324,12 +324,12 @@ def test_cap_error_names_the_least_of_two_profiles():
     edges = [EdgeTriple("a", "p", f"t{i}") for i in range(25)] + [EdgeTriple("b", "q", f"t{i}") for i in range(30)]
     g = build_graph(edges + [EdgeTriple("r", "s", "a"), EdgeTriple("r", "s", "b")], [])
     assert g.row_profiles["a"] is not g.row_profiles["b"]
-    ctx = shex.EvalContext(cap=24)
+    ctx = shex.ShexContext(g, cap=24)
     shape = open_closure(StarE(TC("p", FWD, TOP)))
     template = shex._template(ctx, shape.expr, shape.openness)
     for order in (["a", "b"], ["b", "a"]):  # a list fixes the order the elements are visited in
         with pytest.raises(NeighborhoodTooLarge) as info:
-            shex._neigh(ctx, g, template, order)
+            shex._neigh(ctx, template, order)
         assert str(info.value) == "signed neighborhood of Node(id='a') has 26 triples (cap 24)"
 
 
@@ -433,17 +433,16 @@ def test_verdicts_equal_the_row_by_row_reference(label, g, rules, monkeypatch):
         return count_match(program, sigs, counts)
 
     monkeypatch.setattr(_bagmatch_py, "count_match", recording)
-    ctx = shex.EvalContext(cap=10**6)
-    got = [shex._sat(ctx, g, shex._compile(ctx, shape), domain) for _, shape in rules]
+    ctx = shex.ShexContext(g, cap=10**6)
+    got = [core._sat(ctx, shape, domain) for _, shape in rules]
     monkeypatch.setattr(_bagmatch_py, "count_match", count_match)
     assert len(bags) == len(set(bags))  # one kernel call per distinct bag per template per run
     if label == "shared far ends":  # the premise: one profile shared by hubs with different far ends
         assert len({g.row_profiles[f"h{i}"] for i in range(8)}) == 2
-    ref, templates = shex.EvalContext(cap=10**6), {}
+    ref, templates = shex.ShexContext(g, cap=10**6), {}
     for (_, shape), sat in zip(rules, got):
-        c = shex._compile(ref, shape)
         for x in domain:
-            assert (x in sat) == row_sat(ref, g, c, x, templates), (label, shape, x)
+            assert (x in sat) == row_sat(ref, shape, x, templates), (label, shape, x)
 
 
 def test_templates_are_built_on_first_use(monkeypatch):
