@@ -10,7 +10,7 @@ process:
               with the collector as this process has it
   indexes     the first read of every index a freshly loaded graph
               derives on first use (adjacency lists, records, value
-              owners, ``nodes`` and ``values``, names, row profiles), the
+              owners, ``nodes`` and ``values``, names), the
               load made untimed just before; ``load`` plus ``indexes`` is
               what loading cost when ``build_graph`` filled them all
   load (cli)  ``triform validate`` of the graph against an empty SHACL
@@ -24,8 +24,8 @@ process:
               ``core._sat`` the validators call, in one context of the
               dialect per call, PG's shapes lowered to the shape core):
               the count atoms' path images and the neighborhood
-              matching alone, the selection (and ShEx's row profiles)
-              made untimed just before on the same graph
+              matching alone (ShEx's row counts included), the
+              selection made untimed just before on the same graph
   types       ``pgschema.validate_graph_type`` on the loaded graph with the
               media node and edge types and no constraints: the
               content-type and edge-type checks alone
@@ -117,12 +117,6 @@ SELECT = {
 }
 
 
-def shex_select(g, sel):
-    """ShEx selection, with the row profiles derived too (untimed)."""
-    g.row_profiles
-    return shex._select(g, sel)
-
-
 def decide(context, lower=None):
     """Every rule's shape on its selected elements, by the one set
     evaluator, in one context of the dialect, as its validator decides
@@ -136,14 +130,14 @@ def decide(context, lower=None):
 
 
 def shex_context(g):
-    return shex.ShexContext(g, shex.default_cap())
+    return shex.ShexContext(g, None)
 
 
 DECIDE = {
     "shacl": (examples.media_shacl_rules, shacl._select, decide(shacl.ShaclContext)),
     "pg": (examples.media_pg_rules, lambda g, sel: pgschema._select(g, sel, None), decide(pgschema.PgContext, pgschema.lower_shape)),
-    "shex": (examples.media_shex_rules, shex_select, decide(shex_context)),
-    "shex_compiled": (lambda: cogsl_to_shex(examples.media_pg_rules()), shex_select, decide(shex_context)),
+    "shex": (examples.media_shex_rules, shex._select, decide(shex_context)),
+    "shex_compiled": (lambda: cogsl_to_shex(examples.media_pg_rules()), shex._select, decide(shex_context)),
 }
 
 
@@ -183,7 +177,7 @@ def load(path):
 def derive_indexes(g):
     """Read every index ``g`` derives on first use, through its readers."""
     g.out_edges(""), g.in_edges(""), g.node_props(""), g.value_owners(None)
-    g.nodes, g.values, g.keys, g.preds, g.nodes_of_size(0), g.row_profiles
+    g.nodes, g.values, g.keys, g.preds, g.nodes_of_size(0)
 
 
 def validate(graph_path, schema_path):

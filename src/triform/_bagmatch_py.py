@@ -22,7 +22,9 @@ that child and enumerates the splits of the classes both can take,
 largest left share first, within both children's bounds.  A star peels
 one part per step, holding a row of the first nonempty class (the parts
 of a bag are unordered), within its child's bounds.  For a fixed number
-of classes the states are polynomial in the rows.
+of classes the states are polynomial in the rows, but they grow as the
+product of (count + 1) over the classes, so a decision raises
+:class:`WorkExhausted` past :data:`MAX_WORK` memoized states and split steps.
 
 A class is free when its signature holds WILDSTAR nodes only, or no
 node at all.  The verdict is the same for every count of at least 1 of
@@ -35,6 +37,18 @@ A WILDSTAR instance takes any bag of rows its node may take, the empty
 bag included, so the other instances may give up their rows of the
 class and I may hold any m >= 1 of them; every other node keeps what it
 took, which gives a match of the bag with m rows of the class.
+
+A free class whose signature also holds a WILDSTAR node W whose
+ancestors are all sequences (the openness wildcard ``shex`` puts right
+of the root) gets the same verdict for every count, 0 included, so a
+caller may leave the class out of the bag.  Proof: every match has
+exactly one instance of W, since a sequence has an instance of each
+child.  In a match of a bag with n >= 1 rows of the class, every
+WILDSTAR instance holding some of them may give them up, as it takes
+the empty bag too (a star part left empty is no part), which gives a
+match of the bag with 0 rows of the class; in a match with 0 rows, the
+instance of W may take any n of them, as its node is in their
+signature.
 
 A count vector is packed into one integer, class ``c`` in bits
 ``[c * width, (c + 1) * width)`` with ``width`` wide enough for the
@@ -68,6 +82,14 @@ UNBOUNDED = 1 << 62
 
 # memo value of a decided (node, counts) pair without a match
 _NO = -1
+
+# the memoized states plus split steps one decision may take
+MAX_WORK = 1 << 20
+
+
+class WorkExhausted(Exception):
+    """A decision took more than :data:`MAX_WORK` states and split steps."""
+
 
 # the nodes without children, decided by their support and count bounds
 _LEAVES = (OP_EPS, OP_LEAF, OP_WILDSTAR)
@@ -120,11 +142,12 @@ def _start(program: Program, sigs: Sequence[int], counts: Sequence[int]):
     """The state of one decision of ``program`` over the bag of
     ``counts[c]`` rows of each class ``c`` of signature ``sigs[c]``, the
     packed bag and its total.  The state is (ops, lefts, rights, under,
-    lo, hi, sigs, width, ones, high, memo): a packed vector times ``ones``
-    holds its total at bit ``high``.  The memo holds, for a matched
-    sequence, the vector given to the left child, for a matched star the
-    peeled part, for a matched alternation 0 (left branch) or 1 (right
-    branch); otherwise ``_NO``."""
+    lo, hi, sigs, width, ones, high, work, memo): a packed vector times
+    ``ones`` holds its total at bit ``high``, and ``work`` holds the
+    states and split steps left (:data:`MAX_WORK`).  The memo holds, for
+    a matched sequence, the vector given to the left child, for a matched
+    star the peeled part, for a matched alternation 0 (left branch) or 1
+    (right branch); otherwise ``_NO``."""
     total = sum(counts)
     width = total.bit_length() or 1  # no sum of counts carries into the next class
     full = ones = high = 0
@@ -132,12 +155,12 @@ def _start(program: Program, sigs: Sequence[int], counts: Sequence[int]):
         full |= x << high
         ones |= 1 << high
         high += width
-    return (*program[:6], sigs, width, ones, max(high - width, 0), {}), full, total
+    return (*program[:6], sigs, width, ones, max(high - width, 0), [MAX_WORK], {}), full, total
 
 
 def _can(run: tuple, i: int, v: int, n: int) -> bool:
     """Whether node i consumes exactly the bag ``v`` of total ``n``."""
-    ops, lefts, rights, under, lo, hi, sigs, width, _, _, memo = run
+    ops, lefts, rights, under, lo, hi, sigs, width, _, _, work, memo = run
     if not lo[i] <= n <= hi[i] or v & ~_fields(sigs, under[i], width):
         return False
     op, a, b = ops[i], lefts[i], rights[i]
@@ -147,6 +170,9 @@ def _can(run: tuple, i: int, v: int, n: int) -> bool:
     won = memo.get(key)
     if won is not None:
         return won != _NO
+    work[0] -= 1
+    if work[0] < 0:
+        raise WorkExhausted
     if op == OP_ALT:
         won = 0 if _can(run, a, v, n) else 1 if _can(run, b, v, n) else _NO
     elif op == OP_SEQ:
@@ -170,7 +196,10 @@ def _split(run: tuple, a: int, b: int, v: int, n: int, p: int, extra: int, least
     class, that node a consumes while node b consumes the rest, or
     ``_NO``.  Only parts whose total lies in [least, most] are tried,
     larger shares of lower classes first."""
-    ops, width, ones, high = run[0], run[7], run[8], run[9]
+    ops, width, ones, high, work = run[0], run[7], run[8], run[9], run[10]
+    work[0] -= 1
+    if work[0] < 0:
+        raise WorkExhausted
     field = (1 << width) - 1
     s = p * ones >> high & field
     if not extra:

@@ -6,9 +6,10 @@ semantics for debugging).  All input and output is JSON; reports are
 deterministic, so identical invocations produce byte-identical output.
 
 Exit codes: 0 valid / agreement, 1 invalid / divergence, 2 parse or
-usage error, 3 capability error (ShEx neighborhood cap or matcher
-recursion depth exceeded), 4 internal error (an unexpected exception;
-its traceback goes to stderr), so a crash never reads as a verdict.
+usage error, 3 capability error (an explicit ShEx row cap, or the
+matcher's state bound or recursion depth, exceeded), 4 internal error
+(an unexpected exception; its traceback goes to stderr), so a crash
+never reads as a verdict.
 
 Code that only some commands run is imported when they run: ``cogsl``
 by ``translate``, ``check-common`` and cogsl schemas, ``sshex`` by
@@ -224,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("graph", help="graph JSON file")
     p_val.add_argument("schema", help="schema JSON file (dialect-tagged)")
     p_val.add_argument("--dialect", choices=list(jsonio.DIALECTS), help="expected dialect tag")
-    p_val.add_argument("--cap", type=int, default=None, help="ShEx neighborhood cap")
+    p_val.add_argument("--cap", type=int, default=None, help="ShEx row cap (none by default)")
     p_val.add_argument("--pretty", action="store_true")
     p_val.set_defaults(func=cmd_validate)
 
@@ -245,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fz.add_argument("--nodes", type=int, default=8, help="nodes per generated graph")
     p_fz.add_argument("--budget", type=int, default=5, help="rules per generated schema")
     p_fz.add_argument("--max-count", type=int, default=3, help="largest counting bound")
-    p_fz.add_argument("--cap", type=int, default=None, help="ShEx neighborhood cap")
+    p_fz.add_argument("--cap", type=int, default=None, help="ShEx row cap (none by default)")
     p_fz.add_argument("--pretty", action="store_true")
     p_fz.set_defaults(func=cmd_fuzz)
 

@@ -910,7 +910,8 @@ def differential_check(g: CommonGraph, rules: Sequence[PgRule], cap: Optional[in
     (rule, focus) violation, which is stronger than comparing violated
     rules or the overall booleans.  The witness is the first pair, in
     report order, that not all three dialects violate.
-    Neighborhood-cap hits are reported as capped, never as divergence.
+    ShEx capability errors (an explicit row cap, or the matcher's state
+    bound or recursion depth) are reported as capped, never as divergence.
     The rules are classified once, for all three dialects.
     """
     rules = CheckedSchema(rules)

@@ -11,8 +11,10 @@ in one pass over the edges and one over the property triples, which
 keep the distinct edges, the record map and a per-name triple index, in
 input order.  Every other index (adjacency lists, records, the node and
 value sets, a name's far ends by near end (:meth:`CommonGraph.ends`),
-row profiles) is derived from those on its first read, so a run pays
-only for the indexes it reads.  Validators in the
+a name's row counts by near end (:meth:`CommonGraph.counts`), each
+element's row total per direction (:meth:`CommonGraph.degrees`)) is
+derived from those on its first read, so a run pays only for the
+indexes it reads.  Validators in the
 dialect modules only ever read a ``CommonGraph``, so one graph can be
 shared freely between concurrent evaluators.  The AST and report
 records of all modules are classes built by :func:`frozen`, which
@@ -52,7 +54,7 @@ class UnknownValueType(TriformError):
 
 
 class NeighborhoodTooLarge(TriformError):
-    """A signed neighborhood exceeds the configured matcher cap."""
+    """A signed neighborhood exceeds the row cap or is too large for the matcher to decide."""
 
 
 class InstanceTooLarge(TriformError):
@@ -294,89 +296,6 @@ def value_type_member(w: Value, type_id: str, registry: Optional[ValueTypeRegist
 _NEAR, _FAR = itemgetter(0), itemgetter(2)  # of a triple; _NEAR also of a (node, key) pair
 
 
-class RowProfile:
-    """The row count of an element per (direction, name): ``fwd`` holds
-    (name, count) pairs for its forward rows (out-edges and keys), ``inv``
-    those for its inverse rows (in-edges, or a value's owners under the
-    owning key), each sorted by name; ``size`` is the number of rows.  A
-    graph makes one profile per count vector, compared by identity."""
-
-    __slots__ = ("fwd", "inv", "size")
-
-    def __init__(self, fwd: Tuple[Tuple[str, int], ...], inv: Tuple[Tuple[str, int], ...], size: int):
-        self.fwd = fwd
-        self.inv = inv
-        self.size = size
-
-
-class RowProfiles:
-    """The row profile of each raw element of one graph, all counted in
-    one pass over the name index in sorted name order (a triple gives its
-    near end a forward row and its far end an inverse row), each distinct
-    profile once.  ``of`` maps each element of the graph to its profile;
-    it is a plain ``dict``, so a lookup takes the interpreter's exact-dict
-    path.  ``profiles[x]`` gives an element outside the graph the empty
-    profile (``__missing__``).  ``max_size`` is the largest ``size`` of a
-    profile, 0 for no rows."""
-
-    __slots__ = ("of", "max_size", "_over")
-
-    def __init__(self, by_name: Dict[str, List[Triple]]):
-        # each element's rows, forward as the name, inverse as (name,): by name, forward
-        # first, so equal count vectors give equal tuples, each count one run of one object
-        rows: Dict[Elem, List[Union[str, Tuple[str]]]] = defaultdict(list)
-        for name in sorted(by_name):
-            triples = by_name[name]
-            for x in map(_NEAR, triples):
-                rows[x].append(name)
-            back = (name,)
-            for x in map(_FAR, triples):
-                rows[x].append(back)
-        by_rows: Dict[tuple, RowProfile] = {}
-        self.of: Dict[Elem, RowProfile] = {}
-        for x, names in rows.items():
-            names = tuple(names)
-            p = by_rows.get(names)
-            if p is None:  # counted run by run
-                fwd, inv, i, size = [], [], 0, len(names)
-                while i < size:
-                    n, j = names[i], i + 1
-                    while j < size and names[j] is n:
-                        j += 1
-                    pairs, name = (fwd, n) if type(n) is str else (inv, n[0])
-                    pairs.append((name, j - i))
-                    i = j
-                p = by_rows[names] = RowProfile(tuple(fwd), tuple(inv), size)
-            self.of[x] = p
-        self.max_size = max(map(len, by_rows), default=0)
-        self._over: Dict[int, Set[Elem]] = {}
-
-    def __getitem__(self, x: Elem) -> RowProfile:
-        p = self.of.get(x)
-        return self.__missing__(x) if p is None else p
-
-    def __missing__(self, x: Elem) -> RowProfile:
-        return _NO_ROWS
-
-    def __iter__(self) -> Iterator[Elem]:
-        return iter(self.of)
-
-    def over(self, cap: int) -> Set[Elem]:
-        """The elements with more than ``cap`` rows, which the caller must
-        not mutate: found in one pass per cap, and none without a pass when
-        ``max_size`` is within the cap."""
-        if self.max_size <= cap:
-            return _NOTHING
-        over = self._over.get(cap)
-        if over is None:
-            over = self._over[cap] = {x for x, p in self.of.items() if p.size > cap}
-        return over
-
-
-_NO_ROWS = RowProfile((), (), 0)
-_NOTHING: FrozenSet[Elem] = frozenset()
-
-
 class CommonGraph:
     """Immutable common graph: its deduplicated edges in input order, its
     record map and a name index, with every other index derived on first
@@ -393,8 +312,9 @@ class CommonGraph:
     the value owners, ``nodes``, ``values``, ``keys``, ``preds``, the nodes
     grouped by record size (:meth:`nodes_of_size`), each name's far ends
     by near end and direction (:meth:`ends`, at most one entry per triple
-    per direction), the elements' row profiles (:attr:`row_profiles`) and
-    the hash are each derived on their first read (``cached_property``),
+    per direction), their number (:meth:`counts`), each element's rows per
+    direction over all names (:meth:`degrees`) and the hash are each
+    derived on their first read (``cached_property``),
     from those three alone, then kept; each is published whole, so
     concurrent readers see it complete or not at all.
     """
@@ -484,14 +404,12 @@ class CommonGraph:
         return {}  # by (name, direction), filled by ends
 
     @cached_property
-    def _hash(self) -> int:
-        return hash((frozenset(self.edges), frozenset(self.props.items())))
+    def _counts(self) -> Dict[Tuple[Optional[str], str], Dict[Elem, int]]:
+        return {}  # by (name, direction), name None for all names, filled by counts and degrees
 
     @cached_property
-    def row_profiles(self) -> RowProfiles:
-        """The row profile of each raw element, all counted on the first
-        read from the name index alone."""
-        return RowProfiles(self._by_name)
+    def _hash(self) -> int:
+        return hash((frozenset(self.edges), frozenset(self.props.items())))
 
     def __eq__(self, other) -> bool:
         return (
@@ -550,6 +468,26 @@ class CommonGraph:
                 else:
                     got[x] = [t[far]]
             self._ends[name, direction] = got  # published whole, for concurrent readers
+        return got
+
+    def counts(self, name: str, direction: str) -> Dict[Elem, int]:
+        """Each near end's number of triples named ``name`` in the given
+        direction (its rows of that name, as in :meth:`ends`), counted in
+        one C-level pass on first use, then kept; do not mutate."""
+        got = self._counts.get((name, direction))
+        if got is None:
+            got = Counter(map(_NEAR if direction == FWD else _FAR, self._by_name.get(name, ())))
+            self._counts[name, direction] = got
+        return got
+
+    def degrees(self, direction: str) -> Dict[Elem, int]:
+        """Each element's number of rows in the given direction over all
+        names: a node's out-edges and keys (``FWD``), a node's in-edges or
+        a value's owners (``INV``).  Counted like :meth:`counts`."""
+        got = self._counts.get((None, direction))
+        if got is None:
+            got = Counter(map(_NEAR if direction == FWD else _FAR, chain.from_iterable(self._by_name.values())))
+            self._counts[None, direction] = got
         return got
 
     def grouped_ends(self, name: str, direction: str) -> Optional[Dict[Elem, List[Elem]]]:

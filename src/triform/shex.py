@@ -13,31 +13,37 @@ and PG shapes: ``SAnd``, ``SOr``, ``SNot``, ``STestConst`` and
 ``STestType`` are ShEx's names for its classes, and a
 :class:`ShexContext` decides the neighborhood shapes (``SNeigh``).  A
 neighborhood shape becomes a program template when an element first
-reaches it.  An element's rows
-(signed triples) each get a signature, the set of leaf and wildcard
-nodes that may consume them, and the verdict depends only on the bag of
-signatures (the Parikh image over the constraints).  An untested row's
-signature depends on its (direction, name) alone, so an element is read
-through its row profile (``model.RowProfile``: (name, count) pairs, one
-step per distinct name), whose total is checked against a hard cap
-first.  Each template keeps a per-run entry per profile: the verdict
-when no row is tested, else the untested counts and the tested groups.
-The elements with tested groups are bucketed by profile; only their far
-ends are read, each nested shape is evaluated once on the union of the
-far ends it tests, and a bucket whose far ends get one signature per
-group is decided by one bag, the others element by element by their
-far-end signatures.  A template's program is interned per run by its
-structure, so shapes that flatten alike share one program and one
-verdict memo per run.  The memo is keyed by the sorted (signature,
-count) pairs, a free class (one that no node but a WILDSTAR node may
-consume) counted once, and runs the kernel of ``_bagmatch_py`` on a
-miss only: a DP over the count of rows of each signature, pruned by
-static intervals.  That module loads with the first template, so a
-process that decides no neighborhood never compiles it.
-Exceeding the cap raises ``NeighborhoodTooLarge``, never approximating,
-and so does a bag whose star parts nest deeper than the interpreter's
-recursion limit; the error names the least such element, and no profile
-of the call is decided before every element's total is checked.
+reaches it.  An element's rows (signed triples) each get a signature,
+the set of leaf and wildcard nodes that may consume them, and the
+verdict depends only on the bag of signatures (the Parikh image over
+the constraints).  A template mentions a (direction, name) pair when a
+leaf tests that name in that direction or a wildcard of that direction
+excludes it.  An untested row's signature depends on its pair alone,
+and every row of an unmentioned pair gets the same one, the wildcards of
+its direction.  So an element is read through its key: the count of
+each mentioned pair (``CommonGraph.counts``), split for a single tested
+leaf by ``len(S & far)``, S the nested shape's extension, the
+(signature, count) pairs of the far ends of a pair several leaves test,
+and per direction the rows of unmentioned pairs.  That class is left
+out when its signature holds only WILDSTAR nodes and the openness
+wildcard, keyed by presence when it holds only WILDSTAR nodes or none
+(a free class), by its count otherwise (``CommonGraph.degrees`` minus
+the mentioned counts); the ``_bagmatch_py`` docstring proves both rules.
+The key is read for all elements of a call at once, by passes that run
+in C, and each nested shape is evaluated once per call, on the union of
+the far ends it tests.  A template keeps a verdict per key per run.  Its
+program is interned per run by its structure, so shapes that flatten
+alike share one program and one verdict memo, keyed by the sorted
+(signature, count) pairs, a free class counted once; on a miss the memo
+runs the kernel of ``_bagmatch_py``, a DP over the count of rows of each
+signature, which loads with the first template.
+
+There is no row cap by default; ``--cap``/``TRIFORM_CAP`` sets one,
+checked for every element of a call before any bag of the call is
+decided.  Exceeding it raises ``NeighborhoodTooLarge``, never
+approximating, and so does a bag the kernel cannot decide within
+``_bagmatch_py.MAX_WORK`` or the recursion limit; the error names the
+least such element of the call.
 
 Counting is by triples, not by endpoints: a node with two parallel
 p-edges to the same target offers two distinct signed triples.  This is
@@ -48,7 +54,10 @@ counting-divergence suite.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from functools import reduce
+from itertools import compress, repeat
+from operator import add, is_, or_, sub
 from typing import Collection, Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
 from . import core
@@ -60,7 +69,6 @@ from .model import (
     Elem,
     Focus,
     NeighborhoodTooLarge,
-    RowProfile,
     TriformError,
     Value,
     ValueTypeRegistry,
@@ -72,15 +80,15 @@ from .model import (
 )
 from .report import ValidationReport, make_report
 
-DEFAULT_CAP = 24
-
 _bagmatch_py = None  # the kernel's module, loaded by the first template (:func:`_template`)
 
-
-def default_cap() -> int:
+def default_cap() -> Optional[int]:
+    """The row cap ``TRIFORM_CAP`` sets, or None: no cap by default."""
     raw = os.environ.get("TRIFORM_CAP")
+    if raw is None:
+        return None
     try:
-        cap = DEFAULT_CAP if raw is None else int(raw)
+        cap = int(raw)
     except ValueError:
         raise TriformError(f"TRIFORM_CAP must be an integer, got {raw!r}") from None
     if cap < 0:
@@ -303,7 +311,7 @@ class _Program:
 
 class _Template:
     """A neighborhood shape flattened into the kernel program format, with
-    the run's profile entries.
+    the run's entries.
 
     A row's signature is the set of leaf and wildcard nodes that may
     consume it, one bit per node.  ``leaves`` buckets the bits of the
@@ -314,22 +322,30 @@ class _Template:
     openness suffix included.  ``program`` is the run's interned
     :class:`_Program` of the shape's structure, with the verdict memo.
 
-    ``entries`` maps a row profile (``model.RowProfile``) within the cap
-    to its verdict when it has no tested group, else to the count of each
-    signature among its untested rows and its tested groups (:meth:`groups`).
+    An element is read through its key, one column per entry of
+    ``layout`` (:func:`_neigh`).  ``pairs`` lists the (name, direction)
+    pairs the template mentions, in sorted order, each with its plan
+    (:meth:`plan`); ``rest`` maps each direction whose rows of unmentioned
+    names are keyed to whether only their presence counts.  ``layout``
+    gives per column the signature its count adds to and, for the column
+    of a single tested leaf, the signature those rows move to
+    (:func:`_bag`); None for the column of a multi-leaf group, which holds
+    (signature, count) pairs.  ``entries`` maps a key to its verdict, per
+    run.
     """
 
     def __init__(self) -> None:
         self.leaves: Dict[Tuple[str, str], List[Tuple[int, Optional[int]]]] = {}
         self.wilds: Dict[str, List[Tuple[int, FrozenSet[str]]]] = {FWD: [], INV: []}
         self.program: Optional[_Program] = None
-        # :meth:`plan` per run, by direction and then by name
-        self.plans: Dict[str, Dict[str, Tuple[int, list, dict]]] = {FWD: {}, INV: {}}
-        self.entries: Dict[RowProfile, object] = {}  # per run
+        self.pairs: List[Tuple[str, str, int, List[Tuple[int, int]]]] = []
+        self.rest: Dict[str, bool] = {}
+        self.layout: List[Optional[Tuple[int, Optional[int]]]] = []
+        self.entries: Dict[object, object] = {}  # per run
 
-    def plan(self, name: str, direction: str):
-        """A (name, direction) row's untested signature bits, the (bit, nested
-        shape id) pairs of the leaves testing its far end, and the run's far-end signatures."""
+    def plan(self, name: str, direction: str) -> Tuple[int, List[Tuple[int, int]]]:
+        """A (name, direction) row's untested signature bits and the (bit,
+        nested shape id) pairs of the leaves testing its far end."""
         sig, tested = 0, []
         for bit, sid in self.leaves.get((name, direction), ()):
             if sid is None:
@@ -339,33 +355,18 @@ class _Template:
         for bit, excl in self.wilds[direction]:
             if name not in excl:
                 sig |= bit
-        return self.plans[direction].setdefault(name, (sig, tested, {}))
-
-    def groups(self, g: CommonGraph, p: RowProfile):
-        """The count of each signature among the untested rows of the profile
-        ``p``, and per tested (direction, name) its far ends by near end and its plan."""
-        counts: Dict[int, int] = {}
-        tested, plan = [], self.plan
-        for d, named in ((FWD, p.fwd), (INV, p.inv)):
-            dplans = self.plans[d]
-            for name, n in named:
-                sig, leaves, sigs = dplans.get(name) or plan(name, d)
-                if leaves:
-                    tested.append((g.ends(name, d), sig, leaves, sigs))
-                else:
-                    counts[sig] = counts.get(sig, 0) + n
-        return counts, tested
+        return sig, tested
 
 
 class ShexContext(Context):
-    """A ShEx run over one graph: the cap, the shapes met so far by their
-    run's id (:func:`_sid`), which keeps their ``id`` from being reused
-    while the context lives, the templates by their shape's run id, and the
-    interned programs by structure, with their verdict memos.  Nothing is
-    cached in module globals, so separate contexts may run in separate
-    threads."""
+    """A ShEx run over one graph: the row cap (None for none), the shapes
+    met so far by their run's id (:func:`_sid`), which keeps their ``id``
+    from being reused while the context lives, the templates by their
+    shape's run id, and the interned programs by structure, with their
+    verdict memos.  Nothing is cached in module globals, so separate
+    contexts may run in separate threads."""
 
-    def __init__(self, g: CommonGraph, cap: int, registry: Optional[ValueTypeRegistry] = None) -> None:
+    def __init__(self, g: CommonGraph, cap: Optional[int], registry: Optional[ValueTypeRegistry] = None) -> None:
         super().__init__(g, registry)
         self.cap = cap
         self.sids: Dict[int, int] = {}
@@ -468,19 +469,43 @@ def _template(ctx: ShexContext, expr: TripleExpr, openness: Openness) -> _Templa
     if prog is None:  # the bounds and masks are computed once per structure per run
         prog = ctx.programs[key] = _Program(*key)
     t.program = prog
+    mentioned, layout, rest = set(t.leaves), t.layout, []
+    for d, wilds in t.wilds.items():
+        sig = 0  # the signature of the rows of unmentioned names in this direction
+        for bit, excl in wilds:
+            sig |= bit
+            if excl:
+                mentioned.update(zip(excl, repeat(d)))
+        free = not sig & ~prog.wild
+        if not (free and sig >> wild & 1):  # else dropped, whatever its count
+            t.rest[d] = free
+            rest.append((sig, None))
+    for name, d in sorted(mentioned):
+        sig, tested = t.plan(name, d)
+        t.pairs.append((name, d, sig, tested))
+        if len(tested) > 1:
+            layout.append(None)
+        else:
+            layout.append((sig, None))
+            if tested:
+                layout.append((sig, sig | tested[0][0]))
+    layout += rest
     return t
 
 
-_TOO_DEEP = object()  # the verdict on a bag with more star parts than the recursing kernel can peel
+# the verdict on a bag with more star parts than the recursing kernel can peel: the error's reason
+_TOO_DEEP = ", too many star parts for the matcher's recursion depth"
 
 
 def _decide(prog: _Program, rows: Dict[int, int]):
     """The verdict of ``prog`` on the bag of ``rows[s]`` rows of each
-    signature ``s``: the memo's, else the kernel's, kept (True, False or
-    ``_TOO_DEEP``).  Every free class, whose signature holds WILDSTAR
-    nodes only, or no node, counts as 1 row, which keeps the verdict
-    (the ``_bagmatch_py`` docstring gives the proof) and lets bags that
-    differ only there share one entry."""
+    signature ``s``: the memo's, else the kernel's, kept.  It is True,
+    False, or, for a bag the kernel cannot decide (:data:`_TOO_DEEP`,
+    or more work than ``_bagmatch_py.MAX_WORK``), the reason, a string.
+    Every free class, whose signature holds WILDSTAR nodes only, or no
+    node, counts as 1 row, which keeps the verdict (the ``_bagmatch_py``
+    docstring gives the proof) and lets bags that differ only there share
+    one entry."""
     wild = prog.wild
     bag = tuple(sorted([(s, n) if s & ~wild else (s, 1) for s, n in rows.items()]))
     verdict = prog.verdicts.get(bag)
@@ -490,111 +515,111 @@ def _decide(prog: _Program, rows: Dict[int, int]):
             verdict = _bagmatch_py.count_match(prog.kernel, sigs, counts)
         except RecursionError:
             verdict = _TOO_DEEP
+        except _bagmatch_py.WorkExhausted:
+            verdict = f", more than {_bagmatch_py.MAX_WORK} matcher states and split steps"
         prog.verdicts[bag] = verdict
     return verdict
 
 
-def _too_large(xs: Collection[Elem], profiles, why: str) -> NeighborhoodTooLarge:
+def _bag(layout: list, key: tuple) -> Dict[int, int]:
+    """The count of each signature in the bag of the key ``key``
+    (:class:`_Template`), without empty classes."""
+    rows: Dict[int, int] = {}
+    for column, n in zip(layout, key):
+        if column is None:  # a multi-leaf group's (signature, count) pairs
+            for sig, k in n:
+                rows[sig] = rows.get(sig, 0) + k
+            continue
+        sig, moved = column
+        if moved is None:
+            rows[sig] = rows.get(sig, 0) + n
+        else:  # n rows of the group just counted have a far end in the nested shape
+            rows[sig] -= n
+            rows[moved] = rows.get(moved, 0) + n
+    return {sig: n for sig, n in rows.items() if n}
+
+
+def _size(g: CommonGraph, x: Elem) -> int:
+    return g.degrees(FWD).get(x, 0) + g.degrees(INV).get(x, 0)
+
+
+def _too_large(g: CommonGraph, xs: Collection[Elem], why: str) -> NeighborhoodTooLarge:
     """The capability error naming the least of ``xs`` in focus order."""
     v = elems_to_foci(xs)[0]
-    return NeighborhoodTooLarge(f"signed neighborhood of {v!r} has {profiles[focus_elem(v)].size} triples{why}")
+    return NeighborhoodTooLarge(f"signed neighborhood of {v!r} has {_size(g, focus_elem(v))} triples{why}")
 
 
 def _neigh(ctx: ShexContext, t: _Template, elems: Set[Elem]) -> Set[Elem]:
     """The elements of ``elems`` whose rows the template's program matches.
 
-    The cap is checked first, for every element of the call at once, so a
-    cap error comes before any profile is decided, whatever the set order.
-    Each element is then looked up by its row profile, whose first element
-    makes its entry, the verdict when no row is tested.  Other elements are
-    bucketed by profile and decided as the module docstring says.
-    Capability errors name the least element over the cap or, once all are
-    decided, with a bag too deep for the kernel."""
-    g, entries, prog, cap, out = ctx.g, t.entries, t.program, ctx.cap, set()
-    profiles = g.row_profiles
-    of = profiles.of
-    over = profiles.over(cap)
-    if over and not over.isdisjoint(elems):
-        raise _too_large(over.intersection(elems), profiles, f" (cap {cap})")
-    buckets: Dict[RowProfile, List[Elem]] = {}  # the elements of each profile with tested groups
-    deep: List[Elem] = []  # the elements whose bag is too deep for the kernel
-    for x in elems:
-        try:
-            p = of[x]
-        except KeyError:  # outside the graph
-            p = profiles[x]
-        entry = entries.get(p)
-        if entry is None:
-            counts, tested = t.groups(g, p)
-            entry = entries[p] = (counts, tested) if tested else _decide(prog, counts)
-        if entry is True:
-            out.add(x)
-        elif entry.__class__ is tuple:
-            if p in buckets:
-                buckets[p].append(x)
-            else:
-                buckets[p] = [x]
-        elif entry is _TOO_DEEP:
-            deep.append(x)
+    A cap is checked first, for every element of the call, so a cap error
+    comes before any bag is decided, whatever the set order.  Then each
+    nested shape is evaluated once, on the union of the far ends it tests,
+    in the run's order (:func:`_sid`), so the first cap error it raises is
+    fixed.  The keys are read column by column, and each key new to the run
+    is decided.  Capability errors name the least element over the cap or,
+    once all are decided, with a bag the kernel could not decide."""
+    g, cap = ctx.g, ctx.cap
+    if cap is not None:
+        over = [x for x in elems if _size(g, x) > cap]
+        if over:
+            raise _too_large(g, over, f" (cap {cap})")
+    xs = list(elems)
     asked: Dict[int, Set[Elem]] = {}  # the far ends each nested shape tests, by its run's id
-    reads = []  # per bucket: its elements, its entry and each tested group's far ends by element
-    for p, xs in buckets.items():
-        entry, fars = entries[p], []
-        for ends, _, leaves, _ in entry[1]:
-            far = list(map(ends.__getitem__, xs))
-            for _, sid in leaves:
-                asked.setdefault(sid, set()).update(*far)
-            fars.append(far)
-        reads.append((xs, entry, fars))
-    if reads:  # nested shapes in the run's order (:func:`_sid`), so the first cap error raised is fixed
-        sat = {sid: core._sat(ctx, ctx.shapes[sid], asked[sid]) for sid in sorted(asked)}
-    for xs, (counts, tested), fars in reads:
-        rows, mixed = dict(counts), []
-        for (_, sig, leaves, sigs), far in zip(tested, fars):
-            first = None  # the group's one far-end signature in the bucket, or False
-            for f in far:
-                for y in f:
-                    row = sigs.get(y)
-                    if row is None:  # each far end gets its signature once per run
-                        row = sig
-                        for bit, sid in leaves:
-                            if y in sat[sid]:
-                                row |= bit
-                        sigs[y] = row
-                    if first is None:
-                        first = row
-                    elif row != first:
-                        first = False
-            if first is False:
-                mixed.append((far, sigs))
-            else:  # every element has the profile's count of rows with that signature
-                rows[first] = rows.get(first, 0) + len(far[0])
-        if not mixed:
-            verdict = _decide(prog, rows)
-            if verdict is True:
-                out.update(xs)
-            elif verdict is _TOO_DEEP:
-                deep += xs
+    counts: Dict[str, list] = {}  # the rows of the mentioned names by direction, for the rest
+    reads = []  # per pair: its counts and, if tested and met, each element's far ends
+    for name, d, _, tested in t.pairs:
+        n = list(map(g.counts(name, d).get, xs, repeat(0)))
+        if d in t.rest:
+            counts[d] = list(map(add, counts[d], n)) if d in counts else n
+        fars = None
+        if tested and any(n):
+            fars = list(map(g.ends(name, d).get, xs, repeat(())))
+            far = set().union(*fars)
+            for _, sid in tested:
+                asked.setdefault(sid, set()).update(far)
+        reads.append((n, fars))
+    sat = {}
+    for sid in sorted(asked):
+        sat[sid] = core._sat(ctx, ctx.shapes[sid], asked[sid])
+    cols: List[list] = []
+    for (_, _, sig, tested), (n, fars) in zip(t.pairs, reads):
+        if len(tested) > 1:
+            if fars is None:
+                cols.append([()] * len(xs))
+                continue
+            fsig: Dict[Elem, int] = {}  # each far end's signature
+            for y in set().union(*fars):
+                fsig[y] = reduce(or_, [bit for bit, sid in tested if y in sat[sid]], sig)
+            cols.append([tuple(sorted(Counter(map(fsig.__getitem__, f)).items())) for f in fars])
             continue
-        memo: Dict[tuple, object] = {}  # the verdicts by the signatures of the far ends that differ
-        for i, x in enumerate(xs):
-            key = []
-            for far, sigs in mixed:
-                key.extend(map(sigs.__getitem__, far[i]))
-            key = tuple(key)
-            verdict = memo.get(key)
-            if verdict is None:
-                bag = dict(rows)
-                for row in key:
-                    bag[row] = bag.get(row, 0) + 1
-                verdict = memo[key] = _decide(prog, bag)
-            if verdict is True:
-                out.add(x)
-            elif verdict is _TOO_DEEP:
-                deep.append(x)
-    if deep:
-        raise _too_large(deep, profiles, ", too many star parts for the matcher's recursion depth")
-    return out
+        cols.append(n)
+        if tested:  # how many of the rows have a far end in the nested shape
+            cols.append(n if fars is None else list(map(len, map(sat[tested[0][1]].intersection, fars))))
+    for d, presence in t.rest.items():
+        n = list(map(g.degrees(d).get, xs, repeat(0)))
+        if d in counts:
+            n = list(map(sub, n, counts[d]))
+        cols.append(list(map(bool, n)) if presence else n)
+    keys = cols[0] if len(cols) == 1 else list(zip(*cols)) if cols else [()] * len(xs)
+    entries, prog, layout = t.entries, t.program, t.layout
+    distinct = set(keys)
+    for key in distinct.difference(entries):
+        entries[key] = _decide(prog, _bag(layout, (key,) if len(cols) == 1 else key))
+    kept, failed = 0, set()
+    for key in distinct:
+        verdict = entries[key]
+        if verdict is True:
+            kept += 1
+        elif verdict is not False:
+            failed.add(key)
+    if failed:
+        bad = {x: entries[key] for x, key in zip(xs, keys) if key in failed}
+        least = focus_elem(elems_to_foci(bad)[0])
+        raise _too_large(g, [least], bad[least])
+    if kept == len(distinct):
+        return elems
+    return set(compress(xs, map(is_, map(entries.__getitem__, keys), repeat(True)))) if kept else set()
 
 
 def match_triple_expr(

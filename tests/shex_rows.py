@@ -1,7 +1,8 @@
 """ShEx neighborhood matching read row by row, for the tests.
 
-The evaluator decides an element from its row profile and reads only
-the far ends of its tested groups.  These helpers count a profile from
+The evaluator decides an element from the counts of the names a
+template mentions and reads only the far ends of its tested groups.
+These helpers count an element's rows per name from
 the element's own adjacency lists, give each row of an element its own
 signature, from the template's plan and the set evaluator, so the
 kernel can be checked on the rows themselves, and decide a shape at one
@@ -19,7 +20,7 @@ from triform.shex import SNeigh, ShexContext, _is_top, _template, default_cap
 def row_profile(g, x):
     """The (name, count) pairs of the forward and of the inverse rows of
     the raw element ``x``, each sorted by name, counted from its
-    adjacency lists: the per-element oracle of ``CommonGraph.row_profiles``."""
+    adjacency lists: the per-element oracle of ``CommonGraph.counts``."""
     if type(x) is not str:
         return (), tuple(sorted(Counter(k for _, k in g.value_owners(x)).items()))
     fwd = Counter([e.p for e in g.out_edges(x)] + list(g.node_props(x)))
@@ -43,7 +44,7 @@ def row_signatures(ctx, t, x):
     row order; each tested far end is decided on its own."""
     out = []
     for row, far in signed_rows(ctx.g, x):
-        sig, tested, _ = t.plan(row.name, row.direction)
+        sig, tested = t.plan(row.name, row.direction)
         for bit, sid in tested:
             if far in _sat(ctx, ctx.shapes[sid], {far}):
                 sig |= bit
@@ -65,7 +66,7 @@ def match_witness(g, v, expr, openness, cap=None, registry=None):
 
 def row_sat(ctx, shape, x, templates):
     """Whether the raw element ``x`` satisfies ``shape``, decided at ``x``
-    alone: a neighborhood shape reads every row of ``x`` (no profile, no
+    alone: a neighborhood shape reads every row of ``x`` (no key, no
     memo), gives each row its own signature, deciding each tested far end
     by this function, and runs the kernel on the bag.  ``templates`` holds
     the templates built so far, by ``id`` of their shape."""
@@ -78,7 +79,7 @@ def row_sat(ctx, shape, x, templates):
             t = templates[id(shape)] = _template(ctx, shape.expr, shape.openness)
         sigs = []
         for row, far in signed_rows(ctx.g, x):
-            sig, tested, _ = t.plan(row.name, row.direction)
+            sig, tested = t.plan(row.name, row.direction)
             for bit, sid in tested:
                 if row_sat(ctx, ctx.shapes[sid], far, templates):
                     sig |= bit

@@ -303,18 +303,18 @@ def test_derived_indexes_equal_an_eager_construction():
                 got = {n: list(r.items()) for n, r in got.items()}
             assert got == want[name], (label, name)
         assert g.keys == want["keys"] and g.preds == {e.p for e in g.edges}, label
-        profiles = g.row_profiles
         elems = sorted(g.nodes) + sorted(g.values, key=repr) + ["ghost", int_v(-5)]
+        names = sorted(g.keys | g.preds) + ["absent"]
         for x in elems:
-            p = profiles[x]
-            assert (p.fwd, p.inv) == row_profile(g, x), (label, x)
-            assert p.size == len(signed_rows(g, x)), (label, x)
-        # one profile per distinct count vector, shared by identity
-        shared = {}
-        for x in elems:
-            p = profiles[x]
-            assert shared.setdefault((p.fwd, p.inv), p) is p, (label, x)
-        assert set(profiles) == set(g.nodes) | set(g.values), label  # an absent element adds no entry
+            fwd, inv = row_profile(g, x)
+            for d, pairs in ((FWD, fwd), (INV, inv)):
+                assert [(name, g.counts(name, d)[x]) for name in names if x in g.counts(name, d)] == list(pairs), (label, x)
+                assert g.degrees(d).get(x, 0) == sum(n for _, n in pairs), (label, x)
+            assert sx._size(g, x) == len(signed_rows(g, x)), (label, x)
+        for d in (FWD, INV):  # counted once, then kept; an absent element adds no entry
+            assert all(g.counts(name, d) is g.counts(name, d) for name in names), label
+            assert g.degrees(d) is g.degrees(d) and set(g.degrees(d)) <= set(g.nodes) | set(g.values), label
+        assert set(g.degrees(FWD)) | set(g.degrees(INV)) == set(g.nodes) | set(g.values), label
 
 
 def test_grouping_by_record_size_builds_no_records():
@@ -327,7 +327,7 @@ def test_grouping_by_record_size_builds_no_records():
 
 def test_graph_pickles_and_copies_as_its_triples():
     g = media_graph()
-    g.row_profiles, g.nodes  # derived indexes are not copied
+    g.counts("hasAccess", FWD), g.degrees(INV), g.nodes  # derived indexes are not copied
     for twin in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g), copy.copy(g)):
         assert set(vars(twin)) == LOADED
         assert list(twin.edges) == list(g.edges) and list(twin.props) == list(g.props)
@@ -415,7 +415,7 @@ def test_name_steps_read_only_the_name_index(monkeypatch):
 
 def test_shacl_and_shex_validation_derive_no_adjacency():
     """SHACL and ShEx validation read a freshly parsed graph through its
-    name index and row profiles alone: the adjacency lists, records,
+    name index and its row counts alone: the adjacency lists, records,
     value owners, ``nodes`` and ``values`` stay underived."""
     fixtures = Path(__file__).resolve().parent.parent / "fixtures"
     docs = {name: json.loads((fixtures / f"{name}.json").read_text()) for name in ("media_graph", "media_graph_six_access")}
@@ -437,10 +437,11 @@ def test_shacl_and_shex_validation_derive_no_adjacency():
 _ORDER_SCRIPT = """
 import json
 from triform.harness import GenParams, gen_graph
+from triform.model import FWD, INV
 g = gen_graph(GenParams(seed=3, node_count=40, edge_density=0.06, prop_density=0.3))
-profile = lambda x: [g.row_profiles[x].fwd, g.row_profiles[x].inv]
-print(json.dumps([[u, g.out_edges(u), g.in_edges(u), profile(u)] for u in sorted(g.nodes)]
-                 + [[w, g.value_owners(w), profile(w)] for w in sorted(g.values, key=repr)]))
+counts = lambda d: [[n, list(g.counts(n, d).items())] for n in sorted(g.keys | g.preds)] + [["*", list(g.degrees(d).items())]]
+print(json.dumps([[u, g.out_edges(u), g.in_edges(u)] for u in sorted(g.nodes)]
+                 + [[w, g.value_owners(w)] for w in sorted(g.values, key=repr)] + [counts(FWD), counts(INV)]))
 """
 
 
@@ -455,8 +456,9 @@ def test_adjacency_order_does_not_depend_on_the_hash_seed():
         assert done.returncode == 0, done.stderr
         runs.append(json.loads(done.stdout))
     assert runs[0] == runs[1]
-    assert sum(len(row[1]) > 1 for row in runs[0]) > 5  # some lists have an order to keep
-    assert sum(len(row[-1][0]) > 1 for row in runs[0]) > 5  # and so do some profiles
+    *lists, fwd, inv = runs[0]
+    assert sum(len(row[1]) > 1 for row in lists) > 5  # some lists have an order to keep
+    assert sum(len(row[1]) > 1 for row in fwd + inv) > 5  # and so do the row counts
 
 
 def test_value_equality_is_tag_and_payload_equality():

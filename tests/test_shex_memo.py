@@ -1,11 +1,12 @@
-"""The per-run verdict memo and profile entries of ShEx neighborhood
+"""The per-run verdict memo and key entries of ShEx neighborhood
 matching.
 
 A focus is decided by the bag of its row signatures, so the kernel runs
 once per distinct bag per program per run (shapes that flatten to one
-program share its memo), and a focus is read through its row profile;
+program share its memo), and a focus is read through its key, the
+counts of the names a template mentions;
 these tests pin the verdicts against the brute-force oracle, count the
-kernel calls and check what a profile entry reads.
+kernel calls and check what a key entry reads.
 """
 
 import json
@@ -30,7 +31,6 @@ from triform.model import (
     INV,
     Node,
     PropTriple,
-    RowProfiles,
     build_graph,
     bool_v,
     int_v,
@@ -187,7 +187,8 @@ _COUNT_SCRIPT = """
 import json
 from triform import _bagmatch_py
 from triform.harness import GenParams, gen_graph, gen_shex_schema, run_campaign
-from triform.shex import shex_validate
+from triform.shex import SNeigh, is_closed_expr, shex_validate
+import test_shex_keys as k
 import test_shex_memo as t
 
 calls = []
@@ -201,13 +202,24 @@ cases = [
 for seed in range(12):
     p = GenParams(seed=seed, node_count=12, edge_density=0.12, prop_density=0.3)
     cases.append((gen_graph(p), gen_shex_schema(p)))
+# every part of a projected key: closed shapes, wildstars under Alt,
+# names only excluded, multi-leaf groups, value foci and loops
+cases.append((t.shared_far_ends(), t.SHARED_RULES))
+for i, (expr, openness) in enumerate(k.CASES.values()):
+    if is_closed_expr(expr):
+        shape = SNeigh(expr, openness)
+        cases.append((k.small_graph(i), [(t.SelOut("p"), shape), (t.SelIn("k"), shape), (t.SelIn("p"), shape)]))
 for g, rules in cases:
     del calls[:]
     report = shex_validate(g, rules, cap=64)
     out.append([len(calls), [[v.rule_index, repr(v.focus)] for v in report.violations]])
-# a campaign in which some trials stop at the default cap
+# a campaign with no cap
 del calls[:]
-summary = run_campaign(150, GenParams(node_count=40), seed=987654321)
+summary = run_campaign(40, GenParams(node_count=40), seed=987654321)
+out.append([len(calls), [summary.capped, summary.agreed]])
+# a campaign in which some trials stop at the cap
+del calls[:]
+summary = run_campaign(150, GenParams(node_count=40), seed=987654321, cap=24)
 out.append([len(calls), [summary.capped, summary.agreed]])
 print(json.dumps(out))
 """
@@ -232,7 +244,10 @@ def test_kernel_calls_do_not_depend_on_the_hash_seed():
     assert runs[0] == runs[1]
     assert runs[0][0][0] == 3 and len(runs[0][0][1]) == 10
     assert runs[0][1][0] == 2 and len(runs[0][1][1]) == 30  # two shapes share one program
-    # a capped trial decides no profile before its cap error, in any set order
+    # without a cap every trial is decided
+    calls, (capped, agreed) = runs[0][-2]
+    assert capped == 0 and agreed == 40 and calls > 0
+    # a capped trial decides no bag before its cap error, in any set order
     calls, (capped, agreed) = runs[0][-1]
     assert capped > 0 and capped + agreed == 150 and calls > 0
 
@@ -264,7 +279,7 @@ cases = [
 ]
 for edges, sel, shape in cases:
     try:
-        shex_validate(build_graph(edges, []), [(sel, shape)])
+        shex_validate(build_graph(edges, []), [(sel, shape)], cap=24)
     except NeighborhoodTooLarge as err:
         print(err)
 """
@@ -282,12 +297,13 @@ def test_cap_error_names_the_least_element_under_any_hash_seed():
 
 def test_one_profile_with_different_tested_far_ends():
     # "a" and "b" both have one k row and one incoming r row, so they
-    # share a profile; the nested shape tests the k value, which differs
+    # have the same counts; the nested shape tests the k value, which differs
     g = build_graph(
         [EdgeTriple("r0", "r", "a"), EdgeTriple("r1", "r", "b")],
         [PropTriple("a", "k", int_v(1)), PropTriple("b", "k", str_v("x"))],
     )
-    assert g.row_profiles["a"] is g.row_profiles["b"]
+    for name, d in (("k", FWD), ("r", INV)):
+        assert g.counts(name, d)["a"] == g.counts(name, d)["b"] == 1
     report = shex_validate(g, [(SelOut("k"), INT_K)])
     assert [viol.focus for viol in report.violations] == [Node("b")]
     for v in (Node("a"), Node("b")):
@@ -301,29 +317,28 @@ def test_untested_profile_reads_no_rows(monkeypatch, kernel_calls):
     targets = {e.o for e in g.triples_named("p")}
     ints = open_closure(StarE(TC("k", FWD, STestType("int"))))
     shape = SAnd(ints, open_closure(StarE(TC("q", FWD, ints))))
-    for x in targets:
-        g.row_profiles[x]
-    calls = []
-    sat = core._sat
+    calls, counted = [], set()
+    sat, counts = core._sat, CommonGraph.counts
     monkeypatch.setattr(core, "_sat", lambda *args: calls.append(args[2]) or sat(*args))
+    monkeypatch.setattr(CommonGraph, "counts", lambda g, name, d: counted.add((name, d)) or counts(g, name, d))
 
     def no_read(*args):
         raise AssertionError("a row was read")
 
-    for name in ("out_edges", "in_edges", "node_props", "value_owners", "ends"):
+    for name in ("out_edges", "in_edges", "node_props", "value_owners", "ends", "degrees"):
         monkeypatch.setattr(CommonGraph, name, no_read)
-    monkeypatch.setattr(RowProfiles, "__missing__", no_read)
     assert shex_validate(g, [(SelIn("p"), shape)]).valid
     # the rule's shape and its two conjuncts, at the targets; nothing nested
     assert calls == [targets] * 3
-    assert len(kernel_calls) == 1  # one profile, and the conjuncts share one program
+    assert counted == {("k", FWD), ("q", FWD)}  # the counts of the names the conjuncts mention, and no total
+    assert len(kernel_calls) == 1  # one key, and the conjuncts share one program
 
 
 def test_cap_error_names_the_least_of_two_profiles():
-    # "a" has 25 p rows and "b" 30 q rows: two profiles over the cap
+    # "a" has 25 p rows and "b" 30 q rows: two elements over the cap
     edges = [EdgeTriple("a", "p", f"t{i}") for i in range(25)] + [EdgeTriple("b", "q", f"t{i}") for i in range(30)]
     g = build_graph(edges + [EdgeTriple("r", "s", "a"), EdgeTriple("r", "s", "b")], [])
-    assert g.row_profiles["a"] is not g.row_profiles["b"]
+    assert g.degrees(FWD)["a"] == 25 and g.degrees(FWD)["b"] == 30
     ctx = shex.ShexContext(g, cap=24)
     shape = open_closure(StarE(TC("p", FWD, TOP)))
     template = shex._template(ctx, shape.expr, shape.openness)
@@ -345,8 +360,8 @@ def pairs(u, n):
 untested = StarE(Seq(TC("p", FWD, top_shape()), TC("q", FWD, top_shape())))
 tested = StarE(Seq(TC("p", FWD, top_shape()), TC("q", FWD, SNot(STestConst(int_v(0))))))
 graphs = [
-    pairs("a", 256) + pairs("b", 256) + pairs("c", 256) + pairs("d", 256),  # one profile
-    pairs("a", 256) + pairs("b", 300) + pairs("c", 280) + pairs("d", 256),  # three profiles
+    pairs("a", 256) + pairs("b", 256) + pairs("c", 256) + pairs("d", 256),  # one count vector
+    pairs("a", 256) + pairs("b", 300) + pairs("c", 280) + pairs("d", 256),  # three count vectors
     pairs("a", 256) + pairs("b", 256) + pairs("e", 501),  # e is over the cap
 ]
 for edges in graphs:
@@ -382,7 +397,7 @@ def media_copies(k):
 
 def shared_far_ends():
     """Hubs h0..h7 with three p-edges each (two on every fourth), to
-    targets t0..t5 taken in turn, so most hubs share one profile but not
+    targets t0..t5 taken in turn, so most hubs share their counts but not
     their far ends; the targets have an int, a string, a bool or no k
     value; every hub has two q-edges to u0..u3."""
     edges, props = [], []
@@ -437,8 +452,8 @@ def test_verdicts_equal_the_row_by_row_reference(label, g, rules, monkeypatch):
     got = [core._sat(ctx, shape, domain) for _, shape in rules]
     monkeypatch.setattr(_bagmatch_py, "count_match", count_match)
     assert len(bags) == len(set(bags))  # one kernel call per distinct bag per template per run
-    if label == "shared far ends":  # the premise: one profile shared by hubs with different far ends
-        assert len({g.row_profiles[f"h{i}"] for i in range(8)}) == 2
+    if label == "shared far ends":  # the premise: hubs with equal counts but different far ends
+        assert len({(g.counts("p", FWD)[f"h{i}"], g.counts("q", FWD)[f"h{i}"]) for i in range(8)}) == 2
     ref, templates = shex.ShexContext(g, cap=10**6), {}
     for (_, shape), sat in zip(rules, got):
         for x in domain:
