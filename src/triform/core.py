@@ -16,7 +16,7 @@ no dialect.
 from __future__ import annotations
 
 from functools import reduce
-from typing import Any, Collection, Dict, List, Optional, Set
+from typing import Any, Collection, Dict, List, Mapping, Optional, Set
 
 from .model import DEFAULT_TYPES, CommonGraph, Elem, TriformError, Value, ValueTypeRegistry, frozen
 
@@ -86,6 +86,17 @@ def or_all(shapes: List) -> Any:
     return reduce(Or, shapes)
 
 
+def restrict(index: Dict[Elem, Any], elems: Set[Elem]) -> Dict[Elem, Any]:
+    """``index`` cut to the keys in ``elems``, read from the smaller of
+    the two: the map itself when ``elems`` holds all its keys."""
+    if len(index) <= len(elems):
+        if elems.issuperset(index):
+            return index
+        return {x: y for x, y in index.items() if x in elems}
+    get = index.get
+    return {x: y for x in elems if (y := get(x))}
+
+
 class Context:
     """One run over one graph; a dialect's subclass reads its count atoms'
     paths and decides its own atoms."""
@@ -98,6 +109,11 @@ class Context:
         """Each element of ``elems`` mapped to its image under ``path``, if not empty."""
         raise TriformError(f"no count atom over {path!r} in this dialect")
 
+    def counts(self, path: Any, elems: Set[Elem]) -> Mapping[Elem, int]:
+        """The size of each nonempty :meth:`images` image; it may hold other elements too."""
+        images = self.images(path, elems)
+        return dict(zip(images, map(len, images.values())))
+
     def atom(self, shape: Any, elems: Set[Elem]) -> Set[Elem]:
         """The elements of ``elems`` that satisfy an atom of the dialect's own."""
         raise TriformError(f"unknown shape {shape!r}")
@@ -109,11 +125,11 @@ def _sat(ctx: Context, shape: Any, elems: Set[Elem]) -> Set[Elem]:
 
     ``And`` hands its right branch only the elements its left branch
     kept, and ``Or`` only those its left branch rejected.  A count atom
-    takes every element's image from one :meth:`Context.images` call,
-    evaluates its body once on the union of those images, and compares
-    the size of each image (or of its intersection with the body's
-    extension) against the bound; the images may be the graph's own
-    index, so they are only read.  The result is a set the caller must
+    compares each element's :meth:`Context.counts` entry (top body) or
+    image, from one :meth:`Context.images` call, cut to its body's
+    extension, evaluated once on their union, with the bound; both may be
+    the graph's own index, so they are only read.  ShEx count forms come
+    here too (``shex._count_atom``).  The result is a set the caller must
     not mutate.
     """
     kind = type(shape)
@@ -129,17 +145,20 @@ def _sat(ctx: Context, shape: Any, elems: Set[Elem]) -> Set[Elem]:
         return elems - _sat(ctx, shape.inner, elems)
     if kind is GeqCount or kind is LeqCount:
         n, geq = shape.n, kind is GeqCount
-        images = ctx.images(shape.path, elems)  # before a vacuous bound too: PG checks sorts there
-        if geq and n == 0:
-            return elems
-        if type(shape.body) is Top:
-            counts = zip(images, map(len, images.values()))
+        if type(shape.body) is Top:  # read before a vacuous bound too: PG checks sorts there
+            counts = ctx.counts(shape.path, elems)
+            if geq and n <= 1:
+                return elems if n == 0 else elems & counts.keys()
+            pairs = restrict(counts, elems).items()
         else:
+            images = ctx.images(shape.path, elems)
+            if geq and n == 0:
+                return elems
             body = _sat(ctx, shape.body, set().union(*images.values()))
-            counts = zip(images, map(len, map(body.intersection, images.values())))
+            pairs = zip(images, map(len, map(body.intersection, images.values())))
         if geq:
-            return {x for x, c in counts if c >= n}
-        return elems - {x for x, c in counts if c > n}  # an element without image counts 0
+            return {x for x, c in pairs if c >= n}
+        return elems - {x for x, c in pairs if c > n}  # an element without image counts 0
     if kind is TestConst:
         return {shape.c} & elems
     if kind is TestType:

@@ -45,9 +45,9 @@ rejected at load time, before any focus is evaluated.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Collection, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
+from typing import Collection, Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
-from .core import TOP, And, Context, GeqCount, LeqCount, Top, _sat, and_all
+from .core import TOP, And, Context, GeqCount, LeqCount, Top, _sat, and_all, restrict
 from .model import (
     DEFAULT_TYPES,
     FWD,
@@ -512,11 +512,11 @@ def path_relation(g: CommonGraph, path: NodePath, elems: Set[Elem], registry=Non
     kind = type(path)
     step = path.inner if kind is PInv else path
     if type(step) is PName:
-        return _name_relation(g.ends(step.q, FWD if step is path else INV), elems)
+        return restrict(g.ends(step.q, FWD if step is path else INV), elems)
     if type(step) is PPred:
         if step.p in g.keys:
             return {}
-        return _name_relation(g.ends(step.p, FWD if step is path else INV), elems)
+        return restrict(g.ends(step.p, FWD if step is path else INV), elems)
     if kind is PConcat:
         left, right = path.left, path.right
         if type(left) is PFilter:
@@ -573,17 +573,6 @@ def path_relation(g: CommonGraph, path: NodePath, elems: Set[Elem], registry=Non
     raise TriformError(f"unknown PG-path node {path!r}")
 
 
-def _name_relation(ends: Dict[Elem, List[Elem]], elems: Set[Elem]) -> Images:
-    """``ends`` cut to ``elems``: the map itself when ``elems`` holds all
-    its near ends, else read from whichever of the two is smaller."""
-    if len(ends) <= len(elems):
-        if elems.issuperset(ends):
-            return ends
-        return {x: far for x, far in ends.items() if x in elems}
-    get = ends.get
-    return {x: far for x in elems if (far := get(x))}
-
-
 def _compose(first: Images, second: Images) -> Images:
     """The images of ``first`` followed by ``second``: an image of one
     intermediate element is taken as it is, those of several merged."""
@@ -600,13 +589,25 @@ def _compose(first: Images, second: Images) -> Images:
     return out
 
 
-def _pg_relation(g: CommonGraph, path: PgPath, elems: Set[Elem], registry) -> Images:
+def path_counts(g: CommonGraph, path: NodePath, elems: Set[Elem], registry=None) -> Mapping[Elem, int]:
+    """The size of each nonempty :func:`path_relation` image: for a name step whose ends
+    are not grouped yet, ``CommonGraph.counts`` (far ends of a name are distinct)."""
+    step, direction = (path.inner, INV) if type(path) is PInv else (path, FWD)
+    name = step.q if type(step) is PName else step.p if type(step) is PPred and step.p not in g.keys else None
+    if name is not None and g.grouped_ends(name, direction) is None:
+        return g.counts(name, direction)
+    images = path_relation(g, path, elems, registry)
+    return dict(zip(images, map(len, images.values())))
+
+
+def _pg_relation(g: CommonGraph, path: PgPath, elems: Set[Elem], registry, read=path_relation) -> Images:
     """Each element of ``elems`` mapped to its image under the PG-path:
     :func:`path_relation` of the whole path (:attr:`PgPath.normal_path`)
     from the graph nodes of ``elems`` or, for a ``src_key``, from its
-    values.  Raises :class:`SortError` when an element has the wrong
-    sort; a node outside the graph has no image, and no element has one
-    when a key of the path is not a key of the graph."""
+    values (their sizes, with ``read`` :func:`path_counts`).  Raises
+    :class:`SortError` when an element has the wrong sort; a node outside
+    the graph has no image, and no element has one when a key of the path
+    is not a key of the graph."""
     if path.src_key is None:
         sources = elems & g.nodes
         if len(sources) < len(elems):
@@ -617,7 +618,7 @@ def _pg_relation(g: CommonGraph, path: PgPath, elems: Set[Elem], registry) -> Im
             _check_sort(elems - g.values, Value, "value-sorted path evaluated at node focus")
     if any(k is not None and k not in g.keys for k in (path.src_key, path.dst_key)):
         return {}
-    return path_relation(g, path.normal_path, sources, registry)
+    return read(g, path.normal_path, sources, registry)
 
 
 def _check_sort(elems: Set[Elem], sort: type, message: str) -> None:
@@ -690,6 +691,9 @@ class PgContext(Context):
 
     def images(self, path: PgPath, elems: Set[Elem]) -> Images:
         return _pg_relation(self.g, path, elems, self.registry)
+
+    def counts(self, path: PgPath, elems: Set[Elem]) -> Mapping[Elem, int]:
+        return _pg_relation(self.g, path, elems, self.registry, path_counts)
 
 
 def pg_satisfies(

@@ -29,7 +29,7 @@ concurrent workers partitioned by rule index.
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional, Set, Tuple, Union
+from typing import FrozenSet, List, Mapping, Optional, Set, Tuple, Union
 
 from .core import And, Context, GeqCount, LeqCount, Not, Or, TestConst, TestType, Top, _sat
 from .model import (
@@ -56,6 +56,7 @@ from .pgschema import (
     PName,
     PStar,
     PUnion,
+    path_counts,
     path_relation,
     push_inv,
 )
@@ -151,6 +152,9 @@ class ShaclContext(Context):
 
     def images(self, path: PathExpr, elems: Set[Elem]) -> Images:
         return path_relation(self.g, push_inv(path), elems, self.registry)
+
+    def counts(self, path: PathExpr, elems: Set[Elem]) -> Mapping[Elem, int]:
+        return path_counts(self.g, push_inv(path), elems, self.registry)
 
     def atom(self, shape: ShaclShape, elems: Set[Elem]) -> Set[Elem]:
         kind, g = type(shape), self.g

@@ -12,6 +12,10 @@ by the shape core's evaluator (``core._sat``), which also decides SHACL
 and PG shapes: ``SAnd``, ``SOr``, ``SNot``, ``STestConst`` and
 ``STestType`` are ShEx's names for its classes, and a
 :class:`ShexContext` decides the neighborhood shapes (``SNeigh``).  A
+count form, n >= 1 equal triple constraints in sequence under
+``Open(∅, ∅)``, is lowered to ``GeqCount(n, (name, direction), body)``
+and decided from ``CommonGraph.counts`` or ``ends``, sound because its
+wildcards take every other row of any name and direction.  Any other
 neighborhood shape becomes a program template when an element first
 reaches it.  An element's rows (signed triples) each get a signature,
 the set of leaf and wildcard nodes that may consume them, and the
@@ -40,10 +44,10 @@ signature, which loads with the first template.
 
 There is no row cap by default; ``--cap``/``TRIFORM_CAP`` sets one,
 checked for every element of a call before any bag of the call is
-decided.  Exceeding it raises ``NeighborhoodTooLarge``, never
-approximating, and so does a bag the kernel cannot decide within
-``_bagmatch_py.MAX_WORK`` or the recursion limit; the error names the
-least such element of the call.
+decided or any count atom's rows are read.  Exceeding it raises
+``NeighborhoodTooLarge``, never approximating, and so does a bag the
+kernel cannot decide within ``_bagmatch_py.MAX_WORK`` or the recursion
+limit; the error names the least such element of the call.
 
 Counting is by triples, not by endpoints: a node with two parallel
 p-edges to the same target offers two distinct signed triples.  This is
@@ -61,7 +65,7 @@ from operator import add, is_, or_, sub
 from typing import Collection, Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
 from . import core
-from .core import And, Context, Not, Or, TestConst, TestType
+from .core import And, Context, GeqCount, Not, Or, TestConst, TestType
 from .model import (
     FWD,
     INV,
@@ -310,8 +314,8 @@ class _Program:
 
 
 class _Template:
-    """A neighborhood shape flattened into the kernel program format, with
-    the run's entries.
+    """A neighborhood shape other than a count form (:func:`_count_atom`)
+    flattened into the kernel program format, with the run's entries.
 
     A row's signature is the set of leaf and wildcard nodes that may
     consume it, one bit per node.  ``leaves`` buckets the bits of the
@@ -361,18 +365,24 @@ class _Template:
 class ShexContext(Context):
     """A ShEx run over one graph: the row cap (None for none), the shapes
     met so far by their run's id (:func:`_sid`), which keeps their ``id``
-    from being reused while the context lives, the templates by their
-    shape's run id, and the interned programs by structure, with their
-    verdict memos.  Nothing is cached in module globals, so separate
-    contexts may run in separate threads."""
+    from being reused while the context lives, the templates (or count
+    atoms) by their shape's run id, the interned programs by structure,
+    with their verdict memos.  Nothing is cached in module globals, so
+    separate contexts may run in separate threads."""
 
     def __init__(self, g: CommonGraph, cap: Optional[int], registry: Optional[ValueTypeRegistry] = None) -> None:
         super().__init__(g, registry)
         self.cap = cap
         self.sids: Dict[int, int] = {}
         self.shapes: List[ShexShape] = []
-        self.templates: Dict[int, _Template] = {}
+        self.templates: Dict[int, Union[_Template, GeqCount]] = {}
         self.programs: Dict[Tuple[tuple, tuple, tuple], _Program] = {}
+
+    def images(self, path: Tuple[str, str], elems: Set[Elem]) -> Dict[Elem, List[Elem]]:
+        return core.restrict(self.g.ends(*_check(self, elems, path)), elems)
+
+    def counts(self, path: Tuple[str, str], elems: Set[Elem]) -> Dict[Elem, int]:
+        return self.g.counts(*_check(self, elems, path))
 
     def atom(self, shape: ShexShape, elems: Set[Elem]) -> Set[Elem]:
         """The elements of ``elems`` whose neighborhood matches ``shape``.
@@ -385,8 +395,8 @@ class ShexContext(Context):
         sid = _sid(self, shape)
         t = self.templates.get(sid)
         if t is None:
-            t = self.templates[sid] = _template(self, shape.expr, shape.openness)
-        return _neigh(self, t, elems)
+            t = self.templates[sid] = _count_atom(self, shape) or _template(self, shape.expr, shape.openness)
+        return core._sat(self, t, elems) if type(t) is GeqCount else _neigh(self, t, elems)
 
 
 def _is_top(expr: TripleExpr, openness: Openness) -> bool:
@@ -409,6 +419,22 @@ def _sid(ctx: ShexContext, shape: ShexShape) -> int:
         elif kind is Not:
             _sid(ctx, shape.inner)
     return sid
+
+
+def _count_atom(ctx: ShexContext, shape: SNeigh) -> Optional[GeqCount]:
+    """``shape`` as ``GeqCount(n, (name, direction), body)`` if it is a count
+    form (module docstring), else None; nested shapes get run ids as in :func:`_template`."""
+    e, leaves = shape.expr, []
+    while type(e) is Seq:  # left-folded, as desugar_repetition and jsonio give it
+        leaves.append(e.right)
+        e = e.left
+    leaves.append(e)
+    if type(e) is not TC or shape.openness != Open(NO_NAMES, NO_NAMES) or any(tc != e for tc in leaves):
+        return None
+    top = type(e.shape) is SNeigh and _is_top(e.shape.expr, e.shape.openness)
+    for tc in () if top else reversed(leaves):
+        _sid(ctx, tc.shape)
+    return GeqCount(len(leaves), (e.q, e.direction), core.TOP if top else e.shape)
 
 
 def _template(ctx: ShexContext, expr: TripleExpr, openness: Openness) -> _Template:
@@ -549,6 +575,17 @@ def _too_large(g: CommonGraph, xs: Collection[Elem], why: str) -> NeighborhoodTo
     return NeighborhoodTooLarge(f"signed neighborhood of {v!r} has {_size(g, focus_elem(v))} triples{why}")
 
 
+def _check(ctx: ShexContext, elems: Collection[Elem], path: tuple = ()) -> tuple:
+    """``path``, once it is a (name, direction) pair and no element of ``elems`` is over the cap."""
+    if type(path) is not tuple:
+        raise TriformError(f"no count atom over {path!r} in this dialect")
+    if ctx.cap is not None:
+        over = [x for x in elems if _size(ctx.g, x) > ctx.cap]
+        if over:
+            raise _too_large(ctx.g, over, f" (cap {ctx.cap})")
+    return path
+
+
 def _neigh(ctx: ShexContext, t: _Template, elems: Set[Elem]) -> Set[Elem]:
     """The elements of ``elems`` whose rows the template's program matches.
 
@@ -559,12 +596,8 @@ def _neigh(ctx: ShexContext, t: _Template, elems: Set[Elem]) -> Set[Elem]:
     fixed.  The keys are read column by column, and each key new to the run
     is decided.  Capability errors name the least element over the cap or,
     once all are decided, with a bag the kernel could not decide."""
-    g, cap = ctx.g, ctx.cap
-    if cap is not None:
-        over = [x for x in elems if _size(g, x) > cap]
-        if over:
-            raise _too_large(g, over, f" (cap {cap})")
-    xs = list(elems)
+    _check(ctx, elems)
+    g, xs = ctx.g, list(elems)
     asked: Dict[int, Set[Elem]] = {}  # the far ends each nested shape tests, by its run's id
     counts: Dict[str, list] = {}  # the rows of the mentioned names by direction, for the rest
     reads = []  # per pair: its counts and, if tested and met, each element's far ends

@@ -1,5 +1,7 @@
+import functools
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 
@@ -9,7 +11,7 @@ from triform.cogsl import (
     cogsl_to_shex,
     cogsl_validate,
 )
-from triform.core import And
+from triform.core import And, Not, Or
 from triform.harness import (
     GenParams,
     gen_cogsl_schema,
@@ -46,6 +48,7 @@ from triform.shacl import shacl_satisfies, shacl_validate
 from triform.shex import shex_satisfies, shex_validate
 import triform.cogsl as cg
 from triform import jsonio
+from triform import shex as sx
 from triform.examples import media_pg_rules
 
 from helpers import filter_path
@@ -226,15 +229,21 @@ def test_selector_folding_key_value_head():
 GOLDEN_COMPILED_SHA256 = "22e38bab9c41102721e8ea0c38ffbeb1d7f4d2c4a682ecb7d5e60acfce4a2128"
 
 
-def test_compiled_output_is_golden():
-    """Pins the compilers' bytes: `triform translate` and every consumer of
-    a compiled schema read them.  Media rules, then `gen_cogsl_schema`
-    seeds 0-399 at each (nodes, budget)."""
+@functools.lru_cache(maxsize=None)
+def golden_schemas():
+    """Media rules, then `gen_cogsl_schema` seeds 0-399 at each (nodes, budget)."""
     schemas = [media_pg_rules()]
     for nodes, budget in ((8, 5), (12, 8), (40, 5)):
         for seed in range(400):
             params = GenParams(seed=seed, node_count=nodes, schema_size_budget=budget)
             schemas.append(gen_cogsl_schema(params))
+    return schemas
+
+
+def test_compiled_output_is_golden():
+    """Pins the compilers' bytes: `triform translate` and every consumer of
+    a compiled schema read them."""
+    schemas = golden_schemas()
     digest = hashlib.sha256()
     for rules in schemas:
         for dialect, compile_ in (("shacl", cogsl_to_shacl), ("shex", cogsl_to_shex)):
@@ -242,3 +251,43 @@ def test_compiled_output_is_golden():
             digest.update(jsonio.dumps(doc).encode())
     assert len(schemas) == 1201
     assert digest.hexdigest() == GOLDEN_COMPILED_SHA256
+
+
+def _constraints(e):
+    if isinstance(e, (sx.Seq, sx.Alt)):
+        return _constraints(e.left) + _constraints(e.right)
+    if isinstance(e, sx.StarE):
+        return _constraints(e.inner)
+    return [e] if isinstance(e, sx.TC) else []
+
+
+def test_compiled_count_atoms_bypass_the_kernel():
+    """Every count atom the ShEx compiler writes (n repetitions of one
+    constraint, open to every other row) is lowered to a core count atom,
+    as it comes from the compiler and as `validate` reads it back from
+    JSON; the closed shapes keep their templates.  Over the schemas of
+    the golden test."""
+    ctx = sx.ShexContext(build_graph([], []), None)
+    seen = Counter()
+
+    def walk(shape):
+        kind = type(shape)
+        if kind is And or kind is Or:
+            walk(shape.left)
+            walk(shape.right)
+        elif kind is Not:
+            walk(shape.inner)
+        elif kind is sx.SNeigh and not sx._is_top(shape.expr, shape.openness):
+            lowered = sx._count_atom(ctx, shape)
+            closed = type(shape.openness) is sx.HalfOpen
+            assert (lowered is None) == closed, shape
+            seen["closed" if closed else "count"] += 1
+            for tc in _constraints(shape.expr):
+                walk(tc.shape)
+
+    for rules in golden_schemas():
+        compiled = cogsl_to_shex(rules)
+        _, parsed = jsonio.parse_schema(jsonio.schema_to_json("shex", compiled))
+        for _, shape in compiled + parsed:
+            walk(shape)
+    assert seen["count"] > 10000 and seen["closed"] > 100, seen

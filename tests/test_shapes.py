@@ -8,20 +8,21 @@ import pytest
 
 from triform.core import TOP, And, GeqCount, LeqCount, Not, Or, TestConst, Top, _sat, and_all, or_all
 from triform.harness import GenParams, gen_graph, gen_pg_body
-from triform.model import EdgeTriple, SortError, TriformError, build_graph, int_v
+from triform.model import FWD, INV, EdgeTriple, PropTriple, SortError, TriformError, build_graph, int_v
 from triform.pgschema import (
     PgContext,
     PgGeq,
     PgLeq,
     PgPath,
     PPred,
+    inv_key_path,
     key_path,
     lower_shape,
     pg_validate,
     pred_path,
     shape_atoms,
 )
-from triform.shacl import Closed, ShaclContext, Step
+from triform.shacl import Closed, Inverse, ShaclContext, Step
 from triform.shex import ShexContext, TC, open_closure, top_shape
 
 
@@ -95,3 +96,52 @@ def test_one_context_serves_every_rule_of_a_run():
     assert _sat(ctx, shape, {"a", "b", "c"}) == {"a", "b"}
     assert _sat(ctx, Not(shape), {"a", "b", "c"}) == {"c"}
     assert list(ctx.templates) == [0] and ctx.shapes == [shape]
+
+
+COUNTED_PATHS = [
+    (ShaclContext, Step("p"), ("p", FWD)),
+    (ShaclContext, Inverse(Step("p")), ("p", INV)),
+    (ShaclContext, Step("k"), ("k", FWD)),
+    (ShaclContext, Inverse(Step("k")), ("k", INV)),
+    (PgContext, pred_path("p"), ("p", FWD)),
+    (PgContext, key_path("k"), ("k", FWD)),
+    (PgContext, inv_key_path("k"), ("k", INV)),
+]
+
+
+def counted_graph():
+    return build_graph(
+        [EdgeTriple("a", "p", "b"), EdgeTriple("a", "p", "c"), EdgeTriple("b", "p", "b"), EdgeTriple("c", "q", "a")],
+        [PropTriple("a", "k", int_v(1)), PropTriple("b", "k", int_v(1)), PropTriple("c", "k", int_v(2))],
+    )
+
+
+@pytest.mark.parametrize("make_ctx, path, index", COUNTED_PATHS, ids=[repr(p) for _, p, _ in COUNTED_PATHS])
+def test_a_top_body_atom_over_one_name_reads_its_counts(make_ctx, path, index):
+    # a name step whose ends are not grouped yet reads the graph's counts;
+    # once they are grouped it reads the images; both give the image sizes
+    g = counted_graph()
+    elems = set(g.values) if path == inv_key_path("k") else {"a", "b", "c"}
+    sizes = {x: len(img) for x, img in make_ctx(g).images(path, elems).items()}
+    g = counted_graph()
+    ctx = make_ctx(g)
+    counted = ctx.counts(path, elems)
+    assert counted is g.counts(*index) and g.grouped_ends(*index) is None
+    assert {x: c for x, c in counted.items() if x in elems} == sizes
+    for n in range(4):
+        for part in (elems, set(sorted(elems, key=repr)[:1])):
+            assert _sat(ctx, GeqCount(n, path, TOP), part) == {x for x in part if sizes.get(x, 0) >= n}
+            assert _sat(ctx, LeqCount(n, path, TOP), part) == {x for x in part if sizes.get(x, 0) <= n}
+    g.ends(*index)
+    assert ctx.counts(path, elems) == sizes
+
+
+def test_pg_counts_keep_the_sort_check_and_the_key_guards():
+    g = build_graph([EdgeTriple("a", "p", "b")], [PropTriple("a", "k", int_v(1))])
+    ctx = PgContext(g)
+    assert ctx.counts(pred_path("k"), {"a"}) == {}  # a predicate step over a key reads nothing
+    assert ctx.counts(key_path("absent"), {"a"}) == {}
+    with pytest.raises(SortError):
+        ctx.counts(pred_path("p"), {int_v(1)})
+    with pytest.raises(SortError):
+        _sat(ctx, GeqCount(0, key_path("k"), TOP), {int_v(1)})

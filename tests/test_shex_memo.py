@@ -39,6 +39,7 @@ from triform.model import (
 from triform.shex import (
     Alt,
     HalfOpen,
+    Open,
     SAnd,
     SelIn,
     SelOut,
@@ -142,14 +143,27 @@ def test_copies_cost_one_kernel_call_per_signature_bag(kernel_calls):
         assert (c not in failing) == brute_shex_satisfies(g, c, shape)
 
 
-def test_runs_share_no_memo(kernel_calls):
+# at least two p rows, whatever else: a count form, decided without the kernel
+TWO_P = SNeigh(Seq(TC("p", FWD, TOP), TC("p", FWD, TOP)), Open(frozenset(), frozenset()))
+
+
+def test_runs_share_no_memo(kernel_calls, monkeypatch):
     g = copies_graph(20)
-    rules = [(SelOut("p"), SNeigh(PAIRS_EXPR, PAIRS)), (SelOut("q"), INT_K)]
+    tables = []
+    count_atom = shex._count_atom
+    monkeypatch.setattr(shex, "_count_atom", lambda ctx, shape: tables.append(ctx.templates) or count_atom(ctx, shape))
+    rules = [(SelOut("p"), SNeigh(PAIRS_EXPR, PAIRS)), (SelOut("q"), INT_K), (SelOut("p"), TWO_P)]
     first = shex_validate(g, rules)
     calls = len(kernel_calls)
     assert calls == 2
     assert shex_validate(g, rules) == first
     assert len(kernel_calls) == 2 * calls  # the second run decides afresh
+    # each run tries to lower its three neighborhood shapes afresh, and
+    # keeps the count atom or the template in its own table
+    assert len(tables) == 6 and len({id(t) for t in tables[:3]}) == len({id(t) for t in tables[3:]}) == 1
+    assert tables[0] is not tables[3] and tables[0][3] == tables[3][3] == core.GeqCount(2, ("p", FWD), core.TOP)
+    for table in (tables[0], tables[3]):
+        assert [type(t) for t in table.values()] == [shex._Template, shex._Template, core.GeqCount]
     for mod in (core, shex, _bagmatch_py):
         state = [name for name, x in vars(mod).items() if not name.startswith("__") and isinstance(x, (dict, list, set))]
         assert state == [], mod.__name__
@@ -185,7 +199,9 @@ def test_shapes_with_one_program_share_its_memo(kernel_calls):
 
 _COUNT_SCRIPT = """
 import json
-from triform import _bagmatch_py
+from triform import _bagmatch_py, jsonio
+from triform.cogsl import cogsl_to_shex
+from triform.examples import media_pg_rules
 from triform.harness import GenParams, gen_graph, gen_shex_schema, run_campaign
 from triform.shex import SNeigh, is_closed_expr, shex_validate
 import test_shex_keys as k
@@ -209,6 +225,11 @@ for i, (expr, openness) in enumerate(k.CASES.values()):
     if is_closed_expr(expr):
         shape = SNeigh(expr, openness)
         cases.append((k.small_graph(i), [(t.SelOut("p"), shape), (t.SelIn("k"), shape), (t.SelIn("p"), shape)]))
+# the ShEx compiled from the media PG rules, as the compiler gives it and
+# read back from JSON, on media copies
+compiled = cogsl_to_shex(media_pg_rules())
+for _, g in t.media_copies(3):
+    cases += [(g, compiled), (g, jsonio.parse_schema(jsonio.schema_to_json("shex", compiled))[1])]
 for g, rules in cases:
     del calls[:]
     report = shex_validate(g, rules, cap=64)
@@ -244,6 +265,9 @@ def test_kernel_calls_do_not_depend_on_the_hash_seed():
     assert runs[0] == runs[1]
     assert runs[0][0][0] == 3 and len(runs[0][0][1]) == 10
     assert runs[0][1][0] == 2 and len(runs[0][1][1]) == 30  # two shapes share one program
+    # the compiled media ShEx has count forms only, which need no kernel call
+    compiled = runs[0][-14:-2]
+    assert [calls for calls, _ in compiled] == [0] * 12 and sum(len(v) for _, v in compiled) == 30
     # without a cap every trial is decided
     calls, (capped, agreed) = runs[0][-2]
     assert capped == 0 and agreed == 40 and calls > 0
@@ -253,6 +277,9 @@ def test_kernel_calls_do_not_depend_on_the_hash_seed():
 
 
 _CAP_SCRIPT = """
+from triform import jsonio
+from triform.cogsl import cogsl_to_shex
+from triform.examples import media_graph, media_mutations, media_pg_rules
 from triform.model import FWD, EdgeTriple, NeighborhoodTooLarge, build_graph
 from triform.shex import SelOut, Seq, StarE, TC, open_closure, shex_validate, top_shape
 
@@ -282,6 +309,15 @@ for edges, sel, shape in cases:
         shex_validate(build_graph(edges, []), [(sel, shape)], cap=24)
     except NeighborhoodTooLarge as err:
         print(err)
+# the ShEx compiled from the media PG rules, whose count atoms are decided
+# without templates, as compiled and read back from JSON
+compiled = cogsl_to_shex(media_pg_rules())
+for rules in (compiled, jsonio.parse_schema(jsonio.schema_to_json("shex", compiled))[1]):
+    for g, cap in ((media_graph(), 4), (media_mutations()["six_access_edges"][0], 5)):
+        try:
+            shex_validate(g, rules, cap=cap)
+        except NeighborhoodTooLarge as err:
+            print(err)
 """
 
 
@@ -292,7 +328,10 @@ def test_cap_error_names_the_least_element_under_any_hash_seed():
         "signed neighborhood of Node(id='h0') has 30 triples (cap 24)",
         "signed neighborhood of Node(id='h0') has 31 triples (cap 24)",
         "signed neighborhood of Node(id='h0') has 32 triples (cap 24)",
-    ]
+    ] + [
+        "signed neighborhood of Node(id='a1') has 5 triples (cap 4)",
+        "signed neighborhood of Node(id='u2') has 9 triples (cap 5)",
+    ] * 2
 
 
 def test_one_profile_with_different_tested_far_ends():
