@@ -111,8 +111,7 @@ class Context:
 
     def counts(self, path: Any, elems: Set[Elem]) -> Mapping[Elem, int]:
         """The size of each nonempty :meth:`images` image; it may hold other elements too."""
-        images = self.images(path, elems)
-        return dict(zip(images, map(len, images.values())))
+        raise TriformError(f"no count atom over {path!r} in this dialect")
 
     def atom(self, shape: Any, elems: Set[Elem]) -> Set[Elem]:
         """The elements of ``elems`` that satisfy an atom of the dialect's own."""

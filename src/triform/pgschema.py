@@ -590,11 +590,11 @@ def _compose(first: Images, second: Images) -> Images:
 
 
 def path_counts(g: CommonGraph, path: NodePath, elems: Set[Elem], registry=None) -> Mapping[Elem, int]:
-    """The size of each nonempty :func:`path_relation` image: for a name step whose ends
-    are not grouped yet, ``CommonGraph.counts`` (far ends of a name are distinct)."""
+    """The size of each nonempty :func:`path_relation` image: ``CommonGraph.counts`` for
+    a name step (far ends of a name are distinct), else the image lengths."""
     step, direction = (path.inner, INV) if type(path) is PInv else (path, FWD)
     name = step.q if type(step) is PName else step.p if type(step) is PPred and step.p not in g.keys else None
-    if name is not None and g.grouped_ends(name, direction) is None:
+    if name is not None:
         return g.counts(name, direction)
     images = path_relation(g, path, elems, registry)
     return dict(zip(images, map(len, images.values())))

@@ -379,10 +379,16 @@ class ShexContext(Context):
         self.programs: Dict[Tuple[tuple, tuple, tuple], _Program] = {}
 
     def images(self, path: Tuple[str, str], elems: Set[Elem]) -> Dict[Elem, List[Elem]]:
-        return core.restrict(self.g.ends(*_check(self, elems, path)), elems)
+        if type(path) is not tuple:  # another dialect's path
+            return super().images(path, elems)
+        _check(self, elems)
+        return core.restrict(self.g.ends(*path), elems)
 
     def counts(self, path: Tuple[str, str], elems: Set[Elem]) -> Dict[Elem, int]:
-        return self.g.counts(*_check(self, elems, path))
+        if type(path) is not tuple:
+            return super().counts(path, elems)
+        _check(self, elems)
+        return self.g.counts(*path)
 
     def atom(self, shape: ShexShape, elems: Set[Elem]) -> Set[Elem]:
         """The elements of ``elems`` whose neighborhood matches ``shape``.
@@ -575,15 +581,10 @@ def _too_large(g: CommonGraph, xs: Collection[Elem], why: str) -> NeighborhoodTo
     return NeighborhoodTooLarge(f"signed neighborhood of {v!r} has {_size(g, focus_elem(v))} triples{why}")
 
 
-def _check(ctx: ShexContext, elems: Collection[Elem], path: tuple = ()) -> tuple:
-    """``path``, once it is a (name, direction) pair and no element of ``elems`` is over the cap."""
-    if type(path) is not tuple:
-        raise TriformError(f"no count atom over {path!r} in this dialect")
-    if ctx.cap is not None:
-        over = [x for x in elems if _size(ctx.g, x) > ctx.cap]
-        if over:
-            raise _too_large(ctx.g, over, f" (cap {ctx.cap})")
-    return path
+def _check(ctx: ShexContext, elems: Collection[Elem]) -> None:
+    """Raises the capability error naming the least element of ``elems`` over the cap, if any."""
+    if ctx.cap is not None and (over := [x for x in elems if _size(ctx.g, x) > ctx.cap]):
+        raise _too_large(ctx.g, over, f" (cap {ctx.cap})")
 
 
 def _neigh(ctx: ShexContext, t: _Template, elems: Set[Elem]) -> Set[Elem]:
