@@ -19,9 +19,15 @@ verdict memo never answers it: the numbers time the template build and
 the kernel.
 
 A last row, ``fuzz``, runs a fixed campaign of 100 three-way trials on
-12-node graphs (``harness.run_campaign``, seed 1) and prints the median
-time per trial and the kernel (``count_match``) calls per trial, the
-memo included: the count of distinct (program, bag) pairs decided.
+12-node graphs (``harness.run_campaign``, seed 1) ``--repeat`` times and
+prints the median time per trial, with the min-max spread of the
+campaigns after it, and the kernel (``count_match``) calls per trial,
+the memo included: the count of distinct (program, bag) pairs decided.
+Only the kernel-call column supports a before/after claim: it is a
+count that repeats exactly, while the times are unscaled wall clock of
+campaigns run back to back, whose spread on a shared host can exceed the
+difference being measured (``perfbench`` scales its times to the host's
+speed).
 
 Usage: python benchmarks/bench_matcher.py [--sizes 8,12,16,20,32,64] [--repeat 3]
 """
@@ -128,8 +134,9 @@ def main():
             print(f"{wname:<11} {n:>3} {statistics.median(samples):>10.2f}ms  {verdicts.pop()}")
     runs = [fuzz_once() for _ in range(args.repeat)]
     assert len({calls for _, calls in runs}) == 1, "kernel calls changed between repeats"
-    ms = statistics.median(ms for ms, _ in runs)
-    print(f"{'fuzz':<11} {FUZZ_NODES:>3} {ms:>10.2f}ms  {runs[0][1]:.2f} kernel calls per trial")
+    times = [ms for ms, _ in runs]
+    spread = f"({min(times):.2f}-{max(times):.2f})"
+    print(f"{'fuzz':<11} {FUZZ_NODES:>3} {statistics.median(times):>10.2f}ms {spread}  {runs[0][1]:.2f} kernel calls per trial")
 
 
 if __name__ == "__main__":

@@ -54,7 +54,6 @@ from .pgschema import (
     content_dnf,
     is_closed_type,
     pg_validate,
-    push_inv,
     shape_atoms,
 )
 from .report import ValidationReport
@@ -252,7 +251,7 @@ def _classify_count(
 ) -> Optional[CountAtom]:
     """Counting atoms traverse exactly one edge or key step flanked by filters."""
     if path.src_key is not None:
-        filters = _filters_only(path.body and push_inv(path.body))
+        filters = _filters_only(path.normal_body)
         if path.dst_key is not None or filters is None:
             ck.add(loc, "count-path", "counting paths traverse exactly one edge or key step")
             return None
@@ -260,7 +259,7 @@ def _classify_count(
             _check_filter(ck, loc, f)
         return CountAtom(kind, n, "inv_key", path.src_key, (), tuple(filters))
     if path.dst_key is not None:
-        filters = _filters_only(path.body and push_inv(path.body))
+        filters = _filters_only(path.normal_body)
         if filters is None:
             ck.add(loc, "count-path", "counting paths traverse exactly one edge or key step")
             return None
@@ -270,7 +269,7 @@ def _classify_count(
     if path.body is None:
         ck.add(loc, "count-path", "counting paths traverse exactly one edge or key step")
         return None
-    body = push_inv(path.body)
+    body = path.normal_body
     disjuncts_ok = True
     try:
         disjuncts = _to_disjuncts(body)
@@ -328,7 +327,7 @@ def _classify_shape(ck: _Check, loc: str, shape: PgShape) -> Tuple[ClassifiedAto
             continue
         if isinstance(atom, PgGeq) and atom.n == 1:
             if body is not None:
-                _check_body(ck, aloc, push_inv(body))
+                _check_body(ck, aloc, path.normal_body)
             out.append((j, ExistsAtom(path)))
             continue
         kind = "geq" if isinstance(atom, PgGeq) else "leq"
@@ -361,7 +360,7 @@ def _classify_selector(ck: _Check, loc: str, sel: PgShape) -> Optional[Classifie
     path = sel.path
     if path.src_key is not None:
         if path.body is not None:
-            _check_body(ck, loc, push_inv(path.body))
+            _check_body(ck, loc, path.normal_body)
         return ClassifiedSel("inv_key", path.src_key, path)
     body = path.body
     if _is_trivial_body(body) and path.dst_key is not None:
@@ -369,8 +368,7 @@ def _classify_selector(ck: _Check, loc: str, sel: PgShape) -> Optional[Classifie
     if body is None:
         ck.add(loc, "selector-form", "selector must name a predicate or key")
         return None
-    body = push_inv(body)
-    head, rest = _peel_head(body)
+    head, rest = _peel_head(path.normal_body)
     if rest is not None:
         _check_body(ck, loc, rest)
     if isinstance(head, PPred):
@@ -549,7 +547,7 @@ def _atoms(t: Target, atoms: List[NodePath], dst_key: Optional[str]):
 
 
 def _exists(t: Target, path: PgPath):
-    disjuncts = _to_disjuncts(push_inv(path.body)) if path.body is not None else [[]]
+    disjuncts = _to_disjuncts(path.normal_body) if path.body is not None else [[]]
     shapes = []
     for concat in disjuncts:
         atoms = list(concat)

@@ -19,12 +19,19 @@ dialect modules only ever read a ``CommonGraph``, so one graph can be
 shared freely between concurrent evaluators.  The AST and report
 records of all modules are classes built by :func:`frozen`, which
 compiles their methods once per field list.
+
+Values derived on first read, here and in the other modules (the
+normal forms of ``pgschema``), are kept by :class:`memo`, a lock-free
+``functools.cached_property``: CPython 3.11's takes one class-wide lock
+on every first read, a cost each run pays again on its fresh schema and
+graph (3.12 dropped the lock).  Two threads racing on a first read may
+both compute the value, but both then return the one value stored, so
+every reader sees it whole.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from functools import cached_property
 from itertools import chain
 from operator import itemgetter
 from types import FunctionType
@@ -82,6 +89,21 @@ class FormatError(TriformError):
 
 
 _FROZEN_CODE: Dict[Tuple[Tuple[str, ...], bool], Dict[str, Callable]] = {}  # by (fields, post-init)
+
+
+class memo:
+    """A method computed on the first read of its name and stored in the
+    instance ``__dict__``, where later reads find it: a lock-free
+    ``cached_property`` (module docstring) whose racing readers all get
+    the value ``dict.setdefault`` stored first."""
+
+    def __init__(self, fn: Callable) -> None:
+        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        return obj.__dict__.setdefault(self.name, self.fn(obj))
 
 
 def _frozen_setattr(self, name, *value):
@@ -314,9 +336,10 @@ class CommonGraph:
     by near end and direction (:meth:`ends`, at most one entry per triple
     per direction), their number (:meth:`counts`), each element's rows per
     direction over all names (:meth:`degrees`) and the hash are each
-    derived on their first read (``cached_property``),
+    derived on their first read (:class:`memo`, lock-free),
     from those three alone, then kept; each is published whole, so
-    concurrent readers see it complete or not at all.
+    concurrent readers see it complete or not at all, and two readers
+    racing on a first read both return the value stored first.
     """
 
     def __init__(self, edges: Iterable[EdgeTriple], props: Iterable[PropTriple]):
@@ -342,54 +365,56 @@ class CommonGraph:
         self.edges = unique.keys()
         self.props = prop_map
         self._by_name = by_name
+        self._ends: Dict[Tuple[str, str], Dict[Elem, List[Elem]]] = {}  # by (name, direction), filled by ends
+        self._counts: Dict[Tuple[Optional[str], str], Dict[Elem, int]] = {}  # the same, name None for all names
 
-    @cached_property
+    @memo
     def _out_edges(self) -> Dict[str, List[EdgeTriple]]:
         out: Dict[str, List[EdgeTriple]] = defaultdict(list)
         for e in self.edges:
             out[e[0]].append(e)
         return out
 
-    @cached_property
+    @memo
     def _in_edges(self) -> Dict[str, List[EdgeTriple]]:
         into: Dict[str, List[EdgeTriple]] = defaultdict(list)
         for e in self.edges:
             into[e[2]].append(e)
         return into
 
-    @cached_property
+    @memo
     def _node_props(self) -> Dict[str, Dict[str, Value]]:
         records: Dict[str, Dict[str, Value]] = defaultdict(dict)
         for (n, k), w in self.props.items():
             records[n][k] = w
         return records
 
-    @cached_property
+    @memo
     def _value_owners(self) -> Dict[Value, List[Tuple[str, str]]]:
         owners: Dict[Value, List[Tuple[str, str]]] = defaultdict(list)
         for nk, w in self.props.items():
             owners[w].append(nk)
         return owners
 
-    @cached_property
+    @memo
     def nodes(self) -> FrozenSet[str]:
         edges = self.edges
         return frozenset(chain(map(_NEAR, edges), map(_FAR, edges), map(_NEAR, self.props)))
 
-    @cached_property
+    @memo
     def values(self) -> FrozenSet[Value]:
         return frozenset(self.props.values())
 
-    @cached_property
+    @memo
     def preds(self) -> FrozenSet[str]:
         edges = self.edges
         return frozenset(name for name, rows in self._by_name.items() if rows[0] in edges)
 
-    @cached_property
+    @memo
     def keys(self) -> FrozenSet[str]:
         return frozenset(self._by_name).difference(self.preds)
 
-    @cached_property
+    @memo
     def _by_size(self) -> Dict[int, FrozenSet[str]]:
         sizes = Counter(map(_NEAR, self.props))  # each node's record size, without the records
         by_size: Dict[int, Set[str]] = defaultdict(set)
@@ -399,15 +424,7 @@ class CommonGraph:
         groups[0] = self.nodes.difference(sizes)
         return groups
 
-    @cached_property
-    def _ends(self) -> Dict[Tuple[str, str], Dict[Elem, List[Elem]]]:
-        return {}  # by (name, direction), filled by ends
-
-    @cached_property
-    def _counts(self) -> Dict[Tuple[Optional[str], str], Dict[Elem, int]]:
-        return {}  # by (name, direction), name None for all names, filled by counts and degrees
-
-    @cached_property
+    @memo
     def _hash(self) -> int:
         return hash((frozenset(self.edges), frozenset(self.props.items())))
 

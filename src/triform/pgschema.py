@@ -22,9 +22,10 @@ with a compatible-union value semantics, and constraint pairs, all
 three checked.  The permissive reading that only enforces constraints
 is the special case with trivial type sets.
 
-Normal forms are computed once per type object (the ``dnf`` attribute
-of content and edge types, like :attr:`PgPath.normal_body`), never in a
-module-level cache.  Content types are decided set-at-a-time from the
+Normal forms are computed once per type object (the ``dnf`` memo of
+content and edge types, like :attr:`PgPath.normal_body`), never in a
+module-level cache; an ``EBoth`` meets each distinct pair of disjuncts
+once.  Content types are decided set-at-a-time from the
 name index (:func:`content_members`): a disjunct's members are the
 intersection of the owners of its required (key, value type) pairs,
 each pair read once per call, cut to the records of the right size
@@ -44,7 +45,6 @@ rejected at load time, before any focus is evaluated.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Collection, Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from .core import TOP, And, Context, GeqCount, LeqCount, Top, _sat, and_all, restrict
@@ -65,6 +65,7 @@ from .model import (
     elems_to_foci,
     focus_elem,
     frozen,
+    memo,
     triple_ends,
 )
 from .report import ValidationReport, make_report
@@ -77,7 +78,7 @@ VALUE_SORT = "value"
 
 
 class _Content:
-    @cached_property
+    @memo
     def dnf(self) -> Tuple["ContentDisjunct", ...]:
         """The disjunctive normal form, computed once per type object."""
         return _content_dnf(self)
@@ -127,7 +128,7 @@ class ContentDisjunct:
     reqs: Tuple[Tuple[str, str], ...]
     open: bool
 
-    @cached_property
+    @memo
     def keys(self) -> FrozenSet[str]:
         return frozenset(k for k, _ in self.reqs)
 
@@ -137,16 +138,17 @@ class ContentDisjunct:
 
 
 def _content_dnf(t: ContentType) -> Tuple[ContentDisjunct, ...]:
-    if isinstance(t, CAny):
-        return (ContentDisjunct((), True),)
-    if isinstance(t, CEmpty):
-        return (ContentDisjunct((), False),)
-    if isinstance(t, CField):
+    kind = type(t)
+    if kind is CField:
         return (ContentDisjunct(((t.k, t.t),), False),)
-    if isinstance(t, CEither):
+    if kind is CEither:
         return t.left.dnf + t.right.dnf
-    if isinstance(t, CBoth):
-        return tuple(d1.meet(d2) for d1 in t.left.dnf for d2 in t.right.dnf)
+    if kind is CBoth:
+        return tuple([d1.meet(d2) for d1 in t.left.dnf for d2 in t.right.dnf])
+    if kind is CAny:
+        return (ContentDisjunct((), True),)
+    if kind is CEmpty:
+        return (ContentDisjunct((), False),)
     raise TriformError(f"unknown content type {t!r}")
 
 
@@ -327,13 +329,13 @@ class PgPath:
         if self.src_key is None and self.body is None and self.dst_key is None:
             raise TriformError("empty PG-path")
 
-    @cached_property
+    @memo
     def normal_body(self) -> Optional[NodePath]:
         """The body with inverses pushed to the steps, computed once per
         path object."""
         return None if self.body is None else push_inv(self.body)
 
-    @cached_property
+    @memo
     def normal_path(self) -> NodePath:
         """The whole path as one inverse-normalized node path: the inverse
         name step of ``src_key``, the body, the name step of ``dst_key``.
@@ -773,7 +775,7 @@ def pg_validate(
 
 
 class _Edge:
-    @cached_property
+    @memo
     def dnf(self) -> Tuple[Tuple[ContentDisjunct, Optional[FrozenSet[str]], ContentDisjunct], ...]:
         """The normal form as (source disjunct, labels, target disjunct)
         primitives, computed once per type object."""
@@ -836,16 +838,23 @@ def _label_meet(a: Optional[FrozenSet[str]], b: Optional[FrozenSet[str]]) -> Opt
 
 
 def _edge_dnf(t: EdgeType):
-    if isinstance(t, ET):
-        return tuple((ds, t.labels, dd) for ds in t.src.dnf for dd in t.dst.dnf)
-    if isinstance(t, EEither):
+    kind = type(t)
+    if kind is ET:
+        return tuple([(ds, t.labels, dd) for ds in t.src.dnf for dd in t.dst.dnf])
+    if kind is EEither:
         return t.left.dnf + t.right.dnf
-    if isinstance(t, EBoth):
-        return tuple(
-            (s1.meet(s2), _label_meet(l1, l2), d1.meet(d2))
+    if kind is EBoth:
+        meets: Dict[tuple, ContentDisjunct] = {}  # by the fields of both: each distinct pair met once
+
+        def meet(a: ContentDisjunct, b: ContentDisjunct) -> ContentDisjunct:
+            key = a.reqs, a.open, b.reqs, b.open
+            return meets.get(key) or meets.setdefault(key, a.meet(b))
+
+        return tuple([
+            (meet(s1, s2), _label_meet(l1, l2), meet(d1, d2))
             for s1, l1, d1 in t.left.dnf
             for s2, l2, d2 in t.right.dnf
-        )
+        ])
     raise TriformError(f"unknown edge type {t!r}")
 
 
@@ -879,32 +888,38 @@ def validate_graph_type(
     """Full check: every node in some node type, every edge in some
     edge type, and every constraint pair holds.
 
-    Decided set-at-a-time from the name index: each content disjunct of
-    the types is compiled once per run to its extension, the graph nodes
-    whose record it admits (:func:`_disjunct_members`, each (key, value
-    type) pair read once).  The node violations are the nodes outside
-    every node-type disjunct's extension.  Edge types are compiled to
-    their primitives; an edge labelled ``p``, read from the name index,
-    violates when no primitive admitting ``p`` holds its source in the
-    source extension and its target in the target extension.
+    Decided set-at-a-time from the name index: each distinct content
+    disjunct of the types is compiled once per run to its extension, the
+    graph nodes whose record it admits (:func:`_disjunct_members`, each
+    (key, value type) pair read once), looked up once per disjunct object.
+    The node violations are the nodes outside every node-type disjunct's
+    extension.  Edge types are compiled to their distinct primitives
+    (labels, source and target extension); an edge labelled ``p``, read
+    from the name index, violates when no primitive admitting ``p`` holds
+    its source in the source extension and its target in the target one.
     """
     owners: PairOwners = {}
     extensions: Dict[Tuple[FrozenSet[Tuple[str, str]], bool], Set[str]] = {}
+    by_object: Dict[int, Set[str]] = {}  # by id of a disjunct, which ``gt`` keeps alive
 
     def extension(d: ContentDisjunct) -> Set[str]:
-        key = frozenset(d.reqs), d.open  # an edge-type meet may repeat a pair
-        ext = extensions.get(key)
+        ext = by_object.get(id(d))
         if ext is None:
-            ext = extensions[key] = _disjunct_members(g, d, g.nodes, registry, owners)
+            key = frozenset(d.reqs), d.open  # an edge-type meet may repeat a pair
+            ext = extensions.get(key)
+            if ext is None:
+                ext = extensions[key] = _disjunct_members(g, d, g.nodes, registry, owners)
+            by_object[id(d)] = ext
         return ext
 
     admitted = set().union(*(extension(d) for nt in gt.node_types for d in nt.dnf))
     node_bad = sorted(g.nodes - admitted)
-    prims = [(labels, extension(ds), extension(dd)) for et in gt.edge_types for ds, labels, dd in et.dnf]
+    terms = [(labels, extension(ds), extension(dd)) for et in gt.edge_types for ds, labels, dd in et.dnf]
+    prims = {(labels, id(s), id(d)): (labels, s, d) for labels, s, d in terms}  # one per distinct primitive
     edge_bad = []
     for p in g.preds:
         left = g.triples_named(p)
-        for labels, s, d in prims:
+        for labels, s, d in prims.values():
             if not left:
                 break
             if labels is None or p in labels:

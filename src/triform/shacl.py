@@ -29,7 +29,7 @@ concurrent workers partitioned by rule index.
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Mapping, Optional, Set, Tuple, Union
+from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple, Union
 
 from .core import And, Context, GeqCount, LeqCount, Not, Or, TestConst, TestType, Top, _sat
 from .model import (
@@ -148,13 +148,22 @@ def eval_path(g: CommonGraph, v: Focus, path: PathExpr) -> Set[Focus]:
 class ShaclContext(Context):
     """A SHACL run: a count atom reads its node path through the relation
     evaluator, and ``Closed``, ``Eq`` and ``Disj`` are decided here; ``Eq``
-    and ``Disj`` compare each element's image with its far ends of the name."""
+    and ``Disj`` compare each element's image with its far ends of the name.
+    Each path is normalised once per run (``normal``, by the path's id,
+    keeping the path so that its id is not reused while the context lives)."""
+
+    def __init__(self, g: CommonGraph, registry: Optional[ValueTypeRegistry] = None) -> None:
+        super().__init__(g, registry)
+        self.normal: Dict[int, Tuple[PathExpr, NodePath]] = {}
+
+    def _normal(self, path: PathExpr) -> NodePath:
+        return (self.normal.get(id(path)) or self.normal.setdefault(id(path), (path, push_inv(path))))[1]
 
     def images(self, path: PathExpr, elems: Set[Elem]) -> Images:
-        return path_relation(self.g, push_inv(path), elems, self.registry)
+        return path_relation(self.g, self._normal(path), elems, self.registry)
 
     def counts(self, path: PathExpr, elems: Set[Elem]) -> Mapping[Elem, int]:
-        return path_counts(self.g, push_inv(path), elems, self.registry)
+        return path_counts(self.g, self._normal(path), elems, self.registry)
 
     def atom(self, shape: ShaclShape, elems: Set[Elem]) -> Set[Elem]:
         kind, g = type(shape), self.g

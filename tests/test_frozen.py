@@ -2,7 +2,7 @@
 on every class it builds: keyword construction, equality within one
 class only, the hash of the field tuple, ``Name(field=value, ...)``
 reprs, no assignment or deletion, ``__post_init__`` checks and an
-instance ``__dict__`` for ``cached_property``."""
+instance ``__dict__`` for ``model.memo``."""
 
 import itertools
 

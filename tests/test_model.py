@@ -5,6 +5,7 @@ import pickle
 import random
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -42,7 +43,16 @@ from triform.model import (
     value_type_member,
 )
 from triform.pgschema import (
+    ET,
+    CAny,
+    CBoth,
+    CEither,
+    CEmpty,
+    CField,
+    EBoth,
+    EEither,
     FKeyIs,
+    GraphType,
     PConcat,
     PFilter,
     PgGeq,
@@ -55,6 +65,7 @@ from triform.pgschema import (
     key_path,
     pg_validate,
     pred_path,
+    validate_graph_type,
 )
 from triform.shacl import shacl_validate
 from triform.shex import shex_validate
@@ -244,7 +255,8 @@ def test_one_pass_build_equals_naive_indexes(nodes, density):
         assert g == gen_graph(p)
 
 
-LOADED = {"edges", "props", "_by_name"}  # all a graph holds before its first read
+# all a graph holds before its first read; the ends and counts caches start empty
+LOADED = {"edges", "props", "_by_name", "_ends", "_counts"}
 DERIVED = ("_out_edges", "_in_edges", "_node_props", "_value_owners", "nodes", "values")
 
 
@@ -329,7 +341,7 @@ def test_graph_pickles_and_copies_as_its_triples():
     g = media_graph()
     g.counts("hasAccess", FWD), g.degrees(INV), g.nodes  # derived indexes are not copied
     for twin in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g), copy.copy(g)):
-        assert set(vars(twin)) == LOADED
+        assert set(vars(twin)) == LOADED and not twin._ends and not twin._counts
         assert list(twin.edges) == list(g.edges) and list(twin.props) == list(g.props)
         assert twin == g and hash(twin) == hash(g)
 
@@ -531,3 +543,64 @@ def test_parsed_values_are_values():
     assert [g.prop("u", k) for k in "abc"] == [Value("int", 1), Value("bool", True), Value("str", "1")]
     assert all(type(w) is Value for w in g.values)
     assert repr(g.prop("u", "a")) == "Value(tag='int', payload=1)"
+
+
+def _media_graph_type():
+    """A graph type over the media records, built anew on each call, so
+    no normal form of it is computed yet: content types shared by several
+    edge types, and an EBoth of EEither contents."""
+    person = CEither(CField("email", "str"), CBoth(CField("email", "str"), CField("privileged", "bool")))
+    acct = CEither(CField("privileged", "bool"), CBoth(CField("card", "any"), CField("privileged", "bool")))
+    who, where = CEither(person, CEmpty()), CEither(acct, CEmpty())
+    spare = CEither(CEmpty(), CField("privileged", "bool"))
+    edge_types = (
+        EEither(ET(who, frozenset({"invited"}), who), ET(CEmpty(), frozenset({"invited"}), CEmpty())),
+        EBoth(ET(who, frozenset({"hasAccess", "ownsAccount"}), where), ET(spare, None, CAny())),
+    )
+    return GraphType((person, acct, CEmpty()), edge_types, tuple(examples.media_pg_rules()))
+
+
+_GRAPH_MEMOS = DERIVED + ("preds", "keys", "_by_size", "_hash")
+
+
+def _memo_reads(g, gt):
+    """Every first-use memo of a graph and of a graph type's top-level
+    types, as (object, attribute name) pairs."""
+    return [(g, name) for name in _GRAPH_MEMOS] + [(t, "dnf") for t in gt.node_types + gt.edge_types]
+
+
+def test_memo_first_reads_race_to_one_value():
+    """More threads than cores make the first reads of a fresh graph's
+    indexes and a fresh graph type's normal forms at once, with a short
+    switch interval: every thread sees values equal to those of one
+    reader, complete, and the very value kept in the instance ``__dict__``."""
+    n_threads = 2 * (os.cpu_count() or 1) + 2
+    g0, gt0 = media_graph(), _media_graph_type()
+    want = [getattr(obj, name) for obj, name in _memo_reads(g0, gt0)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for rnd in range(20):
+            g, gt = media_graph(), _media_graph_type()
+            reads = _memo_reads(g, gt)
+            start = threading.Barrier(n_threads, timeout=30)
+            seen = [None] * n_threads
+
+            def reader(i):
+                start.wait()
+                order = reads[i % len(reads):] + reads[: i % len(reads)]  # the threads start on different memos
+                got = {(id(obj), name): getattr(obj, name) for obj, name in order}
+                seen[i] = [got[id(obj), name] for obj, name in reads]
+
+            threads = [threading.Thread(target=reader, args=(i,)) for i in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads), rnd
+            for values in seen:
+                assert values == want, rnd
+                assert all(v is vars(obj)[name] for v, (obj, name) in zip(values, reads)), rnd
+            assert validate_graph_type(g, gt) == validate_graph_type(g0, gt0), rnd
+    finally:
+        sys.setswitchinterval(interval)

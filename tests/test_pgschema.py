@@ -45,6 +45,7 @@ from triform.pgschema import (
     CEither,
     CEmpty,
     CField,
+    ContentDisjunct,
     EBoth,
     EEither,
     ET,
@@ -587,10 +588,24 @@ def _small_registry(member):
     return registry
 
 
-def test_graph_type_check_equals_per_element_definition():
+_TYPE_CLASSES = (CAny, CEmpty, CField, CBoth, CEither, ET, EBoth, EEither)
+
+
+def _copy_of(t):
+    """An equal but distinct copy of a content or edge type, with no
+    normal form computed yet."""
+    if isinstance(t, _TYPE_CLASSES):
+        return type(t)(*(_copy_of(getattr(t, f)) for f in type(t).__match_args__))
+    return t
+
+
+def test_graph_type_check_equals_per_element_definition(monkeypatch):
     # two registries that give the custom type "small" different members:
     # a membership memo that ignored the registry, or outlived its run,
-    # would carry the first run's verdicts into the second
+    # would carry the first run's verdicts into the second.  Types share
+    # subtrees, as one object in several places and as equal but distinct
+    # objects, so per-object and per-value memos are both exercised; each
+    # EBoth meets each distinct pair of disjuncts once.
     registries = (
         _small_registry(lambda w: w.tag == "int" and 0 <= w.payload < 10),
         _small_registry(lambda w: w.tag == "str"),
@@ -610,12 +625,21 @@ def test_graph_type_check_equals_per_element_definition():
         ctor = CBoth if rng.random() < 0.5 else CEither
         return ctor(gen_content(depth - 1), gen_content(depth - 1))
 
-    def gen_et(depth):
+    def pick(pool):
+        # a fresh content type, one of the pool's objects, or an equal copy of one
+        roll = rng.random()
+        if not pool or roll < 0.4:
+            pool.append(gen_content(2))
+            return pool[-1]
+        t = rng.choice(pool)
+        return t if roll < 0.7 else _copy_of(t)
+
+    def gen_et(depth, pool):
         if depth == 0 or rng.random() < 0.5:
             labels = None if rng.random() < 0.3 else frozenset(rng.sample(["p", "q"], rng.randrange(0, 3)))
-            return ET(gen_content(2), labels, gen_content(2))
+            return ET(pick(pool), labels, pick(pool))
         ctor = EBoth if rng.random() < 0.5 else EEither
-        return ctor(gen_et(depth - 1), gen_et(depth - 1))
+        return ctor(gen_et(depth - 1, pool), gen_et(depth - 1, pool))
 
     def gen_hub_graph():
         # a hub with narrow records pointing at it from wide accessors
@@ -635,14 +659,44 @@ def test_graph_type_check_equals_per_element_definition():
                 props.append(PropTriple(u, k, rng.choice(values)))
         return build_graph(edges, props)
 
+    met = []  # the pairs of disjuncts met, by value
+    real_meet, real_edge_dnf = ContentDisjunct.meet, pgschema._edge_dnf
+
+    def counted_meet(a, b):
+        met.append((a, b))
+        return real_meet(a, b)
+
+    def checked_edge_dnf(t):
+        if type(t) is not EBoth:
+            return real_edge_dnf(t)
+        left, right = t.left.dnf, t.right.dnf  # first, so that the meets counted below are this EBoth's
+        start = len(met)
+        out = real_edge_dnf(t)
+        pairs = {(s1, s2) for s1, _, _ in left for s2, _, _ in right}
+        pairs |= {(d1, d2) for _, _, d1 in left for _, _, d2 in right}
+        assert Counter(met[start:]) == Counter(pairs)  # each distinct pair met once
+        assert out == tuple(
+            (real_meet(s1, s2), pgschema._label_meet(l1, l2), real_meet(d1, d2))
+            for s1, l1, d1 in left
+            for s2, l2, d2 in right
+        )
+        return out
+
+    monkeypatch.setattr(ContentDisjunct, "meet", counted_meet)
+    monkeypatch.setattr(pgschema, "_edge_dnf", checked_edge_dnf)
     differ = node_bad = edge_bad = 0
+    kinds = Counter()
     for _ in range(30):
         g = gen_hub_graph()
+        pool = []
+        shared = gen_et(0, pool)  # an EBoth whose sides share disjuncts: the same ET, an equal one or another
+        other = rng.choice([shared, _copy_of(shared), gen_et(0, pool)])
         gt = GraphType(
-            tuple(gen_content(2) for _ in range(rng.randrange(1, 4))),
-            (EBoth(gen_et(0), gen_et(0)),) + tuple(gen_et(1) for _ in range(rng.randrange(0, 2))),
+            tuple(pick(pool) for _ in range(rng.randrange(1, 4))),
+            (EBoth(shared, other),) + tuple(gen_et(1, pool) for _ in range(rng.randrange(0, 2))),
             (),
         )
+        kinds["same" if other is shared else "equal" if other == shared else "other"] += 1
         verdicts = []
         for registry in registries:
             report = validate_graph_type(g, gt, registry)
@@ -660,6 +714,7 @@ def test_graph_type_check_equals_per_element_definition():
             edge_bad += len(want_edges)
         differ += verdicts[0] != verdicts[1]
     assert differ >= 3 and node_bad and edge_bad, (differ, node_bad, edge_bad)
+    assert min(kinds.values()) >= 5 and len(kinds) == 3, kinds
 
 
 @pytest.mark.parametrize("nodes", [8, 12, 40])

@@ -234,6 +234,36 @@ def test_validate_card_mutation(g_media, shacl_c1_c5):
     assert [(v.rule_index, v.focus) for v in report.violations] == [(0, Val(str_v("oops")))]
 
 
+def test_each_path_is_normalised_once_per_run(monkeypatch):
+    """A run pushes the inverses of each path object once, however many
+    count atoms, rules and foci read it; an equal but distinct path gets
+    its own entry, and a new run normalises again.  The reports are those
+    of per-atom normalisation."""
+    import triform.shacl as shacl_module
+
+    g = gen_graph(GenParams(seed=3, node_count=12))
+    back = Inverse(Concat(Step("p"), Inverse(Step("q"))))
+    twin = Inverse(Concat(Step("p"), Inverse(Step("q"))))
+    rules = [
+        (ExistsOut("p"), And(GeqCount(1, back, Top()), LeqCount(2, back, exists(back)))),
+        (ExistsIn("q"), Or(LeqCount(0, twin, Top()), GeqCount(2, back, exists(Star(twin))))),
+        (ExistsOut("k1"), Eq(back, "p")),
+    ]
+    want = shacl_validate(g, rules)
+    assert {v.rule_index for v in want.violations} == {0, 1, 2}
+    calls = Counter()
+    real = shacl_module.push_inv
+
+    def counted(path, *args):
+        calls[id(path)] += 1
+        return real(path, *args)
+
+    monkeypatch.setattr(shacl_module, "push_inv", counted)
+    for run in (1, 2):
+        assert shacl_validate(g, rules) == want
+        assert {id(back), id(twin)} <= set(calls) and set(calls.values()) == {run}, calls
+
+
 def test_validate_empty_schema(g_media):
     assert shacl_validate(g_media, []).valid
 
