@@ -27,7 +27,6 @@ import functools
 import gc
 import json
 import sys
-import traceback
 from typing import List, Optional
 
 from . import jsonio
@@ -290,6 +289,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("error: input nested too deeply", file=sys.stderr)
         return EXIT_USAGE
     except Exception:
+        import traceback  # loaded only when a command crashes
         traceback.print_exc()
         return EXIT_INTERNAL
 

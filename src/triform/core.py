@@ -1,7 +1,8 @@
 """The shape core of the three dialects: Boolean combinations (``Top``,
 ``Not``, ``And``, ``Or``) of value tests (``TestConst``, ``TestType``)
 and count atoms (``GeqCount``, ``LeqCount``), and one set evaluator,
-:func:`_sat`, for all of them.
+:func:`_sat`, for all of them; and the ``Closed`` atom, decided by
+:func:`closed` for SHACL's contexts and ShEx's half-open shapes.
 
 SHACL and PG-Schema count over paths: a SHACL atom over a node path, a
 PG atom over a PG-path with the top body (``pgschema.lower_shape``).
@@ -16,9 +17,11 @@ no dialect.
 from __future__ import annotations
 
 from functools import reduce
-from typing import Any, Collection, Dict, List, Mapping, Optional, Set
+from itertools import compress, repeat
+from operator import sub
+from typing import Any, Collection, Dict, FrozenSet, List, Mapping, Optional, Set
 
-from .model import DEFAULT_TYPES, CommonGraph, Elem, TriformError, Value, ValueTypeRegistry, frozen
+from .model import DEFAULT_TYPES, FWD, CommonGraph, Elem, TriformError, Value, ValueTypeRegistry, frozen
 
 
 @frozen
@@ -71,6 +74,13 @@ class LeqCount:
     body: Any
 
 
+@frozen
+class Closed:
+    """Every forward row (out-edge or key) has a name in ``allowed``."""
+
+    allowed: FrozenSet[str]
+
+
 TOP = Top()
 
 
@@ -95,6 +105,17 @@ def restrict(index: Dict[Elem, Any], elems: Set[Elem]) -> Dict[Elem, Any]:
         return {x: y for x, y in index.items() if x in elems}
     get = index.get
     return {x: y for x in elems if (y := get(x))}
+
+
+def closed(g: CommonGraph, allowed: FrozenSet[str], elems: Set[Elem]) -> Set[Elem]:
+    """The elements of ``elems`` that satisfy ``Closed(allowed)``: those
+    whose forward rows (``CommonGraph.degrees``) are all rows of the
+    allowed names (``CommonGraph.counts``); values have none."""
+    rows = restrict(g.degrees(FWD), elems)
+    xs, left = list(rows), list(rows.values())
+    for name in allowed:
+        left = list(map(sub, left, map(g.counts(name, FWD).get, xs, repeat(0))))
+    return elems - set(compress(xs, left))
 
 
 class Context:
@@ -127,9 +148,9 @@ def _sat(ctx: Context, shape: Any, elems: Set[Elem]) -> Set[Elem]:
     compares each element's :meth:`Context.counts` entry (top body) or
     image, from one :meth:`Context.images` call, cut to its body's
     extension, evaluated once on their union, with the bound; both may be
-    the graph's own index, so they are only read.  ShEx count forms come
-    here too (``shex._count_atom``).  The result is a set the caller must
-    not mutate.
+    the graph's own index, so they are only read.  ShEx neighbourhood
+    shapes whose Parikh image is a box come here too (``shex._lower``).
+    The result is a set the caller must not mutate.
     """
     kind = type(shape)
     if kind is Top:

@@ -19,9 +19,9 @@ foci's images from one call of the relation evaluator
 union of those images.  This restriction is the load-bearing fact of
 this module and is exercised against a full relational oracle in the
 test harness.  The Boolean and test classes, the count atoms and the
-set evaluator are the shape core's (``core``); a :class:`ShaclContext`
-reads SHACL's paths and decides its own atoms ``Closed``, ``Eq`` and
-``Disj``.
+set evaluator are the shape core's (``core``), and so is ``Closed``,
+decided set-at-a-time by ``core.closed``; a :class:`ShaclContext` reads
+SHACL's paths and decides its atoms ``Closed``, ``Eq`` and ``Disj``.
 
 Everything is pure: a shared (graph, schema) pair may be validated by
 concurrent workers partitioned by rule index.
@@ -29,9 +29,9 @@ concurrent workers partitioned by rule index.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Set, Tuple, Union
 
-from .core import And, Context, GeqCount, LeqCount, Not, Or, TestConst, TestType, Top, _sat
+from .core import And, Closed, Context, GeqCount, LeqCount, Not, Or, TestConst, TestType, Top, _sat, closed
 from .model import (
     FWD,
     INV,
@@ -69,11 +69,6 @@ from .report import ValidationReport, make_report
 Id, Step, Inverse, Concat, PathUnion, Star = PId, PName, PInv, PConcat, PUnion, PStar
 
 PathExpr = NodePath
-
-
-@frozen
-class Closed:
-    allowed: FrozenSet[str]
 
 
 @frozen
@@ -147,10 +142,11 @@ def eval_path(g: CommonGraph, v: Focus, path: PathExpr) -> Set[Focus]:
 
 class ShaclContext(Context):
     """A SHACL run: a count atom reads its node path through the relation
-    evaluator, and ``Closed``, ``Eq`` and ``Disj`` are decided here; ``Eq``
-    and ``Disj`` compare each element's image with its far ends of the name.
-    Each path is normalised once per run (``normal``, by the path's id,
-    keeping the path so that its id is not reused while the context lives)."""
+    evaluator, and ``Closed`` (by ``core.closed``), ``Eq`` and ``Disj`` are
+    decided here; ``Eq`` and ``Disj`` compare each element's image with its
+    far ends of the name.  Each path is normalised once per run (``normal``,
+    by the path's id, keeping the path so that its id is not reused while
+    the context lives)."""
 
     def __init__(self, g: CommonGraph, registry: Optional[ValueTypeRegistry] = None) -> None:
         super().__init__(g, registry)
@@ -168,17 +164,7 @@ class ShaclContext(Context):
     def atom(self, shape: ShaclShape, elems: Set[Elem]) -> Set[Elem]:
         kind, g = type(shape), self.g
         if kind is Closed:
-            # only outgoing triples are constrained; values have none
-            allowed = shape.allowed
-            return {
-                x
-                for x in elems
-                if type(x) is not str
-                or (
-                    all(e.p in allowed for e in g.out_edges(x))
-                    and all(k in allowed for k in g.node_props(x))
-                )
-            }
+            return closed(g, shape.allowed, elems)
         if kind is Eq or kind is Disj:
             images = self.images(shape.path, elems)
             steps = path_relation(g, PName(shape.p), elems)

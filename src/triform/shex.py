@@ -11,36 +11,44 @@ Shapes are decided set-at-a-time on raw elements (node ids and values)
 by the shape core's evaluator (``core._sat``), which also decides SHACL
 and PG shapes: ``SAnd``, ``SOr``, ``SNot``, ``STestConst`` and
 ``STestType`` are ShEx's names for its classes, and a
-:class:`ShexContext` decides the neighborhood shapes (``SNeigh``).  A
-count form, n >= 1 equal triple constraints in sequence under
-``Open(∅, ∅)``, is lowered to ``GeqCount(n, (name, direction), body)``
-and decided from ``CommonGraph.counts`` or ``ends``, sound because its
-wildcards take every other row of any name and direction.  Any other
-neighborhood shape becomes a program template when an element first
-reaches it.  An element's rows (signed triples) each get a signature,
-the set of leaf and wildcard nodes that may consume them, and the
-verdict depends only on the bag of signatures (the Parikh image over
-the constraints).  A template mentions a (direction, name) pair when a
-leaf tests that name in that direction or a wildcard of that direction
-excludes it.  An untested row's signature depends on its pair alone,
-and every row of an unmentioned pair gets the same one, the wildcards of
-its direction.  So an element is read through its key: the count of
-each mentioned pair (``CommonGraph.counts``), split for a single tested
-leaf by ``len(S & far)``, S the nested shape's extension, the
-(signature, count) pairs of the far ends of a pair several leaves test,
-and per direction the rows of unmentioned pairs.  That class is left
-out when its signature holds only WILDSTAR nodes and the openness
-wildcard, keyed by presence when it holds only WILDSTAR nodes or none
-(a free class), by its count otherwise (``CommonGraph.degrees`` minus
-the mentioned counts); the ``_bagmatch_py`` docstring proves both rules.
-The key is read for all elements of a call at once, by passes that run
-in C, and each nested shape is evaluated once per call, on the union of
-the far ends it tests.  A template keeps a verdict per key per run.  Its
-program is interned per run by its structure, so shapes that flatten
-alike share one program and one verdict memo, keyed by the sorted
-(signature, count) pairs, a free class counted once; on a miss the memo
-runs the kernel of ``_bagmatch_py``, a DP over the count of rows of each
-signature, which loads with the first template.
+:class:`ShexContext` decides the neighborhood shapes (``SNeigh``).
+
+A neighborhood shape whose Parikh image (the count vectors, per (name,
+direction) pair, of the row bags its expression consumes) is a box, each
+pair's count ranging over one interval [lo, hi], and whose pairs each
+carry one nested shape S, is lowered once per run to core atoms
+(:func:`_lower`).  :func:`_image` tells a box bottom-up: ``Eps`` is the
+empty box, ``TC`` [1, 1] on its pair, ``Seq`` adds intervals, ``Alt`` is
+a box when one side holds the other or they differ on one pair with
+contiguous intervals, and ``StarE`` is [0, inf) on each pair exactly when
+its inner image holds each pair's one-row bag (so the compiler's closed
+guard, a star of alternatives, is one).  In a box the pairs are
+independent.  A closed pair, whose rows the openness does not tolerate,
+must have every row consumed, so every far end satisfies S and the number
+of rows lies in [lo, hi]: ``LeqCount(0, pair, Not(S))`` and the interval
+on the total.  An open pair's surplus rows go to the wildcard, so only lo
+binds: ``GeqCount(lo, pair, S)``.  A closed name the expression does not
+mention has no rows, ``LeqCount(0, pair, TOP)``, and a half-open shape's
+forward rows are ``Closed`` over the mentioned forward names.  A count
+form, n equal triple constraints under ``Open(∅, ∅)``, is the [n, n] case
+on an open pair.  Every shape the compiler writes is a box.
+
+Any other neighborhood shape (an alternative of two pairs, a star of a
+sequence, a pair under two nested shapes, a nested shape two pairs share)
+becomes a program template when an element first reaches it.  Each row
+gets a signature, the set of leaf and wildcard nodes that may consume it,
+and the verdict depends only on the bag of signatures.  An element is
+read through its key (:class:`_Template`): the count of each untested
+pair the template mentions, the count of each signature of a tested
+pair's rows, and per direction the rows of the other names, dropped,
+keyed by presence or by count, as the ``_bagmatch_py`` docstring proves.
+A template keeps a verdict per key per run, and shapes that flatten alike
+share one program and one verdict memo; on a miss the memo runs the
+kernel of ``_bagmatch_py``, a DP over the count of rows of each
+signature, which loads with the first template.  Both ways read the
+counts for all elements of a call at once, and evaluate each nested shape
+once per call, on the union of the far ends it tests, in the run's order
+(:func:`_sid`).
 
 There is no row cap by default; ``--cap``/``TRIFORM_CAP`` sets one,
 checked for every element of a call before any bag of the call is
@@ -61,11 +69,12 @@ import os
 from collections import Counter
 from functools import reduce
 from itertools import compress, repeat
+from math import inf
 from operator import add, is_, or_, sub
 from typing import Collection, Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
 from . import core
-from .core import And, Context, GeqCount, Not, Or, TestConst, TestType
+from .core import And, Context, GeqCount, LeqCount, Not, Or, TestConst, TestType
 from .model import (
     FWD,
     INV,
@@ -314,8 +323,8 @@ class _Program:
 
 
 class _Template:
-    """A neighborhood shape other than a count form (:func:`_count_atom`)
-    flattened into the kernel program format, with the run's entries.
+    """A neighborhood shape that is not a box (:func:`_lower`) flattened
+    into the kernel program format, with the run's entries.
 
     A row's signature is the set of leaf and wildcard nodes that may
     consume it, one bit per node.  ``leaves`` buckets the bits of the
@@ -331,11 +340,9 @@ class _Template:
     pairs the template mentions, in sorted order, each with its plan
     (:meth:`plan`); ``rest`` maps each direction whose rows of unmentioned
     names are keyed to whether only their presence counts.  ``layout``
-    gives per column the signature its count adds to and, for the column
-    of a single tested leaf, the signature those rows move to
-    (:func:`_bag`); None for the column of a multi-leaf group, which holds
-    (signature, count) pairs.  ``entries`` maps a key to its verdict, per
-    run.
+    gives per column the signature its count adds to, or None for the
+    column of a tested pair, which holds (signature, count) pairs
+    (:func:`_bag`).  ``entries`` maps a key to its verdict, per run.
     """
 
     def __init__(self) -> None:
@@ -344,7 +351,7 @@ class _Template:
         self.program: Optional[_Program] = None
         self.pairs: List[Tuple[str, str, int, List[Tuple[int, int]]]] = []
         self.rest: Dict[str, bool] = {}
-        self.layout: List[Optional[Tuple[int, Optional[int]]]] = []
+        self.layout: List[Optional[int]] = []
         self.entries: Dict[object, object] = {}  # per run
 
     def plan(self, name: str, direction: str) -> Tuple[int, List[Tuple[int, int]]]:
@@ -365,8 +372,8 @@ class _Template:
 class ShexContext(Context):
     """A ShEx run over one graph: the row cap (None for none), the shapes
     met so far by their run's id (:func:`_sid`), which keeps their ``id``
-    from being reused while the context lives, the templates (or count
-    atoms) by their shape's run id, the interned programs by structure,
+    from being reused while the context lives, the templates (or atoms,
+    :func:`_lower`) by their shape's run id, the interned programs by structure,
     with their verdict memos.  Nothing is cached in module globals, so
     separate contexts may run in separate threads."""
 
@@ -375,25 +382,25 @@ class ShexContext(Context):
         self.cap = cap
         self.sids: Dict[int, int] = {}
         self.shapes: List[ShexShape] = []
-        self.templates: Dict[int, Union[_Template, GeqCount]] = {}
+        self.templates: Dict[int, Union[_Template, tuple]] = {}
         self.programs: Dict[Tuple[tuple, tuple, tuple], _Program] = {}
 
     def images(self, path: Tuple[str, str], elems: Set[Elem]) -> Dict[Elem, List[Elem]]:
         if type(path) is not tuple:  # another dialect's path
             return super().images(path, elems)
-        _check(self, elems)
         return core.restrict(self.g.ends(*path), elems)
 
     def counts(self, path: Tuple[str, str], elems: Set[Elem]) -> Dict[Elem, int]:
         if type(path) is not tuple:
             return super().counts(path, elems)
-        _check(self, elems)
         return self.g.counts(*path)
 
     def atom(self, shape: ShexShape, elems: Set[Elem]) -> Set[Elem]:
         """The elements of ``elems`` whose neighborhood matches ``shape``.
-        An empty set is returned at once, so a template is built only when
-        an element reaches its shape, and the top shape builds none."""
+        An empty set is returned at once, so a shape is lowered or its
+        template built only when an element reaches it, and the top shape
+        does neither.  Atoms are decided after the cap check, as in
+        :func:`_neigh`."""
         if type(shape) is not SNeigh:
             raise TriformError(f"unknown ShEx shape {shape!r}")
         if not elems or _is_top(shape.expr, shape.openness):
@@ -401,8 +408,16 @@ class ShexContext(Context):
         sid = _sid(self, shape)
         t = self.templates.get(sid)
         if t is None:
-            t = self.templates[sid] = _count_atom(self, shape) or _template(self, shape.expr, shape.openness)
-        return core._sat(self, t, elems) if type(t) is GeqCount else _neigh(self, t, elems)
+            t = self.templates[sid] = _lower(self, shape) or _template(self, shape.expr, shape.openness)
+        if type(t) is _Template:
+            return _neigh(self, t, elems)
+        _check(self, elems)
+        tested, rest, allowed = t
+        kept = elems
+        for a in tested:  # each on every element, so its nested shape meets every far end, as in _neigh
+            kept = core._sat(self, a, elems) if kept is elems else kept & core._sat(self, a, elems)
+        kept = kept if rest is core.TOP else core._sat(self, rest, kept)
+        return kept if allowed is None else core.closed(self.g, allowed, kept)
 
 
 def _is_top(expr: TripleExpr, openness: Openness) -> bool:
@@ -427,20 +442,95 @@ def _sid(ctx: ShexContext, shape: ShexShape) -> int:
     return sid
 
 
-def _count_atom(ctx: ShexContext, shape: SNeigh) -> Optional[GeqCount]:
-    """``shape`` as ``GeqCount(n, (name, direction), body)`` if it is a count
-    form (module docstring), else None; nested shapes get run ids as in :func:`_template`."""
-    e, leaves = shape.expr, []
-    while type(e) is Seq:  # left-folded, as desugar_repetition and jsonio give it
-        leaves.append(e.right)
+def _image(e: TripleExpr, leaves: List[TC]) -> Tuple[Dict[Tuple[str, str], Tuple[int, float]], bool, Set]:
+    """The bounding box of the Parikh image of ``e``, each (name, direction)
+    of ``e`` mapped to [lo, hi]; whether the image is that whole box; and its
+    bags of at most one row, by the row's pair, None for the empty bag; a
+    pair it does not mention has [0, 0].  Appends the leaves to ``leaves``,
+    left to right."""
+    kind = type(e)
+    if kind is TC:
+        leaves.append(e)
+        return {(e.q, e.direction): (1, 1)}, True, {(e.q, e.direction)}
+    if kind is Eps:
+        return {}, True, {None}
+    if kind is StarE:  # [0, inf) on each pair iff the inner image holds each pair's one-row bag
+        box, _, small = _image(e.inner, leaves)
+        return dict.fromkeys(box, (0, inf)), small.issuperset(box), small | {None}
+    rights = []
+    while type(e) is kind:  # a left-folded chain, as desugar_repetition and jsonio give it
+        rights.append(e.right)
         e = e.left
-    leaves.append(e)
-    if type(e) is not TC or shape.openness != Open(NO_NAMES, NO_NAMES) or any(tc != e for tc in leaves):
+    box, exact, small = _image(e, leaves)
+    for right in reversed(rights):
+        if kind is Seq and type(right) is TC:  # the common case, without a call
+            leaves.append(right)
+            x = box.get(k := (right.q, right.direction), (0, 0))
+            box[k], small = (x[0] + 1, x[1] + 1), {k} if None in small else set()
+            continue
+        other, exact_other, small_other = _image(right, leaves)
+        exact = exact and exact_other
+        if kind is Seq:  # box is this call's own dict
+            for k, (lo, hi) in other.items():
+                x = box.get(k, (0, 0))
+                box[k] = (x[0] + lo, x[1] + hi)
+            small = (small if None in small_other else set()) | (small_other if None in small else set())
+            continue
+        pairs = [(k, box.get(k, (0, 0)), other.get(k, (0, 0))) for k in box.keys() | other.keys()]
+        hull = {k: (min(x[0], y[0]), max(x[1], y[1])) for k, x, y in pairs}
+        (x, y), *more = [(x, y) for _, x, y in pairs if x != y] or [((0, 0), (0, 0))]
+        # a union of boxes is a box iff one holds the other, or they differ on one pair, contiguously
+        exact = exact and (hull == box or hull == other or not more and max(x[0], y[0]) <= min(x[1], y[1]) + 1)
+        box, small = hull, small | small_other
+    return box, exact, small
+
+
+def _lower(ctx: ShexContext, shape: SNeigh) -> Optional[tuple]:
+    """``shape`` as (tested, rest, allowed) if its Parikh image is a box whose
+    pairs each carry a nested shape of their own, else None (module
+    docstring): the count atoms with a nested shape, in the run's order of
+    their shapes; the conjunction of the others; a half-open shape's forward
+    names for ``Closed``, else None.  Nested shapes get run ids as in :func:`_template`."""
+    leaves: List[TC] = []
+    box, exact, _ = _image(shape.expr, leaves)
+    if not exact:
         return None
-    top = type(e.shape) is SNeigh and _is_top(e.shape.expr, e.shape.openness)
-    for tc in () if top else reversed(leaves):
-        _sid(ctx, tc.shape)
-    return GeqCount(len(leaves), (e.q, e.direction), core.TOP if top else e.shape)
+    bodies: Dict[Tuple[str, str], Tuple[Optional[int], ShexShape]] = {}  # each pair's least run id and shape
+    owners: Dict[int, Tuple[str, str]] = {}  # the pair of each nested shape's run id
+    prev = None
+    for tc in leaves:
+        if tc is prev:  # a repeated constraint, as desugar_repetition gives it
+            continue
+        prev, pair, nested, sid = tc, (tc.q, tc.direction), tc.shape, None
+        if type(nested) is SNeigh and _is_top(nested.expr, nested.openness):
+            nested = core.TOP
+        elif owners.setdefault(sid := _sid(ctx, nested), pair) != pair:
+            return None
+        got = bodies.setdefault(pair, (sid, nested))
+        if got[1] is not nested and got[1] != nested:
+            return None
+        if sid is not None and sid < got[0]:
+            bodies[pair] = (sid, nested)
+    o, tested, rest = shape.openness, [], []
+    for pair, (lo, hi) in box.items():
+        sid, body = bodies[pair]
+        if pair[0] not in (o.r if pair[1] == INV else o.q if type(o) is Open else pair):
+            if lo and sid is None:  # an open pair: its surplus rows go to the wildcard
+                rest.append(GeqCount(lo, pair, body))
+            elif lo:
+                tested.append((sid, GeqCount(lo, pair, body)))
+            continue
+        if sid is not None:  # a closed pair: every row is consumed, so satisfies the body
+            tested.append((sid, LeqCount(0, pair, Not(body))))
+        if lo:
+            rest.append(GeqCount(lo, pair, core.TOP))
+        if hi < inf:
+            rest.append(LeqCount(hi, pair, core.TOP))
+    if o.r or type(o) is Open and o.q:  # closed names the expression does not mention
+        for d, names in ((INV, o.r), (FWD, o.q if type(o) is Open else ())):
+            rest += [LeqCount(0, (name, d), core.TOP) for name in names if (name, d) not in box]
+    allowed = None if type(o) is Open else frozenset(name for name, d in box if d == FWD)
+    return [a for _, a in sorted(tested)] if tested else tested, core.and_all(rest), allowed
 
 
 def _template(ctx: ShexContext, expr: TripleExpr, openness: Openness) -> _Template:
@@ -511,16 +601,11 @@ def _template(ctx: ShexContext, expr: TripleExpr, openness: Openness) -> _Templa
         free = not sig & ~prog.wild
         if not (free and sig >> wild & 1):  # else dropped, whatever its count
             t.rest[d] = free
-            rest.append((sig, None))
+            rest.append(sig)
     for name, d in sorted(mentioned):
         sig, tested = t.plan(name, d)
         t.pairs.append((name, d, sig, tested))
-        if len(tested) > 1:
-            layout.append(None)
-        else:
-            layout.append((sig, None))
-            if tested:
-                layout.append((sig, sig | tested[0][0]))
+        layout.append(None if tested else sig)
     layout += rest
     return t
 
@@ -558,16 +643,11 @@ def _bag(layout: list, key: tuple) -> Dict[int, int]:
     (:class:`_Template`), without empty classes."""
     rows: Dict[int, int] = {}
     for column, n in zip(layout, key):
-        if column is None:  # a multi-leaf group's (signature, count) pairs
+        if column is None:  # a tested pair's (signature, count) pairs
             for sig, k in n:
                 rows[sig] = rows.get(sig, 0) + k
-            continue
-        sig, moved = column
-        if moved is None:
-            rows[sig] = rows.get(sig, 0) + n
-        else:  # n rows of the group just counted have a far end in the nested shape
-            rows[sig] -= n
-            rows[moved] = rows.get(moved, 0) + n
+        else:
+            rows[column] = rows.get(column, 0) + n
     return {sig: n for sig, n in rows.items() if n}
 
 
@@ -618,18 +698,15 @@ def _neigh(ctx: ShexContext, t: _Template, elems: Set[Elem]) -> Set[Elem]:
         sat[sid] = core._sat(ctx, ctx.shapes[sid], asked[sid])
     cols: List[list] = []
     for (_, _, sig, tested), (n, fars) in zip(t.pairs, reads):
-        if len(tested) > 1:
-            if fars is None:
-                cols.append([()] * len(xs))
-                continue
+        if not tested:
+            cols.append(n)
+        elif fars is None:
+            cols.append([()] * len(xs))
+        else:
             fsig: Dict[Elem, int] = {}  # each far end's signature
             for y in set().union(*fars):
                 fsig[y] = reduce(or_, [bit for bit, sid in tested if y in sat[sid]], sig)
             cols.append([tuple(sorted(Counter(map(fsig.__getitem__, f)).items())) for f in fars])
-            continue
-        cols.append(n)
-        if tested:  # how many of the rows have a far end in the nested shape
-            cols.append(n if fars is None else list(map(len, map(sat[tested[0][1]].intersection, fars))))
     for d, presence in t.rest.items():
         n = list(map(g.degrees(d).get, xs, repeat(0)))
         if d in counts:

@@ -11,7 +11,7 @@ from triform.cogsl import (
     cogsl_to_shex,
     cogsl_validate,
 )
-from triform.core import And, Not, Or
+from triform.core import TOP, And, Not, Or
 from triform.harness import (
     GenParams,
     gen_cogsl_schema,
@@ -262,10 +262,11 @@ def _constraints(e):
 
 
 def test_compiled_count_atoms_bypass_the_kernel():
-    """Every count atom the ShEx compiler writes (n repetitions of one
-    constraint, open to every other row) is lowered to a core count atom,
-    as it comes from the compiler and as `validate` reads it back from
-    JSON; the closed shapes keep their templates.  Over the schemas of
+    """Every neighbourhood shape the ShEx compiler writes is lowered to
+    core atoms, as it comes from the compiler and as `validate` reads it
+    back from JSON: a count atom (n repetitions of one constraint, open to
+    every other row) to one count atom, a closed guard (a half-open star of
+    alternatives) to one ``Closed`` atom of its names.  Over the schemas of
     the golden test."""
     ctx = sx.ShexContext(build_graph([], []), None)
     seen = Counter()
@@ -278,10 +279,14 @@ def test_compiled_count_atoms_bypass_the_kernel():
         elif kind is Not:
             walk(shape.inner)
         elif kind is sx.SNeigh and not sx._is_top(shape.expr, shape.openness):
-            lowered = sx._count_atom(ctx, shape)
-            closed = type(shape.openness) is sx.HalfOpen
-            assert (lowered is None) == closed, shape
-            seen["closed" if closed else "count"] += 1
+            tested, rest, allowed = sx._lower(ctx, shape)
+            if type(shape.openness) is sx.HalfOpen:
+                names = {tc.q for tc in _constraints(shape.expr)}
+                assert (tested, rest, allowed) == ([], TOP, names), shape
+                seen["closed"] += 1
+            else:
+                assert allowed is None and len(tested + ([] if rest is TOP else [rest])) == 1, shape
+                seen["count"] += 1
             for tc in _constraints(shape.expr):
                 walk(tc.shape)
 

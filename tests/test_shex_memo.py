@@ -124,7 +124,19 @@ PAIRS_EXPR = Seq(
     StarE(Alt(Seq(TC("p", FWD, TOP), TC("q", FWD, TOP)), Seq(TC("q", FWD, TOP), TC("p", FWD, TOP)))),
     Seq(TC("p", FWD, TOP), TC("k", FWD, TOP)),
 )
-INT_K = open_closure(TC("k", FWD, STestType("int")))
+
+
+def one_or_three(name, direction, nested=TOP):
+    """One row of ``(name, direction)`` whose far end satisfies
+    ``nested``, or three: a Parikh image that is not a box, so a shape
+    that keeps its template and calls the kernel, where one row alone would
+    be lowered to count atoms.  A node has at most one value per key."""
+    one = TC(name, direction, nested)
+    return Alt(one, Seq(Seq(one, one), one))
+
+
+# an int k row, as a template
+INT_K = open_closure(one_or_three("k", FWD, STestType("int")))
 
 
 def test_copies_cost_one_kernel_call_per_signature_bag(kernel_calls):
@@ -150,8 +162,8 @@ TWO_P = SNeigh(Seq(TC("p", FWD, TOP), TC("p", FWD, TOP)), Open(frozenset(), froz
 def test_runs_share_no_memo(kernel_calls, monkeypatch):
     g = copies_graph(20)
     tables = []
-    count_atom = shex._count_atom
-    monkeypatch.setattr(shex, "_count_atom", lambda ctx, shape: tables.append(ctx.templates) or count_atom(ctx, shape))
+    lower = shex._lower
+    monkeypatch.setattr(shex, "_lower", lambda ctx, shape: tables.append(ctx.templates) or lower(ctx, shape))
     rules = [(SelOut("p"), SNeigh(PAIRS_EXPR, PAIRS)), (SelOut("q"), INT_K), (SelOut("p"), TWO_P)]
     first = shex_validate(g, rules)
     calls = len(kernel_calls)
@@ -161,19 +173,20 @@ def test_runs_share_no_memo(kernel_calls, monkeypatch):
     # each run tries to lower its three neighborhood shapes afresh, and
     # keeps the count atom or the template in its own table
     assert len(tables) == 6 and len({id(t) for t in tables[:3]}) == len({id(t) for t in tables[3:]}) == 1
-    assert tables[0] is not tables[3] and tables[0][3] == tables[3][3] == core.GeqCount(2, ("p", FWD), core.TOP)
+    lowered = ([], core.GeqCount(2, ("p", FWD), core.TOP), None)
+    assert tables[0] is not tables[3] and tables[0][3] == tables[3][3] == lowered
     for table in (tables[0], tables[3]):
-        assert [type(t) for t in table.values()] == [shex._Template, shex._Template, core.GeqCount]
+        assert [type(t) for t in table.values()] == [shex._Template, shex._Template, tuple]
     for mod in (core, shex, _bagmatch_py):
         state = [name for name, x in vars(mod).items() if not name.startswith("__") and isinstance(x, (dict, list, set))]
         assert state == [], mod.__name__
 
 
-# one program, (LEAF, WILDSTAR, SEQ), over different names: each hub of
-# copies_graph has one k row and one incoming r row, but no incoming s row
-K_ONE = open_closure(TC("k", FWD, TOP))
-R_ONE = open_closure(TC("r", INV, TOP))
-S_ONE = open_closure(TC("s", INV, TOP))
+# one program over different names: each hub of copies_graph has one k
+# row and one incoming r row, but no incoming s row
+K_ONE = open_closure(one_or_three("k", FWD))
+R_ONE = open_closure(one_or_three("r", INV))
+S_ONE = open_closure(one_or_three("s", INV))
 SHARED_PROGRAM = [(SelOut("p"), K_ONE), (SelOut("p"), R_ONE), (SelOut("q"), S_ONE)]
 
 
@@ -203,6 +216,7 @@ from triform import _bagmatch_py, jsonio
 from triform.cogsl import cogsl_to_shex
 from triform.examples import media_pg_rules
 from triform.harness import GenParams, gen_graph, gen_shex_schema, run_campaign
+from triform.model import NeighborhoodTooLarge
 from triform.shex import SNeigh, is_closed_expr, shex_validate
 import test_shex_keys as k
 import test_shex_memo as t
@@ -242,6 +256,18 @@ out.append([len(calls), [summary.capped, summary.agreed]])
 del calls[:]
 summary = run_campaign(150, GenParams(node_count=40), seed=987654321, cap=24)
 out.append([len(calls), [summary.capped, summary.agreed]])
+# generated schemas, whose shapes are not all boxes, on 40-node graphs,
+# with no cap and with one that stops some runs
+for cap in (None, 6):
+    del calls[:]
+    outcomes = []
+    for seed in range(40):
+        p = GenParams(seed=seed, node_count=40)
+        try:
+            outcomes.append(len(shex_validate(gen_graph(p), gen_shex_schema(p), cap=cap).violations))
+        except NeighborhoodTooLarge as err:
+            outcomes.append(str(err))
+    out.append([len(calls), outcomes])
 print(json.dumps(out))
 """
 
@@ -266,14 +292,18 @@ def test_kernel_calls_do_not_depend_on_the_hash_seed():
     assert runs[0][0][0] == 3 and len(runs[0][0][1]) == 10
     assert runs[0][1][0] == 2 and len(runs[0][1][1]) == 30  # two shapes share one program
     # the compiled media ShEx has count forms only, which need no kernel call
-    compiled = runs[0][-14:-2]
+    compiled = runs[0][-16:-4]
     assert [calls for calls, _ in compiled] == [0] * 12 and sum(len(v) for _, v in compiled) == 30
-    # without a cap every trial is decided
-    calls, (capped, agreed) = runs[0][-2]
-    assert capped == 0 and agreed == 40 and calls > 0
-    # a capped trial decides no bag before its cap error, in any set order
-    calls, (capped, agreed) = runs[0][-1]
-    assert capped > 0 and capped + agreed == 150 and calls > 0
+    # without a cap every trial is decided; the compiled shapes are boxes, decided without the kernel
+    calls, (capped, agreed) = runs[0][-4]
+    assert capped == 0 and agreed == 40 and calls == 0
+    calls, (capped, agreed) = runs[0][-3]
+    assert capped > 0 and capped + agreed == 150 and calls == 0
+    calls, outcomes = runs[0][-2]
+    assert calls > 0 and all(type(n) is int for n in outcomes)
+    # a capped run decides no bag before its cap error, in any set order
+    calls, outcomes = runs[0][-1]
+    assert calls > 0 and 0 < sum(type(n) is str for n in outcomes) < 40
 
 
 _CAP_SCRIPT = """
@@ -354,8 +384,8 @@ def test_untested_profile_reads_no_rows(monkeypatch, kernel_calls):
     # else, so neither conjunct tests a row of theirs
     g = copies_graph(6)
     targets = {e.o for e in g.triples_named("p")}
-    ints = open_closure(StarE(TC("k", FWD, STestType("int"))))
-    shape = SAnd(ints, open_closure(StarE(TC("q", FWD, ints))))
+    ints = open_closure(StarE(Seq(TC("k", FWD, STestType("int")), TC("k", FWD, STestType("int")))))
+    shape = SAnd(ints, open_closure(StarE(Seq(TC("q", FWD, ints), TC("q", FWD, ints)))))
     calls, counted = [], set()
     sat, counts = core._sat, CommonGraph.counts
     monkeypatch.setattr(core, "_sat", lambda *args: calls.append(args[2]) or sat(*args))
