@@ -35,20 +35,22 @@ on an open pair.  Every shape the compiler writes is a box.
 
 Any other neighborhood shape (an alternative of two pairs, a star of a
 sequence, a pair under two nested shapes, a nested shape two pairs share)
-becomes a program template when an element first reaches it.  Each row
-gets a signature, the set of leaf and wildcard nodes that may consume it,
-and the verdict depends only on the bag of signatures.  An element is
-read through its key (:class:`_Template`): the count of each untested
-pair the template mentions, the count of each signature of a tested
-pair's rows, and per direction the rows of the other names, dropped,
-keyed by presence or by count, as the ``_bagmatch_py`` docstring proves.
-A template keeps a verdict per key per run, and shapes that flatten alike
-share one program and one verdict memo; on a miss the memo runs the
-kernel of ``_bagmatch_py``, a DP over the count of rows of each
-signature, which loads with the first template.  Both ways read the
-counts for all elements of a call at once, and evaluate each nested shape
-once per call, on the union of the far ends it tests, in the run's order
-(:func:`_sid`).
+becomes a program template when an element first reaches it
+(:class:`_Template`).  Each row gets a signature, the set of leaf and
+wildcard nodes that may consume it, and the verdict depends only on the
+element's bag of signatures: its sorted (signature, count) pairs, each
+free class (a signature of WILDSTAR nodes only, or of none) counted once,
+as the ``_bagmatch_py`` docstring proves.  A row of a name the
+expression or the exclusions mention gets its signature from its pair.
+In an open direction the rows of the other names, which only the
+openness wildcard takes, are never read, as that docstring also proves;
+in a half-open shape the forward rows of the other names form one class
+with the empty signature, which nothing takes.  A template keeps one
+verdict per bag per run; on a miss it runs the kernel of
+``_bagmatch_py``, a DP over the count of rows of each signature, which
+loads with the first template.  Both ways read the counts for all
+elements of a call at once, and evaluate each nested shape once per call,
+on the union of the far ends it tests, in the run's order (:func:`_sid`).
 
 There is no row cap by default; ``--cap``/``TRIFORM_CAP`` sets one,
 checked for every element of a call before any bag of the call is
@@ -70,8 +72,8 @@ from collections import Counter
 from functools import reduce
 from itertools import compress, repeat
 from math import inf
-from operator import add, is_, or_, sub
-from typing import Collection, Dict, FrozenSet, List, Optional, Set, Tuple, Union
+from operator import or_, sub
+from typing import Collection, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Union
 
 from . import core
 from .core import And, Context, GeqCount, LeqCount, Not, Or, TestConst, TestType
@@ -296,63 +298,31 @@ def open_closure(e: TripleExpr) -> ShexShape:
 # Evaluation
 
 
-class _Program:
-    """A flattened program, interned per run by its structure (ops,
-    lefts, rights): shapes that flatten alike share it, whatever names
-    their leaves test, since a signature bit stands for a node.
-
-    ``kernel`` is the kernel program (``_bagmatch_py.Program``), ``wild``
-    the mask of its WILDSTAR nodes, and ``verdicts`` the run's memo for
-    every template of this structure: it maps sorted (signature, count)
-    pairs, each free class's count clamped to 1 (:func:`_decide`), to the
-    verdict.
-    """
-
-    __slots__ = ("kernel", "wild", "verdicts")
-
-    def __init__(self, ops: tuple, lefts: tuple, rights: tuple) -> None:
-        lo: List[int] = []
-        hi: List[int] = []
-        for op, a, b in zip(ops, lefts, rights):
-            bounds = _bagmatch_py.count_bounds(op, lo, hi, a, b)
-            lo.append(bounds[0])
-            hi.append(bounds[1])
-        self.kernel = (ops, lefts, rights, _bagmatch_py.under_masks(ops, lefts, rights), lo, hi, len(ops) - 1)
-        self.wild = sum(1 << i for i, op in enumerate(ops) if op == _bagmatch_py.OP_WILDSTAR)
-        self.verdicts: Dict[Tuple[Tuple[int, int], ...], object] = {}
-
-
 class _Template:
     """A neighborhood shape that is not a box (:func:`_lower`) flattened
-    into the kernel program format, with the run's entries.
+    into the kernel program format, with the run's verdict memo.
 
     A row's signature is the set of leaf and wildcard nodes that may
     consume it, one bit per node.  ``leaves`` buckets the bits of the
     triple-constraint nodes by the (name, direction) of the triples they
     can consume, each with the run's id of its nested shape (:func:`_sid`),
-    or None for the top shape, which tests nothing; ``wilds`` lists, by
-    direction, (bit, excluded names) for the wildcard nodes, the
-    openness suffix included.  ``program`` is the run's interned
-    :class:`_Program` of the shape's structure, with the verdict memo.
-
-    An element is read through its key, one column per entry of
-    ``layout`` (:func:`_neigh`).  ``pairs`` lists the (name, direction)
-    pairs the template mentions, in sorted order, each with its plan
-    (:meth:`plan`); ``rest`` maps each direction whose rows of unmentioned
-    names are keyed to whether only their presence counts.  ``layout``
-    gives per column the signature its count adds to, or None for the
-    column of a tested pair, which holds (signature, count) pairs
-    (:func:`_bag`).  ``entries`` maps a key to its verdict, per run.
+    or None for the top shape, which tests nothing; ``wild`` is the bit of
+    the openness wildcard, and ``open`` maps each direction it takes rows
+    in to the names it excludes.  ``pairs`` lists the (name, direction)
+    pairs the expression or the exclusions mention, in sorted order, each
+    with its plan (:meth:`plan`).  ``kernel`` is the kernel program
+    (``_bagmatch_py.Program``), ``free`` the mask of its WILDSTAR nodes,
+    and ``verdicts`` maps a bag to its verdict, per run (:func:`_decide`).
     """
 
-    def __init__(self) -> None:
+    def __init__(self, openness: Openness) -> None:
         self.leaves: Dict[Tuple[str, str], List[Tuple[int, Optional[int]]]] = {}
-        self.wilds: Dict[str, List[Tuple[int, FrozenSet[str]]]] = {FWD: [], INV: []}
-        self.program: Optional[_Program] = None
+        self.open = {INV: openness.r, FWD: openness.q} if type(openness) is Open else {INV: openness.r}
+        self.wild = 0
         self.pairs: List[Tuple[str, str, int, List[Tuple[int, int]]]] = []
-        self.rest: Dict[str, bool] = {}
-        self.layout: List[Optional[int]] = []
-        self.entries: Dict[object, object] = {}  # per run
+        self.kernel: tuple = ()
+        self.free = 0
+        self.verdicts: Dict[Tuple[Tuple[int, int], ...], object] = {}
 
     def plan(self, name: str, direction: str) -> Tuple[int, List[Tuple[int, int]]]:
         """A (name, direction) row's untested signature bits and the (bit,
@@ -363,19 +333,19 @@ class _Template:
                 sig |= bit
             else:
                 tested.append((bit, sid))
-        for bit, excl in self.wilds[direction]:
-            if name not in excl:
-                sig |= bit
+        excluded = self.open.get(direction)
+        if excluded is not None and name not in excluded:  # the openness wildcard takes it
+            sig |= self.wild
         return sig, tested
 
 
 class ShexContext(Context):
     """A ShEx run over one graph: the row cap (None for none), the shapes
     met so far by their run's id (:func:`_sid`), which keeps their ``id``
-    from being reused while the context lives, the templates (or atoms,
-    :func:`_lower`) by their shape's run id, the interned programs by structure,
-    with their verdict memos.  Nothing is cached in module globals, so
-    separate contexts may run in separate threads."""
+    from being reused while the context lives, and the templates, with
+    their verdict memos, or atoms (:func:`_lower`) by their shape's run id.
+    Nothing is cached in module globals, so separate contexts may run in
+    separate threads."""
 
     def __init__(self, g: CommonGraph, cap: Optional[int], registry: Optional[ValueTypeRegistry] = None) -> None:
         super().__init__(g, registry)
@@ -383,7 +353,6 @@ class ShexContext(Context):
         self.sids: Dict[int, int] = {}
         self.shapes: List[ShexShape] = []
         self.templates: Dict[int, Union[_Template, tuple]] = {}
-        self.programs: Dict[Tuple[tuple, tuple, tuple], _Program] = {}
 
     def images(self, path: Tuple[str, str], elems: Set[Elem]) -> Dict[Elem, List[Elem]]:
         if type(path) is not tuple:  # another dialect's path
@@ -534,13 +503,12 @@ def _lower(ctx: ShexContext, shape: SNeigh) -> Optional[tuple]:
 
 
 def _template(ctx: ShexContext, expr: TripleExpr, openness: Openness) -> _Template:
-    """Flatten ``expr ; wildcards`` into a program template, its program
-    interned in ``ctx``."""
+    """Flatten ``expr`` followed by the openness wildcard into a program template."""
     global _bagmatch_py
     if _bagmatch_py is None:  # a run that decides no neighborhood never loads the kernel
         from . import _bagmatch_py
 
-    t = _Template()
+    t = _Template(openness)
     ops: List[int] = []  # the program's parallel lists
     lefts: List[int] = []
     rights: List[int] = []
@@ -560,10 +528,6 @@ def _template(ctx: ShexContext, expr: TripleExpr, openness: Openness) -> _Templa
             top = type(nested) is SNeigh and _is_top(nested.expr, nested.openness)
             t.leaves.setdefault((e.q, e.direction), []).append((1 << i, None if top else _sid(ctx, nested)))
             return i
-        if isinstance(e, (WildOut, WildIn)):
-            i = emit(_bagmatch_py.OP_LEAF)
-            t.wilds[FWD if isinstance(e, WildOut) else INV].append((1 << i, e.excluded))
-            return i
         if isinstance(e, Seq):
             return emit(_bagmatch_py.OP_SEQ, walk(e.left), walk(e.right))
         if isinstance(e, Alt):
@@ -579,34 +543,21 @@ def _template(ctx: ShexContext, expr: TripleExpr, openness: Openness) -> _Templa
 
     body = walk(expr)
     # walk calls itself through its closure, a cycle that would keep the
-    # template and its per-run entries alive until a collection
+    # template and its per-run verdicts alive until a collection
     del walk
     wild = emit(_bagmatch_py.OP_WILDSTAR)
-    t.wilds[INV].append((1 << wild, openness.r))
-    if isinstance(openness, Open):
-        t.wilds[FWD].append((1 << wild, openness.q))
     emit(_bagmatch_py.OP_SEQ, body, wild)  # the root
-    key = (tuple(ops), tuple(lefts), tuple(rights))
-    prog = ctx.programs.get(key)
-    if prog is None:  # the bounds and masks are computed once per structure per run
-        prog = ctx.programs[key] = _Program(*key)
-    t.program = prog
-    mentioned, layout, rest = set(t.leaves), t.layout, []
-    for d, wilds in t.wilds.items():
-        sig = 0  # the signature of the rows of unmentioned names in this direction
-        for bit, excl in wilds:
-            sig |= bit
-            if excl:
-                mentioned.update(zip(excl, repeat(d)))
-        free = not sig & ~prog.wild
-        if not (free and sig >> wild & 1):  # else dropped, whatever its count
-            t.rest[d] = free
-            rest.append(sig)
-    for name, d in sorted(mentioned):
-        sig, tested = t.plan(name, d)
-        t.pairs.append((name, d, sig, tested))
-        layout.append(None if tested else sig)
-    layout += rest
+    lo: List[int] = []
+    hi: List[int] = []
+    for op, a, b in zip(ops, lefts, rights):
+        bounds = _bagmatch_py.count_bounds(op, lo, hi, a, b)
+        lo.append(bounds[0])
+        hi.append(bounds[1])
+    t.kernel = (ops, lefts, rights, _bagmatch_py.under_masks(ops, lefts, rights), lo, hi, len(ops) - 1)
+    t.free = sum(1 << i for i, op in enumerate(ops) if op == _bagmatch_py.OP_WILDSTAR)
+    t.wild = 1 << wild
+    mentioned = set(t.leaves).union(*[zip(names, repeat(d)) for d, names in t.open.items()])
+    t.pairs = [(name, d, *t.plan(name, d)) for name, d in sorted(mentioned)]
     return t
 
 
@@ -614,41 +565,34 @@ def _template(ctx: ShexContext, expr: TripleExpr, openness: Openness) -> _Templa
 _TOO_DEEP = ", too many star parts for the matcher's recursion depth"
 
 
-def _decide(prog: _Program, rows: Dict[int, int]):
-    """The verdict of ``prog`` on the bag of ``rows[s]`` rows of each
-    signature ``s``: the memo's, else the kernel's, kept.  It is True,
-    False, or, for a bag the kernel cannot decide (:data:`_TOO_DEEP`,
+def _decide(t: _Template, columns: Iterable[tuple]):
+    """The verdict of ``t`` on the bag of an element's ``columns``, each
+    a (signature, count) pair or a tested pair's (signature, its rows'
+    (signature, count) pairs): the memo's, else the kernel's, kept.  It is
+    True, False, or, for a bag the kernel cannot decide (:data:`_TOO_DEEP`,
     or more work than ``_bagmatch_py.MAX_WORK``), the reason, a string.
-    Every free class, whose signature holds WILDSTAR nodes only, or no
-    node, counts as 1 row, which keeps the verdict (the ``_bagmatch_py``
-    docstring gives the proof) and lets bags that differ only there share
-    one entry."""
-    wild = prog.wild
-    bag = tuple(sorted([(s, n) if s & ~wild else (s, 1) for s, n in rows.items()]))
-    verdict = prog.verdicts.get(bag)
+    The bag is the sorted (signature, count) pairs without empty classes,
+    and every free class, whose signature holds WILDSTAR nodes only, or
+    no node, counts as 1 row, which keeps the verdict (the
+    ``_bagmatch_py`` docstring gives the proof) and lets bags that differ
+    only there share one entry."""
+    free, rows = t.free, {}
+    for sig, got in columns:
+        for s, n in ((sig, got),) if type(got) is int else got:
+            if n:
+                rows[s] = rows.get(s, 0) + n if s & ~free else 1
+    bag = tuple(sorted(rows.items()))
+    verdict = t.verdicts.get(bag)
     if verdict is None:
         sigs, counts = zip(*bag) if bag else ((), ())
         try:
-            verdict = _bagmatch_py.count_match(prog.kernel, sigs, counts)
+            verdict = _bagmatch_py.count_match(t.kernel, sigs, counts)
         except RecursionError:
             verdict = _TOO_DEEP
         except _bagmatch_py.WorkExhausted:
             verdict = f", more than {_bagmatch_py.MAX_WORK} matcher states and split steps"
-        prog.verdicts[bag] = verdict
+        t.verdicts[bag] = verdict
     return verdict
-
-
-def _bag(layout: list, key: tuple) -> Dict[int, int]:
-    """The count of each signature in the bag of the key ``key``
-    (:class:`_Template`), without empty classes."""
-    rows: Dict[int, int] = {}
-    for column, n in zip(layout, key):
-        if column is None:  # a tested pair's (signature, count) pairs
-            for sig, k in n:
-                rows[sig] = rows.get(sig, 0) + k
-        else:
-            rows[column] = rows.get(column, 0) + n
-    return {sig: n for sig, n in rows.items() if n}
 
 
 def _size(g: CommonGraph, x: Elem) -> int:
@@ -674,63 +618,45 @@ def _neigh(ctx: ShexContext, t: _Template, elems: Set[Elem]) -> Set[Elem]:
     comes before any bag is decided, whatever the set order.  Then each
     nested shape is evaluated once, on the union of the far ends it tests,
     in the run's order (:func:`_sid`), so the first cap error it raises is
-    fixed.  The keys are read column by column, and each key new to the run
-    is decided.  Capability errors name the least element over the cap or,
-    once all are decided, with a bag the kernel could not decide."""
+    fixed.  The rows are read one column per mentioned pair (and one for a
+    half-open shape's forward rest) for all elements at once, and
+    elements with equal columns are decided once (:func:`_decide`).
+    Capability errors name the least element over the cap or, once all
+    are decided, with a bag the kernel could not decide."""
     _check(ctx, elems)
     g, xs = ctx.g, list(elems)
     asked: Dict[int, Set[Elem]] = {}  # the far ends each nested shape tests, by its run's id
-    counts: Dict[str, list] = {}  # the rows of the mentioned names by direction, for the rest
-    reads = []  # per pair: its counts and, if tested and met, each element's far ends
-    for name, d, _, tested in t.pairs:
+    cols: List[list] = []  # per pair, each element's count of rows, or far ends if tested and met
+    met = []  # the tested pairs met: their column, plan and far ends
+    rest = list(map(g.degrees(FWD).get, xs, repeat(0))) if FWD not in t.open else None
+    for name, d, sig, tested in t.pairs:
         n = list(map(g.counts(name, d).get, xs, repeat(0)))
-        if d in t.rest:
-            counts[d] = list(map(add, counts[d], n)) if d in counts else n
-        fars = None
+        if rest is not None and d == FWD:
+            rest = list(map(sub, rest, n))
         if tested and any(n):
-            fars = list(map(g.ends(name, d).get, xs, repeat(())))
-            far = set().union(*fars)
+            n = list(map(g.ends(name, d).get, xs, repeat(())))
+            far = set().union(*n)
             for _, sid in tested:
                 asked.setdefault(sid, set()).update(far)
-        reads.append((n, fars))
-    sat = {}
-    for sid in sorted(asked):
-        sat[sid] = core._sat(ctx, ctx.shapes[sid], asked[sid])
-    cols: List[list] = []
-    for (_, _, sig, tested), (n, fars) in zip(t.pairs, reads):
-        if not tested:
-            cols.append(n)
-        elif fars is None:
-            cols.append([()] * len(xs))
-        else:
-            fsig: Dict[Elem, int] = {}  # each far end's signature
-            for y in set().union(*fars):
-                fsig[y] = reduce(or_, [bit for bit, sid in tested if y in sat[sid]], sig)
-            cols.append([tuple(sorted(Counter(map(fsig.__getitem__, f)).items())) for f in fars])
-    for d, presence in t.rest.items():
-        n = list(map(g.degrees(d).get, xs, repeat(0)))
-        if d in counts:
-            n = list(map(sub, n, counts[d]))
-        cols.append(list(map(bool, n)) if presence else n)
-    keys = cols[0] if len(cols) == 1 else list(zip(*cols)) if cols else [()] * len(xs)
-    entries, prog, layout = t.entries, t.program, t.layout
-    distinct = set(keys)
-    for key in distinct.difference(entries):
-        entries[key] = _decide(prog, _bag(layout, (key,) if len(cols) == 1 else key))
-    kept, failed = 0, set()
-    for key in distinct:
-        verdict = entries[key]
-        if verdict is True:
-            kept += 1
-        elif verdict is not False:
-            failed.add(key)
-    if failed:
-        bad = {x: entries[key] for x, key in zip(xs, keys) if key in failed}
+            met.append((len(cols), sig, tested, far))
+        cols.append(n)
+    sat = {sid: core._sat(ctx, ctx.shapes[sid], asked[sid]) for sid in sorted(asked)}
+    for i, sig, tested, far in met:  # each element's rows as (signature, count) pairs
+        fsig = {y: reduce(or_, [bit for bit, sid in tested if y in sat[sid]], sig) for y in far}
+        cols[i] = [tuple(sorted(Counter(map(fsig.__getitem__, f)).items())) for f in cols[i]]
+    sigs = [sig for _, _, sig, _ in t.pairs]  # each column's signature
+    if rest is not None:  # a half-open shape's forward rows of other names, which nothing takes
+        cols.append(rest)
+        sigs.append(0)
+    keys = list(zip(*cols))  # none when nothing is mentioned and all is open: every element matches
+    verdicts = {key: _decide(t, zip(sigs, key)) for key in set(keys)}
+    if not all(type(verdict) is bool for verdict in verdicts.values()):
+        bad = {x: verdicts[key] for x, key in zip(xs, keys) if type(verdicts[key]) is str}
         least = focus_elem(elems_to_foci(bad)[0])
         raise _too_large(g, [least], bad[least])
-    if kept == len(distinct):
+    if all(verdicts.values()):
         return elems
-    return set(compress(xs, map(is_, map(entries.__getitem__, keys), repeat(True)))) if kept else set()
+    return set(compress(xs, map(verdicts.__getitem__, keys)))
 
 
 def match_triple_expr(

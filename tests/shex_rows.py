@@ -61,7 +61,7 @@ def match_witness(g, v, expr, openness, cap=None, registry=None):
     rows = row_signatures(ctx, t, focus_elem(v))
     classes = sorted({sig for _, sig in rows})
     pools = [[row for row, sig in rows if sig == c] for c in classes]
-    return _bagmatch_py.count_witness(t.program.kernel, classes, pools)
+    return _bagmatch_py.count_witness(t.kernel, classes, pools)
 
 
 def row_sat(ctx, shape, x, templates):
@@ -85,7 +85,7 @@ def row_sat(ctx, shape, x, templates):
                     sig |= bit
             sigs.append(sig)
         classes = sorted(set(sigs))
-        return _bagmatch_py.count_match(t.program.kernel, classes, [sigs.count(sig) for sig in classes])
+        return _bagmatch_py.count_match(t.kernel, classes, [sigs.count(sig) for sig in classes])
     if kind is Top:
         return True
     if kind is And:

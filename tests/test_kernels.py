@@ -279,7 +279,7 @@ def test_witness_matches_decision():
             check_witness(program, witness, full)
 
 
-def test_wide_neighborhoods_route_to_pure():
+def test_closed_stars_over_35_rows_are_decided():
     g = build_graph([EdgeTriple("c", "p", f"t{i}") for i in range(35)], [])
     expr = StarE(TC("p", "fwd", top_shape()))
     assert match_triple_expr(g, Node("c"), expr, HalfOpen(frozenset()), cap=40)
@@ -300,8 +300,8 @@ def decide_with_memo(g, expr, openness):
     template = _template(ctx, expr, openness)
     sigs = [sig for _, sig in row_signatures(ctx, template, "c")]
     classes = sorted(set(sigs))
-    run, full, total = _start(template.program.kernel, classes, [sigs.count(sig) for sig in classes])
-    verdict = _can(run, template.program.kernel[-1], full, total)
+    run, full, total = _start(template.kernel, classes, [sigs.count(sig) for sig in classes])
+    verdict = _can(run, template.kernel[-1], full, total)
     return verdict, len(run[-1])  # the run's memo
 
 

@@ -1,12 +1,14 @@
-"""The key a ShEx template reads an element through, against the oracle.
+"""The signature bag a ShEx template decides an element by, against the oracle.
 
-A template decides an element from the counts of the (direction, name)
-pairs it mentions, the tested rows split by their far ends, and one
-class per direction for the rows of the other names, dropped, keyed by
-presence or keyed by count.  These tests compare that key's verdicts
-with ``harness.brute_match_oracle`` per (shape, focus), on templates
-that exercise each part of the key, and check the kernel's work bound
-and the absence of a default row cap.
+A template reads an element's rows of each (direction, name) pair its
+expression or its exclusions mention, splits the tested rows by their
+far ends, never reads the rows of other names in an open direction, and
+gives a half-open shape's forward rows of other names the empty
+signature.  These tests compare the verdicts on those bags with
+``harness.brute_match_oracle`` per (shape, focus), on templates that
+exercise each part of the bag through the openness (exclusions, the
+half-open forward rest, starred single constraints), and check the
+kernel's work bound and the absence of a default row cap.
 """
 
 import os
@@ -18,13 +20,14 @@ import pytest
 
 from test_cli import run
 from test_shex_memo import SRC
-from triform import cli, jsonio, shex
+from triform import _bagmatch_py, cli, jsonio, shex
 from triform.cogsl import cogsl_to_shex
 from triform.examples import media_pg_rules
 from triform.harness import brute_match_oracle
 from triform.model import (
     FWD,
     INV,
+    CommonGraph,
     EdgeTriple,
     InstanceTooLarge,
     Node,
@@ -48,8 +51,6 @@ from triform.shex import (
     Seq,
     StarE,
     TC,
-    WildIn,
-    WildOut,
     open_closure,
     top_shape,
 )
@@ -65,13 +66,13 @@ def tc(name, direction, nested=TOP):
     return TC(name, direction, nested)
 
 
-# each case names the part of the key it exercises
+# each case names the part of the bag it exercises
 CASES = {
     "closed": (Seq(StarE(tc("p", FWD)), tc("k", FWD)), HalfOpen(NO_NAMES)),
     "closed, tested": (StarE(tc("p", FWD, STestType("int"))), HalfOpen(frozenset({"p"}))),
-    "bare wildcard": (Seq(tc("p", FWD), WildOut(frozenset({"k"}))), HalfOpen(NO_NAMES)),
-    "bare inverse wildcard": (Alt(WildIn(NO_NAMES), Seq(WildIn(frozenset({"p"})), tc("q", INV))), Open(NO_NAMES, NO_NAMES)),
-    "starred wildcard": (Seq(tc("q", FWD), StarE(WildOut(frozenset({"k"})))), HalfOpen(frozenset({"q"}))),
+    "half-open rest": (Alt(tc("p", FWD), Seq(tc("p", FWD), StarE(tc("p", INV)))), HalfOpen(frozenset({"q"}))),
+    "starred, excluded": (Seq(StarE(tc("p", INV)), Alt(tc("q", FWD), Eps())), Open(frozenset({"p", "q"}), frozenset({"q"}))),
+    "starred, tested": (Alt(StarE(tc("k", FWD, STestType("int"))), StarE(tc("p", FWD, HAS_Q))), HalfOpen(NO_NAMES)),
     "wildstar under alt": (Alt(StarE(tc("p", FWD)), Seq(tc("q", FWD), StarE(tc("k", FWD)))), HalfOpen(NO_NAMES)),
     "wildstar under alt, open": (Alt(StarE(tc("p", INV)), tc("q", FWD)), Open(frozenset({"p"}), frozenset({"q"}))),
     "exclusions only": (tc("p", FWD), Open(frozenset({"q", "absent"}), frozenset({"k"}))),
@@ -100,7 +101,7 @@ def random_expr(rng, depth):
     if roll < 2:
         return TC(rng.choice(NAMES), rng.choice((FWD, INV)), rng.choice(NESTED))
     if roll == 2:
-        return (WildOut if rng.random() < 0.5 else WildIn)(frozenset(rng.sample(NAMES, rng.randrange(3))))
+        return StarE(TC(rng.choice(NAMES), rng.choice((FWD, INV)), rng.choice(NESTED)))
     if roll == 3:
         return Eps()
     if roll < 6:
@@ -125,7 +126,7 @@ def random_cases(n, seed):
 def extension(g, expr, openness, domain):
     """The elements of ``domain`` the template of ``expr`` and
     ``openness`` matches, decided in one call of the evaluator, which
-    takes wildcards in the expression too (``SNeigh`` refuses them)."""
+    takes boxes to the template too (``SNeigh`` would lower them)."""
     ctx = shex.ShexContext(g, None)
     return shex._neigh(ctx, shex._template(ctx, expr, openness), set(domain))
 
@@ -152,7 +153,7 @@ def test_each_part_of_the_key_equals_the_oracle(label):
 
 
 def test_generated_templates_equal_the_oracle():
-    # bare and starred wildcards, exclusions and tested leaves anywhere
+    # starred single constraints, exclusions, half-open shapes and tested leaves anywhere
     checked = 0
     for i, (expr, openness) in enumerate(random_cases(120, seed=7)):
         checked += check_against_the_oracle(small_graph(i), expr, openness)
@@ -178,13 +179,32 @@ def test_validated_shapes_equal_the_oracle_per_focus():
                     assert ((i, v) not in failing) == want == shex.shex_satisfies(g, v, shape), (label, v)
 
 
-def test_unmentioned_rows_are_dropped_keyed_by_presence_or_counted():
-    ctx = shex.ShexContext(build_graph([], []), None)
-    rest = {label: shex._template(ctx, *CASES[label]).rest for label in CASES}
-    assert rest["exclusions only"] == {}  # open: both directions dropped
-    assert rest["closed"] == {FWD: True}  # no forward wildcard: presence
-    assert rest["bare wildcard"] == {FWD: False}  # a wildcard that takes one row: the count
-    assert rest["starred wildcard"] == {FWD: True}  # a starred wildcard, not the openness one
+def test_rows_of_other_names_are_unread_or_one_empty_class(monkeypatch):
+    # a, b and c have one p row each and 0, 1 and 3 r rows, a name no
+    # shape here mentions
+    edges = [EdgeTriple(u, "p", "t") for u in "abc"] + [EdgeTriple("b", "r", "t")]
+    g = build_graph(edges + [EdgeTriple("c", "r", f"t{i}") for i in range(3)], [])
+    expr = Alt(tc("p", FWD), Seq(tc("p", FWD), tc("p", FWD)))
+    read, calls = [], []
+    counts, count_match = CommonGraph.counts, _bagmatch_py.count_match
+    monkeypatch.setattr(CommonGraph, "counts", lambda g, name, d: read.append((name, d)) or counts(g, name, d))
+    monkeypatch.setattr(_bagmatch_py, "count_match", lambda *args: calls.append(args[1:]) or count_match(*args))
+    ctx = shex.ShexContext(g, None)
+    # open: only the rows of the mentioned and the excluded pairs are read
+    t = shex._template(ctx, expr, Open(frozenset({"q"}), NO_NAMES))
+    assert [(name, d) for name, d, _, _ in t.pairs] == [("p", FWD), ("q", INV)]
+    with monkeypatch.context() as m:
+        m.setattr(CommonGraph, "degrees", lambda *args: pytest.fail("the rows of other names were read"))
+        assert shex._neigh(ctx, t, {"a", "b", "c"}) == {"a", "b", "c"}
+    assert sorted(read) == [("p", FWD), ("q", INV)] and len(calls) == 1
+    # half-open: the forward r rows form one class with the empty
+    # signature, counted once, so b and c share one bag
+    del read[:], calls[:]
+    t = shex._template(ctx, expr, HalfOpen(NO_NAMES))
+    assert shex._neigh(ctx, t, {"a", "b", "c"}) == {"a"}
+    assert read == [("p", FWD)]
+    sig = t.pairs[0][2]  # a p row's
+    assert sorted(calls) == [((0, sig), (1, 1)), ((sig,), (1,))]
 
 
 _BOUND_SCRIPT = """

@@ -1,12 +1,9 @@
-"""The per-run verdict memo and key entries of ShEx neighborhood
-matching.
+"""The per-run verdict memo of ShEx neighborhood matching.
 
-A focus is decided by the bag of its row signatures, so the kernel runs
-once per distinct bag per program per run (shapes that flatten to one
-program share its memo), and a focus is read through its key, the
-counts of the names a template mentions;
-these tests pin the verdicts against the brute-force oracle, count the
-kernel calls and check what a key entry reads.
+A focus is decided by its bag of row signatures, read from the counts
+of the names a template mentions, so the kernel runs once per distinct
+bag per template per run; these tests pin the verdicts against the
+brute-force oracle, count the kernel calls and check what is read.
 """
 
 import json
@@ -190,16 +187,30 @@ S_ONE = open_closure(one_or_three("s", INV))
 SHARED_PROGRAM = [(SelOut("p"), K_ONE), (SelOut("p"), R_ONE), (SelOut("q"), S_ONE)]
 
 
-def test_shapes_with_one_program_share_its_memo(kernel_calls):
+def starred_hubs():
+    """Hubs h0, h1, ... h5 with 4,096 p-edges each and 1, 2 or 3
+    q-edges, two hubs per count."""
+    edges = []
+    for i in range(6):
+        edges += [EdgeTriple(f"h{i}", "p", f"t{j}") for j in range(4096)]
+        edges += [EdgeTriple(f"h{i}", "q", f"u{j}") for j in range(1 + i % 3)]
+    return build_graph(edges, [])
+
+
+# any number of p rows, then one q row or three
+STARRED_P = open_closure(Seq(StarE(TC("p", FWD, TOP)), one_or_three("q", FWD)))
+
+
+def test_shapes_that_flatten_alike_keep_their_own_memos(kernel_calls):
     g = copies_graph(6, extra_p_every=2)
     ctx = shex.ShexContext(g, cap=24)
     templates = [shex._template(ctx, shape.expr, shape.openness) for _, shape in SHARED_PROGRAM]
-    assert len(ctx.programs) == 1 and all(t.program is templates[0].program for t in templates)
+    assert all(t.kernel == templates[0].kernel for t in templates)  # the premise: one program
     first = shex_validate(g, SHARED_PROGRAM)
-    # K_ONE and R_ONE see one bag (one leaf row, the free class of the
-    # other rows counted once), whatever the hub's number of p rows; S_ONE
-    # sees the free class alone
-    assert len(kernel_calls) == 2
+    # each shape sees one bag (K_ONE and R_ONE one leaf row, the free
+    # class of the other rows counted once, whatever the hub's number of
+    # p rows; S_ONE the free class alone), and decides it in its own memo
+    assert len(kernel_calls) == 3
     assert {viol.rule_index for viol in first.violations} == {2}
     for i, (_, shape) in enumerate(SHARED_PROGRAM):
         for c in (Node(f"c{j}") for j in range(6)):
@@ -207,7 +218,7 @@ def test_shapes_with_one_program_share_its_memo(kernel_calls):
                 g, c, shape
             )
     assert shex_validate(g, SHARED_PROGRAM) == first
-    assert len(kernel_calls) == 4  # a new run decides the bags again
+    assert len(kernel_calls) == 6  # a new run decides the bags again
 
 
 _COUNT_SCRIPT = """
@@ -223,7 +234,7 @@ import test_shex_memo as t
 
 calls = []
 count_match = _bagmatch_py.count_match
-_bagmatch_py.count_match = lambda *args: calls.append(1) or count_match(*args)
+_bagmatch_py.count_match = lambda *args: calls.append(sum(args[-1])) or count_match(*args)
 out = []
 cases = [
     (t.copies_graph(30, str_every=3), [(t.SelOut("p"), t.SAnd(t.SNeigh(t.PAIRS_EXPR, t.PAIRS), t.INT_K))]),
@@ -232,8 +243,8 @@ cases = [
 for seed in range(12):
     p = GenParams(seed=seed, node_count=12, edge_density=0.12, prop_density=0.3)
     cases.append((gen_graph(p), gen_shex_schema(p)))
-# every part of a projected key: closed shapes, wildstars under Alt,
-# names only excluded, multi-leaf groups, value foci and loops
+# every part of a bag: closed shapes, wildstars under Alt, names only
+# excluded, multi-leaf groups, value foci and loops
 cases.append((t.shared_far_ends(), t.SHARED_RULES))
 for i, (expr, openness) in enumerate(k.CASES.values()):
     if is_closed_expr(expr):
@@ -268,6 +279,11 @@ for cap in (None, 6):
         except NeighborhoodTooLarge as err:
             outcomes.append(str(err))
     out.append([len(calls), outcomes])
+# the p rows, which only the starred constraint takes, form a free class
+# counted once, so the bags hold 2 to 4 rows, not 4,097 to 4,099
+del calls[:]
+report = shex_validate(t.starred_hubs(), [(t.SelOut("p"), t.STARRED_P)])
+out.append([sorted(calls), [v.focus.id for v in report.violations]])
 print(json.dumps(out))
 """
 
@@ -290,20 +306,23 @@ def test_kernel_calls_do_not_depend_on_the_hash_seed():
     runs = [json.loads(out) for out in run_under_hash_seeds(_COUNT_SCRIPT)]
     assert runs[0] == runs[1]
     assert runs[0][0][0] == 3 and len(runs[0][0][1]) == 10
-    assert runs[0][1][0] == 2 and len(runs[0][1][1]) == 30  # two shapes share one program
+    assert runs[0][1][0] == 3 and len(runs[0][1][1]) == 30  # one bag per shape
     # the compiled media ShEx has count forms only, which need no kernel call
-    compiled = runs[0][-16:-4]
+    compiled = runs[0][-17:-5]
     assert [calls for calls, _ in compiled] == [0] * 12 and sum(len(v) for _, v in compiled) == 30
     # without a cap every trial is decided; the compiled shapes are boxes, decided without the kernel
-    calls, (capped, agreed) = runs[0][-4]
+    calls, (capped, agreed) = runs[0][-5]
     assert capped == 0 and agreed == 40 and calls == 0
-    calls, (capped, agreed) = runs[0][-3]
+    calls, (capped, agreed) = runs[0][-4]
     assert capped > 0 and capped + agreed == 150 and calls == 0
-    calls, outcomes = runs[0][-2]
+    calls, outcomes = runs[0][-3]
     assert calls > 0 and all(type(n) is int for n in outcomes)
     # a capped run decides no bag before its cap error, in any set order
-    calls, outcomes = runs[0][-1]
+    calls, outcomes = runs[0][-2]
     assert calls > 0 and 0 < sum(type(n) is str for n in outcomes) < 40
+    # one kernel call per distinct bag of the 4,096-row hubs, each of 2, 3
+    # or 4 rows, and the hubs with two q rows fail
+    assert runs[0][-1] == [[2, 3, 4], ["h1", "h4"]]
 
 
 _CAP_SCRIPT = """
@@ -400,7 +419,7 @@ def test_untested_profile_reads_no_rows(monkeypatch, kernel_calls):
     # the rule's shape and its two conjuncts, at the targets; nothing nested
     assert calls == [targets] * 3
     assert counted == {("k", FWD), ("q", FWD)}  # the counts of the names the conjuncts mention, and no total
-    assert len(kernel_calls) == 1  # one key, and the conjuncts share one program
+    assert len(kernel_calls) == 2  # one bag per conjunct
 
 
 def test_cap_error_names_the_least_of_two_profiles():
