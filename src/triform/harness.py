@@ -42,7 +42,6 @@ from .model import (
     bool_v,
     build_graph,
     content,
-    focus_sort_key,
     int_v,
     neigh_signed,
     signed_triple_sort_key,
@@ -82,6 +81,7 @@ from .pgschema import (
     concat_all,
     content_member,
 )
+from .report import first_divergence
 from .shacl import shacl_validate
 from .shex import shex_validate
 
@@ -908,8 +908,9 @@ def differential_check(g: CommonGraph, rules: Sequence[PgRule], cap: Optional[in
 
     The translations are rule-for-rule, so agreement is checked per
     (rule, focus) violation, which is stronger than comparing violated
-    rules or the overall booleans.  The witness is the first pair, in
-    report order, that not all three dialects violate.
+    rules or the overall booleans: the witness is the first pair, in
+    report order, that not all three dialects violate
+    (:func:`first_divergence`).
     ShEx capability errors (an explicit row cap, or the matcher's state
     bound or recursion depth) are reported as capped, never as divergence.
     The rules are classified once, for all three dialects.
@@ -921,14 +922,7 @@ def differential_check(g: CommonGraph, rules: Sequence[PgRule], cap: Optional[in
         shex_report = shex_validate(g, cogsl_to_shex(rules), cap=cap)
     except NeighborhoodTooLarge:
         return AgreementReport(pg_report.valid, shacl_report.valid, None, capped=True)
-    witness = None
-    reports = {"pg": pg_report, "shacl": shacl_report, "shex": shex_report}
-    sets = {name: set(report.violations) for name, report in reports.items()}
-    differing = set.union(*sets.values()) - set.intersection(*sets.values())
-    if differing:
-        v = min(differing, key=lambda v: (v.rule_index, focus_sort_key(v.focus)))
-        tags = [name for name, s in sets.items() if v in s]
-        witness = (v.rule_index, v.focus, "violated only in " + ",".join(tags))
+    witness = first_divergence({"pg": pg_report, "shacl": shacl_report, "shex": shex_report})
     return AgreementReport(pg_report.valid, shacl_report.valid, shex_report.valid, witness=witness)
 
 

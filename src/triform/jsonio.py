@@ -725,7 +725,7 @@ def schema_to_json(dialect: str, rules) -> Dict:
 
 
 def report_to_json(report: ValidationReport, dialect: str, rules) -> Dict:
-    indices = sorted({v.rule_index for v in report.violations})
+    indices = report.violated_rules()
     violated = dict(zip(indices, _rules_to_json(dialect, [rules[i] for i in indices])))  # each rule once
     return {
         "valid": report.valid,

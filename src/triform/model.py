@@ -596,10 +596,14 @@ def value_sort_key(w: Value) -> Tuple[str, str]:
     return ("str", w.payload)  # type: ignore[return-value]
 
 
+def elem_sort_key(x: Elem) -> Tuple:
+    """Total order on raw elements: node ids as strings, then values by :func:`value_sort_key`."""
+    return ("n", x) if type(x) is str else ("v",) + value_sort_key(x)
+
+
 def focus_sort_key(f: Focus) -> Tuple:
-    if isinstance(f, Node):
-        return ("n", f.id)
-    return ("v",) + value_sort_key(f.value)
+    """The order of :func:`elem_sort_key` on foci."""
+    return elem_sort_key(focus_elem(f))
 
 
 def signed_triple_sort_key(t: SignedTriple) -> Tuple:
@@ -607,8 +611,8 @@ def signed_triple_sort_key(t: SignedTriple) -> Tuple:
 
 
 def elems_to_foci(elems: Iterable[Elem]) -> List[Focus]:
-    """Raw elements as foci in :func:`focus_sort_key` order: node ids
-    sorted as strings, then values by :func:`value_sort_key`."""
+    """Raw elements as foci in :func:`elem_sort_key` order; the node ids
+    sort as plain strings, which is that order without a key per node."""
     nodes = sorted(x for x in elems if type(x) is str)
-    values = sorted((x for x in elems if type(x) is not str), key=value_sort_key)
+    values = sorted((x for x in elems if type(x) is not str), key=elem_sort_key)
     return [Node(u) for u in nodes] + [Val(w) for w in values]

@@ -759,14 +759,13 @@ def pg_validate(
     """Check every selected focus against its shape.
 
     Each rule's shape is lowered to the shape core and decided for all its
-    selected elements at once, by the set evaluator; foci are built for
-    the failing elements only."""
+    selected elements at once, by the set evaluator; foci are built when
+    the report's violations are first read."""
     check_rule_sorts(rules)
     ctx, per_rule = PgContext(g, registry), []
     for sel, shape in rules:
         selected = _select(g, sel, registry)
-        failing = elems_to_foci(selected - _sat(ctx, lower_shape(shape), selected))
-        per_rule.append((selected, failing))
+        per_rule.append((selected, selected - _sat(ctx, lower_shape(shape), selected)))
     return make_report(per_rule)
 
 

@@ -212,10 +212,9 @@ def shacl_validate(
     """Check every selected focus against its shape; valid iff no failures.
 
     Each rule is decided for all its selected elements at once; foci are
-    built for the failing elements only."""
+    built when the report's violations are first read."""
     ctx, per_rule = ShaclContext(g, registry), []
     for sel, shape in rules:
         selected = _select(g, sel)
-        failing = elems_to_foci(selected - _sat(ctx, shape, selected))
-        per_rule.append((selected, failing))
+        per_rule.append((selected, selected - _sat(ctx, shape, selected)))
     return make_report(per_rule)

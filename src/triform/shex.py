@@ -87,6 +87,8 @@ from .model import (
     TriformError,
     Value,
     ValueTypeRegistry,
+    elem_focus,
+    elem_sort_key,
     elems_to_foci,
     focus_elem,
     frozen,
@@ -600,9 +602,9 @@ def _size(g: CommonGraph, x: Elem) -> int:
 
 
 def _too_large(g: CommonGraph, xs: Collection[Elem], why: str) -> NeighborhoodTooLarge:
-    """The capability error naming the least of ``xs`` in focus order."""
-    v = elems_to_foci(xs)[0]
-    return NeighborhoodTooLarge(f"signed neighborhood of {v!r} has {_size(g, focus_elem(v))} triples{why}")
+    """The capability error naming the least of ``xs`` (:func:`elem_sort_key`)."""
+    x = min(xs, key=elem_sort_key)
+    return NeighborhoodTooLarge(f"signed neighborhood of {elem_focus(x)!r} has {_size(g, x)} triples{why}")
 
 
 def _check(ctx: ShexContext, elems: Collection[Elem]) -> None:
@@ -652,7 +654,7 @@ def _neigh(ctx: ShexContext, t: _Template, elems: Set[Elem]) -> Set[Elem]:
     verdicts = {key: _decide(t, zip(sigs, key)) for key in set(keys)}
     if not all(type(verdict) is bool for verdict in verdicts.values()):
         bad = {x: verdicts[key] for x, key in zip(xs, keys) if type(verdicts[key]) is str}
-        least = focus_elem(elems_to_foci(bad)[0])
+        least = min(bad, key=elem_sort_key)
         raise _too_large(g, [least], bad[least])
     if all(verdicts.values()):
         return elems
@@ -730,12 +732,11 @@ def shex_validate(
     registry: Optional[ValueTypeRegistry] = None,
 ) -> ValidationReport:
     """Validate with one evaluation context per run, deciding each rule
-    for all its selected elements at once; foci are built for violations."""
+    for all its selected elements at once; the report builds foci when read."""
     ctx = ShexContext(g, cap if cap is not None else default_cap(), registry)
     per_rule = []
     for sel, shape in rules:
         selected = _select(g, sel)
         _sid(ctx, shape)
-        failing = elems_to_foci(selected - core._sat(ctx, shape, selected))
-        per_rule.append((selected, failing))
+        per_rule.append((selected, selected - core._sat(ctx, shape, selected)))
     return make_report(per_rule)

@@ -2,6 +2,7 @@ import pytest
 
 import triform.harness as harness
 from triform.harness import (
+    AgreementReport,
     GenParams,
     brute_match_oracle,
     brute_path_oracle,
@@ -27,14 +28,19 @@ from triform.model import (
     EdgeNotInGraph,
     EdgeTriple,
     InstanceTooLarge,
+    NeighborhoodTooLarge,
     Node,
     PropTriple,
     Val,
+    Value,
     build_graph,
+    elem_sort_key,
+    focus_elem,
+    focus_sort_key,
     int_v,
     str_v,
 )
-from triform.report import ValidationReport, Violation
+from triform.report import ValidationReport
 from triform.pgschema import PgPath, PPred, PStar
 from triform.shacl import GeqCount, Id, Inverse, LeqCount, Not, Star, Step, Top, shacl_validate
 from triform.shex import (
@@ -186,11 +192,10 @@ def test_differential_check_compares_foci(monkeypatch, g_media, pg_c1_c5):
     g = build_graph(g_media.edges, props)
     assert differential_check(g, pg_c1_c5).agree
     real = harness.shacl_validate
-    dropped = Violation(1, Node("u4"))
 
     def lossy_shacl(graph, rules):
         report = real(graph, rules)
-        return ValidationReport([v for v in report.violations if v != dropped], report.stats)
+        return ValidationReport(report.selected, [xs - {"u4"} if i == 1 else xs for i, xs in enumerate(report.failing)])
 
     monkeypatch.setattr(harness, "shacl_validate", lossy_shacl)
     lossy = lossy_shacl(g, cogsl_to_shacl(pg_c1_c5))
@@ -199,6 +204,82 @@ def test_differential_check_compares_foci(monkeypatch, g_media, pg_c1_c5):
     report = differential_check(g, pg_c1_c5)
     assert not report.agree
     assert report.witness == (1, Node("u4"), "violated only in pg,shex")
+
+
+def reference_differential_check(g, rules, cap=None):
+    """The comparison of whole reports: each dialect's (rule, focus)
+    violations hashed into a set, the witness least by (rule, focus)."""
+    rules = cogsl.CheckedSchema(rules)
+    pg_report = harness.cogsl_validate(g, rules)
+    shacl_report = harness.shacl_validate(g, harness.cogsl_to_shacl(rules))
+    try:
+        shex_report = harness.shex_validate(g, harness.cogsl_to_shex(rules), cap=cap)
+    except NeighborhoodTooLarge:
+        return AgreementReport(not pg_report.violations, not shacl_report.violations, None, capped=True)
+    reports = {"pg": pg_report, "shacl": shacl_report, "shex": shex_report}
+    sets = {name: set(report.violations) for name, report in reports.items()}
+    differing = set.union(*sets.values()) - set.intersection(*sets.values())
+    witness = None
+    if differing:
+        v = min(differing, key=lambda v: (v.rule_index, focus_sort_key(v.focus)))
+        witness = (v.rule_index, v.focus, "violated only in " + ",".join(n for n, s in sets.items() if v in s))
+    verdicts = [not report.violations for report in reports.values()]
+    return AgreementReport(*verdicts, witness=witness)
+
+
+def trial(nodes, seed):
+    params = GenParams(node_count=nodes, schema_size_budget=5).with_seed(seed)
+    return gen_graph(params), gen_cogsl_schema(params)
+
+
+@pytest.mark.parametrize("shacl_shape", [None, Top(), Not(Top())], ids=["translated", "top", "bottom"])
+@pytest.mark.parametrize("nodes, trials", [(8, 400), (12, 400), (40, 12)])
+def test_differential_check_matches_the_whole_report_comparison(monkeypatch, nodes, trials, shacl_shape):
+    if shacl_shape is not None:  # every SHACL rule passes or fails everywhere: divergences in many rules
+        real = harness.cogsl_to_shacl
+        monkeypatch.setattr(harness, "cogsl_to_shacl", lambda rules: [(sel, shacl_shape) for sel, _ in real(rules)])
+        trials //= 4
+    for seed in range(trials):
+        g, rules = trial(nodes, seed)
+        for cap in (None, 1):
+            assert differential_check(g, rules, cap) == reference_differential_check(g, rules, cap), (seed, cap)
+
+
+@pytest.fixture(scope="module")
+def fails_a_node_and_a_value():
+    """The first 12-node trial whose PG report fails both a node and a value."""
+    for seed in range(500):
+        g, rules = trial(12, seed)
+        elems = set().union(*cogsl_validate(g, rules).failing)
+        if any(type(x) is str for x in elems) and any(type(x) is not str for x in elems):
+            return g, rules
+    raise AssertionError("no trial fails both a node and a value")
+
+
+@pytest.mark.parametrize("kind", [str, Value], ids=["node", "value"])
+@pytest.mark.parametrize("change", ["drop", "add", "swap"])
+@pytest.mark.parametrize("dialect", ["cogsl", "shacl", "shex"])
+def test_differential_check_finds_a_planted_divergence(monkeypatch, fails_a_node_and_a_value, dialect, change, kind):
+    # a swap keeps the set's size and makes two elements differ, of which the witness is the least
+    g, rules = fails_a_node_and_a_value
+    real = getattr(harness, f"{dialect}_validate")
+
+    def planted(*args, **kwargs):
+        report = real(*args, **kwargs)
+        failing = [set(xs) for xs in report.failing]
+        i = next(i for i, xs in enumerate(failing) if any(type(x) is kind for x in xs))
+        kept = [x for x in (g.nodes if kind is str else g.values) if x not in failing[i]]
+        if change != "add":
+            failing[i].remove(max((x for x in failing[i] if type(x) is kind), key=elem_sort_key))
+        if change != "drop":
+            failing[i].add(min(kept, key=elem_sort_key))
+        return ValidationReport(report.selected, failing)
+
+    monkeypatch.setattr(harness, f"{dialect}_validate", planted)
+    report = differential_check(g, rules)
+    assert not report.agree and report.witness is not None
+    assert type(focus_elem(report.witness[1])) is kind
+    assert report == reference_differential_check(g, rules)
 
 
 def test_differential_capped_counts_separately(g_media, pg_c1_c5):
